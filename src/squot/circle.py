@@ -39,6 +39,10 @@ DEFAULT_ORACLE_DEGREE = 30
 #: results and settle for peeling whole (1 - x^m) factors.
 REDUCE_DEGREE_LIMIT = 400
 
+#: Results kept by `hilbert_series`; above the 552 weight vectors of the
+#: n = 3 sweep with weights <= 15, while bounding memory in long sweeps.
+HILBERT_CACHE_SIZE = 1024
+
 
 def normalize_weights(weights: Sequence[int]) -> Tuple[int, ...]:
     """Sorted positive primitive form of a weight vector.
@@ -109,7 +113,7 @@ def transformed_denominator(den: FactoredDenominator,
     total degree is preserved and the image of any series with this
     denominator admits the transformed one.
     """
-    if den.other != ONE or den.monomial_shift:
+    if den.other != ONE:
         raise ValueError("transformation rule needs a pure cyclotomic form")
     pairs = [(math.lcm(a, m) // a, e * math.gcd(a, m))
              for m, e in den.factors]
@@ -423,7 +427,7 @@ def verify_against_oracle(weights: Sequence[int], off: RationalFunction,
                 f"{g} != brute-force count {w}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=HILBERT_CACHE_SIZE)
 def _hilbert_series_cached(weights: Tuple[int, ...], slack: int,
                            oracle_degree) -> HilbertSeriesResult:
     clusters = _weight_clusters(weights)

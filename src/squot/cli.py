@@ -16,9 +16,9 @@ import sys
 from fractions import Fraction
 
 from .circle import DEFAULT_ORACLE_DEGREE, hilbert_series, normalize_weights
-from .errors import (InsufficientCoefficients, NotApplicable,
-                     PartitionPointsMismatch, SquotError, UnsupportedDimension,
-                     ZeroWeight)
+from .errors import (ArgumentOutOfRange, InsufficientCoefficients,
+                     MalformedWeights, NotApplicable, PartitionPointsMismatch,
+                     SquotError, UnsupportedDimension, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
                     RationalFunction, laurent_at_one, series_of_rational)
 from .finite import FiniteDiagonalGroup, analyze_group
@@ -29,7 +29,8 @@ SCHEMA_VERSION = "1"
 
 #: Errors caused by what the user asked for, as opposed to failures of
 #: the computation's own consistency checks.
-_INPUT_ERRORS = (ZeroWeight, UnsupportedDimension, InsufficientCoefficients,
+_INPUT_ERRORS = (ZeroWeight, MalformedWeights, ArgumentOutOfRange,
+                 UnsupportedDimension, InsufficientCoefficients,
                  PartitionPointsMismatch, NotApplicable)
 
 
@@ -45,7 +46,7 @@ def _coeff(c):
 def series_payload(f: RationalFunction) -> dict:
     den = f.denominator
     if not isinstance(den, FactoredDenominator):
-        den = FactoredDenominator((), 0, den)
+        den = FactoredDenominator((), den)
     payload = {
         "numerator": [_coeff(c) for c in f.numerator.coeffs],
         "denominator": [[m, e] for m, e in den.factors],
@@ -75,7 +76,14 @@ def _parse_weights(text: str):
     try:
         return tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise ZeroWeight(f"cannot parse weights {text!r}")
+        raise MalformedWeights(f"cannot parse weights {text!r}; "
+                               "expected comma-separated integers")
+
+
+def _check_at_least(option: str, value, low: int) -> None:
+    """Reject a numeric option below `low`; None means not given."""
+    if value is not None and value < low:
+        raise ArgumentOutOfRange(f"{option} must be >= {low}, got {value}")
 
 
 def _parse_generator(text: str):
@@ -130,6 +138,10 @@ def _emit(args, document: dict) -> int:
 
 
 def cmd_hilbert(args) -> int:
+    # slack >= 1 keeps at least one verification coefficient, so the
+    # reconstruction stays certified
+    _check_at_least("--slack", args.slack, 1)
+    _check_at_least("--oracle-verify", args.oracle_verify, 0)
     weights = _parse_weights(args.weights)
     oracle = args.oracle_verify if args.oracle_verify is not None \
         else DEFAULT_ORACLE_DEGREE
@@ -167,6 +179,7 @@ def _print_series_text(f: RationalFunction) -> None:
 
 
 def cmd_laurent(args) -> int:
+    _check_at_least("--order", args.order, 0)
     if args.weights is not None:
         weights = _parse_weights(args.weights)
         on = hilbert_series(weights).on_shell
@@ -195,6 +208,8 @@ def cmd_laurent(args) -> int:
 
 
 def cmd_symplectic(args) -> int:
+    # with no S_m to check, "passed" would hold vacuously
+    _check_at_least("--order", args.order, 1)
     f = _series_source(args)
     expansion = laurent_at_one(f, 2 * args.order - 1)
     report = symplectic_check(expansion, args.order)
@@ -212,6 +227,8 @@ def cmd_symplectic(args) -> int:
 
 
 def cmd_finite(args) -> int:
+    _check_at_least("--slack", args.slack, 1)
+    _check_at_least("--order", args.order, 0)
     gens = [_parse_generator(g) for g in args.gen]
     group = FiniteDiagonalGroup.from_generators(gens)
     result = analyze_group(group, slack=args.slack)

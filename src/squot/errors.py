@@ -9,6 +9,14 @@ class ZeroWeight(SquotError):
     """A weight vector contains a zero entry."""
 
 
+class MalformedWeights(SquotError):
+    """A weight list is not a comma-separated list of integers."""
+
+
+class ArgumentOutOfRange(SquotError):
+    """A numeric command-line argument is outside its allowed range."""
+
+
 class DegenerateWeights(SquotError):
     """A generic-only code path was handed repeated weights."""
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate, chain, islice
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DenominatorVanishesAtZero, ReconstructionMismatch
@@ -106,12 +108,6 @@ class QPolynomial:
             acc = acc * x + c
         return acc
 
-    def shift(self, k: int) -> "QPolynomial":
-        """Multiply by x**k."""
-        if self.is_zero():
-            return self
-        return QPolynomial((0,) * k + self.coeffs)
-
     def valuation(self) -> int:
         """Order of vanishing at 0 (0 for the zero polynomial)."""
         for i, c in enumerate(self.coeffs):
@@ -153,14 +149,6 @@ class QPolynomial:
             return a
         return a * Fraction(1, 1) * (Fraction(1) / a.coeffs[-1])
 
-    def compose_one_minus(self) -> "QPolynomial":
-        """Return p(1 - u) as a polynomial in u."""
-        acc = QPolynomial()
-        one_minus_u = QPolynomial([1, -1])
-        for c in reversed(self.coeffs):
-            acc = acc * one_minus_u + c
-        return acc
-
     def is_palindromic(self) -> bool:
         c = self.coeffs
         return bool(c) and c == tuple(reversed(c))
@@ -184,30 +172,28 @@ ONE = QPolynomial([1])
 
 @dataclass(frozen=True)
 class FactoredDenominator:
-    """A denominator kept as x**shift * prod (1-x^m)^e * other.
+    """A denominator kept as prod (1-x^m)^e * other.
 
     The cyclotomic part is the multiset {(m, e)}; `other` is an arbitrary
     extra polynomial factor with unit constant term.
     """
 
     factors: tuple  # sorted tuple of (m, e) pairs, m >= 1, e >= 1
-    monomial_shift: int = 0
     other: QPolynomial = field(default_factory=lambda: ONE)
 
     @staticmethod
-    def from_pairs(pairs: Iterable, shift: int = 0,
+    def from_pairs(pairs: Iterable,
                    other: QPolynomial = ONE) -> "FactoredDenominator":
         acc: dict = {}
         for m, e in pairs:
             if m < 1 or e < 1:
                 raise ValueError("cyclotomic factors need m >= 1, e >= 1")
             acc[m] = acc.get(m, 0) + e
-        return FactoredDenominator(tuple(sorted(acc.items())), shift, other)
+        return FactoredDenominator(tuple(sorted(acc.items())), other)
 
     @property
     def degree(self) -> int:
-        return (self.monomial_shift + sum(m * e for m, e in self.factors)
-                + self.other.degree)
+        return sum(m * e for m, e in self.factors) + self.other.degree
 
     def expand(self) -> QPolynomial:
         poly = self.other
@@ -215,13 +201,11 @@ class FactoredDenominator:
             f = QPolynomial([1] + [0] * (m - 1) + [-1])
             for _ in range(e):
                 poly = poly * f
-        return poly.shift(self.monomial_shift)
+        return poly
 
     def multiply_into(self, coeffs: Sequence[Scalar]) -> list:
-        """Multiply a coefficient list by the expanded denominator.
-
-        Works in place on a copy; the x**shift just shifts indices.
-        """
+        """Multiply a coefficient list by the expanded denominator,
+        truncated to the same length; works on a copy."""
         out = list(coeffs)
         n = len(out)
         for m, e in self.factors:
@@ -232,8 +216,6 @@ class FactoredDenominator:
         if self.other != ONE:
             full = poly_mul(QPolynomial(out), self.other).coeffs
             out = list(full[:n]) + [0] * (n - len(full))
-        if self.monomial_shift:
-            out = [0] * self.monomial_shift + out
         return out
 
 
@@ -322,10 +304,6 @@ class TruncatedSeries:
             tuple(self.coefficients[k] + other.coefficients[k]
                   for k in range(n + 1)), n)
 
-    def scaled(self, c: Scalar) -> "TruncatedSeries":
-        return TruncatedSeries(tuple(x * c for x in self.coefficients),
-                               self.order)
-
 
 @dataclass(frozen=True)
 class LaurentExpansion:
@@ -359,14 +337,7 @@ def series_div(num: Sequence[Scalar], den: Sequence[Scalar], order: int) -> list
 
 def _expand_factored(num: QPolynomial, den: FactoredDenominator,
                      order: int) -> list:
-    shift = den.monomial_shift
-    coeffs = list(num.coeffs)
-    if shift:
-        if num.valuation() < shift and not num.is_zero():
-            raise DenominatorVanishesAtZero(
-                "monomial shift in denominator exceeds numerator valuation")
-        coeffs = coeffs[shift:]
-    coeffs = coeffs[:order + 1]
+    coeffs = list(num.coeffs[:order + 1])
     coeffs += [0] * (order + 1 - len(coeffs))
     for m, e in den.factors:
         for _ in range(e):
@@ -471,24 +442,110 @@ def resultant_transform(den: QPolynomial, a: int) -> QPolynomial:
     return monic * scale
 
 
-def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
-    """Laurent data of f at x = 1 via the exact substitution x = 1 - u.
+def _shifted_at_one(poly: QPolynomial):
+    """Integer coefficients of s * poly(1 - u), lowest degree first.
 
-    The pole order is read off from the u-valuations of numerator and
-    denominator after substitution, so no gcd reduction is needed.
+    s is the lcm of the coefficient denominators.  Pass i of the
+    synthetic addition that gives p(1 + y) replaces the tail p[i:] by
+    its suffix sums and leaves p[i] final; y -> -u then flips the sign
+    of the odd coefficients.  Returns (s, v, terms): the u-valuation v
+    and an iterator over the coefficients from degree v on, each
+    computed only when drawn, so a prefix of k terms costs v + k passes.
     """
-    nu = f.numerator.compose_one_minus()
-    de = f.expanded_denominator.compose_one_minus()
-    if nu.is_zero():
-        return LaurentExpansion(0, tuple([Fraction(0)] * (order + 1)))
-    vn, vd = nu.valuation(), de.valuation()
-    body = series_div(nu.coeffs[vn:], de.coeffs[vd:],
-                      order + max(0, vn - vd))
-    pole = vd - vn
+    scale = math.lcm(*(c.denominator for c in poly.coeffs))
+    work = [c.numerator * (scale // c.denominator) for c in poly.coeffs]
+
+    def passes():
+        for i in range(len(work)):
+            work[i:] = reversed(list(accumulate(reversed(work[i:]))))
+            yield -work[i] if i & 1 else work[i]
+
+    terms = passes()
+    for v, first in enumerate(terms):
+        if first:
+            return scale, v, chain((first,), terms)
+    raise ZeroDivisionError("zero polynomial has no expansion at x = 1")
+
+
+def _mul_truncated(a: list, b: list, n: int) -> list:
+    """First n coefficients of the product of two coefficient lists."""
+    out = [0] * min(n, len(a) + len(b) - 1)
+    for i, x in enumerate(a[:n]):
+        if x:
+            for j, y in enumerate(b[:n - i]):
+                out[i + j] += x * y
+    return out
+
+
+def _deferred_quotient(a: list, b: list, n: int) -> list:
+    """N_0..N_(n-1) with N_k = q_k * b[0]^(k+1), where a/b = sum q_k u^k.
+
+    From q_k b[0] = a_k - sum_j b_j q_(k-j):
+    N_k = a_k d0^k - sum_(j=1..k) b_j d0^(j-1) N_(k-j) with d0 = b[0],
+    so the whole recurrence stays in integers.
+    """
+    d0 = b[0]
+    scaled = []  # b_j * d0^(j-1) for j = 1, 2, ...
+    power = 1
+    for bj in b[1:n]:
+        scaled.append(bj * power)
+        power *= d0
+    out = []
+    power = 1  # d0^k
+    for k in range(n):
+        head = a[k] * power if k < len(a) else 0
+        out.append(head - sum(map(mul, scaled, reversed(out))))
+        power *= d0
+    return out
+
+
+def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
+    """Laurent data of f at x = 1 in the variable u = 1 - x.
+
+    The denominator is read in factored form, a dense denominator being
+    the `other` slot with no cyclotomic factors, and everything up to
+    the last step is integer arithmetic:
+
+    1. numerator and `other` are scaled to integer polynomials and
+       Taylor-shifted to x = 1 - u (`_shifted_at_one`);
+    2. each (1 - x^m)^e becomes u^e P_m(u)^e with
+       P_m(u) = sum_(k=1..m) (-1)^(k+1) C(m,k) u^(k-1), P_m(0) = m, so
+       the pole order sum(e) + v_u(other) - v_u(numerator) is read off
+       without any expansion, and the P_m are multiplied only as far
+       as the requested order needs;
+    3. the quotient is formed with its denominator deferred
+       (`_deferred_quotient`), and one Fraction is built per
+       coefficient.
+    """
+    if order < 0:
+        raise ValueError(f"Laurent order must be >= 0, got {order}")
+    if f.numerator.is_zero():
+        return LaurentExpansion(0, (Fraction(0),) * (order + 1))
+    den = f.denominator
+    if not isinstance(den, FactoredDenominator):
+        den = FactoredDenominator((), den)
+    num_scale, num_val, num_terms = _shifted_at_one(f.numerator)
+    den_scale, den_val, den_terms = _shifted_at_one(den.other)
+    pole = sum(e for _, e in den.factors) + den_val - num_val
+    length = max(0, order + 1 + min(pole, 0))
+    gammas = []
+    if length:
+        a = list(islice(num_terms, length))
+        b = list(islice(den_terms, length))
+        for m, e in den.factors:
+            p_m = [(-1) ** (k + 1) * math.comb(m, k)
+                   for k in range(1, min(m, length) + 1)]
+            for _ in range(e):
+                b = _mul_truncated(b, p_m, length)
+        d0 = b[0]
+        power = d0
+        for n_k in _deferred_quotient(a, b, length):
+            gammas.append(Fraction(n_k * den_scale, power * num_scale))
+            power *= d0
     if pole >= 0:
-        return LaurentExpansion(pole, tuple(body[:order + 1]))
+        return LaurentExpansion(pole, tuple(gammas))
     zeros = [Fraction(0)] * (-pole)
-    return LaurentExpansion(0, tuple((zeros + body)[:order + 1]))
+    return LaurentExpansion(0, tuple((zeros + gammas)[:order + 1]))
 
 
 def laurent_prototype(t: Scalar, order: int) -> LaurentExpansion:

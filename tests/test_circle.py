@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squot.circle import (HilbertSeriesResult, hilbert_equal_weights,
+from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
+                          _hilbert_series_cached, hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights,
                           off_shell_equal_weights, oracle_off_counts,
@@ -203,6 +204,11 @@ class TestDispatcher:
         b = hilbert_series([2, 4, 6])
         assert a.on_shell.numerator == b.on_shell.numerator
         assert a.weights == b.weights == (1, 2, 3)
+
+    def test_cache_is_bounded(self):
+        # above the 552 vectors of the n = 3 sweep with weights <= 15
+        assert _hilbert_series_cached.cache_info().maxsize \
+            == HILBERT_CACHE_SIZE == 1024
 
     def test_torus_fixture_recovered(self):
         # (1,2,2) reproduces a printed two-torus reduction series

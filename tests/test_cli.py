@@ -7,20 +7,33 @@ from io import StringIO
 from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from squot.cli import (load_series, main, payload_to_rational,
-                       series_payload)
+from squot.cli import (_parse_weights, load_series, main,
+                       payload_to_rational, series_payload)
+from squot.errors import MalformedWeights
 from squot.exact import series_of_rational
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "squot",
                         "fixtures")
 
 
+def run_all(argv):
+    """Exit code, stdout and stderr; argparse's own errors exit through
+    SystemExit."""
+    out, err = StringIO(), StringIO()
+    with mock.patch("sys.stdout", out), mock.patch("sys.stderr", err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
 def run(argv):
-    out = StringIO()
-    with mock.patch("sys.stdout", out):
-        code = main(argv)
-    return code, out.getvalue()
+    code, out, _ = run_all(argv)
+    return code, out
 
 
 def run_json(argv):
@@ -195,3 +208,83 @@ class TestSeriesFiles:
     def test_missing_file(self):
         code, _ = run(["laurent", "--series", "/nonexistent", "--order", "2"])
         assert code == 2
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("argv", [
+        ["laurent", "--weights", "1,2,3", "--order", "-1"],
+        ["symplectic", "--weights", "1,2,3", "--order", "-2"],
+        ["symplectic", "--weights", "1,2,3", "--order", "0"],
+        ["hilbert", "--weights", "1,2,3", "--oracle-verify", "-1"],
+        ["hilbert", "--weights", "1,2,3", "--slack", "0"],
+        ["hilbert", "--weights", "1,2,3", "--slack", "-3"],
+        ["finite", "--gen", "2:1", "--slack", "0"],
+        ["finite", "--gen", "2:1", "--order", "-1"],
+        ["hilbert", "--weights", "1,x,3"],
+    ])
+    def test_bad_input_exit_2_one_line(self, argv):
+        code, out, err = run_all(argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unparseable_weights_not_zero_weight(self):
+        with pytest.raises(MalformedWeights):
+            _parse_weights("1,x,3")
+
+    def test_smallest_valid_values_accepted(self):
+        assert run(["laurent", "--weights", "1,2,3", "--order", "0"])[0] == 0
+        assert run(["symplectic", "--weights", "1,2,3",
+                    "--order", "1"])[0] == 0
+        assert run(["hilbert", "--weights", "1,2,3", "--slack", "1",
+                    "--oracle-verify", "0"])[0] == 0
+
+
+@st.composite
+def argv_fragments(draw):
+    """A small command line: valid and invalid values, a stray flag."""
+    def number():  # out-of-range values about as often as valid ones
+        return str(draw(st.one_of(st.integers(-3, 1), st.integers(2, 20))))
+
+    def weights():  # mostly valid, so that later checks are reached
+        if not draw(st.integers(0, 4)):
+            return draw(st.sampled_from(["", "x", "1,,2", "1,x,3", "0,1"]))
+        ws = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
+        return ",".join(str(w * draw(st.sampled_from([1, -1]))) for w in ws)
+
+    command = draw(st.sampled_from(["hilbert", "laurent", "symplectic",
+                                    "finite", "scan"]))
+    if command == "hilbert":
+        argv = ["hilbert", "--weights", weights()]
+        argv += draw(st.sampled_from([[], ["--off"], ["--text"]]))
+        options = ["--slack", "--oracle-verify"]
+    elif command in ("laurent", "symplectic"):
+        argv = [command, "--weights", weights(), "--order", number()]
+        options = []
+    elif command == "finite":
+        argv = ["finite"]
+        for _ in range(draw(st.integers(1, 2))):
+            exps = draw(st.lists(st.integers(-2, 5), max_size=3))
+            argv += ["--gen", f"{draw(st.integers(-1, 6))}:"
+                     + ",".join(map(str, exps))]
+        options = ["--order", "--slack"]
+    else:
+        # --jobs stays <= 1: more would start a process pool
+        argv = ["scan", "--n", str(draw(st.integers(2, 4))),
+                "--max-level", str(draw(st.integers(-1, 15))),
+                "--jobs", str(draw(st.integers(-1, 1)))]
+        options = []
+    for option in draw(st.lists(st.sampled_from(options), unique=True)
+                       if options else st.just([])):
+        argv += [option, number()]
+    stray = draw(st.sampled_from([None, None, None, "--bogus", "--order"]))
+    return argv + [stray] if stray else argv
+
+
+class TestExitContractProperty:
+    @given(argv_fragments())
+    @settings(max_examples=200, deadline=None)
+    def test_exit_code_and_no_traceback(self, argv):
+        code, _, err = run_all(argv)
+        assert code in (0, 2, 3), (argv, err)
+        assert "Traceback" not in err

@@ -8,12 +8,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squot.errors import DenominatorVanishesAtZero, ReconstructionMismatch
-from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
-                         laurent_at_one, laurent_prototype, poly_mul,
-                         rational_reconstruct, resultant_transform,
+from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
+                         RationalFunction, laurent_at_one, laurent_prototype,
+                         poly_mul, rational_reconstruct, resultant_transform,
                          series_div, series_of_rational)
 
 Q = Fraction
+
+
+def reference_laurent_at_one(f, order):
+    """Laurent data at x = 1 by the plain Fraction route: expand the
+    denominator, substitute x = 1 - u by Horner's rule, and divide the
+    u-series in Fraction arithmetic."""
+    def one_minus(poly):
+        acc = QPolynomial()
+        for c in reversed(poly.coeffs):
+            acc = acc * QPolynomial([1, -1]) + c
+        return acc
+
+    nu = one_minus(f.numerator)
+    de = one_minus(f.expanded_denominator)
+    if nu.is_zero():
+        return LaurentExpansion(0, tuple([Q(0)] * (order + 1)))
+    vn, vd = nu.valuation(), de.valuation()
+    body = series_div(nu.coeffs[vn:], de.coeffs[vd:],
+                      order + max(0, vn - vd))
+    pole = vd - vn
+    if pole >= 0:
+        return LaurentExpansion(pole, tuple(body[:order + 1]))
+    zeros = [Q(0)] * (-pole)
+    return LaurentExpansion(0, tuple((zeros + body)[:order + 1]))
+
+
+small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+nonzero_polys = st.lists(small_fractions, min_size=1, max_size=6).filter(any)
+
+
+@st.composite
+def laurent_inputs(draw):
+    """A rational function with any of the denominator kinds, and an
+    order.  Factors of (1 - x) in the numerator and in the extra factor
+    push the pole order to zero and below."""
+    one_minus_x = QPolynomial([1, -1])
+    num = QPolynomial(draw(nonzero_polys) if draw(st.booleans()) else [0])
+    for _ in range(draw(st.integers(0, 8))):
+        num = num * one_minus_x
+    extra = QPolynomial(draw(nonzero_polys))
+    for _ in range(draw(st.integers(0, 2))):
+        extra = extra * one_minus_x
+    if draw(st.booleans()):
+        den = extra  # dense denominator
+    else:
+        pairs = draw(st.lists(st.tuples(st.integers(1, 6),
+                                        st.integers(1, 2)), max_size=3))
+        other = extra if draw(st.booleans()) else QPolynomial([1])
+        den = FactoredDenominator.from_pairs(pairs, other=other)
+    return RationalFunction(num, den), draw(st.integers(0, 40))
 
 
 def geometric(pairs, num=(1,)):
@@ -45,10 +95,6 @@ class TestQPolynomial:
         a = QPolynomial([1, -1]) * QPolynomial([2, 2])
         b = QPolynomial([1, -1]) * QPolynomial([3, 0, 3])
         assert a.gcd(b) == QPolynomial([-1, 1])
-
-    def test_compose_one_minus(self):
-        p = QPolynomial([0, 0, 1])  # x^2 -> (1-u)^2
-        assert p.compose_one_minus() == QPolynomial([1, -2, 1])
 
     @given(st.lists(st.integers(-9, 9), max_size=6),
            st.lists(st.integers(-9, 9), max_size=6))
@@ -168,6 +214,27 @@ class TestLaurent:
         f = RationalFunction(QPolynomial([1, 0, -1]),
                              QPolynomial([1, -2, 1]))
         assert laurent_at_one(f, 3).pole_order == 1
+
+    @given(laurent_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_fraction_reference(self, case):
+        f, order = case
+        got = laurent_at_one(f, order)
+        want = reference_laurent_at_one(f, order)
+        assert got.pole_order == want.pole_order
+        assert got.coefficients == want.coefficients
+
+    def test_negative_pole_order_padded(self):
+        # (1-x)^3 / (1-x^2): a double zero, so gamma_0 = gamma_1 = 0
+        f = RationalFunction(QPolynomial([1, -3, 3, -1]),
+                             FactoredDenominator.from_pairs([(2, 1)]))
+        ex = laurent_at_one(f, 3)
+        assert ex.pole_order == 0
+        assert ex.coefficients == (0, 0, Q(1, 2), Q(1, 4))
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            laurent_at_one(geometric([(1, 1)]), -1)
 
     @pytest.mark.parametrize("t", range(1, 21))
     def test_prototype_matches_engine(self, t):
