@@ -35,10 +35,6 @@ from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
 
 DEFAULT_ORACLE_DEGREE = 30
 
-#: Above this numerator degree, skip full gcd reduction of clustered-path
-#: results and settle for peeling whole (1 - x^m) factors.
-REDUCE_DEGREE_LIMIT = 400
-
 #: Results kept by `hilbert_series`; above the 552 weight vectors of the
 #: n = 3 sweep with weights <= 15, while bounding memory in long sweeps.
 HILBERT_CACHE_SIZE = 1024
@@ -301,8 +297,6 @@ def _divide_binomial(poly: QPolynomial, m: int):
 
 def _peel_common(f: RationalFunction) -> RationalFunction:
     """Cancel whole (1 - x^m) factors shared by numerator and denominator."""
-    if not isinstance(f.denominator, FactoredDenominator):
-        return f
     num = f.numerator
     pairs = []
     for m, e in f.denominator.factors:
@@ -313,9 +307,8 @@ def _peel_common(f: RationalFunction) -> RationalFunction:
             num, e = quo, e - 1
         if e:
             pairs.append((m, e))
-    if not pairs:
-        return RationalFunction(num, ONE)
-    return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
+    return RationalFunction(
+        num, FactoredDenominator.from_pairs(pairs, f.denominator.other))
 
 
 def hilbert_off_clustered(weights: Sequence[int],
@@ -350,18 +343,17 @@ def hilbert_off_clustered(weights: Sequence[int],
 
 
 def _on_from_off(off: RationalFunction) -> RationalFunction:
-    """Multiply by (1 - x^2), cancelling a denominator factor if possible."""
-    factors = dict(off.denominator.factors)
+    """Multiply by (1 - x^2), cancelling a denominator factor if possible;
+    the extra factor of the denominator is kept either way."""
+    den = off.denominator
+    factors = dict(den.factors)
     if factors.get(2):
         factors[2] -= 1
-        if not factors[2]:
-            del factors[2]
-        if not factors:
-            return RationalFunction(off.numerator, ONE)
-        return RationalFunction(off.numerator,
-                                FactoredDenominator.from_pairs(factors.items()))
+        kept = FactoredDenominator.from_pairs(
+            [(m, e) for m, e in factors.items() if e], den.other)
+        return RationalFunction(off.numerator, kept)
     num = off.numerator * QPolynomial([1, 0, -1])
-    return _peel_common(RationalFunction(num, off.denominator))
+    return _peel_common(RationalFunction(num, den))
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:
@@ -442,34 +434,12 @@ def _hilbert_series_cached(weights: Tuple[int, ...], slack: int,
                                      _off_from_on(on), pieces)
     else:
         off, pieces = hilbert_off_clustered(weights, slack)
-        if off.numerator.degree <= REDUCE_DEGREE_LIMIT:
-            off = _refactor(off.reduce())
+        off = off.reduce()
         result = HilbertSeriesResult(weights, "DegenerateResidue",
                                      _on_from_off(off), off, pieces)
     if oracle_degree is not None:
         verify_against_oracle(weights, result.off_shell, oracle_degree)
     return result
-
-
-def _refactor(f: RationalFunction) -> RationalFunction:
-    """Rewrite an expanded denominator as a product of (1 - x^m) factors
-    where possible; any leftover goes into the `other` slot."""
-    den = f.expanded_denominator
-    pairs = []
-    m = den.degree
-    while m >= 1 and den.degree >= 1:
-        quo = _divide_binomial(den, m)
-        if quo is None:
-            m -= 1
-        else:
-            pairs.append((m, 1))
-            den = quo
-    if den == ONE:
-        extra = ONE
-    else:
-        extra = den
-    return RationalFunction(
-        f.numerator, FactoredDenominator.from_pairs(pairs, other=extra))
 
 
 def hilbert_series(weights: Sequence[int], slack: int = DEFAULT_SLACK,

@@ -16,9 +16,10 @@ import sys
 from fractions import Fraction
 
 from .circle import DEFAULT_ORACLE_DEGREE, hilbert_series, normalize_weights
-from .errors import (ArgumentOutOfRange, InsufficientCoefficients,
-                     MalformedWeights, NotApplicable, PartitionPointsMismatch,
-                     SquotError, UnsupportedDimension, ZeroWeight)
+from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
+                     InsufficientCoefficients, MalformedWeights,
+                     NotApplicable, PartitionPointsMismatch, SquotError,
+                     UnsupportedDimension, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
                     RationalFunction, laurent_at_one, series_of_rational)
 from .finite import FiniteDiagonalGroup, analyze_group
@@ -192,13 +193,15 @@ def cmd_laurent(args) -> int:
         if len(norm) >= 3:
             closed["gamma2"] = _rat(gamma2_closed(norm))
             closed["gamma3"] = closed["gamma2"]
+        for key, value in closed.items():
+            k = int(key[len("gamma"):])
+            if k <= args.order and Fraction(value) != expansion[k]:
+                raise ClosedFormMismatch(
+                    f"weights {norm}: {key} = {_rat(expansion[k])} but "
+                    f"the closed form gives {value}")
         if closed:
-            agree = all(
-                Fraction(v) == expansion.coefficients[int(k[len("gamma"):])]
-                for k, v in closed.items()
-                if int(k[len("gamma"):]) <= args.order)
             payload["closedForms"] = closed
-            payload["agreement"] = agree
+            payload["agreement"] = True
         request = {"weights": list(weights), "order": args.order}
     else:
         f = load_series(args.series)

@@ -36,6 +36,10 @@ class OracleMismatch(SquotError):
     """A computed Hilbert series disagrees with brute-force monomial counts."""
 
 
+class ClosedFormMismatch(SquotError):
+    """A computed Laurent coefficient disagrees with its closed form."""
+
+
 class PartitionPointsMismatch(SquotError):
     """Schur evaluation called with len(points) != len(partition)."""
 

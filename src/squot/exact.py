@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, islice
 from operator import mul
 from typing import Iterable, Sequence, Union
@@ -115,40 +116,6 @@ class QPolynomial:
                 return i
         return 0
 
-    def divmod(self, other: "QPolynomial"):
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return QPolynomial(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.coeffs[-1]
-        db = other.degree
-        for k in range(dq, -1, -1):
-            c = rem[k + db]
-            if c:
-                q = Fraction(c, 1) / lead
-                quo[k] = q
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] -= q * b
-        return QPolynomial(quo), QPolynomial(rem)
-
-    def exact_div(self, other: "QPolynomial") -> "QPolynomial":
-        quo, rem = self.divmod(other)
-        if not rem.is_zero():
-            raise ValueError("polynomial division is not exact")
-        return quo
-
-    def gcd(self, other: "QPolynomial") -> "QPolynomial":
-        """Monic gcd by the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * Fraction(1, 1) * (Fraction(1) / a.coeffs[-1])
-
     def is_palindromic(self) -> bool:
         c = self.coeffs
         return bool(c) and c == tuple(reversed(c))
@@ -219,6 +186,61 @@ class FactoredDenominator:
         return out
 
 
+def _divisors(m: int) -> list:
+    return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def _divide_unit(coeffs: list, divisor: Sequence[int]) -> list:
+    """Quotient of an integer polynomial by a divisor of constant term 1,
+    known to be exact.  It is read off from the low end,
+    q_i = c_i - sum_(j>=1) divisor_j q_(i-j), so it stays in integers."""
+    n = len(coeffs) - len(divisor) + 1
+    quo = list(coeffs[:n])
+    taps = [(j, b) for j, b in enumerate(divisor) if j and b]
+    for i in range(n):
+        c = quo[i]
+        if c:
+            for j, b in taps:
+                if i + j >= n:
+                    break
+                quo[i + j] -= b * c
+    return quo
+
+
+@lru_cache(maxsize=None)
+def _psi(d: int) -> tuple:
+    """Integer coefficients of Psi_d, lowest degree first: Psi_1 = 1 - x
+    and Psi_d = Phi_d, the d-th cyclotomic polynomial, for d >= 2.
+
+    Then 1 - x^m = prod_(d | m) Psi_d, and every Psi_d has constant
+    term 1.  Built by dividing 1 - x^d by the Psi_k of its proper
+    divisors k.
+    """
+    poly = [1] + [0] * (d - 1) + [-1]
+    for k in _divisors(d)[:-1]:
+        poly = _divide_unit(poly, _psi(k))
+    return tuple(poly)
+
+
+def _psi_divides(coeffs: list, d: int) -> bool:
+    """Whether Psi_d divides an integer polynomial.
+
+    The polynomial is folded modulo x^d - 1, a multiple of Psi_d, and
+    the fold is reduced modulo Psi_d, whose leading coefficient is
+    +-1: O(degree + d * deg Psi_d) integer operations.
+    """
+    psi = _psi(d)
+    top = len(psi) - 1
+    lead = psi[-1]
+    rem = [sum(coeffs[i::d]) for i in range(d)]
+    for k in range(d - 1, top - 1, -1):
+        c = rem[k] * lead
+        if c:
+            for j, b in enumerate(psi):
+                rem[k - top + j] -= c * b
+    return not any(rem[:top])
+
+
 Denominator = Union[QPolynomial, FactoredDenominator]
 
 
@@ -240,21 +262,46 @@ class RationalFunction:
         return den.expand() if isinstance(den, FactoredDenominator) else den
 
     def reduce(self) -> "RationalFunction":
-        """Lowest terms with denominator normalized to constant term 1
-        (or monic if the constant term vanishes)."""
-        num, den = self.numerator, self.expanded_denominator
-        if num.is_zero():
-            return RationalFunction(num, ONE)
-        v = min(num.valuation(), den.valuation())
-        if v:
-            num = QPolynomial(num.coeffs[v:])
-            den = QPolynomial(den.coeffs[v:])
-        g = num.gcd(den)
-        if g.degree > 0:
-            num = num.exact_div(g)
-            den = den.exact_div(g)
-        scale = Fraction(1) / (den.coeffs[0] if den.coeffs[0] else den.coeffs[-1])
-        return RationalFunction(num * scale, den * scale)
+        """Lowest terms over a regrouped factored denominator.
+
+        The denominator must be a pure product of (1 - x^m) factors, so
+        a common factor can only be a product of the Psi_d (`_psi`),
+        and it is cancelled by exact integer division.  The Psi_d left
+        over are regrouped greedily into (1 - x^m) factors, largest m
+        first; any that cannot be grouped are expanded into `other`.
+        The denominator keeps constant term 1.
+        """
+        den = self.denominator
+        if not isinstance(den, FactoredDenominator) or den.other != ONE:
+            raise ValueError("reduction needs a pure cyclotomic form")
+        if self.numerator.is_zero():
+            return RationalFunction(self.numerator, FactoredDenominator(()))
+        exps: dict = {}  # d -> exponent of Psi_d
+        for m, e in den.factors:
+            for d in _divisors(m):
+                exps[d] = exps.get(d, 0) + e
+        coeffs = self.numerator.coeffs
+        scale = math.lcm(*(c.denominator for c in coeffs))
+        work = [c.numerator * (scale // c.denominator) for c in coeffs]
+        for d in exps:
+            while exps[d] and _psi_divides(work, d):
+                work = _divide_unit(work, _psi(d))
+                exps[d] -= 1
+        pairs = []
+        for m in sorted(exps, reverse=True):
+            k = min(exps[d] for d in _divisors(m))
+            if k:
+                pairs.append((m, k))
+                for d in _divisors(m):
+                    exps[d] -= k
+        other = ONE
+        for d, e in exps.items():
+            for _ in range(e):
+                other = other * QPolynomial(_psi(d))
+        num = QPolynomial(work if scale == 1
+                          else (Fraction(c, scale) for c in work))
+        return RationalFunction(num, FactoredDenominator.from_pairs(pairs,
+                                                                    other))
 
     def equals(self, other: "RationalFunction") -> bool:
         """Equality as rational functions (cross multiplication)."""

@@ -17,7 +17,8 @@ from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
                           u_average, verify_against_oracle)
 from squot.errors import DegenerateWeights, OracleMismatch, ZeroWeight
 from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
-                         series_of_rational)
+                         laurent_at_one, series_of_rational)
+from squot.laurent import gamma0_closed, gamma2_closed
 
 
 class TestNormalize:
@@ -198,6 +199,25 @@ class TestDispatcher:
             for k in range(30 + 1):
                 want = off[k] - (off[k - 2] if k >= 2 else 0)
                 assert on[k] == want
+
+    def test_on_off_relation_repeated_weights_n4(self):
+        # the on-shell series keeps the off-shell extra factor; 128 of
+        # these vectors have one next to a (1 - x^2) factor
+        profiles = [w for w in combinations_with_replacement(range(1, 9), 4)
+                    if 1 < len(set(w)) < 4 and math.gcd(*w) == 1]
+        assert len(profiles) == 219
+        for weights in profiles:
+            r = hilbert_series(weights, oracle_degree=None)
+            on = r.on_shell_series(40).coefficients
+            off = r.off_shell_series(40).coefficients
+            for k in range(40 + 1):
+                assert on[k] == off[k] - (off[k - 2] if k >= 2 else 0), \
+                    (weights, k)
+            expansion = laurent_at_one(r.on_shell, 3)
+            assert expansion.pole_order == 6, weights
+            assert expansion[0] == gamma0_closed(weights), weights
+            assert expansion[2] == expansion[3] == gamma2_closed(weights), \
+                weights
 
     def test_sign_and_scale_invariance(self):
         a = hilbert_series([1, -2, 3])

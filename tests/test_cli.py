@@ -101,6 +101,23 @@ class TestLaurentCommand:
                                          "gamma3": "23/162"}
         assert result["agreement"] is True
 
+    def test_extra_factor_reaches_on_shell(self):
+        # (1,1,1,2) has an off-shell extra factor 1 + x beside (1 - x^2)
+        doc = run_json(["laurent", "--weights", "1,1,1,2", "--order", "4"])
+        assert doc["result"]["coefficients"][0] == "53/216"
+        assert doc["result"]["agreement"] is True
+
+    def test_closed_form_disagreement_exit_3(self):
+        wrong = mock.patch("squot.cli.gamma0_closed",
+                           return_value=Fraction(1, 7))
+        with wrong:
+            code, out, err = run_all(["laurent", "--weights", "4,5,20",
+                                      "--order", "3"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("verification failure: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_trivial_weight(self):
         doc = run_json(["laurent", "--weights", "1", "--order", "2"])
         assert doc["result"]["poleOrder"] == 0

@@ -1,17 +1,21 @@
 """Unit tests for the exact arithmetic layer."""
 
+import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from squot.circle import hilbert_off_clustered
+from squot.cli import series_payload
 from squot.errors import DenominatorVanishesAtZero, ReconstructionMismatch
-from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
-                         RationalFunction, laurent_at_one, laurent_prototype,
-                         poly_mul, rational_reconstruct, resultant_transform,
-                         series_div, series_of_rational)
+from squot.exact import (ONE, FactoredDenominator, LaurentExpansion,
+                         QPolynomial, RationalFunction, _psi, laurent_at_one,
+                         laurent_prototype, poly_mul, rational_reconstruct,
+                         resultant_transform, series_div, series_of_rational)
 
 Q = Fraction
 
@@ -40,6 +44,98 @@ def reference_laurent_at_one(f, order):
     return LaurentExpansion(0, tuple((zeros + body)[:order + 1]))
 
 
+def reference_divmod(a, b):
+    """Quotient and remainder of polynomial division over Q."""
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(a.coeffs)
+    dq = len(rem) - len(b.coeffs)
+    if dq < 0:
+        return QPolynomial(), a
+    quo = [Q(0)] * (dq + 1)
+    lead = b.coeffs[-1]
+    db = b.degree
+    for k in range(dq, -1, -1):
+        c = rem[k + db]
+        if c:
+            q = Q(c, 1) / lead
+            quo[k] = q
+            for j, c_b in enumerate(b.coeffs):
+                rem[k + j] -= q * c_b
+    return QPolynomial(quo), QPolynomial(rem)
+
+
+def reference_exact_div(a, b):
+    quo, rem = reference_divmod(a, b)
+    if not rem.is_zero():
+        raise ValueError("polynomial division is not exact")
+    return quo
+
+
+def reference_gcd(a, b):
+    """Monic gcd over Q, by sympy; a Euclidean loop over Fraction takes
+    tens of seconds on the larger degenerate numerators."""
+    import sympy
+    x = sympy.Symbol("x")
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p.coeffs)), x, domain=sympy.QQ)
+
+    g = to_sympy(a).gcd(to_sympy(b)).monic()
+    return QPolynomial(Q(int(c.p), int(c.q))
+                       for c in reversed(g.all_coeffs()))
+
+
+def reference_reduce(f):
+    """Lowest terms by a gcd over Q, the denominator expanded and
+    normalized to constant term 1 (or monic if that vanishes)."""
+    num, den = f.numerator, f.expanded_denominator
+    if num.is_zero():
+        return RationalFunction(num, ONE)
+    v = min(num.valuation(), den.valuation())
+    if v:
+        num = QPolynomial(num.coeffs[v:])
+        den = QPolynomial(den.coeffs[v:])
+    g = reference_gcd(num, den)
+    if g.degree > 0:
+        num = reference_exact_div(num, g)
+        den = reference_exact_div(den, g)
+    scale = Q(1) / (den.coeffs[0] if den.coeffs[0] else den.coeffs[-1])
+    return RationalFunction(num * scale, den * scale)
+
+
+def reference_regroup(f):
+    """Greedy (1 - x^m) factors of an expanded denominator by trial
+    division, largest m first; the leftover becomes the extra factor."""
+    coeffs = f.expanded_denominator.coeffs
+    scale = math.lcm(*(Q(c).denominator for c in coeffs))
+    den = [int(c * scale) for c in coeffs]
+    pairs = []
+    m = len(den) - 1
+    while m >= 1 and len(den) > 1:
+        # 1 - x^m divides den iff den vanishes modulo x^m - 1
+        if any(sum(den[i::m]) for i in range(m)):
+            m -= 1
+            continue
+        pairs.append((m, 1))
+        den = den[:len(den) - m]
+        for k in range(m, len(den)):  # q_k = c_k + q_(k-m)
+            den[k] += den[k - m]
+    other = QPolynomial(Q(c, scale) for c in den)
+    return RationalFunction(
+        f.numerator, FactoredDenominator.from_pairs(pairs, other=other))
+
+
+@lru_cache(maxsize=None)
+def psi(d):
+    """1 - x for d = 1, the d-th cyclotomic polynomial otherwise."""
+    import sympy
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+    return QPolynomial([-c for c in coeffs] if d == 1 else coeffs)
+
+
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 nonzero_polys = st.lists(small_fractions, min_size=1, max_size=6).filter(any)
 
@@ -66,6 +162,26 @@ def laurent_inputs(draw):
     return RationalFunction(num, den), draw(st.integers(0, 40))
 
 
+@st.composite
+def reducible_inputs(draw):
+    """A random product of (1 - x^m)^e over a numerator of degree up to
+    about 500 in which a random product of Psi_d is planted, mostly
+    with d dividing some m, so that it cancels."""
+    pairs = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 3)),
+                          min_size=1, max_size=4))
+    divisors = sorted({d for m, _ in pairs for d in range(1, m + 1)
+                       if m % d == 0})
+    planted = draw(st.lists(st.one_of(st.sampled_from(divisors),
+                                      st.just(1), st.integers(1, 40)),
+                            max_size=8))
+    coeffs = st.one_of(st.integers(-9, 9), small_fractions)
+    num = QPolynomial(draw(st.lists(coeffs, min_size=1, max_size=450)))
+    assume(not num.is_zero())
+    for d in planted:
+        num = num * psi(d)
+    return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
+
+
 def geometric(pairs, num=(1,)):
     return RationalFunction(QPolynomial(num),
                             FactoredDenominator.from_pairs(pairs))
@@ -82,19 +198,6 @@ class TestQPolynomial:
         assert p + 1 == QPolynomial([2, 1])
         assert p - p == QPolynomial()
         assert (p * 3)(2) == 9
-
-    def test_divmod_exact(self):
-        p = QPolynomial([1, 0, -1])
-        quo, rem = p.divmod(QPolynomial([1, -1]))
-        assert rem.is_zero() and quo == QPolynomial([1, 1])
-        assert p.exact_div(QPolynomial([1, 1])) == QPolynomial([1, -1])
-        with pytest.raises(ValueError):
-            QPolynomial([1, 1, 1]).exact_div(QPolynomial([1, 1]))
-
-    def test_gcd_is_monic(self):
-        a = QPolynomial([1, -1]) * QPolynomial([2, 2])
-        b = QPolynomial([1, -1]) * QPolynomial([3, 0, 3])
-        assert a.gcd(b) == QPolynomial([-1, 1])
 
     @given(st.lists(st.integers(-9, 9), max_size=6),
            st.lists(st.integers(-9, 9), max_size=6))
@@ -251,6 +354,80 @@ class TestLaurent:
         assert ex.coefficients[1] == (t - 1) / (2 * t)
         assert ex.coefficients[2] == (t * t - 1) / (12 * t)
         assert ex.coefficients[3] == (t * t - 1) / (24 * t)
+
+
+#: Degenerate weight vectors whose off-shell result is reduced: with a
+#: leftover extra factor, with cyclotomic factors cancelled, n = 3 and 4.
+DEGENERATE_SAMPLE = [(13, 13, 14, 15), (15, 15, 16, 16), (5, 7, 7, 8),
+                     (7, 8, 8, 8), (1, 1, 1, 2), (1, 2, 2), (3, 3, 5),
+                     (2, 2, 3, 5), (4, 5, 5, 7), (6, 6, 7, 8), (1, 9, 9),
+                     (8, 11, 11)]
+
+
+class TestReduce:
+    def test_divmod_exact(self):
+        p = QPolynomial([1, 0, -1])
+        quo, rem = reference_divmod(p, QPolynomial([1, -1]))
+        assert rem.is_zero() and quo == QPolynomial([1, 1])
+        assert reference_exact_div(p, QPolynomial([1, 1])) \
+            == QPolynomial([1, -1])
+        with pytest.raises(ValueError):
+            reference_exact_div(QPolynomial([1, 1, 1]), QPolynomial([1, 1]))
+
+    def test_gcd_is_monic(self):
+        a = QPolynomial([1, -1]) * QPolynomial([2, 2])
+        b = QPolynomial([1, -1]) * QPolynomial([3, 0, 3])
+        assert reference_gcd(a, b) == QPolynomial([-1, 1])
+
+    def test_psi_is_cyclotomic(self):
+        for d in range(1, 61):
+            assert QPolynomial(_psi(d)) == psi(d), d
+
+    def test_cancel_and_regroup(self):
+        # (1 + x) / ((1 - x^2)(1 - x^3)) = 1 / ((1 - x)(1 - x^3))
+        f = geometric([(2, 1), (3, 1)], num=(1, 1))
+        got = f.reduce()
+        assert got.numerator == QPolynomial([1])
+        assert got.denominator == FactoredDenominator.from_pairs(
+            [(1, 1), (3, 1)])
+
+    def test_leftover_goes_to_extra_factor(self):
+        # (1 - x) / (2 (1 - x^2)) = (1/2) / (1 + x): no (1 - x^m) left
+        f = geometric([(2, 1)], num=(Q(1, 2), Q(-1, 2)))
+        got = f.reduce()
+        assert got.numerator == QPolynomial([Q(1, 2)])
+        assert got.denominator == FactoredDenominator((),
+                                                      QPolynomial([1, 1]))
+
+    def test_zero_numerator(self):
+        got = geometric([(3, 2)], num=()).reduce()
+        assert got.numerator.is_zero()
+        assert got.denominator == FactoredDenominator(())
+
+    def test_needs_pure_cyclotomic_denominator(self):
+        with pytest.raises(ValueError):
+            RationalFunction(ONE, QPolynomial([1, -1])).reduce()
+        with pytest.raises(ValueError):
+            RationalFunction(ONE, FactoredDenominator.from_pairs(
+                [(1, 1)], other=QPolynomial([1, 1]))).reduce()
+
+    @given(reducible_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_gcd_reference(self, f):
+        got = f.reduce()
+        want = reference_regroup(reference_reduce(f))
+        assert got.numerator == want.numerator
+        assert got.denominator == want.denominator
+        assert got.expanded_denominator[0] == 1
+        assert got.equals(f)
+
+    @pytest.mark.parametrize("weights", DEGENERATE_SAMPLE,
+                             ids=lambda w: ",".join(map(str, w)))
+    def test_degenerate_payload_matches_reference(self, weights):
+        off, _ = hilbert_off_clustered(weights)
+        want = reference_regroup(reference_reduce(off))
+        assert (json.dumps(series_payload(off.reduce()))
+                == json.dumps(series_payload(want)))
 
 
 class TestFactoredDenominator:
