@@ -124,8 +124,6 @@ def u_average(f: RationalFunction, a: int,
     reconstructed as an exact rational function over the transformed
     denominator; `slack` extra coefficients certify the reconstruction.
     """
-    if not isinstance(f.denominator, FactoredDenominator):
-        raise ValueError("u_average needs a factored denominator")
     target = transformed_denominator(f.denominator, a)
     bound = target.degree
     prefix = series_of_rational(f, a * (bound + 2 + slack))

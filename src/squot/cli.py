@@ -46,8 +46,6 @@ def _coeff(c):
 
 def series_payload(f: RationalFunction) -> dict:
     den = f.denominator
-    if not isinstance(den, FactoredDenominator):
-        den = FactoredDenominator((), den)
     payload = {
         "numerator": [_coeff(c) for c in f.numerator.coeffs],
         "denominator": [[m, e] for m, e in den.factors],
@@ -132,7 +130,7 @@ def _document(command: str, request: dict, result: dict) -> dict:
             "request": request, "result": result}
 
 
-def _emit(args, document: dict) -> int:
+def _emit(document: dict) -> int:
     json.dump(document, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0
@@ -159,24 +157,20 @@ def cmd_hilbert(args) -> int:
     if args.text:
         _print_series_text(series)
         return 0
-    return _emit(args, _document("hilbert",
-                                 {"weights": list(weights), "off": args.off},
-                                 payload))
+    return _emit(_document("hilbert",
+                           {"weights": list(weights), "off": args.off},
+                           payload))
 
 
 def _print_series_text(f: RationalFunction) -> None:
     num = " + ".join(f"{_coeff(c)}*x^{k}" if k else f"{_coeff(c)}"
                      for k, c in enumerate(f.numerator.coeffs) if c)
     den = f.denominator
-    if isinstance(den, FactoredDenominator):
-        parts = [f"(1-x^{m})^{e}" if e > 1 else f"(1-x^{m})"
-                 for m, e in den.factors]
-        if den.other != ONE:
-            parts.append(f"[{list(den.other.coeffs)}]")
-        dtxt = "".join(parts) or "1"
-    else:
-        dtxt = str(list(den.coeffs))
-    print(f"({num}) / {dtxt}")
+    parts = [f"(1-x^{m})^{e}" if e > 1 else f"(1-x^{m})"
+             for m, e in den.factors]
+    if den.other != ONE:
+        parts.append(f"[{list(den.other.coeffs)}]")
+    print(f"({num}) / {''.join(parts) or '1'}")
 
 
 def cmd_laurent(args) -> int:
@@ -207,7 +201,7 @@ def cmd_laurent(args) -> int:
         f = load_series(args.series)
         payload = laurent_payload(laurent_at_one(f, args.order))
         request = {"series": list(args.series), "order": args.order}
-    return _emit(args, _document("laurent", request, payload))
+    return _emit(_document("laurent", request, payload))
 
 
 def cmd_symplectic(args) -> int:
@@ -226,7 +220,7 @@ def cmd_symplectic(args) -> int:
     request = ({"weights": args.weights} if args.weights is not None
                else {"series": list(args.series)})
     request["order"] = args.order
-    return _emit(args, _document("symplectic", request, payload))
+    return _emit(_document("symplectic", request, payload))
 
 
 def cmd_finite(args) -> int:
@@ -258,10 +252,10 @@ def cmd_finite(args) -> int:
             "violations": list(report.violations),
             "passed": report.passed,
         }
-    return _emit(args, _document("finite",
-                                 {"generators": list(args.gen),
-                                  "order": args.order},
-                                 payload))
+    return _emit(_document("finite",
+                           {"generators": list(args.gen),
+                            "order": args.order},
+                           payload))
 
 
 def _twelve_places(q: Fraction) -> str:
@@ -295,9 +289,9 @@ def cmd_scan(args) -> int:
             for rec in records:
                 writer.writerow([rec["level"], rec["hits"], rec["total"],
                                  rec["probability"], rec["decimal"]])
-    return _emit(args, _document("scan",
-                                 {"n": args.n, "maxLevel": args.max_level},
-                                 {"levels": records}))
+    return _emit(_document("scan",
+                           {"n": args.n, "maxLevel": args.max_level},
+                           {"levels": records}))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,9 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-verify", type=int, metavar="D",
                    help="verify against monomial counts through degree D")
     p.add_argument("--slack", type=int, default=DEFAULT_SLACK)
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", default=True)
-    fmt.add_argument("--text", action="store_true", default=False)
+    p.add_argument("--text", action="store_true",
+                   help="print the series as one line of text, not JSON")
     p.set_defaults(func=cmd_hilbert)
 
     p = sub.add_parser("laurent", help="Laurent data at x = 1")

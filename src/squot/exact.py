@@ -2,8 +2,9 @@
 
 Everything here is pure and exact: coefficients are `fractions.Fraction`
 (plain ints are accepted and mix freely), equality is decidable, and no
-operation ever rounds.  The higher-level modules build Hilbert series out
-of these primitives.
+operation ever rounds.  A rational function always keeps its denominator
+factored, as prod (1 - x^m)^e times one extra polynomial factor.  The
+higher-level modules build Hilbert series out of these primitives.
 """
 
 from __future__ import annotations
@@ -142,11 +143,16 @@ class FactoredDenominator:
     """A denominator kept as prod (1-x^m)^e * other.
 
     The cyclotomic part is the multiset {(m, e)}; `other` is an arbitrary
-    extra polynomial factor with unit constant term.
+    nonzero extra polynomial factor, so a dense denominator D is
+    FactoredDenominator((), D).
     """
 
     factors: tuple  # sorted tuple of (m, e) pairs, m >= 1, e >= 1
     other: QPolynomial = field(default_factory=lambda: ONE)
+
+    def __post_init__(self):
+        if self.other.is_zero():
+            raise ZeroDivisionError("zero denominator")
 
     @staticmethod
     def from_pairs(pairs: Iterable,
@@ -241,25 +247,16 @@ def _psi_divides(coeffs: list, d: int) -> bool:
     return not any(rem[:top])
 
 
-Denominator = Union[QPolynomial, FactoredDenominator]
-
-
 @dataclass(frozen=True)
 class RationalFunction:
-    """Exact quotient of polynomials; denominator may stay factored."""
+    """Exact quotient of a polynomial by a factored denominator."""
 
     numerator: QPolynomial
-    denominator: Denominator
-
-    def __post_init__(self):
-        den = self.denominator
-        if isinstance(den, QPolynomial) and den.is_zero():
-            raise ZeroDivisionError("zero denominator")
+    denominator: FactoredDenominator
 
     @property
     def expanded_denominator(self) -> QPolynomial:
-        den = self.denominator
-        return den.expand() if isinstance(den, FactoredDenominator) else den
+        return self.denominator.expand()
 
     def reduce(self) -> "RationalFunction":
         """Lowest terms over a regrouped factored denominator.
@@ -272,7 +269,7 @@ class RationalFunction:
         The denominator keeps constant term 1.
         """
         den = self.denominator
-        if not isinstance(den, FactoredDenominator) or den.other != ONE:
+        if den.other != ONE:
             raise ValueError("reduction needs a pure cyclotomic form")
         if self.numerator.is_zero():
             return RationalFunction(self.numerator, FactoredDenominator(()))
@@ -308,17 +305,8 @@ class RationalFunction:
         return (self.numerator * other.expanded_denominator
                 == other.numerator * self.expanded_denominator)
 
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        da, db = self.expanded_denominator, other.expanded_denominator
-        return RationalFunction(self.numerator * db + other.numerator * da,
-                                da * db)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(self.numerator * other, self.denominator)
-        return RationalFunction(self.numerator * other.numerator,
-                                self.expanded_denominator
-                                * other.expanded_denominator)
+    def __mul__(self, scalar: Scalar) -> "RationalFunction":
+        return RationalFunction(self.numerator * scalar, self.denominator)
 
     __rmul__ = __mul__
 
@@ -398,23 +386,11 @@ def _expand_factored(num: QPolynomial, den: FactoredDenominator,
 
 def series_of_rational(f: RationalFunction, order: int) -> TruncatedSeries:
     """Taylor coefficients 0..order of f at x = 0, by exact division."""
-    den = f.denominator
-    if isinstance(den, FactoredDenominator):
-        coeffs = _expand_factored(f.numerator, den, order)
-    else:
-        num, dc = f.numerator, den
-        v = dc.valuation()
-        if v:
-            if f.numerator.valuation() < v and not f.numerator.is_zero():
-                raise DenominatorVanishesAtZero(
-                    "denominator vanishes at 0 faster than the numerator")
-            num = QPolynomial(f.numerator.coeffs[v:])
-            dc = QPolynomial(dc.coeffs[v:])
-        coeffs = series_div(num.coeffs, dc.coeffs, order)
+    coeffs = _expand_factored(f.numerator, f.denominator, order)
     return TruncatedSeries(tuple(coeffs), order)
 
 
-def rational_reconstruct(prefix: TruncatedSeries, den: Denominator,
+def rational_reconstruct(prefix: TruncatedSeries, den: FactoredDenominator,
                          degree_bound: int,
                          slack: int = DEFAULT_SLACK) -> QPolynomial:
     """Recover the numerator P with P/den matching the series prefix.
@@ -426,12 +402,7 @@ def rational_reconstruct(prefix: TruncatedSeries, den: Denominator,
         raise ValueError(
             f"prefix of order {prefix.order} too short for degree bound "
             f"{degree_bound} with slack {slack}")
-    if isinstance(den, FactoredDenominator):
-        product = den.multiply_into(prefix.coefficients)
-    else:
-        full = poly_mul(QPolynomial(prefix.coefficients), den).coeffs
-        product = list(full[:prefix.order + 1])
-        product += [0] * (prefix.order + 1 - len(product))
+    product = den.multiply_into(prefix.coefficients)
     for k in range(degree_bound + 1, prefix.order + 1):
         if product[k]:
             raise ReconstructionMismatch(
@@ -549,9 +520,8 @@ def _deferred_quotient(a: list, b: list, n: int) -> list:
 def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     """Laurent data of f at x = 1 in the variable u = 1 - x.
 
-    The denominator is read in factored form, a dense denominator being
-    the `other` slot with no cyclotomic factors, and everything up to
-    the last step is integer arithmetic:
+    The denominator is read in factored form, and everything up to the
+    last step is integer arithmetic:
 
     1. numerator and `other` are scaled to integer polynomials and
        Taylor-shifted to x = 1 - u (`_shifted_at_one`);
@@ -569,8 +539,6 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     if f.numerator.is_zero():
         return LaurentExpansion(0, (Fraction(0),) * (order + 1))
     den = f.denominator
-    if not isinstance(den, FactoredDenominator):
-        den = FactoredDenominator((), den)
     num_scale, num_val, num_terms = _shifted_at_one(f.numerator)
     den_scale, den_val, den_terms = _shifted_at_one(den.other)
     pole = sum(e for _, e in den.factors) + den_val - num_val

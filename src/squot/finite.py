@@ -1,9 +1,11 @@
 """Invariant series of finite diagonal abelian subgroups of U(n).
 
-A group is given by generators diag(zeta_m^e_1, ..., zeta_m^e_n); its
-elements are stored as tuples of rationals in [0, 1) (exponents of
-e^(2 pi i .)).  The quotient acts on the doubled space (z, conjugate z),
-so its Hilbert series counts pairs of monomials with opposite characters.
+A group is given by generators diag(zeta_m^e_1, ..., zeta_m^e_n).  With
+N the lcm of the generator moduli (the group exponent), every element is
+stored as an integer exponent vector mod N: entry k stands for
+e^(2 pi i k / N).  The quotient acts on the doubled space
+(z, conjugate z), so its Hilbert series counts pairs of monomials with
+opposite characters.
 
 Beyond the exact series, the module evaluates closed forms for the
 Laurent coefficients at x = 1 in terms of the pseudoreflections of the
@@ -21,24 +23,16 @@ from typing import Sequence, Tuple
 
 from .errors import (PrimitiveCoverFailure, TheoremInconsistency)
 from .exact import (DEFAULT_SLACK, FactoredDenominator, LaurentExpansion,
-                    QPolynomial, RationalFunction, TruncatedSeries,
-                    laurent_at_one, rational_reconstruct)
+                    RationalFunction, TruncatedSeries, laurent_at_one,
+                    rational_reconstruct)
 
-Element = Tuple[Fraction, ...]
-
-
-def _mod1(x: Fraction) -> Fraction:
-    return x - math.floor(x)
+#: Exponents mod the group exponent N, one per coordinate.
+Element = Tuple[int, ...]
 
 
-def generator_element(modulus: int, exponents: Sequence[int]) -> Element:
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    return tuple(_mod1(Fraction(e, modulus)) for e in exponents)
-
-
-def element_order(g: Element) -> int:
-    return math.lcm(*(x.denominator for x in g))
+def element_order(g: Element, exponent: int) -> int:
+    """Order of an element of a group of exponent N = `exponent`."""
+    return exponent // math.gcd(exponent, *g)
 
 
 def _support(g: Element) -> Tuple[int, ...]:
@@ -50,30 +44,37 @@ class FiniteDiagonalGroup:
     """Closure of a set of diagonal unitary generators."""
 
     dimension: int
+    exponent: int                    # N, the lcm of the generator moduli
+    generators: Tuple[Element, ...]  # as given, each scaled to mod N
     elements: Tuple[Element, ...]
 
     @staticmethod
     def from_generators(generators) -> "FiniteDiagonalGroup":
         """generators: iterable of (modulus, exponent tuple)."""
-        gens = [generator_element(m, e) for m, e in generators]
-        if not gens:
+        generators = list(generators)
+        if any(m < 1 for m, _ in generators):
+            raise ValueError("modulus must be >= 1")
+        if not generators:
             raise ValueError("need at least one generator")
-        n = len(gens[0])
-        if any(len(g) != n for g in gens):
+        n = len(generators[0][1])
+        if any(len(e) != n for _, e in generators):
             raise ValueError("generators act on different dimensions")
-        identity = tuple(Fraction(0) for _ in range(n))
+        exponent = math.lcm(*(m for m, _ in generators))
+        gens = tuple(tuple(x * (exponent // m) % exponent for x in e)
+                     for m, e in generators)
+        identity = (0,) * n
         seen = {identity}
         frontier = [identity]
         while frontier:
             new = []
             for el in frontier:
                 for g in gens:
-                    nxt = tuple(_mod1(a + b) for a, b in zip(el, g))
+                    nxt = tuple((a + b) % exponent for a, b in zip(el, g))
                     if nxt not in seen:
                         seen.add(nxt)
                         new.append(nxt)
             frontier = new
-        return FiniteDiagonalGroup(n, tuple(sorted(seen)))
+        return FiniteDiagonalGroup(n, exponent, gens, tuple(sorted(seen)))
 
     @property
     def order(self) -> int:
@@ -81,7 +82,8 @@ class FiniteDiagonalGroup:
 
     def coordinate_orders(self) -> Tuple[int, ...]:
         """Order of the character of each coordinate over the group."""
-        return tuple(math.lcm(*(g[i].denominator for g in self.elements))
+        return tuple(element_order([g[i] for g in self.generators],
+                                   self.exponent)
                      for i in range(self.dimension))
 
     def pseudoreflections(self) -> Tuple[Element, ...]:
@@ -94,28 +96,18 @@ class FiniteDiagonalGroup:
 def invariant_counts(group: FiniteDiagonalGroup, order: int) -> list:
     """Number of invariant monomials in (z, conjugate z) per total degree.
 
-    A monomial z^alpha zbar^beta is invariant iff for every group
-    element the residue sum(e_i (alpha_i - beta_i)) vanishes; it is
-    enough to test a generating set, and the full element list is used
-    as one.  Counting runs over states (degree, residue vector).
+    A monomial z^alpha zbar^beta is invariant iff for every generator g
+    the residue sum(g_i (alpha_i - beta_i)) mod N vanishes.  Counting
+    runs over states (degree, residue per generator); there are at most
+    |G| residue vectors, one per character of the group.
     """
-    n = group.dimension
-    # a small generating family keeps the residue state space tight
-    gens: list = []
-    span = {tuple(Fraction(0) for _ in range(n))}
-    for g in group.elements:
-        if g in span:
-            continue
-        gens.append(g)
-        span = _closure(gens, n)
-        if len(span) == group.order:
-            break
+    n, mod = group.dimension, group.exponent
     steps = []
     for i in range(n):
-        plus = tuple(g[i] for g in gens)
+        plus = tuple(g[i] for g in group.generators)
         steps.append(plus)
-        steps.append(tuple(_mod1(-x) for x in plus))
-    zero = tuple(Fraction(0) for _ in gens)
+        steps.append(tuple(-x % mod for x in plus))
+    zero = (0,) * len(group.generators)
     dp = [{zero: 1}]
     for d in range(1, order + 1):
         dp.append({})
@@ -123,26 +115,9 @@ def invariant_counts(group: FiniteDiagonalGroup, order: int) -> list:
         for d in range(1, order + 1):
             cur, prev = dp[d], dp[d - 1]
             for state, cnt in prev.items():
-                nxt = tuple(_mod1(a + b) for a, b in zip(state, step))
+                nxt = tuple((a + b) % mod for a, b in zip(state, step))
                 cur[nxt] = cur.get(nxt, 0) + cnt
-    return [sum(cnt for state, cnt in layer.items()
-                if not any(state)) if layer else 0 for layer in dp]
-
-
-def _closure(gens, n):
-    identity = tuple(Fraction(0) for _ in range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for el in frontier:
-            for g in gens:
-                nxt = tuple(_mod1(a + b) for a, b in zip(el, g))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-        frontier = new
-    return seen
+    return [layer.get(zero, 0) for layer in dp]
 
 
 def molien_series(group: FiniteDiagonalGroup,
@@ -180,22 +155,19 @@ def reflection_analysis(group: FiniteDiagonalGroup) -> ReflectionData:
     for g in refs:
         by_axis.setdefault(_support(g)[0], []).append(g)
     primitive = []
+    mod = group.exponent
     for axis in sorted(by_axis):
         best = min(by_axis[axis],
-                   key=lambda g: (-element_order(g), g))
-        covered = set()
-        step = best[axis]
-        acc = Fraction(0)
-        for _ in range(element_order(best)):
-            acc = _mod1(acc + step)
-            covered.add(acc)
+                   key=lambda g: (-element_order(g, mod), g))
+        # the powers of best on this axis are the multiples of this step
+        step = math.gcd(best[axis], mod)
         for g in by_axis[axis]:
-            if g[axis] not in covered:
+            if g[axis] % step:
                 raise PrimitiveCoverFailure(
                     f"axis {axis}: {g} is not a power of {best}")
         primitive.append(best)
     return ReflectionData(tuple(primitive),
-                          tuple(element_order(g) for g in primitive),
+                          tuple(element_order(g, mod) for g in primitive),
                           len(refs), len(group.two_coordinate_elements()))
 
 

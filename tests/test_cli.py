@@ -4,6 +4,7 @@ import json
 import os
 from fractions import Fraction
 from io import StringIO
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -71,6 +72,13 @@ class TestHilbertCommand:
         doc = run_json(["hilbert", "--weights", "1,2,3", "--off"])
         assert [2, 2] in doc["result"]["series"]["denominator"]
         assert doc["result"]["shell"] == "off"
+
+    def test_json_flag_is_unknown(self):
+        # JSON is the only output besides --text; there is no --json
+        code, out, err = run_all(["hilbert", "--weights", "1,2,3",
+                                  "--json"])
+        assert code == 2
+        assert out == "" and "unrecognized arguments: --json" in err
 
     def test_invalid_weights_exit_2(self):
         code, _ = run(["hilbert", "--weights", "0,1"])
@@ -180,6 +188,12 @@ class TestFiniteCommand:
         code, _ = run(["finite", "--gen", "banana"])
         assert code == 2
 
+    def test_zero_modulus_exit_2(self):
+        code, out, err = run_all(["finite", "--gen", "0:1"])
+        assert code == 2
+        assert out == ""
+        assert err == "error: modulus must be >= 1\n"
+
 
 class TestScanCommand:
     def test_level_three(self):
@@ -192,10 +206,10 @@ class TestScanCommand:
         base = str(tmp_path / "scan")
         doc = run_json(["scan", "--n", "3", "--max-level", "12",
                         "--out", base])
-        jsonl = open(base + ".jsonl").read().strip().splitlines()
+        jsonl = Path(base + ".jsonl").read_text().strip().splitlines()
         assert [json.loads(line) for line in jsonl] \
             == doc["result"]["levels"]
-        csv_lines = open(base + ".csv").read().strip().splitlines()
+        csv_lines = Path(base + ".csv").read_text().strip().splitlines()
         assert csv_lines[0] == "level,hits,total,probability,decimal"
         assert len(csv_lines) == 1 + len(jsonl)
 

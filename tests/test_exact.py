@@ -91,7 +91,7 @@ def reference_reduce(f):
     normalized to constant term 1 (or monic if that vanishes)."""
     num, den = f.numerator, f.expanded_denominator
     if num.is_zero():
-        return RationalFunction(num, ONE)
+        return RationalFunction(num, FactoredDenominator(()))
     v = min(num.valuation(), den.valuation())
     if v:
         num = QPolynomial(num.coeffs[v:])
@@ -101,7 +101,8 @@ def reference_reduce(f):
         num = reference_exact_div(num, g)
         den = reference_exact_div(den, g)
     scale = Q(1) / (den.coeffs[0] if den.coeffs[0] else den.coeffs[-1])
-    return RationalFunction(num * scale, den * scale)
+    return RationalFunction(num * scale,
+                            FactoredDenominator((), den * scale))
 
 
 def reference_regroup(f):
@@ -142,9 +143,10 @@ nonzero_polys = st.lists(small_fractions, min_size=1, max_size=6).filter(any)
 
 @st.composite
 def laurent_inputs(draw):
-    """A rational function with any of the denominator kinds, and an
-    order.  Factors of (1 - x) in the numerator and in the extra factor
-    push the pole order to zero and below."""
+    """A rational function, its denominator dense (an extra factor with
+    no cyclotomic part) or factored, and an order.  Factors of (1 - x)
+    in the numerator and in the extra factor push the pole order to zero
+    and below."""
     one_minus_x = QPolynomial([1, -1])
     num = QPolynomial(draw(nonzero_polys) if draw(st.booleans()) else [0])
     for _ in range(draw(st.integers(0, 8))):
@@ -153,7 +155,7 @@ def laurent_inputs(draw):
     for _ in range(draw(st.integers(0, 2))):
         extra = extra * one_minus_x
     if draw(st.booleans()):
-        den = extra  # dense denominator
+        den = FactoredDenominator((), extra)  # dense denominator
     else:
         pairs = draw(st.lists(st.tuples(st.integers(1, 6),
                                         st.integers(1, 2)), max_size=3))
@@ -217,12 +219,14 @@ class TestSeries:
 
     def test_two_factor_matches_division(self):
         f = geometric([(2, 1), (3, 2)], num=(1, 5))
-        dense = RationalFunction(f.numerator, f.expanded_denominator)
+        dense = RationalFunction(
+            f.numerator, FactoredDenominator((), f.expanded_denominator))
         assert (series_of_rational(f, 40).coefficients
                 == series_of_rational(dense, 40).coefficients)
 
     def test_pole_at_zero_rejected(self):
-        bad = RationalFunction(QPolynomial([1]), QPolynomial([0, 1]))
+        bad = RationalFunction(QPolynomial([1]),
+                               FactoredDenominator((), QPolynomial([0, 1])))
         with pytest.raises(DenominatorVanishesAtZero):
             series_of_rational(bad, 3)
 
@@ -245,8 +249,9 @@ class TestReconstruction:
     def test_wrong_denominator_detected(self):
         prefix = series_of_rational(geometric([(3, 1)]), 40)
         with pytest.raises(ReconstructionMismatch):
-            rational_reconstruct(prefix, FactoredDenominator.from_pairs(
-                [(2, 1)]).expand(), 2, slack=16)
+            rational_reconstruct(prefix, FactoredDenominator(
+                (), FactoredDenominator.from_pairs([(2, 1)]).expand()),
+                2, slack=16)
 
     def test_prefix_too_short(self):
         prefix = series_of_rational(geometric([(1, 1)]), 10)
@@ -300,14 +305,15 @@ class TestResultantTransform:
 
 class TestLaurent:
     def test_simple_pole(self):
-        f = RationalFunction(QPolynomial([1]), QPolynomial([1, 0, -1]))
+        f = RationalFunction(QPolynomial([1]),
+                             FactoredDenominator((), QPolynomial([1, 0, -1])))
         ex = laurent_at_one(f, 4)
         assert ex.pole_order == 1
         assert ex.coefficients == (Q(1, 2), Q(1, 4), Q(1, 8), Q(1, 16),
                                    Q(1, 32))
 
     def test_no_pole(self):
-        f = RationalFunction(QPolynomial([0, 1]), QPolynomial([1]))
+        f = RationalFunction(QPolynomial([0, 1]), FactoredDenominator(()))
         ex = laurent_at_one(f, 2)
         assert ex.pole_order == 0
         assert ex.coefficients == (1, -1, 0)
@@ -315,7 +321,7 @@ class TestLaurent:
     def test_zero_cancellation(self):
         # (1-x^2)/(1-x)^2 has a simple pole only
         f = RationalFunction(QPolynomial([1, 0, -1]),
-                             QPolynomial([1, -2, 1]))
+                             FactoredDenominator((), QPolynomial([1, -2, 1])))
         assert laurent_at_one(f, 3).pole_order == 1
 
     @given(laurent_inputs())
@@ -406,7 +412,8 @@ class TestReduce:
 
     def test_needs_pure_cyclotomic_denominator(self):
         with pytest.raises(ValueError):
-            RationalFunction(ONE, QPolynomial([1, -1])).reduce()
+            RationalFunction(ONE, FactoredDenominator(
+                (), QPolynomial([1, -1]))).reduce()
         with pytest.raises(ValueError):
             RationalFunction(ONE, FactoredDenominator.from_pairs(
                 [(1, 1)], other=QPolynomial([1, 1]))).reduce()
@@ -444,3 +451,9 @@ class TestFactoredDenominator:
     def test_invalid_pairs(self):
         with pytest.raises(ValueError):
             FactoredDenominator.from_pairs([(0, 1)])
+
+    def test_zero_extra_factor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            FactoredDenominator((), QPolynomial())
+        with pytest.raises(ZeroDivisionError):
+            FactoredDenominator.from_pairs([(2, 1)], other=QPolynomial([0]))

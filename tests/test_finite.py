@@ -6,6 +6,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squot.errors import TheoremInconsistency
 from squot.exact import laurent_at_one, series_of_rational
@@ -34,10 +36,63 @@ def brute_force_counts(group, order):
             for alpha in expo_vectors(n, d):
                 for beta in expo_vectors(n, k - d):
                     if all(sum(g[i] * (alpha[i] - beta[i])
-                               for i in range(n)).denominator == 1
+                               for i in range(n)) % group.exponent == 0
                            for g in group.elements):
                         counts[k] += 1
     return counts
+
+
+def product_of_powers(generators, n):
+    """Every product g_1^k_1 ... g_r^k_r with 0 <= k_j < m_j, each
+    element a tuple of exponents in Q/Z, independent of the production
+    closure and of its integer encoding."""
+    elements = set()
+    for ks in product(*(range(m) for m, _ in generators)):
+        elements.add(tuple(sum(Q(k * e[i], m)
+                               for k, (m, e) in zip(ks, generators)) % 1
+                           for i in range(n)))
+    return elements
+
+
+@st.composite
+def generator_lists(draw):
+    """1-3 generators (modulus, exponents) on n <= 3 coordinates."""
+    n = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 8)] * n)
+    return n, draw(st.lists(st.tuples(st.integers(1, 6), exps),
+                            min_size=1, max_size=3))
+
+
+class TestIntegerGroupProperty:
+    @given(generator_lists())
+    @settings(max_examples=100, deadline=None)
+    def test_order_matches_product_of_powers(self, case):
+        n, gens = case
+        group = FiniteDiagonalGroup.from_generators(gens)
+        assert group.order == len(product_of_powers(gens, n))
+
+    @given(generator_lists())
+    @settings(max_examples=40, deadline=None)
+    def test_counts_match_brute_force(self, case):
+        _, gens = case
+        group = FiniteDiagonalGroup.from_generators(gens)
+        assert invariant_counts(group, 8) == brute_force_counts(group, 8)
+
+    @given(generator_lists(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_redundant_generators_leave_series(self, case, data):
+        _, gens = case
+        want = molien_series(FiniteDiagonalGroup.from_generators(gens))
+        i = data.draw(st.integers(0, len(gens) - 1))
+        j = data.draw(st.integers(0, len(gens) - 1))
+        (mi, ei), (mj, ej) = gens[i], gens[j]
+        top = math.lcm(mi, mj)
+        total = (top, tuple(a * (top // mi) + b * (top // mj)
+                            for a, b in zip(ei, ej)))
+        for extra in (gens + [gens[i]], gens + [total]):
+            got = molien_series(FiniteDiagonalGroup.from_generators(extra))
+            assert got.numerator == want.numerator
+            assert got.denominator == want.denominator
 
 
 class TestGroupConstruction:
@@ -53,7 +108,8 @@ class TestGroupConstruction:
 
     def test_element_order(self):
         g = cyclic_group(12, [4])
-        assert sorted(element_order(e) for e in g.elements) == [1, 3, 3]
+        assert sorted(element_order(e, g.exponent)
+                      for e in g.elements) == [1, 3, 3]
 
 
 class TestMolienSeries:

@@ -1,0 +1,101 @@
+"""Byte-for-byte CLI output against recorded golden data.
+
+`tests/golden/cli_outputs.json` maps each command line (arguments joined
+by single spaces) to its exact stdout.  Fixture files are named relative
+to the package's `fixtures/` directory, which is the working directory
+while the commands run, so the recorded requests do not depend on where
+the repository lives.
+
+Regenerate the data (only when an output change is intended and
+declared) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+import os
+import sys
+from io import StringIO
+from unittest import mock
+
+import pytest
+
+from squot.cli import main
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN = os.path.join(HERE, "golden", "cli_outputs.json")
+FIXTURES = os.path.join(HERE, "..", "src", "squot", "fixtures")
+
+WEIGHTS = ["1,2,3", "1,2,2", "7,8,8,8", "1,1,1,2", "3,3,3"]
+SERIES = ["o_n.txt", "su2_2v1.txt", "torus_2x4.txt", "torus_2x5.txt"]
+SUBGROUPS = [
+    [(2, (1, 1))],
+    [(3, (1, 2))],
+    [(4, (1, 1))],
+    [(5, (1, 2))],
+    [(2, (1, 0)), (2, (0, 1))],
+    [(2, (1, 0)), (3, (0, 1))],
+    [(4, (1, 2)), (2, (0, 1))],
+    [(6, (1, 5))],
+    [(3, (1, 1, 1))],
+    [(2, (1, 1, 0)), (2, (0, 1, 1))],
+    [(4, (1, 3, 2))],
+    [(5, (1, 2, 3))],
+]
+
+
+def commands():
+    out = []
+    for w in WEIGHTS:
+        for extra in ([], ["--off"], ["--text"]):
+            out.append(["hilbert", "--weights", w] + extra)
+    for w in ["4,5,20", "1,1,1,2"]:
+        out.append(["laurent", "--weights", w])
+    for name in SERIES:
+        out.append(["laurent", "--series", name, "--order", "5"])
+        out.append(["symplectic", "--series", name, "--order", "3"])
+    for gens in SUBGROUPS:
+        argv = ["finite"]
+        for m, exps in gens:
+            argv += ["--gen", f"{m}:" + ",".join(map(str, exps))]
+        out.append(argv + ["--order", "3"])
+    out.append(["scan", "--max-level", "12"])
+    return out
+
+
+def stdout_of(argv):
+    """Stdout of one command run in the fixtures directory; it must
+    exit 0."""
+    buf = StringIO()
+    cwd = os.getcwd()
+    os.chdir(FIXTURES)
+    try:
+        with mock.patch("sys.stdout", buf):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    assert code == 0, argv
+    return buf.getvalue()
+
+
+def load_golden():
+    with open(GOLDEN) as fh:
+        return json.load(fh)
+
+
+def test_golden_covers_commands():
+    assert sorted(load_golden()) == sorted(" ".join(a) for a in commands())
+
+
+@pytest.mark.parametrize("argv", commands(), ids=" ".join)
+def test_stdout_matches_golden(argv):
+    assert stdout_of(argv) == load_golden()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    data = {" ".join(argv): stdout_of(argv) for argv in commands()}
+    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+    with open(GOLDEN, "w") as fh:
+        json.dump(data, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"wrote {len(data)} outputs to {GOLDEN}", file=sys.stderr)
