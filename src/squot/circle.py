@@ -25,13 +25,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import mul
 from typing import Sequence, Tuple
 
 from .errors import (DegenerateWeights, DenominatorVanishesAtZero,
                      OracleMismatch, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
-                    RationalFunction, TruncatedSeries, rational_reconstruct,
-                    series_of_rational)
+                    RationalFunction, TruncatedSeries, cleared,
+                    rational_reconstruct, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -121,14 +123,18 @@ def u_average(f: RationalFunction, a: int,
     """Average of f over the a-th roots of unity, in the variable x^(1/a).
 
     Equivalently: keep every a-th Taylor coefficient.  The result is
-    reconstructed as an exact rational function over the transformed
-    denominator; `slack` extra coefficients certify the reconstruction.
+    reconstructed over the transformed denominator, in integers after
+    one lcm clearing; `slack` extra coefficients certify it.
     """
     target = transformed_denominator(f.denominator, a)
     bound = target.degree
+    scale, ints = cleared(f.numerator.coeffs)
+    f = RationalFunction(QPolynomial(ints), f.denominator)
     prefix = series_of_rational(f, a * (bound + 2 + slack))
     sect = prefix.multisect(a)
     num = rational_reconstruct(sect, target, bound, slack)
+    if scale != 1:
+        num = num * Fraction(1, scale)
     return RationalFunction(num, target)
 
 
@@ -386,24 +392,22 @@ def oracle_off_counts(weights: Sequence[int], order: int) -> list:
 
     Counts pairs of exponent vectors (alpha, beta) with
     |alpha| + |beta| = k and equal weighted sums, by dynamic
-    programming over (total degree, weighted sum).
+    programming over (total degree, weighted sum) with one dict
+    {weighted sum: count} per degree, holding the sums that occur.
     """
-    top = order * max(weights)
-    table = [[0] * (top + 1) for _ in range(order + 1)]
-    table[0][0] = 1
+    layers = [{0: 1}] + [{} for _ in range(order)]
     for a in weights:
         for d in range(1, order + 1):
-            row, prev = table[d], table[d - 1]
-            for s in range(a, top + 1):
-                row[s] += prev[s - a]
-    counts = []
-    for k in range(order + 1):
-        total = 0
-        for d in range(k + 1):
-            left, right = table[d], table[k - d]
-            total += sum(x * y for x, y in zip(left, right) if x)
-        counts.append(total)
-    return counts
+            row = layers[d]
+            for s, c in layers[d - 1].items():
+                row[s + a] = row.get(s + a, 0) + c
+
+    def paired(left, right):  # over the sums of the smaller layer
+        if len(left) > len(right):
+            left, right = right, left
+        return sum(map(mul, left.values(), map(right.get, left, repeat(0))))
+    return [sum(paired(layers[d], layers[k - d]) for d in range(k + 1))
+            for k in range(order + 1)]
 
 
 def verify_against_oracle(weights: Sequence[int], off: RationalFunction,

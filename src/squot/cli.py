@@ -169,7 +169,8 @@ def _print_series_text(f: RationalFunction) -> None:
     parts = [f"(1-x^{m})^{e}" if e > 1 else f"(1-x^{m})"
              for m, e in den.factors]
     if den.other != ONE:
-        parts.append(f"[{list(den.other.coeffs)}]")
+        extra = ", ".join(str(_coeff(c)) for c in den.other.coeffs)
+        parts.append(f"[[{extra}]]")
     print(f"({num}) / {''.join(parts) or '1'}")
 
 
@@ -350,10 +351,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_weights(argv) -> list:
+    """`--weights -3,5` as `--weights=-3,5`: argparse takes a token that
+    starts with '-' and is not one number for an option."""
+    out = []
+    for tok in sys.argv[1:] if argv is None else argv:
+        if (out and len(out[-1]) > 2 and "--weights".startswith(out[-1])
+                and tok[:1] == "-" and tok[1:2].isdigit()):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_weights(argv))
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

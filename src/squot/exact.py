@@ -1,10 +1,11 @@
 """Exact rational, polynomial, power-series and Laurent arithmetic.
 
-Everything here is pure and exact: coefficients are `fractions.Fraction`
-(plain ints are accepted and mix freely), equality is decidable, and no
-operation ever rounds.  A rational function always keeps its denominator
-factored, as prod (1 - x^m)^e times one extra polynomial factor.  The
-higher-level modules build Hilbert series out of these primitives.
+Everything here is pure and exact: coefficients are ints or Fractions,
+equality is decidable, and no operation ever rounds; the series layer
+runs in integers after one lcm clearing (`cleared`).  A rational
+function always keeps its denominator factored, as prod (1 - x^m)^e
+times one extra polynomial factor.  The higher-level modules build
+Hilbert series out of these primitives.
 """
 
 from __future__ import annotations
@@ -14,19 +15,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, islice
-from operator import mul
+from operator import mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DenominatorVanishesAtZero, ReconstructionMismatch
-
-#: Exact rational scalar used throughout (always stored in lowest terms,
-#: denominator > 0 -- guaranteed by fractions.Fraction itself).
-BigRational = Fraction
 
 Scalar = Union[int, Fraction]
 
 #: Default number of extra verified coefficients in rational reconstruction.
 DEFAULT_SLACK = 16
+
+
+def cleared(coeffs: Sequence[Scalar]):
+    """(scale, ints): the coefficients times the lcm of their denominators."""
+    scale = math.lcm(*(c.denominator for c in coeffs))
+    return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
 def _strip(coeffs: Sequence[Scalar]) -> tuple:
@@ -183,9 +186,8 @@ class FactoredDenominator:
         n = len(out)
         for m, e in self.factors:
             for _ in range(e):
-                # multiply by (1 - x^m): c[k] -= c[k-m], top down
-                for k in range(n - 1, m - 1, -1):
-                    out[k] -= out[k - m]
+                # multiply by (1 - x^m): c[k] -= c[k-m] for all k at once
+                out[m:] = map(sub, out[m:], out[:-m])
         if self.other != ONE:
             full = poly_mul(QPolynomial(out), self.other).coeffs
             out = list(full[:n]) + [0] * (n - len(full))
@@ -277,9 +279,7 @@ class RationalFunction:
         for m, e in den.factors:
             for d in _divisors(m):
                 exps[d] = exps.get(d, 0) + e
-        coeffs = self.numerator.coeffs
-        scale = math.lcm(*(c.denominator for c in coeffs))
-        work = [c.numerator * (scale // c.denominator) for c in coeffs]
+        scale, work = cleared(self.numerator.coeffs)
         for d in exps:
             while exps[d] and _psi_divides(work, d):
                 work = _divide_unit(work, _psi(d))
@@ -309,9 +309,6 @@ class RationalFunction:
         return RationalFunction(self.numerator * scalar, self.denominator)
 
     __rmul__ = __mul__
-
-    def series(self, order: int) -> "TruncatedSeries":
-        return series_of_rational(self, order)
 
 
 @dataclass(frozen=True)
@@ -347,10 +344,6 @@ class LaurentExpansion:
     pole_order: int
     coefficients: tuple
 
-    @property
-    def expansion_length(self) -> int:
-        return len(self.coefficients) - 1
-
     def __getitem__(self, k: int) -> Scalar:
         return self.coefficients[k]
 
@@ -376,9 +369,9 @@ def _expand_factored(num: QPolynomial, den: FactoredDenominator,
     coeffs += [0] * (order + 1 - len(coeffs))
     for m, e in den.factors:
         for _ in range(e):
-            # divide by (1 - x^m): running sums with stride m
-            for k in range(m, order + 1):
-                coeffs[k] += coeffs[k - m]
+            # divide by (1 - x^m): running sums within each residue class
+            for r in range(m):
+                coeffs[r::m] = accumulate(coeffs[r::m])
     if den.other != ONE:
         coeffs = series_div(coeffs, den.other.coeffs, order)
     return coeffs
@@ -470,8 +463,7 @@ def _shifted_at_one(poly: QPolynomial):
     and an iterator over the coefficients from degree v on, each
     computed only when drawn, so a prefix of k terms costs v + k passes.
     """
-    scale = math.lcm(*(c.denominator for c in poly.coeffs))
-    work = [c.numerator * (scale // c.denominator) for c in poly.coeffs]
+    scale, work = cleared(poly.coeffs)
 
     def passes():
         for i in range(len(work)):
@@ -581,8 +573,3 @@ def laurent_prototype(t: Scalar, order: int) -> LaurentExpansion:
     body = series_div([1], b, order)  # b[0] = t
     return LaurentExpansion(1, tuple(body))
 
-
-def binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)

@@ -21,6 +21,39 @@ from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
 from squot.laurent import gamma0_closed, gamma2_closed
 
 
+def reference_oracle_off_counts(weights, order):
+    """Brute-force invariant monomial counts by a dense table over
+    (total degree, weighted sum), every weighted sum up to
+    order * max(weights) stored, whole rows convolved."""
+    top = order * max(weights)
+    table = [[0] * (top + 1) for _ in range(order + 1)]
+    table[0][0] = 1
+    for a in weights:
+        for d in range(1, order + 1):
+            row, prev = table[d], table[d - 1]
+            for s in range(a, top + 1):
+                row[s] += prev[s - a]
+    counts = []
+    for k in range(order + 1):
+        total = 0
+        for d in range(k + 1):
+            left, right = table[d], table[k - d]
+            total += sum(x * y for x, y in zip(left, right) if x)
+        counts.append(total)
+    return counts
+
+
+@st.composite
+def residue_pieces(draw):
+    """A residue piece of a random weight cluster and its weight."""
+    a = draw(st.integers(1, 6))
+    p = draw(st.integers(1, 3))
+    others = draw(st.lists(st.integers(1, 7).filter(lambda b: b != a),
+                           max_size=2, unique=True))
+    rest = tuple((b, draw(st.integers(1, 2))) for b in sorted(others))
+    return residue_cluster(a, p, rest), a
+
+
 class TestNormalize:
     def test_signs_sort_gcd(self):
         assert normalize_weights([-6, 2, 4]) == (1, 2, 3)
@@ -84,6 +117,19 @@ class TestUAverage:
         back = series_of_rational(g, 30)
         assert back.coefficients == direct.coefficients[:31]
 
+    @given(residue_pieces(), st.integers(1, 30))
+    @settings(max_examples=40, deadline=None)
+    def test_scaling_commutes_on_residue_pieces(self, case, k):
+        # the numerator is cleared to integers and the scale divided out
+        # at the end: averaging commutes with scaling, and the result
+        # still matches the multisected Fraction series
+        f, a = case
+        g = u_average(f, a)
+        assert u_average(f * Fraction(1, k), a) == g * Fraction(1, k)
+        direct = series_of_rational(f, 20 * a).multisect(a)
+        assert series_of_rational(g, 20).coefficients \
+            == direct.coefficients
+
 
 class TestDistinctWeights:
     def test_worked_example(self):
@@ -137,6 +183,13 @@ class TestOracle:
         assert counts[0] == 1 and counts[1] == 0
         assert counts[2] == 2  # z1 zbar1, z2 zbar2
         assert counts[3] == 2  # z1^2 zbar2, zbar1^2 z2
+
+    @given(st.lists(st.integers(1, 250), min_size=1, max_size=4),
+           st.integers(0, 40))
+    @settings(max_examples=50, deadline=None)
+    def test_sparse_matches_dense_reference(self, weights, order):
+        assert oracle_off_counts(weights, order) \
+            == reference_oracle_off_counts(weights, order)
 
     def test_dispatcher_catches_wrong_series(self):
         wrong = RationalFunction(

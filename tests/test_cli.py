@@ -99,6 +99,22 @@ class TestHilbertCommand:
                 == series_of_rational(direct, 30).coefficients)
 
 
+class TestNegativeWeights:
+    @pytest.mark.parametrize("command,rest", [
+        ("hilbert", []),
+        ("hilbert", ["--off"]),
+        ("laurent", ["--order", "3"]),
+        ("symplectic", ["--order", "4"]),
+    ])
+    @pytest.mark.parametrize("weights", ["-3,5,7", "-3,-5", "-2,1,-1"])
+    def test_separate_value_same_as_attached(self, command, rest, weights):
+        # "-3,5,7" looks like an option to argparse
+        separate = run_all([command, "--weights", weights] + rest)
+        attached = run_all([command, f"--weights={weights}"] + rest)
+        assert separate[0] == 0, separate[2]
+        assert separate == attached
+
+
 class TestLaurentCommand:
     def test_weights_with_closed_forms(self):
         doc = run_json(["laurent", "--weights", "4,5,20", "--order", "3"])

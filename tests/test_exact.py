@@ -13,11 +13,41 @@ from squot.circle import hilbert_off_clustered
 from squot.cli import series_payload
 from squot.errors import DenominatorVanishesAtZero, ReconstructionMismatch
 from squot.exact import (ONE, FactoredDenominator, LaurentExpansion,
-                         QPolynomial, RationalFunction, _psi, laurent_at_one,
-                         laurent_prototype, poly_mul, rational_reconstruct,
-                         resultant_transform, series_div, series_of_rational)
+                         QPolynomial, RationalFunction, _expand_factored,
+                         _psi, laurent_at_one, laurent_prototype, poly_mul,
+                         rational_reconstruct, resultant_transform,
+                         series_div, series_of_rational)
 
 Q = Fraction
+
+
+def reference_expand_factored(num, den, order):
+    """Taylor coefficients 0..order of num/den with the running sums of
+    each (1 - x^m) taken one coefficient at a time."""
+    coeffs = list(num.coeffs[:order + 1])
+    coeffs += [0] * (order + 1 - len(coeffs))
+    for m, e in den.factors:
+        for _ in range(e):
+            for k in range(m, order + 1):
+                coeffs[k] += coeffs[k - m]
+    if den.other != ONE:
+        coeffs = series_div(coeffs, den.other.coeffs, order)
+    return coeffs
+
+
+def reference_multiply_into(den, coeffs):
+    """coeffs times den, truncated, each (1 - x^m) applied one
+    coefficient at a time from the top."""
+    out = list(coeffs)
+    n = len(out)
+    for m, e in den.factors:
+        for _ in range(e):
+            for k in range(n - 1, m - 1, -1):
+                out[k] -= out[k - m]
+    if den.other != ONE:
+        full = poly_mul(QPolynomial(out), den.other).coeffs
+        out = list(full[:n]) + [0] * (n - len(full))
+    return out
 
 
 def reference_laurent_at_one(f, order):
@@ -184,6 +214,24 @@ def reducible_inputs(draw):
     return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
 
 
+@st.composite
+def stride_inputs(draw):
+    """Integer or Fraction coefficients, repeated (1 - x^m) factors, an
+    extra factor that is trivial or not, and an order that may fall
+    below the numerator degree."""
+    coeffs = draw(st.lists(st.one_of(st.integers(-9, 9), small_fractions)
+                           if draw(st.booleans()) else st.integers(-99, 99),
+                           max_size=30))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                          max_size=4))
+    other = ONE
+    if draw(st.booleans()):
+        other = QPolynomial([draw(small_fractions.filter(bool))]
+                            + draw(st.lists(small_fractions, max_size=3)))
+    den = FactoredDenominator.from_pairs(pairs, other=other)
+    return coeffs, den, draw(st.integers(0, 45))
+
+
 def geometric(pairs, num=(1,)):
     return RationalFunction(QPolynomial(num),
                             FactoredDenominator.from_pairs(pairs))
@@ -233,6 +281,17 @@ class TestSeries:
     def test_multisection(self):
         s = series_of_rational(geometric([(1, 2)]), 10)  # 1,2,3,...
         assert s.multisect(3).coefficients == (1, 4, 7, 10)
+
+    @given(stride_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_strided_sums_match_reference(self, case):
+        coeffs, den, order = case
+        num = QPolynomial(coeffs)
+        assert _expand_factored(num, den, order) \
+            == reference_expand_factored(num, den, order)
+        prefix = coeffs + [0] * (order - len(coeffs))
+        assert den.multiply_into(prefix) \
+            == reference_multiply_into(den, prefix)
 
     def test_series_div_vs_fraction(self):
         got = series_div([1], [2, -1], 6)
