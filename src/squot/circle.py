@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import mul
 from typing import Sequence, Tuple
 
@@ -283,25 +283,24 @@ def residue_cluster(a: int, p: int, rest) -> RationalFunction:
     return _peel_common(result)
 
 
-def _divide_binomial(poly: QPolynomial, m: int):
-    """Exact quotient of poly by (1 - x^m), or None if not divisible."""
-    d = poly.degree - m
+def _divide_binomial(c: list, m: int):
+    """Exact quotient of the integer coefficients c (constant term first,
+    last entry nonzero) by (1 - x^m), or None if not divisible."""
+    d = len(c) - 1 - m
     if d < 0:
         return None
-    q = [0] * (d + 1)
-    c = poly.coeffs
-    for k in range(d + 1):
-        q[k] = c[k] + (q[k - m] if k >= m else 0)
-    for k in range(d + 1, poly.degree + 1):
-        expected = -q[k - m] if 0 <= k - m <= d else 0
-        if c[k] != expected:
-            return None
-    return QPolynomial(q)
+    q = c[:d + 1]
+    for r in range(m):
+        q[r::m] = accumulate(q[r::m])
+    # the top m coefficients of q * (1 - x^m) are -q[d+1-m:], zero-padded
+    if c[d + 1:] != [0] * (m - d - 1) + [-t for t in q[max(d + 1 - m, 0):]]:
+        return None
+    return q
 
 
 def _peel_common(f: RationalFunction) -> RationalFunction:
     """Cancel whole (1 - x^m) factors shared by numerator and denominator."""
-    num = f.numerator
+    scale, num = cleared(f.numerator.coeffs)
     pairs = []
     for m, e in f.denominator.factors:
         while e:
@@ -311,8 +310,12 @@ def _peel_common(f: RationalFunction) -> RationalFunction:
             num, e = quo, e - 1
         if e:
             pairs.append((m, e))
+    numerator = f.numerator
+    if len(num) < len(numerator.coeffs):
+        numerator = QPolynomial(num if scale == 1
+                                else (Fraction(t, scale) for t in num))
     return RationalFunction(
-        num, FactoredDenominator.from_pairs(pairs, f.denominator.other))
+        numerator, FactoredDenominator.from_pairs(pairs, f.denominator.other))
 
 
 def hilbert_off_clustered(weights: Sequence[int],

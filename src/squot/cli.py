@@ -271,6 +271,7 @@ def cmd_scan(args) -> int:
         raise NotApplicable(f"only n = 3 scans are supported, got {args.n}")
     if args.max_level < 3:
         raise NotApplicable("max level must be >= 3")
+    _check_at_least("--jobs", args.jobs, 1)
     rows = full_scan(args.max_level, jobs=args.jobs)
     records = [{
         "level": r.level,

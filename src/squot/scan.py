@@ -2,12 +2,21 @@
 
 For n = 3 the reciprocal leading coefficient of the on-shell series is
 1/gamma_0 = (a+b)(a+c)(b+c) / (ab+ac+bc); this module tests its
-integrality (equivalent to 1/a + 1/b + 1/c being a unit fraction),
-counts how often it holds among all ordered positive triples of bounded
-total weight, and decides whether a triple passing the first test can
-still be ruled out by the second-order coefficient: matching a finite
-group would require writing 12 gamma_2 / gamma_0 as a sum of m^2 - 1
-over divisors m >= 2 of 1/gamma_0.
+integrality, counts how often it holds among all ordered positive
+triples of bounded total weight, and decides whether a triple passing
+the first test can still be ruled out by the second-order coefficient:
+matching a finite group would require writing 12 gamma_2 / gamma_0 as a
+sum of m^2 - 1 over divisors m >= 2 of 1/gamma_0.
+
+The scan does not test every triple.  With D = ab + bc + ca,
+(a+b)(b+c)(c+a) = (a+b+c) D - abc, so 1/gamma_0 is an integer exactly
+when k = abc / D is, that is when 1/a + 1/b + 1/c = 1/k.  For a <= b,
+with u = a + b and v = ab, this solves to c = k v / (v - k u), which
+increases with k; so c runs over [b, L - a - b] exactly when k runs over
+[ceil(b v / (v + b u)), floor(cmax v / (v + cmax u))], an interval of at
+most about a/6 integers (empty for a = 1).  Each pair (a, b) tests the
+k of its interval for (v - k u) | k v in one C-level pass, and only the
+hits reach Python code.
 """
 
 from __future__ import annotations
@@ -15,6 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import mod, not_
 from typing import Iterator, Sequence, Tuple
 
 from .errors import NotApplicable
@@ -89,11 +100,20 @@ class ScanResult:
         return Fraction(self.hits, self.total) if self.total else Fraction(0)
 
 
-def _unordered_triples(level: int) -> Iterator[Tuple[int, int, int]]:
-    for a in range(1, level // 3 + 1):
+def _integral_triples_from(a_lo: int, a_hi: int,
+                           level: int) -> Iterator[Tuple[int, int, int]]:
+    """Non-decreasing triples with a in [a_lo, a_hi), a+b+c <= level and
+    integral 1/gamma_0, in lexicographic order (see the module notes)."""
+    for a in range(a_lo, a_hi):
         for b in range(a, (level - a) // 2 + 1):
-            for c in range(b, level - a - b + 1):
-                yield a, b, c
+            u, v = a + b, a * b
+            cmax = level - a - b
+            klo = -(-b * v // (v + b * u))
+            khi = cmax * v // (v + cmax * u)
+            divides = map(not_, map(mod, range(klo * v, khi * v + 1, v),
+                                    range(v - klo * u, v - khi * u - 1, -u)))
+            for k in compress(range(klo, khi + 1), divides):
+                yield a, b, k * v // (v - k * u)
 
 
 def _permutations_count(a: int, b: int, c: int) -> int:
@@ -106,26 +126,28 @@ def _permutations_count(a: int, b: int, c: int) -> int:
 
 def integral_triples(level: int) -> Iterator[Tuple[int, int, int]]:
     """Non-decreasing triples with a+b+c <= level and integral 1/gamma_0."""
-    for t in _unordered_triples(level):
-        if gamma0_is_integral(t):
-            yield t
+    return _integral_triples_from(1, level // 3 + 1, level)
 
 
 def _hits_by_sum_slice(args) -> list:
     """Ordered hit counts indexed by a+b+c, for a in [a_lo, a_hi)."""
     a_lo, a_hi, level = args
     out = [0] * (level + 1)
-    for a in range(a_lo, a_hi):
-        for b in range(a, (level - a) // 2 + 1):
-            for c in range(b, level - a - b + 1):
-                if gamma0_is_integral((a, b, c)):
-                    out[a + b + c] += _permutations_count(a, b, c)
+    for a, b, c in _integral_triples_from(a_lo, a_hi, level):
+        out[a + b + c] += _permutations_count(a, b, c)
     return out
 
 
 def hits_by_sum(level: int, jobs: int = 1) -> list:
-    """Ordered hit counts per exact total weight, indices 0..level."""
+    """Ordered hit counts per exact total weight, indices 0..level.
+
+    With jobs > 1 the range of a is split over a process pool of at most
+    min(jobs, CPU count, level // 3) workers.
+    """
     top = level // 3 + 1
+    if jobs > 1 and top > 8:
+        import os
+        jobs = min(jobs, os.cpu_count() or 1, top - 1)
     if jobs <= 1 or top <= 8:
         return _hits_by_sum_slice((1, top, level))
     from concurrent.futures import ProcessPoolExecutor

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
-                          _hilbert_series_cached, hilbert_equal_weights,
+                          _divide_binomial, _hilbert_series_cached,
+                          _peel_common,
+                          hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights,
                           off_shell_equal_weights, oracle_off_counts,
@@ -17,7 +19,7 @@ from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
                           u_average, verify_against_oracle)
 from squot.errors import DegenerateWeights, OracleMismatch, ZeroWeight
 from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
-                         laurent_at_one, series_of_rational)
+                         cleared, laurent_at_one, series_of_rational)
 from squot.laurent import gamma0_closed, gamma2_closed
 
 
@@ -41,6 +43,47 @@ def reference_oracle_off_counts(weights, order):
             total += sum(x * y for x, y in zip(left, right) if x)
         counts.append(total)
     return counts
+
+
+def binomial(m):
+    """1 - x^m."""
+    return QPolynomial([1] + [0] * (m - 1) + [-1])
+
+
+def reference_divide_binomial(poly, m):
+    """Exact quotient of poly by (1 - x^m), or None, one add at a time."""
+    d = poly.degree - m
+    if d < 0:
+        return None
+    q = [0] * (d + 1)
+    c = poly.coeffs
+    for k in range(d + 1):
+        q[k] = c[k] + (q[k - m] if k >= m else 0)
+    for k in range(d + 1, poly.degree + 1):
+        expected = -q[k - m] if 0 <= k - m <= d else 0
+        if c[k] != expected:
+            return None
+    return QPolynomial(q)
+
+
+@st.composite
+def binomial_dividends(draw):
+    """(poly, m, divisible): a multiple of (1 - x^m), perhaps disturbed
+    in one coefficient, or an arbitrary polynomial of degree below m;
+    divisible says whether a quotient should come back."""
+    m = draw(st.integers(1, 40))
+    coeff = draw(st.sampled_from([
+        st.integers(-9, 9),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12)]))
+    if not draw(st.integers(0, 5)):
+        return QPolynomial(draw(st.lists(coeff, max_size=m))), m, False
+    quotient = QPolynomial(draw(st.lists(coeff, min_size=1, max_size=60)))
+    poly = quotient * binomial(m)
+    if draw(st.booleans()):
+        return poly, m, not quotient.is_zero()
+    at = draw(st.integers(0, poly.degree + 2))
+    bump = draw(coeff.filter(bool))
+    return poly + QPolynomial.monomial(at, bump), m, False
 
 
 @st.composite
@@ -164,6 +207,37 @@ class TestClusterResidue:
                                      list(on_generic.denominator.factors)
                                      + [(2, 1)])), 40).coefficients
             assert got == want, weights
+
+
+class TestDivideBinomial:
+    @given(binomial_dividends())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, case):
+        poly, m, divisible = case
+        scale, ints = cleared(poly.coeffs)
+        got = _divide_binomial(ints, m)
+        want = reference_divide_binomial(poly, m)
+        assert (got is None) == (want is None)
+        assert (got is not None) == divisible
+        if got is not None:
+            assert [Fraction(t, scale) for t in got] == list(want.coeffs)
+            assert QPolynomial(got) * binomial(m) == QPolynomial(ints)
+
+    def test_non_divisible_and_short(self):
+        assert _divide_binomial([1, 0, 0, -1], 3) == [1]
+        assert _divide_binomial([1, 0, 0, 1], 3) is None
+        assert _divide_binomial([1, 0, -1], 3) is None
+        assert _divide_binomial([], 1) is None
+
+    def test_peel_common(self):
+        half = Fraction(1, 2)
+        num = QPolynomial([half, half]) * binomial(2)
+        den = FactoredDenominator.from_pairs([(2, 2), (3, 1)])
+        out = _peel_common(RationalFunction(num, den))
+        assert out.numerator == QPolynomial([half, half])
+        assert out.denominator.factors == ((2, 1), (3, 1))
+        kept = RationalFunction(QPolynomial([half, 1]), den)
+        assert _peel_common(kept).numerator is kept.numerator
 
 
 def small_profiles(max_n, max_w):

@@ -239,6 +239,14 @@ class TestScanCommand:
         code, _ = run(["scan", "--n", "4", "--max-level", "10"])
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, jobs):
+        code, out, err = run_all(["scan", "--max-level", "10",
+                                  "--jobs", jobs])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+
 
 class TestSeriesFiles:
     def test_fixture_loader(self):

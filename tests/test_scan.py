@@ -1,7 +1,10 @@
 """Tests for the integrality scan over weight triples."""
 
+import concurrent.futures
 import math
+import os
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -9,13 +12,31 @@ from hypothesis import strategies as st
 
 from squot.errors import NotApplicable
 from squot.laurent import gamma0_closed, gamma2_closed
-from squot.scan import (ScanResult, full_scan, gamma0_is_integral,
-                        gamma2_condition, gamma2_ratio, hits_by_sum,
-                        integral_triples, is_unit_fraction_sum,
+from squot.scan import (ScanResult, _hits_by_sum_slice, full_scan,
+                        gamma0_is_integral, gamma2_condition, gamma2_ratio,
+                        hits_by_sum, integral_triples, is_unit_fraction_sum,
                         probability_scan, pseudoreflection_obstruction,
                         reciprocal_gamma0)
 
 Q = Fraction
+
+
+def reference_triples(a_lo, a_hi, level):
+    """Every non-decreasing triple with a in [a_lo, a_hi) and
+    a+b+c <= level, tested one at a time."""
+    for a in range(a_lo, a_hi):
+        for b in range(a, (level - a) // 2 + 1):
+            for c in range(b, level - a - b + 1):
+                if gamma0_is_integral((a, b, c)):
+                    yield a, b, c
+
+
+def reference_hits_by_sum(a_lo, a_hi, level):
+    """Ordered hit counts indexed by a+b+c, for a in [a_lo, a_hi)."""
+    out = [0] * (level + 1)
+    for t in reference_triples(a_lo, a_hi, level):
+        out[sum(t)] += len(set(permutations(t)))
+    return out
 
 
 class TestReciprocalGamma0:
@@ -114,6 +135,31 @@ class TestProbabilityScan:
     def test_parallel_matches_serial(self):
         assert hits_by_sum(40, jobs=1) == hits_by_sum(40, jobs=3)
 
+    @pytest.mark.parametrize("cpus, workers",
+                             [(4, 4), (1000, 20), (1, None), (None, None)])
+    def test_pool_size_bounded(self, monkeypatch, cpus, workers):
+        # a fake pool that maps serially: no process is started
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert hits_by_sum(60, jobs=10**6) == reference_hits_by_sum(1, 21, 60)
+        assert seen == ([] if workers is None else [workers])
+
     def test_brute_force_ordered_agreement(self):
         level = 15
         hits = 0
@@ -125,8 +171,33 @@ class TestProbabilityScan:
         (res,) = probability_scan([level])
         assert res.hits == hits
 
+    def test_fixed_level_300(self):
+        assert hits_by_sum(300) == reference_hits_by_sum(1, 101, 300)
+
     def test_bad_levels(self):
         with pytest.raises(ValueError):
             probability_scan([2])
         with pytest.raises(ValueError):
             full_scan(1)
+
+
+@st.composite
+def a_slices(draw):
+    """(a_lo, a_hi, level): a level and any slice of the range of a."""
+    level = draw(st.integers(3, 250))
+    top = level // 3 + 1
+    a_lo = draw(st.integers(1, top))
+    return a_lo, draw(st.integers(a_lo, top)), level
+
+
+class TestKernelAgainstTripleLoop:
+    @given(a_slices())
+    @settings(max_examples=100, deadline=None)
+    def test_slice_matches_reference(self, args):
+        assert _hits_by_sum_slice(args) == reference_hits_by_sum(*args)
+
+    def test_integral_triples_same_order(self):
+        every = list(reference_triples(1, 41, 120))
+        for level in range(3, 121):
+            assert list(integral_triples(level)) \
+                == [t for t in every if sum(t) <= level], level
