@@ -33,7 +33,8 @@ from .errors import (DegenerateWeights, DenominatorVanishesAtZero,
                      OracleMismatch, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
                     RationalFunction, TruncatedSeries, cleared,
-                    rational_reconstruct, series_of_rational)
+                    deferred_quotient, mul_truncated, rational_reconstruct,
+                    series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -180,26 +181,6 @@ def _weight_clusters(weights: Sequence[int]):
     return [(a, p) for a, p in out]
 
 
-def _tpoly_mul(a, b, tmax):
-    """Product of polynomials in t with QPolynomial coefficients."""
-    out = [QPolynomial() for _ in range(min(len(a) + len(b) - 1, tmax + 1))]
-    for i, pa in enumerate(a[:tmax + 1]):
-        if pa.is_zero():
-            continue
-        for j, pb in enumerate(b):
-            if i + j > tmax:
-                break
-            out[i + j] = out[i + j] + pa * pb
-    return out
-
-
-def _tpoly_pow(base, e, tmax):
-    out = [ONE]
-    for _ in range(e):
-        out = _tpoly_mul(out, base, tmax)
-    return out
-
-
 def _monomial_in_z(k: int, tmax: int):
     """(u+t)^k as a t-polynomial with u-polynomial coefficients."""
     return [QPolynomial.monomial(k - j, math.comb(k, j))
@@ -214,8 +195,11 @@ def residue_cluster(a: int, p: int, rest) -> RationalFunction:
     is the sum over clusters of a * (every-a-th coefficient of R).
 
     R is the t^(p-1) coefficient of G(u+t) for the meromorphic kernel G
-    of the cluster; the computation keeps 1/Den(t) as polynomials J_k
-    over powers of Den(0) so that no polynomial division is needed.
+    of the cluster, whose numerator is (u+t)^exponent and whose
+    denominator is Den(t).  Both are held as t-polynomials, truncated
+    at t^p, with integer u-polynomial coefficients; 1/Den(t) is formed
+    by the deferred quotient, which gives that coefficient times
+    Den(0)^p, so no polynomial division is needed.
     """
     exponent = p * a - 1 + sum(pb * b for b, pb in rest)
     tmax = p - 1
@@ -227,8 +211,7 @@ def residue_cluster(a: int, p: int, rest) -> RationalFunction:
     # (z^a - u^a)/(z - u) at z = u + t, via the hockey-stick identity
     quotient = [QPolynomial.monomial(a - 1 - j, math.comb(a, j + 1))
                 for j in range(min(a - 1, tmax) + 1)]
-    den = _tpoly_pow(one_minus_zz, p, tmax)
-    den = _tpoly_mul(den, _tpoly_pow(quotient, p, tmax), tmax)
+    factors = [(one_minus_zz, p), (quotient, p)]
     for b, pb in rest:
         g1 = [QPolynomial([1]) - QPolynomial.monomial(a + b)]
         g1 += [QPolynomial.monomial(a + b - j, -math.comb(b, j))
@@ -236,8 +219,12 @@ def residue_cluster(a: int, p: int, rest) -> RationalFunction:
         g2 = [QPolynomial.monomial(b) - QPolynomial.monomial(a)]
         g2 += [QPolynomial.monomial(b - j, math.comb(b, j))
                for j in range(1, min(b, tmax) + 1)]
-        den = _tpoly_mul(den, _tpoly_pow(g1, pb, tmax), tmax)
-        den = _tpoly_mul(den, _tpoly_pow(g2, pb, tmax), tmax)
+        factors += [(g1, pb), (g2, pb)]
+    den = [ONE]
+    for factor, e in factors:
+        for _ in range(e):
+            den = mul_truncated(den, factor, p)
+    n_poly = deferred_quotient(_monomial_in_z(exponent, tmax), den, p)[tmax]
 
     # Den(0) in factored form, for the final denominator of R.
     scalar = Fraction(a) ** p
@@ -249,26 +236,6 @@ def residue_cluster(a: int, p: int, rest) -> RationalFunction:
         shift += pb * min(a, b)
         if b > a:
             scalar *= (-1) ** pb
-    d0 = den[0]
-
-    # 1/Den(t) = sum_k J_k / Den(0)^(k+1) t^k with polynomial J_k.
-    d0_pow = [ONE]
-    for _ in range(tmax):
-        d0_pow.append(d0_pow[-1] * d0)
-    j_seq = [ONE]
-    for k in range(1, tmax + 1):
-        acc = QPolynomial()
-        for j in range(1, k + 1):
-            if j < len(den) and not den[j].is_zero():
-                acc = acc + den[j] * j_seq[k - j] * d0_pow[j - 1]
-        j_seq.append(-acc)
-
-    num_t = _monomial_in_z(exponent, tmax)
-    n_poly = QPolynomial()
-    for k in range(tmax + 1):
-        idx = tmax - k
-        if idx < len(num_t):
-            n_poly = n_poly + num_t[idx] * j_seq[k] * d0_pow[tmax - k]
 
     # R = N / Den(0)^p; clear the scalar and the u-power, which must
     # divide N exactly since R is analytic at 0.

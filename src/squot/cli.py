@@ -95,6 +95,15 @@ def _parse_generator(text: str):
                          "expected m:e1,...,en")
 
 
+def _read_token(path, tok) -> Fraction:
+    """Fraction(tok), or a ValueError that names the file and the token
+    (a zero denominator too)."""
+    try:
+        return Fraction(tok)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{path}: cannot read {tok!r}") from None
+
+
 def load_series(paths) -> RationalFunction:
     """Read a series fixture: numerator coefficients, then m:e factors.
 
@@ -107,13 +116,14 @@ def load_series(paths) -> RationalFunction:
             for raw in fh:
                 line = raw.split("#", 1)[0].strip()
                 if line:
-                    lines.append(line)
+                    lines.append((path, line.split()))
     if len(lines) != 2:
         raise ValueError(f"expected 2 data lines across {list(paths)}, "
                          f"found {len(lines)}")
-    num = QPolynomial(Fraction(tok) for tok in lines[0].split())
+    (num_path, num_toks), (_, den_toks) = lines
+    num = QPolynomial(_read_token(num_path, tok) for tok in num_toks)
     pairs = []
-    for tok in lines[1].split():
+    for tok in den_toks:
         m, _, e = tok.partition(":")
         pairs.append((int(m), int(e)))
     return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
@@ -272,7 +282,7 @@ def cmd_scan(args) -> int:
     if args.max_level < 3:
         raise NotApplicable("max level must be >= 3")
     _check_at_least("--jobs", args.jobs, 1)
-    rows = full_scan(args.max_level, jobs=args.jobs)
+    rows = full_scan(args.max_level)
     records = [{
         "level": r.level,
         "hits": r.hits,
@@ -347,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-level", type=int, required=True, metavar="L")
     p.add_argument("--out", metavar="BASE",
                    help="write BASE.jsonl and BASE.csv")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility (at least 1); the scan "
+                        "runs in one process whatever its value")
     p.set_defaults(func=cmd_scan)
     return parser
 

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, islice
-from operator import mul, sub
+from itertools import accumulate, chain, islice, repeat
+from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
 from .errors import DenominatorVanishesAtZero, ReconstructionMismatch
@@ -127,15 +127,8 @@ class QPolynomial:
 
 def poly_mul(a: QPolynomial, b: QPolynomial) -> QPolynomial:
     """Exact product; degree adds for nonzero inputs."""
-    if a.is_zero() or b.is_zero():
-        return QPolynomial()
-    out = [Fraction(0)] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca:
-            for j, cb in enumerate(b.coeffs):
-                if cb:
-                    out[i + j] += ca * cb
-    return QPolynomial(out)
+    return QPolynomial(mul_truncated(a.coeffs, b.coeffs,
+                                     len(a.coeffs) + len(b.coeffs)))
 
 
 ONE = QPolynomial([1])
@@ -189,30 +182,12 @@ class FactoredDenominator:
                 # multiply by (1 - x^m): c[k] -= c[k-m] for all k at once
                 out[m:] = map(sub, out[m:], out[:-m])
         if self.other != ONE:
-            full = poly_mul(QPolynomial(out), self.other).coeffs
-            out = list(full[:n]) + [0] * (n - len(full))
+            out = mul_truncated(out, self.other.coeffs, n)
         return out
 
 
 def _divisors(m: int) -> list:
     return [d for d in range(1, m + 1) if m % d == 0]
-
-
-def _divide_unit(coeffs: list, divisor: Sequence[int]) -> list:
-    """Quotient of an integer polynomial by a divisor of constant term 1,
-    known to be exact.  It is read off from the low end,
-    q_i = c_i - sum_(j>=1) divisor_j q_(i-j), so it stays in integers."""
-    n = len(coeffs) - len(divisor) + 1
-    quo = list(coeffs[:n])
-    taps = [(j, b) for j, b in enumerate(divisor) if j and b]
-    for i in range(n):
-        c = quo[i]
-        if c:
-            for j, b in taps:
-                if i + j >= n:
-                    break
-                quo[i + j] -= b * c
-    return quo
 
 
 @lru_cache(maxsize=None)
@@ -222,11 +197,13 @@ def _psi(d: int) -> tuple:
 
     Then 1 - x^m = prod_(d | m) Psi_d, and every Psi_d has constant
     term 1.  Built by dividing 1 - x^d by the Psi_k of its proper
-    divisors k.
+    divisors k; with constant term 1, the deferred quotient is the
+    quotient itself.
     """
     poly = [1] + [0] * (d - 1) + [-1]
     for k in _divisors(d)[:-1]:
-        poly = _divide_unit(poly, _psi(k))
+        psi = _psi(k)
+        poly = deferred_quotient(poly, psi, len(poly) - len(psi) + 1)
     return tuple(poly)
 
 
@@ -281,8 +258,9 @@ class RationalFunction:
                 exps[d] = exps.get(d, 0) + e
         scale, work = cleared(self.numerator.coeffs)
         for d in exps:
+            psi = _psi(d)
             while exps[d] and _psi_divides(work, d):
-                work = _divide_unit(work, _psi(d))
+                work = deferred_quotient(work, psi, len(work) - len(psi) + 1)
                 exps[d] -= 1
         pairs = []
         for m in sorted(exps, reverse=True):
@@ -477,35 +455,37 @@ def _shifted_at_one(poly: QPolynomial):
     raise ZeroDivisionError("zero polynomial has no expansion at x = 1")
 
 
-def _mul_truncated(a: list, b: list, n: int) -> list:
-    """First n coefficients of the product of two coefficient lists."""
+def mul_truncated(a: Sequence, b: Sequence, n: int) -> list:
+    """First n coefficients of the product of two coefficient lists.
+
+    Integer inputs give integer output; the coefficients may also be
+    QPolynomials (polynomials in a second variable).
+    """
     out = [0] * min(n, len(a) + len(b) - 1)
     for i, x in enumerate(a[:n]):
         if x:
-            for j, y in enumerate(b[:n - i]):
-                out[i + j] += x * y
+            seg = b[:n - i]
+            end = i + len(seg)
+            out[i:end] = map(add, out[i:end], map(mul, repeat(x), seg))
     return out
 
 
-def _deferred_quotient(a: list, b: list, n: int) -> list:
+def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
     """N_0..N_(n-1) with N_k = q_k * b[0]^(k+1), where a/b = sum q_k u^k.
 
     From q_k b[0] = a_k - sum_j b_j q_(k-j):
     N_k = a_k d0^k - sum_(j=1..k) b_j d0^(j-1) N_(k-j) with d0 = b[0],
-    so the whole recurrence stays in integers.
+    so the whole recurrence stays in the ring of the coefficients.  When
+    b[0] = 1 and b divides a, N_0..N_(len(a)-len(b)) is the quotient.
     """
-    d0 = b[0]
-    scaled = []  # b_j * d0^(j-1) for j = 1, 2, ...
-    power = 1
-    for bj in b[1:n]:
-        scaled.append(bj * power)
-        power *= d0
+    powers = [1]  # d0^k
+    for _ in range(n - 1):
+        powers.append(powers[-1] * b[0])
+    scaled = list(map(mul, b[1:n], powers))  # b_j * d0^(j-1)
     out = []
-    power = 1  # d0^k
     for k in range(n):
-        head = a[k] * power if k < len(a) else 0
+        head = a[k] * powers[k] if k < len(a) else 0
         out.append(head - sum(map(mul, scaled, reversed(out))))
-        power *= d0
     return out
 
 
@@ -523,7 +503,7 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
        without any expansion, and the P_m are multiplied only as far
        as the requested order needs;
     3. the quotient is formed with its denominator deferred
-       (`_deferred_quotient`), and one Fraction is built per
+       (`deferred_quotient`), and one Fraction is built per
        coefficient.
     """
     if order < 0:
@@ -543,10 +523,10 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
             p_m = [(-1) ** (k + 1) * math.comb(m, k)
                    for k in range(1, min(m, length) + 1)]
             for _ in range(e):
-                b = _mul_truncated(b, p_m, length)
+                b = mul_truncated(b, p_m, length)
         d0 = b[0]
         power = d0
-        for n_k in _deferred_quotient(a, b, length):
+        for n_k in deferred_quotient(a, b, length):
             gammas.append(Fraction(n_k * den_scale, power * num_scale))
             power *= d0
     if pole >= 0:

@@ -129,44 +129,25 @@ def integral_triples(level: int) -> Iterator[Tuple[int, int, int]]:
     return _integral_triples_from(1, level // 3 + 1, level)
 
 
-def _hits_by_sum_slice(args) -> list:
+def _hits_by_sum_slice(a_lo: int, a_hi: int, level: int) -> list:
     """Ordered hit counts indexed by a+b+c, for a in [a_lo, a_hi)."""
-    a_lo, a_hi, level = args
     out = [0] * (level + 1)
     for a, b, c in _integral_triples_from(a_lo, a_hi, level):
         out[a + b + c] += _permutations_count(a, b, c)
     return out
 
 
-def hits_by_sum(level: int, jobs: int = 1) -> list:
-    """Ordered hit counts per exact total weight, indices 0..level.
-
-    With jobs > 1 the range of a is split over a process pool of at most
-    min(jobs, CPU count, level // 3) workers.
-    """
-    top = level // 3 + 1
-    if jobs > 1 and top > 8:
-        import os
-        jobs = min(jobs, os.cpu_count() or 1, top - 1)
-    if jobs <= 1 or top <= 8:
-        return _hits_by_sum_slice((1, top, level))
-    from concurrent.futures import ProcessPoolExecutor
-    bounds = [round(i * (top - 1) / jobs) + 1 for i in range(jobs + 1)]
-    chunks = [(bounds[i], bounds[i + 1], level) for i in range(jobs)]
-    out = [0] * (level + 1)
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_hits_by_sum_slice, chunks):
-            for s, h in enumerate(part):
-                out[s] += h
-    return out
+def hits_by_sum(level: int) -> list:
+    """Ordered hit counts per exact total weight, indices 0..level."""
+    return _hits_by_sum_slice(1, level // 3 + 1, level)
 
 
-def probability_scan(levels: Sequence[int], jobs: int = 1) -> list:
+def probability_scan(levels: Sequence[int]) -> list:
     """ScanResult per requested level, from one pass to the largest."""
     todo = sorted(set(levels))
     if not todo or todo[0] < 3:
         raise ValueError("levels must be integers >= 3")
-    per_sum = hits_by_sum(todo[-1], jobs)
+    per_sum = hits_by_sum(todo[-1])
     results = []
     hits = 0
     done = 0
@@ -177,8 +158,8 @@ def probability_scan(levels: Sequence[int], jobs: int = 1) -> list:
     return results
 
 
-def full_scan(max_level: int, jobs: int = 1) -> list:
+def full_scan(max_level: int) -> list:
     """ScanResult for every level 3..max_level."""
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
-    return probability_scan(range(3, max_level + 1), jobs)
+    return probability_scan(range(3, max_level + 1))

@@ -264,6 +264,15 @@ class TestSeriesFiles:
         code, _ = run(["laurent", "--series", "/nonexistent", "--order", "2"])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["laurent", "symplectic"])
+    def test_zero_denominator_coefficient_exit_2(self, tmp_path, command):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("1 1/0 2\n1:2\n")
+        code, out, err = run_all([command, "--series", str(bad),
+                                  "--order", "2"])
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: cannot read '1/0'\n"
+
 
 class TestExitContract:
     @pytest.mark.parametrize("argv", [
@@ -324,10 +333,9 @@ def argv_fragments(draw):
                      + ",".join(map(str, exps))]
         options = ["--order", "--slack"]
     else:
-        # --jobs stays <= 1: more would start a process pool
         argv = ["scan", "--n", str(draw(st.integers(2, 4))),
                 "--max-level", str(draw(st.integers(-1, 15))),
-                "--jobs", str(draw(st.integers(-1, 1)))]
+                "--jobs", str(draw(st.integers(-1, 4)))]
         options = []
     for option in draw(st.lists(st.sampled_from(options), unique=True)
                        if options else st.just([])):

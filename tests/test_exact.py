@@ -14,7 +14,8 @@ from squot.cli import series_payload
 from squot.errors import DenominatorVanishesAtZero, ReconstructionMismatch
 from squot.exact import (ONE, FactoredDenominator, LaurentExpansion,
                          QPolynomial, RationalFunction, _expand_factored,
-                         _psi, laurent_at_one, laurent_prototype, poly_mul,
+                         _psi, deferred_quotient, laurent_at_one,
+                         laurent_prototype, mul_truncated, poly_mul,
                          rational_reconstruct, resultant_transform,
                          series_div, series_of_rational)
 
@@ -45,8 +46,10 @@ def reference_multiply_into(den, coeffs):
             for k in range(n - 1, m - 1, -1):
                 out[k] -= out[k - m]
     if den.other != ONE:
-        full = poly_mul(QPolynomial(out), den.other).coeffs
-        out = list(full[:n]) + [0] * (n - len(full))
+        other = den.other.coeffs
+        out = [sum(out[k - j] * other[j]
+                   for j in range(min(k + 1, len(other))))
+               for k in range(n)]
     return out
 
 
@@ -258,6 +261,34 @@ class TestQPolynomial:
     def test_palindrome(self):
         assert QPolynomial([1, 2, 1]).is_palindromic()
         assert not QPolynomial([1, 2]).is_palindromic()
+
+    def test_integer_product_stays_integer(self):
+        prod = poly_mul(QPolynomial([1, -2, 3]), QPolynomial([4, 0, 5]))
+        assert prod.coeffs == (4, -8, 17, -10, 15)
+        assert all(type(c) is int for c in prod.coeffs)
+        den = FactoredDenominator.from_pairs([(2, 1), (3, 2)])
+        assert all(type(c) is int for c in den.expand().coeffs)
+
+
+class TestSharedKernels:
+    @given(st.lists(st.integers(-30, 30), min_size=1, max_size=8),
+           st.integers(-9, 9).filter(lambda d: d not in (0, 1, -1)),
+           st.lists(st.integers(-30, 30), max_size=6),
+           st.integers(1, 10))
+    @settings(max_examples=200)
+    def test_deferred_quotient_matches_series_div(self, a, d0, tail, n):
+        b = [d0] + tail
+        got = deferred_quotient(a, b, n)
+        want = series_div(a, b, n - 1)
+        assert all(type(c) is int for c in got)
+        assert got == [q * d0 ** (k + 1) for k, q in enumerate(want)]
+
+    @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12),
+           st.integers(1, 40))
+    def test_deferred_quotient_undoes_cyclotomic_product(self, q, d):
+        psi = _psi(d)
+        prod = mul_truncated(q, psi, len(q) + len(psi) - 1)
+        assert deferred_quotient(prod, psi, len(q)) == q
 
 
 class TestSeries:
