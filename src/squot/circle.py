@@ -162,10 +162,9 @@ def hilbert_on_distinct(weights: Sequence[int],
                    for i in range(n))
     target = _pair_sum_denominator(weights)
     bound = target.degree
-    order = bound + slack
-    total = series_of_rational(pieces[0], order)
-    for piece in pieces[1:]:
-        total = total + series_of_rational(piece, order)
+    series = (series_of_rational(piece, bound + slack).coefficients
+              for piece in pieces)
+    total = TruncatedSeries(tuple(map(sum, zip(*series))))
     num = rational_reconstruct(total, target, bound, slack)
     return RationalFunction(num, target), pieces
 
@@ -354,7 +353,7 @@ def off_shell_equal_weights(n: int, order: int) -> TruncatedSeries:
     coeffs = [0] * (order + 1)
     for d in range(order // 2 + 1):
         coeffs[2 * d] = math.comb(n + d - 1, d) ** 2
-    return TruncatedSeries(tuple(coeffs), order)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def oracle_off_counts(weights: Sequence[int], order: int) -> list:

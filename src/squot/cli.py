@@ -120,12 +120,15 @@ def load_series(paths) -> RationalFunction:
     if len(lines) != 2:
         raise ValueError(f"expected 2 data lines across {list(paths)}, "
                          f"found {len(lines)}")
-    (num_path, num_toks), (_, den_toks) = lines
+    (num_path, num_toks), (den_path, den_toks) = lines
     num = QPolynomial(_read_token(num_path, tok) for tok in num_toks)
     pairs = []
     for tok in den_toks:
-        m, _, e = tok.partition(":")
-        pairs.append((int(m), int(e)))
+        try:
+            m, e = tok.split(":")
+            pairs.append((int(m), int(e)))
+        except ValueError:
+            raise ValueError(f"{den_path}: cannot read {tok!r}") from None
     return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
 
 
@@ -382,10 +385,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_weights(argv))
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except _INPUT_ERRORS + (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SquotError as exc:

@@ -165,12 +165,7 @@ class FactoredDenominator:
         return sum(m * e for m, e in self.factors) + self.other.degree
 
     def expand(self) -> QPolynomial:
-        poly = self.other
-        for m, e in self.factors:
-            f = QPolynomial([1] + [0] * (m - 1) + [-1])
-            for _ in range(e):
-                poly = poly * f
-        return poly
+        return QPolynomial(self.multiply_into([1] + [0] * self.degree))
 
     def multiply_into(self, coeffs: Sequence[Scalar]) -> list:
         """Multiply a coefficient list by the expanded denominator,
@@ -294,25 +289,17 @@ class TruncatedSeries:
     """Exact power-series prefix: coefficients for degrees 0..order."""
 
     coefficients: tuple
-    order: int
 
-    def __post_init__(self):
-        if len(self.coefficients) != self.order + 1:
-            raise ValueError("coefficient count must be order + 1")
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
 
     def __getitem__(self, k: int) -> Scalar:
         return self.coefficients[k]
 
     def multisect(self, a: int) -> "TruncatedSeries":
         """Keep every a-th coefficient: U_a on the known prefix."""
-        kept = self.coefficients[::a]
-        return TruncatedSeries(tuple(kept), len(kept) - 1)
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            tuple(self.coefficients[k] + other.coefficients[k]
-                  for k in range(n + 1)), n)
+        return TruncatedSeries(self.coefficients[::a])
 
 
 @dataclass(frozen=True)
@@ -358,7 +345,7 @@ def _expand_factored(num: QPolynomial, den: FactoredDenominator,
 def series_of_rational(f: RationalFunction, order: int) -> TruncatedSeries:
     """Taylor coefficients 0..order of f at x = 0, by exact division."""
     coeffs = _expand_factored(f.numerator, f.denominator, order)
-    return TruncatedSeries(tuple(coeffs), order)
+    return TruncatedSeries(tuple(coeffs))
 
 
 def rational_reconstruct(prefix: TruncatedSeries, den: FactoredDenominator,

@@ -132,7 +132,7 @@ def molien_series(group: FiniteDiagonalGroup,
     den = FactoredDenominator.from_pairs((m, 2) for m in moduli)
     bound = den.degree
     counts = invariant_counts(group, bound + slack)
-    prefix = TruncatedSeries(tuple(counts), bound + slack)
+    prefix = TruncatedSeries(tuple(counts))
     num = rational_reconstruct(prefix, den, bound, slack)
     return RationalFunction(num, den)
 

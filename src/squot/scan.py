@@ -14,9 +14,9 @@ when k = abc / D is, that is when 1/a + 1/b + 1/c = 1/k.  For a <= b,
 with u = a + b and v = ab, this solves to c = k v / (v - k u), which
 increases with k; so c runs over [b, L - a - b] exactly when k runs over
 [ceil(b v / (v + b u)), floor(cmax v / (v + cmax u))], an interval of at
-most about a/6 integers (empty for a = 1).  Each pair (a, b) tests the
-k of its interval for (v - k u) | k v in one C-level pass, and only the
-hits reach Python code.
+most about a/6 integers (empty for a = 1).  `integral_triples` tests the
+k of each pair's interval for (v - k u) | k v in one C-level pass, and
+`hits_by_sum` tallies the hits by a + b + c for every level up to L.
 """
 
 from __future__ import annotations
@@ -100,11 +100,10 @@ class ScanResult:
         return Fraction(self.hits, self.total) if self.total else Fraction(0)
 
 
-def _integral_triples_from(a_lo: int, a_hi: int,
-                           level: int) -> Iterator[Tuple[int, int, int]]:
-    """Non-decreasing triples with a in [a_lo, a_hi), a+b+c <= level and
-    integral 1/gamma_0, in lexicographic order (see the module notes)."""
-    for a in range(a_lo, a_hi):
+def integral_triples(level: int) -> Iterator[Tuple[int, int, int]]:
+    """Non-decreasing triples with a+b+c <= level and integral 1/gamma_0,
+    in lexicographic order (see the module notes)."""
+    for a in range(1, level // 3 + 1):
         for b in range(a, (level - a) // 2 + 1):
             u, v = a + b, a * b
             cmax = level - a - b
@@ -124,22 +123,12 @@ def _permutations_count(a: int, b: int, c: int) -> int:
     return 6
 
 
-def integral_triples(level: int) -> Iterator[Tuple[int, int, int]]:
-    """Non-decreasing triples with a+b+c <= level and integral 1/gamma_0."""
-    return _integral_triples_from(1, level // 3 + 1, level)
-
-
-def _hits_by_sum_slice(a_lo: int, a_hi: int, level: int) -> list:
-    """Ordered hit counts indexed by a+b+c, for a in [a_lo, a_hi)."""
-    out = [0] * (level + 1)
-    for a, b, c in _integral_triples_from(a_lo, a_hi, level):
-        out[a + b + c] += _permutations_count(a, b, c)
-    return out
-
-
 def hits_by_sum(level: int) -> list:
     """Ordered hit counts per exact total weight, indices 0..level."""
-    return _hits_by_sum_slice(1, level // 3 + 1, level)
+    out = [0] * (level + 1)
+    for a, b, c in integral_triples(level):
+        out[a + b + c] += _permutations_count(a, b, c)
+    return out
 
 
 def probability_scan(levels: Sequence[int]) -> list:

@@ -273,6 +273,16 @@ class TestSeriesFiles:
         assert code == 2 and out == ""
         assert err == f"error: {bad}: cannot read '1/0'\n"
 
+    @pytest.mark.parametrize("token", ["2:x", "2:1:3", "2"])
+    def test_bad_factor_token_names_second_file(self, tmp_path, token):
+        num, den = tmp_path / "num.txt", tmp_path / "den.txt"
+        num.write_text("1 2\n")
+        den.write_text(f"1:1 {token}\n")
+        code, out, err = run_all(["laurent", "--series", str(num), str(den),
+                                  "--order", "2"])
+        assert code == 2 and out == ""
+        assert err == f"error: {den}: cannot read '{token}'\n"
+
 
 class TestExitContract:
     @pytest.mark.parametrize("argv", [

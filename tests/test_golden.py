@@ -26,7 +26,8 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden", "cli_outputs.json")
 FIXTURES = os.path.join(HERE, "..", "src", "squot", "fixtures")
 
-WEIGHTS = ["1,2,3", "1,2,2", "7,8,8,8", "1,1,1,2", "3,3,3"]
+WEIGHTS = ["1,2,3", "1,2,2", "7,8,8,8", "1,1,1,2", "3,3,3", "5,7,7,8",
+           "2,2,3,3,5", "13,13,14,15"]
 SERIES = ["o_n.txt", "su2_2v1.txt", "torus_2x4.txt", "torus_2x5.txt"]
 SUBGROUPS = [
     [(2, (1, 1))],
