@@ -375,8 +375,16 @@ def oracle_off_counts(weights: Sequence[int], order: int) -> list:
         if len(left) > len(right):
             left, right = right, left
         return sum(map(mul, left.values(), map(right.get, left, repeat(0))))
-    return [sum(paired(layers[d], layers[k - d]) for d in range(k + 1))
-            for k in range(order + 1)]
+    counts = []
+    for k in range(order + 1):
+        # pairing layer d with layer k - d is symmetric in d <-> k - d:
+        # pair each d < k/2 once and double it, then add the middle layer
+        total = 2 * sum(paired(layers[d], layers[k - d])
+                        for d in range((k + 1) // 2))
+        if k % 2 == 0:
+            total += paired(layers[k // 2], layers[k // 2])
+        counts.append(total)
+    return counts
 
 
 def verify_against_oracle(weights: Sequence[int], off: RationalFunction,

@@ -14,6 +14,7 @@ import decimal
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .circle import DEFAULT_ORACLE_DEGREE, hilbert_series, normalize_weights
 from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
@@ -144,8 +145,7 @@ def _document(command: str, request: dict, result: dict) -> dict:
 
 
 def _emit(document: dict) -> int:
-    json.dump(document, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(document, indent=2) + "\n")
     return 0
 
 
@@ -309,7 +309,9 @@ def cmd_scan(args) -> int:
                            {"levels": records}))
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process and reused by `main`."""
     parser = argparse.ArgumentParser(
         prog="squot",
         description="Exact Hilbert series of symplectic circle and "

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Sequence, Tuple
 
 from .errors import (PrimitiveCoverFailure, TheoremInconsistency)
@@ -37,6 +38,24 @@ def element_order(g: Element, exponent: int) -> int:
 
 def _support(g: Element) -> Tuple[int, ...]:
     return tuple(i for i, x in enumerate(g) if x)
+
+
+def _closure(vectors, mod: int) -> Tuple[Tuple[int, ...], ...]:
+    """Sorted additive closure mod `mod` of nonempty integer vectors of
+    one length: every sum of them, the zero vector included."""
+    zero = (0,) * len(vectors[0])
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for el in frontier:
+            for v in vectors:
+                nxt = tuple((a + b) % mod for a, b in zip(el, v))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    new.append(nxt)
+        frontier = new
+    return tuple(sorted(seen))
 
 
 @dataclass(frozen=True)
@@ -62,19 +81,7 @@ class FiniteDiagonalGroup:
         exponent = math.lcm(*(m for m, _ in generators))
         gens = tuple(tuple(x * (exponent // m) % exponent for x in e)
                      for m, e in generators)
-        identity = (0,) * n
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            new = []
-            for el in frontier:
-                for g in gens:
-                    nxt = tuple((a + b) % exponent for a, b in zip(el, g))
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        new.append(nxt)
-            frontier = new
-        return FiniteDiagonalGroup(n, exponent, gens, tuple(sorted(seen)))
+        return FiniteDiagonalGroup(n, exponent, gens, _closure(gens, exponent))
 
     @property
     def order(self) -> int:
@@ -97,27 +104,28 @@ def invariant_counts(group: FiniteDiagonalGroup, order: int) -> list:
     """Number of invariant monomials in (z, conjugate z) per total degree.
 
     A monomial z^alpha zbar^beta is invariant iff for every generator g
-    the residue sum(g_i (alpha_i - beta_i)) mod N vanishes.  Counting
-    runs over states (degree, residue per generator); there are at most
-    |G| residue vectors, one per character of the group.
+    the residue sum(g_i (alpha_i - beta_i)) mod N vanishes.  Coordinate
+    i contributes the column c_i = (g_i for each generator g) to that
+    residue vector, so the vectors reached are the characters of the
+    group: the closure of the columns, at most |G| of them.  Counting
+    keeps one list per degree, indexed by character, and multiplies it
+    by 1/(1 - x chi) for each of the 2n steps chi = +-c_i, one pass over
+    the characters per (step, degree).
     """
-    n, mod = group.dimension, group.exponent
-    steps = []
-    for i in range(n):
-        plus = tuple(g[i] for g in group.generators)
-        steps.append(plus)
-        steps.append(tuple(-x % mod for x in plus))
-    zero = (0,) * len(group.generators)
-    dp = [{zero: 1}]
-    for d in range(1, order + 1):
-        dp.append({})
-    for step in steps:
+    mod = group.exponent
+    columns = list(zip(*group.generators))
+    characters = _closure(columns, mod)
+    index = {h: j for j, h in enumerate(characters)}
+    trivial = index[(0,) * len(group.generators)]
+    dp = [[0] * len(characters) for _ in range(order + 1)]
+    dp[0][trivial] = 1
+    for step in columns + [tuple(-x for x in c) for c in columns]:
+        # character j is reached from the one at index src[j]
+        src = [index[tuple((a - b) % mod for a, b in zip(h, step))]
+               for h in characters]
         for d in range(1, order + 1):
-            cur, prev = dp[d], dp[d - 1]
-            for state, cnt in prev.items():
-                nxt = tuple((a + b) % mod for a, b in zip(state, step))
-                cur[nxt] = cur.get(nxt, 0) + cnt
-    return [layer.get(zero, 0) for layer in dp]
+            dp[d] = list(map(add, dp[d], map(dp[d - 1].__getitem__, src)))
+    return [layer[trivial] for layer in dp]
 
 
 def molien_series(group: FiniteDiagonalGroup,

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from io import StringIO
 from pathlib import Path
@@ -301,6 +303,22 @@ class TestExitContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_parse_failure_leaves_next_command_alone(self):
+        # main reuses one parser per process; an argparse failure must
+        # not change what the next command prints
+        valid = ["laurent", "--weights", "1,2,3"]
+        alone = subprocess.run(
+            [sys.executable, "-B", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); "
+             "from squot.cli import main; sys.exit(main(sys.argv[2:]))",
+             os.path.join(os.path.dirname(__file__), "..", "src"), *valid],
+            capture_output=True, text=True, timeout=120)
+        code, _, err = run_all(["laurent", "--weights", "1,2",
+                                "--series", "x"])
+        assert code == 2 and "not allowed with" in err
+        assert run(valid) == (alone.returncode, alone.stdout)
+        assert alone.returncode == 0
 
     def test_unparseable_weights_not_zero_weight(self):
         with pytest.raises(MalformedWeights):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squot.errors import TheoremInconsistency
-from squot.exact import laurent_at_one, series_of_rational
+from squot.exact import DEFAULT_SLACK, laurent_at_one, series_of_rational
 from squot.finite import (FiniteDiagonalGroup, analyze_group, cyclic_group,
                           element_order, gessel_sum, invariant_counts,
                           molien_series, reflection_analysis)
@@ -40,6 +41,32 @@ def brute_force_counts(group, order):
                            for g in group.elements):
                         counts[k] += 1
     return counts
+
+
+def reference_invariant_counts(group, order):
+    """Invariant monomial counts by a dict over residue tuples (one
+    residue per generator), one dict per degree; independent of the
+    production character table."""
+    n, mod = group.dimension, group.exponent
+    steps = []
+    for i in range(n):
+        plus = tuple(g[i] for g in group.generators)
+        steps.append(plus)
+        steps.append(tuple(-x % mod for x in plus))
+    zero = (0,) * len(group.generators)
+    dp = [{zero: 1}] + [{} for _ in range(order)]
+    for step in steps:
+        for d in range(1, order + 1):
+            cur, prev = dp[d], dp[d - 1]
+            for state, cnt in prev.items():
+                nxt = tuple((a + b) % mod for a, b in zip(state, step))
+                cur[nxt] = cur.get(nxt, 0) + cnt
+    return [layer.get(zero, 0) for layer in dp]
+
+
+def molien_order(group):
+    """The prefix length molien_series asks invariant_counts for."""
+    return 2 * sum(group.coordinate_orders()) + DEFAULT_SLACK
 
 
 def product_of_powers(generators, n):
@@ -243,4 +270,29 @@ class TestInvariantCountDP:
     def test_matches_brute_force_u3(self):
         group = FiniteDiagonalGroup.from_generators([(2, (1, 1, 0)),
                                                      (2, (0, 1, 1))])
+        assert invariant_counts(group, 8) == brute_force_counts(group, 8)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_reference_at_molien_order(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 4)
+        gens = []
+        for _ in range(rng.randint(1, 2)):
+            m = rng.randint(1, 8)
+            gens.append((m, tuple(rng.randrange(m) for _ in range(n))))
+        group = FiniteDiagonalGroup.from_generators(gens)
+        order = molien_order(group)
+        assert invariant_counts(group, order) \
+            == reference_invariant_counts(group, order)
+
+    @pytest.mark.parametrize("gens", [
+        [(1, (0, 0))],                      # one character
+        [(3, (0, 0, 0))],                   # one character, |G| = 1
+        [(4, (1, 0, 2)), (2, (1, 0, 1))],   # axis 1 fixed
+    ])
+    def test_fixed_axes(self, gens):
+        group = FiniteDiagonalGroup.from_generators(gens)
+        order = molien_order(group)
+        assert invariant_counts(group, order) \
+            == reference_invariant_counts(group, order)
         assert invariant_counts(group, 8) == brute_force_counts(group, 8)

@@ -42,6 +42,9 @@ SUBGROUPS = [
     [(2, (1, 1, 0)), (2, (0, 1, 1))],
     [(4, (1, 3, 2))],
     [(5, (1, 2, 3))],
+    [(1, (0, 0))],
+    [(8, (1, 3, 5, 7)), (4, (0, 1, 2, 3))],
+    [(6, (1, 2, 3, 4)), (4, (1, 0, 1, 0))],
 ]
 
 
