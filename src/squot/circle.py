@@ -7,16 +7,21 @@ imposing the moment map equation.  Three algorithms cover the three
 weight profiles:
 
 * all weights distinct ("Generic"): one partial-fraction piece per
-  coordinate, each
-  averaged over roots of unity by multisection of its Taylor prefix;
+  coordinate, each averaged over roots of unity by multisection of its
+  Taylor prefix;
 * repeated weights ("DegenerateResidue"): one piece per distinct weight,
-  obtained from a
-  higher-order residue computed with exact derivative arithmetic;
+  obtained from a higher-order residue computed with exact derivative
+  arithmetic, then averaged the same way;
 * all weights equal ("CompletelyDegenerate"): an explicit binomial
   formula.
 
-Every dispatcher result is checked against a brute-force monomial count
-before it is returned.
+Each piece satisfies f(1/x) = +-x^w f(x), so the numerator of its
+average is palindromic up to a sign (Stanley's reciprocity): the
+multisected prefix only covers half of it plus `slack` coefficients,
+which must agree with the mirror that gives the other half
+(`u_average`).  Every dispatcher result is checked on every coefficient
+against the reciprocity H(1/x) = x^(2n-2) H(x) of the on-shell series,
+and against a brute-force monomial count, before it is returned.
 """
 
 from __future__ import annotations
@@ -30,11 +35,11 @@ from operator import mul
 from typing import Sequence, Tuple
 
 from .errors import (DegenerateWeights, DenominatorVanishesAtZero,
-                     OracleMismatch, ZeroWeight)
+                     OracleMismatch, ReconstructionMismatch, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
-                    RationalFunction, TruncatedSeries, cleared,
-                    deferred_quotient, mul_truncated, rational_reconstruct,
-                    series_of_rational)
+                    RationalFunction, TruncatedSeries, check_reciprocity,
+                    cleared, deferred_quotient, mul_truncated,
+                    rational_reconstruct, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -119,21 +124,86 @@ def transformed_denominator(den: FactoredDenominator,
     return FactoredDenominator.from_pairs(pairs)
 
 
+def _averaged_reciprocity(ints: list, den: FactoredDenominator,
+                          target: FactoredDenominator, a: int):
+    """(C, eps) with N_k = eps * N_(C-k) for the numerator N of the
+    average of ints / den over the a-th roots of unity (over `target`),
+    or (target.degree, 0) when the input does not give that identity.
+
+    The identity is read off the input: if ints is palindromic or
+    antipalindromic (sign delta) between its valuation v and degree d,
+    then f(1/x) = delta * (-1)^E * x^w * f(x) with w = deg den - v - d
+    and E the number of factors of den.  When a divides w, averaging
+    turns x^w into y^(w/a), so the averaged numerator obeys the mirror
+    with C = deg target - w/a and eps = delta * (-1)^(E + E_target).
+    """
+    support = [k for k, c in enumerate(ints) if c]
+    if not support:
+        return target.degree, 0
+    body = ints[support[0]:support[-1] + 1]
+    if body == body[::-1]:
+        delta = 1
+    elif body == [-c for c in reversed(body)]:
+        delta = -1
+    else:
+        return target.degree, 0
+    w = den.degree - support[0] - support[-1]
+    if w % a:
+        return target.degree, 0
+    count = sum(e for _, e in den.factors) + sum(e for _, e in target.factors)
+    return target.degree - w // a, delta * (-1) ** count
+
+
+def _mirrored(window: list, top: int, sign: int) -> list:
+    """N_0..N_top from the window N_0..N_r computed from the series.
+
+    Every window entry above `top` must vanish.  With sign = +-1, the
+    numerator obeys N_k = sign * N_(top-k): the window must agree with
+    that mirror wherever both sides are in it, and the mirror fills in
+    N_(r+1)..N_top.  With sign 0 there is no mirror, and the window has
+    to reach past `top`.  A failed check raises ReconstructionMismatch.
+    """
+    reach = len(window) - 1
+    for k in range(top + 1, reach + 1):
+        if window[k]:
+            raise ReconstructionMismatch(
+                f"nonzero verification coefficient {window[k]} at "
+                f"degree {k}")
+    if not sign:
+        return window[:top + 1]
+    for k in range(max(top - reach, 0), min(reach, top) + 1):
+        if window[k] != sign * window[top - k]:
+            raise ReconstructionMismatch(
+                f"coefficient {window[k]} at degree {k} breaks the "
+                f"mirror of degree {top - k} ({window[top - k]})")
+    return window[:top + 1] + [sign * window[top - k]
+                               for k in range(reach + 1, top + 1)]
+
+
 def u_average(f: RationalFunction, a: int,
               slack: int = DEFAULT_SLACK) -> RationalFunction:
     """Average of f over the a-th roots of unity, in the variable x^(1/a).
 
-    Equivalently: keep every a-th Taylor coefficient.  The result is
-    reconstructed over the transformed denominator, in integers after
-    one lcm clearing; `slack` extra coefficients certify it.
+    Equivalently: keep every a-th Taylor coefficient.  The numerator N
+    over the transformed denominator is computed in integers after one
+    lcm clearing, as the multisected Taylor prefix times that
+    denominator.  When the input's reciprocity gives the mirror
+    N_k = eps * N_(C-k) (`_averaged_reciprocity`), only a half-length
+    prefix is expanded: it yields N_0..N_(C//2 + slack), the `slack`
+    coefficients past the middle must agree with the mirror, and the
+    mirror gives the rest (`_mirrored`).  Otherwise (an input that is
+    not reciprocal, or a not dividing its shift) the prefix covers the
+    whole numerator and slack + 2 coefficients past the degree bound,
+    which must vanish.  A failed check raises ReconstructionMismatch.
     """
     target = transformed_denominator(f.denominator, a)
-    bound = target.degree
     scale, ints = cleared(f.numerator.coeffs)
+    top, sign = _averaged_reciprocity(ints, f.denominator, target, a)
+    reach = (top // 2 if sign else top + 2) + slack
     f = RationalFunction(QPolynomial(ints), f.denominator)
-    prefix = series_of_rational(f, a * (bound + 2 + slack))
-    sect = prefix.multisect(a)
-    num = rational_reconstruct(sect, target, bound, slack)
+    prefix = series_of_rational(f, a * reach)
+    window = target.multiply_into(prefix.multisect(a).coefficients)
+    num = QPolynomial(_mirrored(window, top, sign))
     if scale != 1:
         num = num * Fraction(1, scale)
     return RationalFunction(num, target)
@@ -416,6 +486,10 @@ def _hilbert_series_cached(weights: Tuple[int, ...], slack: int,
         off = off.reduce()
         result = HilbertSeriesResult(weights, "DegenerateResidue",
                                      _on_from_off(off), off, pieces)
+    # H_on(1/x) = x^(2n-2) H_on(x) on every coefficient; then the
+    # off-shell series H_on / (1 - x^2) obeys H(1/x) = -x^(2n) H(x)
+    check_reciprocity(result.on_shell, 2 * len(weights) - 2,
+                      f"weights {weights}")
     if oracle_degree is not None:
         verify_against_oracle(weights, result.off_shell, oracle_degree)
     return result

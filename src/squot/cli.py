@@ -258,7 +258,11 @@ def cmd_finite(args) -> int:
         "identityGamma3_2Gamma4_Gamma5": "0",
     }
     if args.order:
-        expansion = laurent_at_one(result.series, 2 * args.order - 1)
+        # S_1..S_R read gamma_0..gamma_(2R-1); analyze_group already
+        # expanded through gamma_5
+        length = 2 * args.order
+        expansion = (result.laurent if length <= 6 else
+                     laurent_at_one(result.series, length - 1))
         report = symplectic_check(expansion, args.order)
         payload["symplectic"] = {
             "maxOrder": report.max_order,

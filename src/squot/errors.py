@@ -36,6 +36,11 @@ class OracleMismatch(SquotError):
     """A computed Hilbert series disagrees with brute-force monomial counts."""
 
 
+class ReciprocityMismatch(SquotError):
+    """A computed Hilbert series breaks the reciprocity H(1/x) = x^s H(x)
+    that its ring satisfies (Stanley's theorem for Gorenstein rings)."""
+
+
 class ClosedFormMismatch(SquotError):
     """A computed Laurent coefficient disagrees with its closed form."""
 

@@ -18,7 +18,8 @@ from itertools import accumulate, chain, islice, repeat
 from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
-from .errors import DenominatorVanishesAtZero, ReconstructionMismatch
+from .errors import (DenominatorVanishesAtZero, ReciprocityMismatch,
+                     ReconstructionMismatch)
 
 Scalar = Union[int, Fraction]
 
@@ -106,12 +107,6 @@ class QPolynomial:
         return poly_mul(self, other)
 
     __rmul__ = __mul__
-
-    def __call__(self, x: Scalar) -> Scalar:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def valuation(self) -> int:
         """Order of vanishing at 0 (0 for the zero polynomial)."""
@@ -282,6 +277,29 @@ class RationalFunction:
         return RationalFunction(self.numerator * scalar, self.denominator)
 
     __rmul__ = __mul__
+
+
+def check_reciprocity(f: RationalFunction, shift: int, label: str) -> None:
+    """Raise ReciprocityMismatch unless f(1/x) = x^shift * f(x).
+
+    Write f = N / (P * O), with P the E factors (1 - x^m) and O the
+    extra factor.  As P(1/x) = (-1)^E x^(-deg P) P(x), the identity is
+    rev(N) * O = (-1)^E x^t * N * rev(O) with t = shift - deg(P O) +
+    deg N, where rev reverses a coefficient list.  Over a pure
+    denominator that is c_k = (-1)^E c_(C-k), C = deg P - shift: every
+    numerator coefficient is checked.
+    """
+    num, other = f.numerator.coeffs, f.denominator.other
+    sign = (-1) ** sum(e for _, e in f.denominator.factors)
+    lhs, rhs = num[::-1], [sign * c for c in num]
+    if other != ONE:
+        lhs = mul_truncated(lhs, other.coeffs, len(lhs) + other.degree)
+        rhs = mul_truncated(rhs, other.coeffs[::-1], len(rhs) + other.degree)
+    t = shift - f.denominator.degree + f.numerator.degree
+    if QPolynomial([0] * -t + list(lhs)) != QPolynomial([0] * t + rhs):
+        raise ReciprocityMismatch(
+            f"{label}: H(1/x) = x^{shift} H(x) fails for numerator "
+            f"degree {f.numerator.degree} over {f.denominator.factors}")
 
 
 @dataclass(frozen=True)

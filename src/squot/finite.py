@@ -24,8 +24,8 @@ from typing import Sequence, Tuple
 
 from .errors import (PrimitiveCoverFailure, TheoremInconsistency)
 from .exact import (DEFAULT_SLACK, FactoredDenominator, LaurentExpansion,
-                    RationalFunction, TruncatedSeries, laurent_at_one,
-                    rational_reconstruct)
+                    RationalFunction, TruncatedSeries, check_reciprocity,
+                    laurent_at_one, rational_reconstruct)
 
 #: Exponents mod the group exponent N, one per coordinate.
 Element = Tuple[int, ...]
@@ -134,7 +134,8 @@ def molien_series(group: FiniteDiagonalGroup,
 
     The denominator ansatz prod_i (1 - x^(m_i))^2, with m_i the order of
     coordinate i, always admits a polynomial numerator because z_i^(m_i)
-    and its conjugate are invariant.
+    and its conjugate are invariant.  Every coefficient of the result is
+    checked against the reciprocity H(1/x) = x^(2n) H(x).
     """
     moduli = group.coordinate_orders()
     den = FactoredDenominator.from_pairs((m, 2) for m in moduli)
@@ -142,7 +143,11 @@ def molien_series(group: FiniteDiagonalGroup,
     counts = invariant_counts(group, bound + slack)
     prefix = TruncatedSeries(tuple(counts))
     num = rational_reconstruct(prefix, den, bound, slack)
-    return RationalFunction(num, den)
+    series = RationalFunction(num, den)
+    # the group lies in SL(2n) (Watanabe), so H(1/x) = x^(2n) H(x)
+    check_reciprocity(series, 2 * group.dimension,
+                      f"group of order {group.order}")
+    return series
 
 
 @dataclass(frozen=True)

@@ -4,22 +4,29 @@ import math
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import squot.circle
 from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
-                          _divide_binomial, _hilbert_series_cached,
-                          _peel_common,
+                          _averaged_reciprocity, _divide_binomial,
+                          _hilbert_series_cached, _mirrored, _peel_common,
                           hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights,
                           off_shell_equal_weights, oracle_off_counts,
                           phi_tilde, residue_cluster, transformed_denominator,
                           u_average, verify_against_oracle)
-from squot.errors import DegenerateWeights, OracleMismatch, ZeroWeight
-from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
-                         cleared, laurent_at_one, series_of_rational)
+from squot.errors import (DegenerateWeights, OracleMismatch,
+                          ReciprocityMismatch, ReconstructionMismatch,
+                          ZeroWeight)
+from squot.exact import (DEFAULT_SLACK, FactoredDenominator, QPolynomial,
+                         RationalFunction, TruncatedSeries, check_reciprocity,
+                         cleared, laurent_at_one, rational_reconstruct,
+                         series_of_rational)
 from squot.laurent import gamma0_closed, gamma2_closed
 
 
@@ -43,6 +50,22 @@ def reference_oracle_off_counts(weights, order):
             total += sum(x * y for x, y in zip(left, right) if x)
         counts.append(total)
     return counts
+
+
+def reference_u_average(f, a, slack=DEFAULT_SLACK):
+    """The full-length multisection: a prefix of a * (bound + 2 + slack)
+    coefficients, every a-th one kept and reconstructed over the
+    transformed denominator, with no mirror."""
+    target = transformed_denominator(f.denominator, a)
+    bound = target.degree
+    scale, ints = cleared(f.numerator.coeffs)
+    f = RationalFunction(QPolynomial(ints), f.denominator)
+    prefix = series_of_rational(f, a * (bound + 2 + slack))
+    sect = prefix.multisect(a)
+    num = rational_reconstruct(sect, target, bound, slack)
+    if scale != 1:
+        num = num * Fraction(1, scale)
+    return RationalFunction(num, target)
 
 
 def binomial(m):
@@ -95,6 +118,24 @@ def residue_pieces(draw):
                            max_size=2, unique=True))
     rest = tuple((b, draw(st.integers(1, 2))) for b in sorted(others))
     return residue_cluster(a, p, rest), a
+
+
+@st.composite
+def generic_pieces(draw):
+    """A partial-fraction piece of a random distinct weight vector
+    (n = 2..5, weights <= 40) and its weight."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 40), min_size=n, max_size=n,
+                            unique=True))
+    i = draw(st.integers(0, n - 1))
+    return phi_tilde(weights, i), weights[i]
+
+
+def mirror_of(f, a):
+    """(C, eps) of `_averaged_reciprocity` for f averaged over a."""
+    target = transformed_denominator(f.denominator, a)
+    return _averaged_reciprocity(cleared(f.numerator.coeffs)[1],
+                                 f.denominator, target, a)
 
 
 class TestNormalize:
@@ -172,6 +213,126 @@ class TestUAverage:
         direct = series_of_rational(f, 20 * a).multisect(a)
         assert series_of_rational(g, 20).coefficients \
             == direct.coefficients
+
+
+class TestHalfPrefix:
+    @given(generic_pieces())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_length_on_generic_pieces(self, case):
+        f, a = case
+        # phi_tilde has numerator +-x^s and w = 2a(n - 1): the mirror
+        # always applies
+        assert mirror_of(f, a)[1] in (1, -1)
+        assert u_average(f, a) == reference_u_average(f, a)
+
+    @given(residue_pieces())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_full_length_on_residue_pieces(self, case):
+        f, a = case
+        assert mirror_of(f, a)[1] in (1, -1)
+        assert u_average(f, a) == reference_u_average(f, a)
+
+    def test_prefix_is_half_length(self):
+        f, a = phi_tilde((101, 150, 199), 1), 150
+        top, sign = mirror_of(f, a)
+        orders = []
+        expand = squot.circle.series_of_rational
+
+        def recording(g, order):
+            orders.append(order)
+            return expand(g, order)
+        with mock.patch("squot.circle.series_of_rational", recording):
+            u_average(f, a)
+        assert orders == [a * (top // 2 + DEFAULT_SLACK)]
+        bound = transformed_denominator(f.denominator, a).degree
+        assert orders[0] <= a * (bound // 2 + DEFAULT_SLACK)
+
+    @pytest.mark.parametrize("num,pairs,a", [
+        ([1, 1], [(1, 1), (3, 1)], 2),     # palindromic, w = 3, 2 does not divide
+        ([1, 2], [(1, 1), (2, 1)], 2),     # not palindromic
+        ([1, 0, 5, 1], [(2, 2), (5, 1)], 3),
+        ([0, 3, -1, 4], [(1, 2), (4, 1)], 4),
+    ])
+    def test_without_identity_matches_multisection(self, num, pairs, a):
+        f = RationalFunction(QPolynomial(num),
+                             FactoredDenominator.from_pairs(pairs))
+        assert mirror_of(f, a)[1] == 0
+        g = u_average(f, a)
+        assert g == reference_u_average(f, a)
+        direct = series_of_rational(f, 40 * a).multisect(a)
+        assert series_of_rational(g, 40).coefficients == direct.coefficients
+
+    def test_mirror_checks_every_overlap_coefficient(self):
+        num = [3, -1, 4, 1, 5, 5, 1, 4, -1, 3]  # palindromic, C = 9
+        for reach in range(len(num) // 2, len(num) + 3):
+            window = (num + [0, 0, 0])[:reach + 1]
+            assert _mirrored(window, 9, 1) == num
+            for k in range(max(9 - reach, 0), reach + 1):
+                bumped = list(window)
+                bumped[k] += 1
+                with pytest.raises(ReconstructionMismatch):
+                    _mirrored(bumped, 9, 1)
+        assert _mirrored([1, 2, 0, -2], 4, -1) == [1, 2, 0, -2, -1]
+        with pytest.raises(ReconstructionMismatch):
+            _mirrored([1, 2, 1, -2], 4, -1)  # the centre of an odd mirror
+
+    def test_no_mirror_needs_vanishing_tail(self):
+        assert _mirrored([1, 2, 0, 0], 1, 0) == [1, 2]
+        with pytest.raises(ReconstructionMismatch):
+            _mirrored([1, 2, 0, 7], 1, 0)
+
+    @pytest.mark.parametrize("weights,i", [((1, 2, 3), 2), ((4, 9, 11), 0),
+                                           ((101, 150, 199), 1)])
+    def test_perturbed_prefix_raises(self, weights, i):
+        # a wrong last coefficient of the prefix changes the last
+        # coefficient of the computed window, which the mirror checks
+        f, a = phi_tilde(weights, i), weights[i]
+        expand = squot.circle.series_of_rational
+
+        def perturbed(g, order):
+            coeffs = list(expand(g, order).coefficients)
+            coeffs[-1] += 1
+            return TruncatedSeries(tuple(coeffs))
+        with mock.patch("squot.circle.series_of_rational", perturbed):
+            with pytest.raises(ReconstructionMismatch):
+                u_average(f, a)
+
+
+class TestReciprocityCertificate:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        _hilbert_series_cached.cache_clear()
+        yield
+        _hilbert_series_cached.cache_clear()
+
+    @pytest.mark.parametrize("weights", [(1, 2, 3), (1, 1, 1, 2), (7, 8, 8, 8),
+                                         (3, 3, 3), (5,), (2, 2, 3, 3, 5)])
+    def test_results_are_reciprocal(self, weights):
+        r = hilbert_series(weights, oracle_degree=None)
+        n = len(weights)
+        check_reciprocity(r.on_shell, 2 * n - 2, "on shell")
+        # off shell, 1/(1 - x^2) adds a sign: H(1/x) = -x^(2n) H(x)
+        with pytest.raises(ReciprocityMismatch):
+            check_reciprocity(r.off_shell, 2 * n, "off shell")
+
+    @pytest.mark.parametrize("weights,patched", [
+        ((1, 2, 3), "hilbert_on_distinct"),
+        ((1, 1, 1, 2), "_on_from_off"),
+        ((3, 3, 3), "hilbert_equal_weights"),
+    ])
+    def test_perturbed_result_raises_without_oracle(self, weights, patched):
+        real = getattr(squot.circle, patched)
+
+        def perturbed(*args):
+            out = real(*args)
+            on = out[0] if isinstance(out, tuple) else out
+            bumped = RationalFunction(
+                on.numerator + QPolynomial.monomial(on.numerator.degree),
+                on.denominator)
+            return (bumped,) + out[1:] if isinstance(out, tuple) else bumped
+        with mock.patch(f"squot.circle.{patched}", perturbed):
+            with pytest.raises(ReciprocityMismatch):
+                hilbert_series(weights, oracle_degree=None)
 
 
 class TestDistinctWeights:

@@ -13,10 +13,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import squot.circle
+import squot.cli
+import squot.finite
+from squot.circle import _hilbert_series_cached
 from squot.cli import (_parse_weights, load_series, main,
                        payload_to_rational, series_payload)
 from squot.errors import MalformedWeights
-from squot.exact import series_of_rational
+from squot.exact import (QPolynomial, RationalFunction, laurent_at_one,
+                         series_of_rational)
+from squot.finite import FiniteDiagonalGroup, analyze_group
+from squot.laurent import symplectic_check
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "squot",
                         "fixtures")
@@ -157,6 +164,47 @@ class TestLaurentCommand:
             "5/32", "0", "11/128", "11/128", "11/128", "11/128"]
 
 
+class TestReciprocityExit:
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        _hilbert_series_cached.cache_clear()
+        yield
+        _hilbert_series_cached.cache_clear()
+
+    @staticmethod
+    def bumped(f):
+        """f with its top numerator coefficient raised by one."""
+        num = f.numerator + QPolynomial.monomial(f.numerator.degree)
+        return RationalFunction(num, f.denominator)
+
+    @pytest.mark.parametrize("oracle", [[], ["--oracle-verify", "0"]])
+    def test_hilbert_exit_3(self, oracle):
+        real = squot.circle.hilbert_on_distinct
+
+        def wrong(*args):
+            on, pieces = real(*args)
+            return self.bumped(on), pieces
+        with mock.patch("squot.circle.hilbert_on_distinct", wrong):
+            code, out, err = run_all(["hilbert", "--weights", "4,5,20"]
+                                     + oracle)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("verification failure: weights (4, 5, 20)")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_finite_exit_3(self):
+        real = squot.finite.rational_reconstruct
+
+        def wrong(*args):
+            return real(*args) + QPolynomial.monomial(1)
+        with mock.patch("squot.finite.rational_reconstruct", wrong):
+            code, out, err = run_all(["finite", "--gen", "3:1,2"])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("verification failure: group of order 3")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+
 class TestSymplecticCommand:
     def test_su2_fixture_violates_s2(self):
         doc = run_json(["symplectic", "--series", fixture("su2_2v1.txt"),
@@ -190,6 +238,26 @@ class TestFiniteCommand:
     def test_symplectic_subreport(self):
         doc = run_json(["finite", "--gen", "4:1,1", "--order", "3"])
         assert doc["result"]["symplectic"]["passed"] is True
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
+    def test_symplectic_reuses_group_expansion(self, order):
+        # through R = 3 the order-5 expansion of analyze_group serves
+        # S_1..S_R; only a longer one is computed again
+        gens = [(4, (1, 2)), (2, (0, 1))]
+        series = analyze_group(FiniteDiagonalGroup.from_generators(gens)).series
+        want = symplectic_check(laurent_at_one(series, 2 * order - 1), order)
+        calls = []
+        real = squot.cli.laurent_at_one
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+        with mock.patch("squot.cli.laurent_at_one", counted):
+            doc = run_json(["finite", "--gen", "4:1,2", "--gen", "2:0,1",
+                            "--order", str(order)])
+        assert calls == ([] if order <= 3 else [2 * order - 1])
+        assert doc["result"]["symplectic"]["residuals"] \
+            == [str(r) for r in want.residuals]
 
     def test_cyclic_prefix_syntax(self):
         a = run_json(["finite", "--gen", "cyclic:3:1,2"])

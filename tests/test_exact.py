@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 
 from squot.circle import hilbert_off_clustered
 from squot.cli import series_payload
-from squot.errors import DenominatorVanishesAtZero, ReconstructionMismatch
+from squot.errors import (DenominatorVanishesAtZero, ReciprocityMismatch,
+                          ReconstructionMismatch)
 from squot.exact import (ONE, FactoredDenominator, LaurentExpansion,
                          QPolynomial, RationalFunction, _expand_factored,
-                         _psi, deferred_quotient, laurent_at_one,
+                         _psi, check_reciprocity, deferred_quotient,
+                         laurent_at_one,
                          laurent_prototype, mul_truncated, poly_mul,
                          rational_reconstruct, resultant_transform,
                          series_div, series_of_rational)
@@ -250,7 +252,7 @@ class TestQPolynomial:
         assert p * p == QPolynomial([1, 2, 1])
         assert p + 1 == QPolynomial([2, 1])
         assert p - p == QPolynomial()
-        assert (p * 3)(2) == 9
+        assert p * 3 == QPolynomial([3, 3])
 
     @given(st.lists(st.integers(-9, 9), max_size=6),
            st.lists(st.integers(-9, 9), max_size=6))
@@ -525,6 +527,63 @@ class TestReduce:
         want = reference_regroup(reference_reduce(off))
         assert (json.dumps(series_payload(off.reduce()))
                 == json.dumps(series_payload(want)))
+
+
+class TestReciprocity:
+    def test_pure_denominator(self):
+        # (1 + x^2) / (1 - x)^2 (1 - x^3): f(1/x) = -x^3 f(x)
+        f = geometric([(1, 2), (3, 1)], (1, 0, 1))
+        with pytest.raises(ReciprocityMismatch):
+            check_reciprocity(f, 3, "f")
+        # 1 / (1 - x)^2: f(1/x) = x^2 f(x), and no other shift
+        check_reciprocity(geometric([(1, 2)]), 2, "g")
+        with pytest.raises(ReciprocityMismatch):
+            check_reciprocity(geometric([(1, 2)]), 1, "g")
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 6, 9, 10, 11])
+    def test_perturbed_numerator(self, k):
+        # the on-shell series of (1, 2, 3): C = 14 - 4, palindromic, so
+        # any coefficient but the middle one breaks it
+        num = [1, 0, 1, 3, 4, 4, 4, 3, 1, 0, 1]
+        pairs = [(2, 1), (3, 1), (4, 1), (5, 1)]
+        check_reciprocity(geometric(pairs, num), 4, "on shell")
+        num += [0] * (k + 1 - len(num))
+        num[k] += Fraction(1, 3)
+        with pytest.raises(ReciprocityMismatch):
+            check_reciprocity(geometric(pairs, num), 4, "perturbed")
+
+    def test_extra_factor(self):
+        # 1 / (1 - x)^2 (1 + x)^2 = x^4 f at 1/x; 1 / (1 - x)(1 + x)
+        # has the sign -1
+        square = QPolynomial([1, 2, 1])
+        f = RationalFunction(ONE, FactoredDenominator.from_pairs([(1, 2)],
+                                                                 square))
+        check_reciprocity(f, 4, "f")
+        g = RationalFunction(ONE, FactoredDenominator.from_pairs(
+            [(1, 1)], QPolynomial([1, 1])))
+        with pytest.raises(ReciprocityMismatch):
+            check_reciprocity(g, 2, "g")
+        # (1 + 3x + x^2) over (1 - x^2)(2 + x): the cross products of
+        # numerator and extra factor with their reversals disagree
+        h = RationalFunction(QPolynomial([1, 3, 1]),
+                             FactoredDenominator.from_pairs(
+                                 [(2, 1)], QPolynomial([2, 1])))
+        with pytest.raises(ReciprocityMismatch):
+            check_reciprocity(h, 1, "h")
+
+    def test_extra_factor_enters_the_check(self):
+        # 1 / (1 - x) with (1 - x) as the extra factor: its sign counts
+        antipalindromic = QPolynomial([1, -1])
+        f = RationalFunction(ONE, FactoredDenominator.from_pairs(
+            [(1, 1)], antipalindromic))
+        check_reciprocity(f, 2, "f")
+        # a palindromic numerator over an extra factor whose roots are
+        # not closed under inversion
+        g = RationalFunction(QPolynomial([1, 3, 1]),
+                             FactoredDenominator.from_pairs(
+                                 [(1, 2)], QPolynomial([1, 2])))
+        with pytest.raises(ReciprocityMismatch):
+            check_reciprocity(g, 1, "g")
 
 
 class TestFactoredDenominator:

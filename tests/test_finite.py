@@ -6,12 +6,16 @@ import random
 from fractions import Fraction
 from itertools import product
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squot.errors import TheoremInconsistency
-from squot.exact import DEFAULT_SLACK, laurent_at_one, series_of_rational
+import squot.finite
+from squot.errors import ReciprocityMismatch, TheoremInconsistency
+from squot.exact import (DEFAULT_SLACK, QPolynomial, check_reciprocity,
+                         laurent_at_one, series_of_rational)
 from squot.finite import (FiniteDiagonalGroup, analyze_group, cyclic_group,
                           element_order, gessel_sum, invariant_counts,
                           molien_series, reflection_analysis)
@@ -167,6 +171,25 @@ class TestMolienSeries:
         series = molien_series(group)
         assert series.numerator.coeffs == (1,)
         assert series.denominator.factors == ((1, 4),)
+
+    @given(generator_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_reciprocity_holds(self, case):
+        # Watanabe: the doubled group lies in SL(2n)
+        n, gens = case
+        group = FiniteDiagonalGroup.from_generators(gens)
+        check_reciprocity(molien_series(group), 2 * n, "molien")
+
+    def test_perturbed_numerator_raises(self):
+        real = squot.finite.rational_reconstruct
+
+        def perturbed(*args):
+            num = real(*args)
+            return num + QPolynomial.monomial(num.degree - 1)
+        group = FiniteDiagonalGroup.from_generators([(4, (1, 2))])
+        with mock.patch("squot.finite.rational_reconstruct", perturbed):
+            with pytest.raises(ReciprocityMismatch):
+                molien_series(group)
 
 
 class TestReflectionAnalysis:

@@ -12,6 +12,7 @@ declared) with
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import hashlib
 import json
 import os
 import sys
@@ -46,6 +47,21 @@ SUBGROUPS = [
     [(8, (1, 3, 5, 7)), (4, (0, 1, 2, 3))],
     [(6, (1, 2, 3, 4)), (4, (1, 0, 1, 0))],
 ]
+
+
+#: sha256 of the exact stdout of large commands, whose output is too
+#: long to keep in the golden file: the generic path at weights above
+#: 100 and the residue path with a mirrored half.
+DIGESTS = {
+    "hilbert --weights 101,150,199":
+        "aa7c2179a45c4b754f5a0133038e655496f2c99086d6553b5f873dab681a1868",
+    "hilbert --weights 191,192,193":
+        "bd6b476570e740297fc14dc2abbb4d9984ee373a36316a509b6077a8436c7279",
+    "hilbert --weights 41,41,43 --off":
+        "3d1a8bc4148548d1200a8578e8afeab2975aa6d6b86dc0bf1a56ab8510ed688b",
+    "hilbert --weights 13,13,14,15 --off":
+        "7ed1b13aa1459a450157c46ce86b599752232b824fb8c8ebadca0caa63c67cfb",
+}
 
 
 def commands():
@@ -94,6 +110,12 @@ def test_golden_covers_commands():
 @pytest.mark.parametrize("argv", commands(), ids=" ".join)
 def test_stdout_matches_golden(argv):
     assert stdout_of(argv) == load_golden()[" ".join(argv)]
+
+
+@pytest.mark.parametrize("command", sorted(DIGESTS))
+def test_large_stdout_digest(command):
+    out = stdout_of(command.split())
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[command]
 
 
 if __name__ == "__main__":
