@@ -11,6 +11,7 @@ Hilbert series out of these primitives.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -482,6 +483,12 @@ def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
     N_k = a_k d0^k - sum_(j=1..k) b_j d0^(j-1) N_(k-j) with d0 = b[0],
     so the whole recurrence stays in the ring of the coefficients.  When
     b[0] = 1 and b divides a, N_0..N_(len(a)-len(b)) is the quotient.
+
+    It needs no gcd, which is why `circle.residue_cluster` uses it: its
+    coefficients are polynomials in u.  `_psi` and `RationalFunction.reduce`
+    use it as the exact quotient by a Psi_d, whose b[0] is 1.  Over the
+    integers with b[0] != +-1 the scale d0^(k+1) grows much faster than
+    the quotient; `laurent_at_one` keeps a shared denominator instead.
     """
     powers = [1]  # d0^k
     for _ in range(n - 1):
@@ -507,9 +514,15 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
        the pole order sum(e) + v_u(other) - v_u(numerator) is read off
        without any expansion, and the P_m are multiplied only as far
        as the requested order needs;
-    3. the quotient is formed with its denominator deferred
-       (`deferred_quotient`), and one Fraction is built per
-       coefficient.
+    3. the shifted numerator a(u) is divided by b(u) = other(1 - u) *
+       prod P_m(u)^e by one recurrence whose quotient values q_k = W_k / S
+       are integers W_k over one shared denominator S.  With
+       x = a_k S - sum_j b_j W_(k-j) and g = gcd(x, b_0), q_k = x / (S b_0);
+       when g != |b_0|, S and the window of the last deg b values are
+       multiplied by |b_0| / g, and W_k = +-x / g.  S stays the lcm of
+       the denominators of q_0..q_k, the least it can be, where the
+       scale b_0^(k+1) of `deferred_quotient` would be several times
+       longer; one Fraction is built per coefficient.
     """
     if order < 0:
         raise ValueError(f"Laurent order must be >= 0, got {order}")
@@ -523,17 +536,26 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     gammas = []
     if length:
         a = list(islice(num_terms, length))
+        a += [0] * (length - len(a))
         b = list(islice(den_terms, length))
         for m, e in den.factors:
             p_m = [(-1) ** (k + 1) * math.comb(m, k)
                    for k in range(1, min(m, length) + 1)]
             for _ in range(e):
                 b = mul_truncated(b, p_m, length)
-        d0 = b[0]
-        power = d0
-        for n_k in deferred_quotient(a, b, length):
-            gammas.append(Fraction(n_k * den_scale, power * num_scale))
-            power *= d0
+        b0, tail = b[0], b[1:]
+        shared = 1  # S
+        window = deque(maxlen=len(tail))  # W_(k-deg b)..W_(k-1)
+        for a_k in a:
+            x = a_k * shared - sum(map(mul, tail, reversed(window)))
+            g = math.gcd(x, b0)
+            if g != abs(b0):
+                grow = abs(b0) // g
+                shared *= grow
+                window = deque(map(mul, window, repeat(grow)), len(tail))
+            entry = x // g if b0 > 0 else -x // g
+            window.append(entry)
+            gammas.append(Fraction(entry * den_scale, shared * num_scale))
     if pole >= 0:
         return LaurentExpansion(pole, tuple(gammas))
     zeros = [Fraction(0)] * (-pole)

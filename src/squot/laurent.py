@@ -6,6 +6,10 @@ provides closed forms for gamma_0 and gamma_2 = gamma_3 as ratios of
 Schur polynomials evaluated at the weights, the passage from on-shell
 to off-shell coefficients, and the linear constraints ("S_m = 0") that
 characterize series behaving like a symplectic quotient of order r.
+
+The Schur values and the S_m are computed in integers: points and
+coefficients are cleared by one lcm, determinants are Bareiss
+eliminations over Z, and one Fraction is built per result.
 """
 
 from __future__ import annotations
@@ -13,48 +17,62 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Sequence, Tuple
 
 from .errors import (InsufficientCoefficients, PartitionPointsMismatch,
                      UnsupportedDimension)
-from .exact import LaurentExpansion, QPolynomial, series_div
+from .exact import LaurentExpansion, cleared
 
 
 def _det(rows) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    m = [list(map(Fraction, r)) for r in rows]
-    n = len(m)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = Fraction(1) / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                for c in range(col, n):
-                    m[r][c] -= f * m[col][c]
-    return det
+    """Exact determinant by Bareiss fraction-free elimination over Z.
+
+    The matrix is cleared by the lcm L of its entries' denominators, so
+    det(M) = det(L M) / L^n and every step is an exact integer division.
+    A zero pivot is replaced by a row below it, with a sign change.
+    """
+    n = len(rows)
+    scale, flat = cleared([c for row in rows for c in row])
+    m = [flat[i * n:(i + 1) * n] for i in range(n)]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if swap is None:
+                return Fraction(0)
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        pivot, top = m[k][k], m[k]
+        for row in m[k + 1:]:
+            lead = row[k]
+            row[k + 1:] = [(c * pivot - lead * t) // prev
+                           for c, t in zip(row[k + 1:], top[k + 1:])]
+        prev = pivot
+    return Fraction(sign * m[-1][-1], scale ** n) if n else Fraction(1)
 
 
 def complete_homogeneous(points: Sequence, top: int) -> list:
-    """h_0..h_top of the given points, from prod 1/(1 - a_i t)."""
-    den = QPolynomial([1])
+    """h_0..h_top of the given points, from prod 1/(1 - a_i t).
+
+    Multiplying by 1/(1 - a t) is h_k += a h_(k-1), in increasing k;
+    integer points give integer values.
+    """
+    h = [1] + [0] * top
     for a in points:
-        den = den * QPolynomial([1, -Fraction(a)])
-    return series_div([1], den.coeffs, top)
+        for k in range(1, top + 1):
+            h[k] += a * h[k - 1]
+    return h
 
 
 def schur_eval(partition: Sequence[int], points: Sequence) -> Fraction:
     """Schur polynomial s_partition at the given points (Jacobi-Trudi).
 
     Handles repeated points; the partition must be padded with zeros to
-    the number of points.
+    the number of points.  The points are cleared by the lcm L of their
+    denominators: s_partition is homogeneous of degree |partition|, so
+    its value is s_partition(L p) / L^|partition|, a determinant of
+    integers.
     """
     if len(partition) != len(points):
         raise PartitionPointsMismatch(
@@ -64,13 +82,15 @@ def schur_eval(partition: Sequence[int], points: Sequence) -> Fraction:
     n = len(points)
     if n == 0:
         return Fraction(1)
-    h = complete_homogeneous(points, partition[0] + n - 1)
+    scale, ints = cleared(points)
+    h = complete_homogeneous(ints, partition[0] + n - 1)
 
     def entry(i, j):
         k = partition[i] - i + j
-        return h[k] if 0 <= k < len(h) else Fraction(0)
+        return h[k] if 0 <= k < len(h) else 0
 
-    return _det([[entry(i, j) for j in range(n)] for i in range(n)])
+    return (_det([[entry(i, j) for j in range(n)] for i in range(n)])
+            / scale ** sum(partition))
 
 
 def schur_bialternant(partition: Sequence[int], points: Sequence) -> Fraction:
@@ -215,6 +235,8 @@ def symplectic_check(gammas: Sequence, max_order: int) -> SymplecticReport:
 
     gammas are Laurent coefficients starting at the pole; S_m consumes
     indices up to 2m-1, so at least 2*max_order coefficients are needed.
+    gamma_0..gamma_(2 max_order - 1) are cleared by one lcm L, the sums
+    are taken in integers, and each residual is one Fraction over L.
     """
     coeffs = list(gammas.coefficients) if isinstance(gammas, LaurentExpansion) \
         else [Fraction(g) for g in gammas]
@@ -222,11 +244,11 @@ def symplectic_check(gammas: Sequence, max_order: int) -> SymplecticReport:
         raise InsufficientCoefficients(
             f"need {2 * max_order} coefficients for S_1..S_{max_order}, "
             f"got {len(coeffs)}")
+    scale, ints = cleared(coeffs[:2 * max_order])
     residuals = []
+    signed = [1]  # (-1)^k C(m-1, k) for k = 0..m-1
     for m in range(1, max_order + 1):
-        s = Fraction(0)
-        for k in range(m):
-            s += (-1) ** k * math.comb(m - 1, k) * coeffs[m + k]
-        residuals.append(s)
+        residuals.append(Fraction(sum(map(mul, signed, ints[m:])), scale))
+        signed = list(map(sub, signed + [0], [0] + signed))
     violations = tuple(m for m, s in enumerate(residuals, start=1) if s)
     return SymplecticReport(max_order, tuple(residuals), violations)

@@ -2,14 +2,16 @@
 
 import json
 import math
+import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squot.circle import hilbert_off_clustered
+from squot.circle import hilbert_off_clustered, hilbert_series
 from squot.cli import series_payload
 from squot.errors import (DenominatorVanishesAtZero, ReciprocityMismatch,
                           ReconstructionMismatch)
@@ -176,6 +178,13 @@ small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 nonzero_polys = st.lists(small_fractions, min_size=1, max_size=6).filter(any)
 
 
+#: A seeded sample of 20 triples from the n = 3 sweep (gcd 1, weights
+#: up to 15), which Laurent data is taken of at order 119.
+SWEEP_SAMPLE = random.Random(12).sample(
+    [w for w in combinations_with_replacement(range(1, 16), 3)
+     if math.gcd(*w) == 1], 20)
+
+
 @st.composite
 def laurent_inputs(draw):
     """A rational function, its denominator dense (an extra factor with
@@ -196,7 +205,7 @@ def laurent_inputs(draw):
                                         st.integers(1, 2)), max_size=3))
         other = extra if draw(st.booleans()) else QPolynomial([1])
         den = FactoredDenominator.from_pairs(pairs, other=other)
-    return RationalFunction(num, den), draw(st.integers(0, 40))
+    return RationalFunction(num, den), draw(st.integers(0, 120))
 
 
 @st.composite
@@ -422,6 +431,30 @@ class TestLaurent:
         f, order = case
         got = laurent_at_one(f, order)
         want = reference_laurent_at_one(f, order)
+        assert got.pole_order == want.pole_order
+        assert got.coefficients == want.coefficients
+
+    def test_negative_b0_matches_fraction_reference(self):
+        # other(1 - u) = -2 - u: the u-denominator's constant term is
+        # negative, and its gcd with each numerator carries no sign
+        for other in ([-3, 1], [-3, 1, 5, -4]):
+            f = RationalFunction(
+                QPolynomial([2, -1, 0, 3]),
+                FactoredDenominator.from_pairs([(2, 1), (3, 2)],
+                                               QPolynomial(other)))
+            got = laurent_at_one(f, 119)
+            want = reference_laurent_at_one(f, 119)
+            assert got.pole_order == want.pole_order == 3
+            assert got.coefficients == want.coefficients
+
+    @pytest.mark.parametrize("weights", SWEEP_SAMPLE + [(7, 8, 8, 8)],
+                             ids=str)
+    def test_sweep_sample_at_order_119(self, weights):
+        f = hilbert_series(weights, oracle_degree=None).on_shell
+        if weights == (7, 8, 8, 8):
+            assert f.denominator.other != ONE  # an extraFactor
+        got = laurent_at_one(f, 119)
+        want = reference_laurent_at_one(f, 119)
         assert got.pole_order == want.pole_order
         assert got.coefficients == want.coefficients
 

@@ -51,8 +51,18 @@ SUBGROUPS = [
 
 #: sha256 of the exact stdout of large commands, whose output is too
 #: long to keep in the golden file: the generic path at weights above
-#: 100 and the residue path with a mirrored half.
+#: 100, the residue path with a mirrored half, Laurent data at order
+#: 119 (with and without an extraFactor) and S_m up to 100, where the
+#: su2 fixture violates S_2.
 DIGESTS = {
+    "laurent --weights 13,14,15 --order 119":
+        "5fb5b1ccf0221abba66227eec3afeee43e7493373b67967ea9789db111d0cf76",
+    "laurent --weights 7,8,8,8 --order 119":
+        "c04a57309cc16b96567bcf284e3327d34a99244f31360b78416ad568f80aa9b2",
+    "symplectic --weights 5,7,9 --order 60":
+        "06c73211468cd2203ce606e5051cee0ece222605127c9c53ddade25c177b72d1",
+    "symplectic --series su2_2v1.txt --order 100":
+        "6c994a853b4f78be02c9efadb884d00260751cfe981d673d56e68280a347b57f",
     "hilbert --weights 101,150,199":
         "aa7c2179a45c4b754f5a0133038e655496f2c99086d6553b5f873dab681a1868",
     "hilbert --weights 191,192,193":

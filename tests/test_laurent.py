@@ -13,7 +13,7 @@ from squot.errors import (InsufficientCoefficients, PartitionPointsMismatch,
                           UnsupportedDimension)
 from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
                          laurent_at_one)
-from squot.laurent import (complete_homogeneous, gamma0_closed,
+from squot.laurent import (_det, complete_homogeneous, gamma0_closed,
                            gamma0_equal_weights, gamma2_closed,
                            gamma_closed_forms, off_shell_coefficients,
                            schur_bialternant, schur_eval,
@@ -57,6 +57,76 @@ def schur_by_tableaux(partition, points):
     return total
 
 
+def reference_det(rows):
+    """Determinant by Gaussian elimination over Fraction, with row
+    swaps on a zero pivot."""
+    m = [list(map(Q, r)) for r in rows]
+    n = len(m)
+    det = Q(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return Q(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        inv = Q(1) / m[col][col]
+        for r in range(col + 1, n):
+            if m[r][col]:
+                f = m[r][col] * inv
+                for c in range(col, n):
+                    m[r][c] -= f * m[col][c]
+    return det
+
+
+def reference_residuals(gammas, max_order):
+    """S_1..S_max_order summed term by term in Fraction arithmetic."""
+    residuals = []
+    for m in range(1, max_order + 1):
+        s = Q(0)
+        for k in range(m):
+            s += (-1) ** k * math.comb(m - 1, k) * Q(gammas[m + k])
+        residuals.append(s)
+    return residuals
+
+
+def square_matrices(entries):
+    """Square matrices of size 0..5, often with zero columns, equal rows
+    or a zero in a pivot position."""
+    return st.integers(0, 5).flatmap(lambda n: st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+sparse_ints = st.one_of(st.just(0), st.integers(-4, 4))
+sparse_fractions = st.one_of(
+    st.just(Q(0)), st.fractions(min_value=-3, max_value=3, max_denominator=5))
+
+
+class TestDeterminant:
+    @given(square_matrices(sparse_ints))
+    @settings(max_examples=300)
+    def test_integer_matrices(self, rows):
+        assert _det(rows) == reference_det(rows)
+
+    @given(square_matrices(sparse_fractions))
+    @settings(max_examples=100)
+    def test_rational_matrices(self, rows):
+        assert _det(rows) == reference_det(rows)
+
+    @pytest.mark.parametrize("rows, want", [
+        ([[0, 1], [1, 0]], -1),
+        ([[0, 2, 1], [0, 1, 3], [4, 0, 0]], 20),
+        ([[1, 2, 3], [2, 4, 7], [1, 1, 1]], 1),  # zero pivot after step 1
+        ([[1, 2], [2, 4]], 0),
+        ([[0, 1], [0, 5]], 0),
+        ([[Q(1, 2), Q(1, 3)], [Q(1, 4), Q(1, 5)]], Q(1, 60)),
+        ([], 1),
+    ])
+    def test_known_values(self, rows, want):
+        assert _det(rows) == reference_det(rows) == want
+
+
 class TestSchur:
     def test_length_mismatch(self):
         with pytest.raises(PartitionPointsMismatch):
@@ -97,6 +167,14 @@ class TestSchur:
         n = len(pts)
         shape = tuple(sorted(rows[:n], reverse=True)) + (0,) * max(0, n - len(rows))
         shape = shape[:n]
+        assert schur_eval(shape, pts) == schur_by_tableaux(shape, pts)
+
+    @given(st.lists(st.fractions(min_value=-4, max_value=4,
+                                 max_denominator=7), min_size=2, max_size=3),
+           st.lists(st.integers(0, 3), min_size=3, max_size=3))
+    @settings(max_examples=50, deadline=None)
+    def test_rational_points_vs_tableaux(self, pts, rows):
+        shape = tuple(sorted(rows, reverse=True))[:len(pts)]
         assert schur_eval(shape, pts) == schur_by_tableaux(shape, pts)
 
     def test_repeated_points_ok(self):
@@ -186,6 +264,18 @@ class TestSymplecticCheck:
         assert rep.residual(1) == gammas[1]
         assert rep.residual(2) == gammas[2] - gammas[3]
         assert rep.residual(3) == gammas[3] - 2 * gammas[4] + gammas[5]
+
+    @given(st.lists(st.one_of(st.integers(-50, 50),
+                              st.fractions(max_denominator=100)),
+                    min_size=2, max_size=40),
+           st.data())
+    @settings(max_examples=100)
+    def test_matches_fraction_reference(self, gammas, data):
+        max_order = data.draw(st.integers(1, len(gammas) // 2))
+        rep = symplectic_check(gammas, max_order)
+        assert list(rep.residuals) == reference_residuals(gammas, max_order)
+        assert rep.violations == tuple(
+            m for m, s in enumerate(rep.residuals, start=1) if s)
 
     def test_circle_quotients_pass(self):
         for weights in [(1, 2, 3), (1, 1, 2), (2, 3, 7)]:
