@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, repeat, zip_longest
 from operator import mul
 from typing import Sequence, Tuple
 
@@ -38,8 +38,8 @@ from .errors import (DegenerateWeights, DenominatorVanishesAtZero,
                      OracleMismatch, ReconstructionMismatch, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
                     RationalFunction, TruncatedSeries, check_reciprocity,
-                    cleared, deferred_quotient, mul_truncated,
-                    rational_reconstruct, series_of_rational)
+                    deferred_quotient, mul_truncated, rational_reconstruct,
+                    series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -185,9 +185,10 @@ def u_average(f: RationalFunction, a: int,
     """Average of f over the a-th roots of unity, in the variable x^(1/a).
 
     Equivalently: keep every a-th Taylor coefficient.  The numerator N
-    over the transformed denominator is computed in integers after one
-    lcm clearing, as the multisected Taylor prefix times that
-    denominator.  When the input's reciprocity gives the mirror
+    over the transformed denominator is the multisected Taylor prefix
+    times that denominator, in the coefficients of f's numerator
+    (integers in the pipeline; Fractions give the same values).  When
+    the input's reciprocity gives the mirror
     N_k = eps * N_(C-k) (`_averaged_reciprocity`), only a half-length
     prefix is expanded: it yields N_0..N_(C//2 + slack), the `slack`
     coefficients past the middle must agree with the mirror, and the
@@ -197,16 +198,13 @@ def u_average(f: RationalFunction, a: int,
     which must vanish.  A failed check raises ReconstructionMismatch.
     """
     target = transformed_denominator(f.denominator, a)
-    scale, ints = cleared(f.numerator.coeffs)
-    top, sign = _averaged_reciprocity(ints, f.denominator, target, a)
+    top, sign = _averaged_reciprocity(list(f.numerator.coeffs),
+                                      f.denominator, target, a)
     reach = (top // 2 if sign else top + 2) + slack
-    f = RationalFunction(QPolynomial(ints), f.denominator)
     prefix = series_of_rational(f, a * reach)
     window = target.multiply_into(prefix.multisect(a).coefficients)
-    num = QPolynomial(_mirrored(window, top, sign))
-    if scale != 1:
-        num = num * Fraction(1, scale)
-    return RationalFunction(num, target)
+    return RationalFunction(QPolynomial(_mirrored(window, top, sign)),
+                            target)
 
 
 def _pair_sum_denominator(weights: Sequence[int]) -> FactoredDenominator:
@@ -256,12 +254,13 @@ def _monomial_in_z(k: int, tmax: int):
             for j in range(min(k, tmax) + 1)]
 
 
-def residue_cluster(a: int, p: int, rest) -> RationalFunction:
-    """Residue contribution of a weight a of multiplicity p.
+def residue_cluster(a: int, p: int, rest):
+    """Residue contribution of a weight a of multiplicity p, in integers.
 
     `rest` lists the other distinct weights as (b, multiplicity) pairs.
-    The returned function R(u) satisfies: the off-shell Hilbert series
-    is the sum over clusters of a * (every-a-th coefficient of R).
+    The off-shell Hilbert series is the sum over clusters of
+    a * (every-a-th coefficient of R(u)).  Returns (s * R, s) with the
+    integer scale s = Den(0)^p; s * R has an integer numerator.
 
     R is the t^(p-1) coefficient of G(u+t) for the meromorphic kernel G
     of the cluster, whose numerator is (u+t)^exponent and whose
@@ -296,27 +295,24 @@ def residue_cluster(a: int, p: int, rest) -> RationalFunction:
     n_poly = deferred_quotient(_monomial_in_z(exponent, tmax), den, p)[tmax]
 
     # Den(0) in factored form, for the final denominator of R.
-    scalar = Fraction(a) ** p
+    scalar = a ** p
     shift = p * (a - 1)
     pairs = [(2 * a, p)]
     for b, pb in rest:
-        pairs.append((a + b, pb))
-        pairs.append((abs(a - b), pb))
+        pairs += [(a + b, pb), (abs(a - b), pb)]
         shift += pb * min(a, b)
         if b > a:
             scalar *= (-1) ** pb
 
-    # R = N / Den(0)^p; clear the scalar and the u-power, which must
-    # divide N exactly since R is analytic at 0.
-    n_poly = n_poly * (Fraction(1) / scalar ** p)
+    # R = N / Den(0)^p; the u-power must divide N exactly since R is
+    # analytic at 0, and the scalar stays out as the scale.
     total_shift = shift * p
     if n_poly.valuation() < total_shift:
         raise DenominatorVanishesAtZero(
             "residue numerator not divisible by the expected power of u")
     n_poly = QPolynomial(n_poly.coeffs[total_shift:])
-    den_pairs = [(m, e * p) for m, e in pairs]
-    result = RationalFunction(n_poly, FactoredDenominator.from_pairs(den_pairs))
-    return _peel_common(result)
+    den_r = FactoredDenominator.from_pairs((m, e * p) for m, e in pairs)
+    return _peel_common(RationalFunction(n_poly, den_r)), scalar ** p
 
 
 def _divide_binomial(c: list, m: int):
@@ -335,8 +331,9 @@ def _divide_binomial(c: list, m: int):
 
 
 def _peel_common(f: RationalFunction) -> RationalFunction:
-    """Cancel whole (1 - x^m) factors shared by numerator and denominator."""
-    scale, num = cleared(f.numerator.coeffs)
+    """Cancel whole (1 - x^m) factors shared by numerator and denominator,
+    in the numerator's own coefficients (integers in the pipeline)."""
+    num = list(f.numerator.coeffs)
     pairs = []
     for m, e in f.denominator.factors:
         while e:
@@ -346,10 +343,8 @@ def _peel_common(f: RationalFunction) -> RationalFunction:
             num, e = quo, e - 1
         if e:
             pairs.append((m, e))
-    numerator = f.numerator
-    if len(num) < len(numerator.coeffs):
-        numerator = QPolynomial(num if scale == 1
-                                else (Fraction(t, scale) for t in num))
+    numerator = (QPolynomial(num) if len(num) < len(f.numerator.coeffs)
+                 else f.numerator)
     return RationalFunction(
         numerator, FactoredDenominator.from_pairs(pairs, f.denominator.other))
 
@@ -358,31 +353,41 @@ def hilbert_off_clustered(weights: Sequence[int],
                           slack: int = DEFAULT_SLACK):
     """Off-shell Hilbert series when some weights repeat.
 
-    Returns (series over a merged factored denominator, the averaged
-    per-cluster pieces).
+    Returns (the series, the pieces (a_i / s_i) * N_i / D_i), N_i / D_i
+    the peeled average of cluster i's `residue_cluster` piece and s_i
+    its scale.  Summed in integers, N_i times its cofactor and a_i L / s_i
+    (L the lcm of the denominators of the a_i / s_i) gives L times the
+    off-shell numerator, which is integral (an integer series over a
+    denominator with constant term 1): else ReconstructionMismatch.
     """
     clusters = _weight_clusters(weights)
-    pieces = []
+    averaged, ratios = [], []
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
-        piece = u_average(residue_cluster(a, p, rest), a, slack) * a
-        pieces.append(_peel_common(piece))
+        g, s = residue_cluster(a, p, rest)
+        averaged.append(_peel_common(u_average(g, a, slack)))
+        ratios.append(Fraction(a, s))
     merged: dict = {}
-    for piece in pieces:
-        for m, e in piece.denominator.factors:
+    for g in averaged:
+        for m, e in g.denominator.factors:
             merged[m] = max(merged.get(m, 0), e)
-    total = QPolynomial()
-    for piece in pieces:
-        have = dict(piece.denominator.factors)
-        cofactor = [(m, e - have.get(m, 0)) for m, e in merged.items()
-                    if e > have.get(m, 0)]
-        part = piece.numerator
-        if cofactor:
-            part = part * FactoredDenominator.from_pairs(cofactor).expand()
-        total = total + part
-    off = RationalFunction(total,
+    lcm = math.lcm(*(r.denominator for r in ratios))
+    parts = []
+    for g, r in zip(averaged, ratios):
+        have = dict(g.denominator.factors)
+        cofactor = FactoredDenominator.from_pairs(
+            (m, e - have.get(m, 0)) for m, e in merged.items()
+            if e > have.get(m, 0))
+        weight = r.numerator * (lcm // r.denominator)
+        parts.append(cofactor.multiply_into(
+            [weight * c for c in g.numerator.coeffs] + [0] * cofactor.degree))
+    total = list(map(sum, zip_longest(*parts, fillvalue=0)))
+    if any(c % lcm for c in total):
+        raise ReconstructionMismatch("off-shell numerator is not integral")
+    off = RationalFunction(QPolynomial(c // lcm for c in total),
                            FactoredDenominator.from_pairs(merged.items()))
-    return _peel_common(off), tuple(pieces)
+    return off, tuple(RationalFunction(g.numerator * r, g.denominator)
+                      for g, r in zip(averaged, ratios))
 
 
 def _on_from_off(off: RationalFunction) -> RationalFunction:

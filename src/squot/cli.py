@@ -22,7 +22,7 @@ from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
                      NotApplicable, PartitionPointsMismatch, SquotError,
                      UnsupportedDimension, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
-                    RationalFunction, laurent_at_one, series_of_rational)
+                    RationalFunction, laurent_at_one)
 from .finite import FiniteDiagonalGroup, analyze_group
 from .laurent import gamma0_closed, gamma2_closed, symplectic_check
 from .scan import full_scan
@@ -195,20 +195,19 @@ def cmd_laurent(args) -> int:
         expansion = laurent_at_one(on, args.order)
         payload = laurent_payload(expansion)
         norm = normalize_weights(weights)
-        closed = {}
+        closed = {}  # k -> closed form of gamma_k
         if len(norm) >= 2:
-            closed["gamma0"] = _rat(gamma0_closed(norm))
+            closed[0] = gamma0_closed(norm)
         if len(norm) >= 3:
-            closed["gamma2"] = _rat(gamma2_closed(norm))
-            closed["gamma3"] = closed["gamma2"]
-        for key, value in closed.items():
-            k = int(key[len("gamma"):])
-            if k <= args.order and Fraction(value) != expansion[k]:
+            closed[2] = closed[3] = gamma2_closed(norm)
+        for k, value in closed.items():
+            if k <= args.order and value != expansion[k]:
                 raise ClosedFormMismatch(
-                    f"weights {norm}: {key} = {_rat(expansion[k])} but "
-                    f"the closed form gives {value}")
+                    f"weights {norm}: gamma{k} = {_rat(expansion[k])} but "
+                    f"the closed form gives {_rat(value)}")
         if closed:
-            payload["closedForms"] = closed
+            payload["closedForms"] = {f"gamma{k}": _rat(value)
+                                      for k, value in closed.items()}
             payload["agreement"] = True
         request = {"weights": list(weights), "order": args.order}
     else:

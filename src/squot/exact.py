@@ -2,7 +2,7 @@
 
 Everything here is pure and exact: coefficients are ints or Fractions,
 equality is decidable, and no operation ever rounds; the series layer
-runs in integers after one lcm clearing (`cleared`).  A rational
+runs in integers, on numerators whose scale is kept apart.  A rational
 function always keeps its denominator factored, as prod (1 - x^m)^e
 times one extra polynomial factor.  The higher-level modules build
 Hilbert series out of these primitives.
@@ -233,10 +233,10 @@ class RationalFunction:
 
         The denominator must be a pure product of (1 - x^m) factors, so
         a common factor can only be a product of the Psi_d (`_psi`),
-        and it is cancelled by exact integer division.  The Psi_d left
-        over are regrouped greedily into (1 - x^m) factors, largest m
-        first; any that cannot be grouped are expanded into `other`.
-        The denominator keeps constant term 1.
+        and it is cancelled by exact division, in integers for integer
+        numerators.  The Psi_d left over are regrouped greedily into
+        (1 - x^m) factors, largest m first; any that cannot be grouped
+        are expanded into `other`.  The denominator keeps constant term 1.
         """
         den = self.denominator
         if den.other != ONE:
@@ -247,7 +247,7 @@ class RationalFunction:
         for m, e in den.factors:
             for d in _divisors(m):
                 exps[d] = exps.get(d, 0) + e
-        scale, work = cleared(self.numerator.coeffs)
+        work = self.numerator.coeffs
         for d in exps:
             psi = _psi(d)
             while exps[d] and _psi_divides(work, d):
@@ -264,10 +264,8 @@ class RationalFunction:
         for d, e in exps.items():
             for _ in range(e):
                 other = other * QPolynomial(_psi(d))
-        num = QPolynomial(work if scale == 1
-                          else (Fraction(c, scale) for c in work))
-        return RationalFunction(num, FactoredDenominator.from_pairs(pairs,
-                                                                    other))
+        return RationalFunction(QPolynomial(work),
+                                FactoredDenominator.from_pairs(pairs, other))
 
     def equals(self, other: "RationalFunction") -> bool:
         """Equality as rational functions (cross multiplication)."""

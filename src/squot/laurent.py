@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from operator import mul, sub
 from typing import Sequence, Tuple
 
@@ -111,14 +112,10 @@ def schur_bialternant(partition: Sequence[int], points: Sequence) -> Fraction:
     return top / van
 
 
-def staircase_product(points: Sequence) -> Fraction:
-    """s_(n-1,...,1,0) at the points: prod_{i<j} (a_i + a_j)."""
-    out = Fraction(1)
-    pts = list(points)
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            out *= pts[i] + pts[j]
-    return out
+def staircase_product(points: Sequence):
+    """s_(n-1,...,1,0) at the points: prod_{i<j} (a_i + a_j), an
+    integer at integer points."""
+    return math.prod(a + b for a, b in combinations(points, 2))
 
 
 def _clipped_staircase(n: int, drop: int) -> Tuple[int, ...]:

@@ -14,7 +14,7 @@ import squot.circle
 from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
                           _averaged_reciprocity, _divide_binomial,
                           _hilbert_series_cached, _mirrored, _peel_common,
-                          hilbert_equal_weights,
+                          _weight_clusters, hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights,
                           off_shell_equal_weights, oracle_off_counts,
@@ -68,6 +68,35 @@ def reference_u_average(f, a, slack=DEFAULT_SLACK):
     return RationalFunction(num, target)
 
 
+def reference_hilbert_off_clustered(weights, slack=DEFAULT_SLACK):
+    """The Fraction pipeline: each residue piece divided by its scale,
+    averaged, multiplied by its weight and peeled; the pieces merged in
+    Fraction polynomial arithmetic over their expanded cofactors."""
+    clusters = _weight_clusters(weights)
+    pieces = []
+    for a, p in clusters:
+        rest = tuple((b, pb) for b, pb in clusters if b != a)
+        g, s = residue_cluster(a, p, rest)
+        piece = u_average(g * Fraction(1, s), a, slack) * a
+        pieces.append(_peel_common(piece))
+    merged = {}
+    for piece in pieces:
+        for m, e in piece.denominator.factors:
+            merged[m] = max(merged.get(m, 0), e)
+    total = QPolynomial()
+    for piece in pieces:
+        have = dict(piece.denominator.factors)
+        cofactor = [(m, e - have.get(m, 0)) for m, e in merged.items()
+                    if e > have.get(m, 0)]
+        part = piece.numerator
+        if cofactor:
+            part = part * FactoredDenominator.from_pairs(cofactor).expand()
+        total = total + part
+    off = RationalFunction(total,
+                           FactoredDenominator.from_pairs(merged.items()))
+    return _peel_common(off), tuple(pieces)
+
+
 def binomial(m):
     """1 - x^m."""
     return QPolynomial([1] + [0] * (m - 1) + [-1])
@@ -111,13 +140,25 @@ def binomial_dividends(draw):
 
 @st.composite
 def residue_pieces(draw):
-    """A residue piece of a random weight cluster and its weight."""
+    """The integer residue piece of a random weight cluster (without
+    its scale) and its weight."""
     a = draw(st.integers(1, 6))
     p = draw(st.integers(1, 3))
     others = draw(st.lists(st.integers(1, 7).filter(lambda b: b != a),
                            max_size=2, unique=True))
     rest = tuple((b, draw(st.integers(1, 2))) for b in sorted(others))
-    return residue_cluster(a, p, rest), a
+    return residue_cluster(a, p, rest)[0], a
+
+
+@st.composite
+def repeated_weights(draw):
+    """A sorted weight vector, n = 2..5 and weights <= 12, with at
+    least one repeated entry."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 12), min_size=n - 1,
+                            max_size=n - 1))
+    weights.append(draw(st.sampled_from(weights)))
+    return tuple(sorted(weights))
 
 
 @st.composite
@@ -204,12 +245,18 @@ class TestUAverage:
     @given(residue_pieces(), st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
     def test_scaling_commutes_on_residue_pieces(self, case, k):
-        # the numerator is cleared to integers and the scale divided out
-        # at the end: averaging commutes with scaling, and the result
-        # still matches the multisected Fraction series
+        # the pipeline hands averaging, peeling and reduction integer
+        # numerators; a numerator scaled by 1/k gives 1/k times the
+        # integer result, so direct calls with Fractions keep their
+        # values.  The average still matches the multisected series.
         f, a = case
         g = u_average(f, a)
-        assert u_average(f * Fraction(1, k), a) == g * Fraction(1, k)
+        for run, h in [(lambda h: u_average(h, a), f), (_peel_common, g),
+                       (RationalFunction.reduce, g)]:
+            assert all(type(c) is int for c in h.numerator.coeffs)
+            got = run(h)
+            assert all(type(c) is int for c in got.numerator.coeffs)
+            assert run(h * Fraction(1, k)) == got * Fraction(1, k)
         direct = series_of_rational(f, 20 * a).multisect(a)
         assert series_of_rational(g, 20).coefficients \
             == direct.coefficients
@@ -350,10 +397,30 @@ class TestDistinctWeights:
 
 class TestClusterResidue:
     def test_two_equal_weights(self):
-        r = residue_cluster(1, 2, ())
+        r, scale = residue_cluster(1, 2, ())
         # off-shell series of (1,1) comes out of this single cluster
+        assert scale == 1
         assert r.numerator == QPolynomial([1, 0, 1])
         assert r.denominator.factors == ((2, 3),)
+
+    def test_scale_is_den0_to_the_p(self):
+        # s = Den(0)^p with Den(0) = +-a^p, negative when the larger
+        # weights' multiplicities add up to an odd number
+        assert residue_cluster(2, 2, ((1, 1),))[1] == 16
+        assert residue_cluster(2, 2, ((3, 1),))[1] == 16
+        assert residue_cluster(3, 3, ((5, 1),))[1] == -3 ** 9
+        assert residue_cluster(1, 1, ((2, 2),))[1] == 1
+        g, _ = residue_cluster(3, 3, ((5, 1), (7, 2)))
+        assert all(type(c) is int for c in g.numerator.coeffs)
+
+    @given(repeated_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_integer_merge_matches_fraction_pipeline(self, weights):
+        off, pieces = hilbert_off_clustered(weights)
+        ref_off, ref_pieces = reference_hilbert_off_clustered(weights)
+        assert all(type(c) is int for c in off.numerator.coeffs)
+        assert _peel_common(off) == ref_off
+        assert pieces == ref_pieces
 
     def test_matches_distinct_route(self):
         # dual route: the residue machinery on multiplicity-one clusters

@@ -192,6 +192,22 @@ class TestReciprocityExit:
         assert err.startswith("verification failure: weights (4, 5, 20)")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_wrong_residue_scale_exit_3(self):
+        # a scale twice too large leaves the merged off-shell numerator
+        # with coefficients the lcm of the weights does not divide
+        real = squot.circle.residue_cluster
+
+        def wrong(*args):
+            piece, scale = real(*args)
+            return piece, 2 * scale
+        with mock.patch("squot.circle.residue_cluster", wrong):
+            code, out, err = run_all(["hilbert", "--weights", "1,2,2",
+                                      "--off", "--oracle-verify", "0"])
+        assert code == 3
+        assert out == ""
+        assert err == ("verification failure: off-shell numerator is not "
+                       "integral\n")
+
     def test_finite_exit_3(self):
         real = squot.finite.rational_reconstruct
 

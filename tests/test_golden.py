@@ -53,7 +53,9 @@ SUBGROUPS = [
 #: long to keep in the golden file: the generic path at weights above
 #: 100, the residue path with a mirrored half, Laurent data at order
 #: 119 (with and without an extraFactor) and S_m up to 100, where the
-#: su2 fixture violates S_2.
+#: su2 fixture violates S_2.  The residue path is pinned on large
+#: repeated weights, on three clusters with an extraFactor and on two
+#: clusters of multiplicity above one.
 DIGESTS = {
     "laurent --weights 13,14,15 --order 119":
         "5fb5b1ccf0221abba66227eec3afeee43e7493373b67967ea9789db111d0cf76",
@@ -71,6 +73,14 @@ DIGESTS = {
         "3d1a8bc4148548d1200a8578e8afeab2975aa6d6b86dc0bf1a56ab8510ed688b",
     "hilbert --weights 13,13,14,15 --off":
         "7ed1b13aa1459a450157c46ce86b599752232b824fb8c8ebadca0caa63c67cfb",
+    "hilbert --weights 110,110,111 --off":
+        "e32d09b0087364c425fd3febb68f8f4948f3a58566a02bb9aa54f5b22c63a6dd",
+    "hilbert --weights 5,5,6,6,7 --off":
+        "27f7fbe2e308bbf6d9fe3be7617d3181945525a8d48e0e9cb7a11462507c27e2",
+    "hilbert --weights 3,3,3,4,4,5 --off":
+        "c7ceb369e6d11b447a40e285422ae89926e5681425b7f015f28994092dd60f44",
+    "laurent --weights 12,12,13 --order 119":
+        "134afc61b920391e36dd1d02c5c0168c43a9cab6b15c867224149973b9cc723a",
 }
 
 
