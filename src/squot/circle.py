@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat, zip_longest
+from itertools import repeat, zip_longest
 from operator import mul
 from typing import Sequence, Tuple
 
@@ -38,8 +38,8 @@ from .errors import (DegenerateWeights, DenominatorVanishesAtZero,
                      OracleMismatch, ReconstructionMismatch, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
                     RationalFunction, TruncatedSeries, check_reciprocity,
-                    deferred_quotient, mul_truncated, rational_reconstruct,
-                    series_of_rational)
+                    deferred_quotient, mul_truncated, peel_common,
+                    rational_reconstruct, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -111,11 +111,12 @@ def phi_tilde(weights: Sequence[int], i: int) -> RationalFunction:
 
 def transformed_denominator(den: FactoredDenominator,
                             a: int) -> FactoredDenominator:
-    """Denominator bound for the every-a-th-coefficient operator.
+    """The printed denominator of an averaged piece.
 
-    Each factor (1-x^m)^e maps to (1-x^(lcm(a,m)/a))^(e*gcd(a,m)); the
-    total degree is preserved and the image of any series with this
-    denominator admits the transformed one.
+    Each factor (1-x^m)^e maps to (1-x^(lcm(a,m)/a))^(e*gcd(a,m)), so
+    the total degree is preserved.  This is a bound: `u_average` finds
+    the numerator over the exact image denominator, whose factors have
+    exponent e, and lifts it to this one.
     """
     if den.other != ONE:
         raise ValueError("transformation rule needs a pure cyclotomic form")
@@ -127,7 +128,8 @@ def transformed_denominator(den: FactoredDenominator,
 def _averaged_reciprocity(ints: list, den: FactoredDenominator,
                           target: FactoredDenominator, a: int):
     """(C, eps) with N_k = eps * N_(C-k) for the numerator N of the
-    average of ints / den over the a-th roots of unity (over `target`),
+    average of ints / den over the a-th roots of unity (over `target`,
+    any product of (1 - y^l) factors that the average admits),
     or (target.degree, 0) when the input does not give that identity.
 
     The identity is read off the input: if ints is palindromic or
@@ -184,27 +186,37 @@ def u_average(f: RationalFunction, a: int,
               slack: int = DEFAULT_SLACK) -> RationalFunction:
     """Average of f over the a-th roots of unity, in the variable x^(1/a).
 
-    Equivalently: keep every a-th Taylor coefficient.  The numerator N
-    over the transformed denominator is the multisected Taylor prefix
-    times that denominator, in the coefficients of f's numerator
+    Equivalently: keep every a-th Taylor coefficient.  With
+    l = lcm(a,m)/a, each factor (1-x^m)^e of f's denominator becomes
+    (1-x^(a l))^e times the polynomial ((1-x^(a l))/(1-x^m))^e, so the
+    average has the exact denominator prod (1-y^l)^e in y = x^a, of
+    degree sum e*m/gcd(a,m).  Its numerator N is the multisected Taylor
+    prefix times that denominator, in the coefficients of f's numerator
     (integers in the pipeline; Fractions give the same values).  When
-    the input's reciprocity gives the mirror
-    N_k = eps * N_(C-k) (`_averaged_reciprocity`), only a half-length
-    prefix is expanded: it yields N_0..N_(C//2 + slack), the `slack`
-    coefficients past the middle must agree with the mirror, and the
-    mirror gives the rest (`_mirrored`).  Otherwise (an input that is
-    not reciprocal, or a not dividing its shift) the prefix covers the
-    whole numerator and slack + 2 coefficients past the degree bound,
-    which must vanish.  A failed check raises ReconstructionMismatch.
+    the input's reciprocity gives the mirror N_k = eps * N_(C-k)
+    (`_averaged_reciprocity`), only a half-length prefix is expanded:
+    it yields N_0..N_(C//2 + slack), the `slack` coefficients past the
+    middle must agree with the mirror, and the mirror gives the rest
+    (`_mirrored`).  Otherwise (an input that is not reciprocal, or a
+    not dividing its shift) the prefix covers the whole numerator and
+    slack + 2 coefficients past the degree bound, which must vanish.  A
+    failed check raises ReconstructionMismatch.  N is then lifted to
+    the printed bound `transformed_denominator` by the missing factors
+    prod (1-y^l)^(e*(gcd(a,m)-1)).
     """
-    target = transformed_denominator(f.denominator, a)
+    bound = transformed_denominator(f.denominator, a)
+    images = [(math.lcm(a, m) // a, e, math.gcd(a, m))
+              for m, e in f.denominator.factors]
+    exact = FactoredDenominator.from_pairs((k, e) for k, e, _ in images)
+    lift = FactoredDenominator.from_pairs((k, e * (g - 1))
+                                          for k, e, g in images if g > 1)
     top, sign = _averaged_reciprocity(list(f.numerator.coeffs),
-                                      f.denominator, target, a)
+                                      f.denominator, exact, a)
     reach = (top // 2 if sign else top + 2) + slack
     prefix = series_of_rational(f, a * reach)
-    window = target.multiply_into(prefix.multisect(a).coefficients)
-    return RationalFunction(QPolynomial(_mirrored(window, top, sign)),
-                            target)
+    window = exact.multiply_into(prefix.multisect(a).coefficients)
+    num = _mirrored(window, top, sign) + [0] * lift.degree
+    return RationalFunction(QPolynomial(lift.multiply_into(num)), bound)
 
 
 def _pair_sum_denominator(weights: Sequence[int]) -> FactoredDenominator:
@@ -312,41 +324,7 @@ def residue_cluster(a: int, p: int, rest):
             "residue numerator not divisible by the expected power of u")
     n_poly = QPolynomial(n_poly.coeffs[total_shift:])
     den_r = FactoredDenominator.from_pairs((m, e * p) for m, e in pairs)
-    return _peel_common(RationalFunction(n_poly, den_r)), scalar ** p
-
-
-def _divide_binomial(c: list, m: int):
-    """Exact quotient of the integer coefficients c (constant term first,
-    last entry nonzero) by (1 - x^m), or None if not divisible."""
-    d = len(c) - 1 - m
-    if d < 0:
-        return None
-    q = c[:d + 1]
-    for r in range(m):
-        q[r::m] = accumulate(q[r::m])
-    # the top m coefficients of q * (1 - x^m) are -q[d+1-m:], zero-padded
-    if c[d + 1:] != [0] * (m - d - 1) + [-t for t in q[max(d + 1 - m, 0):]]:
-        return None
-    return q
-
-
-def _peel_common(f: RationalFunction) -> RationalFunction:
-    """Cancel whole (1 - x^m) factors shared by numerator and denominator,
-    in the numerator's own coefficients (integers in the pipeline)."""
-    num = list(f.numerator.coeffs)
-    pairs = []
-    for m, e in f.denominator.factors:
-        while e:
-            quo = _divide_binomial(num, m)
-            if quo is None:
-                break
-            num, e = quo, e - 1
-        if e:
-            pairs.append((m, e))
-    numerator = (QPolynomial(num) if len(num) < len(f.numerator.coeffs)
-                 else f.numerator)
-    return RationalFunction(
-        numerator, FactoredDenominator.from_pairs(pairs, f.denominator.other))
+    return peel_common(RationalFunction(n_poly, den_r)), scalar ** p
 
 
 def hilbert_off_clustered(weights: Sequence[int],
@@ -365,7 +343,7 @@ def hilbert_off_clustered(weights: Sequence[int],
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
-        averaged.append(_peel_common(u_average(g, a, slack)))
+        averaged.append(peel_common(u_average(g, a, slack)))
         ratios.append(Fraction(a, s))
     merged: dict = {}
     for g in averaged:
@@ -401,7 +379,7 @@ def _on_from_off(off: RationalFunction) -> RationalFunction:
             [(m, e) for m, e in factors.items() if e], den.other)
         return RationalFunction(off.numerator, kept)
     num = off.numerator * QPolynomial([1, 0, -1])
-    return _peel_common(RationalFunction(num, den))
+    return peel_common(RationalFunction(num, den))
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:

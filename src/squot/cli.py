@@ -15,6 +15,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .circle import DEFAULT_ORACLE_DEGREE, hilbert_series, normalize_weights
 from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
@@ -41,6 +42,8 @@ def _rat(q) -> str:
 
 
 def _coeff(c):
+    if type(c) is int:
+        return c
     f = Fraction(c)
     return int(f) if f.denominator == 1 else str(f)
 
@@ -144,8 +147,37 @@ def _document(command: str, request: dict, result: dict) -> dict:
             "request": request, "result": result}
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _dumps(value, indent: str = "") -> str:
+    """The text json.dumps(value, indent=2) gives for a document of
+    dicts with string keys, lists, strings, ints, bools and None, built
+    directly: json's own encoder falls back to pure Python whenever
+    `indent` is set.  Any other value is left to json.dumps."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return _CONSTANTS[value]
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_dumps(item, inner) for item in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
+                 for key, item in value.items()]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return json.dumps(value)
+
+
 def _emit(document: dict) -> int:
-    sys.stdout.write(json.dumps(document, indent=2) + "\n")
+    sys.stdout.write(_dumps(document) + "\n")
     return 0
 
 
@@ -199,7 +231,7 @@ def cmd_laurent(args) -> int:
         if len(norm) >= 2:
             closed[0] = gamma0_closed(norm)
         if len(norm) >= 3:
-            closed[2] = closed[3] = gamma2_closed(norm)
+            closed[2] = closed[3] = gamma2_closed(norm, gamma0=closed[0])
         for k, value in closed.items():
             if k <= args.order and value != expansion[k]:
                 raise ClosedFormMismatch(

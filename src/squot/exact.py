@@ -217,6 +217,41 @@ def _psi_divides(coeffs: list, d: int) -> bool:
     return not any(rem[:top])
 
 
+def _divide_binomial(c: list, m: int):
+    """Exact quotient of the coefficients c (constant term first, last
+    entry nonzero) by (1 - x^m), or None if not divisible: one running
+    sum per residue class mod m."""
+    d = len(c) - 1 - m
+    if d < 0:
+        return None
+    q = c[:d + 1]
+    for r in range(m):
+        q[r::m] = accumulate(q[r::m])
+    # the top m coefficients of q * (1 - x^m) are -q[d+1-m:], zero-padded
+    if c[d + 1:] != [0] * (m - d - 1) + [-t for t in q[max(d + 1 - m, 0):]]:
+        return None
+    return q
+
+
+def peel_common(f: RationalFunction) -> RationalFunction:
+    """Cancel whole (1 - x^m) factors shared by numerator and denominator,
+    in the numerator's own coefficients (integers in the pipeline)."""
+    num = list(f.numerator.coeffs)
+    pairs = []
+    for m, e in f.denominator.factors:
+        while e:
+            quo = _divide_binomial(num, m)
+            if quo is None:
+                break
+            num, e = quo, e - 1
+        if e:
+            pairs.append((m, e))
+    numerator = (QPolynomial(num) if len(num) < len(f.numerator.coeffs)
+                 else f.numerator)
+    return RationalFunction(
+        numerator, FactoredDenominator.from_pairs(pairs, f.denominator.other))
+
+
 @dataclass(frozen=True)
 class RationalFunction:
     """Exact quotient of a polynomial by a factored denominator."""
@@ -232,22 +267,24 @@ class RationalFunction:
         """Lowest terms over a regrouped factored denominator.
 
         The denominator must be a pure product of (1 - x^m) factors, so
-        a common factor can only be a product of the Psi_d (`_psi`),
-        and it is cancelled by exact division, in integers for integer
-        numerators.  The Psi_d left over are regrouped greedily into
-        (1 - x^m) factors, largest m first; any that cannot be grouped
-        are expanded into `other`.  The denominator keeps constant term 1.
+        a common factor can only be a product of the Psi_d (`_psi`).
+        Whole (1 - x^m) factors are cancelled first (`peel_common`, one
+        running sum per residue class), then single Psi_d, both by exact
+        division, in integers for integer numerators.  The Psi_d left
+        over are regrouped greedily into (1 - x^m) factors, largest m
+        first; any that cannot be grouped are expanded into `other`.
+        The denominator keeps constant term 1.
         """
-        den = self.denominator
-        if den.other != ONE:
+        if self.denominator.other != ONE:
             raise ValueError("reduction needs a pure cyclotomic form")
         if self.numerator.is_zero():
             return RationalFunction(self.numerator, FactoredDenominator(()))
+        peeled = peel_common(self)
         exps: dict = {}  # d -> exponent of Psi_d
-        for m, e in den.factors:
+        for m, e in peeled.denominator.factors:
             for d in _divisors(m):
                 exps[d] = exps.get(d, 0) + e
-        work = self.numerator.coeffs
+        work = peeled.numerator.coeffs
         for d in exps:
             psi = _psi(d)
             while exps[d] and _psi_divides(work, d):
@@ -347,13 +384,25 @@ def series_div(num: Sequence[Scalar], den: Sequence[Scalar], order: int) -> list
 
 def _expand_factored(num: QPolynomial, den: FactoredDenominator,
                      order: int) -> list:
-    coeffs = list(num.coeffs[:order + 1])
-    coeffs += [0] * (order + 1 - len(coeffs))
-    for m, e in den.factors:
-        for _ in range(e):
-            # divide by (1 - x^m): running sums within each residue class
-            for r in range(m):
-                coeffs[r::m] = accumulate(coeffs[r::m])
+    """Taylor coefficients 0..order of num / den.
+
+    Each factor (1 - x^m) is divided out by running sums within the
+    residue classes mod m.  For a monomial numerator c * x^v the first
+    such division is written down at once: c * x^v / (1 - x^m) has the
+    coefficient c at v, v + m, v + 2m, ... and 0 elsewhere.
+    """
+    passes = [m for m, e in den.factors for _ in range(e)]
+    coeffs = [0] * (order + 1)
+    if passes and num and not any(num.coeffs[:-1]):
+        m, v = passes.pop(), num.degree
+        coeffs[v::m] = [num.coeffs[-1]] * len(range(v, order + 1, m))
+    else:
+        head = num.coeffs[:order + 1]
+        coeffs[:len(head)] = head
+    for m in passes:
+        # divide by (1 - x^m): running sums within each residue class
+        for r in range(m):
+            coeffs[r::m] = accumulate(coeffs[r::m])
     if den.other != ONE:
         coeffs = series_div(coeffs, den.other.coeffs, order)
     return coeffs

@@ -142,19 +142,23 @@ def gamma0_closed(weights: Sequence[int]) -> Fraction:
             / staircase_product(weights))
 
 
-def gamma2_closed(weights: Sequence[int]) -> Fraction:
+def gamma2_closed(weights: Sequence[int], *, gamma0=None) -> Fraction:
     """Subleading coefficient gamma_2 = gamma_3 of the on-shell series.
 
     Needs n >= 3.  Besides a bulk term built from Schur values at all
     weights, each coordinate whose removal leaves a non-primitive
     weight vector contributes a correction through the gcd g_j of the
-    remaining weights.
+    remaining weights.  A caller that already holds
+    gamma0_closed(weights) passes it as `gamma0`, so that its Schur
+    ratio is not evaluated twice.
     """
     n = len(weights)
     if n < 3:
         raise UnsupportedDimension("gamma2 closed form needs n >= 3")
     sum_sq = sum(a * a for a in weights)
-    total = gamma0_closed(weights) / 12
+    if gamma0 is None:
+        gamma0 = gamma0_closed(weights)
+    total = gamma0 / 12
     total += (schur_eval(_clipped_staircase(n, 2), weights) * sum_sq
               / (12 * staircase_product(weights)))
     for j in range(n):
@@ -176,7 +180,8 @@ class GammaClosedForms:
 
 
 def gamma_closed_forms(weights: Sequence[int]) -> GammaClosedForms:
-    return GammaClosedForms(gamma0_closed(weights), gamma2_closed(weights))
+    gamma0 = gamma0_closed(weights)
+    return GammaClosedForms(gamma0, gamma2_closed(weights, gamma0=gamma0))
 
 
 def gamma0_equal_weights(n: int) -> Fraction:

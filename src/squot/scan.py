@@ -51,7 +51,8 @@ def is_unit_fraction_sum(triple: Sequence[int]) -> bool:
 
 def gamma2_ratio(triple: Sequence[int]) -> Fraction:
     """12 gamma_2 / gamma_0 for a weight triple."""
-    return 12 * gamma2_closed(triple) / gamma0_closed(triple)
+    gamma0 = gamma0_closed(triple)
+    return 12 * gamma2_closed(triple, gamma0=gamma0) / gamma0
 
 
 def gamma2_condition(triple: Sequence[int]) -> bool:

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 import squot.circle
 from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
-                          _averaged_reciprocity, _divide_binomial,
-                          _hilbert_series_cached, _mirrored, _peel_common,
-                          _weight_clusters, hilbert_equal_weights,
+                          _averaged_reciprocity, _hilbert_series_cached,
+                          _mirrored, _weight_clusters, hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights,
                           off_shell_equal_weights, oracle_off_counts,
@@ -24,8 +23,9 @@ from squot.errors import (DegenerateWeights, OracleMismatch,
                           ReciprocityMismatch, ReconstructionMismatch,
                           ZeroWeight)
 from squot.exact import (DEFAULT_SLACK, FactoredDenominator, QPolynomial,
-                         RationalFunction, TruncatedSeries, check_reciprocity,
-                         cleared, laurent_at_one, rational_reconstruct,
+                         RationalFunction, TruncatedSeries, _divide_binomial,
+                         check_reciprocity, cleared, laurent_at_one,
+                         peel_common, rational_reconstruct,
                          series_of_rational)
 from squot.laurent import gamma0_closed, gamma2_closed
 
@@ -78,7 +78,7 @@ def reference_hilbert_off_clustered(weights, slack=DEFAULT_SLACK):
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
         piece = u_average(g * Fraction(1, s), a, slack) * a
-        pieces.append(_peel_common(piece))
+        pieces.append(peel_common(piece))
     merged = {}
     for piece in pieces:
         for m, e in piece.denominator.factors:
@@ -94,7 +94,7 @@ def reference_hilbert_off_clustered(weights, slack=DEFAULT_SLACK):
         total = total + part
     off = RationalFunction(total,
                            FactoredDenominator.from_pairs(merged.items()))
-    return _peel_common(off), tuple(pieces)
+    return peel_common(off), tuple(pieces)
 
 
 def binomial(m):
@@ -172,11 +172,32 @@ def generic_pieces(draw):
     return phi_tilde(weights, i), weights[i]
 
 
+@st.composite
+def shared_factor_pieces(draw):
+    """A partial-fraction piece of a distinct weight vector whose
+    weights are pairwise not coprime (n = 2..4, multiples of one
+    g = 2..6, below 60), and its weight."""
+    g = draw(st.integers(2, 6))
+    n = draw(st.integers(2, 4))
+    weights = [g * k for k in draw(st.lists(st.integers(1, 59 // g),
+                                            min_size=n, max_size=n,
+                                            unique=True))]
+    i = draw(st.integers(0, n - 1))
+    return phi_tilde(weights, i), weights[i]
+
+
+def exact_image(den, a):
+    """prod (1 - y^(lcm(a,m)/a))^e over the factors (1 - x^m)^e of den."""
+    return FactoredDenominator.from_pairs((math.lcm(a, m) // a, e)
+                                          for m, e in den.factors)
+
+
 def mirror_of(f, a):
-    """(C, eps) of `_averaged_reciprocity` for f averaged over a."""
-    target = transformed_denominator(f.denominator, a)
+    """(C, eps) of `_averaged_reciprocity` for f averaged over a, over
+    the exact image denominator."""
     return _averaged_reciprocity(cleared(f.numerator.coeffs)[1],
-                                 f.denominator, target, a)
+                                 f.denominator,
+                                 exact_image(f.denominator, a), a)
 
 
 class TestNormalize:
@@ -251,7 +272,7 @@ class TestUAverage:
         # values.  The average still matches the multisected series.
         f, a = case
         g = u_average(f, a)
-        for run, h in [(lambda h: u_average(h, a), f), (_peel_common, g),
+        for run, h in [(lambda h: u_average(h, a), f), (peel_common, g),
                        (RationalFunction.reduce, g)]:
             assert all(type(c) is int for c in h.numerator.coeffs)
             got = run(h)
@@ -279,20 +300,52 @@ class TestHalfPrefix:
         assert mirror_of(f, a)[1] in (1, -1)
         assert u_average(f, a) == reference_u_average(f, a)
 
-    def test_prefix_is_half_length(self):
-        f, a = phi_tilde((101, 150, 199), 1), 150
-        top, sign = mirror_of(f, a)
-        orders = []
-        expand = squot.circle.series_of_rational
+    @given(shared_factor_pieces())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_full_length_on_shared_factor_pieces(self, case):
+        # the expansion runs over the exact image denominator, shorter
+        # than the printed bound; the lift gives the bound's numerator
+        f, a = case
+        assert mirror_of(f, a)[1] in (1, -1)
+        assert exact_image(f.denominator, a).degree \
+            < transformed_denominator(f.denominator, a).degree
+        assert u_average(f, a) == reference_u_average(f, a)
 
-        def recording(g, order):
-            orders.append(order)
-            return expand(g, order)
-        with mock.patch("squot.circle.series_of_rational", recording):
-            u_average(f, a)
-        assert orders == [a * (top // 2 + DEFAULT_SLACK)]
-        bound = transformed_denominator(f.denominator, a).degree
-        assert orders[0] <= a * (bound // 2 + DEFAULT_SLACK)
+    @given(residue_pieces())
+    @settings(max_examples=40, deadline=None)
+    def test_residue_pieces_lift_the_2a_factor(self, case):
+        # the factor (1 - x^(2a))^e has gcd a with a: its exact image
+        # (1 - y^2)^e is lifted to (1 - y^2)^(a e)
+        f, a = case
+        e = dict(f.denominator.factors).get(2 * a, 0)
+        exact = dict(exact_image(f.denominator, a).factors)
+        bound = dict(transformed_denominator(f.denominator, a).factors)
+        assert exact.get(2, 0) >= e
+        assert bound.get(2, 0) - exact.get(2, 0) >= (a - 1) * e
+        assert u_average(f, a) == reference_u_average(f, a)
+
+    def test_prefix_is_half_length(self):
+        # half of C' = deg(exact image) - w/a, plus the slack; where a
+        # shares a factor with another weight, the exact image is
+        # shorter than the printed bound
+        expand = squot.circle.series_of_rational
+        for weights, i, shared in [((101, 150, 199), 1, False),
+                                   ((150, 175, 196), 0, True),
+                                   ((150, 175, 196), 2, True)]:
+            f, a = phi_tilde(weights, i), weights[i]
+            top, sign = mirror_of(f, a)
+            orders = []
+
+            def recording(g, order):
+                orders.append(order)
+                return expand(g, order)
+            with mock.patch("squot.circle.series_of_rational", recording):
+                u_average(f, a)
+            assert orders == [a * (top // 2 + DEFAULT_SLACK)]
+            exact = exact_image(f.denominator, a).degree
+            bound = transformed_denominator(f.denominator, a).degree
+            assert orders[0] <= a * (exact // 2 + DEFAULT_SLACK)
+            assert (exact < bound) == shared
 
     @pytest.mark.parametrize("num,pairs,a", [
         ([1, 1], [(1, 1), (3, 1)], 2),     # palindromic, w = 3, 2 does not divide
@@ -419,7 +472,7 @@ class TestClusterResidue:
         off, pieces = hilbert_off_clustered(weights)
         ref_off, ref_pieces = reference_hilbert_off_clustered(weights)
         assert all(type(c) is int for c in off.numerator.coeffs)
-        assert _peel_common(off) == ref_off
+        assert peel_common(off) == ref_off
         assert pieces == ref_pieces
 
     def test_matches_distinct_route(self):
@@ -461,11 +514,11 @@ class TestDivideBinomial:
         half = Fraction(1, 2)
         num = QPolynomial([half, half]) * binomial(2)
         den = FactoredDenominator.from_pairs([(2, 2), (3, 1)])
-        out = _peel_common(RationalFunction(num, den))
+        out = peel_common(RationalFunction(num, den))
         assert out.numerator == QPolynomial([half, half])
         assert out.denominator.factors == ((2, 1), (3, 1))
         kept = RationalFunction(QPolynomial([half, 1]), den)
-        assert _peel_common(kept).numerator is kept.numerator
+        assert peel_common(kept).numerator is kept.numerator
 
 
 def small_profiles(max_n, max_w):

@@ -17,7 +17,7 @@ import squot.circle
 import squot.cli
 import squot.finite
 from squot.circle import _hilbert_series_cached
-from squot.cli import (_parse_weights, load_series, main,
+from squot.cli import (_coeff, _dumps, _parse_weights, load_series, main,
                        payload_to_rational, series_payload)
 from squot.errors import MalformedWeights
 from squot.exact import (QPolynomial, RationalFunction, laurent_at_one,
@@ -332,6 +332,46 @@ class TestScanCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
+json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=30)
+
+
+class TestEmitter:
+    @given(json_documents)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_json_dumps(self, document):
+        assert _dumps(document) == json.dumps(document, indent=2)
+
+    def test_edge_values(self):
+        document = {"empty list": [], "empty dict": {}, "flags": [True, False],
+                    "none": None, "text": "\u00e9\u4e2d \"q\" \\ \n\x01",
+                    "ints": [-1, 0, 10 ** 40, -(10 ** 40)],
+                    "nested": [[[]], [{}], {"k": [{"": ""}]}],
+                    "\u00fc key": (1, "2")}
+        assert _dumps(document) == json.dumps(document, indent=2)
+        for scalar in ([], {}, "", 0, -7, True, None):
+            assert _dumps(scalar) == json.dumps(scalar, indent=2)
+
+    def test_stdout_is_json_dumps(self):
+        for argv in (["hilbert", "--weights", "5,7,7,8", "--off"],
+                     ["laurent", "--weights", "4,5,20", "--order", "3"],
+                     ["finite", "--gen", "4:1,3,2", "--order", "3"],
+                     ["scan", "--max-level", "12"]):
+            code, out = run(argv)
+            assert code == 0
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    def test_coeff_keeps_ints_and_renders_fractions(self):
+        assert _coeff(7) == 7 and type(_coeff(7)) is int
+        assert _coeff(-(10 ** 30)) == -(10 ** 30)
+        two = _coeff(Fraction(6, 3))
+        assert two == 2 and type(two) is int
+        assert _coeff(Fraction(-1, 3)) == "-1/3"
 
 
 class TestSeriesFiles:

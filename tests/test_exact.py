@@ -246,6 +246,24 @@ def stride_inputs(draw):
     return coeffs, den, draw(st.integers(0, 45))
 
 
+@st.composite
+def monomial_inputs(draw):
+    """(c * x^v, den, order): c a nonzero integer or Fraction of either
+    sign, repeated (1 - x^m) factors or none, an extra factor that is
+    trivial or not, and an order below, at or above v."""
+    c = draw(st.one_of(st.integers(-99, 99), small_fractions).filter(bool))
+    v = draw(st.integers(0, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                          max_size=4))
+    other = ONE
+    if draw(st.booleans()):
+        other = QPolynomial([draw(small_fractions.filter(bool))]
+                            + draw(st.lists(small_fractions, max_size=3)))
+    den = FactoredDenominator.from_pairs(pairs, other=other)
+    order = draw(st.one_of(st.just(v), st.integers(0, 45)))
+    return QPolynomial.monomial(v, c), den, order
+
+
 def geometric(pairs, num=(1,)):
     return RationalFunction(QPolynomial(num),
                             FactoredDenominator.from_pairs(pairs))
@@ -334,6 +352,26 @@ class TestSeries:
         prefix = coeffs + [0] * (order - len(coeffs))
         assert den.multiply_into(prefix) \
             == reference_multiply_into(den, prefix)
+
+    @given(monomial_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_monomial_first_pass_matches_running_sums(self, case):
+        num, den, order = case
+        assert _expand_factored(num, den, order) \
+            == reference_expand_factored(num, den, order)
+
+    @pytest.mark.parametrize("v,order,pairs", [
+        (7, 5, [(2, 1)]),            # v above the order: all zero
+        (5, 5, [(3, 2)]),            # v at the order, e > 1
+        (0, 12, [(1, 1), (4, 3)]),
+        (3, 20, [(20, 1)]),          # m above order - v: one term
+    ])
+    def test_monomial_first_pass_cases(self, v, order, pairs):
+        den = FactoredDenominator.from_pairs(pairs)
+        for c in (1, -3, Q(-2, 7)):
+            num = QPolynomial.monomial(v, c)
+            assert _expand_factored(num, den, order) \
+                == reference_expand_factored(num, den, order)
 
     def test_series_div_vs_fraction(self):
         got = series_div([1], [2, -1], 6)

@@ -51,7 +51,9 @@ SUBGROUPS = [
 
 #: sha256 of the exact stdout of large commands, whose output is too
 #: long to keep in the golden file: the generic path at weights above
-#: 100, the residue path with a mirrored half, Laurent data at order
+#: 100 (two of them with weights sharing factors, where each piece's
+#: exact denominator is shorter than its printed bound), the residue
+#: path with a mirrored half, Laurent data at order
 #: 119 (with and without an extraFactor) and S_m up to 100, where the
 #: su2 fixture violates S_2.  The residue path is pinned on large
 #: repeated weights, on three clusters with an extraFactor and on two
@@ -81,6 +83,10 @@ DIGESTS = {
         "c7ceb369e6d11b447a40e285422ae89926e5681425b7f015f28994092dd60f44",
     "laurent --weights 12,12,13 --order 119":
         "134afc61b920391e36dd1d02c5c0168c43a9cab6b15c867224149973b9cc723a",
+    "hilbert --weights 150,175,196":
+        "09c2cb4682f28122655ad530fd3ea4e1f9a99a2de2220f195b1cc5bfe98c238b",
+    "hilbert --weights 159,166,180":
+        "c2ba4e29048424ce9d346a9adb71926f1651fb21cb6cf23a6481692facddab02",
 }
 
 
