@@ -38,8 +38,8 @@ from .errors import (DegenerateWeights, DenominatorVanishesAtZero,
                      OracleMismatch, ReconstructionMismatch, ZeroWeight)
 from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
                     RationalFunction, TruncatedSeries, check_reciprocity,
-                    deferred_quotient, mul_truncated, peel_common,
-                    rational_reconstruct, series_of_rational)
+                    deferred_quotient, mul_truncated, multisected_prefix,
+                    peel_common, rational_reconstruct, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -203,6 +203,16 @@ def u_average(f: RationalFunction, a: int,
     failed check raises ReconstructionMismatch.  N is then lifted to
     the printed bound `transformed_denominator` by the missing factors
     prod (1-y^l)^(e*(gcd(a,m)-1)).
+
+    The multisected prefix comes from `multisected_prefix`.  For the
+    generic pieces +-x^v / prod (1-x^m) with a long prefix, it runs
+    over packed integer rows: lanes of a fixed width, wide enough for
+    a bound on the coefficients (each counts the solutions of
+    sum j_i m_i = n - v, so it is at most
+    |c| * (n // lcm(m_p, m_q) + 1) * prod (n // m_i + 1) over the
+    factors other than any two p, q), so that the lanes, all
+    nonnegative, never carry into each other, and a division by
+    (1-x^m) adds whole rows of m lanes.
     """
     bound = transformed_denominator(f.denominator, a)
     images = [(math.lcm(a, m) // a, e, math.gcd(a, m))
@@ -213,8 +223,7 @@ def u_average(f: RationalFunction, a: int,
     top, sign = _averaged_reciprocity(list(f.numerator.coeffs),
                                       f.denominator, exact, a)
     reach = (top // 2 if sign else top + 2) + slack
-    prefix = series_of_rational(f, a * reach)
-    window = exact.multiply_into(prefix.multisect(a).coefficients)
+    window = exact.multiply_into(multisected_prefix(f, a, reach))
     num = _mirrored(window, top, sign) + [0] * lift.degree
     return RationalFunction(QPolynomial(lift.multiply_into(num)), bound)
 

@@ -59,15 +59,6 @@ def series_payload(f: RationalFunction) -> dict:
     return payload
 
 
-def payload_to_rational(payload: dict) -> RationalFunction:
-    num = QPolynomial(Fraction(str(c)) for c in payload["numerator"])
-    extra = QPolynomial(Fraction(str(c))
-                        for c in payload.get("extraFactor", [1]))
-    den = FactoredDenominator.from_pairs(
-        ((m, e) for m, e in payload["denominator"]), other=extra)
-    return RationalFunction(num, den)
-
-
 def laurent_payload(expansion) -> dict:
     return {
         "poleOrder": expansion.pole_order,

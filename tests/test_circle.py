@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squot.circle
+import squot.exact
 from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
                           _averaged_reciprocity, _hilbert_series_cached,
                           _mirrored, _weight_clusters, hilbert_equal_weights,
@@ -24,8 +25,8 @@ from squot.errors import (DegenerateWeights, OracleMismatch,
                           ZeroWeight)
 from squot.exact import (DEFAULT_SLACK, FactoredDenominator, QPolynomial,
                          RationalFunction, TruncatedSeries, _divide_binomial,
-                         check_reciprocity, cleared, laurent_at_one,
-                         peel_common, rational_reconstruct,
+                         _packed_multisection, check_reciprocity, cleared,
+                         laurent_at_one, peel_common, rational_reconstruct,
                          series_of_rational)
 from squot.laurent import gamma0_closed, gamma2_closed
 
@@ -61,7 +62,7 @@ def reference_u_average(f, a, slack=DEFAULT_SLACK):
     scale, ints = cleared(f.numerator.coeffs)
     f = RationalFunction(QPolynomial(ints), f.denominator)
     prefix = series_of_rational(f, a * (bound + 2 + slack))
-    sect = prefix.multisect(a)
+    sect = TruncatedSeries(prefix.coefficients[::a])
     num = rational_reconstruct(sect, target, bound, slack)
     if scale != 1:
         num = num * Fraction(1, scale)
@@ -251,7 +252,8 @@ class TestUAverage:
     def test_u1_is_identity(self):
         f = phi_tilde((2, 3, 7), 0)
         g = u_average(f, 1)
-        assert g.equals(f)
+        assert (g.numerator * f.denominator.expand()
+                == f.numerator * g.denominator.expand())
 
     @given(st.integers(1, 6), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
@@ -259,9 +261,9 @@ class TestUAverage:
         f = RationalFunction(QPolynomial([1, 1]),
                              FactoredDenominator.from_pairs([(m, 1), (1, 1)]))
         g = u_average(f, a)
-        direct = series_of_rational(f, 30 * a).multisect(a)
+        direct = series_of_rational(f, 30 * a).coefficients[::a]
         back = series_of_rational(g, 30)
-        assert back.coefficients == direct.coefficients[:31]
+        assert back.coefficients == direct
 
     @given(residue_pieces(), st.integers(1, 30))
     @settings(max_examples=40, deadline=None)
@@ -278,9 +280,8 @@ class TestUAverage:
             got = run(h)
             assert all(type(c) is int for c in got.numerator.coeffs)
             assert run(h * Fraction(1, k)) == got * Fraction(1, k)
-        direct = series_of_rational(f, 20 * a).multisect(a)
-        assert series_of_rational(g, 20).coefficients \
-            == direct.coefficients
+        direct = series_of_rational(f, 20 * a).coefficients[::a]
+        assert series_of_rational(g, 20).coefficients == direct
 
 
 class TestHalfPrefix:
@@ -327,8 +328,9 @@ class TestHalfPrefix:
     def test_prefix_is_half_length(self):
         # half of C' = deg(exact image) - w/a, plus the slack; where a
         # shares a factor with another weight, the exact image is
-        # shorter than the printed bound
-        expand = squot.circle.series_of_rational
+        # shorter than the printed bound.  Each prefix is expanded over
+        # packed rows.
+        expand = squot.circle.multisected_prefix
         for weights, i, shared in [((101, 150, 199), 1, False),
                                    ((150, 175, 196), 0, True),
                                    ((150, 175, 196), 2, True)]:
@@ -336,12 +338,15 @@ class TestHalfPrefix:
             top, sign = mirror_of(f, a)
             orders = []
 
-            def recording(g, order):
-                orders.append(order)
-                return expand(g, order)
-            with mock.patch("squot.circle.series_of_rational", recording):
+            def recording(g, stride, reach):
+                orders.append(stride * reach)
+                return expand(g, stride, reach)
+            with mock.patch("squot.circle.multisected_prefix", recording), \
+                    mock.patch.object(squot.exact, "_packed_multisection",
+                                      wraps=_packed_multisection) as packed:
                 u_average(f, a)
             assert orders == [a * (top // 2 + DEFAULT_SLACK)]
+            assert packed.called
             exact = exact_image(f.denominator, a).degree
             bound = transformed_denominator(f.denominator, a).degree
             assert orders[0] <= a * (exact // 2 + DEFAULT_SLACK)
@@ -359,8 +364,8 @@ class TestHalfPrefix:
         assert mirror_of(f, a)[1] == 0
         g = u_average(f, a)
         assert g == reference_u_average(f, a)
-        direct = series_of_rational(f, 40 * a).multisect(a)
-        assert series_of_rational(g, 40).coefficients == direct.coefficients
+        direct = series_of_rational(f, 40 * a).coefficients[::a]
+        assert series_of_rational(g, 40).coefficients == direct
 
     def test_mirror_checks_every_overlap_coefficient(self):
         num = [3, -1, 4, 1, 5, 5, 1, 4, -1, 3]  # palindromic, C = 9
@@ -387,13 +392,13 @@ class TestHalfPrefix:
         # a wrong last coefficient of the prefix changes the last
         # coefficient of the computed window, which the mirror checks
         f, a = phi_tilde(weights, i), weights[i]
-        expand = squot.circle.series_of_rational
+        expand = squot.circle.multisected_prefix
 
-        def perturbed(g, order):
-            coeffs = list(expand(g, order).coefficients)
+        def perturbed(g, stride, reach):
+            coeffs = expand(g, stride, reach)
             coeffs[-1] += 1
-            return TruncatedSeries(tuple(coeffs))
-        with mock.patch("squot.circle.series_of_rational", perturbed):
+            return coeffs
+        with mock.patch("squot.circle.multisected_prefix", perturbed):
             with pytest.raises(ReconstructionMismatch):
                 u_average(f, a)
 

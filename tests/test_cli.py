@@ -18,15 +18,26 @@ import squot.cli
 import squot.finite
 from squot.circle import _hilbert_series_cached
 from squot.cli import (_coeff, _dumps, _parse_weights, load_series, main,
-                       payload_to_rational, series_payload)
+                       series_payload)
 from squot.errors import MalformedWeights
-from squot.exact import (QPolynomial, RationalFunction, laurent_at_one,
-                         series_of_rational)
+from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
+                         laurent_at_one, series_of_rational)
 from squot.finite import FiniteDiagonalGroup, analyze_group
 from squot.laurent import symplectic_check
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "squot",
                         "fixtures")
+
+
+def payload_to_rational(payload):
+    """The rational function of a "series" payload, the inverse of
+    `series_payload`."""
+    num = QPolynomial(Fraction(str(c)) for c in payload["numerator"])
+    extra = QPolynomial(Fraction(str(c))
+                        for c in payload.get("extraFactor", [1]))
+    den = FactoredDenominator.from_pairs(
+        ((m, e) for m, e in payload["denominator"]), other=extra)
+    return RationalFunction(num, den)
 
 
 def run_all(argv):

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,15 +16,29 @@ from squot.circle import hilbert_off_clustered, hilbert_series
 from squot.cli import series_payload
 from squot.errors import (DenominatorVanishesAtZero, ReciprocityMismatch,
                           ReconstructionMismatch)
-from squot.exact import (ONE, FactoredDenominator, LaurentExpansion,
+import squot.exact
+from squot.exact import (ONE, PACKED_MIN_LENGTH, PACKED_MIN_M,
+                         FactoredDenominator, LaurentExpansion,
                          QPolynomial, RationalFunction, _expand_factored,
-                         _psi, check_reciprocity, deferred_quotient,
-                         laurent_at_one,
-                         laurent_prototype, mul_truncated, poly_mul,
+                         _packed_multisection, _psi, check_reciprocity,
+                         deferred_quotient, laurent_at_one,
+                         laurent_prototype, mul_truncated,
+                         multisected_prefix, poly_mul,
                          rational_reconstruct, resultant_transform,
                          series_div, series_of_rational)
 
 Q = Fraction
+
+
+def expanded_denominator(f):
+    """The denominator of f as one dense polynomial."""
+    return f.denominator.expand()
+
+
+def same_function(f, g):
+    """Equality as rational functions, by cross multiplication."""
+    return (f.numerator * expanded_denominator(g)
+            == g.numerator * expanded_denominator(f))
 
 
 def reference_expand_factored(num, den, order):
@@ -68,7 +83,7 @@ def reference_laurent_at_one(f, order):
         return acc
 
     nu = one_minus(f.numerator)
-    de = one_minus(f.expanded_denominator)
+    de = one_minus(expanded_denominator(f))
     if nu.is_zero():
         return LaurentExpansion(0, tuple([Q(0)] * (order + 1)))
     vn, vd = nu.valuation(), de.valuation()
@@ -126,7 +141,7 @@ def reference_gcd(a, b):
 def reference_reduce(f):
     """Lowest terms by a gcd over Q, the denominator expanded and
     normalized to constant term 1 (or monic if that vanishes)."""
-    num, den = f.numerator, f.expanded_denominator
+    num, den = f.numerator, expanded_denominator(f)
     if num.is_zero():
         return RationalFunction(num, FactoredDenominator(()))
     v = min(num.valuation(), den.valuation())
@@ -145,7 +160,7 @@ def reference_reduce(f):
 def reference_regroup(f):
     """Greedy (1 - x^m) factors of an expanded denominator by trial
     division, largest m first; the leftover becomes the extra factor."""
-    coeffs = f.expanded_denominator.coeffs
+    coeffs = expanded_denominator(f).coeffs
     scale = math.lcm(*(Q(c).denominator for c in coeffs))
     den = [int(c * scale) for c in coeffs]
     pairs = []
@@ -264,6 +279,31 @@ def monomial_inputs(draw):
     return QPolynomial.monomial(v, c), den, order
 
 
+@st.composite
+def packed_inputs(draw):
+    """(c, v, passes, order, a) for `_packed_multisection`: c of either
+    sign, up to 2^80; sorted passes with m = 1, 2 or others below
+    PACKED_MIN_M beside m >= 200, repeats allowed; v below, at or above
+    the order; a stride of 1 to 7."""
+    c = draw(st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
+             .filter(bool))
+    small = st.one_of(st.sampled_from([1, 2]),
+                      st.integers(1, PACKED_MIN_M + 3))
+    passes = draw(st.lists(small, max_size=3))
+    passes += draw(st.lists(st.integers(200, 260), min_size=1, max_size=3))
+    if draw(st.booleans()):  # a repeated factor
+        passes.append(draw(st.sampled_from(passes)))
+    order = draw(st.integers(0, 700))
+    v = draw(st.one_of(st.integers(0, order + 3), st.just(order)))
+    return c, v, sorted(passes), order, draw(st.integers(1, 7))
+
+
+def expand_monomial(c, v, passes, order):
+    """`_expand_factored` on c * x^v over the passes, as (1 - x^m)."""
+    den = FactoredDenominator.from_pairs((m, 1) for m in passes)
+    return _expand_factored(QPolynomial.monomial(v, c), den, order)
+
+
 def geometric(pairs, num=(1,)):
     return RationalFunction(QPolynomial(num),
                             FactoredDenominator.from_pairs(pairs))
@@ -328,7 +368,7 @@ class TestSeries:
     def test_two_factor_matches_division(self):
         f = geometric([(2, 1), (3, 2)], num=(1, 5))
         dense = RationalFunction(
-            f.numerator, FactoredDenominator((), f.expanded_denominator))
+            f.numerator, FactoredDenominator((), expanded_denominator(f)))
         assert (series_of_rational(f, 40).coefficients
                 == series_of_rational(dense, 40).coefficients)
 
@@ -339,8 +379,8 @@ class TestSeries:
             series_of_rational(bad, 3)
 
     def test_multisection(self):
-        s = series_of_rational(geometric([(1, 2)]), 10)  # 1,2,3,...
-        assert s.multisect(3).coefficients == (1, 4, 7, 10)
+        f = geometric([(1, 2)])  # 1, 2, 3, ...
+        assert multisected_prefix(f, 3, 3) == [1, 4, 7, 10]
 
     @given(stride_inputs())
     @settings(max_examples=150, deadline=None)
@@ -376,6 +416,77 @@ class TestSeries:
     def test_series_div_vs_fraction(self):
         got = series_div([1], [2, -1], 6)
         assert got == [Q(1, 2 ** (k + 1)) for k in range(7)]
+
+
+class TestPackedMultisection:
+    """Packed rows against every a-th coefficient of `_expand_factored`."""
+
+    @given(packed_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_strided_expansion(self, case):
+        c, v, passes, order, a = case
+        assert _packed_multisection(c, v, passes, order, a) \
+            == expand_monomial(c, v, passes, order)[::a]
+
+    @pytest.mark.parametrize("c,v,passes,order,a", [
+        (1, 0, [1, 200], 999, 3),             # m = 1 beside m >= 200
+        (1, 0, [2, 201], 999, 5),
+        (-1, 3, [1, 2, 383, 384], 2000, 7),   # a negative c
+        (1, 5, [1, 1, 250, 250], 1500, 4),    # repeated factors
+        (1, 2, [211, 211, 223], 3000, 3),
+        (1, 601, [1, 300], 600, 2),           # v above the order: zeros
+        (-1, 600, [2, 300], 600, 5),          # v at the order
+        (1, 0, [1, 250], 700, 1),             # a = 1
+        (3, 1, [7, 230, 231], 1234, 6),       # order a multiple of no m
+        (23, 0, [20, 20], 199, 1),            # 1-byte lanes up to 230
+        (2 ** 70, 4, [1, 2, 200], 900, 3),    # lanes above 8 bytes
+        (-(2 ** 70), 4, [205, 206], 900, 1),
+    ])
+    def test_cases(self, c, v, passes, order, a):
+        assert _packed_multisection(c, v, passes, order, a) \
+            == expand_monomial(c, v, passes, order)[::a]
+
+    @pytest.mark.parametrize("small,listed", [(PACKED_MIN_M - 1, True),
+                                              (PACKED_MIN_M, False)])
+    def test_small_passes_run_on_the_list(self, small, listed):
+        # a second pass below PACKED_MIN_M is a strided sum on a list
+        # of ints, packed afterwards; from PACKED_MIN_M on it is a pass
+        # over packed rows like the others
+        passes, order = [1, small, 300], 2000
+        with mock.patch.object(squot.exact, "_to_lanes",
+                               wraps=squot.exact._to_lanes) as to_lanes:
+            got = _packed_multisection(-1, 7, passes, order, 3)
+        assert to_lanes.called == listed
+        assert got == expand_monomial(-1, 7, passes, order)[::3]
+
+    @pytest.mark.parametrize("reach,pairs,num,packed", [
+        (PACKED_MIN_LENGTH - 1, [(1, 1), (300, 1)], [0, 0, -1], True),
+        (PACKED_MIN_LENGTH - 2, [(1, 1), (300, 1)], [0, 0, -1], False),
+        (PACKED_MIN_LENGTH - 1, [(1, 1), (PACKED_MIN_M, 1)], [1], True),
+        (PACKED_MIN_LENGTH - 1, [(1, 1), (PACKED_MIN_M - 1, 1)], [1], False),
+        (PACKED_MIN_LENGTH - 1, [(1, 1), (300, 1)], [1, 1], False),
+        (PACKED_MIN_LENGTH - 1, [(300, 1)], [1], False),
+    ])
+    def test_selection(self, reach, pairs, num, packed):
+        # packed rows from PACKED_MIN_LENGTH coefficients and a largest
+        # m of PACKED_MIN_M on, for a monomial over two factors or more
+        f = geometric(pairs, num)
+        with mock.patch.object(squot.exact, "_packed_multisection",
+                               wraps=_packed_multisection) as spy:
+            got = multisected_prefix(f, 1, reach)
+        assert spy.called == packed
+        assert got == _expand_factored(f.numerator, f.denominator, reach)
+
+    @pytest.mark.parametrize("num,other", [([1], QPolynomial([1, 1])),
+                                           ([0, Q(-2, 3)], ONE)])
+    def test_extra_factor_and_fraction_stay_on_the_list(self, num, other):
+        den = FactoredDenominator.from_pairs([(1, 1), (300, 1)], other=other)
+        f = RationalFunction(QPolynomial(num), den)
+        with mock.patch.object(squot.exact, "_packed_multisection") as spy:
+            got = multisected_prefix(f, 2, PACKED_MIN_LENGTH)
+        assert not spy.called
+        assert got == _expand_factored(f.numerator, den,
+                                       2 * PACKED_MIN_LENGTH)[::2]
 
 
 class TestReconstruction:
@@ -588,8 +699,8 @@ class TestReduce:
         want = reference_regroup(reference_reduce(f))
         assert got.numerator == want.numerator
         assert got.denominator == want.denominator
-        assert got.expanded_denominator[0] == 1
-        assert got.equals(f)
+        assert expanded_denominator(got)[0] == 1
+        assert same_function(got, f)
 
     @pytest.mark.parametrize("weights", DEGENERATE_SAMPLE,
                              ids=lambda w: ",".join(map(str, w)))

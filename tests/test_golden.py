@@ -57,7 +57,10 @@ SUBGROUPS = [
 #: 119 (with and without an extraFactor) and S_m up to 100, where the
 #: su2 fixture violates S_2.  The residue path is pinned on large
 #: repeated weights, on three clusters with an extraFactor and on two
-#: clusters of multiplicity above one.
+#: clusters of multiplicity above one.  Two generic inputs pin the
+#: mixed multisection passes: (100,101,102), whose pieces each have a
+#: factor with m = 1 beside factors with m near 200, and
+#: (60,97,130,171), with six factors per piece.
 DIGESTS = {
     "laurent --weights 13,14,15 --order 119":
         "5fb5b1ccf0221abba66227eec3afeee43e7493373b67967ea9789db111d0cf76",
@@ -87,6 +90,10 @@ DIGESTS = {
         "09c2cb4682f28122655ad530fd3ea4e1f9a99a2de2220f195b1cc5bfe98c238b",
     "hilbert --weights 159,166,180":
         "c2ba4e29048424ce9d346a9adb71926f1651fb21cb6cf23a6481692facddab02",
+    "hilbert --weights 100,101,102":
+        "c254c33c3b6e5a3dc4cf49e88c938db67ca841a234f59886a906f6c4b4da4fc1",
+    "hilbert --weights 60,97,130,171":
+        "0fba1b299e2860d93c7f682680fec3bda46eff645eb665edbda8259cf147d902",
 }
 
 
