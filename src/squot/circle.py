@@ -43,6 +43,14 @@ from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
 
 DEFAULT_ORACLE_DEGREE = 30
 
+#: Words of packed int that Kronecker substitution adds in the time the
+#: pairing of layers spends on one dict entry, for `_takes_kronecker`.
+#: Measured: on the inputs of the three circle benchmark tables at
+#: degree 30, and on 400 random ones up to n = 7 and degree 480, the
+#: methods it picks take at most 1.6% longer in all than the faster
+#: method of each input.
+KRONECKER_WORDS_PER_ENTRY = 24
+
 #: Results kept by `hilbert_series`; above the 552 weight vectors of the
 #: n = 3 sweep with weights <= 15, while bounding memory in long sweeps.
 HILBERT_CACHE_SIZE = 1024
@@ -418,17 +426,68 @@ def off_shell_equal_weights(n: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
-def oracle_off_counts(weights: Sequence[int], order: int) -> list:
-    """Brute-force invariant monomial counts, degrees 0..order.
+def _kronecker_off_counts(weights: Sequence[int], order: int) -> list:
+    """Invariant monomial counts, degrees 0..order, by Kronecker
+    substitution on sorted positive weights.
+
+    The count at degree k is the t^0 coefficient of x^k in
+    prod_i 1 / ((1 - x t^(a_i)) (1 - x t^(-a_i))).  The coefficient
+    P_k of x^k is held as one int of `width`-bit lanes, lane s for t^s;
+    dividing by (1 - x t^(+-a)) is P_k += P_(k-1) shifted by a lanes,
+    for k = 1..order.  All factors t^(+a) come first, then all t^(-a).
+
+    Width: each lane counts some of the monomials of degree k <= order
+    in at most 2n variables, at most C(order + 2n - 1, 2n - 1) of them,
+    which is below 2^width.  Every lane is nonnegative, so a sum of two
+    packed ints never carries from one lane into the next, and a right
+    shift by a lanes moves every lane down by a exactly, dropping the
+    lowest a.  What it drops has a negative weighted sum, and the
+    remaining factors, all t^(-a), only lower a sum: it could never
+    reach t^0, so no offset is needed.  For the same reason a sum
+    above hi * (order - k) at degree k cannot reach t^0 by degree
+    order: P_k is cut to those lanes before the t^(-a) factors, and
+    P_k for k above hi * order // (lo + hi), whose sums are all at
+    least lo * k, starts the t^(-a) factors at zero.  During the
+    t^(+a) factors P_k is held divided by t^(lo * k), a shift by
+    a - lo lanes each, as its sums lie in [lo * k, hi * k].
+    """
+    lo, hi = weights[0], weights[-1]
+    n = len(weights)
+    width = math.comb(order + 2 * n - 1, 2 * n - 1).bit_length()
+    depth = hi * order // (lo + hi)
+    series = [1] + [0] * order
+    for a in weights:
+        shift = (a - lo) * width
+        for k in range(1, depth + 1):
+            series[k] += series[k - 1] << shift
+    for k in range(1, depth + 1):
+        series[k] = (series[k] << lo * k * width) \
+            & ((1 << (hi * (order - k) + 1) * width) - 1)
+    for a in weights:
+        shift = a * width
+        for k in range(1, order + 1):
+            series[k] += series[k - 1] >> shift
+    lane = (1 << width) - 1
+    return [p & lane for p in series]
+
+
+def _paired_off_counts(weights: Sequence[int], order: int) -> list:
+    """Invariant monomial counts, degrees 0..order, by pairing layers,
+    on sorted positive weights.
 
     Counts pairs of exponent vectors (alpha, beta) with
     |alpha| + |beta| = k and equal weighted sums, by dynamic
     programming over (total degree, weighted sum) with one dict
     {weighted sum: count} per degree, holding the sums that occur.
+    The sums of layer d lie in [lo * d, hi * d], so layers d and k - d
+    share a sum only if hi * d >= lo * (k - d): pairs below that are
+    skipped, and layers above hi * order // (lo + hi) are never built.
     """
-    layers = [{0: 1}] + [{} for _ in range(order)]
+    lo, hi = weights[0], weights[-1]
+    depth = hi * order // (lo + hi)
+    layers = [{0: 1}] + [{} for _ in range(depth)]
     for a in weights:
-        for d in range(1, order + 1):
+        for d in range(1, depth + 1):
             row = layers[d]
             for s, c in layers[d - 1].items():
                 row[s + a] = row.get(s + a, 0) + c
@@ -442,11 +501,51 @@ def oracle_off_counts(weights: Sequence[int], order: int) -> list:
         # pairing layer d with layer k - d is symmetric in d <-> k - d:
         # pair each d < k/2 once and double it, then add the middle layer
         total = 2 * sum(paired(layers[d], layers[k - d])
-                        for d in range((k + 1) // 2))
+                        for d in range(-(-lo * k // (lo + hi)), (k + 1) // 2))
         if k % 2 == 0:
             total += paired(layers[k // 2], layers[k // 2])
         counts.append(total)
     return counts
+
+
+def _takes_kronecker(weights: Sequence[int], order: int) -> bool:
+    """Whether `oracle_off_counts` runs Kronecker substitution on these
+    sorted positive weights, from a priori bounds on the work of each
+    method.
+
+    Kronecker substitution adds about n * width * (hi * order^2 +
+    (hi - lo) * depth^2) / 2 bits of packed ints, depth being
+    hi * order // (lo + hi).  The pairing builds layers d <= depth of
+    at most min(C(d + n - 1, n - 1), (hi - lo) * d + 1) entries each,
+    once per weight, and looks up each entry of layer d once for each
+    degree k it is paired at: 2d <= k <= order with lo * k <=
+    (lo + hi) * d.
+    """
+    n, lo, hi = len(weights), weights[0], weights[-1]
+    width = math.comb(order + 2 * n - 1, 2 * n - 1).bit_length()
+    depth = hi * order // (lo + hi)
+    words = n * width * (hi * order ** 2 + (hi - lo) * depth ** 2) // 128
+    entries = sum(min(math.comb(d + n - 1, n - 1), (hi - lo) * d + 1)
+                  * (n + max(0, min(order - 2 * d, (hi - lo) * d // lo) + 1))
+                  for d in range(depth + 1))
+    return words <= KRONECKER_WORDS_PER_ENTRY * entries
+
+
+def oracle_off_counts(weights: Sequence[int], order: int) -> list:
+    """Brute-force invariant monomial counts, degrees 0..order.
+
+    The count at degree k is the number of monomials z^alpha zbar^beta
+    with |alpha| + |beta| = k and sum alpha_i a_i = sum beta_i a_i; it
+    only depends on the normal form of the weights (`normalize_weights`,
+    which rejects a zero weight).  Dense weight ranges run Kronecker
+    substitution, sparse ones the pruned pairing of layers; both are
+    exact, and `_takes_kronecker` chooses from bounds on the work of
+    each.
+    """
+    weights = normalize_weights(weights)
+    if _takes_kronecker(weights, order):
+        return _kronecker_off_counts(weights, order)
+    return _paired_off_counts(weights, order)
 
 
 def verify_against_oracle(weights: Sequence[int], off: RationalFunction,

@@ -113,9 +113,6 @@ class QPolynomial:
             other = QPolynomial([other])
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return QPolynomial([c * other for c in self.coeffs])

@@ -14,7 +14,9 @@ import squot.circle
 import squot.exact
 from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
                           _averaged_reciprocity, _hilbert_series_cached,
-                          _mirrored, _weight_clusters, hilbert_equal_weights,
+                          _kronecker_off_counts, _mirrored, _paired_off_counts,
+                          _takes_kronecker, _weight_clusters,
+                          hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights,
                           off_shell_equal_weights, oracle_off_counts,
@@ -551,11 +553,79 @@ class TestOracle:
         assert oracle_off_counts(weights, order) \
             == reference_oracle_off_counts(weights, order)
 
+    METHODS = [_kronecker_off_counts, _paired_off_counts]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @given(weights=st.lists(st.integers(1, 60), min_size=1, max_size=5),
+           order=st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_method_matches_dense_reference(self, method, weights, order):
+        # each method alone, whichever side of the selection rule
+        weights = sorted(weights)
+        assert method(weights, order) \
+            == reference_oracle_off_counts(weights, order)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("weights,order", [
+        ((1,), 0), ((7, 9), 0), ((1,), 25), ((13,), 20),
+        # max >> min: the pairing prunes little, the lanes are many
+        ((1, 250), 12), ((2, 3, 240), 10), ((1, 1, 97), 15),
+        # a tight cluster: the pairing prunes half the layers
+        ((191, 192, 193), 30), ((60, 60, 61, 62), 20)])
+    def test_method_edge_cases(self, method, weights, order):
+        assert method(list(weights), order) \
+            == reference_oracle_off_counts(weights, order)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_method_equal_weights_order_60(self, method, n):
+        # C(n+d-1, d)^2 at degree 2d; at n = 8, degree 60 that is
+        # C(37, 30)^2, 47 bits, in Kronecker lanes of 52 bits
+        assert method([1] * n, 60) \
+            == list(off_shell_equal_weights(n, 60).coefficients)
+
+    @pytest.mark.parametrize("weights,order,kronecker", [
+        ((1, 2, 3), 30, True),  # 1633 words against 3635 entries
+        ((13, 14, 15), 120, True),
+        ((1, 1, 1, 1, 1, 1, 2), 60, True),
+        ((191, 192, 193), 30, False),  # 77551 words against 1024 entries
+        ((150, 151), 30, False),
+        # a cluster at a high degree: the pruned pairing takes about a
+        # seventh of the time of Kronecker substitution
+        ((191, 192, 193), 575, False)])
+    def test_selection_rule(self, weights, order, kronecker):
+        assert _takes_kronecker(list(weights), order) is kronecker
+        with mock.patch("squot.circle._kronecker_off_counts",
+                        wraps=_kronecker_off_counts) as kron, \
+                mock.patch("squot.circle._paired_off_counts",
+                           wraps=_paired_off_counts) as pair:
+            counts = oracle_off_counts(weights, order)
+        assert (kron.call_count, pair.call_count) \
+            == ((1, 0) if kronecker else (0, 1))
+        if order <= 30:
+            assert counts == reference_oracle_off_counts(weights, order)
+
+    def test_counts_depend_on_normal_form_only(self):
+        assert oracle_off_counts((-3, 1, -2), 20) \
+            == oracle_off_counts((2, 4, 6), 20) \
+            == reference_oracle_off_counts((1, 2, 3), 20)
+        with pytest.raises(ZeroWeight):
+            oracle_off_counts((0, 1), 5)
+
     def test_dispatcher_catches_wrong_series(self):
         wrong = RationalFunction(
             QPolynomial([1, 1]), FactoredDenominator.from_pairs([(2, 3)]))
         with pytest.raises(OracleMismatch):
             verify_against_oracle((1, 1), wrong, 10)
+
+    def test_kronecker_path_catches_wrong_series(self):
+        assert _takes_kronecker([1, 2, 3], 30)
+        off = hilbert_series((1, 2, 3), oracle_degree=None).off_shell
+        verify_against_oracle((1, 2, 3), off, 30)
+        wrong = RationalFunction(off.numerator + QPolynomial.monomial(7),
+                                 off.denominator)
+        with pytest.raises(OracleMismatch, match="degree 7 coefficient"):
+            verify_against_oracle((1, 2, 3), wrong, 30)
 
     @pytest.mark.parametrize("weights",
                              sorted(set(normalize_weights(w)

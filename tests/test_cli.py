@@ -203,6 +203,26 @@ class TestReciprocityExit:
         assert err.startswith("verification failure: weights (4, 5, 20)")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_hilbert_oracle_exit_3(self):
+        # x^3 + x^7 keeps the numerator of (1,2,3) palindromic, so the
+        # reciprocity check passes and the brute-force count (Kronecker
+        # substitution at these weights) must catch it
+        real = squot.circle.hilbert_on_distinct
+
+        def wrong(*args):
+            on, pieces = real(*args)
+            bump = QPolynomial.monomial(3) + QPolynomial.monomial(7)
+            return RationalFunction(on.numerator + bump,
+                                    on.denominator), pieces
+        with mock.patch("squot.circle.hilbert_on_distinct", wrong):
+            code, out, err = run_all(["hilbert", "--weights", "1,2,3"])
+            assert (code, out) == (3, "")
+            assert err.startswith("verification failure: weights (1, 2, 3): "
+                                  "degree 3 coefficient ")
+            _hilbert_series_cached.cache_clear()
+            assert run_all(["hilbert", "--weights", "1,2,3",
+                            "--oracle-verify", "2"])[0] == 0
+
     def test_wrong_residue_scale_exit_3(self):
         # a scale twice too large leaves the merged off-shell numerator
         # with coefficients the lcm of the weights does not divide
