@@ -9,9 +9,8 @@ from .exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
                     resultant_transform, series_of_rational)
 from .finite import (FiniteDiagonalGroup, FiniteGroupResult, analyze_group,
                      cyclic_group, gessel_sum, molien_series)
-from .laurent import (GammaClosedForms, SymplecticReport, gamma0_closed,
-                      gamma2_closed, gamma_closed_forms, off_shell_coefficients,
-                      schur_eval, symplectic_check)
+from .laurent import (SymplecticReport, gamma0_closed, gamma2_closed,
+                      off_shell_coefficients, schur_eval, symplectic_check)
 from .scan import (ScanResult, full_scan, gamma0_is_integral,
                    pseudoreflection_obstruction, probability_scan,
                    reciprocal_gamma0)

@@ -48,14 +48,20 @@ def _coeff(c):
     return int(f) if f.denominator == 1 else str(f)
 
 
+def _coeffs(coeffs) -> list:
+    if {*map(type, coeffs)} <= {int}:
+        return list(coeffs)
+    return [_coeff(c) for c in coeffs]
+
+
 def series_payload(f: RationalFunction) -> dict:
     den = f.denominator
     payload = {
-        "numerator": [_coeff(c) for c in f.numerator.coeffs],
+        "numerator": _coeffs(f.numerator.coeffs),
         "denominator": [[m, e] for m, e in den.factors],
     }
     if den.other != ONE:
-        payload["extraFactor"] = [_coeff(c) for c in den.other.coeffs]
+        payload["extraFactor"] = _coeffs(den.other.coeffs)
     return payload
 
 
@@ -156,7 +162,10 @@ def _dumps(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        items = [_dumps(item, inner) for item in value]
+        if {*map(type, value)} == {int}:  # not bool, which prints true
+            items = map(int.__repr__, value)
+        else:
+            items = [_dumps(item, inner) for item in value]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
     if isinstance(value, dict):
         if not value:

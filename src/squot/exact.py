@@ -11,14 +11,12 @@ Hilbert series out of these primitives.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, islice, repeat
+from itertools import accumulate, chain, combinations, cycle, islice, repeat
 from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
@@ -31,15 +29,19 @@ Scalar = Union[int, Fraction]
 DEFAULT_SLACK = 16
 
 #: Shortest prefix that `multisected_prefix` expands in packed rows.
-#: Measured: on prefixes whose factors all have m < 100, packing gains
-#: nothing from 1024 to 8192 coefficients and loses below 1024, where
-#: its fixed costs dominate; shorter prefixes stay on the list.
+#: Measured with rows as ints: packed rows overtake the list from about
+#: 128 to 256 coefficients, but on the circle tables of the benchmark
+#: whose prefixes are all shorter than this, the saving is about 1% of
+#: an op, so those prefixes stay on the list.
 PACKED_MIN_LENGTH = 4096
 
-#: Smallest m whose division `multisected_prefix` runs over packed rows
-#: of m lanes.  Measured: a row costs about as much as 20 coefficients
-#: of a strided pass on a list of ints, so smaller m stay strided.
-PACKED_MIN_M = 20
+#: Passes after the first with m below this are folded into the start
+#: of `_packed_multisection`, with the second pass whatever its m; it
+#: also bounds the lcm of the folded passes, the row length they need.
+#: Measured: from 4 to 8 the packed rows take about the same time, and
+#: below 4 smaller m land in rows of few lanes; above 8 the lcm grows.
+#: `multisected_prefix` packs only prefixes whose largest m reaches it.
+PACKED_MIN_M = 6
 
 
 def cleared(coeffs: Sequence[Scalar]):
@@ -406,19 +408,28 @@ def _expand_factored(num: QPolynomial, den: FactoredDenominator,
     return coeffs
 
 
-def _to_lanes(values: list, width: int) -> bytes:
-    """Nonnegative ints below 256^width as little-endian lanes of
-    `width` bytes; up to 8 bytes, by way of one 8-byte array."""
-    if width > 8:
-        return b"".join(map(int.to_bytes, values, repeat(width),
-                            repeat("little")))
-    words = array("Q", values)
-    if sys.byteorder == "big":
-        words.byteswap()
-    wide, lanes = words.tobytes(), bytearray(width * len(values))
-    for j in range(width):
-        lanes[j::width] = wide[j::8]
-    return bytes(lanes)
+def _cut_rows(rows: list, held: int, wanted: int, count: int) -> list:
+    """`count` ints of `wanted` bits each, cut in order from the bits of
+    `rows`, ints of `held` bits each, lowest bits first; zero bits pad
+    the end.  One carry holds the bits read but not yet cut."""
+    mask, out = (1 << wanted) - 1, []
+    carry = have = 0
+    for row in rows:
+        carry |= row << have
+        have += held
+        while have >= wanted:
+            out.append(carry & mask)
+            carry >>= wanted
+            have -= wanted
+    out.append(carry)
+    out += repeat(0, count - len(out))
+    del out[count:]
+    return out
+
+
+def _repunit(shift: int, n: int) -> int:
+    """sum 2^(shift i) over 0 <= i < n: n ones, `shift` bits apart."""
+    return ((1 << shift * n) - 1) // ((1 << shift) - 1)
 
 
 def _packed_multisection(c: int, v: int, passes: list, order: int,
@@ -426,59 +437,79 @@ def _packed_multisection(c: int, v: int, passes: list, order: int,
     """Coefficients 0, a, 2a, ..., of c * x^v / prod (1 - x^m) up to
     degree `order`, for the sorted passes m, one per factor.
 
-    The series of |c| * x^v / prod (1 - x^m) is held in one bytes
-    buffer of fixed-width lanes, lane k for degree k.  Its coefficient
-    at degree n counts the solutions of sum j_i m_i = n - v in j_i >= 0.
-    With all j_i fixed but those of two passes p and q, two solutions
-    have j_p differing by a multiple of lcm(m_p, m_q) / m_p, so at most
+    The series of |c| * x^v / prod (1 - x^m) is held in fixed-width
+    lanes, lane k for degree k, as a list of ints, each one row of m
+    lanes for the pass m at hand.  Its coefficient at degree n counts
+    the solutions of sum j_i m_i = n - v in j_i >= 0.  With all j_i
+    fixed but those of two passes p and q, two solutions have j_p
+    differing by a multiple of lcm(m_p, m_q) / m_p, so at most
     n // lcm(m_p, m_q) + 1 remain: the coefficient is at most
     |c| * (n // lcm(m_p, m_q) + 1) * prod (n // m_i + 1) over the other
-    passes.  The least of these bounds over all pairs, taken at the
-    highest degree any lane holds (below order + max m, for the padding
-    of the last row), sets the lane width.  Earlier passes only hold
-    smaller values, as every division adds nonnegative terms.  Every
-    lane holds a nonnegative value within its width, so adding rows
-    never carries from one lane into the next: dividing by (1 - x^m) is
-    a running sum of the buffer read as rows of m lanes, one bigint add
-    per row.  The division by the smallest m is written down at once:
-    |c| at v, v + m, v + 2m, ..., which in packed form is the same row
-    of m lanes over and over.  When the next passes have m below
-    PACKED_MIN_M, the series starts on a list instead, those passes run
-    there as strided running sums, and the list is packed after them.
-    Only every a-th lane is read back as an int.
+    passes.  The least of these bounds over all pairs, taken at degree
+    `order`, the highest read, has the bit length of the lanes.  Every
+    lane holds a nonnegative value no larger than the final coefficient
+    of its degree, so up to `order` adding rows never carries from one
+    lane into the next: dividing by (1 - x^m) is a running sum of the
+    rows, one bigint add per row.  The rows of the next, larger m are
+    cut from these rows' bits (`_cut_rows`), which moves whole lanes
+    and adds none.  A lane of a higher degree (the padding of the last
+    row, or the start's int below) may outgrow the width: it is never
+    read, and sums, products and cuts only move its bits to higher
+    degrees still.
+
+    The first pass and the next ones, folded below, are written down at
+    once.  The folded passes q are the second and any other below
+    PACKED_MIN_M; the rows have m lanes, the multiple of their lcm at
+    most the next pass (or their lcm).  They start out holding
+    |c| x^v prod G_q / (1 - x^first), G_q = 1 + x^q + ... + x^(m - q),
+    and one running sum for each q then divides by 1 - x^m = G_q
+    (1 - x^q).  G_q is below 1 / (1 - x^q) term by term, so no lane
+    exceeds its final value.  Whole rows below v are zero.  From
+    degree v + sum (m - q) on, each coefficient of the product depends
+    on its degree mod `first` only, so every row past the head rows
+    below that degree is one of first / gcd(first, m) shapes.  Head
+    rows and shapes are all cut from one int of the product through
+    the head, one period and one row more.  Only every a-th lane is
+    read back.
     """
-    size, first, top = order + 1, passes[0], order + passes[-1]
-    counts = [top // m + 1 for m in passes]
+    size, first = order + 1, passes[0]
+    if v > order:
+        return [0] * len(range(0, size, a))
+    counts = [order // m + 1 for m in passes]
     whole = math.prod(counts)
     bound = abs(c) * min((whole // (counts[i] * counts[j])
-                          * (top // math.lcm(passes[i], passes[j]) + 1)
+                          * (order // math.lcm(passes[i], passes[j]) + 1)
                           for i, j in combinations(range(len(passes)), 2)),
                          default=1)
-    width = -(-bound.bit_length() // 8)
-    small = max(1, bisect_left(passes, PACKED_MIN_M))
-    if small > 1:
-        coeffs = [0] * size
-        coeffs[v::first] = [abs(c)] * len(range(v, size, first))
-        for m in passes[1:small]:
-            for r in range(m):
-                coeffs[r::m] = accumulate(coeffs[r::m])
-        buf = _to_lanes(coeffs, width)
-    else:
-        step, rows = first * width, -(-size // first)
-        head = min(v // first, rows)
-        row = (abs(c) << 8 * width * (v % first)).to_bytes(step, "little")
-        buf = bytes(step * head) + row * (rows - head)
-    for m in passes[small:]:
-        step = m * width
-        end = -(-size // m) * step
-        buf = buf[:end].ljust(end, b"\0")
-        rows = map(buf.__getitem__,
-                   map(slice, range(0, end, step), range(step, end + 1, step)))
-        sums = accumulate(map(int.from_bytes, rows, repeat("little")))
-        buf = b"".join(map(int.to_bytes, sums, repeat(step), repeat("little")))
-    sign = 1 if c > 0 else -1
-    return [sign * int.from_bytes(buf[k:k + width], "little")
-            for k in range(0, size * width, a * width)]
+    lane = bound.bit_length()
+    fold = passes[1:max(2, bisect_left(passes, PACKED_MIN_M))]
+    rest = passes[1 + len(fold):]
+    step = math.lcm(*fold)
+    m = max(1, rest[0] // step) * step if rest else max(step, first)
+    zeros, v = divmod(v, m)
+    count = -(-size // m) - zeros
+    head = min(-(-(v + sum(m - q for q in fold)) // m), count)
+    span = head * m + first + m
+    series = (abs(c) << lane * v) \
+        * _repunit(lane * first, len(range(v, span, first)))
+    for q in fold:
+        series *= _repunit(lane * q, m // q)
+    mask = (1 << lane * m) - 1
+    rows = [0] * zeros + [series >> lane * m * j & mask for j in range(head)]
+    base, period = head * m, first // math.gcd(first, m)
+    shapes = [series >> lane * (base + i * m % first) & mask
+              for i in range(min(count - head, period))]
+    rows += islice(cycle(shapes), count - head)
+    for _ in fold:
+        rows = list(accumulate(rows))
+    for p in rest:
+        if p != m:
+            rows = _cut_rows(rows, lane * m, lane * p, -(-size // p))
+            m = p
+        rows = list(accumulate(rows))
+    low, sign = (1 << lane) - 1, 1 if c > 0 else -1
+    return [sign * (rows[k // m] >> lane * (k % m) & low)
+            for k in range(0, size, a)]
 
 
 def multisected_prefix(f: RationalFunction, a: int, reach: int) -> list:

@@ -169,21 +169,6 @@ def gamma2_closed(weights: Sequence[int], *, gamma0=None) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class GammaClosedForms:
-    gamma0: Fraction
-    gamma2: Fraction
-
-    @property
-    def gamma3(self) -> Fraction:
-        return self.gamma2
-
-
-def gamma_closed_forms(weights: Sequence[int]) -> GammaClosedForms:
-    gamma0 = gamma0_closed(weights)
-    return GammaClosedForms(gamma0, gamma2_closed(weights, gamma0=gamma0))
-
-
 def gamma0_equal_weights(n: int) -> Fraction:
     """gamma_0 for n equal weights: C(2n-2, n-1) / 4^(n-1).
 

@@ -382,6 +382,7 @@ class TestEmitter:
         document = {"empty list": [], "empty dict": {}, "flags": [True, False],
                     "none": None, "text": "\u00e9\u4e2d \"q\" \\ \n\x01",
                     "ints": [-1, 0, 10 ** 40, -(10 ** 40)],
+                    "ints and flags": [1, True, 0, False], "one": [1],
                     "nested": [[[]], [{}], {"k": [{"": ""}]}],
                     "\u00fc key": (1, "2")}
         assert _dumps(document) == json.dumps(document, indent=2)
@@ -403,6 +404,17 @@ class TestEmitter:
         two = _coeff(Fraction(6, 3))
         assert two == 2 and type(two) is int
         assert _coeff(Fraction(-1, 3)) == "-1/3"
+
+    def test_series_payload_coefficients(self):
+        # integer lists are kept as they are; others go through _coeff
+        den = FactoredDenominator.from_pairs([(1, 1)],
+                                             other=QPolynomial([1, Fraction(1, 2)]))
+        f = RationalFunction(QPolynomial([3, Fraction(6, 3), -(10 ** 30)]),
+                             den)
+        payload = series_payload(f)
+        assert payload["numerator"] == [3, 2, -(10 ** 30)]
+        assert [type(c) for c in payload["numerator"]] == [int] * 3
+        assert payload["extraFactor"] == [1, "1/2"]
 
 
 class TestSeriesFiles:

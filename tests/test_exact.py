@@ -20,8 +20,8 @@ import squot.exact
 from squot.exact import (ONE, PACKED_MIN_LENGTH, PACKED_MIN_M,
                          FactoredDenominator, LaurentExpansion,
                          QPolynomial, RationalFunction, _expand_factored,
-                         _packed_multisection, _psi, check_reciprocity,
-                         deferred_quotient, laurent_at_one,
+                         _cut_rows, _packed_multisection, _psi,
+                         check_reciprocity, deferred_quotient, laurent_at_one,
                          laurent_prototype, mul_truncated,
                          multisected_prefix, poly_mul,
                          rational_reconstruct, resultant_transform,
@@ -441,23 +441,59 @@ class TestPackedMultisection:
         (23, 0, [20, 20], 199, 1),            # 1-byte lanes up to 230
         (2 ** 70, 4, [1, 2, 200], 900, 3),    # lanes above 8 bytes
         (-(2 ** 70), 4, [205, 206], 900, 1),
+        # the start's rows of m = (third pass // q) * q lanes, v below,
+        # at and above m and above the order
+        (1, 3, [7, 10, 200], 1500, 3),        # m = 200, gcd(7, 200) = 1
+        (1, 200, [7, 10, 200], 1500, 3),      # v = m: one whole zero row
+        (-1, 413, [7, 10, 200], 1500, 2),     # v > 2m: zero rows, head
+        (1, 1501, [7, 10, 200], 1500, 2),     # v above the order
+        (1, 1500, [7, 10, 200], 1500, 2),     # v at the order
+        (1, 4, [5, 10, 200], 1500, 7),        # first divides m
+        (1, 4, [6, 10, 205], 1500, 7),        # m = 200, gcd 2: neither
+        (2, 9, [3, 201, 250], 1200, 4),       # q = m: G = 1
+        (1, 5, [7, 300], 1300, 3),            # two passes: m = q
+        (-5, 11, [230], 900, 2),              # a single pass
+        (1, 0, [250], 600, 1),
+        # lanes at their bound: 1 bit (all 0 or 1), 2 bits (lane 600
+        # holds 2), one whole byte (every value 255)
+        (1, 0, [200, 201], 150, 1),
+        (1, 0, [200, 300], 600, 1),
+        (255, 2, [220], 700, 1),
+        # clustered weights, (191, 192, 193): the first two passes of
+        # m = 1 or 2 written down at once, as rows of 383 or 382 lanes
+        (1, 0, [1, 1, 383, 385], 76608, 192),
+        (-1, 5, [1, 2, 383, 384], 76209, 191),
+        # passes below PACKED_MIN_M folded into the start beside the
+        # second: rows of a multiple of their lcm, or of the lcm itself
+        # when the next pass is smaller (rows then cut into shorter ones)
+        (-1, 7, [1, 2, PACKED_MIN_M - 1, 300], 2000, 3),
+        (-1, 7, [1, 2, PACKED_MIN_M, 300], 2000, 3),
+        (1, 3, [2, 3, 4, 5, 300, 301], 3000, 7),
+        (1, 0, [1, 3, 4, 5, 6, 250], 2500, 5),
+        (1, 2, [1, 1, 2, 4, 5, 7, 497, 503], 4000, 3),
+        # rows of the lcm 60, far past the order: lanes there outgrow
+        # the width, unread, and carry only upwards
+        (1, 0, [1, 3, 4, 5], 10, 1),
+        (-3, 1, [2, 3, 4, 5], 40, 1),
     ])
     def test_cases(self, c, v, passes, order, a):
         assert _packed_multisection(c, v, passes, order, a) \
             == expand_monomial(c, v, passes, order)[::a]
 
-    @pytest.mark.parametrize("small,listed", [(PACKED_MIN_M - 1, True),
-                                              (PACKED_MIN_M, False)])
-    def test_small_passes_run_on_the_list(self, small, listed):
-        # a second pass below PACKED_MIN_M is a strided sum on a list
-        # of ints, packed afterwards; from PACKED_MIN_M on it is a pass
-        # over packed rows like the others
-        passes, order = [1, small, 300], 2000
-        with mock.patch.object(squot.exact, "_to_lanes",
-                               wraps=squot.exact._to_lanes) as to_lanes:
-            got = _packed_multisection(-1, 7, passes, order, 3)
-        assert to_lanes.called == listed
-        assert got == expand_monomial(-1, 7, passes, order)[::3]
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_cut_rows_matches_one_int(self, data):
+        # cutting rows of `held` bits into rows of `wanted` bits is the
+        # same as cutting their concatenation, zeros past its end
+        held, wanted, count = (data.draw(st.integers(1, 90)),
+                               data.draw(st.integers(1, 90)),
+                               data.draw(st.integers(0, 14)))
+        rows = data.draw(st.lists(st.integers(0, (1 << held) - 1),
+                                  max_size=12))
+        whole = sum(row << held * i for i, row in enumerate(rows))
+        mask = (1 << wanted) - 1
+        assert _cut_rows(rows, held, wanted, count) \
+            == [whole >> wanted * j & mask for j in range(count)]
 
     @pytest.mark.parametrize("reach,pairs,num,packed", [
         (PACKED_MIN_LENGTH - 1, [(1, 1), (300, 1)], [0, 0, -1], True),

