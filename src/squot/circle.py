@@ -126,7 +126,7 @@ def transformed_denominator(den: FactoredDenominator,
     the numerator over the exact image denominator, whose factors have
     exponent e, and lifts it to this one.
     """
-    if den.other != ONE:
+    if den.psi:
         raise ValueError("transformation rule needs a pure cyclotomic form")
     pairs = [(math.lcm(a, m) // a, e * math.gcd(a, m))
              for m, e in den.factors]
@@ -393,10 +393,11 @@ def _on_from_off(off: RationalFunction) -> RationalFunction:
     if factors.get(2):
         factors[2] -= 1
         kept = FactoredDenominator.from_pairs(
-            [(m, e) for m, e in factors.items() if e], den.other)
+            [(m, e) for m, e in factors.items() if e], den.psi)
         return RationalFunction(off.numerator, kept)
-    num = off.numerator * QPolynomial([1, 0, -1])
-    return peel_common(RationalFunction(num, den))
+    num = FactoredDenominator(((2, 1),)).multiply_into(
+        off.numerator.coeffs + (0, 0))
+    return peel_common(RationalFunction(QPolynomial(num), den))
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:

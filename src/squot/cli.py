@@ -22,7 +22,7 @@ from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
                      InsufficientCoefficients, MalformedWeights,
                      NotApplicable, PartitionPointsMismatch, SquotError,
                      UnsupportedDimension, ZeroWeight)
-from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
+from .exact import (DEFAULT_SLACK, FactoredDenominator, QPolynomial,
                     RationalFunction, laurent_at_one)
 from .finite import FiniteDiagonalGroup, analyze_group
 from .laurent import gamma0_closed, gamma2_closed, symplectic_check
@@ -60,8 +60,9 @@ def series_payload(f: RationalFunction) -> dict:
         "numerator": _coeffs(f.numerator.coeffs),
         "denominator": [[m, e] for m, e in den.factors],
     }
-    if den.other != ONE:
-        payload["extraFactor"] = _coeffs(den.other.coeffs)
+    if den.psi:  # prod Psi_d^e, multiplied out
+        extra = FactoredDenominator((), den.psi).expand().coeffs
+        payload["extraFactor"] = list(extra)
     return payload
 
 
@@ -200,22 +201,21 @@ def cmd_hilbert(args) -> int:
     if result.pieces:
         payload["pieces"] = [series_payload(p) for p in result.pieces]
     if args.text:
-        _print_series_text(series)
+        _print_series_text(payload["series"])
         return 0
     return _emit(_document("hilbert",
                            {"weights": list(weights), "off": args.off},
                            payload))
 
 
-def _print_series_text(f: RationalFunction) -> None:
-    num = " + ".join(f"{_coeff(c)}*x^{k}" if k else f"{_coeff(c)}"
-                     for k, c in enumerate(f.numerator.coeffs) if c)
-    den = f.denominator
+def _print_series_text(payload: dict) -> None:
+    """One line of text from a `series_payload`."""
+    num = " + ".join(f"{c}*x^{k}" if k else f"{c}"
+                     for k, c in enumerate(payload["numerator"]) if c)
     parts = [f"(1-x^{m})^{e}" if e > 1 else f"(1-x^{m})"
-             for m, e in den.factors]
-    if den.other != ONE:
-        extra = ", ".join(str(_coeff(c)) for c in den.other.coeffs)
-        parts.append(f"[[{extra}]]")
+             for m, e in payload["denominator"]]
+    if "extraFactor" in payload:
+        parts.append(f"[[{', '.join(map(str, payload['extraFactor']))}]]")
     print(f"({num}) / {''.join(parts) or '1'}")
 
 

@@ -4,8 +4,9 @@ Everything here is pure and exact: coefficients are ints or Fractions,
 equality is decidable, and no operation ever rounds; the series layer
 runs in integers, on numerators whose scale is kept apart.  A rational
 function always keeps its denominator factored, as prod (1 - x^m)^e
-times one extra polynomial factor.  The higher-level modules build
-Hilbert series out of these primitives.
+times cyclotomic prod Psi_d^e, and every product with or quotient by
+it runs as (1 - x^m) passes.  The higher-level modules build Hilbert
+series out of these primitives.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, cycle, islice, repeat
@@ -143,35 +144,56 @@ def poly_mul(a: QPolynomial, b: QPolynomial) -> QPolynomial:
 ONE = QPolynomial([1])
 
 
+def _times_binomial(c: list, m: int, e: int) -> None:
+    """c times (1 - x^m)^e, truncated, in place: one `map(sub)` per factor
+    for e > 0, else one running sum per residue class mod m, or one
+    `map(add)` up to 2m coefficients, where 1 / (1 - x^m) = 1 + x^m."""
+    for _ in range(e):
+        c[m:] = map(sub, c[m:], c[:-m])
+    for _ in range(-e):
+        if len(c) <= 2 * m:
+            c[m:] = map(add, c[m:], c[:-m])
+        else:
+            for r in range(m):
+                c[r::m] = accumulate(c[r::m])
+
+
+def _merged(pairs: Iterable, low: int) -> tuple:
+    acc: dict = {}
+    for m, e in pairs:
+        if m < low or e < 1:
+            raise ValueError(f"factors need m >= {low}, e >= 1")
+        acc[m] = acc.get(m, 0) + e
+    return tuple(sorted(acc.items()))
+
+
 @dataclass(frozen=True)
 class FactoredDenominator:
-    """A denominator kept as prod (1-x^m)^e * other.
-
-    The cyclotomic part is the multiset {(m, e)}; `other` is an arbitrary
-    nonzero extra polynomial factor, so a dense denominator D is
-    FactoredDenominator((), D).
-    """
+    """A denominator prod (1 - x^m)^e * prod Psi_d^e, `psi` holding the
+    Psi_d (d >= 2) that `reduce` left ungrouped; as a whole, one signed
+    list of (1 - x^m) exponents (`passes`) that products run through."""
 
     factors: tuple  # sorted tuple of (m, e) pairs, m >= 1, e >= 1
-    other: QPolynomial = field(default_factory=lambda: ONE)
-
-    def __post_init__(self):
-        if self.other.is_zero():
-            raise ZeroDivisionError("zero denominator")
+    psi: tuple = ()  # sorted tuple of (d, e) pairs, d >= 2, e >= 1
 
     @staticmethod
     def from_pairs(pairs: Iterable,
-                   other: QPolynomial = ONE) -> "FactoredDenominator":
-        acc: dict = {}
-        for m, e in pairs:
-            if m < 1 or e < 1:
-                raise ValueError("cyclotomic factors need m >= 1, e >= 1")
-            acc[m] = acc.get(m, 0) + e
-        return FactoredDenominator(tuple(sorted(acc.items())), other)
+                   psi: Iterable = ()) -> "FactoredDenominator":
+        return FactoredDenominator(_merged(pairs, 1), _merged(psi, 2))
+
+    def passes(self) -> tuple:
+        """Sorted (m, e), e != 0: the Psi_d merged into the factors."""
+        if not self.psi:
+            return self.factors
+        net = dict(self.factors)
+        for d, e in self.psi:
+            for j, mu in _psi_passes(d):
+                net[j] = net.get(j, 0) + mu * e
+        return tuple(sorted((m, e) for m, e in net.items() if e))
 
     @property
     def degree(self) -> int:
-        return sum(m * e for m, e in self.factors) + self.other.degree
+        return sum(m * e for m, e in self.passes())
 
     def expand(self) -> QPolynomial:
         return QPolynomial(self.multiply_into([1] + [0] * self.degree))
@@ -180,70 +202,64 @@ class FactoredDenominator:
         """Multiply a coefficient list by the expanded denominator,
         truncated to the same length; works on a copy."""
         out = list(coeffs)
-        n = len(out)
-        for m, e in self.factors:
-            for _ in range(e):
-                # multiply by (1 - x^m): c[k] -= c[k-m] for all k at once
-                out[m:] = map(sub, out[m:], out[:-m])
-        if self.other != ONE:
-            out = mul_truncated(out, self.other.coeffs, n)
+        for m, e in self.passes():
+            _times_binomial(out, m, e)
         return out
 
 
-def _divisors(m: int) -> list:
-    return [d for d in range(1, m + 1) if m % d == 0]
+@lru_cache(maxsize=None)
+def _divisors(m: int) -> tuple:
+    return tuple(d for d in range(1, m + 1) if m % d == 0)
 
 
 @lru_cache(maxsize=None)
-def _psi(d: int) -> tuple:
-    """Integer coefficients of Psi_d, lowest degree first: Psi_1 = 1 - x
-    and Psi_d = Phi_d, the d-th cyclotomic polynomial, for d >= 2.
-
-    Then 1 - x^m = prod_(d | m) Psi_d, and every Psi_d has constant
-    term 1.  Built by dividing 1 - x^d by the Psi_k of its proper
-    divisors k; with constant term 1, the deferred quotient is the
-    quotient itself.
-    """
-    poly = [1] + [0] * (d - 1) + [-1]
+def _psi_passes(d: int) -> tuple:
+    """Psi_d as prod (1 - x^j)^mu(d/j): 1 - x^d over the Psi_k of the
+    proper divisors k of d.  Psi_1 = 1 - x; for d >= 2 it is the d-th
+    cyclotomic polynomial."""
+    net = {d: 1}
     for k in _divisors(d)[:-1]:
-        psi = _psi(k)
-        poly = deferred_quotient(poly, psi, len(poly) - len(psi) + 1)
-    return tuple(poly)
-
-
-def _psi_divides(coeffs: list, d: int) -> bool:
-    """Whether Psi_d divides an integer polynomial.
-
-    The polynomial is folded modulo x^d - 1, a multiple of Psi_d, and
-    the fold is reduced modulo Psi_d, whose leading coefficient is
-    +-1: O(degree + d * deg Psi_d) integer operations.
-    """
-    psi = _psi(d)
-    top = len(psi) - 1
-    lead = psi[-1]
-    rem = [sum(coeffs[i::d]) for i in range(d)]
-    for k in range(d - 1, top - 1, -1):
-        c = rem[k] * lead
-        if c:
-            for j, b in enumerate(psi):
-                rem[k - top + j] -= c * b
-    return not any(rem[:top])
+        for j, e in _psi_passes(k):
+            net[j] = net.get(j, 0) - e
+    return tuple(sorted((j, e) for j, e in net.items() if e))
 
 
 def _divide_binomial(c: list, m: int):
     """Exact quotient of the coefficients c (constant term first, last
-    entry nonzero) by (1 - x^m), or None if not divisible: one running
-    sum per residue class mod m."""
+    entry nonzero) by (1 - x^m), or None if not divisible."""
     d = len(c) - 1 - m
     if d < 0:
         return None
     q = c[:d + 1]
-    for r in range(m):
-        q[r::m] = accumulate(q[r::m])
+    _times_binomial(q, m, -1)
     # the top m coefficients of q * (1 - x^m) are -q[d+1-m:], zero-padded
     if c[d + 1:] != [0] * (m - d - 1) + [-t for t in q[max(d + 1 - m, 0):]]:
         return None
     return q
+
+
+def _divide_psi(c: list, d: int):
+    """Exact quotient of c (last entry nonzero) by Psi_d, or None.
+
+    c / Psi_d = c B- / B+, B+- the (1 - x^j) of Psi_d with mu(d/j) = +-1.
+    c B- is divisible by B+ = Psi_d B- exactly when Psi_d divides c, and
+    the first division, by 1 - x^d, decides it: B- holds every Psi_k,
+    k a proper divisor of d.  A c longer than d is tested first on its
+    fold modulo x^d - 1, a multiple of Psi_d: cheaper when it fails.
+    """
+    if len(c) > d:
+        fold = list(_strip([sum(c[i::d]) for i in range(d)]))
+        if fold and _divide_psi(fold, d) is None:
+            return None
+    passes = _psi_passes(d)
+    for j, mu in passes:
+        if mu < 0:
+            c = c + [0] * j
+            _times_binomial(c, j, 1)
+    for j, mu in reversed(passes):
+        if mu > 0 and (c := _divide_binomial(c, j)) is None:
+            return None
+    return c
 
 
 def peel_common(f: RationalFunction) -> RationalFunction:
@@ -252,17 +268,14 @@ def peel_common(f: RationalFunction) -> RationalFunction:
     num = list(f.numerator.coeffs)
     pairs = []
     for m, e in f.denominator.factors:
-        while e:
-            quo = _divide_binomial(num, m)
-            if quo is None:
-                break
+        while e and (quo := _divide_binomial(num, m)) is not None:
             num, e = quo, e - 1
         if e:
             pairs.append((m, e))
     numerator = (QPolynomial(num) if len(num) < len(f.numerator.coeffs)
                  else f.numerator)
     return RationalFunction(
-        numerator, FactoredDenominator.from_pairs(pairs, f.denominator.other))
+        numerator, FactoredDenominator.from_pairs(pairs, f.denominator.psi))
 
 
 @dataclass(frozen=True)
@@ -275,43 +288,34 @@ class RationalFunction:
     def reduce(self) -> "RationalFunction":
         """Lowest terms over a regrouped factored denominator.
 
-        The denominator must be a pure product of (1 - x^m) factors, so
-        a common factor can only be a product of the Psi_d (`_psi`).
-        Whole (1 - x^m) factors are cancelled first (`peel_common`, one
-        running sum per residue class), then single Psi_d, both by exact
-        division, in integers for integer numerators.  The Psi_d left
-        over are regrouped greedily into (1 - x^m) factors, largest m
-        first; any that cannot be grouped are expanded into `other`.
-        The denominator keeps constant term 1.
+        The factors and `psi` are read as exponents of Psi_d (so `reduce`
+        accepts its own output), as 1 - x^m = prod_(d | m) Psi_d.  Whole
+        (1 - x^m) factors are cancelled first (`peel_common`), then
+        single Psi_d (`_divide_psi`), in the numerator's own
+        coefficients.  The Psi_d left over are regrouped greedily into
+        (1 - x^m) factors, largest m first; the rest stay in `psi`.
         """
-        if self.denominator.other != ONE:
-            raise ValueError("reduction needs a pure cyclotomic form")
         if self.numerator.is_zero():
             return RationalFunction(self.numerator, FactoredDenominator(()))
         peeled = peel_common(self)
-        exps: dict = {}  # d -> exponent of Psi_d
+        exps = dict(peeled.denominator.psi)  # d -> exponent of Psi_d
         for m, e in peeled.denominator.factors:
             for d in _divisors(m):
                 exps[d] = exps.get(d, 0) + e
-        work = peeled.numerator.coeffs
+        work = list(peeled.numerator.coeffs)
         for d in exps:
-            psi = _psi(d)
-            while exps[d] and _psi_divides(work, d):
-                work = deferred_quotient(work, psi, len(work) - len(psi) + 1)
-                exps[d] -= 1
+            while exps[d] and (quo := _divide_psi(work, d)) is not None:
+                work, exps[d] = quo, exps[d] - 1
         pairs = []
         for m in sorted(exps, reverse=True):
-            k = min(exps[d] for d in _divisors(m))
+            k = min(exps.get(d, 0) for d in _divisors(m))
             if k:
                 pairs.append((m, k))
                 for d in _divisors(m):
                     exps[d] -= k
-        other = ONE
-        for d, e in exps.items():
-            for _ in range(e):
-                other = other * QPolynomial(_psi(d))
+        left = [(d, e) for d, e in exps.items() if e]
         return RationalFunction(QPolynomial(work),
-                                FactoredDenominator.from_pairs(pairs, other))
+                                FactoredDenominator.from_pairs(pairs, left))
 
     def __mul__(self, scalar: Scalar) -> "RationalFunction":
         return RationalFunction(self.numerator * scalar, self.denominator)
@@ -323,20 +327,15 @@ def check_reciprocity(f: RationalFunction, shift: int, label: str) -> None:
     """Raise ReciprocityMismatch unless f(1/x) = x^shift * f(x).
 
     Write f = N / (P * O), with P the E factors (1 - x^m) and O the
-    extra factor.  As P(1/x) = (-1)^E x^(-deg P) P(x), the identity is
-    rev(N) * O = (-1)^E x^t * N * rev(O) with t = shift - deg(P O) +
-    deg N, where rev reverses a coefficient list.  Over a pure
-    denominator that is c_k = (-1)^E c_(C-k), C = deg P - shift: every
-    numerator coefficient is checked.
+    Psi_d, d >= 2, which are palindromic.  As P(1/x) = (-1)^E x^(-deg P)
+    P(x), the identity is c_k = (-1)^E c_(C-k) for the numerator
+    coefficients, C = deg(P O) - shift: every one is checked.
     """
-    num, other = f.numerator.coeffs, f.denominator.other
+    num = f.numerator.coeffs
     sign = (-1) ** sum(e for _, e in f.denominator.factors)
-    lhs, rhs = num[::-1], [sign * c for c in num]
-    if other != ONE:
-        lhs = mul_truncated(lhs, other.coeffs, len(lhs) + other.degree)
-        rhs = mul_truncated(rhs, other.coeffs[::-1], len(rhs) + other.degree)
     t = shift - f.denominator.degree + f.numerator.degree
-    if QPolynomial([0] * -t + list(lhs)) != QPolynomial([0] * t + rhs):
+    if (QPolynomial([0] * -t + list(num[::-1]))
+            != QPolynomial([0] * t + [sign * c for c in num])):
         raise ReciprocityMismatch(
             f"{label}: H(1/x) = x^{shift} H(x) fails for numerator "
             f"degree {f.numerator.degree} over {f.denominator.factors}")
@@ -386,25 +385,23 @@ def _expand_factored(num: QPolynomial, den: FactoredDenominator,
                      order: int) -> list:
     """Taylor coefficients 0..order of num / den.
 
-    Each factor (1 - x^m) is divided out by running sums within the
-    residue classes mod m.  For a monomial numerator c * x^v the first
-    such division is written down at once: c * x^v / (1 - x^m) has the
-    coefficient c at v, v + m, v + 2m, ... and 0 elsewhere.
+    Each pass (1 - x^m)^e is divided out (`_times_binomial`).  The
+    largest m has e > 0 (Psi_d has +1 at d and nothing above), and for a
+    monomial numerator c * x^v its division is written down at once:
+    c * x^v / (1 - x^m) is c at v, v + m, v + 2m, ... and 0 elsewhere.
     """
-    passes = [m for m, e in den.factors for _ in range(e)]
+    passes = dict(den.passes())
     coeffs = [0] * (order + 1)
-    if passes and num and not any(num.coeffs[:-1]):
-        m, v = passes.pop(), num.degree
-        coeffs[v::m] = [num.coeffs[-1]] * len(range(v, order + 1, m))
+    first = max(passes, default=0)
+    if first and num and not any(num.coeffs[:-1]):
+        passes[first] -= 1
+        v = num.degree
+        coeffs[v::first] = [num.coeffs[-1]] * len(range(v, order + 1, first))
     else:
         head = num.coeffs[:order + 1]
         coeffs[:len(head)] = head
-    for m in passes:
-        # divide by (1 - x^m): running sums within each residue class
-        for r in range(m):
-            coeffs[r::m] = accumulate(coeffs[r::m])
-    if den.other != ONE:
-        coeffs = series_div(coeffs, den.other.coeffs, order)
+    for m, e in passes.items():
+        _times_binomial(coeffs, m, -e)
     return coeffs
 
 
@@ -515,15 +512,16 @@ def _packed_multisection(c: int, v: int, passes: list, order: int,
 def multisected_prefix(f: RationalFunction, a: int, reach: int) -> list:
     """Coefficients 0, a, 2a, ..., a * reach of the Taylor series of f.
 
-    An integer monomial numerator over two or more (1 - x^m) factors,
-    with a prefix of at least PACKED_MIN_LENGTH coefficients and an m
-    of at least PACKED_MIN_M, is expanded over packed integer rows
-    (`_packed_multisection`); anything else takes every a-th
-    coefficient of `_expand_factored`.
+    An integer monomial numerator over two or more (1 - x^m) factors
+    and no multiplying pass, with a prefix of at least PACKED_MIN_LENGTH
+    coefficients and an m of at least PACKED_MIN_M, is expanded over
+    packed integer rows (`_packed_multisection`); anything else takes
+    every a-th coefficient of `_expand_factored`.
     """
     num, den, order = f.numerator, f.denominator, a * reach
-    if order + 1 >= PACKED_MIN_LENGTH and den.other == ONE:
-        passes = [m for m, e in den.factors for _ in range(e)]
+    pairs = den.passes()
+    if order + 1 >= PACKED_MIN_LENGTH and all(e > 0 for _, e in pairs):
+        passes = [m for m, e in pairs for _ in range(e)]
         if (len(passes) > 1 and passes[-1] >= PACKED_MIN_M
                 and num and type(num.coeffs[-1]) is int
                 and not any(num.coeffs[:-1])):
@@ -652,14 +650,11 @@ def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
 
     From q_k b[0] = a_k - sum_j b_j q_(k-j):
     N_k = a_k d0^k - sum_(j=1..k) b_j d0^(j-1) N_(k-j) with d0 = b[0],
-    so the whole recurrence stays in the ring of the coefficients.  When
-    b[0] = 1 and b divides a, N_0..N_(len(a)-len(b)) is the quotient.
+    so the whole recurrence stays in the ring of the coefficients.
 
-    It needs no gcd, which is why `circle.residue_cluster` uses it: its
-    coefficients are polynomials in u.  `_psi` and `RationalFunction.reduce`
-    use it as the exact quotient by a Psi_d, whose b[0] is 1.  Over the
-    integers with b[0] != +-1 the scale d0^(k+1) grows much faster than
-    the quotient; `laurent_at_one` keeps a shared denominator instead.
+    Its one caller, `circle.residue_cluster`, needs no gcd, as its
+    coefficients are polynomials in u.  Over Z with b[0] != +-1 the scale
+    outgrows the quotient; `laurent_at_one` keeps a shared one instead.
     """
     powers = [1]  # d0^k
     for _ in range(n - 1):
@@ -675,58 +670,60 @@ def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
 def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     """Laurent data of f at x = 1 in the variable u = 1 - x.
 
-    The denominator is read in factored form, and everything up to the
+    The denominator is read as its passes, and everything up to the
     last step is integer arithmetic:
 
-    1. numerator and `other` are scaled to integer polynomials and
+    1. the numerator is scaled to an integer polynomial and
        Taylor-shifted to x = 1 - u (`_shifted_at_one`);
-    2. each (1 - x^m)^e becomes u^e P_m(u)^e with
+    2. each pass (1 - x^m)^e becomes u^e P_m(u)^e with
        P_m(u) = sum_(k=1..m) (-1)^(k+1) C(m,k) u^(k-1), P_m(0) = m, so
-       the pole order sum(e) + v_u(other) - v_u(numerator) is read off
-       without any expansion, and the P_m are multiplied only as far
-       as the requested order needs;
-    3. the shifted numerator a(u) is divided by b(u) = other(1 - u) *
-       prod P_m(u)^e by one recurrence whose quotient values q_k = W_k / S
-       are integers W_k over one shared denominator S.  With
-       x = a_k S - sum_j b_j W_(k-j) and g = gcd(x, b_0), q_k = x / (S b_0);
-       when g != |b_0|, S and the window of the last deg b values are
-       multiplied by |b_0| / g, and W_k = +-x / g.  S stays the lcm of
-       the denominators of q_0..q_k, the least it can be, where the
-       scale b_0^(k+1) of `deferred_quotient` would be several times
-       longer; one Fraction is built per coefficient.
+       the pole order sum(e) - v_u(numerator) is read off; P_m^|e|
+       multiplies b(u) for e > 0 and the shifted numerator a(u) for
+       e < 0, only as far as the requested order needs;
+    3. a(u) is divided by b(u) by one recurrence whose quotient values
+       q_k = W_k / S are integers W_k over one shared denominator S.
+       With x = a_k S - sum_j b_j W_(k-j) and g = gcd(x, b_0 > 0),
+       q_k = x / (S b_0); when g != b_0, S and the window of the last
+       deg b values are multiplied by b_0 / g, and W_k = x / g.  S stays
+       the lcm of the denominators of q_0..q_k, the least it can be,
+       where the scale b_0^(k+1) of `deferred_quotient` would be several
+       times longer; one Fraction is built per coefficient.
     """
     if order < 0:
         raise ValueError(f"Laurent order must be >= 0, got {order}")
     if f.numerator.is_zero():
         return LaurentExpansion(0, (Fraction(0),) * (order + 1))
-    den = f.denominator
-    num_scale, num_val, num_terms = _shifted_at_one(f.numerator)
-    den_scale, den_val, den_terms = _shifted_at_one(den.other)
-    pole = sum(e for _, e in den.factors) + den_val - num_val
+    passes = f.denominator.passes()
+    scale, val, terms = _shifted_at_one(f.numerator)
+    pole = sum(e for _, e in passes) - val
     length = max(0, order + 1 + min(pole, 0))
     gammas = []
     if length:
-        a = list(islice(num_terms, length))
+        a = list(islice(terms, length))
         a += [0] * (length - len(a))
-        b = list(islice(den_terms, length))
-        for m, e in den.factors:
+        b = [1]
+        for m, e in passes:
+            if m == 1:  # P_1 = 1
+                continue
             p_m = [(-1) ** (k + 1) * math.comb(m, k)
                    for k in range(1, min(m, length) + 1)]
             for _ in range(e):
                 b = mul_truncated(b, p_m, length)
+            for _ in range(-e):
+                a = mul_truncated(a, p_m, length)
         b0, tail = b[0], b[1:]
         shared = 1  # S
         window = deque(maxlen=len(tail))  # W_(k-deg b)..W_(k-1)
         for a_k in a:
             x = a_k * shared - sum(map(mul, tail, reversed(window)))
             g = math.gcd(x, b0)
-            if g != abs(b0):
-                grow = abs(b0) // g
+            if g != b0:
+                grow = b0 // g
                 shared *= grow
                 window = deque(map(mul, window, repeat(grow)), len(tail))
-            entry = x // g if b0 > 0 else -x // g
+            entry = x // g
             window.append(entry)
-            gammas.append(Fraction(entry * den_scale, shared * num_scale))
+            gammas.append(Fraction(entry, shared * scale))
     if pole >= 0:
         return LaurentExpansion(pole, tuple(gammas))
     zeros = [Fraction(0)] * (-pole)

@@ -29,14 +29,35 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "squot",
                         "fixtures")
 
 
+def psi_exponents(coeffs):
+    """The (d, e) pairs with prod Psi_d^e = the integer polynomial
+    `coeffs`, by trial division by sympy's cyclotomic polynomials; a d
+    with phi(d) = k is at most 2 k^2, so d stops there."""
+    import sympy
+    x = sympy.Symbol("x")
+    rest = sympy.Poly(list(reversed(coeffs)), x)
+    pairs = []
+    for d in range(2, 2 * rest.degree() ** 2 + 3):
+        factor = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
+        e = 0
+        while rest.degree() >= factor.degree():
+            quo, rem = rest.div(factor)
+            if not rem.is_zero:
+                break
+            rest, e = quo, e + 1
+        if e:
+            pairs.append((d, e))
+    assert rest.as_expr() == 1, f"{coeffs} is not a product of Psi_d"
+    return pairs
+
+
 def payload_to_rational(payload):
     """The rational function of a "series" payload, the inverse of
     `series_payload`."""
     num = QPolynomial(Fraction(str(c)) for c in payload["numerator"])
-    extra = QPolynomial(Fraction(str(c))
-                        for c in payload.get("extraFactor", [1]))
     den = FactoredDenominator.from_pairs(
-        ((m, e) for m, e in payload["denominator"]), other=extra)
+        ((m, e) for m, e in payload["denominator"]),
+        psi_exponents(payload.get("extraFactor", [1])))
     return RationalFunction(num, den)
 
 
@@ -406,15 +427,16 @@ class TestEmitter:
         assert _coeff(Fraction(-1, 3)) == "-1/3"
 
     def test_series_payload_coefficients(self):
-        # integer lists are kept as they are; others go through _coeff
-        den = FactoredDenominator.from_pairs([(1, 1)],
-                                             other=QPolynomial([1, Fraction(1, 2)]))
+        # integer lists are kept as they are; others go through _coeff;
+        # the extra factor Psi_2 Psi_3 is multiplied out
+        den = FactoredDenominator.from_pairs([(1, 1)], [(2, 1), (3, 1)])
         f = RationalFunction(QPolynomial([3, Fraction(6, 3), -(10 ** 30)]),
                              den)
         payload = series_payload(f)
         assert payload["numerator"] == [3, 2, -(10 ** 30)]
         assert [type(c) for c in payload["numerator"]] == [int] * 3
-        assert payload["extraFactor"] == [1, "1/2"]
+        assert payload["extraFactor"] == [1, 2, 2, 1]
+        assert [type(c) for c in payload["extraFactor"]] == [int] * 4
 
 
 class TestSeriesFiles:

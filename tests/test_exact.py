@@ -20,7 +20,7 @@ import squot.exact
 from squot.exact import (ONE, PACKED_MIN_LENGTH, PACKED_MIN_M,
                          FactoredDenominator, LaurentExpansion,
                          QPolynomial, RationalFunction, _expand_factored,
-                         _cut_rows, _packed_multisection, _psi,
+                         _cut_rows, _packed_multisection, _psi_passes,
                          check_reciprocity, deferred_quotient, laurent_at_one,
                          laurent_prototype, mul_truncated,
                          multisected_prefix, poly_mul,
@@ -30,9 +30,49 @@ from squot.exact import (ONE, PACKED_MIN_LENGTH, PACKED_MIN_M,
 Q = Fraction
 
 
+def binomial_factor(m):
+    return QPolynomial([1] + [0] * (m - 1) + [-1])
+
+
+@lru_cache(maxsize=None)
+def psi(d):
+    """1 - x for d = 1, the d-th cyclotomic polynomial otherwise."""
+    import sympy
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
+    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
+    return QPolynomial([-c for c in coeffs] if d == 1 else coeffs)
+
+
+def dense_psi(pairs):
+    """prod psi(d)^e over the (d, e) pairs, multiplied out densely."""
+    out = ONE
+    for d, e in pairs:
+        for _ in range(e):
+            out = out * psi(d)
+    return out
+
+
 def expanded_denominator(f):
-    """The denominator of f as one dense polynomial."""
-    return f.denominator.expand()
+    """The denominator of f as one dense polynomial, multiplied out from
+    the binomials and sympy's cyclotomic polynomials."""
+    out = dense_psi(f.denominator.psi)
+    for m, e in f.denominator.factors:
+        for _ in range(e):
+            out = out * binomial_factor(m)
+    return out
+
+
+def dense_series_div(num, den, order):
+    """Coefficients 0..order of num/den by the Fraction recurrence of
+    long division; den[0] must be nonzero."""
+    out = []
+    for k in range(order + 1):
+        acc = Q(num[k]) if k < len(num) else Q(0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out
 
 
 def same_function(f, g):
@@ -50,8 +90,8 @@ def reference_expand_factored(num, den, order):
         for _ in range(e):
             for k in range(m, order + 1):
                 coeffs[k] += coeffs[k - m]
-    if den.other != ONE:
-        coeffs = series_div(coeffs, den.other.coeffs, order)
+    if den.psi:
+        coeffs = dense_series_div(coeffs, dense_psi(den.psi).coeffs, order)
     return coeffs
 
 
@@ -64,12 +104,9 @@ def reference_multiply_into(den, coeffs):
         for _ in range(e):
             for k in range(n - 1, m - 1, -1):
                 out[k] -= out[k - m]
-    if den.other != ONE:
-        other = den.other.coeffs
-        out = [sum(out[k - j] * other[j]
-                   for j in range(min(k + 1, len(other))))
-               for k in range(n)]
-    return out
+    extra = dense_psi(den.psi).coeffs
+    return [sum(out[k - j] * extra[j] for j in range(min(k + 1, len(extra))))
+            for k in range(n)]
 
 
 def reference_laurent_at_one(f, order):
@@ -87,8 +124,8 @@ def reference_laurent_at_one(f, order):
     if nu.is_zero():
         return LaurentExpansion(0, tuple([Q(0)] * (order + 1)))
     vn, vd = nu.valuation(), de.valuation()
-    body = series_div(nu.coeffs[vn:], de.coeffs[vd:],
-                      order + max(0, vn - vd))
+    body = dense_series_div(nu.coeffs[vn:], de.coeffs[vd:],
+                            order + max(0, vn - vd))
     pole = vd - vn
     if pole >= 0:
         return LaurentExpansion(pole, tuple(body[:order + 1]))
@@ -139,58 +176,57 @@ def reference_gcd(a, b):
 
 
 def reference_reduce(f):
-    """Lowest terms by a gcd over Q, the denominator expanded and
-    normalized to constant term 1 (or monic if that vanishes)."""
+    """(numerator, denominator) in lowest terms by a gcd over Q, the
+    denominator expanded and normalized to constant term 1."""
     num, den = f.numerator, expanded_denominator(f)
     if num.is_zero():
-        return RationalFunction(num, FactoredDenominator(()))
-    v = min(num.valuation(), den.valuation())
-    if v:
-        num = QPolynomial(num.coeffs[v:])
-        den = QPolynomial(den.coeffs[v:])
+        return num, ONE
     g = reference_gcd(num, den)
     if g.degree > 0:
         num = reference_exact_div(num, g)
         den = reference_exact_div(den, g)
-    scale = Q(1) / (den.coeffs[0] if den.coeffs[0] else den.coeffs[-1])
-    return RationalFunction(num * scale,
-                            FactoredDenominator((), den * scale))
+    scale = Q(1) / den.coeffs[0]
+    return num * scale, den * scale
 
 
-def reference_regroup(f):
-    """Greedy (1 - x^m) factors of an expanded denominator by trial
-    division, largest m first; the leftover becomes the extra factor."""
-    coeffs = expanded_denominator(f).coeffs
-    scale = math.lcm(*(Q(c).denominator for c in coeffs))
-    den = [int(c * scale) for c in coeffs]
+def reference_regroup(den):
+    """(factors, leftover) of a dense denominator with constant term 1:
+    greedy (1 - x^m) factors by trial division, largest m first, and
+    the dense polynomial left over."""
+    coeffs = list(den.coeffs)
     pairs = []
-    m = len(den) - 1
-    while m >= 1 and len(den) > 1:
+    m = len(coeffs) - 1
+    while m >= 1 and len(coeffs) > 1:
         # 1 - x^m divides den iff den vanishes modulo x^m - 1
-        if any(sum(den[i::m]) for i in range(m)):
+        if any(sum(coeffs[i::m]) for i in range(m)):
             m -= 1
             continue
         pairs.append((m, 1))
-        den = den[:len(den) - m]
-        for k in range(m, len(den)):  # q_k = c_k + q_(k-m)
-            den[k] += den[k - m]
-    other = QPolynomial(Q(c, scale) for c in den)
-    return RationalFunction(
-        f.numerator, FactoredDenominator.from_pairs(pairs, other=other))
+        coeffs = coeffs[:len(coeffs) - m]
+        for k in range(m, len(coeffs)):  # q_k = c_k + q_(k-m)
+            coeffs[k] += coeffs[k - m]
+    return FactoredDenominator.from_pairs(pairs).factors, QPolynomial(coeffs)
 
 
-@lru_cache(maxsize=None)
-def psi(d):
-    """1 - x for d = 1, the d-th cyclotomic polynomial otherwise."""
-    import sympy
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sympy.cyclotomic_poly(d, x), x)
-    coeffs = [int(c) for c in reversed(poly.all_coeffs())]
-    return QPolynomial([-c for c in coeffs] if d == 1 else coeffs)
+def reference_payload(f):
+    """The JSON payload of f in lowest terms, from the dense references
+    alone: numerator, (1 - x^m) factors, and any leftover multiplied
+    out as the extra factor."""
+    num, den = reference_reduce(f)
+    pairs, leftover = reference_regroup(den)
+    payload = {"numerator": [int(c) if Q(c).denominator == 1 else str(c)
+                             for c in num.coeffs],
+               "denominator": [[m, e] for m, e in pairs]}
+    if leftover != ONE:
+        payload["extraFactor"] = [int(c) for c in leftover.coeffs]
+    return payload
 
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 nonzero_polys = st.lists(small_fractions, min_size=1, max_size=6).filter(any)
+#: Psi_d exponents of an extra factor: sorted (d, e) pairs, d >= 2.
+psi_parts = st.lists(st.tuples(st.integers(2, 30), st.integers(1, 2)),
+                     max_size=2)
 
 
 #: A seeded sample of 20 triples from the n = 3 sweep (gcd 1, weights
@@ -202,36 +238,31 @@ SWEEP_SAMPLE = random.Random(12).sample(
 
 @st.composite
 def laurent_inputs(draw):
-    """A rational function, its denominator dense (an extra factor with
-    no cyclotomic part) or factored, and an order.  Factors of (1 - x)
-    in the numerator and in the extra factor push the pole order to zero
-    and below."""
+    """A rational function over (1 - x^m) factors, Psi_d factors, both
+    or neither, and an order.  Factors of (1 - x) in the numerator push
+    the pole order to zero and below."""
     one_minus_x = QPolynomial([1, -1])
     num = QPolynomial(draw(nonzero_polys) if draw(st.booleans()) else [0])
     for _ in range(draw(st.integers(0, 8))):
         num = num * one_minus_x
-    extra = QPolynomial(draw(nonzero_polys))
-    for _ in range(draw(st.integers(0, 2))):
-        extra = extra * one_minus_x
-    if draw(st.booleans()):
-        den = FactoredDenominator((), extra)  # dense denominator
-    else:
-        pairs = draw(st.lists(st.tuples(st.integers(1, 6),
-                                        st.integers(1, 2)), max_size=3))
-        other = extra if draw(st.booleans()) else QPolynomial([1])
-        den = FactoredDenominator.from_pairs(pairs, other=other)
+    pairs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 2)),
+                          max_size=3))
+    den = FactoredDenominator.from_pairs(pairs, draw(psi_parts))
     return RationalFunction(num, den), draw(st.integers(0, 120))
 
 
 @st.composite
 def reducible_inputs(draw):
-    """A random product of (1 - x^m)^e over a numerator of degree up to
-    about 500 in which a random product of Psi_d is planted, mostly
-    with d dividing some m, so that it cancels."""
+    """A random product of (1 - x^m)^e, times Psi_d factors or not, over
+    a numerator of degree up to about 500 in which a random product of
+    Psi_d is planted, mostly with d dividing some m or among the Psi_d
+    of the denominator, so that it cancels."""
     pairs = draw(st.lists(st.tuples(st.integers(1, 40), st.integers(1, 3)),
                           min_size=1, max_size=4))
+    extra = draw(st.lists(st.tuples(st.integers(2, 40), st.integers(1, 2)),
+                          max_size=3))
     divisors = sorted({d for m, _ in pairs for d in range(1, m + 1)
-                       if m % d == 0})
+                       if m % d == 0} | {d for d, _ in extra})
     planted = draw(st.lists(st.one_of(st.sampled_from(divisors),
                                       st.just(1), st.integers(1, 40)),
                             max_size=8))
@@ -240,41 +271,33 @@ def reducible_inputs(draw):
     assume(not num.is_zero())
     for d in planted:
         num = num * psi(d)
-    return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
+    return RationalFunction(num, FactoredDenominator.from_pairs(pairs, extra))
 
 
 @st.composite
 def stride_inputs(draw):
-    """Integer or Fraction coefficients, repeated (1 - x^m) factors, an
-    extra factor that is trivial or not, and an order that may fall
-    below the numerator degree."""
+    """Integer or Fraction coefficients, repeated (1 - x^m) factors,
+    Psi_d factors or none, and an order that may fall below the
+    numerator degree."""
     coeffs = draw(st.lists(st.one_of(st.integers(-9, 9), small_fractions)
                            if draw(st.booleans()) else st.integers(-99, 99),
                            max_size=30))
     pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
                           max_size=4))
-    other = ONE
-    if draw(st.booleans()):
-        other = QPolynomial([draw(small_fractions.filter(bool))]
-                            + draw(st.lists(small_fractions, max_size=3)))
-    den = FactoredDenominator.from_pairs(pairs, other=other)
+    den = FactoredDenominator.from_pairs(pairs, draw(psi_parts))
     return coeffs, den, draw(st.integers(0, 45))
 
 
 @st.composite
 def monomial_inputs(draw):
     """(c * x^v, den, order): c a nonzero integer or Fraction of either
-    sign, repeated (1 - x^m) factors or none, an extra factor that is
-    trivial or not, and an order below, at or above v."""
+    sign, repeated (1 - x^m) factors or none, Psi_d factors or none, and
+    an order below, at or above v."""
     c = draw(st.one_of(st.integers(-99, 99), small_fractions).filter(bool))
     v = draw(st.integers(0, 40))
     pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
                           max_size=4))
-    other = ONE
-    if draw(st.booleans()):
-        other = QPolynomial([draw(small_fractions.filter(bool))]
-                            + draw(st.lists(small_fractions, max_size=3)))
-    den = FactoredDenominator.from_pairs(pairs, other=other)
+    den = FactoredDenominator.from_pairs(pairs, draw(psi_parts))
     order = draw(st.one_of(st.just(v), st.integers(0, 45)))
     return QPolynomial.monomial(v, c), den, order
 
@@ -354,10 +377,11 @@ class TestSharedKernels:
 
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=12),
            st.integers(1, 40))
+    @settings(deadline=None)  # the first call imports sympy
     def test_deferred_quotient_undoes_cyclotomic_product(self, q, d):
-        psi = _psi(d)
-        prod = mul_truncated(q, psi, len(q) + len(psi) - 1)
-        assert deferred_quotient(prod, psi, len(q)) == q
+        b = psi(d).coeffs
+        prod = mul_truncated(q, b, len(q) + len(b) - 1)
+        assert deferred_quotient(prod, b, len(q)) == q
 
 
 class TestSeries:
@@ -366,17 +390,17 @@ class TestSeries:
         assert s.coefficients == (1, 1, 1, 1, 1, 1)
 
     def test_two_factor_matches_division(self):
-        f = geometric([(2, 1), (3, 2)], num=(1, 5))
-        dense = RationalFunction(
-            f.numerator, FactoredDenominator((), expanded_denominator(f)))
-        assert (series_of_rational(f, 40).coefficients
-                == series_of_rational(dense, 40).coefficients)
+        for psi_part in ((), ((4, 1), (6, 2))):
+            f = RationalFunction(QPolynomial([1, 5]),
+                                 FactoredDenominator.from_pairs(
+                                     [(2, 1), (3, 2)], psi_part))
+            assert list(series_of_rational(f, 40).coefficients) \
+                == dense_series_div(f.numerator.coeffs,
+                                    expanded_denominator(f).coeffs, 40)
 
     def test_pole_at_zero_rejected(self):
-        bad = RationalFunction(QPolynomial([1]),
-                               FactoredDenominator((), QPolynomial([0, 1])))
         with pytest.raises(DenominatorVanishesAtZero):
-            series_of_rational(bad, 3)
+            series_div([1], [0, 1], 3)
 
     def test_multisection(self):
         f = geometric([(1, 2)])  # 1, 2, 3, ...
@@ -513,10 +537,12 @@ class TestPackedMultisection:
         assert spy.called == packed
         assert got == _expand_factored(f.numerator, f.denominator, reach)
 
-    @pytest.mark.parametrize("num,other", [([1], QPolynomial([1, 1])),
-                                           ([0, Q(-2, 3)], ONE)])
+    # Psi_6 = (1 - x^6)(1 - x) / (1 - x^2)(1 - x^3) leaves two passes
+    # that multiply, which packed rows cannot take
+    @pytest.mark.parametrize("num,other", [([1], ((6, 1),)),
+                                           ([0, Q(-2, 3)], ())])
     def test_extra_factor_and_fraction_stay_on_the_list(self, num, other):
-        den = FactoredDenominator.from_pairs([(1, 1), (300, 1)], other=other)
+        den = FactoredDenominator.from_pairs([(1, 1), (300, 1)], other)
         f = RationalFunction(QPolynomial(num), den)
         with mock.patch.object(squot.exact, "_packed_multisection") as spy:
             got = multisected_prefix(f, 2, PACKED_MIN_LENGTH)
@@ -535,19 +561,14 @@ class TestReconstruction:
     def test_wrong_denominator_detected(self):
         prefix = series_of_rational(geometric([(3, 1)]), 40)
         with pytest.raises(ReconstructionMismatch):
-            rational_reconstruct(prefix, FactoredDenominator(
-                (), FactoredDenominator.from_pairs([(2, 1)]).expand()),
-                2, slack=16)
+            rational_reconstruct(prefix, FactoredDenominator.from_pairs(
+                [(2, 1)]), 2, slack=16)
 
     def test_prefix_too_short(self):
         prefix = series_of_rational(geometric([(1, 1)]), 10)
         with pytest.raises(ValueError):
             rational_reconstruct(prefix, FactoredDenominator.from_pairs(
                 [(1, 1)]), 4, slack=16)
-
-
-def binomial_factor(m):
-    return QPolynomial([1] + [0] * (m - 1) + [-1])
 
 
 class TestResultantTransform:
@@ -591,8 +612,7 @@ class TestResultantTransform:
 
 class TestLaurent:
     def test_simple_pole(self):
-        f = RationalFunction(QPolynomial([1]),
-                             FactoredDenominator((), QPolynomial([1, 0, -1])))
+        f = geometric([(2, 1)])
         ex = laurent_at_one(f, 4)
         assert ex.pole_order == 1
         assert ex.coefficients == (Q(1, 2), Q(1, 4), Q(1, 8), Q(1, 16),
@@ -606,8 +626,7 @@ class TestLaurent:
 
     def test_zero_cancellation(self):
         # (1-x^2)/(1-x)^2 has a simple pole only
-        f = RationalFunction(QPolynomial([1, 0, -1]),
-                             FactoredDenominator((), QPolynomial([1, -2, 1])))
+        f = geometric([(1, 2)], num=(1, 0, -1))
         assert laurent_at_one(f, 3).pole_order == 1
 
     @given(laurent_inputs())
@@ -619,25 +638,12 @@ class TestLaurent:
         assert got.pole_order == want.pole_order
         assert got.coefficients == want.coefficients
 
-    def test_negative_b0_matches_fraction_reference(self):
-        # other(1 - u) = -2 - u: the u-denominator's constant term is
-        # negative, and its gcd with each numerator carries no sign
-        for other in ([-3, 1], [-3, 1, 5, -4]):
-            f = RationalFunction(
-                QPolynomial([2, -1, 0, 3]),
-                FactoredDenominator.from_pairs([(2, 1), (3, 2)],
-                                               QPolynomial(other)))
-            got = laurent_at_one(f, 119)
-            want = reference_laurent_at_one(f, 119)
-            assert got.pole_order == want.pole_order == 3
-            assert got.coefficients == want.coefficients
-
     @pytest.mark.parametrize("weights", SWEEP_SAMPLE + [(7, 8, 8, 8)],
                              ids=str)
     def test_sweep_sample_at_order_119(self, weights):
         f = hilbert_series(weights, oracle_degree=None).on_shell
         if weights == (7, 8, 8, 8):
-            assert f.denominator.other != ONE  # an extraFactor
+            assert f.denominator.psi  # an extraFactor
         got = laurent_at_one(f, 119)
         want = reference_laurent_at_one(f, 119)
         assert got.pole_order == want.pole_order
@@ -695,9 +701,15 @@ class TestReduce:
         b = QPolynomial([1, -1]) * QPolynomial([3, 0, 3])
         assert reference_gcd(a, b) == QPolynomial([-1, 1])
 
-    def test_psi_is_cyclotomic(self):
-        for d in range(1, 61):
-            assert QPolynomial(_psi(d)) == psi(d), d
+    def test_psi_passes_are_cyclotomic(self):
+        # the (1 - x^j)^mu(d/j) passes multiply out to Psi_d, of degree
+        # phi(d)
+        import sympy
+        assert _psi_passes(1) == ((1, 1),)
+        for d in range(2, 201):
+            den = FactoredDenominator((), ((d, 1),))
+            assert den.expand() == psi(d), d
+            assert den.degree == sympy.totient(d), d
 
     def test_cancel_and_regroup(self):
         # (1 + x) / ((1 - x^2)(1 - x^3)) = 1 / ((1 - x)(1 - x^3))
@@ -712,39 +724,37 @@ class TestReduce:
         f = geometric([(2, 1)], num=(Q(1, 2), Q(-1, 2)))
         got = f.reduce()
         assert got.numerator == QPolynomial([Q(1, 2)])
-        assert got.denominator == FactoredDenominator((),
-                                                      QPolynomial([1, 1]))
+        assert got.denominator == FactoredDenominator((), ((2, 1),))
 
     def test_zero_numerator(self):
         got = geometric([(3, 2)], num=()).reduce()
         assert got.numerator.is_zero()
         assert got.denominator == FactoredDenominator(())
 
-    def test_needs_pure_cyclotomic_denominator(self):
-        with pytest.raises(ValueError):
-            RationalFunction(ONE, FactoredDenominator(
-                (), QPolynomial([1, -1]))).reduce()
-        with pytest.raises(ValueError):
-            RationalFunction(ONE, FactoredDenominator.from_pairs(
-                [(1, 1)], other=QPolynomial([1, 1]))).reduce()
-
     @given(reducible_inputs())
     @settings(max_examples=40, deadline=None)
     def test_matches_gcd_reference(self, f):
         got = f.reduce()
-        want = reference_regroup(reference_reduce(f))
-        assert got.numerator == want.numerator
-        assert got.denominator == want.denominator
-        assert expanded_denominator(got)[0] == 1
+        num, den = reference_reduce(f)
+        pairs, leftover = reference_regroup(den)
+        assert got.numerator == num
+        assert got.denominator.factors == pairs
+        assert dense_psi(got.denominator.psi) == leftover
+        assert got.denominator.expand() == expanded_denominator(got)
         assert same_function(got, f)
+
+    @given(reducible_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_accepts_its_own_output(self, f):
+        once = f.reduce()
+        assert once.reduce() == once
 
     @pytest.mark.parametrize("weights", DEGENERATE_SAMPLE,
                              ids=lambda w: ",".join(map(str, w)))
     def test_degenerate_payload_matches_reference(self, weights):
         off, _ = hilbert_off_clustered(weights)
-        want = reference_regroup(reference_reduce(off))
         assert (json.dumps(series_payload(off.reduce()))
-                == json.dumps(series_payload(want)))
+                == json.dumps(reference_payload(off)))
 
 
 class TestReciprocity:
@@ -773,35 +783,37 @@ class TestReciprocity:
     def test_extra_factor(self):
         # 1 / (1 - x)^2 (1 + x)^2 = x^4 f at 1/x; 1 / (1 - x)(1 + x)
         # has the sign -1
-        square = QPolynomial([1, 2, 1])
         f = RationalFunction(ONE, FactoredDenominator.from_pairs([(1, 2)],
-                                                                 square))
+                                                                 [(2, 2)]))
         check_reciprocity(f, 4, "f")
-        g = RationalFunction(ONE, FactoredDenominator.from_pairs(
-            [(1, 1)], QPolynomial([1, 1])))
+        g = RationalFunction(ONE, FactoredDenominator.from_pairs([(1, 1)],
+                                                                 [(2, 1)]))
         with pytest.raises(ReciprocityMismatch):
             check_reciprocity(g, 2, "g")
-        # (1 + 3x + x^2) over (1 - x^2)(2 + x): the cross products of
-        # numerator and extra factor with their reversals disagree
+        # (1 + 3x + x^2) over (1 - x^2) Psi_3: odd E, palindromic
+        # numerator, so no shift holds
         h = RationalFunction(QPolynomial([1, 3, 1]),
-                             FactoredDenominator.from_pairs(
-                                 [(2, 1)], QPolynomial([2, 1])))
-        with pytest.raises(ReciprocityMismatch):
-            check_reciprocity(h, 1, "h")
+                             FactoredDenominator.from_pairs([(2, 1)],
+                                                            [(3, 1)]))
+        for shift in range(-2, 8):
+            with pytest.raises(ReciprocityMismatch):
+                check_reciprocity(h, shift, "h")
 
     def test_extra_factor_enters_the_check(self):
-        # 1 / (1 - x) with (1 - x) as the extra factor: its sign counts
-        antipalindromic = QPolynomial([1, -1])
-        f = RationalFunction(ONE, FactoredDenominator.from_pairs(
-            [(1, 1)], antipalindromic))
-        check_reciprocity(f, 2, "f")
-        # a palindromic numerator over an extra factor whose roots are
-        # not closed under inversion
-        g = RationalFunction(QPolynomial([1, 3, 1]),
-                             FactoredDenominator.from_pairs(
-                                 [(1, 2)], QPolynomial([1, 2])))
+        # 1 / (1 - x)^2 Psi_3: f(1/x) = x^4 f(x), the degree 2 of Psi_3
+        # counted beside the 2 of the binomials
+        f = RationalFunction(ONE, FactoredDenominator.from_pairs([(1, 2)],
+                                                                 [(3, 1)]))
+        check_reciprocity(f, 4, "f")
         with pytest.raises(ReciprocityMismatch):
-            check_reciprocity(g, 1, "g")
+            check_reciprocity(f, 2, "f")
+        # a numerator not palindromic over Psi_5 Psi_12^2
+        g = RationalFunction(QPolynomial([1, 2]),
+                             FactoredDenominator.from_pairs(
+                                 [(1, 2)], [(5, 1), (12, 2)]))
+        for shift in range(14):
+            with pytest.raises(ReciprocityMismatch):
+                check_reciprocity(g, shift, "g")
 
 
 class TestFactoredDenominator:
@@ -818,9 +830,7 @@ class TestFactoredDenominator:
     def test_invalid_pairs(self):
         with pytest.raises(ValueError):
             FactoredDenominator.from_pairs([(0, 1)])
-
-    def test_zero_extra_factor_rejected(self):
-        with pytest.raises(ZeroDivisionError):
-            FactoredDenominator((), QPolynomial())
-        with pytest.raises(ZeroDivisionError):
-            FactoredDenominator.from_pairs([(2, 1)], other=QPolynomial([0]))
+        with pytest.raises(ValueError):  # Psi_1 = 1 - x is a factor
+            FactoredDenominator.from_pairs([], [(1, 1)])
+        with pytest.raises(ValueError):
+            FactoredDenominator.from_pairs([], [(3, 0)])
