@@ -117,22 +117,6 @@ def phi_tilde(weights: Sequence[int], i: int) -> RationalFunction:
                             FactoredDenominator.from_pairs(pairs))
 
 
-def transformed_denominator(den: FactoredDenominator,
-                            a: int) -> FactoredDenominator:
-    """The printed denominator of an averaged piece.
-
-    Each factor (1-x^m)^e maps to (1-x^(lcm(a,m)/a))^(e*gcd(a,m)), so
-    the total degree is preserved.  This is a bound: `u_average` finds
-    the numerator over the exact image denominator, whose factors have
-    exponent e, and lifts it to this one.
-    """
-    if den.psi:
-        raise ValueError("transformation rule needs a pure cyclotomic form")
-    pairs = [(math.lcm(a, m) // a, e * math.gcd(a, m))
-             for m, e in den.factors]
-    return FactoredDenominator.from_pairs(pairs)
-
-
 def _averaged_reciprocity(ints: list, den: FactoredDenominator,
                           target: FactoredDenominator, a: int):
     """(C, eps) with N_k = eps * N_(C-k) for the numerator N of the
@@ -208,9 +192,10 @@ def u_average(f: RationalFunction, a: int,
     (`_mirrored`).  Otherwise (an input that is not reciprocal, or a
     not dividing its shift) the prefix covers the whole numerator and
     slack + 2 coefficients past the degree bound, which must vanish.  A
-    failed check raises ReconstructionMismatch.  N is then lifted to
-    the printed bound `transformed_denominator` by the missing factors
-    prod (1-y^l)^(e*(gcd(a,m)-1)).
+    failed check raises ReconstructionMismatch.  The average is returned
+    as N over that exact denominator.  Only the (1-x^m) factors of f's
+    denominator are mapped: the pipeline's pieces have no `psi`, and a
+    direct call with one relies on the checks above alone.
 
     The multisected prefix comes from `multisected_prefix`.  For the
     generic pieces +-x^v / prod (1-x^m) with a long prefix, it runs
@@ -222,18 +207,13 @@ def u_average(f: RationalFunction, a: int,
     nonnegative, never carry into each other, and a division by
     (1-x^m) adds whole rows of m lanes.
     """
-    bound = transformed_denominator(f.denominator, a)
-    images = [(math.lcm(a, m) // a, e, math.gcd(a, m))
-              for m, e in f.denominator.factors]
-    exact = FactoredDenominator.from_pairs((k, e) for k, e, _ in images)
-    lift = FactoredDenominator.from_pairs((k, e * (g - 1))
-                                          for k, e, g in images if g > 1)
+    exact = FactoredDenominator.from_pairs((math.lcm(a, m) // a, e)
+                                           for m, e in f.denominator.factors)
     top, sign = _averaged_reciprocity(list(f.numerator.coeffs),
                                       f.denominator, exact, a)
     reach = (top // 2 if sign else top + 2) + slack
     window = exact.multiply_into(multisected_prefix(f, a, reach))
-    num = _mirrored(window, top, sign) + [0] * lift.degree
-    return RationalFunction(QPolynomial(lift.multiply_into(num)), bound)
+    return RationalFunction(QPolynomial(_mirrored(window, top, sign)), exact)
 
 
 def _pair_sum_denominator(weights: Sequence[int]) -> FactoredDenominator:
@@ -349,18 +329,20 @@ def hilbert_off_clustered(weights: Sequence[int],
     """Off-shell Hilbert series when some weights repeat.
 
     Returns (the series, the pieces (a_i / s_i) * N_i / D_i), N_i / D_i
-    the peeled average of cluster i's `residue_cluster` piece and s_i
-    its scale.  Summed in integers, N_i times its cofactor and a_i L / s_i
-    (L the lcm of the denominators of the a_i / s_i) gives L times the
-    off-shell numerator, which is integral (an integer series over a
-    denominator with constant term 1): else ReconstructionMismatch.
+    the average of cluster i's `residue_cluster` piece over its exact
+    image denominator (`u_average`) and s_i its scale.  Summed in
+    integers, N_i times its cofactor and a_i L / s_i (L the lcm of the
+    denominators of the a_i / s_i) gives L times the off-shell
+    numerator, which is integral (an integer series over a denominator
+    with constant term 1): else ReconstructionMismatch.  The series is
+    not in lowest terms; the caller reduces it.
     """
     clusters = _weight_clusters(weights)
     averaged, ratios = [], []
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
-        averaged.append(peel_common(u_average(g, a, slack)))
+        averaged.append(u_average(g, a, slack))
         ratios.append(Fraction(a, s))
     merged: dict = {}
     for g in averaged:

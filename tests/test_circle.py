@@ -20,8 +20,8 @@ from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights,
                           off_shell_equal_weights, oracle_off_counts,
-                          phi_tilde, residue_cluster, transformed_denominator,
-                          u_average, verify_against_oracle)
+                          phi_tilde, residue_cluster, u_average,
+                          verify_against_oracle)
 from squot.errors import (DegenerateWeights, OracleMismatch,
                           ReciprocityMismatch, ReconstructionMismatch,
                           ZeroWeight)
@@ -57,9 +57,9 @@ def reference_oracle_off_counts(weights, order):
 
 def reference_u_average(f, a, slack=DEFAULT_SLACK):
     """The full-length multisection: a prefix of a * (bound + 2 + slack)
-    coefficients, every a-th one kept and reconstructed over the
-    transformed denominator, with no mirror."""
-    target = transformed_denominator(f.denominator, a)
+    coefficients, every a-th one kept and reconstructed over the exact
+    image denominator, with no mirror."""
+    target = exact_image(f.denominator, a)
     bound = target.degree
     scale, ints = cleared(f.numerator.coeffs)
     f = RationalFunction(QPolynomial(ints), f.denominator)
@@ -73,15 +73,14 @@ def reference_u_average(f, a, slack=DEFAULT_SLACK):
 
 def reference_hilbert_off_clustered(weights, slack=DEFAULT_SLACK):
     """The Fraction pipeline: each residue piece divided by its scale,
-    averaged, multiplied by its weight and peeled; the pieces merged in
-    Fraction polynomial arithmetic over their expanded cofactors."""
+    averaged and multiplied by its weight; the pieces merged in Fraction
+    polynomial arithmetic over their expanded cofactors."""
     clusters = _weight_clusters(weights)
     pieces = []
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
-        piece = u_average(g * Fraction(1, s), a, slack) * a
-        pieces.append(peel_common(piece))
+        pieces.append(u_average(g * Fraction(1, s), a, slack) * a)
     merged = {}
     for piece in pieces:
         for m, e in piece.denominator.factors:
@@ -306,32 +305,29 @@ class TestHalfPrefix:
     @given(shared_factor_pieces())
     @settings(max_examples=60, deadline=None)
     def test_matches_full_length_on_shared_factor_pieces(self, case):
-        # the expansion runs over the exact image denominator, shorter
-        # than the printed bound; the lift gives the bound's numerator
+        # the average is held over its exact image denominator, shorter
+        # than the input's by the gcds of a with the factors' m
         f, a = case
         assert mirror_of(f, a)[1] in (1, -1)
-        assert exact_image(f.denominator, a).degree \
-            < transformed_denominator(f.denominator, a).degree
+        assert exact_image(f.denominator, a).degree < f.denominator.degree
         assert u_average(f, a) == reference_u_average(f, a)
 
     @given(residue_pieces())
     @settings(max_examples=40, deadline=None)
-    def test_residue_pieces_lift_the_2a_factor(self, case):
+    def test_residue_pieces_keep_the_2a_factor(self, case):
         # the factor (1 - x^(2a))^e has gcd a with a: its exact image
-        # (1 - y^2)^e is lifted to (1 - y^2)^(a e)
+        # holds (1 - y^2)^e
         f, a = case
         e = dict(f.denominator.factors).get(2 * a, 0)
         exact = dict(exact_image(f.denominator, a).factors)
-        bound = dict(transformed_denominator(f.denominator, a).factors)
         assert exact.get(2, 0) >= e
-        assert bound.get(2, 0) - exact.get(2, 0) >= (a - 1) * e
         assert u_average(f, a) == reference_u_average(f, a)
 
     def test_prefix_is_half_length(self):
         # half of C' = deg(exact image) - w/a, plus the slack; where a
         # shares a factor with another weight, the exact image is
-        # shorter than the printed bound.  Each prefix is expanded over
-        # packed rows.
+        # shorter than the input's denominator.  Each prefix is expanded
+        # over packed rows.
         expand = squot.circle.multisected_prefix
         for weights, i, shared in [((101, 150, 199), 1, False),
                                    ((150, 175, 196), 0, True),
@@ -350,9 +346,8 @@ class TestHalfPrefix:
             assert orders == [a * (top // 2 + DEFAULT_SLACK)]
             assert packed.called
             exact = exact_image(f.denominator, a).degree
-            bound = transformed_denominator(f.denominator, a).degree
             assert orders[0] <= a * (exact // 2 + DEFAULT_SLACK)
-            assert (exact < bound) == shared
+            assert (exact < f.denominator.degree) == shared
 
     @pytest.mark.parametrize("num,pairs,a", [
         ([1, 1], [(1, 1), (3, 1)], 2),     # palindromic, w = 3, 2 does not divide
@@ -447,12 +442,6 @@ class TestDistinctWeights:
         on, _ = hilbert_on_distinct((1, 2, 3))
         assert on.numerator == QPolynomial([1, 0, 1, 3, 4, 4, 4, 3, 1, 0, 1])
         assert on.denominator.factors == ((2, 1), (3, 1), (4, 1), (5, 1))
-
-    def test_transformed_denominator_rule(self):
-        den = FactoredDenominator.from_pairs([(1, 1), (2, 1), (3, 1), (4, 1)])
-        out = transformed_denominator(den, 2)
-        assert out.factors == ((1, 3), (2, 2), (3, 1))
-        assert out.degree == den.degree
 
 
 class TestClusterResidue:

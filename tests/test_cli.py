@@ -88,6 +88,23 @@ def fixture(name):
     return os.path.join(FIXTURES, name)
 
 
+def expand_payload(payload, degree):
+    """Taylor coefficients 0..degree of a "series" payload, read off its
+    JSON fields alone: numerator / prod (1 - x^m)^e / extraFactor."""
+    coeffs = [Fraction(str(c)) for c in payload["numerator"][:degree + 1]]
+    coeffs += [Fraction(0)] * (degree + 1 - len(coeffs))
+    for m, e in payload["denominator"]:
+        for _ in range(e):
+            for k in range(m, degree + 1):
+                coeffs[k] += coeffs[k - m]
+    extra = [Fraction(str(c)) for c in payload.get("extraFactor", [1])]
+    for k in range(degree + 1):
+        coeffs[k] -= sum(extra[j] * coeffs[k - j]
+                         for j in range(1, min(k, len(extra) - 1) + 1))
+        coeffs[k] /= extra[0]
+    return coeffs
+
+
 class TestHilbertCommand:
     def test_worked_example(self):
         doc = run_json(["hilbert", "--weights", "1,2,3"])
@@ -138,6 +155,31 @@ class TestHilbertCommand:
         direct = payload_to_rational(series_payload(rebuilt))
         assert (series_of_rational(rebuilt, 30).coefficients
                 == series_of_rational(direct, 30).coefficients)
+
+
+class TestPrintedPieces:
+    @pytest.mark.parametrize("weights,method", [
+        ("1,2,3", "Generic"), ("150,175,196", "Generic"),
+        ("1,1,1,2", "DegenerateResidue"), ("5,7,7,8", "DegenerateResidue"),
+        ("13,13,14,15", "DegenerateResidue")])
+    def test_pieces_sum_to_series(self, weights, method):
+        # the generic pieces add up to the on-shell series, the residue
+        # pieces to the off-shell one
+        off = ["--off"] if method == "DegenerateResidue" else []
+        result = run_json(["hilbert", "--weights", weights] + off)["result"]
+        assert result["method"] == method
+        total = map(sum, zip(*(expand_payload(p, 60)
+                               for p in result["pieces"])))
+        assert list(total) == expand_payload(result["series"], 60)
+
+    def test_pieces_over_exact_image(self):
+        # each weight shares a factor with another, so each piece's
+        # denominator is shorter than its input's (742, 742 and 784)
+        pieces = run_json(["hilbert", "--weights", "150,175,196"])[
+            "result"]["pieces"]
+        assert [sum(m * e for m, e in p["denominator"])
+                for p in pieces] == [210, 70, 252]
+        assert not any("extraFactor" in p for p in pieces)
 
 
 class TestNegativeWeights:

@@ -51,10 +51,10 @@ SUBGROUPS = [
 
 #: sha256 of the exact stdout of large commands, whose output is too
 #: long to keep in the golden file: the generic path at weights above
-#: 100 (two of them with weights sharing factors, where each piece's
-#: exact denominator is shorter than its printed bound), the residue
-#: path with a mirrored half, Laurent data at order
-#: 119 (with and without an extraFactor) and S_m up to 100, where the
+#: 100 (two of them with weights sharing factors, where each piece is
+#: printed over its exact image denominator, shorter than its input's
+#: denominator), the residue path with a mirrored half, Laurent data at
+#: order 119 (with and without an extraFactor) and S_m up to 100, where the
 #: su2 fixture violates S_2.  The residue path is pinned on large
 #: repeated weights, on three clusters with an extraFactor and on two
 #: clusters of multiplicity above one.  Two generic inputs pin the
@@ -77,23 +77,23 @@ DIGESTS = {
     "hilbert --weights 41,41,43 --off":
         "3d1a8bc4148548d1200a8578e8afeab2975aa6d6b86dc0bf1a56ab8510ed688b",
     "hilbert --weights 13,13,14,15 --off":
-        "7ed1b13aa1459a450157c46ce86b599752232b824fb8c8ebadca0caa63c67cfb",
+        "83dceadd24fb465f13e183fcb35d06646a72be75b93778a245d51676abab180b",
     "hilbert --weights 110,110,111 --off":
-        "e32d09b0087364c425fd3febb68f8f4948f3a58566a02bb9aa54f5b22c63a6dd",
+        "51a36ad6fdd2796747fecd59a8ca66de3b7d9f0290c381542680efb72c3b663c",
     "hilbert --weights 5,5,6,6,7 --off":
-        "27f7fbe2e308bbf6d9fe3be7617d3181945525a8d48e0e9cb7a11462507c27e2",
+        "288a43002215f94d0d290cf9007e90d32609e8afa9d48c65928fcc4fcda08daa",
     "hilbert --weights 3,3,3,4,4,5 --off":
-        "c7ceb369e6d11b447a40e285422ae89926e5681425b7f015f28994092dd60f44",
+        "35314d1aa5d08d89aaffac52807061320987b3ce2a9e192cbd33313b7ce395fa",
     "laurent --weights 12,12,13 --order 119":
         "134afc61b920391e36dd1d02c5c0168c43a9cab6b15c867224149973b9cc723a",
     "hilbert --weights 150,175,196":
-        "09c2cb4682f28122655ad530fd3ea4e1f9a99a2de2220f195b1cc5bfe98c238b",
+        "5af048ee65c3471181edbab8c4abfaed032ab5d4bea8c02c6be6b18171e1d4ac",
     "hilbert --weights 159,166,180":
-        "c2ba4e29048424ce9d346a9adb71926f1651fb21cb6cf23a6481692facddab02",
+        "2c428cb0d7d22ebf8ead8b24edce3db04ce2d039343cb96b600204acbcbd553f",
     "hilbert --weights 100,101,102":
-        "c254c33c3b6e5a3dc4cf49e88c938db67ca841a234f59886a906f6c4b4da4fc1",
+        "f25a41365e56be891d2b000074e49a727a5ccbcd7c4536e6cd949fd1f9b21eac",
     "hilbert --weights 60,97,130,171":
-        "0fba1b299e2860d93c7f682680fec3bda46eff645eb665edbda8259cf147d902",
+        "f2c9c57b9f08a50f2989ac00667723fac2c7cb044a220abb8c320bf7f0222395",
 }
 
 
