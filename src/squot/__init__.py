@@ -8,11 +8,10 @@ from .exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
                     laurent_prototype, rational_reconstruct,
                     resultant_transform, series_of_rational)
 from .finite import (FiniteDiagonalGroup, FiniteGroupResult, analyze_group,
-                     cyclic_group, gessel_sum, molien_series)
+                     molien_series)
 from .laurent import (SymplecticReport, gamma0_closed, gamma2_closed,
                       off_shell_coefficients, schur_eval, symplectic_check)
 from .scan import (ScanResult, full_scan, gamma0_is_integral,
-                   pseudoreflection_obstruction, probability_scan,
-                   reciprocal_gamma0)
+                   pseudoreflection_obstruction, reciprocal_gamma0)
 
 __version__ = "1.0.0"

@@ -17,7 +17,7 @@ weight profiles:
 
 Each piece satisfies f(1/x) = +-x^w f(x), so the numerator of its
 average is palindromic up to a sign (Stanley's reciprocity): the
-multisected prefix only covers half of it plus `slack` coefficients,
+multisected prefix only covers half of it plus SLACK coefficients,
 which must agree with the mirror that gives the other half
 (`u_average`).  Every dispatcher result is checked on every coefficient
 against the reciprocity H(1/x) = x^(2n-2) H(x) of the on-shell series,
@@ -29,14 +29,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import repeat, zip_longest
 from operator import mul
 from typing import Sequence, Tuple
 
 from .errors import (DegenerateWeights, DenominatorVanishesAtZero,
                      OracleMismatch, ReconstructionMismatch, ZeroWeight)
-from .exact import (DEFAULT_SLACK, ONE, FactoredDenominator, QPolynomial,
+from .exact import (ONE, SLACK, FactoredDenominator, QPolynomial,
                     RationalFunction, TruncatedSeries, check_reciprocity,
                     deferred_quotient, mul_truncated, multisected_prefix,
                     peel_common, rational_reconstruct, series_of_rational)
@@ -50,10 +49,6 @@ DEFAULT_ORACLE_DEGREE = 30
 #: methods it picks take at most 1.6% longer in all than the faster
 #: method of each input.
 KRONECKER_WORDS_PER_ENTRY = 24
-
-#: Results kept by `hilbert_series`; above the 552 weight vectors of the
-#: n = 3 sweep with weights <= 15, while bounding memory in long sweeps.
-HILBERT_CACHE_SIZE = 1024
 
 
 def normalize_weights(weights: Sequence[int]) -> Tuple[int, ...]:
@@ -81,12 +76,6 @@ class HilbertSeriesResult:
     on_shell: RationalFunction
     off_shell: RationalFunction
     pieces: Tuple[RationalFunction, ...] = ()
-
-    def on_shell_series(self, order: int) -> TruncatedSeries:
-        return series_of_rational(self.on_shell, order)
-
-    def off_shell_series(self, order: int) -> TruncatedSeries:
-        return series_of_rational(self.off_shell, order)
 
 
 def phi_tilde(weights: Sequence[int], i: int) -> RationalFunction:
@@ -174,8 +163,7 @@ def _mirrored(window: list, top: int, sign: int) -> list:
                                for k in range(reach + 1, top + 1)]
 
 
-def u_average(f: RationalFunction, a: int,
-              slack: int = DEFAULT_SLACK) -> RationalFunction:
+def u_average(f: RationalFunction, a: int) -> RationalFunction:
     """Average of f over the a-th roots of unity, in the variable x^(1/a).
 
     Equivalently: keep every a-th Taylor coefficient.  With
@@ -187,11 +175,11 @@ def u_average(f: RationalFunction, a: int,
     (integers in the pipeline; Fractions give the same values).  When
     the input's reciprocity gives the mirror N_k = eps * N_(C-k)
     (`_averaged_reciprocity`), only a half-length prefix is expanded:
-    it yields N_0..N_(C//2 + slack), the `slack` coefficients past the
+    it yields N_0..N_(C//2 + SLACK), the SLACK coefficients past the
     middle must agree with the mirror, and the mirror gives the rest
     (`_mirrored`).  Otherwise (an input that is not reciprocal, or a
     not dividing its shift) the prefix covers the whole numerator and
-    slack + 2 coefficients past the degree bound, which must vanish.  A
+    SLACK + 2 coefficients past the degree bound, which must vanish.  A
     failed check raises ReconstructionMismatch.  The average is returned
     as N over that exact denominator.  Only the (1-x^m) factors of f's
     denominator are mapped: the pipeline's pieces have no `psi`, and a
@@ -211,7 +199,7 @@ def u_average(f: RationalFunction, a: int,
                                            for m, e in f.denominator.factors)
     top, sign = _averaged_reciprocity(list(f.numerator.coeffs),
                                       f.denominator, exact, a)
-    reach = (top // 2 if sign else top + 2) + slack
+    reach = (top // 2 if sign else top + 2) + SLACK
     window = exact.multiply_into(multisected_prefix(f, a, reach))
     return RationalFunction(QPolynomial(_mirrored(window, top, sign)), exact)
 
@@ -225,8 +213,7 @@ def _pair_sum_denominator(weights: Sequence[int]) -> FactoredDenominator:
     return FactoredDenominator.from_pairs(pairs)
 
 
-def hilbert_on_distinct(weights: Sequence[int],
-                        slack: int = DEFAULT_SLACK):
+def hilbert_on_distinct(weights: Sequence[int]):
     """On-shell Hilbert series for pairwise distinct weights.
 
     Returns (series over the pair-sum denominator, per-coordinate
@@ -235,14 +222,14 @@ def hilbert_on_distinct(weights: Sequence[int],
     n = len(weights)
     if len(set(weights)) != n:
         raise DegenerateWeights(f"repeated weights in {tuple(weights)}")
-    pieces = tuple(u_average(phi_tilde(weights, i), weights[i], slack)
+    pieces = tuple(u_average(phi_tilde(weights, i), weights[i])
                    for i in range(n))
     target = _pair_sum_denominator(weights)
     bound = target.degree
-    series = (series_of_rational(piece, bound + slack).coefficients
+    series = (series_of_rational(piece, bound + SLACK).coefficients
               for piece in pieces)
     total = TruncatedSeries(tuple(map(sum, zip(*series))))
-    num = rational_reconstruct(total, target, bound, slack)
+    num = rational_reconstruct(total, target, bound)
     return RationalFunction(num, target), pieces
 
 
@@ -324,8 +311,7 @@ def residue_cluster(a: int, p: int, rest):
     return peel_common(RationalFunction(n_poly, den_r)), scalar ** p
 
 
-def hilbert_off_clustered(weights: Sequence[int],
-                          slack: int = DEFAULT_SLACK):
+def hilbert_off_clustered(weights: Sequence[int]):
     """Off-shell Hilbert series when some weights repeat.
 
     Returns (the series, the pieces (a_i / s_i) * N_i / D_i), N_i / D_i
@@ -342,7 +328,7 @@ def hilbert_off_clustered(weights: Sequence[int],
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
-        averaged.append(u_average(g, a, slack))
+        averaged.append(u_average(g, a))
         ratios.append(Fraction(a, s))
     merged: dict = {}
     for g in averaged:
@@ -383,9 +369,10 @@ def _on_from_off(off: RationalFunction) -> RationalFunction:
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:
+    """Divide by (1 - x^2); the extra factor of the denominator is kept."""
     pairs = list(on.denominator.factors) + [(2, 1)]
-    return RationalFunction(on.numerator,
-                            FactoredDenominator.from_pairs(pairs))
+    return RationalFunction(on.numerator, FactoredDenominator.from_pairs(
+        pairs, on.denominator.psi))
 
 
 def hilbert_equal_weights(n: int) -> RationalFunction:
@@ -398,15 +385,6 @@ def hilbert_equal_weights(n: int) -> RationalFunction:
         return RationalFunction(QPolynomial([1]), FactoredDenominator(()))
     return RationalFunction(QPolynomial(num),
                             FactoredDenominator.from_pairs([(2, 2 * n - 2)]))
-
-
-def off_shell_equal_weights(n: int, order: int) -> TruncatedSeries:
-    """Exact prefix of the off-shell series for n equal weights:
-    coefficient of x^(2d) is C(n+d-1,d)^2."""
-    coeffs = [0] * (order + 1)
-    for d in range(order // 2 + 1):
-        coeffs[2 * d] = math.comb(n + d - 1, d) ** 2
-    return TruncatedSeries(tuple(coeffs))
 
 
 def _kronecker_off_counts(weights: Sequence[int], order: int) -> list:
@@ -542,9 +520,14 @@ def verify_against_oracle(weights: Sequence[int], off: RationalFunction,
                 f"{g} != brute-force count {w}")
 
 
-@lru_cache(maxsize=HILBERT_CACHE_SIZE)
-def _hilbert_series_cached(weights: Tuple[int, ...], slack: int,
-                           oracle_degree) -> HilbertSeriesResult:
+def hilbert_series(weights: Sequence[int],
+                   oracle_degree=DEFAULT_ORACLE_DEGREE) -> HilbertSeriesResult:
+    """On- and off-shell Hilbert series for a circle weight vector.
+
+    Dispatches on the multiplicity profile of the normalized weights.
+    Set oracle_degree=None to skip the brute-force cross-check.
+    """
+    weights = normalize_weights(weights)
     clusters = _weight_clusters(weights)
     if len(clusters) == 1:
         n = len(weights)
@@ -552,11 +535,11 @@ def _hilbert_series_cached(weights: Tuple[int, ...], slack: int,
         result = HilbertSeriesResult(weights, "CompletelyDegenerate", on,
                                      _off_from_on(on))
     elif all(p == 1 for _, p in clusters):
-        on, pieces = hilbert_on_distinct(weights, slack)
+        on, pieces = hilbert_on_distinct(weights)
         result = HilbertSeriesResult(weights, "Generic", on,
                                      _off_from_on(on), pieces)
     else:
-        off, pieces = hilbert_off_clustered(weights, slack)
+        off, pieces = hilbert_off_clustered(weights)
         off = off.reduce()
         result = HilbertSeriesResult(weights, "DegenerateResidue",
                                      _on_from_off(off), off, pieces)
@@ -567,14 +550,3 @@ def _hilbert_series_cached(weights: Tuple[int, ...], slack: int,
     if oracle_degree is not None:
         verify_against_oracle(weights, result.off_shell, oracle_degree)
     return result
-
-
-def hilbert_series(weights: Sequence[int], slack: int = DEFAULT_SLACK,
-                   oracle_degree=DEFAULT_ORACLE_DEGREE) -> HilbertSeriesResult:
-    """On- and off-shell Hilbert series for a circle weight vector.
-
-    Dispatches on the multiplicity profile of the normalized weights.
-    Set oracle_degree=None to skip the brute-force cross-check.
-    """
-    return _hilbert_series_cached(normalize_weights(weights), slack,
-                                  oracle_degree)

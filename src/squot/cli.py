@@ -22,8 +22,8 @@ from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
                      InsufficientCoefficients, MalformedWeights,
                      NotApplicable, PartitionPointsMismatch, SquotError,
                      UnsupportedDimension, ZeroWeight)
-from .exact import (DEFAULT_SLACK, FactoredDenominator, QPolynomial,
-                    RationalFunction, laurent_at_one)
+from .exact import (FactoredDenominator, QPolynomial, RationalFunction,
+                    laurent_at_one)
 from .finite import FiniteDiagonalGroup, analyze_group
 from .laurent import gamma0_closed, gamma2_closed, symplectic_check
 from .scan import full_scan
@@ -183,14 +183,11 @@ def _emit(document: dict) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    # slack >= 1 keeps at least one verification coefficient, so the
-    # reconstruction stays certified
-    _check_at_least("--slack", args.slack, 1)
     _check_at_least("--oracle-verify", args.oracle_verify, 0)
     weights = _parse_weights(args.weights)
     oracle = args.oracle_verify if args.oracle_verify is not None \
         else DEFAULT_ORACLE_DEGREE
-    result = hilbert_series(weights, slack=args.slack, oracle_degree=oracle)
+    result = hilbert_series(weights, oracle_degree=oracle)
     series = result.off_shell if args.off else result.on_shell
     payload = {
         "method": result.method,
@@ -269,11 +266,10 @@ def cmd_symplectic(args) -> int:
 
 
 def cmd_finite(args) -> int:
-    _check_at_least("--slack", args.slack, 1)
     _check_at_least("--order", args.order, 0)
     gens = [_parse_generator(g) for g in args.gen]
     group = FiniteDiagonalGroup.from_generators(gens)
-    result = analyze_group(group, slack=args.slack)
+    result = analyze_group(group)
     payload = {
         "order": group.order,
         "dimension": group.dimension,
@@ -315,8 +311,6 @@ def _twelve_places(q: Fraction) -> str:
 
 
 def cmd_scan(args) -> int:
-    if args.n != 3:
-        raise NotApplicable(f"only n = 3 scans are supported, got {args.n}")
     if args.max_level < 3:
         raise NotApplicable("max level must be >= 3")
     _check_at_least("--jobs", args.jobs, 1)
@@ -340,7 +334,7 @@ def cmd_scan(args) -> int:
                 writer.writerow([rec["level"], rec["hits"], rec["total"],
                                  rec["probability"], rec["decimal"]])
     return _emit(_document("scan",
-                           {"n": args.n, "maxLevel": args.max_level},
+                           {"n": 3, "maxLevel": args.max_level},
                            {"levels": records}))
 
 
@@ -360,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report the off-shell series instead")
     p.add_argument("--oracle-verify", type=int, metavar="D",
                    help="verify against monomial counts through degree D")
-    p.add_argument("--slack", type=int, default=DEFAULT_SLACK)
     p.add_argument("--text", action="store_true",
                    help="print the series as one line of text, not JSON")
     p.set_defaults(func=cmd_hilbert)
@@ -389,11 +382,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "cyclic:m:... is accepted too")
     p.add_argument("--order", type=int, metavar="R",
                    help="also check S_1..S_R")
-    p.add_argument("--slack", type=int, default=DEFAULT_SLACK)
     p.set_defaults(func=cmd_finite)
 
     p = sub.add_parser("scan", help="integrality statistics over triples")
-    p.add_argument("--n", type=int, default=3)
     p.add_argument("--max-level", type=int, required=True, metavar="L")
     p.add_argument("--out", metavar="BASE",
                    help="write BASE.jsonl and BASE.csv")

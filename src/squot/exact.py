@@ -21,20 +21,12 @@ from itertools import accumulate, chain, combinations, cycle, islice, repeat
 from operator import add, mul, sub
 from typing import Iterable, Sequence, Union
 
-from .errors import (DenominatorVanishesAtZero, ReciprocityMismatch,
-                     ReconstructionMismatch)
+from .errors import ReciprocityMismatch, ReconstructionMismatch
 
 Scalar = Union[int, Fraction]
 
-#: Default number of extra verified coefficients in rational reconstruction.
-DEFAULT_SLACK = 16
-
-#: Shortest prefix that `multisected_prefix` expands in packed rows.
-#: Measured with rows as ints: packed rows overtake the list from about
-#: 128 to 256 coefficients, but on the circle tables of the benchmark
-#: whose prefixes are all shorter than this, the saving is about 1% of
-#: an op, so those prefixes stay on the list.
-PACKED_MIN_LENGTH = 4096
+#: Number of extra verified coefficients in rational reconstruction.
+SLACK = 16
 
 #: Passes after the first with m below this are folded into the start
 #: of `_packed_multisection`, with the second pass whatever its m; it
@@ -129,10 +121,6 @@ class QPolynomial:
             if c:
                 return i
         return 0
-
-    def is_palindromic(self) -> bool:
-        c = self.coeffs
-        return bool(c) and c == tuple(reversed(c))
 
 
 def poly_mul(a: QPolynomial, b: QPolynomial) -> QPolynomial:
@@ -366,21 +354,6 @@ class LaurentExpansion:
         return self.coefficients[k]
 
 
-def series_div(num: Sequence[Scalar], den: Sequence[Scalar], order: int) -> list:
-    """Coefficients 0..order of num/den; den[0] must be nonzero."""
-    if not den or not den[0]:
-        raise DenominatorVanishesAtZero("denominator has zero constant term")
-    inv0 = Fraction(1) / Fraction(den[0])
-    out = []
-    for k in range(order + 1):
-        acc = Fraction(num[k]) if k < len(num) else Fraction(0)
-        for j in range(1, min(k, len(den) - 1) + 1):
-            if den[j]:
-                acc -= den[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
-
-
 def _expand_factored(num: QPolynomial, den: FactoredDenominator,
                      order: int) -> list:
     """Taylor coefficients 0..order of num / den.
@@ -513,14 +486,13 @@ def multisected_prefix(f: RationalFunction, a: int, reach: int) -> list:
     """Coefficients 0, a, 2a, ..., a * reach of the Taylor series of f.
 
     An integer monomial numerator over two or more (1 - x^m) factors
-    and no multiplying pass, with a prefix of at least PACKED_MIN_LENGTH
-    coefficients and an m of at least PACKED_MIN_M, is expanded over
-    packed integer rows (`_packed_multisection`); anything else takes
-    every a-th coefficient of `_expand_factored`.
+    and no multiplying pass, with an m of at least PACKED_MIN_M, is
+    expanded over packed integer rows (`_packed_multisection`); anything
+    else takes every a-th coefficient of `_expand_factored`.
     """
     num, den, order = f.numerator, f.denominator, a * reach
     pairs = den.passes()
-    if order + 1 >= PACKED_MIN_LENGTH and all(e > 0 for _, e in pairs):
+    if all(e > 0 for _, e in pairs):
         passes = [m for m, e in pairs for _ in range(e)]
         if (len(passes) > 1 and passes[-1] >= PACKED_MIN_M
                 and num and type(num.coeffs[-1]) is int
@@ -537,17 +509,16 @@ def series_of_rational(f: RationalFunction, order: int) -> TruncatedSeries:
 
 
 def rational_reconstruct(prefix: TruncatedSeries, den: FactoredDenominator,
-                         degree_bound: int,
-                         slack: int = DEFAULT_SLACK) -> QPolynomial:
+                         degree_bound: int) -> QPolynomial:
     """Recover the numerator P with P/den matching the series prefix.
 
     Every coefficient of prefix*den in degrees degree_bound+1..order must
-    vanish; at least `slack` such verification coefficients are required.
+    vanish; at least SLACK such verification coefficients are required.
     """
-    if prefix.order < degree_bound + slack:
+    if prefix.order < degree_bound + SLACK:
         raise ValueError(
             f"prefix of order {prefix.order} too short for degree bound "
-            f"{degree_bound} with slack {slack}")
+            f"{degree_bound} with slack {SLACK}")
     product = den.multiply_into(prefix.coefficients)
     for k in range(degree_bound + 1, prefix.order + 1):
         if product[k]:
@@ -652,9 +623,10 @@ def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
     N_k = a_k d0^k - sum_(j=1..k) b_j d0^(j-1) N_(k-j) with d0 = b[0],
     so the whole recurrence stays in the ring of the coefficients.
 
-    Its one caller, `circle.residue_cluster`, needs no gcd, as its
-    coefficients are polynomials in u.  Over Z with b[0] != +-1 the scale
-    outgrows the quotient; `laurent_at_one` keeps a shared one instead.
+    `circle.residue_cluster` needs no gcd, as its coefficients are
+    polynomials in u; `laurent_prototype` divides by the powers of b[0]
+    in Fractions.  Over Z with b[0] != +-1 the scale outgrows the
+    quotient; `laurent_at_one` keeps a shared one instead.
     """
     powers = [1]  # d0^k
     for _ in range(n - 1):
@@ -745,6 +717,8 @@ def laurent_prototype(t: Scalar, order: int) -> LaurentExpansion:
     for k in range(1, order + 2):
         binom *= (t - (k - 1)) / k
         b.append(-((-1) ** k) * binom)
-    body = series_div([1], b, order)  # b[0] = t
-    return LaurentExpansion(1, tuple(body))
+    # q_k = N_k / t^(k+1), as b[0] = t
+    body = deferred_quotient([1], b, order + 1)
+    return LaurentExpansion(1, tuple(n / t ** (k + 1)
+                                     for k, n in enumerate(body)))
 

@@ -20,10 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Sequence, Tuple
+from typing import Tuple
 
 from .errors import (PrimitiveCoverFailure, TheoremInconsistency)
-from .exact import (DEFAULT_SLACK, FactoredDenominator, LaurentExpansion,
+from .exact import (SLACK, FactoredDenominator, LaurentExpansion,
                     RationalFunction, TruncatedSeries, check_reciprocity,
                     laurent_at_one, rational_reconstruct)
 
@@ -128,8 +128,7 @@ def invariant_counts(group: FiniteDiagonalGroup, order: int) -> list:
     return [layer[trivial] for layer in dp]
 
 
-def molien_series(group: FiniteDiagonalGroup,
-                  slack: int = DEFAULT_SLACK) -> RationalFunction:
+def molien_series(group: FiniteDiagonalGroup) -> RationalFunction:
     """Exact Hilbert series of the doubled invariant ring.
 
     The denominator ansatz prod_i (1 - x^(m_i))^2, with m_i the order of
@@ -140,9 +139,9 @@ def molien_series(group: FiniteDiagonalGroup,
     moduli = group.coordinate_orders()
     den = FactoredDenominator.from_pairs((m, 2) for m in moduli)
     bound = den.degree
-    counts = invariant_counts(group, bound + slack)
+    counts = invariant_counts(group, bound + SLACK)
     prefix = TruncatedSeries(tuple(counts))
-    num = rational_reconstruct(prefix, den, bound, slack)
+    num = rational_reconstruct(prefix, den, bound)
     series = RationalFunction(num, den)
     # the group lies in SL(2n) (Watanabe), so H(1/x) = x^(2n) H(x)
     check_reciprocity(series, 2 * group.dimension,
@@ -194,8 +193,7 @@ class FiniteGroupResult:
     q_contribution: Fraction      # shared two-coordinate term in gamma_4/5
 
 
-def analyze_group(group: FiniteDiagonalGroup,
-                  slack: int = DEFAULT_SLACK) -> FiniteGroupResult:
+def analyze_group(group: FiniteDiagonalGroup) -> FiniteGroupResult:
     """Series, Laurent data and closed-form coefficients for one group.
 
     gamma_0..gamma_3 are evaluated directly from the pseudoreflection
@@ -204,7 +202,7 @@ def analyze_group(group: FiniteDiagonalGroup,
     of gamma_4 and must then reproduce gamma_5 exactly, and the identity
     gamma_3 - 2 gamma_4 + gamma_5 = 0 must hold.
     """
-    series = molien_series(group, slack)
+    series = molien_series(group)
     expansion = laurent_at_one(series, 5)
     if expansion.pole_order != 2 * group.dimension:
         raise TheoremInconsistency(
@@ -231,30 +229,3 @@ def analyze_group(group: FiniteDiagonalGroup,
             "identity gamma_3 - 2 gamma_4 + gamma_5 = 0 fails")
     return FiniteGroupResult(group, series, expansion, refl, gammas, q_sum)
 
-
-def cyclic_group(m: int, exponents: Sequence[int]) -> FiniteDiagonalGroup:
-    return FiniteDiagonalGroup.from_generators([(m, tuple(exponents))])
-
-
-def gessel_sum(kind: str, m: int) -> Fraction:
-    """Closed forms for sums over nontrivial m-th roots of unity.
-
-    kind selects the summand f(zeta):
-      quad:   zeta/(1-zeta)^2      -> -(m^2-1)/12
-      cube1:  zeta/(1-zeta)^3      -> -(m^2-1)/24
-      cube2:  zeta^2/(1-zeta)^3    ->  (m^2-1)/24
-      quart1: zeta/(1-zeta)^4      ->  (m^4-20m^2+19)/720
-      quart2: zeta^2/(1-zeta)^4    ->  (m^4+10m^2-11)/720
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    table = {
-        "quad": Fraction(-(m * m - 1), 12),
-        "cube1": Fraction(-(m * m - 1), 24),
-        "cube2": Fraction(m * m - 1, 24),
-        "quart1": Fraction(m ** 4 - 20 * m * m + 19, 720),
-        "quart2": Fraction(m ** 4 + 10 * m * m - 11, 720),
-    }
-    if kind not in table:
-        raise ValueError(f"unknown kind {kind!r}")
-    return table[kind]

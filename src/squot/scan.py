@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import accumulate, compress
 from operator import mod, not_
 from typing import Iterator, Sequence, Tuple
 
@@ -132,24 +132,11 @@ def hits_by_sum(level: int) -> list:
     return out
 
 
-def probability_scan(levels: Sequence[int]) -> list:
-    """ScanResult per requested level, from one pass to the largest."""
-    todo = sorted(set(levels))
-    if not todo or todo[0] < 3:
-        raise ValueError("levels must be integers >= 3")
-    per_sum = hits_by_sum(todo[-1])
-    results = []
-    hits = 0
-    done = 0
-    for level in todo:
-        hits += sum(per_sum[done + 1:level + 1])
-        done = level
-        results.append(ScanResult(level, hits, math.comb(level, 3)))
-    return results
-
-
 def full_scan(max_level: int) -> list:
-    """ScanResult for every level 3..max_level."""
+    """ScanResult for every level 3..max_level, from one pass to the
+    largest."""
     if max_level < 3:
         raise ValueError("max_level must be >= 3")
-    return probability_scan(range(3, max_level + 1))
+    hits = accumulate(hits_by_sum(max_level))
+    return [ScanResult(level, count, math.comb(level, 3))
+            for level, count in enumerate(hits) if level >= 3]

@@ -25,7 +25,7 @@ from squot.laurent import (gamma0_closed, gamma0_equal_weights,
 from squot.scan import (gamma0_is_integral, gamma2_ratio,
                         is_unit_fraction_sum, pseudoreflection_obstruction,
                         reciprocal_gamma0)
-from squot.finite import FiniteDiagonalGroup, analyze_group, cyclic_group
+from squot.finite import FiniteDiagonalGroup, analyze_group
 
 Q = Fraction
 
@@ -72,7 +72,7 @@ def test_criterion_2_benchmark_191_192_193():
     on = result.on_shell
     assert on.denominator.factors == ((2, 1), (383, 1), (384, 1), (385, 1))
     assert on.numerator.degree == 1150
-    assert on.numerator.is_palindromic()
+    assert on.numerator.coeffs == on.numerator.coeffs[::-1]
     elapsed = time.monotonic() - start
     assert elapsed < 1800  # advisory 30 min target
     print(f"\n[criterion 2] PASS benchmark (191,192,193), {elapsed:.1f}s")
@@ -108,7 +108,7 @@ def test_criterion_5_oracle_equivalence():
     for n in range(1, 5):
         for w in combinations_with_replacement(range(1, 9), n):
             r = hilbert_series(w, oracle_degree=None)
-            got = list(r.off_shell_series(30).coefficients)
+            got = list(series_of_rational(r.off_shell, 30).coefficients)
             assert got == oracle_off_counts(normalize_weights(w), 30), w
             count += 1
     print(f"\n[criterion 5] PASS oracle equivalence for {count} profiles "
@@ -150,7 +150,8 @@ def test_criterion_7_symplectic_order_experiments(sweep_n3):
 def test_criterion_8_finite_groups():
     checked = 0
     for m in range(1, 21):
-        res = analyze_group(cyclic_group(m, [1]))
+        res = analyze_group(
+            FiniteDiagonalGroup.from_generators([(m, (1,))]))
         assert res.gammas[0] == Q(1, m)
         assert res.gammas[1] == 0
         assert res.gammas[2] == res.gammas[3] == Q(m * m - 1, 12 * m)

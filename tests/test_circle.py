@@ -12,20 +12,19 @@ from hypothesis import strategies as st
 
 import squot.circle
 import squot.exact
-from squot.circle import (HILBERT_CACHE_SIZE, HilbertSeriesResult,
-                          _averaged_reciprocity, _hilbert_series_cached,
-                          _kronecker_off_counts, _mirrored, _paired_off_counts,
-                          _takes_kronecker, _weight_clusters,
+from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
+                          _kronecker_off_counts, _mirrored, _off_from_on,
+                          _paired_off_counts, _takes_kronecker,
+                          _weight_clusters,
                           hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
-                          hilbert_series, normalize_weights,
-                          off_shell_equal_weights, oracle_off_counts,
+                          hilbert_series, normalize_weights, oracle_off_counts,
                           phi_tilde, residue_cluster, u_average,
                           verify_against_oracle)
 from squot.errors import (DegenerateWeights, OracleMismatch,
                           ReciprocityMismatch, ReconstructionMismatch,
                           ZeroWeight)
-from squot.exact import (DEFAULT_SLACK, FactoredDenominator, QPolynomial,
+from squot.exact import (SLACK, FactoredDenominator, QPolynomial,
                          RationalFunction, TruncatedSeries, _divide_binomial,
                          _packed_multisection, check_reciprocity, cleared,
                          laurent_at_one, peel_common, rational_reconstruct,
@@ -55,23 +54,32 @@ def reference_oracle_off_counts(weights, order):
     return counts
 
 
-def reference_u_average(f, a, slack=DEFAULT_SLACK):
-    """The full-length multisection: a prefix of a * (bound + 2 + slack)
+def off_shell_equal_weights(n, order):
+    """Off-shell coefficients 0..order for n equal weights: that of
+    x^(2d) is C(n+d-1,d)^2."""
+    coeffs = [0] * (order + 1)
+    for d in range(order // 2 + 1):
+        coeffs[2 * d] = math.comb(n + d - 1, d) ** 2
+    return coeffs
+
+
+def reference_u_average(f, a):
+    """The full-length multisection: a prefix of a * (bound + 2 + SLACK)
     coefficients, every a-th one kept and reconstructed over the exact
     image denominator, with no mirror."""
     target = exact_image(f.denominator, a)
     bound = target.degree
     scale, ints = cleared(f.numerator.coeffs)
     f = RationalFunction(QPolynomial(ints), f.denominator)
-    prefix = series_of_rational(f, a * (bound + 2 + slack))
+    prefix = series_of_rational(f, a * (bound + 2 + SLACK))
     sect = TruncatedSeries(prefix.coefficients[::a])
-    num = rational_reconstruct(sect, target, bound, slack)
+    num = rational_reconstruct(sect, target, bound)
     if scale != 1:
         num = num * Fraction(1, scale)
     return RationalFunction(num, target)
 
 
-def reference_hilbert_off_clustered(weights, slack=DEFAULT_SLACK):
+def reference_hilbert_off_clustered(weights):
     """The Fraction pipeline: each residue piece divided by its scale,
     averaged and multiplied by its weight; the pieces merged in Fraction
     polynomial arithmetic over their expanded cofactors."""
@@ -80,7 +88,7 @@ def reference_hilbert_off_clustered(weights, slack=DEFAULT_SLACK):
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
-        pieces.append(u_average(g * Fraction(1, s), a, slack) * a)
+        pieces.append(u_average(g * Fraction(1, s), a) * a)
     merged = {}
     for piece in pieces:
         for m, e in piece.denominator.factors:
@@ -324,7 +332,7 @@ class TestHalfPrefix:
         assert u_average(f, a) == reference_u_average(f, a)
 
     def test_prefix_is_half_length(self):
-        # half of C' = deg(exact image) - w/a, plus the slack; where a
+        # half of C' = deg(exact image) - w/a, plus SLACK; where a
         # shares a factor with another weight, the exact image is
         # shorter than the input's denominator.  Each prefix is expanded
         # over packed rows.
@@ -343,10 +351,10 @@ class TestHalfPrefix:
                     mock.patch.object(squot.exact, "_packed_multisection",
                                       wraps=_packed_multisection) as packed:
                 u_average(f, a)
-            assert orders == [a * (top // 2 + DEFAULT_SLACK)]
+            assert orders == [a * (top // 2 + SLACK)]
             assert packed.called
             exact = exact_image(f.denominator, a).degree
-            assert orders[0] <= a * (exact // 2 + DEFAULT_SLACK)
+            assert orders[0] <= a * (exact // 2 + SLACK)
             assert (exact < f.denominator.degree) == shared
 
     @pytest.mark.parametrize("num,pairs,a", [
@@ -401,12 +409,6 @@ class TestHalfPrefix:
 
 
 class TestReciprocityCertificate:
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        _hilbert_series_cached.cache_clear()
-        yield
-        _hilbert_series_cached.cache_clear()
-
     @pytest.mark.parametrize("weights", [(1, 2, 3), (1, 1, 1, 2), (7, 8, 8, 8),
                                          (3, 3, 3), (5,), (2, 2, 3, 3, 5)])
     def test_results_are_reciprocal(self, weights):
@@ -571,7 +573,7 @@ class TestOracle:
         # C(n+d-1, d)^2 at degree 2d; at n = 8, degree 60 that is
         # C(37, 30)^2, 47 bits, in Kronecker lanes of 52 bits
         assert method([1] * n, 60) \
-            == list(off_shell_equal_weights(n, 60).coefficients)
+            == off_shell_equal_weights(n, 60)
 
     @pytest.mark.parametrize("weights,order,kronecker", [
         ((1, 2, 3), 30, True),  # 1633 words against 3635 entries
@@ -621,7 +623,7 @@ class TestOracle:
                                         for w in small_profiles(3, 5))))
     def test_engine_matches_oracle(self, weights):
         result = hilbert_series(weights, oracle_degree=None)
-        got = result.off_shell_series(25).coefficients
+        got = series_of_rational(result.off_shell, 25).coefficients
         assert list(got) == oracle_off_counts(weights, 25)
 
 
@@ -639,8 +641,8 @@ class TestEqualWeights:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_off_shell_binomial_squares(self, n):
         result = hilbert_series([1] * n, oracle_degree=None)
-        got = result.off_shell_series(20)
-        assert got.coefficients == off_shell_equal_weights(n, 20).coefficients
+        got = series_of_rational(result.off_shell, 20).coefficients
+        assert list(got) == off_shell_equal_weights(n, 20)
 
     def test_gcd_reduction_routes_here(self):
         result = hilbert_series([7, 7, 7])
@@ -665,8 +667,8 @@ class TestDispatcher:
     def test_on_off_relation(self):
         for weights in [(1, 2, 3), (1, 1, 2), (2, 2)]:
             r = hilbert_series(weights)
-            on = r.on_shell_series(30).coefficients
-            off = r.off_shell_series(30).coefficients
+            on = series_of_rational(r.on_shell, 30).coefficients
+            off = series_of_rational(r.off_shell, 30).coefficients
             # on-shell = (1 - x^2) * off-shell
             for k in range(30 + 1):
                 want = off[k] - (off[k - 2] if k >= 2 else 0)
@@ -680,8 +682,8 @@ class TestDispatcher:
         assert len(profiles) == 219
         for weights in profiles:
             r = hilbert_series(weights, oracle_degree=None)
-            on = r.on_shell_series(40).coefficients
-            off = r.off_shell_series(40).coefficients
+            on = series_of_rational(r.on_shell, 40).coefficients
+            off = series_of_rational(r.off_shell, 40).coefficients
             for k in range(40 + 1):
                 assert on[k] == off[k] - (off[k - 2] if k >= 2 else 0), \
                     (weights, k)
@@ -697,10 +699,29 @@ class TestDispatcher:
         assert a.on_shell.numerator == b.on_shell.numerator
         assert a.weights == b.weights == (1, 2, 3)
 
-    def test_cache_is_bounded(self):
-        # above the 552 vectors of the n = 3 sweep with weights <= 15
-        assert _hilbert_series_cached.cache_info().maxsize \
-            == HILBERT_CACHE_SIZE == 1024
+    def test_keeps_no_state(self):
+        # a stage patched between two calls with the same weights takes
+        # effect on the second: no result is kept from the first
+        first = hilbert_series((1, 2, 3))
+        real = squot.circle.hilbert_on_distinct
+
+        def bumped(weights):
+            on, pieces = real(weights)
+            num = on.numerator + QPolynomial.monomial(on.numerator.degree)
+            return RationalFunction(num, on.denominator), pieces
+        with mock.patch("squot.circle.hilbert_on_distinct", bumped):
+            with pytest.raises(ReciprocityMismatch):
+                hilbert_series((1, 2, 3))
+        assert hilbert_series((1, 2, 3)) == first
+
+    def test_off_from_on_keeps_psi(self):
+        # reduced, the on-shell series of (1,6,10) holds Psi_8, which
+        # the off-shell denominator must keep
+        on = hilbert_series((1, 6, 10)).on_shell.reduce()
+        assert on.denominator.psi == ((8, 1),)
+        off = _off_from_on(on)
+        assert list(series_of_rational(off, 40).coefficients) \
+            == oracle_off_counts((1, 6, 10), 40)
 
     def test_torus_fixture_recovered(self):
         # (1,2,2) reproduces a printed two-torus reduction series

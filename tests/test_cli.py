@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import squot.circle
 import squot.cli
 import squot.finite
-from squot.circle import _hilbert_series_cached
 from squot.cli import (_coeff, _dumps, _parse_weights, load_series, main,
                        series_payload)
 from squot.errors import MalformedWeights
@@ -239,12 +238,6 @@ class TestLaurentCommand:
 
 
 class TestReciprocityExit:
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        _hilbert_series_cached.cache_clear()
-        yield
-        _hilbert_series_cached.cache_clear()
-
     @staticmethod
     def bumped(f):
         """f with its top numerator coefficient raised by one."""
@@ -282,7 +275,6 @@ class TestReciprocityExit:
             assert (code, out) == (3, "")
             assert err.startswith("verification failure: weights (1, 2, 3): "
                                   "degree 3 coefficient ")
-            _hilbert_series_cached.cache_clear()
             assert run_all(["hilbert", "--weights", "1,2,3",
                             "--oracle-verify", "2"])[0] == 0
 
@@ -393,15 +385,14 @@ class TestFiniteCommand:
 
 class TestScanCommand:
     def test_level_three(self):
-        doc = run_json(["scan", "--n", "3", "--max-level", "3"])
+        doc = run_json(["scan", "--max-level", "3"])
         assert doc["result"]["levels"] == [
             {"level": 3, "hits": 0, "total": 1, "probability": "0",
              "decimal": "0.000000000000"}]
 
     def test_files_written(self, tmp_path):
         base = str(tmp_path / "scan")
-        doc = run_json(["scan", "--n", "3", "--max-level", "12",
-                        "--out", base])
+        doc = run_json(["scan", "--max-level", "12", "--out", base])
         jsonl = Path(base + ".jsonl").read_text().strip().splitlines()
         assert [json.loads(line) for line in jsonl] \
             == doc["result"]["levels"]
@@ -410,14 +401,15 @@ class TestScanCommand:
         assert len(csv_lines) == 1 + len(jsonl)
 
     def test_level_ten_hits(self):
-        doc = run_json(["scan", "--n", "3", "--max-level", "10"])
+        doc = run_json(["scan", "--max-level", "10"])
         last = doc["result"]["levels"][-1]
         assert last["hits"] == 4 and last["probability"] == "1/30"
         assert last["decimal"] == "0.033333333333"
 
     def test_unsupported_n(self):
-        code, _ = run(["scan", "--n", "4", "--max-level", "10"])
-        assert code == 2
+        # every scan is over triples; there is no --n option
+        code, _, err = run_all(["scan", "--n", "4", "--max-level", "10"])
+        assert code == 2 and "unrecognized arguments: --n 4" in err
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, jobs):
@@ -523,9 +515,6 @@ class TestExitContract:
         ["symplectic", "--weights", "1,2,3", "--order", "-2"],
         ["symplectic", "--weights", "1,2,3", "--order", "0"],
         ["hilbert", "--weights", "1,2,3", "--oracle-verify", "-1"],
-        ["hilbert", "--weights", "1,2,3", "--slack", "0"],
-        ["hilbert", "--weights", "1,2,3", "--slack", "-3"],
-        ["finite", "--gen", "2:1", "--slack", "0"],
         ["finite", "--gen", "2:1", "--order", "-1"],
         ["hilbert", "--weights", "1,x,3"],
     ])
@@ -534,6 +523,15 @@ class TestExitContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--weights", "1,2,3", "--slack", "16"],
+        ["finite", "--gen", "2:1", "--slack", "16"],
+    ])
+    def test_removed_options_exit_2(self, argv):
+        code, out, err = run_all(argv)
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
     def test_parse_failure_leaves_next_command_alone(self):
         # main reuses one parser per process; an argparse failure must
@@ -559,7 +557,7 @@ class TestExitContract:
         assert run(["laurent", "--weights", "1,2,3", "--order", "0"])[0] == 0
         assert run(["symplectic", "--weights", "1,2,3",
                     "--order", "1"])[0] == 0
-        assert run(["hilbert", "--weights", "1,2,3", "--slack", "1",
+        assert run(["hilbert", "--weights", "1,2,3",
                     "--oracle-verify", "0"])[0] == 0
 
 
@@ -580,7 +578,7 @@ def argv_fragments(draw):
     if command == "hilbert":
         argv = ["hilbert", "--weights", weights()]
         argv += draw(st.sampled_from([[], ["--off"], ["--text"]]))
-        options = ["--slack", "--oracle-verify"]
+        options = ["--oracle-verify"]
     elif command in ("laurent", "symplectic"):
         argv = [command, "--weights", weights(), "--order", number()]
         options = []
@@ -590,10 +588,9 @@ def argv_fragments(draw):
             exps = draw(st.lists(st.integers(-2, 5), max_size=3))
             argv += ["--gen", f"{draw(st.integers(-1, 6))}:"
                      + ",".join(map(str, exps))]
-        options = ["--order", "--slack"]
+        options = ["--order"]
     else:
-        argv = ["scan", "--n", str(draw(st.integers(2, 4))),
-                "--max-level", str(draw(st.integers(-1, 15))),
+        argv = ["scan", "--max-level", str(draw(st.integers(-1, 15))),
                 "--jobs", str(draw(st.integers(-1, 4)))]
         options = []
     for option in draw(st.lists(st.sampled_from(options), unique=True)

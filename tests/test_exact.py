@@ -14,18 +14,17 @@ from hypothesis import strategies as st
 
 from squot.circle import hilbert_off_clustered, hilbert_series
 from squot.cli import series_payload
-from squot.errors import (DenominatorVanishesAtZero, ReciprocityMismatch,
-                          ReconstructionMismatch)
+from squot.errors import ReciprocityMismatch, ReconstructionMismatch
 import squot.exact
-from squot.exact import (ONE, PACKED_MIN_LENGTH, PACKED_MIN_M,
-                         FactoredDenominator, LaurentExpansion,
-                         QPolynomial, RationalFunction, _expand_factored,
+from squot.exact import (ONE, PACKED_MIN_M, FactoredDenominator,
+                         LaurentExpansion, QPolynomial, RationalFunction,
+                         _expand_factored,
                          _cut_rows, _packed_multisection, _psi_passes,
                          check_reciprocity, deferred_quotient, laurent_at_one,
                          laurent_prototype, mul_truncated,
                          multisected_prefix, poly_mul,
                          rational_reconstruct, resultant_transform,
-                         series_div, series_of_rational)
+                         series_of_rational)
 
 Q = Fraction
 
@@ -350,10 +349,6 @@ class TestQPolynomial:
         pa, pb = QPolynomial(a), QPolynomial(b)
         assert poly_mul(pa, pb) == poly_mul(pb, pa)
 
-    def test_palindrome(self):
-        assert QPolynomial([1, 2, 1]).is_palindromic()
-        assert not QPolynomial([1, 2]).is_palindromic()
-
     def test_integer_product_stays_integer(self):
         prod = poly_mul(QPolynomial([1, -2, 3]), QPolynomial([4, 0, 5]))
         assert prod.coeffs == (4, -8, 17, -10, 15)
@@ -371,7 +366,7 @@ class TestSharedKernels:
     def test_deferred_quotient_matches_series_div(self, a, d0, tail, n):
         b = [d0] + tail
         got = deferred_quotient(a, b, n)
-        want = series_div(a, b, n - 1)
+        want = dense_series_div(a, b, n - 1)
         assert all(type(c) is int for c in got)
         assert got == [q * d0 ** (k + 1) for k, q in enumerate(want)]
 
@@ -397,10 +392,6 @@ class TestSeries:
             assert list(series_of_rational(f, 40).coefficients) \
                 == dense_series_div(f.numerator.coeffs,
                                     expanded_denominator(f).coeffs, 40)
-
-    def test_pole_at_zero_rejected(self):
-        with pytest.raises(DenominatorVanishesAtZero):
-            series_div([1], [0, 1], 3)
 
     def test_multisection(self):
         f = geometric([(1, 2)])  # 1, 2, 3, ...
@@ -438,8 +429,10 @@ class TestSeries:
                 == reference_expand_factored(num, den, order)
 
     def test_series_div_vs_fraction(self):
-        got = series_div([1], [2, -1], 6)
-        assert got == [Q(1, 2 ** (k + 1)) for k in range(7)]
+        got = deferred_quotient([1], [2, -1], 7)
+        assert [Q(n, 2 ** (k + 1)) for k, n in enumerate(got)] \
+            == dense_series_div([1], [2, -1], 6) \
+            == [Q(1, 2 ** (k + 1)) for k in range(7)]
 
 
 class TestPackedMultisection:
@@ -520,16 +513,16 @@ class TestPackedMultisection:
             == [whole >> wanted * j & mask for j in range(count)]
 
     @pytest.mark.parametrize("reach,pairs,num,packed", [
-        (PACKED_MIN_LENGTH - 1, [(1, 1), (300, 1)], [0, 0, -1], True),
-        (PACKED_MIN_LENGTH - 2, [(1, 1), (300, 1)], [0, 0, -1], False),
-        (PACKED_MIN_LENGTH - 1, [(1, 1), (PACKED_MIN_M, 1)], [1], True),
-        (PACKED_MIN_LENGTH - 1, [(1, 1), (PACKED_MIN_M - 1, 1)], [1], False),
-        (PACKED_MIN_LENGTH - 1, [(1, 1), (300, 1)], [1, 1], False),
-        (PACKED_MIN_LENGTH - 1, [(300, 1)], [1], False),
+        (4095, [(1, 1), (300, 1)], [0, 0, -1], True),
+        (40, [(1, 1), (300, 1)], [0, 0, -1], True),  # a short prefix
+        (4095, [(1, 1), (PACKED_MIN_M, 1)], [1], True),
+        (4095, [(1, 1), (PACKED_MIN_M - 1, 1)], [1], False),
+        (4095, [(1, 1), (300, 1)], [1, 1], False),
+        (4095, [(300, 1)], [1], False),
     ])
     def test_selection(self, reach, pairs, num, packed):
-        # packed rows from PACKED_MIN_LENGTH coefficients and a largest
-        # m of PACKED_MIN_M on, for a monomial over two factors or more
+        # packed rows for a monomial over two factors or more with a
+        # largest m of PACKED_MIN_M on, however long the prefix
         f = geometric(pairs, num)
         with mock.patch.object(squot.exact, "_packed_multisection",
                                wraps=_packed_multisection) as spy:
@@ -545,10 +538,9 @@ class TestPackedMultisection:
         den = FactoredDenominator.from_pairs([(1, 1), (300, 1)], other)
         f = RationalFunction(QPolynomial(num), den)
         with mock.patch.object(squot.exact, "_packed_multisection") as spy:
-            got = multisected_prefix(f, 2, PACKED_MIN_LENGTH)
+            got = multisected_prefix(f, 2, 4096)
         assert not spy.called
-        assert got == _expand_factored(f.numerator, den,
-                                       2 * PACKED_MIN_LENGTH)[::2]
+        assert got == _expand_factored(f.numerator, den, 2 * 4096)[::2]
 
 
 class TestReconstruction:
@@ -556,19 +548,19 @@ class TestReconstruction:
         den = FactoredDenominator.from_pairs([(2, 1), (5, 1)])
         num = QPolynomial([1, 3, 0, -2])
         prefix = series_of_rational(RationalFunction(num, den), 40)
-        assert rational_reconstruct(prefix, den, 3, slack=16) == num
+        assert rational_reconstruct(prefix, den, 3) == num
 
     def test_wrong_denominator_detected(self):
         prefix = series_of_rational(geometric([(3, 1)]), 40)
         with pytest.raises(ReconstructionMismatch):
             rational_reconstruct(prefix, FactoredDenominator.from_pairs(
-                [(2, 1)]), 2, slack=16)
+                [(2, 1)]), 2)
 
     def test_prefix_too_short(self):
         prefix = series_of_rational(geometric([(1, 1)]), 10)
         with pytest.raises(ValueError):
             rational_reconstruct(prefix, FactoredDenominator.from_pairs(
-                [(1, 1)]), 4, slack=16)
+                [(1, 1)]), 4)
 
 
 class TestResultantTransform:
@@ -676,6 +668,16 @@ class TestLaurent:
         assert ex.coefficients[1] == (t - 1) / (2 * t)
         assert ex.coefficients[2] == (t * t - 1) / (12 * t)
         assert ex.coefficients[3] == (t * t - 1) / (24 * t)
+
+    @pytest.mark.parametrize("t", [1, 2, 5, -4, Q(1, 3), Q(-7, 2)])
+    def test_prototype_matches_long_division(self, t):
+        # 1 / (1 - (1-u)^t), times u, as a Fraction long division
+        b, binom = [], Q(1)
+        for k in range(1, 14):
+            binom *= (t - (k - 1)) / Q(k)
+            b.append(-((-1) ** k) * binom)
+        assert list(laurent_prototype(t, 12).coefficients) \
+            == dense_series_div([1], b, 12)
 
 
 #: Degenerate weight vectors whose off-shell result is reduced: with a

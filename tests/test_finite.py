@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 
 import squot.finite
 from squot.errors import ReciprocityMismatch, TheoremInconsistency
-from squot.exact import (DEFAULT_SLACK, QPolynomial, check_reciprocity,
+from squot.exact import (SLACK, QPolynomial, check_reciprocity,
                          laurent_at_one, series_of_rational)
-from squot.finite import (FiniteDiagonalGroup, analyze_group, cyclic_group,
-                          element_order, gessel_sum, invariant_counts,
-                          molien_series, reflection_analysis)
+from squot.finite import (FiniteDiagonalGroup, analyze_group, element_order,
+                          invariant_counts, molien_series,
+                          reflection_analysis)
 
 Q = Fraction
 
@@ -70,7 +70,7 @@ def reference_invariant_counts(group, order):
 
 def molien_order(group):
     """The prefix length molien_series asks invariant_counts for."""
-    return 2 * sum(group.coordinate_orders()) + DEFAULT_SLACK
+    return 2 * sum(group.coordinate_orders()) + SLACK
 
 
 def product_of_powers(generators, n):
@@ -128,9 +128,9 @@ class TestIntegerGroupProperty:
 
 class TestGroupConstruction:
     def test_cyclic_order(self):
-        assert cyclic_group(6, [1]).order == 6
-        assert cyclic_group(6, [2]).order == 3
-        assert cyclic_group(6, [1, 5]).order == 6
+        assert FiniteDiagonalGroup.from_generators([(6, (1,))]).order == 6
+        assert FiniteDiagonalGroup.from_generators([(6, (2,))]).order == 3
+        assert FiniteDiagonalGroup.from_generators([(6, (1, 5))]).order == 6
 
     def test_product_group(self):
         g = FiniteDiagonalGroup.from_generators([(2, (1, 0)), (3, (0, 1))])
@@ -138,7 +138,7 @@ class TestGroupConstruction:
         assert g.coordinate_orders() == (2, 3)
 
     def test_element_order(self):
-        g = cyclic_group(12, [4])
+        g = FiniteDiagonalGroup.from_generators([(12, (4,))])
         assert sorted(element_order(e, g.exponent)
                       for e in g.elements) == [1, 3, 3]
 
@@ -146,7 +146,8 @@ class TestGroupConstruction:
 class TestMolienSeries:
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 7, 12])
     def test_cyclic_series_shape(self, m):
-        series = molien_series(cyclic_group(m, [1]))
+        series = molien_series(
+            FiniteDiagonalGroup.from_generators([(m, (1,))]))
         # (1 + x^2 + ... + x^(2m-2)) / (1-x^m)^2
         assert list(series.numerator.coeffs) == [
             1 if k % 2 == 0 else 0 for k in range(2 * m - 1)]
@@ -194,7 +195,7 @@ class TestMolienSeries:
 
 class TestReflectionAnalysis:
     def test_cyclic_all_reflections(self):
-        group = cyclic_group(5, [1])
+        group = FiniteDiagonalGroup.from_generators([(5, (1,))])
         data = reflection_analysis(group)
         assert data.reflection_count == 4
         assert data.primitive_orders == (5,)
@@ -209,7 +210,7 @@ class TestReflectionAnalysis:
         assert data.two_coordinate_count == 3
 
     def test_free_action_has_none(self):
-        group = cyclic_group(5, [1, 2])
+        group = FiniteDiagonalGroup.from_generators([(5, (1, 2))])
         data = reflection_analysis(group)
         assert data.primitive_orders == ()
         assert data.reflection_count == 0
@@ -218,7 +219,8 @@ class TestReflectionAnalysis:
 class TestClosedForms:
     @pytest.mark.parametrize("m", range(1, 21))
     def test_cyclic_gammas(self, m):
-        res = analyze_group(cyclic_group(m, [1]))
+        res = analyze_group(
+            FiniteDiagonalGroup.from_generators([(m, (1,))]))
         assert res.gammas[0] == Q(1, m)
         assert res.gammas[1] == 0
         assert res.gammas[2] == res.gammas[3] == Q(m * m - 1, 12 * m)
@@ -257,6 +259,30 @@ class TestClosedForms:
             [(2, (1, 0, 0))]))
         assert res.reflections.two_coordinate_count == 0
         assert res.q_contribution == 0
+
+
+def gessel_sum(kind, m):
+    """Closed forms for sums over nontrivial m-th roots of unity.
+
+    kind selects the summand f(zeta):
+      quad:   zeta/(1-zeta)^2      -> -(m^2-1)/12
+      cube1:  zeta/(1-zeta)^3      -> -(m^2-1)/24
+      cube2:  zeta^2/(1-zeta)^3    ->  (m^2-1)/24
+      quart1: zeta/(1-zeta)^4      ->  (m^4-20m^2+19)/720
+      quart2: zeta^2/(1-zeta)^4    ->  (m^4+10m^2-11)/720
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    table = {
+        "quad": Fraction(-(m * m - 1), 12),
+        "cube1": Fraction(-(m * m - 1), 24),
+        "cube2": Fraction(m * m - 1, 24),
+        "quart1": Fraction(m ** 4 - 20 * m * m + 19, 720),
+        "quart2": Fraction(m ** 4 + 10 * m * m - 11, 720),
+    }
+    if kind not in table:
+        raise ValueError(f"unknown kind {kind!r}")
+    return table[kind]
 
 
 class TestGesselSums:

@@ -11,8 +11,7 @@ from squot.laurent import gamma0_closed, gamma2_closed
 from squot.scan import (ScanResult, full_scan, gamma0_is_integral,
                         gamma2_condition, gamma2_ratio, hits_by_sum,
                         integral_triples, is_unit_fraction_sum,
-                        probability_scan, pseudoreflection_obstruction,
-                        reciprocal_gamma0)
+                        pseudoreflection_obstruction, reciprocal_gamma0)
 
 Q = Fraction
 
@@ -106,12 +105,12 @@ class TestObstruction:
 
 class TestProbabilityScan:
     def test_level_three_single_triple(self):
-        (res,) = probability_scan([3])
+        (res,) = full_scan(3)
         assert res == ScanResult(3, 0, 1)
 
     def test_level_ten_hand_count(self):
         # hand-derived: hits are (3,3,3) once and (2,4,4) three times
-        (res,) = probability_scan([10])
+        res = full_scan(10)[-1]
         assert res.hits == 4 and res.total == math.comb(10, 3)
         assert res.probability == Q(1, 30)
 
@@ -136,7 +135,7 @@ class TestProbabilityScan:
                 for c in range(1, level + 1):
                     if a + b + c <= level and gamma0_is_integral((a, b, c)):
                         hits += 1
-        (res,) = probability_scan([level])
+        res = full_scan(level)[-1]
         assert res.hits == hits
 
     def test_fixed_level_300(self):
@@ -144,7 +143,7 @@ class TestProbabilityScan:
 
     def test_bad_levels(self):
         with pytest.raises(ValueError):
-            probability_scan([2])
+            full_scan(2)
         with pytest.raises(ValueError):
             full_scan(1)
 
