@@ -515,6 +515,9 @@ class TestExitContract:
         ["symplectic", "--weights", "1,2,3", "--order", "-2"],
         ["symplectic", "--weights", "1,2,3", "--order", "0"],
         ["hilbert", "--weights", "1,2,3", "--oracle-verify", "-1"],
+        ["scan", "--max-level", "10", "--jobs", "0"],
+        ["finite", "--gen", "0:1"],
+        ["hilbert", "--weights", "1,-1,0"],
         ["finite", "--gen", "2:1", "--order", "-1"],
         ["hilbert", "--weights", "1,x,3"],
     ])
