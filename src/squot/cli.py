@@ -395,12 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attach_weights(argv) -> list:
-    """`--weights -3,5` as `--weights=-3,5`: argparse takes a token that
-    starts with '-' and is not one number for an option."""
+def _attach_values(argv) -> list:
+    """`--weights -3,5` as `--weights=-3,5`, and `--gen -3:1` as
+    `--gen=-3:1`: argparse takes a token that starts with '-' and is not
+    one number for an option."""
     out = []
     for tok in sys.argv[1:] if argv is None else argv:
-        if (out and len(out[-1]) > 2 and "--weights".startswith(out[-1])
+        if (out and len(out[-1]) > 2
+                and any(o.startswith(out[-1]) for o in ("--weights", "--gen"))
                 and tok[:1] == "-" and tok[1:2].isdigit()):
             out[-1] += "=" + tok
         else:
@@ -411,7 +413,7 @@ def _attach_weights(argv) -> list:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_weights(argv))
+        args = parser.parse_args(_attach_values(argv))
         return args.func(args)
     except _INPUT_ERRORS + (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

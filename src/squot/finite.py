@@ -19,13 +19,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 from typing import Tuple
 
 from .errors import (PrimitiveCoverFailure, TheoremInconsistency)
 from .exact import (SLACK, FactoredDenominator, LaurentExpansion,
-                    RationalFunction, TruncatedSeries, check_reciprocity,
-                    laurent_at_one, rational_reconstruct)
+                    RationalFunction, TruncatedSeries, _repunit,
+                    check_reciprocity, laurent_at_one,
+                    rational_reconstruct)
 
 #: Exponents mod the group exponent N, one per coordinate.
 Element = Tuple[int, ...]
@@ -100,6 +100,48 @@ class FiniteDiagonalGroup:
         return tuple(g for g in self.elements if len(_support(g)) == 2)
 
 
+def _character_axes(columns, mod: int):
+    """The character group H, the closure of `columns` mod `mod`, as
+    Z/n_1 x ... x Z/n_r with n_1 ... n_r = |H|: (the radices n_k, the
+    mixed-radix index of every character, digit k of weight
+    n_1 ... n_(k-1)).
+
+    Greedy: the next basis element is one of largest order whose powers
+    meet the span of the earlier ones only in 0.  Its class is then one
+    of largest order in the quotient, so the orders multiply to |H|.
+    """
+    order = {h: element_order(h, mod) for h in _closure(columns, mod)}
+    characters = sorted(order, key=order.get, reverse=True)
+    exponent = order[characters[0]]
+    divisors = [d for d in range(1, exponent) if exponent % d == 0]
+    index = {characters[-1]: 0}  # the span so far; the last is 0
+    radices = []
+    while len(index) < len(characters):
+        gen = next(h for h in characters if not any(
+            tuple(d * x % mod for x in h) in index
+            for d in divisors if d < order[h] and order[h] % d == 0))
+        radix = order[gen]
+        stride, span = len(index), list(index.items())
+        for j in range(1, radix):
+            shift = tuple(j * x % mod for x in gen)
+            for h, i in span:
+                index[tuple((a + b) % mod for a, b in zip(h, shift))] = \
+                    i + j * stride
+        radices.append(radix)
+    return tuple(radices), index
+
+
+def _rotation(lanes: int, width: int, radix: int, stride: int, t: int):
+    """(lo, hi, up, down) that move the lanes of a packed int of `lanes`
+    lanes `width` bits wide by t along the axis of `radix` and `stride`:
+    ((P & lo) << up) | ((P & hi) >> down)."""
+    block = radix * stride * width
+    copies = _repunit(block, lanes // (radix * stride))
+    up, down = t * stride * width, (radix - t) * stride * width
+    low = (1 << down) - 1
+    return (low * copies, ((1 << block) - 1 - low) * copies, up, down)
+
+
 def invariant_counts(group: FiniteDiagonalGroup, order: int) -> list:
     """Number of invariant monomials in (z, conjugate z) per total degree.
 
@@ -107,25 +149,42 @@ def invariant_counts(group: FiniteDiagonalGroup, order: int) -> list:
     the residue sum(g_i (alpha_i - beta_i)) mod N vanishes.  Coordinate
     i contributes the column c_i = (g_i for each generator g) to that
     residue vector, so the vectors reached are the characters of the
-    group: the closure of the columns, at most |G| of them.  Counting
-    keeps one list per degree, indexed by character, and multiplies it
-    by 1/(1 - x chi) for each of the 2n steps chi = +-c_i, one pass over
-    the characters per (step, degree).
+    group, the closure H of the columns, with |H| = |G|.  H is written as
+    Z/n_1 x ... x Z/n_r and the count at each degree is one int of |H|
+    lanes in mixed radix, the trivial character in lane 0.  Each of the
+    2n steps +-c_i multiplies by 1/(1 - x chi): P[d] += rot(P[d - 1]),
+    where rot rotates each axis by the step's digit on it.
+
+    A lane at degree d counts monomials of degree d in the variables
+    stepped so far, at most C(order + 2n - 1, 2n - 1), the number of
+    all monomials of degree `order` in 2n variables; the lanes are that
+    number's bit length wide.  No lane is negative and every sum is a
+    final lane value, so no lane carries into the next.
     """
-    mod = group.exponent
+    n, mod = group.dimension, group.exponent
     columns = list(zip(*group.generators))
-    characters = _closure(columns, mod)
-    index = {h: j for j, h in enumerate(characters)}
-    trivial = index[(0,) * len(group.generators)]
-    dp = [[0] * len(characters) for _ in range(order + 1)]
-    dp[0][trivial] = 1
-    for step in columns + [tuple(-x for x in c) for c in columns]:
-        # character j is reached from the one at index src[j]
-        src = [index[tuple((a - b) % mod for a, b in zip(h, step))]
-               for h in characters]
-        for d in range(1, order + 1):
-            dp[d] = list(map(add, dp[d], map(dp[d - 1].__getitem__, src)))
-    return [layer[trivial] for layer in dp]
+    radices, index = _character_axes(columns, mod)
+    width = math.comb(order + 2 * n - 1, 2 * n - 1).bit_length()
+    steps = []
+    for step in columns + [tuple(-x % mod for x in c) for c in columns]:
+        i, moves, stride = index[step], [], 1
+        for radix in radices:
+            i, t = divmod(i, radix)
+            if t:
+                moves.append(_rotation(len(index), width, radix, stride, t))
+            stride *= radix
+        steps.append(moves)
+    packed = [1] + [0] * order
+    for moves in steps:
+        prev, stepped = 1, [1]
+        for p in packed[1:]:
+            for lo, hi, up, down in moves:
+                prev = (prev & lo) << up | (prev & hi) >> down
+            prev += p
+            stepped.append(prev)
+        packed = stepped
+    low = (1 << width) - 1
+    return [p & low for p in packed]
 
 
 def molien_series(group: FiniteDiagonalGroup) -> RationalFunction:

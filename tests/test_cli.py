@@ -536,6 +536,17 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["finite", "--gen", "2:1", "--gen", "-3:1"],
+        ["finite", "--gen", "-3:1,2"],
+        ["finite", "--ge", "-1:0", "--order", "2"],
+    ])
+    def test_negative_generator_modulus_exit_2(self, argv):
+        # "-3:1" looks like an option to argparse; it is read as the
+        # value of --gen, so the modulus check names the fault
+        code, out, err = run_all(argv)
+        assert (code, out, err) == (2, "", "error: modulus must be >= 1\n")
+
     def test_parse_failure_leaves_next_command_alone(self):
         # main reuses one parser per process; an argparse failure must
         # not change what the next command prints

@@ -345,3 +345,78 @@ class TestInvariantCountDP:
         assert invariant_counts(group, order) \
             == reference_invariant_counts(group, order)
         assert invariant_counts(group, 8) == brute_force_counts(group, 8)
+
+    @staticmethod
+    def radices(group):
+        columns = list(zip(*group.generators))
+        return squot.finite._character_axes(columns, group.exponent)[0]
+
+    @pytest.mark.parametrize("gens, radices", [
+        ([(2, (1, 0)), (2, (0, 1))], (2, 2)),              # Z/2 x Z/2
+        ([(4, (1, 0, 1)), (2, (0, 1, 1))], (4, 2)),        # Z/4 x Z/2
+        ([(12, (1, 0)), (10, (0, 1))], (60, 2)),           # Z/12 x Z/10
+        ([(12, (1, 5, 0)), (10, (0, 3, 7))], (60, 2)),
+        ([(2, (1, 0, 0)), (2, (0, 1, 0)), (2, (0, 0, 1))], (2, 2, 2)),
+    ])
+    def test_non_cyclic_characters(self, gens, radices):
+        group = FiniteDiagonalGroup.from_generators(gens)
+        assert self.radices(group) == radices
+        assert math.prod(radices) == group.order
+        order = molien_order(group)
+        assert invariant_counts(group, order) \
+            == reference_invariant_counts(group, order)
+        assert invariant_counts(group, 6) == brute_force_counts(group, 6)
+
+    @pytest.mark.parametrize("gens", [
+        # five order-8 generators of one group of order 16: a grid of
+        # one axis per generator would have 8^5 lanes
+        [(8, (1, 0)), (8, (0, 4)), (8, (1, 4)), (8, (3, 4)), (8, (5, 0))],
+        [(6, (1, 1)), (6, (5, 5)), (3, (1, 1)), (2, (1, 1))],
+        [(4, (1, 2, 3))] * 4,
+    ])
+    def test_redundant_generators_one_lane_per_character(self, gens):
+        group = FiniteDiagonalGroup.from_generators(gens)
+        assert math.prod(self.radices(group)) == group.order
+        order = molien_order(group)
+        assert invariant_counts(group, order) \
+            == reference_invariant_counts(group, order)
+
+    def test_trivial_group_one_lane(self):
+        group = FiniteDiagonalGroup.from_generators([(1, (0, 0))])
+        assert self.radices(group) == ()
+        # every monomial of degree d in 4 variables is invariant
+        assert invariant_counts(group, 12) \
+            == [math.comb(d + 3, 3) for d in range(13)]
+
+    @pytest.mark.parametrize("gens", [
+        [(1, (0,))], [(6, (1,))], [(6, (4,))], [(5, (2,)), (3, (1,))],
+    ])
+    def test_one_coordinate(self, gens):
+        group = FiniteDiagonalGroup.from_generators(gens)
+        assert math.prod(self.radices(group)) == group.order
+        order = molien_order(group)
+        assert invariant_counts(group, order) \
+            == reference_invariant_counts(group, order)
+        assert invariant_counts(group, 10) == brute_force_counts(group, 10)
+
+    def test_lanes_wider_than_64_bits(self):
+        group = FiniteDiagonalGroup.from_generators([(5, (1, 2, 3, 4, 1, 2))])
+        order = 400
+        assert math.comb(order + 11, 11).bit_length() > 64
+        counts = invariant_counts(group, order)
+        assert max(counts) > 2 ** 64
+        assert counts == reference_invariant_counts(group, order)
+
+    @given(generator_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_reference_property(self, case):
+        _, gens = case
+        group = FiniteDiagonalGroup.from_generators(gens)
+        radices = self.radices(group)
+        assert math.prod(radices) == group.order
+        # the greedy basis gives the invariant factors: n_(k+1) | n_k
+        assert all(r > 1 for r in radices)
+        assert all(a % b == 0 for a, b in zip(radices, radices[1:]))
+        order = molien_order(group)
+        assert invariant_counts(group, order) \
+            == reference_invariant_counts(group, order)
