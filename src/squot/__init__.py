@@ -10,7 +10,7 @@ from .exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
 from .finite import (FiniteDiagonalGroup, FiniteGroupResult, analyze_group,
                      molien_series)
 from .laurent import (SymplecticReport, gamma0_closed, gamma2_closed,
-                      off_shell_coefficients, schur_eval, symplectic_check)
+                      schur_eval, symplectic_check)
 from .scan import (ScanResult, full_scan, gamma0_is_integral,
                    pseudoreflection_obstruction, reciprocal_gamma0)
 

@@ -3,15 +3,16 @@
 A weight vector A = (a_1, ..., a_n) of nonzero integers defines a linear
 circle action on C^n.  This module computes the Hilbert series of the
 algebra of invariants both before ("off shell") and after ("on shell")
-imposing the moment map equation.  Three algorithms cover the three
-weight profiles:
+imposing the moment map equation.  Two algorithms cover the weight
+profiles:
 
-* all weights distinct ("Generic"): one partial-fraction piece per
-  coordinate, each averaged over roots of unity by multisection of its
-  Taylor prefix;
-* repeated weights ("DegenerateResidue"): one piece per distinct weight,
-  obtained from a higher-order residue computed with exact derivative
-  arithmetic, then averaged the same way;
+* the residue path, for two or more distinct weights: one piece per
+  distinct weight a of multiplicity p, the residue of order p
+  computed with exact derivative arithmetic (at once for p = 1), then
+  averaged over the a-th roots of unity by multisection of its Taylor
+  prefix; the pieces are merged over their shared denominator.  With
+  every p = 1 ("Generic") the on-shell sum is lifted onto the pair-sum
+  denominator, otherwise ("DegenerateResidue") it is reduced;
 * all weights equal ("CompletelyDegenerate"): an explicit binomial
   formula.
 
@@ -33,12 +34,12 @@ from itertools import repeat, zip_longest
 from operator import mul
 from typing import Sequence, Tuple
 
-from .errors import (DegenerateWeights, DenominatorVanishesAtZero,
-                     OracleMismatch, ReconstructionMismatch, ZeroWeight)
+from .errors import (DenominatorVanishesAtZero, OracleMismatch,
+                     ReconstructionMismatch, ZeroWeight)
 from .exact import (ONE, SLACK, FactoredDenominator, QPolynomial,
-                    RationalFunction, TruncatedSeries, check_reciprocity,
-                    deferred_quotient, mul_truncated, multisected_prefix,
-                    peel_common, rational_reconstruct, series_of_rational)
+                    RationalFunction, check_reciprocity, deferred_quotient,
+                    mul_truncated, multisected_prefix, peel_common,
+                    series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -76,34 +77,6 @@ class HilbertSeriesResult:
     on_shell: RationalFunction
     off_shell: RationalFunction
     pieces: Tuple[RationalFunction, ...] = ()
-
-
-def phi_tilde(weights: Sequence[int], i: int) -> RationalFunction:
-    """Partial-fraction piece of coordinate i for distinct weights.
-
-    The raw piece is 1 / prod_{j != i} (1-x^(a_i-a_j))(1-x^(a_i+a_j)).
-    Negative exponents are folded away with
-    1/(1-x^(-m)) = -x^m/(1-x^m), so the result is analytic at 0.
-    """
-    a = weights[i]
-    sign = 1
-    shift = 0
-    pairs = []
-    for j, b in enumerate(weights):
-        if j == i:
-            continue
-        for e in (a - b, a + b):
-            if e == 0:
-                raise DegenerateWeights(
-                    f"repeated weight magnitude in {tuple(weights)}")
-            if e < 0:
-                sign = -sign
-                shift += -e
-                pairs.append((-e, 1))
-            else:
-                pairs.append((e, 1))
-    return RationalFunction(QPolynomial.monomial(shift, sign),
-                            FactoredDenominator.from_pairs(pairs))
 
 
 def _averaged_reciprocity(ints: list, den: FactoredDenominator,
@@ -170,14 +143,16 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     l = lcm(a,m)/a, each factor (1-x^m)^e of f's denominator becomes
     (1-x^(a l))^e times the polynomial ((1-x^(a l))/(1-x^m))^e, so the
     average has the exact denominator prod (1-y^l)^e in y = x^a, of
-    degree sum e*m/gcd(a,m).  Its numerator N is the multisected Taylor
-    prefix times that denominator, in the coefficients of f's numerator
-    (integers in the pipeline; Fractions give the same values).  When
-    the input's reciprocity gives the mirror N_k = eps * N_(C-k)
-    (`_averaged_reciprocity`), only a half-length prefix is expanded:
-    it yields N_0..N_(C//2 + SLACK), the SLACK coefficients past the
-    middle must agree with the mirror, and the mirror gives the rest
-    (`_mirrored`).  Otherwise (an input that is not reciprocal, or a
+    degree sum e*m/gcd(a,m).  A factor with a | m is a function of x^a:
+    it becomes (1-y^(m/a))^e at once and stays out of the expansion.
+    The numerator N is the multisected Taylor prefix of f without those
+    factors times the image of the others, in the coefficients of f's
+    numerator (integers in the pipeline; Fractions give the same
+    values).  When the input's reciprocity gives the mirror
+    N_k = eps * N_(C-k) (`_averaged_reciprocity`), only a half-length
+    prefix is expanded: it yields N_0..N_(C//2 + SLACK), the SLACK
+    coefficients past the middle must agree with the mirror, and the
+    mirror gives the rest (`_mirrored`).  Otherwise (an input that is not reciprocal, or a
     not dividing its shift) the prefix covers the whole numerator and
     SLACK + 2 coefficients past the degree bound, which must vanish.  A
     failed check raises ReconstructionMismatch.  The average is returned
@@ -195,42 +170,16 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     nonnegative, never carry into each other, and a division by
     (1-x^m) adds whole rows of m lanes.
     """
-    exact = FactoredDenominator.from_pairs((math.lcm(a, m) // a, e)
-                                           for m, e in f.denominator.factors)
-    top, sign = _averaged_reciprocity(list(f.numerator.coeffs),
-                                      f.denominator, exact, a)
+    den = f.denominator
+    rest = FactoredDenominator(
+        tuple((m, e) for m, e in den.factors if m % a), den.psi)
+    exact, image = (FactoredDenominator.from_pairs(
+        (math.lcm(a, m) // a, e) for m, e in d.factors) for d in (den, rest))
+    top, sign = _averaged_reciprocity(list(f.numerator.coeffs), den, exact, a)
     reach = (top // 2 if sign else top + 2) + SLACK
-    window = exact.multiply_into(multisected_prefix(f, a, reach))
+    window = image.multiply_into(
+        multisected_prefix(RationalFunction(f.numerator, rest), a, reach))
     return RationalFunction(QPolynomial(_mirrored(window, top, sign)), exact)
-
-
-def _pair_sum_denominator(weights: Sequence[int]) -> FactoredDenominator:
-    """(1-x^2) * prod_{i<j} (1-x^(a_i+a_j)), the on-shell ansatz."""
-    n = len(weights)
-    pairs = [(2, 1)]
-    pairs += [(weights[i] + weights[j], 1)
-              for i in range(n) for j in range(i + 1, n)]
-    return FactoredDenominator.from_pairs(pairs)
-
-
-def hilbert_on_distinct(weights: Sequence[int]):
-    """On-shell Hilbert series for pairwise distinct weights.
-
-    Returns (series over the pair-sum denominator, per-coordinate
-    averaged pieces).
-    """
-    n = len(weights)
-    if len(set(weights)) != n:
-        raise DegenerateWeights(f"repeated weights in {tuple(weights)}")
-    pieces = tuple(u_average(phi_tilde(weights, i), weights[i])
-                   for i in range(n))
-    target = _pair_sum_denominator(weights)
-    bound = target.degree
-    series = (series_of_rational(piece, bound + SLACK).coefficients
-              for piece in pieces)
-    total = TruncatedSeries(tuple(map(sum, zip(*series))))
-    num = rational_reconstruct(total, target, bound)
-    return RationalFunction(num, target), pieces
 
 
 def _weight_clusters(weights: Sequence[int]):
@@ -263,9 +212,24 @@ def residue_cluster(a: int, p: int, rest):
     denominator is Den(t).  Both are held as t-polynomials, truncated
     at t^p, with integer u-polynomial coefficients; 1/Den(t) is formed
     by the deferred quotient, which gives that coefficient times
-    Den(0)^p, so no polynomial division is needed.
+    Den(0)^p, so no polynomial division is needed.  For p = 1 the
+    coefficient is u^exponent / Den(0), and Den(t) is never formed.
     """
     exponent = p * a - 1 + sum(pb * b for b, pb in rest)
+
+    # Den(0) in factored form, for the final denominator of R.
+    scalar = a ** p
+    shift = p * (a - 1)
+    pairs = [(2 * a, p)]
+    for b, pb in rest:
+        pairs += [(a + b, pb), (abs(a - b), pb)]
+        shift += pb * min(a, b)
+        if b > a:
+            scalar *= (-1) ** pb
+    den_r = FactoredDenominator.from_pairs((m, e * p) for m, e in pairs)
+    if p == 1:
+        return (RationalFunction(QPolynomial.monomial(exponent - shift),
+                                 den_r), scalar)
     tmax = p - 1
 
     # Den(t): each factor written in t with u-polynomial coefficients.
@@ -290,16 +254,6 @@ def residue_cluster(a: int, p: int, rest):
             den = mul_truncated(den, factor, p)
     n_poly = deferred_quotient(_monomial_in_z(exponent, tmax), den, p)[tmax]
 
-    # Den(0) in factored form, for the final denominator of R.
-    scalar = a ** p
-    shift = p * (a - 1)
-    pairs = [(2 * a, p)]
-    for b, pb in rest:
-        pairs += [(a + b, pb), (abs(a - b), pb)]
-        shift += pb * min(a, b)
-        if b > a:
-            scalar *= (-1) ** pb
-
     # R = N / Den(0)^p; the u-power must divide N exactly since R is
     # analytic at 0, and the scalar stays out as the scale.
     total_shift = shift * p
@@ -307,21 +261,34 @@ def residue_cluster(a: int, p: int, rest):
         raise DenominatorVanishesAtZero(
             "residue numerator not divisible by the expected power of u")
     n_poly = QPolynomial(n_poly.coeffs[total_shift:])
-    den_r = FactoredDenominator.from_pairs((m, e * p) for m, e in pairs)
     return peel_common(RationalFunction(n_poly, den_r)), scalar ** p
 
 
+def _excess(den: FactoredDenominator,
+            over: FactoredDenominator) -> FactoredDenominator:
+    """The (1 - x^m)^e factors by which `den` exceeds `over`."""
+    have = dict(over.factors)
+    return FactoredDenominator(tuple(
+        (m, e - have.get(m, 0)) for m, e in den.factors if e > have.get(m, 0)))
+
+
+def _times(coeffs, den: FactoredDenominator) -> list:
+    """The coefficients times the expanded denominator, in full."""
+    return den.multiply_into(list(coeffs) + [0] * den.degree)
+
+
 def hilbert_off_clustered(weights: Sequence[int]):
-    """Off-shell Hilbert series when some weights repeat.
+    """Off-shell Hilbert series by the residue path.
 
     Returns (the series, the pieces (a_i / s_i) * N_i / D_i), N_i / D_i
     the average of cluster i's `residue_cluster` piece over its exact
-    image denominator (`u_average`) and s_i its scale.  Summed in
+    image denominator (`u_average`) and s_i its scale; a_i / s_i stays
+    an int where s_i divides a_i, as it does for every p = 1.  Summed in
     integers, N_i times its cofactor and a_i L / s_i (L the lcm of the
     denominators of the a_i / s_i) gives L times the off-shell
     numerator, which is integral (an integer series over a denominator
     with constant term 1): else ReconstructionMismatch.  The series is
-    not in lowest terms; the caller reduces it.
+    not in lowest terms; the caller reduces it or lifts it.
     """
     clusters = _weight_clusters(weights)
     averaged, ratios = [], []
@@ -329,26 +296,22 @@ def hilbert_off_clustered(weights: Sequence[int]):
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
         averaged.append(u_average(g, a))
-        ratios.append(Fraction(a, s))
+        ratios.append(a // s if a % s == 0 else Fraction(a, s))
     merged: dict = {}
     for g in averaged:
         for m, e in g.denominator.factors:
             merged[m] = max(merged.get(m, 0), e)
+    den = FactoredDenominator.from_pairs(merged.items())
     lcm = math.lcm(*(r.denominator for r in ratios))
     parts = []
     for g, r in zip(averaged, ratios):
-        have = dict(g.denominator.factors)
-        cofactor = FactoredDenominator.from_pairs(
-            (m, e - have.get(m, 0)) for m, e in merged.items()
-            if e > have.get(m, 0))
         weight = r.numerator * (lcm // r.denominator)
-        parts.append(cofactor.multiply_into(
-            [weight * c for c in g.numerator.coeffs] + [0] * cofactor.degree))
+        parts.append(_times([weight * c for c in g.numerator.coeffs],
+                            _excess(den, g.denominator)))
     total = list(map(sum, zip_longest(*parts, fillvalue=0)))
     if any(c % lcm for c in total):
         raise ReconstructionMismatch("off-shell numerator is not integral")
-    off = RationalFunction(QPolynomial(c // lcm for c in total),
-                           FactoredDenominator.from_pairs(merged.items()))
+    off = RationalFunction(QPolynomial(c // lcm for c in total), den)
     return off, tuple(RationalFunction(g.numerator * r, g.denominator)
                       for g, r in zip(averaged, ratios))
 
@@ -363,8 +326,7 @@ def _on_from_off(off: RationalFunction) -> RationalFunction:
         kept = FactoredDenominator.from_pairs(
             [(m, e) for m, e in factors.items() if e], den.psi)
         return RationalFunction(off.numerator, kept)
-    num = FactoredDenominator(((2, 1),)).multiply_into(
-        off.numerator.coeffs + (0, 0))
+    num = _times(off.numerator.coeffs, FactoredDenominator(((2, 1),)))
     return peel_common(RationalFunction(QPolynomial(num), den))
 
 
@@ -373,6 +335,41 @@ def _off_from_on(on: RationalFunction) -> RationalFunction:
     pairs = list(on.denominator.factors) + [(2, 1)]
     return RationalFunction(on.numerator, FactoredDenominator.from_pairs(
         pairs, on.denominator.psi))
+
+
+def _pair_sum_denominator(weights: Sequence[int]) -> FactoredDenominator:
+    """(1-x^2) * prod_{i<j} (1-x^(a_i+a_j)), the on-shell ansatz."""
+    n = len(weights)
+    pairs = [(2, 1)]
+    pairs += [(weights[i] + weights[j], 1)
+              for i in range(n) for j in range(i + 1, n)]
+    return FactoredDenominator.from_pairs(pairs)
+
+
+def hilbert_on_distinct(weights: Sequence[int]):
+    """On-shell Hilbert series for pairwise distinct weights.
+
+    Returns (the series over the pair-sum denominator, the on-shell
+    pieces).  The residue path gives the off-shell sum and pieces, each
+    taken on shell (`_on_from_off`).  The sum is lifted onto the
+    pair-sum denominator exactly: its numerator is multiplied by the
+    factors of the ansatz that its denominator lacks, and divided by
+    the factors of its denominator that the ansatz lacks
+    (`peel_common`); a factor left over raises ReconstructionMismatch.
+    """
+    off, pieces = hilbert_off_clustered(weights)
+    on = _on_from_off(off)
+    target = _pair_sum_denominator(weights)
+    lifted = peel_common(RationalFunction(
+        QPolynomial(_times(on.numerator.coeffs,
+                           _excess(target, on.denominator))),
+        _excess(on.denominator, target)))
+    if lifted.denominator.factors:
+        raise ReconstructionMismatch(
+            f"weights {tuple(weights)}: denominator factors "
+            f"{lifted.denominator.factors} are not in the pair-sum ansatz")
+    return (RationalFunction(lifted.numerator, target),
+            tuple(map(_on_from_off, pieces)))
 
 
 def hilbert_equal_weights(n: int) -> RationalFunction:
@@ -521,11 +518,13 @@ def verify_against_oracle(weights: Sequence[int], off: RationalFunction,
 
 
 def hilbert_series(weights: Sequence[int],
-                   oracle_degree=DEFAULT_ORACLE_DEGREE) -> HilbertSeriesResult:
+                   oracle_degree: int = DEFAULT_ORACLE_DEGREE
+                   ) -> HilbertSeriesResult:
     """On- and off-shell Hilbert series for a circle weight vector.
 
     Dispatches on the multiplicity profile of the normalized weights.
-    Set oracle_degree=None to skip the brute-force cross-check.
+    The off-shell series is checked against the brute-force count
+    through degree `oracle_degree` (0 checks the constant term only).
     """
     weights = normalize_weights(weights)
     clusters = _weight_clusters(weights)
@@ -542,11 +541,10 @@ def hilbert_series(weights: Sequence[int],
         off, pieces = hilbert_off_clustered(weights)
         off = off.reduce()
         result = HilbertSeriesResult(weights, "DegenerateResidue",
-                                     _on_from_off(off), off, pieces)
+                                     _on_from_off(off).reduce(), off, pieces)
     # H_on(1/x) = x^(2n-2) H_on(x) on every coefficient; then the
     # off-shell series H_on / (1 - x^2) obeys H(1/x) = -x^(2n) H(x)
     check_reciprocity(result.on_shell, 2 * len(weights) - 2,
                       f"weights {weights}")
-    if oracle_degree is not None:
-        verify_against_oracle(weights, result.off_shell, oracle_degree)
+    verify_against_oracle(weights, result.off_shell, oracle_degree)
     return result

@@ -17,10 +17,6 @@ class ArgumentOutOfRange(SquotError):
     """A numeric command-line argument is outside its allowed range."""
 
 
-class DegenerateWeights(SquotError):
-    """A generic-only code path was handed repeated weights."""
-
-
 class DenominatorVanishesAtZero(SquotError):
     """Series expansion at 0 requested for a function with a pole there."""
 

@@ -3,9 +3,9 @@
 The leading Laurent coefficients gamma_k of the on-shell Hilbert series
 carry the geometry of the quotient.  For the circle case this module
 provides closed forms for gamma_0 and gamma_2 = gamma_3 as ratios of
-Schur polynomials evaluated at the weights, the passage from on-shell
-to off-shell coefficients, and the linear constraints ("S_m = 0") that
-characterize series behaving like a symplectic quotient of order r.
+Schur polynomials evaluated at the weights, and the linear constraints
+("S_m = 0") that characterize series behaving like a symplectic
+quotient of order r.
 
 The Schur values and the S_m are computed in integers: points and
 coefficients are cleared by one lcm, determinants are Bareiss
@@ -187,20 +187,6 @@ def sqrt_series_coefficients(count: int) -> list:
     return out
 
 
-def off_shell_coefficients(on: LaurentExpansion) -> LaurentExpansion:
-    """Laurent data of series/(1-x^2) from the data of the series.
-
-    The pole order grows by one; the coefficients follow the recursion
-    delta_k = (gamma_k + delta_{k-1}) / 2 with delta_0 = gamma_0 / 2.
-    """
-    out = []
-    prev = Fraction(0)
-    for g in on.coefficients:
-        prev = (g + prev) / 2
-        out.append(prev)
-    return LaurentExpansion(on.pole_order + 1, tuple(out))
-
-
 @dataclass(frozen=True)
 class SymplecticReport:
     """Result of testing the alternating-sum constraints S_1..S_max."""
@@ -212,9 +198,6 @@ class SymplecticReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def residual(self, m: int) -> Fraction:
-        return self.residuals[m - 1]
 
 
 def symplectic_check(gammas: Sequence, max_order: int) -> SymplecticReport:

@@ -55,11 +55,6 @@ def gamma2_ratio(triple: Sequence[int]) -> Fraction:
     return 12 * gamma2_closed(triple, gamma0=gamma0) / gamma0
 
 
-def gamma2_condition(triple: Sequence[int]) -> bool:
-    """Whether 12 gamma_2 / gamma_0 is an integer."""
-    return gamma2_ratio(triple).denominator == 1
-
-
 def pseudoreflection_obstruction(triple: Sequence[int]) -> bool:
     """Whether 12 gamma_2/gamma_0 is a sum of m^2 - 1 over divisors
     m >= 2 of the integer 1/gamma_0 (with repetitions allowed).

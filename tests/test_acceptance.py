@@ -44,7 +44,7 @@ def sweep_n3():
     for w in combinations_with_replacement(range(1, 16), 3):
         if math.gcd(*w) != 1:
             continue
-        r = hilbert_series(w, oracle_degree=None)
+        r = hilbert_series(w)
         out[w] = laurent_at_one(r.on_shell, 119)
     return out
 
@@ -68,7 +68,7 @@ def test_criterion_1_worked_example():
 
 def test_criterion_2_benchmark_191_192_193():
     start = time.monotonic()
-    result = hilbert_series((191, 192, 193), oracle_degree=None)
+    result = hilbert_series((191, 192, 193))
     on = result.on_shell
     assert on.denominator.factors == ((2, 1), (383, 1), (384, 1), (385, 1))
     assert on.numerator.degree == 1150
@@ -107,7 +107,7 @@ def test_criterion_5_oracle_equivalence():
     count = 0
     for n in range(1, 5):
         for w in combinations_with_replacement(range(1, 9), n):
-            r = hilbert_series(w, oracle_degree=None)
+            r = hilbert_series(w)
             got = list(series_of_rational(r.off_shell, 30).coefficients)
             assert got == oracle_off_counts(normalize_weights(w), 30), w
             count += 1
@@ -117,7 +117,7 @@ def test_criterion_5_oracle_equivalence():
 
 def test_criterion_6_completely_degenerate_family():
     for n in range(1, 11):
-        result = hilbert_series((1,) * n, oracle_degree=None)
+        result = hilbert_series((1,) * n)
         assert result.method == "CompletelyDegenerate"
         closed = hilbert_equal_weights(n)
         assert result.on_shell.numerator == closed.numerator

@@ -13,21 +13,22 @@ from hypothesis import strategies as st
 import squot.circle
 import squot.exact
 from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
-                          _kronecker_off_counts, _mirrored, _off_from_on,
+                          _kronecker_off_counts, _mirrored, _monomial_in_z,
+                          _off_from_on, _on_from_off, _pair_sum_denominator,
                           _paired_off_counts, _takes_kronecker,
                           _weight_clusters,
                           hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights, oracle_off_counts,
-                          phi_tilde, residue_cluster, u_average,
+                          residue_cluster, u_average,
                           verify_against_oracle)
-from squot.errors import (DegenerateWeights, OracleMismatch,
-                          ReciprocityMismatch, ReconstructionMismatch,
-                          ZeroWeight)
-from squot.exact import (SLACK, FactoredDenominator, QPolynomial,
+from squot.errors import (OracleMismatch, ReciprocityMismatch,
+                          ReconstructionMismatch, ZeroWeight)
+from squot.exact import (ONE, SLACK, FactoredDenominator, QPolynomial,
                          RationalFunction, TruncatedSeries, _divide_binomial,
                          _packed_multisection, check_reciprocity, cleared,
-                         laurent_at_one, peel_common, rational_reconstruct,
+                         deferred_quotient, laurent_at_one, mul_truncated,
+                         peel_common, rational_reconstruct,
                          series_of_rational)
 from squot.laurent import gamma0_closed, gamma2_closed
 
@@ -77,6 +78,83 @@ def reference_u_average(f, a):
     if scale != 1:
         num = num * Fraction(1, scale)
     return RationalFunction(num, target)
+
+
+def phi_tilde(weights, i):
+    """Partial-fraction piece of coordinate i for distinct weights, the
+    reference route for the Generic pieces.
+
+    The raw piece is 1 / prod_{j != i} (1-x^(a_i-a_j))(1-x^(a_i+a_j)).
+    Negative exponents are folded away with
+    1/(1-x^(-m)) = -x^m/(1-x^m), so the result is analytic at 0.
+    """
+    a = weights[i]
+    sign = 1
+    shift = 0
+    pairs = []
+    for j, b in enumerate(weights):
+        if j == i:
+            continue
+        for e in (a - b, a + b):
+            if e == 0:
+                raise ValueError(f"repeated weight in {tuple(weights)}")
+            if e < 0:
+                sign = -sign
+                shift += -e
+            pairs.append((abs(e), 1))
+    return RationalFunction(QPolynomial.monomial(shift, sign),
+                            FactoredDenominator.from_pairs(pairs))
+
+
+def reference_hilbert_on_distinct(weights):
+    """The phi_tilde route: each coordinate's piece averaged over its
+    roots of unity, the pieces summed as series through the degree of
+    the pair-sum denominator plus SLACK, and the sum reconstructed over
+    that denominator."""
+    pieces = tuple(u_average(phi_tilde(weights, i), a)
+                   for i, a in enumerate(weights))
+    target = _pair_sum_denominator(weights)
+    bound = target.degree
+    series = (series_of_rational(piece, bound + SLACK).coefficients
+              for piece in pieces)
+    total = TruncatedSeries(tuple(map(sum, zip(*series))))
+    return (RationalFunction(rational_reconstruct(total, target, bound),
+                             target), pieces)
+
+
+def reference_residue_cluster(a, p, rest):
+    """The general route of `residue_cluster` for every p: Den(t) as a
+    t-polynomial truncated at t^p, the deferred quotient, the u-shift
+    and a peel."""
+    tmax = p - 1
+    exponent = p * a - 1 + sum(pb * b for b, pb in rest)
+
+    def binomial_in_t(top, k, sign):  # the t^1..t^tmax terms
+        return [QPolynomial.monomial(top - j, sign * math.comb(k, j))
+                for j in range(1, min(k, tmax) + 1)]
+    factors = [([ONE - QPolynomial.monomial(2 * a)]
+                + binomial_in_t(2 * a, a, -1), p),
+               ([QPolynomial.monomial(a - 1 - j, math.comb(a, j + 1))
+                 for j in range(min(a - 1, tmax) + 1)], p)]
+    scalar, shift, pairs = a ** p, p * (a - 1), [(2 * a, p)]
+    for b, pb in rest:
+        factors += [([ONE - QPolynomial.monomial(a + b)]
+                     + binomial_in_t(a + b, b, -1), pb),
+                    ([QPolynomial.monomial(b) - QPolynomial.monomial(a)]
+                     + binomial_in_t(b, b, 1), pb)]
+        pairs += [(a + b, pb), (abs(a - b), pb)]
+        shift += pb * min(a, b)
+        scalar *= (-1) ** pb if b > a else 1
+    den = [ONE]
+    for factor, e in factors:
+        for _ in range(e):
+            den = mul_truncated(den, factor, p)
+    num = deferred_quotient(_monomial_in_z(exponent, tmax), den, p)[tmax]
+    assert num.valuation() >= shift * p
+    return peel_common(RationalFunction(
+        QPolynomial(num.coeffs[shift * p:]),
+        FactoredDenominator.from_pairs((m, e * p) for m, e in pairs))), \
+        scalar ** p
 
 
 def reference_hilbert_off_clustered(weights):
@@ -158,6 +236,16 @@ def residue_pieces(draw):
                            max_size=2, unique=True))
     rest = tuple((b, draw(st.integers(1, 2))) for b in sorted(others))
     return residue_cluster(a, p, rest)[0], a
+
+
+@st.composite
+def distinct_weights(draw):
+    """A sorted vector of pairwise distinct weights, n = 2..6, below 40,
+    in normal form."""
+    n = draw(st.integers(2, 6))
+    weights = draw(st.lists(st.integers(1, 39), min_size=n, max_size=n,
+                            unique=True))
+    return normalize_weights(weights)
 
 
 @st.composite
@@ -245,7 +333,8 @@ class TestPhiTilde:
         assert f3.denominator.factors == ((1, 1), (2, 1), (4, 1), (5, 1))
 
     def test_repeated_weight_rejected(self):
-        with pytest.raises(DegenerateWeights):
+        # the reference route has no piece for a repeated weight
+        with pytest.raises(ValueError, match="repeated weight"):
             phi_tilde((2, 2), 0)
 
 
@@ -331,6 +420,27 @@ class TestHalfPrefix:
         assert exact.get(2, 0) >= e
         assert u_average(f, a) == reference_u_average(f, a)
 
+    @given(generic_pieces(), st.integers(1, 4), st.integers(1, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_factor_in_x_to_the_a_maps_directly(self, case, k, e):
+        # a factor (1 - x^(k a)) is a function of x^a: it becomes
+        # (1 - y^k) at once and stays out of the expanded prefix, and
+        # the average still equals the full-length multisection
+        f, a = case
+        f = RationalFunction(f.numerator, FactoredDenominator.from_pairs(
+            list(f.denominator.factors) + [(k * a, e)]))
+        expand = squot.circle.multisected_prefix
+        expanded = []
+
+        def recording(g, stride, reach):
+            expanded.append(g.denominator.factors)
+            return expand(g, stride, reach)
+        with mock.patch("squot.circle.multisected_prefix", recording):
+            got = u_average(f, a)
+        assert [m for m, _ in expanded[0] if m % a == 0] == []
+        assert dict(got.denominator.factors)[k] >= e
+        assert got == reference_u_average(f, a)
+
     def test_prefix_is_half_length(self):
         # half of C' = deg(exact image) - w/a, plus SLACK; where a
         # shares a factor with another weight, the exact image is
@@ -362,6 +472,9 @@ class TestHalfPrefix:
         ([1, 2], [(1, 1), (2, 1)], 2),     # not palindromic
         ([1, 0, 5, 1], [(2, 2), (5, 1)], 3),
         ([0, 3, -1, 4], [(1, 2), (4, 1)], 4),
+        # (1 - x^4) maps to (1 - y^2) directly; the numerator then
+        # outgrows the rest of the denominator, (1 - x)
+        ([1, 2, 0, 5], [(1, 1), (4, 1)], 2),
     ])
     def test_without_identity_matches_multisection(self, num, pairs, a):
         f = RationalFunction(QPolynomial(num),
@@ -412,7 +525,7 @@ class TestReciprocityCertificate:
     @pytest.mark.parametrize("weights", [(1, 2, 3), (1, 1, 1, 2), (7, 8, 8, 8),
                                          (3, 3, 3), (5,), (2, 2, 3, 3, 5)])
     def test_results_are_reciprocal(self, weights):
-        r = hilbert_series(weights, oracle_degree=None)
+        r = hilbert_series(weights, oracle_degree=0)
         n = len(weights)
         check_reciprocity(r.on_shell, 2 * n - 2, "on shell")
         # off shell, 1/(1 - x^2) adds a sign: H(1/x) = -x^(2n) H(x)
@@ -436,7 +549,7 @@ class TestReciprocityCertificate:
             return (bumped,) + out[1:] if isinstance(out, tuple) else bumped
         with mock.patch(f"squot.circle.{patched}", perturbed):
             with pytest.raises(ReciprocityMismatch):
-                hilbert_series(weights, oracle_degree=None)
+                hilbert_series(weights, oracle_degree=0)
 
 
 class TestDistinctWeights:
@@ -444,6 +557,33 @@ class TestDistinctWeights:
         on, _ = hilbert_on_distinct((1, 2, 3))
         assert on.numerator == QPolynomial([1, 0, 1, 3, 4, 4, 4, 3, 1, 0, 1])
         assert on.denominator.factors == ((2, 1), (3, 1), (4, 1), (5, 1))
+
+    @given(distinct_weights())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_phi_tilde_route(self, weights):
+        # the dispatcher's on-shell series and every printed piece equal
+        # the phi_tilde route's, numerator and factored denominator
+        result = hilbert_series(weights)
+        on, pieces = reference_hilbert_on_distinct(weights)
+        assert result.method == "Generic"
+        assert result.on_shell == on
+        assert result.off_shell == _off_from_on(on)
+        assert result.pieces == pieces
+
+    def test_lift_multiplies_and_divides(self):
+        # (1,2,3,4): on shell, the merged denominator holds (1 - x)^3
+        # and (1 - x^3)^2, beyond the ansatz, and lacks its (1 - x^6) and
+        # second (1 - x^5); the lift divides by the ones and multiplies
+        # by the others
+        weights = (1, 2, 3, 4)
+        off, _ = hilbert_off_clustered(weights)
+        on = _on_from_off(off)
+        assert on.denominator.factors == ((1, 3), (2, 1), (3, 2), (4, 1),
+                                          (5, 1), (7, 1))
+        assert _pair_sum_denominator(weights).factors == (
+            (2, 1), (3, 1), (4, 1), (5, 2), (6, 1), (7, 1))
+        assert hilbert_on_distinct(weights) \
+            == reference_hilbert_on_distinct(weights)
 
 
 class TestClusterResidue:
@@ -475,17 +615,29 @@ class TestClusterResidue:
 
     def test_matches_distinct_route(self):
         # dual route: the residue machinery on multiplicity-one clusters
-        # must reproduce the generic algorithm
+        # reproduces the phi_tilde route, off shell and piece by piece
         for weights in [(1, 2), (2, 3, 5), (1, 4, 6)]:
-            off_residue, _ = hilbert_off_clustered(weights)
-            on_generic, _ = hilbert_on_distinct(weights)
-            got = series_of_rational(off_residue, 40).coefficients
-            want = series_of_rational(
-                RationalFunction(on_generic.numerator,
-                                 FactoredDenominator.from_pairs(
-                                     list(on_generic.denominator.factors)
-                                     + [(2, 1)])), 40).coefficients
+            off, pieces = hilbert_off_clustered(weights)
+            on, ref_pieces = reference_hilbert_on_distinct(weights)
+            got = series_of_rational(off, 40).coefficients
+            want = series_of_rational(_off_from_on(on), 40).coefficients
             assert got == want, weights
+            assert tuple(map(_on_from_off, pieces)) == ref_pieces, weights
+
+    @given(st.integers(1, 8),
+           st.dictionaries(st.integers(1, 9), st.integers(1, 3), max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_p1_shortcut_matches_general_route(self, a, others):
+        # p = 1 takes the shortcut, u^(exponent - shift) over Den(0)
+        # without forming Den(t); the reference runs the general route
+        rest = tuple(sorted((b, pb) for b, pb in others.items() if b != a))
+        for p in (1, 2):
+            assert residue_cluster(a, p, rest) \
+                == reference_residue_cluster(a, p, rest), (a, p, rest)
+        g, s = residue_cluster(a, 1, rest)
+        assert g.numerator.degree == sum(pb * (b - a) for b, pb in rest
+                                         if b > a)
+        assert s in (a, -a)
 
 
 class TestDivideBinomial:
@@ -611,7 +763,7 @@ class TestOracle:
 
     def test_kronecker_path_catches_wrong_series(self):
         assert _takes_kronecker([1, 2, 3], 30)
-        off = hilbert_series((1, 2, 3), oracle_degree=None).off_shell
+        off = hilbert_series((1, 2, 3)).off_shell
         verify_against_oracle((1, 2, 3), off, 30)
         wrong = RationalFunction(off.numerator + QPolynomial.monomial(7),
                                  off.denominator)
@@ -622,7 +774,7 @@ class TestOracle:
                              sorted(set(normalize_weights(w)
                                         for w in small_profiles(3, 5))))
     def test_engine_matches_oracle(self, weights):
-        result = hilbert_series(weights, oracle_degree=None)
+        result = hilbert_series(weights)
         got = series_of_rational(result.off_shell, 25).coefficients
         assert list(got) == oracle_off_counts(weights, 25)
 
@@ -640,7 +792,7 @@ class TestEqualWeights:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_off_shell_binomial_squares(self, n):
-        result = hilbert_series([1] * n, oracle_degree=None)
+        result = hilbert_series([1] * n)
         got = series_of_rational(result.off_shell, 20).coefficients
         assert list(got) == off_shell_equal_weights(n, 20)
 
@@ -681,7 +833,7 @@ class TestDispatcher:
                     if 1 < len(set(w)) < 4 and math.gcd(*w) == 1]
         assert len(profiles) == 219
         for weights in profiles:
-            r = hilbert_series(weights, oracle_degree=None)
+            r = hilbert_series(weights)
             on = series_of_rational(r.on_shell, 40).coefficients
             off = series_of_rational(r.off_shell, 40).coefficients
             for k in range(40 + 1):
@@ -722,6 +874,27 @@ class TestDispatcher:
         off = _off_from_on(on)
         assert list(series_of_rational(off, 40).coefficients) \
             == oracle_off_counts((1, 6, 10), 40)
+
+    @pytest.mark.parametrize("weights", [(1, 1, 3, 4, 5), (1, 2, 2, 3, 5),
+                                         (1, 2, 3, 5, 5), (1, 3, 4, 4, 5)])
+    def test_degenerate_on_shell_in_lowest_terms(self, weights):
+        # the reduced off-shell denominator holds Psi_2^2 in psi and no
+        # (1 - x^2), so the on-shell step multiplies by (1 - x^2) =
+        # Psi_1 Psi_2, a Psi_2 that only a reduction cancels
+        r = hilbert_series(weights)
+        assert dict(r.off_shell.denominator.factors).get(2) is None
+        assert dict(r.off_shell.denominator.psi)[2] == 2
+        assert r.on_shell.reduce() == r.on_shell
+
+    def test_degenerate_on_shell_pinned(self):
+        # two degrees shorter than the unreduced numerator of degree 48
+        on = hilbert_series((1, 1, 3, 4, 5)).on_shell
+        assert on.numerator.degree == 46
+        assert on.numerator.coeffs[:6] == (1, 2, 8, 22, 68, 170)
+        assert on.numerator.coeffs == on.numerator.coeffs[::-1]
+        assert on.denominator.factors == ((4, 1), (5, 2), (6, 2), (7, 1),
+                                          (8, 1), (9, 1))
+        assert on.denominator.psi == ((2, 2), (4, 1))
 
     def test_torus_fixture_recovered(self):
         # (1,2,2) reproduces a printed two-torus reduction series

@@ -278,6 +278,21 @@ class TestReciprocityExit:
             assert run_all(["hilbert", "--weights", "1,2,3",
                             "--oracle-verify", "2"])[0] == 0
 
+    def test_lift_leftover_exit_3(self):
+        # an ansatz that lacks a factor of the merged on-shell
+        # denominator fails the exact lift
+        real = squot.circle._pair_sum_denominator
+
+        def short(weights):
+            return FactoredDenominator.from_pairs(
+                (m, e) for m, e in real(weights).factors if m != 5)
+        with mock.patch("squot.circle._pair_sum_denominator", short):
+            code, out, err = run_all(["hilbert", "--weights", "1,2,3"])
+        assert (code, out) == (3, "")
+        assert err == ("verification failure: weights (1, 2, 3): "
+                       "denominator factors ((5, 1),) are not in the "
+                       "pair-sum ansatz\n")
+
     def test_wrong_residue_scale_exit_3(self):
         # a scale twice too large leaves the merged off-shell numerator
         # with coefficients the lcm of the weights does not divide

@@ -633,7 +633,7 @@ class TestLaurent:
     @pytest.mark.parametrize("weights", SWEEP_SAMPLE + [(7, 8, 8, 8)],
                              ids=str)
     def test_sweep_sample_at_order_119(self, weights):
-        f = hilbert_series(weights, oracle_degree=None).on_shell
+        f = hilbert_series(weights).on_shell
         if weights == (7, 8, 8, 8):
             assert f.denominator.psi  # an extraFactor
         got = laurent_at_one(f, 119)

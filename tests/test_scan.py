@@ -9,7 +9,7 @@ import pytest
 from squot.errors import NotApplicable
 from squot.laurent import gamma0_closed, gamma2_closed
 from squot.scan import (ScanResult, full_scan, gamma0_is_integral,
-                        gamma2_condition, gamma2_ratio, hits_by_sum,
+                        gamma2_ratio, hits_by_sum,
                         integral_triples, is_unit_fraction_sum,
                         pseudoreflection_obstruction, reciprocal_gamma0)
 
@@ -72,6 +72,11 @@ class TestEgyptianEquivalence:
             pairwise_coprime = (math.gcd(a, b) == math.gcd(a, c)
                                 == math.gcd(b, c) == 1)
             assert not pairwise_coprime, t
+
+
+def gamma2_condition(triple):
+    """Whether 12 gamma_2 / gamma_0 is an integer."""
+    return gamma2_ratio(triple).denominator == 1
 
 
 class TestGamma2Condition:
