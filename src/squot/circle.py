@@ -28,11 +28,10 @@ and against a brute-force monomial count, before it is returned.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from operator import mul
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import (DenominatorVanishesAtZero, OracleMismatch,
                      ReconstructionMismatch, ZeroWeight)
@@ -68,8 +67,7 @@ def normalize_weights(weights: Sequence[int]) -> Tuple[int, ...]:
     return tuple(a // g for a in mags)
 
 
-@dataclass(frozen=True)
-class HilbertSeriesResult:
+class HilbertSeriesResult(NamedTuple):
     """On- and off-shell Hilbert series for one normalized weight vector."""
 
     weights: Tuple[int, ...]

@@ -205,15 +205,18 @@ def cmd_hilbert(args) -> int:
                            payload))
 
 
+def _poly_text(coeffs) -> str:
+    return " + ".join(f"{c}*x^{k}" if k else f"{c}"
+                      for k, c in enumerate(coeffs) if c)
+
+
 def _print_series_text(payload: dict) -> None:
     """One line of text from a `series_payload`."""
-    num = " + ".join(f"{c}*x^{k}" if k else f"{c}"
-                     for k, c in enumerate(payload["numerator"]) if c)
     parts = [f"(1-x^{m})^{e}" if e > 1 else f"(1-x^{m})"
              for m, e in payload["denominator"]]
     if "extraFactor" in payload:
-        parts.append(f"[[{', '.join(map(str, payload['extraFactor']))}]]")
-    print(f"({num}) / {''.join(parts) or '1'}")
+        parts.append(f"({_poly_text(payload['extraFactor'])})")
+    print(f"({_poly_text(payload['numerator'])}) / {''.join(parts) or '1'}")
 
 
 def cmd_laurent(args) -> int:
@@ -229,10 +232,11 @@ def cmd_laurent(args) -> int:
             closed[0] = gamma0_closed(norm)
         if len(norm) >= 3:
             closed[2] = closed[3] = gamma2_closed(norm, gamma0=closed[0])
+        gammas = expansion.coefficients
         for k, value in closed.items():
-            if k <= args.order and value != expansion[k]:
+            if k <= args.order and value != gammas[k]:
                 raise ClosedFormMismatch(
-                    f"weights {norm}: gamma{k} = {_rat(expansion[k])} but "
+                    f"weights {norm}: gamma{k} = {_rat(gammas[k])} but "
                     f"the closed form gives {_rat(value)}")
         if closed:
             payload["closedForms"] = {f"gamma{k}": _rat(value)

@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, combinations, cycle, islice, repeat
 from operator import add, mul, sub
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import ReciprocityMismatch, ReconstructionMismatch
 
@@ -155,8 +154,7 @@ def _merged(pairs: Iterable, low: int) -> tuple:
     return tuple(sorted(acc.items()))
 
 
-@dataclass(frozen=True)
-class FactoredDenominator:
+class FactoredDenominator(NamedTuple):
     """A denominator prod (1 - x^m)^e * prod Psi_d^e, `psi` holding the
     Psi_d (d >= 2) that `reduce` left ungrouped; as a whole, one signed
     list of (1 - x^m) exponents (`passes`) that products run through."""
@@ -266,8 +264,7 @@ def peel_common(f: RationalFunction) -> RationalFunction:
         numerator, FactoredDenominator.from_pairs(pairs, f.denominator.psi))
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """Exact quotient of a polynomial by a factored denominator."""
 
     numerator: QPolynomial
@@ -305,6 +302,7 @@ class RationalFunction:
         return RationalFunction(QPolynomial(work),
                                 FactoredDenominator.from_pairs(pairs, left))
 
+    # scales the numerator, where a tuple would repeat itself
     def __mul__(self, scalar: Scalar) -> "RationalFunction":
         return RationalFunction(self.numerator * scalar, self.denominator)
 
@@ -329,8 +327,7 @@ def check_reciprocity(f: RationalFunction, shift: int, label: str) -> None:
             f"degree {f.numerator.degree} over {f.denominator.factors}")
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Exact power-series prefix: coefficients for degrees 0..order."""
 
     coefficients: tuple
@@ -339,19 +336,12 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def __getitem__(self, k: int) -> Scalar:
-        return self.coefficients[k]
 
-
-@dataclass(frozen=True)
-class LaurentExpansion:
+class LaurentExpansion(NamedTuple):
     """Sum_{k=0..K} gamma_k (1-x)^(k - pole_order)."""
 
     pole_order: int
     coefficients: tuple
-
-    def __getitem__(self, k: int) -> Scalar:
-        return self.coefficients[k]
 
 
 def _expand_factored(num: QPolynomial, den: FactoredDenominator,

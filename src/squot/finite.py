@@ -17,9 +17,8 @@ exactly two coordinates between the gamma_4 and gamma_5 formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import (PrimitiveCoverFailure, TheoremInconsistency)
 from .exact import (SLACK, FactoredDenominator, LaurentExpansion,
@@ -58,8 +57,7 @@ def _closure(vectors, mod: int) -> Tuple[Tuple[int, ...], ...]:
     return tuple(sorted(seen))
 
 
-@dataclass(frozen=True)
-class FiniteDiagonalGroup:
+class FiniteDiagonalGroup(NamedTuple):
     """Closure of a set of diagonal unitary generators."""
 
     dimension: int
@@ -208,8 +206,7 @@ def molien_series(group: FiniteDiagonalGroup) -> RationalFunction:
     return series
 
 
-@dataclass(frozen=True)
-class ReflectionData:
+class ReflectionData(NamedTuple):
     """Pseudoreflection bookkeeping for one group."""
 
     primitive: Tuple[Element, ...]       # one generator per moved axis
@@ -242,8 +239,7 @@ def reflection_analysis(group: FiniteDiagonalGroup) -> ReflectionData:
                           len(refs), len(group.two_coordinate_elements()))
 
 
-@dataclass(frozen=True)
-class FiniteGroupResult:
+class FiniteGroupResult(NamedTuple):
     group: FiniteDiagonalGroup
     series: RationalFunction
     laurent: LaurentExpansion

@@ -15,11 +15,10 @@ eliminations over Z, and one Fraction is built per result.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import (InsufficientCoefficients, PartitionPointsMismatch,
                      UnsupportedDimension)
@@ -187,8 +186,7 @@ def sqrt_series_coefficients(count: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class SymplecticReport:
+class SymplecticReport(NamedTuple):
     """Result of testing the alternating-sum constraints S_1..S_max."""
 
     max_order: int

@@ -22,11 +22,10 @@ k of each pair's interval for (v - k u) | k v in one C-level pass, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress
 from operator import mod, not_
-from typing import Iterator, Sequence, Tuple
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 from .errors import NotApplicable
 from .laurent import gamma0_closed, gamma2_closed
@@ -79,8 +78,7 @@ def pseudoreflection_obstruction(triple: Sequence[int]) -> bool:
     return reachable[target]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     """Integrality statistics at one level L.
 
     `total` counts all ordered positive triples with a+b+c <= L, which

@@ -578,6 +578,18 @@ class TestExitContract:
         assert run(valid) == (alone.returncode, alone.stdout)
         assert alone.returncode == 0
 
+    def test_import_path_has_no_dataclasses(self):
+        # the records are NamedTuples: dataclasses, and the inspect it
+        # imports, would add to the start-up of every process
+        probe = subprocess.run(
+            [sys.executable, "-I", "-c",
+             "import sys; sys.path.insert(0, sys.argv[1]); import squot.cli; "
+             "squot.cli.build_parser(); "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
+             os.path.join(os.path.dirname(__file__), "..", "src")],
+            capture_output=True, text=True, timeout=120)
+        assert (probe.returncode, probe.stdout) == (0, "[]\n")
+
     def test_unparseable_weights_not_zero_weight(self):
         with pytest.raises(MalformedWeights):
             _parse_weights("1,x,3")

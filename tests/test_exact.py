@@ -15,6 +15,9 @@ from hypothesis import strategies as st
 from squot.circle import hilbert_off_clustered, hilbert_series
 from squot.cli import series_payload
 from squot.errors import ReciprocityMismatch, ReconstructionMismatch
+from squot.finite import FiniteDiagonalGroup, analyze_group
+from squot.laurent import symplectic_check
+from squot.scan import full_scan
 import squot.exact
 from squot.exact import (ONE, PACKED_MIN_M, FactoredDenominator,
                          LaurentExpansion, QPolynomial, RationalFunction,
@@ -836,3 +839,31 @@ class TestFactoredDenominator:
             FactoredDenominator.from_pairs([], [(1, 1)])
         with pytest.raises(ValueError):
             FactoredDenominator.from_pairs([], [(3, 0)])
+
+
+class TestRecords:
+    @pytest.mark.parametrize("product,scale", [
+        (lambda f: f * 3, 3), (lambda f: 3 * f, 3),
+        (lambda f: f * Q(1, 2), Q(1, 2)),
+    ], ids=["f*3", "3*f", "f*1/2"])
+    def test_scalar_product_scales_numerator(self, product, scale):
+        # a record is a tuple, but a scalar product is never repetition
+        f = RationalFunction(QPolynomial([1, 2]),
+                             FactoredDenominator.from_pairs([(1, 1)]))
+        g = product(f)
+        assert type(g) is RationalFunction
+        assert g.numerator == QPolynomial([scale, 2 * scale])
+        assert g.denominator == f.denominator
+
+    def test_fields_are_read_only(self):
+        r = hilbert_series((1, 2, 3))
+        a = analyze_group(FiniteDiagonalGroup.from_generators([(3, (1, 2))]))
+        records = [r, r.on_shell, r.on_shell.denominator,
+                   series_of_rational(r.on_shell, 4), a.laurent, a.group,
+                   a.reflections, a, symplectic_check(a.laurent, 2),
+                   full_scan(3)[0]]
+        assert len({type(x) for x in records}) == 10
+        for record in records:
+            for name in record._fields:
+                with pytest.raises(AttributeError):
+                    setattr(record, name, None)
