@@ -38,6 +38,8 @@ _INPUT_ERRORS = (ZeroWeight, MalformedWeights, ArgumentOutOfRange,
 
 
 def _rat(q) -> str:
+    if type(q) is int or type(q) is Fraction:
+        return str(q)
     return str(Fraction(q))
 
 
@@ -206,8 +208,16 @@ def cmd_hilbert(args) -> int:
 
 
 def _poly_text(coeffs) -> str:
-    return " + ".join(f"{c}*x^{k}" if k else f"{c}"
-                      for k, c in enumerate(coeffs) if c)
+    """Nonzero terms in ascending degree, e.g. `2 - x + 3*x^4`."""
+    terms = []
+    for k, c in enumerate(map(Fraction, coeffs)):
+        if c:
+            power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
+            size = "" if power and abs(c) == 1 else str(abs(c))
+            terms.append(("- " if c < 0 else "+ ")
+                         + "*".join(filter(None, (size, power))))
+    text = " ".join(terms)
+    return "-" + text[2:] if text.startswith("-") else text[2:]
 
 
 def _print_series_text(payload: dict) -> None:
@@ -307,25 +317,30 @@ def cmd_finite(args) -> int:
                            payload))
 
 
-def _twelve_places(q: Fraction) -> str:
-    with decimal.localcontext() as ctx:
-        ctx.prec = 40
-        d = decimal.Decimal(q.numerator) / decimal.Decimal(q.denominator)
-        return format(d.quantize(decimal.Decimal("1." + "0" * 12)), "f")
+_TWELVE_PLACES = decimal.Decimal("1." + "0" * 12)
+
+
+def _twelve_places(q: Fraction, ctx: decimal.Context) -> str:
+    d = ctx.divide(decimal.Decimal(q.numerator),
+                   decimal.Decimal(q.denominator))
+    return format(d.quantize(_TWELVE_PLACES, context=ctx), "f")
 
 
 def cmd_scan(args) -> int:
     if args.max_level < 3:
         raise NotApplicable("max level must be >= 3")
     _check_at_least("--jobs", args.jobs, 1)
-    rows = full_scan(args.max_level)
-    records = [{
-        "level": r.level,
-        "hits": r.hits,
-        "total": r.total,
-        "probability": _rat(r.probability),
-        "decimal": _twelve_places(r.probability),
-    } for r in rows]
+    ctx = decimal.Context(prec=40)
+    records = []
+    for r in full_scan(args.max_level):
+        probability = r.probability
+        records.append({
+            "level": r.level,
+            "hits": r.hits,
+            "total": r.total,
+            "probability": str(probability),
+            "decimal": _twelve_places(probability, ctx),
+        })
     if args.out:
         with open(args.out + ".jsonl", "w") as fh:
             for rec in records:

@@ -10,13 +10,20 @@ sum of m^2 - 1 over divisors m >= 2 of 1/gamma_0.
 
 The scan does not test every triple.  With D = ab + bc + ca,
 (a+b)(b+c)(c+a) = (a+b+c) D - abc, so 1/gamma_0 is an integer exactly
-when k = abc / D is, that is when 1/a + 1/b + 1/c = 1/k.  For a <= b,
-with u = a + b and v = ab, this solves to c = k v / (v - k u), which
-increases with k; so c runs over [b, L - a - b] exactly when k runs over
-[ceil(b v / (v + b u)), floor(cmax v / (v + cmax u))], an interval of at
-most about a/6 integers (empty for a = 1).  `integral_triples` tests the
-k of each pair's interval for (v - k u) | k v in one C-level pass, and
-`hits_by_sum` tallies the hits by a + b + c for every level up to L.
+when k = abc / D is, that is when 1/a + 1/b + 1/c = 1/k.  For
+a <= b <= c this puts k in [ceil(a/3), a - 1].  With r = a - k, s = ak
+and T = L - a, it solves to c = s b / (r b - s), and a + b + c <= L
+reads r b^2 - r T b + s T <= 0, whose roots are
+(r T -+ sqrt(r T (r T - 4 s))) / 2r; the interval between them is
+empty unless k <= a T / (T + 4a), and every b in it has r b > s.
+With b >= a and c >= b (that is b <= 2s/r) each pair (a, k) leaves one
+interval of b, whose ends come from one exact `math.isqrt`: no
+multiple of 1/2r lies strictly between (r T + isqrt) / 2r and
+(r T + isqrt + 1) / 2r, so rounding the root down moves neither end.
+`integral_triples` tests the b of each interval for (r b - s) | s b in
+one C-level pass; at L = 400 that is 1 371 passes over 34 k candidates
+in all, against 1.78 M non-decreasing triples.  `hits_by_sum` tallies
+the hits by a + b + c for every level up to L.
 """
 
 from __future__ import annotations
@@ -98,15 +105,20 @@ def integral_triples(level: int) -> Iterator[Tuple[int, int, int]]:
     """Non-decreasing triples with a+b+c <= level and integral 1/gamma_0,
     in lexicographic order (see the module notes)."""
     for a in range(1, level // 3 + 1):
-        for b in range(a, (level - a) // 2 + 1):
-            u, v = a + b, a * b
-            cmax = level - a - b
-            klo = -(-b * v // (v + b * u))
-            khi = cmax * v // (v + cmax * u)
-            divides = map(not_, map(mod, range(klo * v, khi * v + 1, v),
-                                    range(v - klo * u, v - khi * u - 1, -u)))
-            for k in compress(range(klo, khi + 1), divides):
-                yield a, b, k * v // (v - k * u)
+        t = level - a
+        hits = []
+        for k in range(-(-a // 3), a * t // (t + 4 * a) + 1):
+            r, s = a - k, a * k
+            rt = r * t
+            root = math.isqrt(rt * (rt - 4 * s))
+            lo = max(a, -((root - rt) // (2 * r)))
+            hi = min(2 * s // r, (rt + root) // (2 * r))
+            divides = map(not_, map(mod, range(s * lo, s * hi + 1, s),
+                                    range(r * lo - s, r * hi - s + 1, r)))
+            hits += [(a, b, s * b // (r * b - s))
+                     for b in compress(range(lo, hi + 1), divides)]
+        hits.sort()
+        yield from hits
 
 
 def _permutations_count(a: int, b: int, c: int) -> int:

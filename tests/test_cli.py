@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 import squot.circle
 import squot.cli
 import squot.finite
-from squot.cli import (_coeff, _dumps, _parse_weights, load_series, main,
-                       series_payload)
+from squot.cli import (_coeff, _dumps, _parse_weights, _poly_text, _rat,
+                       load_series, main, series_payload)
 from squot.errors import MalformedWeights
 from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
                          laurent_at_one, series_of_rational)
@@ -147,6 +147,16 @@ class TestHilbertCommand:
         a = run(["hilbert", "--weights", "2,3,5"])
         b = run(["hilbert", "--weights", "2,3,5"])
         assert a == b
+
+    @pytest.mark.parametrize("coeffs,text", [
+        ([1, -1, 0, 1], "1 - x + x^3"),
+        ([0, 1], "x"),
+        ([-1, 0, -2], "-1 - 2*x^2"),
+        ([0, 0, 3, -1], "3*x^2 - x^3"),
+        (["1/2", "-1/3"], "1/2 - 1/3*x"),
+    ])
+    def test_text_terms(self, coeffs, text):
+        assert _poly_text(coeffs) == text
 
     def test_round_trip(self):
         doc = run_json(["hilbert", "--weights", "1,2,2"])
@@ -440,6 +450,14 @@ json_documents = st.recursive(
     lambda inner: (st.lists(inner, max_size=4)
                    | st.dictionaries(st.text(), inner, max_size=4)),
     max_leaves=30)
+
+
+class TestRationalText:
+    @pytest.mark.parametrize("q,text", [
+        (3, "3"), (-2, "-2"), (Fraction(6, 4), "3/2"), (Fraction(4, 2), "2"),
+        (True, "1"), (0.5, "1/2")])
+    def test_rat(self, q, text):
+        assert _rat(q) == text
 
 
 class TestEmitter:

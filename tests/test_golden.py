@@ -60,7 +60,8 @@ SUBGROUPS = [
 #: clusters of multiplicity above one.  Two generic inputs pin the
 #: mixed multisection passes: (100,101,102), whose pieces each have a
 #: factor with m = 1 beside factors with m near 200, and
-#: (60,97,130,171), with six factors per piece.
+#: (60,97,130,171), with six factors per piece.  `scan` at level 400
+#: pins every level's record from one pass of the scan kernel.
 DIGESTS = {
     "laurent --weights 13,14,15 --order 119":
         "5fb5b1ccf0221abba66227eec3afeee43e7493373b67967ea9789db111d0cf76",
@@ -94,6 +95,8 @@ DIGESTS = {
         "f25a41365e56be891d2b000074e49a727a5ccbcd7c4536e6cd949fd1f9b21eac",
     "hilbert --weights 60,97,130,171":
         "f2c9c57b9f08a50f2989ac00667723fac2c7cb044a220abb8c320bf7f0222395",
+    "scan --max-level 400":
+        "6595c4d896a6e8972e9453ba772209df4bdf3266d7221ee069838e25ae520722",
 }
 
 

@@ -2,7 +2,8 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import compress, permutations
+from operator import mod, not_
 
 import pytest
 
@@ -26,12 +27,29 @@ def reference_triples(level):
                     yield a, b, c
 
 
-def reference_hits_by_sum(level):
+def reference_hits_by_sum(level, triples=reference_triples):
     """Ordered hit counts indexed by a+b+c."""
     out = [0] * (level + 1)
-    for t in reference_triples(level):
+    for t in triples(level):
         out[sum(t)] += len(set(permutations(t)))
     return out
+
+
+def pair_triples(level):
+    """The unit-fraction kernel by pairs (a, b): with u = a + b and
+    v = ab, c = k v / (v - k u) runs over [b, level - a - b] exactly
+    when k runs over one interval, whose k are tested for
+    (v - k u) | k v in one pass per pair.  Lexicographic order."""
+    for a in range(1, level // 3 + 1):
+        for b in range(a, (level - a) // 2 + 1):
+            u, v = a + b, a * b
+            cmax = level - a - b
+            klo = -(-b * v // (v + b * u))
+            khi = cmax * v // (v + cmax * u)
+            divides = map(not_, map(mod, range(klo * v, khi * v + 1, v),
+                                    range(v - klo * u, v - khi * u - 1, -u)))
+            for k in compress(range(klo, khi + 1), divides):
+                yield a, b, k * v // (v - k * u)
 
 
 class TestReciprocalGamma0:
@@ -165,3 +183,26 @@ class TestKernelAgainstTripleLoop:
         for level in range(3, 121):
             assert list(integral_triples(level)) \
                 == [t for t in every if sum(t) <= level], level
+
+    def test_pair_kernel_matches_triple_loop(self):
+        assert list(pair_triples(150)) == list(reference_triples(150))
+
+
+class TestKernelAgainstPairKernel:
+    """The (a, k) intervals against the (a, b) kernel above the levels
+    the triple loop reaches; the interval ends depend on the level, so
+    each level is its own call."""
+
+    def test_hits_by_sum_levels_251_to_400(self):
+        want = reference_hits_by_sum(400, pair_triples)
+        for level in range(251, 401):
+            assert hits_by_sum(level) == want[:level + 1], level
+
+    @pytest.mark.parametrize("level", [1000, 1500])
+    def test_hits_by_sum_large(self, level):
+        assert hits_by_sum(level) == reference_hits_by_sum(level,
+                                                           pair_triples)
+
+    @pytest.mark.parametrize("level", [400, 1500])
+    def test_integral_triples_same_order(self, level):
+        assert list(integral_triples(level)) == list(pair_triples(level))
