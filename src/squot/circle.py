@@ -8,7 +8,8 @@ profiles:
 
 * the residue path, for two or more distinct weights: one piece per
   distinct weight a of multiplicity p, the residue of order p
-  computed with exact derivative arithmetic (at once for p = 1), then
+  computed with exact derivative arithmetic over polynomials in u
+  packed into ints by Kronecker substitution (at once for p = 1), then
   averaged over the a-th roots of unity by multisection of its Taylor
   prefix; the pieces are merged over their shared denominator.  With
   every p = 1 ("Generic") the on-shell sum is lifted onto the pair-sum
@@ -35,10 +36,10 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .errors import (DenominatorVanishesAtZero, OracleMismatch,
                      ReconstructionMismatch, ZeroWeight)
-from .exact import (ONE, SLACK, FactoredDenominator, QPolynomial,
-                    RationalFunction, check_reciprocity, deferred_quotient,
-                    mul_truncated, multisected_prefix, peel_common,
-                    series_of_rational)
+from .exact import (SLACK, FactoredDenominator, QPolynomial,
+                    RationalFunction, _repunit, check_reciprocity,
+                    deferred_quotient, mul_truncated, multisected_prefix,
+                    peel_common, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -191,10 +192,48 @@ def _weight_clusters(weights: Sequence[int]):
     return [(a, p) for a, p in out]
 
 
-def _monomial_in_z(k: int, tmax: int):
-    """(u+t)^k as a t-polynomial with u-polynomial coefficients."""
-    return [QPolynomial.monomial(k - j, math.comb(k, j))
-            for j in range(min(k, tmax) + 1)]
+def _kernel_coefficient(a: int, p: int, rest, exponent: int, value,
+                        sign: int = 1):
+    """The t^(p-1) coefficient N of the deferred quotient of
+    (u+t)^exponent by Den(t), truncated at t^p, each coefficient a
+    u-polynomial of (degree, coefficient) terms mapped by `value`.  For
+    a ring map, N is the image of N(u).  For the L1 norm and sign -1,
+    which negates the tail of Den(t) so that each subtraction of the
+    recurrence adds, N >= ||N(u)||_1, the norm being sub-additive and
+    sub-multiplicative."""
+    def binomials(top, k, pm):  # pm * C(k, j) u^(top - j), j >= 1
+        return [((top - j, pm * math.comb(k, j)),)
+                for j in range(1, min(k, p - 1) + 1)]
+    # (z^a - u^a)/(z - u) at z = u + t, via the hockey-stick identity
+    quotient = [((a - 1 - j, math.comb(a, j + 1)),)
+                for j in range(min(a - 1, p - 1) + 1)]
+    factors = [([((0, 1), (2 * a, -1))] + binomials(2 * a, a, -1), p),
+               (quotient, p)]
+    for b, pb in rest:
+        factors += [([((0, 1), (a + b, -1))] + binomials(a + b, b, -1), pb),
+                    ([((b, 1), (a, -1))] + binomials(b, b, 1), pb)]
+    den = [1]
+    for factor, e in factors:
+        row = list(map(value, factor))
+        for _ in range(e):
+            den = mul_truncated(den, row, p)
+    den[1:] = [sign * c for c in den[1:]]
+    numerator = [((exponent, 1),)] + binomials(exponent, exponent, 1)
+    return deferred_quotient(list(map(value, numerator)), den, p)[p - 1]
+
+
+def _balanced_lanes(packed: int, width: int) -> list:
+    """The N_j of packed = sum N_j 2^(width j), |N_j| < 2^(width-1) and
+    width a multiple of 8: with 2^(width-1) added to every lane, the
+    lanes are read off the bytes of one `to_bytes`.  A top N_d != 0 makes
+    |packed| > 2^(width d - 1), so the bit length of |packed| bounds d.
+    """
+    count, half, step = (abs(packed).bit_length() // width + 1,
+                         1 << width - 1, width // 8)
+    raw = (packed + half * _repunit(width, count)).to_bytes(
+        count * step, "little")
+    return [int.from_bytes(raw[i:i + step], "little") - half
+            for i in range(0, len(raw), step)]
 
 
 def residue_cluster(a: int, p: int, rest):
@@ -207,12 +246,17 @@ def residue_cluster(a: int, p: int, rest):
 
     R is the t^(p-1) coefficient of G(u+t) for the meromorphic kernel G
     of the cluster, whose numerator is (u+t)^exponent and whose
-    denominator is Den(t).  Both are held as t-polynomials, truncated
-    at t^p, with integer u-polynomial coefficients; 1/Den(t) is formed
-    by the deferred quotient, which gives that coefficient times
+    denominator is Den(t).  Both are t-polynomials, truncated at t^p,
+    whose coefficients are integer polynomials in u; 1/Den(t) is formed
+    by the deferred quotient, which gives that coefficient N(u) times
     Den(0)^p, so no polynomial division is needed.  For p = 1 the
     coefficient is u^exponent / Den(0), and Den(t) is never formed.
-    """
+
+    For p >= 2 each u-polynomial is packed into one int, its value at
+    X = 2^width (Kronecker substitution), and the quotient over these
+    ints is N(X) (`_kernel_coefficient`).  With width two bits above a
+    bound on the |N_j|, rounded up to a byte, N(X) is read back as
+    balanced lanes; its low lanes are zero iff its low bits are."""
     exponent = p * a - 1 + sum(pb * b for b, pb in rest)
 
     # Den(0) in factored form, for the final denominator of R.
@@ -228,37 +272,21 @@ def residue_cluster(a: int, p: int, rest):
     if p == 1:
         return (RationalFunction(QPolynomial.monomial(exponent - shift),
                                  den_r), scalar)
-    tmax = p - 1
-
-    # Den(t): each factor written in t with u-polynomial coefficients.
-    one_minus_zz = [QPolynomial([1]) - QPolynomial.monomial(2 * a)]
-    one_minus_zz += [QPolynomial.monomial(2 * a - j, -math.comb(a, j))
-                     for j in range(1, min(a, tmax) + 1)]
-    # (z^a - u^a)/(z - u) at z = u + t, via the hockey-stick identity
-    quotient = [QPolynomial.monomial(a - 1 - j, math.comb(a, j + 1))
-                for j in range(min(a - 1, tmax) + 1)]
-    factors = [(one_minus_zz, p), (quotient, p)]
-    for b, pb in rest:
-        g1 = [QPolynomial([1]) - QPolynomial.monomial(a + b)]
-        g1 += [QPolynomial.monomial(a + b - j, -math.comb(b, j))
-               for j in range(1, min(b, tmax) + 1)]
-        g2 = [QPolynomial.monomial(b) - QPolynomial.monomial(a)]
-        g2 += [QPolynomial.monomial(b - j, math.comb(b, j))
-               for j in range(1, min(b, tmax) + 1)]
-        factors += [(g1, pb), (g2, pb)]
-    den = [ONE]
-    for factor, e in factors:
-        for _ in range(e):
-            den = mul_truncated(den, factor, p)
-    n_poly = deferred_quotient(_monomial_in_z(exponent, tmax), den, p)[tmax]
+    bound = _kernel_coefficient(a, p, rest, exponent,
+                                lambda terms: sum(abs(c) for _, c in terms),
+                                -1)
+    width = -(-(bound.bit_length() + 2) // 8) * 8
+    packed = _kernel_coefficient(
+        a, p, rest, exponent,
+        lambda terms: sum(c << width * d for d, c in terms))
 
     # R = N / Den(0)^p; the u-power must divide N exactly since R is
     # analytic at 0, and the scalar stays out as the scale.
-    total_shift = shift * p
-    if n_poly.valuation() < total_shift:
+    low = width * shift * p
+    if packed & ((1 << low) - 1):
         raise DenominatorVanishesAtZero(
             "residue numerator not divisible by the expected power of u")
-    n_poly = QPolynomial(n_poly.coeffs[total_shift:])
+    n_poly = QPolynomial(_balanced_lanes(packed >> low, width))
     return peel_common(RationalFunction(n_poly, den_r)), scalar ** p
 
 

@@ -76,17 +76,23 @@ def laurent_payload(expansion) -> dict:
 
 
 def _parse_weights(text: str):
+    """The weights, at most sys.maxsize once divided by their gcd."""
     try:
-        return tuple(int(tok) for tok in text.split(","))
+        weights = tuple(int(tok) for tok in text.split(","))
     except ValueError:
         raise MalformedWeights(f"cannot parse weights {text!r}; "
                                "expected comma-separated integers")
+    _check_range("--weights divided by their gcd",
+                 normalize_weights(weights)[-1], 1)
+    return weights
 
 
-def _check_at_least(option: str, value, low: int) -> None:
-    """Reject a numeric option below `low`; None means not given."""
-    if value is not None and value < low:
-        raise ArgumentOutOfRange(f"{option} must be >= {low}, got {value}")
+def _check_range(option: str, value, low: int) -> None:
+    """Reject a numeric option below `low`, or above sys.maxsize, where
+    no list has that many entries; None means not given."""
+    if value is not None and not low <= value <= sys.maxsize:
+        bound = f">= {low}" if value < low else f"<= {sys.maxsize}"
+        raise ArgumentOutOfRange(f"{option} must be {bound}, got {value}")
 
 
 def _parse_generator(text: str):
@@ -185,7 +191,7 @@ def _emit(document: dict) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    _check_at_least("--oracle-verify", args.oracle_verify, 0)
+    _check_range("--oracle-verify", args.oracle_verify, 0)
     weights = _parse_weights(args.weights)
     oracle = args.oracle_verify if args.oracle_verify is not None \
         else DEFAULT_ORACLE_DEGREE
@@ -230,7 +236,7 @@ def _print_series_text(payload: dict) -> None:
 
 
 def cmd_laurent(args) -> int:
-    _check_at_least("--order", args.order, 0)
+    _check_range("--order", args.order, 0)
     if args.weights is not None:
         weights = _parse_weights(args.weights)
         on = hilbert_series(weights).on_shell
@@ -262,7 +268,7 @@ def cmd_laurent(args) -> int:
 
 def cmd_symplectic(args) -> int:
     # with no S_m to check, "passed" would hold vacuously
-    _check_at_least("--order", args.order, 1)
+    _check_range("--order", args.order, 1)
     f = _series_source(args)
     expansion = laurent_at_one(f, 2 * args.order - 1)
     report = symplectic_check(expansion, args.order)
@@ -280,7 +286,7 @@ def cmd_symplectic(args) -> int:
 
 
 def cmd_finite(args) -> int:
-    _check_at_least("--order", args.order, 0)
+    _check_range("--order", args.order, 0)
     gens = [_parse_generator(g) for g in args.gen]
     group = FiniteDiagonalGroup.from_generators(gens)
     result = analyze_group(group)
@@ -329,7 +335,8 @@ def _twelve_places(q: Fraction, ctx: decimal.Context) -> str:
 def cmd_scan(args) -> int:
     if args.max_level < 3:
         raise NotApplicable("max level must be >= 3")
-    _check_at_least("--jobs", args.jobs, 1)
+    _check_range("--max-level", args.max_level, 3)
+    _check_range("--jobs", args.jobs, 1)
     ctx = decimal.Context(prec=40)
     records = []
     for r in full_scan(args.max_level):

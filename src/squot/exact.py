@@ -86,49 +86,12 @@ class QPolynomial:
     def __getitem__(self, k: int) -> Scalar:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPolynomial([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QPolynomial([other])
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QPolynomial([c * other for c in self.coeffs])
-        return poly_mul(self, other)
+    def __mul__(self, scalar: Scalar) -> "QPolynomial":
+        if not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        return QPolynomial([c * scalar for c in self.coeffs])
 
     __rmul__ = __mul__
-
-    def valuation(self) -> int:
-        """Order of vanishing at 0 (0 for the zero polynomial)."""
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return 0
-
-
-def poly_mul(a: QPolynomial, b: QPolynomial) -> QPolynomial:
-    """Exact product; degree adds for nonzero inputs."""
-    return QPolynomial(mul_truncated(a.coeffs, b.coeffs,
-                                     len(a.coeffs) + len(b.coeffs)))
-
-
-ONE = QPolynomial([1])
 
 
 def _times_binomial(c: list, m: int, e: int) -> None:
@@ -594,8 +557,9 @@ def _shifted_at_one(poly: QPolynomial):
 def mul_truncated(a: Sequence, b: Sequence, n: int) -> list:
     """First n coefficients of the product of two coefficient lists.
 
-    Integer inputs give integer output; the coefficients may also be
-    QPolynomials (polynomials in a second variable).
+    Integer inputs give integer output.  `circle.residue_cluster` runs it
+    on t-polynomials whose coefficients are polynomials in u packed into
+    ints, their values at u = 2^width.
     """
     out = [0] * min(n, len(a) + len(b) - 1)
     for i, x in enumerate(a[:n]):
@@ -614,9 +578,9 @@ def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
     so the whole recurrence stays in the ring of the coefficients.
 
     `circle.residue_cluster` needs no gcd, as its coefficients are
-    polynomials in u; `laurent_prototype` divides by the powers of b[0]
-    in Fractions.  Over Z with b[0] != +-1 the scale outgrows the
-    quotient; `laurent_at_one` keeps a shared one instead.
+    polynomials in u (packed into ints); `laurent_prototype` divides by
+    the powers of b[0] in Fractions.  Over Z with b[0] != +-1 the scale
+    outgrows the quotient; `laurent_at_one` keeps a shared one instead.
     """
     powers = [1]  # d0^k
     for _ in range(n - 1):

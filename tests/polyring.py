@@ -1,0 +1,67 @@
+"""Ring arithmetic on polynomials, for the tests' reference routes.
+
+squot's `QPolynomial` only scales by a number: its products and
+quotients run through the integer kernels of `squot.exact`.  `Poly`
+adds +, - and * between polynomials (and numbers), so that references
+can be written as plain algebra, independent of those kernels.  A
+`Poly` equals the `QPolynomial` with the same coefficients, and a
+`QPolynomial` operand on either side of an operator is accepted.
+"""
+
+from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
+
+from squot.exact import QPolynomial
+
+
+def _coeffs(x) -> tuple:
+    return (x,) if isinstance(x, (int, Fraction)) else x.coeffs
+
+
+class Poly(QPolynomial):
+    __slots__ = ()
+
+    @staticmethod
+    def monomial(degree, coeff=1) -> "Poly":
+        return Poly([0] * degree + [coeff])
+
+    def __add__(self, other):
+        a, b = self.coeffs, _coeffs(other)
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return Poly(out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Poly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -Poly(_coeffs(other))
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        a, b = self.coeffs, _coeffs(other)
+        if sum(map(bool, a)) > sum(map(bool, b)):
+            a, b = b, a  # one row of b per nonzero term of a
+        out = [0] * max(len(a) + len(b) - 1, 0)
+        for i, x in enumerate(a):
+            if x:
+                out[i:i + len(b)] = map(add, out[i:i + len(b)],
+                                        map(mul, repeat(x), b))
+        return Poly(out)
+
+    __rmul__ = __mul__
+
+    def valuation(self) -> int:
+        """Order of vanishing at 0 (0 for the zero polynomial)."""
+        return next((i for i, c in enumerate(self.coeffs) if c), 0)
+
+
+ONE = Poly([1])

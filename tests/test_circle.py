@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 import squot.circle
 import squot.exact
 from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
-                          _kronecker_off_counts, _mirrored, _monomial_in_z,
+                          _balanced_lanes, _kernel_coefficient,
+                          _kronecker_off_counts, _mirrored,
                           _off_from_on, _on_from_off, _pair_sum_denominator,
                           _paired_off_counts, _takes_kronecker,
                           _weight_clusters,
@@ -24,13 +25,15 @@ from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
                           verify_against_oracle)
 from squot.errors import (OracleMismatch, ReciprocityMismatch,
                           ReconstructionMismatch, ZeroWeight)
-from squot.exact import (ONE, SLACK, FactoredDenominator, QPolynomial,
+from squot.exact import (SLACK, FactoredDenominator, QPolynomial,
                          RationalFunction, TruncatedSeries, _divide_binomial,
                          _packed_multisection, check_reciprocity, cleared,
                          deferred_quotient, laurent_at_one, mul_truncated,
                          peel_common, rational_reconstruct,
                          series_of_rational)
 from squot.laurent import gamma0_closed, gamma2_closed
+
+from polyring import ONE, Poly
 
 
 def reference_oracle_off_counts(weights, order):
@@ -123,24 +126,25 @@ def reference_hilbert_on_distinct(weights):
 
 
 def reference_residue_cluster(a, p, rest):
-    """The general route of `residue_cluster` for every p: Den(t) as a
-    t-polynomial truncated at t^p, the deferred quotient, the u-shift
+    """The route of `residue_cluster` over polynomial coefficients, for
+    every p: Den(t) as a t-polynomial truncated at t^p whose
+    coefficients are `Poly`s in u, the deferred quotient, the u-shift
     and a peel."""
     tmax = p - 1
     exponent = p * a - 1 + sum(pb * b for b, pb in rest)
 
     def binomial_in_t(top, k, sign):  # the t^1..t^tmax terms
-        return [QPolynomial.monomial(top - j, sign * math.comb(k, j))
+        return [Poly.monomial(top - j, sign * math.comb(k, j))
                 for j in range(1, min(k, tmax) + 1)]
-    factors = [([ONE - QPolynomial.monomial(2 * a)]
+    factors = [([ONE - Poly.monomial(2 * a)]
                 + binomial_in_t(2 * a, a, -1), p),
-               ([QPolynomial.monomial(a - 1 - j, math.comb(a, j + 1))
+               ([Poly.monomial(a - 1 - j, math.comb(a, j + 1))
                  for j in range(min(a - 1, tmax) + 1)], p)]
     scalar, shift, pairs = a ** p, p * (a - 1), [(2 * a, p)]
     for b, pb in rest:
-        factors += [([ONE - QPolynomial.monomial(a + b)]
+        factors += [([ONE - Poly.monomial(a + b)]
                      + binomial_in_t(a + b, b, -1), pb),
-                    ([QPolynomial.monomial(b) - QPolynomial.monomial(a)]
+                    ([Poly.monomial(b) - Poly.monomial(a)]
                      + binomial_in_t(b, b, 1), pb)]
         pairs += [(a + b, pb), (abs(a - b), pb)]
         shift += pb * min(a, b)
@@ -149,7 +153,10 @@ def reference_residue_cluster(a, p, rest):
     for factor, e in factors:
         for _ in range(e):
             den = mul_truncated(den, factor, p)
-    num = deferred_quotient(_monomial_in_z(exponent, tmax), den, p)[tmax]
+    # (u+t)^exponent
+    powers = [Poly.monomial(exponent - j, math.comb(exponent, j))
+              for j in range(min(exponent, tmax) + 1)]
+    num = deferred_quotient(powers, den, p)[tmax]
     assert num.valuation() >= shift * p
     return peel_common(RationalFunction(
         QPolynomial(num.coeffs[shift * p:]),
@@ -171,12 +178,12 @@ def reference_hilbert_off_clustered(weights):
     for piece in pieces:
         for m, e in piece.denominator.factors:
             merged[m] = max(merged.get(m, 0), e)
-    total = QPolynomial()
+    total = Poly()
     for piece in pieces:
         have = dict(piece.denominator.factors)
         cofactor = [(m, e - have.get(m, 0)) for m, e in merged.items()
                     if e > have.get(m, 0)]
-        part = piece.numerator
+        part = Poly(piece.numerator.coeffs)
         if cofactor:
             part = part * FactoredDenominator.from_pairs(cofactor).expand()
         total = total + part
@@ -187,7 +194,7 @@ def reference_hilbert_off_clustered(weights):
 
 def binomial(m):
     """1 - x^m."""
-    return QPolynomial([1] + [0] * (m - 1) + [-1])
+    return Poly([1] + [0] * (m - 1) + [-1])
 
 
 def reference_divide_binomial(poly, m):
@@ -223,7 +230,7 @@ def binomial_dividends(draw):
         return poly, m, not quotient.is_zero()
     at = draw(st.integers(0, poly.degree + 2))
     bump = draw(coeff.filter(bool))
-    return poly + QPolynomial.monomial(at, bump), m, False
+    return poly + Poly.monomial(at, bump), m, False
 
 
 @st.composite
@@ -350,8 +357,8 @@ class TestUAverage:
     def test_u1_is_identity(self):
         f = phi_tilde((2, 3, 7), 0)
         g = u_average(f, 1)
-        assert (g.numerator * f.denominator.expand()
-                == f.numerator * g.denominator.expand())
+        assert (Poly(g.numerator.coeffs) * f.denominator.expand()
+                == Poly(f.numerator.coeffs) * g.denominator.expand())
 
     @given(st.integers(1, 6), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
@@ -544,7 +551,7 @@ class TestReciprocityCertificate:
             out = real(*args)
             on = out if isinstance(out, RationalFunction) else out[0]
             bumped = RationalFunction(
-                on.numerator + QPolynomial.monomial(on.numerator.degree),
+                on.numerator + Poly.monomial(on.numerator.degree),
                 on.denominator)
             return (bumped if isinstance(out, RationalFunction)
                     else (bumped,) + out[1:])
@@ -639,6 +646,57 @@ class TestClusterResidue:
         assert g.numerator.degree == sum(pb * (b - a) for b, pb in rest
                                          if b > a)
         assert s in (a, -a)
+
+
+    @given(st.integers(1, 40), st.integers(2, 6),
+           st.dictionaries(st.integers(1, 40), st.integers(1, 3),
+                           max_size=3))
+    @settings(max_examples=15, deadline=None)
+    def test_packed_matches_polynomial_route(self, a, p, others):
+        # the packed ints against Den(t) over polynomial coefficients
+        rest = tuple(sorted((b, pb) for b, pb in others.items() if b != a))
+        assert residue_cluster(a, p, rest) \
+            == reference_residue_cluster(a, p, rest), (a, p, rest)
+
+    @pytest.mark.parametrize("width", [8, 16, 64])
+    def test_balanced_lanes_read_out(self, width):
+        top = (1 << width - 1) - 1
+        for lanes in ([top], [-top], [0, 0, top, 0, -top], [-top, 0, 0, 1],
+                      [1, -1, 0, 0, 0, -top], [top, -top] * 5, [0], [5]):
+            packed = sum(c << width * j for j, c in enumerate(lanes))
+            got = _balanced_lanes(packed, width)
+            assert QPolynomial(got) == QPolynomial(lanes), lanes
+            assert len(got) <= len(lanes) + 1
+
+    def test_norm_bound_holds_on_degenerate_population(self):
+        # the bound the width comes from is at or above max |N_j| on
+        # every p >= 2 cluster of the benchmark's degenerate population
+        # (n = 4 up to 10, and (a, a, a + k), (a, a + k, a + k) to 47),
+        # where the width has 6 to 17 bits to spare: a byte less fails
+        pop = [w for w in combinations_with_replacement(range(1, 11), 4)
+               if 1 < len(set(w)) < 4]
+        for a in range(12, 46):
+            for k in (1, 2):
+                pop += [(a, a, a + k), (a, a + k, a + k)]
+        calls = set()
+        for w in pop:
+            if math.gcd(*w) == 1:
+                clusters = _weight_clusters(w)
+                calls |= {(a, p, tuple(c for c in clusters if c[0] != a))
+                          for a, p in clusters if p >= 2}
+        assert len(calls) == 553
+        for a, p, rest in calls:
+            exponent = p * a - 1 + sum(pb * b for b, pb in rest)
+            bound = _kernel_coefficient(
+                a, p, rest, exponent,
+                lambda terms: sum(abs(c) for _, c in terms), -1)
+            n_poly = _kernel_coefficient(
+                a, p, rest, exponent,
+                lambda terms: sum((Poly.monomial(d, c) for d, c in terms),
+                                  Poly()))
+            assert max(map(abs, n_poly.coeffs)) <= bound, (a, p, rest)
+            assert residue_cluster(a, p, rest) \
+                == reference_residue_cluster(a, p, rest), (a, p, rest)
 
 
 class TestDivideBinomial:
@@ -766,7 +824,7 @@ class TestOracle:
         assert _takes_kronecker([1, 2, 3], 30)
         off = hilbert_series((1, 2, 3)).off_shell
         verify_against_oracle((1, 2, 3), off, 30)
-        wrong = RationalFunction(off.numerator + QPolynomial.monomial(7),
+        wrong = RationalFunction(off.numerator + Poly.monomial(7),
                                  off.denominator)
         with pytest.raises(OracleMismatch, match="degree 7 coefficient"):
             verify_against_oracle((1, 2, 3), wrong, 30)
@@ -860,7 +918,7 @@ class TestDispatcher:
 
         def bumped(weights):
             on, pieces = real(weights)
-            num = on.numerator + QPolynomial.monomial(on.numerator.degree)
+            num = on.numerator + Poly.monomial(on.numerator.degree)
             return RationalFunction(num, on.denominator), pieces
         with mock.patch("squot.circle.hilbert_on_distinct", bumped):
             with pytest.raises(ReciprocityMismatch):

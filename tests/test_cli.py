@@ -24,6 +24,8 @@ from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
 from squot.finite import FiniteDiagonalGroup, analyze_group
 from squot.laurent import symplectic_check
 
+from polyring import Poly
+
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "squot",
                         "fixtures")
 
@@ -251,7 +253,7 @@ class TestReciprocityExit:
     @staticmethod
     def bumped(f):
         """f with its top numerator coefficient raised by one."""
-        num = f.numerator + QPolynomial.monomial(f.numerator.degree)
+        num = f.numerator + Poly.monomial(f.numerator.degree)
         return RationalFunction(num, f.denominator)
 
     @pytest.mark.parametrize("oracle", [[], ["--oracle-verify", "0"]])
@@ -277,7 +279,7 @@ class TestReciprocityExit:
 
         def wrong(*args):
             on, pieces = real(*args)
-            bump = QPolynomial.monomial(3) + QPolynomial.monomial(7)
+            bump = Poly.monomial(3) + Poly.monomial(7)
             return RationalFunction(on.numerator + bump,
                                     on.denominator), pieces
         with mock.patch("squot.circle.hilbert_on_distinct", wrong):
@@ -323,7 +325,7 @@ class TestReciprocityExit:
         real = squot.finite.rational_reconstruct
 
         def wrong(*args):
-            return real(*args) + QPolynomial.monomial(1)
+            return real(*args) + Poly.monomial(1)
         with mock.patch("squot.finite.rational_reconstruct", wrong):
             code, out, err = run_all(["finite", "--gen", "3:1,2"])
         assert code == 3
@@ -542,6 +544,11 @@ class TestSeriesFiles:
         assert err == f"error: {den}: cannot read '{token}'\n"
 
 
+#: Above 2^63, so above sys.maxsize on any 64-bit build.
+HUGE = 99999999999999999999
+WEIGHTS = "--weights divided by their gcd"
+
+
 class TestExitContract:
     @pytest.mark.parametrize("argv", [
         ["laurent", "--weights", "1,2,3", "--order", "-1"],
@@ -559,6 +566,32 @@ class TestExitContract:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,option", [
+        (["hilbert", "--weights", f"{HUGE},1"], WEIGHTS),
+        (["laurent", "--weights", f"{HUGE},1,2", "--order", "2"], WEIGHTS),
+        (["hilbert", "--weights", "1,2,3", "--oracle-verify", f"{HUGE}"],
+         "--oracle-verify"),
+        (["scan", "--max-level", f"{HUGE}"], "--max-level"),
+        (["laurent", "--weights", "1,2,3", "--order", f"{HUGE}"], "--order"),
+        (["symplectic", "--weights", "1,2,3", "--order", f"{HUGE}"],
+         "--order"),
+        (["finite", "--gen", "2:1,1", "--order", f"{HUGE}"], "--order"),
+    ])
+    def test_index_overflow_exit_2_one_line(self, argv, option):
+        # above sys.maxsize no list has that many entries: each value is
+        # rejected before anything is sized by it
+        code, out, err = run_all(argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {option} must be <= {sys.maxsize}, "
+                       f"got {HUGE}\n")
+
+    def test_huge_weights_with_a_small_normal_form_run(self):
+        # only the weights divided by their gcd must fit an index
+        doc = run_json(["hilbert", "--weights", f"{HUGE},{HUGE}", "--off"])
+        assert doc["request"]["weights"] == [HUGE, HUGE]
+        assert doc["result"] \
+            == run_json(["hilbert", "--weights", "1,1", "--off"])["result"]
 
     @pytest.mark.parametrize("argv", [
         ["hilbert", "--weights", "1,2,3", "--slack", "16"],
