@@ -11,11 +11,14 @@ profiles:
   computed with exact derivative arithmetic over polynomials in u
   packed into ints by Kronecker substitution (at once for p = 1), then
   averaged over the a-th roots of unity by multisection of its Taylor
-  prefix; the pieces are merged over their shared denominator.  With
-  every p = 1 ("Generic") the on-shell sum is lifted onto the pair-sum
-  denominator, otherwise ("DegenerateResidue") it is reduced;
+  prefix; the pieces are merged over their shared denominator, and the
+  sum taken on shell is lifted onto the pair-sum denominator if every
+  p = 1 ("Generic"), otherwise ("DegenerateResidue") reduced;
 * all weights equal ("CompletelyDegenerate"): an explicit binomial
   formula.
+
+The off-shell series of every method is the on-shell one over
+Psi_1 Psi_2 = 1 - x^2, the one `reduce` staying on shell (`_off_from_on`).
 
 Each piece satisfies f(1/x) = +-x^w f(x), so the numerator of its
 average is palindromic up to a sign (Stanley's reciprocity): the
@@ -30,16 +33,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat, zip_longest
+from itertools import combinations, groupby, repeat, zip_longest
 from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import (DenominatorVanishesAtZero, OracleMismatch,
                      ReconstructionMismatch, ZeroWeight)
 from .exact import (SLACK, FactoredDenominator, QPolynomial,
-                    RationalFunction, _repunit, check_reciprocity,
-                    deferred_quotient, mul_truncated, multisected_prefix,
-                    peel_common, series_of_rational)
+                    RationalFunction, _mirrored, _repunit,
+                    check_reciprocity, deferred_quotient, mul_truncated,
+                    multisected_prefix, peel_common, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -109,32 +112,6 @@ def _averaged_reciprocity(ints: list, den: FactoredDenominator,
     return target.degree - w // a, delta * (-1) ** count
 
 
-def _mirrored(window: list, top: int, sign: int) -> list:
-    """N_0..N_top from the window N_0..N_r computed from the series.
-
-    Every window entry above `top` must vanish.  With sign = +-1, the
-    numerator obeys N_k = sign * N_(top-k): the window must agree with
-    that mirror wherever both sides are in it, and the mirror fills in
-    N_(r+1)..N_top.  With sign 0 there is no mirror, and the window has
-    to reach past `top`.  A failed check raises ReconstructionMismatch.
-    """
-    reach = len(window) - 1
-    for k in range(top + 1, reach + 1):
-        if window[k]:
-            raise ReconstructionMismatch(
-                f"nonzero verification coefficient {window[k]} at "
-                f"degree {k}")
-    if not sign:
-        return window[:top + 1]
-    for k in range(max(top - reach, 0), min(reach, top) + 1):
-        if window[k] != sign * window[top - k]:
-            raise ReconstructionMismatch(
-                f"coefficient {window[k]} at degree {k} breaks the "
-                f"mirror of degree {top - k} ({window[top - k]})")
-    return window[:top + 1] + [sign * window[top - k]
-                               for k in range(reach + 1, top + 1)]
-
-
 def u_average(f: RationalFunction, a: int) -> RationalFunction:
     """Average of f over the a-th roots of unity, in the variable x^(1/a).
 
@@ -183,13 +160,7 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
 
 def _weight_clusters(weights: Sequence[int]):
     """Distinct weights with multiplicities, ascending."""
-    out = []
-    for a in weights:
-        if out and out[-1][0] == a:
-            out[-1][1] += 1
-        else:
-            out.append([a, 1])
-    return [(a, p) for a, p in out]
+    return [(a, len(list(run))) for a, run in groupby(weights)]
 
 
 def _kernel_coefficient(a: int, p: int, rest, exponent: int, value,
@@ -314,7 +285,8 @@ def hilbert_off_clustered(weights: Sequence[int]):
     denominators of the a_i / s_i) gives L times the off-shell
     numerator, which is integral (an integer series over a denominator
     with constant term 1): else ReconstructionMismatch.  The series is
-    not in lowest terms; the caller reduces it or lifts it.
+    not in lowest terms: the caller takes it on shell, reduces it or
+    lifts it, and derives the off-shell series from that.
     """
     clusters = _weight_clusters(weights)
     averaged, ratios = [], []
@@ -357,19 +329,17 @@ def _on_from_off(off: RationalFunction) -> RationalFunction:
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:
-    """Divide by (1 - x^2); the extra factor of the denominator is kept."""
-    pairs = list(on.denominator.factors) + [(2, 1)]
-    return RationalFunction(on.numerator, FactoredDenominator.from_pairs(
-        pairs, on.denominator.psi))
+    """Divide by 1 - x^2 = Psi_1 Psi_2 in the Psi_d exponents, regrouped
+    as by `reduce`; a reduced `on` nonzero at -1 gives a reduced result."""
+    den = on.denominator
+    exps = den._replace(factors=den.factors + ((2, 1),)).psi_exponents()
+    return RationalFunction(on.numerator, FactoredDenominator.regrouped(exps))
 
 
 def _pair_sum_denominator(weights: Sequence[int]) -> FactoredDenominator:
     """(1-x^2) * prod_{i<j} (1-x^(a_i+a_j)), the on-shell ansatz."""
-    n = len(weights)
-    pairs = [(2, 1)]
-    pairs += [(weights[i] + weights[j], 1)
-              for i in range(n) for j in range(i + 1, n)]
-    return FactoredDenominator.from_pairs(pairs)
+    return FactoredDenominator.from_pairs(
+        [(2, 1)] + [(a + b, 1) for a, b in combinations(weights, 2)])
 
 
 def hilbert_on_distinct(weights: Sequence[int]):
@@ -404,10 +374,8 @@ def hilbert_equal_weights(n: int) -> RationalFunction:
     num = [0] * (2 * n - 1)
     for k in range(n):
         num[2 * k] = math.comb(n - 1, k) ** 2
-    if n == 1:
-        return RationalFunction(QPolynomial([1]), FactoredDenominator(()))
-    return RationalFunction(QPolynomial(num),
-                            FactoredDenominator.from_pairs([(2, 2 * n - 2)]))
+    return RationalFunction(QPolynomial(num), FactoredDenominator.from_pairs(
+        [(2, 2 * n - 2)] if n > 1 else []))
 
 
 def _kronecker_off_counts(weights: Sequence[int], order: int) -> list:
@@ -548,26 +516,26 @@ def hilbert_series(weights: Sequence[int],
                    ) -> HilbertSeriesResult:
     """On- and off-shell Hilbert series for a circle weight vector.
 
-    Dispatches on the multiplicity profile of the normalized weights.
-    The off-shell series is checked against the brute-force count
-    through degree `oracle_degree` (0 checks the constant term only).
+    Dispatches on the multiplicity profile of the normalized weights
+    for the on-shell series, and derives the off-shell one from it
+    (`_off_from_on`).  The off-shell series is checked against the
+    brute-force count through degree `oracle_degree` (0 checks the
+    constant term only).
     """
     weights = normalize_weights(weights)
     clusters = _weight_clusters(weights)
     if len(clusters) == 1:
-        n = len(weights)
-        on = hilbert_equal_weights(n)
-        result = HilbertSeriesResult(weights, "CompletelyDegenerate", on,
-                                     _off_from_on(on))
+        method, pieces = "CompletelyDegenerate", ()
+        on = hilbert_equal_weights(len(weights))
     elif all(p == 1 for _, p in clusters):
+        method = "Generic"
         on, pieces = hilbert_on_distinct(weights)
-        result = HilbertSeriesResult(weights, "Generic", on,
-                                     _off_from_on(on), pieces)
     else:
+        method = "DegenerateResidue"
         off, pieces = hilbert_off_clustered(weights)
-        off = off.reduce()
-        result = HilbertSeriesResult(weights, "DegenerateResidue",
-                                     _on_from_off(off).reduce(), off, pieces)
+        on = _on_from_off(off).reduce()
+    result = HilbertSeriesResult(weights, method, on, _off_from_on(on),
+                                 pieces)
     # H_on(1/x) = x^(2n-2) H_on(x) on every coefficient; then the
     # off-shell series H_on / (1 - x^2) obeys H(1/x) = -x^(2n) H(x)
     check_reciprocity(result.on_shell, 2 * len(weights) - 2,

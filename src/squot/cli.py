@@ -87,11 +87,18 @@ def _parse_weights(text: str):
     return weights
 
 
-def _check_range(option: str, value, low: int) -> None:
-    """Reject a numeric option below `low`, or above sys.maxsize, where
-    no list has that many entries; None means not given."""
-    if value is not None and not low <= value <= sys.maxsize:
-        bound = f">= {low}" if value < low else f"<= {sys.maxsize}"
+#: The most entries a list can have: 8-byte pointers, sys.maxsize bytes.
+_MAX_ENTRIES = sys.maxsize // 8
+
+
+def _check_range(option: str, value, low: int,
+                 high: int = sys.maxsize) -> None:
+    """Reject a numeric option outside [low, high]; None means not
+    given.  `high` is sys.maxsize, the largest index, or for an option
+    that sizes a list (order + 1 entries, 2R for S_1..S_R) the largest
+    value whose list can exist."""
+    if value is not None and not low <= value <= high:
+        bound = f">= {low}" if value < low else f"<= {high}"
         raise ArgumentOutOfRange(f"{option} must be {bound}, got {value}")
 
 
@@ -191,7 +198,7 @@ def _emit(document: dict) -> int:
 
 
 def cmd_hilbert(args) -> int:
-    _check_range("--oracle-verify", args.oracle_verify, 0)
+    _check_range("--oracle-verify", args.oracle_verify, 0, _MAX_ENTRIES - 1)
     weights = _parse_weights(args.weights)
     oracle = args.oracle_verify if args.oracle_verify is not None \
         else DEFAULT_ORACLE_DEGREE
@@ -236,7 +243,7 @@ def _print_series_text(payload: dict) -> None:
 
 
 def cmd_laurent(args) -> int:
-    _check_range("--order", args.order, 0)
+    _check_range("--order", args.order, 0, _MAX_ENTRIES - 1)  # order + 1
     if args.weights is not None:
         weights = _parse_weights(args.weights)
         on = hilbert_series(weights).on_shell
@@ -267,8 +274,9 @@ def cmd_laurent(args) -> int:
 
 
 def cmd_symplectic(args) -> int:
-    # with no S_m to check, "passed" would hold vacuously
-    _check_range("--order", args.order, 1)
+    # with no S_m to check, "passed" would hold vacuously; S_1..S_R
+    # read 2R Laurent coefficients
+    _check_range("--order", args.order, 1, _MAX_ENTRIES // 2)
     f = _series_source(args)
     expansion = laurent_at_one(f, 2 * args.order - 1)
     report = symplectic_check(expansion, args.order)
@@ -286,7 +294,7 @@ def cmd_symplectic(args) -> int:
 
 
 def cmd_finite(args) -> int:
-    _check_range("--order", args.order, 0)
+    _check_range("--order", args.order, 0, _MAX_ENTRIES // 2)  # 2R
     gens = [_parse_generator(g) for g in args.gen]
     group = FiniteDiagonalGroup.from_generators(gens)
     result = analyze_group(group)
@@ -333,9 +341,8 @@ def _twelve_places(q: Fraction, ctx: decimal.Context) -> str:
 
 
 def cmd_scan(args) -> int:
-    if args.max_level < 3:
-        raise NotApplicable("max level must be >= 3")
-    _check_range("--max-level", args.max_level, 3)
+    # hits by total weight 0..max level
+    _check_range("--max-level", args.max_level, 3, _MAX_ENTRIES - 1)
     _check_range("--jobs", args.jobs, 1)
     ctx = decimal.Context(prec=40)
     records = []
@@ -443,6 +450,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except _INPUT_ERRORS + (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # a request below every bound can still not fit
+        print("error: not enough memory for this request", file=sys.stderr)
         return 2
     except SquotError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)

@@ -140,6 +140,29 @@ class FactoredDenominator(NamedTuple):
                 net[j] = net.get(j, 0) + mu * e
         return tuple(sorted((m, e) for m, e in net.items() if e))
 
+    def psi_exponents(self) -> dict:
+        """{d: e} for prod Psi_d^e, as 1 - x^m = prod_(d | m) Psi_d."""
+        exps = dict(self.psi)
+        for m, e in self.factors:
+            for d in _divisors(m):
+                exps[d] = exps.get(d, 0) + e
+        return exps
+
+    @staticmethod
+    def regrouped(exps: dict) -> "FactoredDenominator":
+        """prod Psi_d^e over {d: e}, which it consumes, grouped greedily
+        into (1 - x^m) factors, largest m first; the rest stay in `psi`.
+        A pure prod (1 - x^m)^e comes back unchanged: the Psi_m of its
+        largest m has that factor's exponent, and the rest is pure."""
+        pairs = []
+        for m in sorted(exps, reverse=True):
+            if k := min(exps.get(d, 0) for d in _divisors(m)):
+                pairs.append((m, k))
+                for d in _divisors(m):
+                    exps[d] -= k
+        return FactoredDenominator.from_pairs(
+            pairs, [(d, e) for d, e in exps.items() if e])
+
     @property
     def degree(self) -> int:
         return sum(m * e for m, e in self.passes())
@@ -236,34 +259,23 @@ class RationalFunction(NamedTuple):
     def reduce(self) -> "RationalFunction":
         """Lowest terms over a regrouped factored denominator.
 
-        The factors and `psi` are read as exponents of Psi_d (so `reduce`
-        accepts its own output), as 1 - x^m = prod_(d | m) Psi_d.  Whole
-        (1 - x^m) factors are cancelled first (`peel_common`), then
-        single Psi_d (`_divide_psi`), in the numerator's own
-        coefficients.  The Psi_d left over are regrouped greedily into
-        (1 - x^m) factors, largest m first; the rest stay in `psi`.
+        Whole (1 - x^m) factors are cancelled first (`peel_common`),
+        then single Psi_d of the `psi_exponents` (`_divide_psi`), in the
+        numerator's own coefficients, and the rest is `regrouped`; so
+        `reduce` accepts its own output.  `circle.hilbert_series` runs it
+        once, on shell, for repeated weights; every method's off shell is
+        derived through Psi_1 Psi_2 (`circle._off_from_on`).
         """
         if self.numerator.is_zero():
             return RationalFunction(self.numerator, FactoredDenominator(()))
         peeled = peel_common(self)
-        exps = dict(peeled.denominator.psi)  # d -> exponent of Psi_d
-        for m, e in peeled.denominator.factors:
-            for d in _divisors(m):
-                exps[d] = exps.get(d, 0) + e
+        exps = peeled.denominator.psi_exponents()
         work = list(peeled.numerator.coeffs)
         for d in exps:
             while exps[d] and (quo := _divide_psi(work, d)) is not None:
                 work, exps[d] = quo, exps[d] - 1
-        pairs = []
-        for m in sorted(exps, reverse=True):
-            k = min(exps.get(d, 0) for d in _divisors(m))
-            if k:
-                pairs.append((m, k))
-                for d in _divisors(m):
-                    exps[d] -= k
-        left = [(d, e) for d, e in exps.items() if e]
         return RationalFunction(QPolynomial(work),
-                                FactoredDenominator.from_pairs(pairs, left))
+                                FactoredDenominator.regrouped(exps))
 
     # scales the numerator, where a tuple would repeat itself
     def __mul__(self, scalar: Scalar) -> "RationalFunction":
@@ -461,23 +473,45 @@ def series_of_rational(f: RationalFunction, order: int) -> TruncatedSeries:
     return TruncatedSeries(tuple(coeffs))
 
 
+def _mirrored(window: list, top: int, sign: int) -> list:
+    """N_0..N_top from the window N_0..N_r computed from the series.
+
+    Every window entry above `top` must vanish.  With sign = +-1, the
+    numerator obeys N_k = sign * N_(top-k): the window must agree with
+    that mirror wherever both sides are in it, and the mirror fills in
+    N_(r+1)..N_top.  With sign 0 there is no mirror, and the window has
+    to reach past `top`.  A failed check raises ReconstructionMismatch.
+    """
+    reach = len(window) - 1
+    for k in range(top + 1, reach + 1):
+        if window[k]:
+            raise ReconstructionMismatch(
+                f"nonzero verification coefficient {window[k]} at "
+                f"degree {k}")
+    if not sign:
+        return window[:top + 1]
+    for k in range(max(top - reach, 0), min(reach, top) + 1):
+        if window[k] != sign * window[top - k]:
+            raise ReconstructionMismatch(
+                f"coefficient {window[k]} at degree {k} breaks the "
+                f"mirror of degree {top - k} ({window[top - k]})")
+    return window[:top + 1] + [sign * window[top - k]
+                               for k in range(reach + 1, top + 1)]
+
+
 def rational_reconstruct(prefix: TruncatedSeries, den: FactoredDenominator,
                          degree_bound: int) -> QPolynomial:
     """Recover the numerator P with P/den matching the series prefix.
 
     Every coefficient of prefix*den in degrees degree_bound+1..order must
-    vanish; at least SLACK such verification coefficients are required.
+    vanish (`_mirrored`); at least SLACK such coefficients are required.
     """
     if prefix.order < degree_bound + SLACK:
         raise ValueError(
             f"prefix of order {prefix.order} too short for degree bound "
             f"{degree_bound} with slack {SLACK}")
     product = den.multiply_into(prefix.coefficients)
-    for k in range(degree_bound + 1, prefix.order + 1):
-        if product[k]:
-            raise ReconstructionMismatch(
-                f"nonzero verification coefficient {product[k]} at degree {k}")
-    return QPolynomial(product[:degree_bound + 1])
+    return QPolynomial(_mirrored(product, degree_bound, 0))
 
 
 def _power_sums(poly: QPolynomial, count: int) -> list:

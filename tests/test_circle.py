@@ -935,15 +935,34 @@ class TestDispatcher:
             == oracle_off_counts((1, 6, 10), 40)
 
     @pytest.mark.parametrize("weights", [(1, 1, 3, 4, 5), (1, 2, 2, 3, 5),
-                                         (1, 2, 3, 5, 5), (1, 3, 4, 4, 5)])
+                                         (1, 2, 3, 5, 5), (1, 3, 4, 4, 5),
+                                         (1, 1, 2, 4, 6), (1, 1, 4, 5, 6),
+                                         (1, 4, 5, 6, 6), (2, 4, 5, 5, 6)])
     def test_degenerate_on_shell_in_lowest_terms(self, weights):
-        # the reduced off-shell denominator holds Psi_2^2 in psi and no
-        # (1 - x^2), so the on-shell step multiplies by (1 - x^2) =
-        # Psi_1 Psi_2, a Psi_2 that only a reduction cancels
+        # the reduced off-shell denominator holds Psi_2^2 (Psi_2^3 for
+        # (1,1,4,5,6)) in psi and no (1 - x^2), so the on-shell step
+        # multiplies by (1 - x^2) = Psi_1 Psi_2, a Psi_2 that only a
+        # reduction cancels; back off shell, appending (1 - x^2) would
+        # print another form, and the Psi_d exponents give the reduced
+        # off-shell sum's own
         r = hilbert_series(weights)
         assert dict(r.off_shell.denominator.factors).get(2) is None
-        assert dict(r.off_shell.denominator.psi)[2] == 2
+        assert r.off_shell.denominator.psi \
+            == ((2, 3 if weights == (1, 1, 4, 5, 6) else 2),)
         assert r.on_shell.reduce() == r.on_shell
+        assert r.off_shell == hilbert_off_clustered(weights)[0].reduce()
+        assert r.off_shell.reduce() == r.off_shell
+
+    @pytest.mark.parametrize("weights,calls", [
+        ((1, 2, 2), 1), ((1, 1, 3, 4, 5), 1), ((2, 2, 2, 3, 3, 3), 1),
+        ((1, 2, 3), 0), ((2, 3, 5, 7), 0), ((3, 3, 3), 0), ((5,), 0)])
+    def test_one_reduce_per_result(self, weights, calls):
+        # one reduce, on shell, for repeated weights; the off-shell series
+        # of every method comes from the Psi_d exponents, not a reduce
+        with mock.patch.object(RationalFunction, "reduce", autospec=True,
+                               side_effect=RationalFunction.reduce) as spy:
+            hilbert_series(weights)
+        assert spy.call_count == calls
 
     def test_degenerate_on_shell_pinned(self):
         # two degrees shorter than the unreduced numerator of degree 48

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -547,6 +548,47 @@ class TestSeriesFiles:
 #: Above 2^63, so above sys.maxsize on any 64-bit build.
 HUGE = 99999999999999999999
 WEIGHTS = "--weights divided by their gcd"
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+
+#: The most entries a list can have (8-byte pointers, sys.maxsize
+#: bytes), and each command line up to the option that sizes one, with
+#: the largest value it takes: order + 1 entries, or 2R for S_1..S_R
+ENTRIES = sys.maxsize // 8
+SIZED = [(["hilbert", "--weights", "1,2,3", "--oracle-verify"], ENTRIES - 1),
+         (["laurent", "--weights", "1,2,3", "--order"], ENTRIES - 1),
+         (["symplectic", "--weights", "1,2,3", "--order"], ENTRIES // 2),
+         (["finite", "--gen", "2:1,1", "--order"], ENTRIES // 2),
+         (["scan", "--max-level"], ENTRIES - 1)]
+UPPER = {(argv[0], argv[-1]): high for argv, high in SIZED}
+BOUNDARY = [2 ** 62 - 1, 2 ** 62, 2 ** 62 + 1, 3 * 2 ** 61,
+            sys.maxsize - 1, sys.maxsize, sys.maxsize + 1]
+
+
+def _id(param):  # the subcommand of a command line, else the number
+    return param[0] if isinstance(param, list) else str(param)
+
+
+def _capped(kind, value):
+    hard = resource.getrlimit(kind)[1]
+    if hard != resource.RLIM_INFINITY:
+        value = min(value, hard)
+    resource.setrlimit(kind, (value, hard))
+
+
+def run_capped(argv):
+    """Exit code, stdout and stderr of the CLI in a child process with
+    1 GiB of address space and 60 s of CPU, capped in the child only: a
+    request that would allocate or run without bound fails there."""
+    def caps():
+        _capped(resource.RLIMIT_AS, 1 << 30)
+        _capped(resource.RLIMIT_CPU, 60)
+    child = subprocess.run(
+        [sys.executable, "-B", "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); "
+         "from squot.cli import main; sys.exit(main(sys.argv[2:]))",
+         SRC, *argv],
+        capture_output=True, text=True, timeout=120, preexec_fn=caps)
+    return child.returncode, child.stdout, child.stderr
 
 
 class TestExitContract:
@@ -583,8 +625,39 @@ class TestExitContract:
         # rejected before anything is sized by it
         code, out, err = run_all(argv)
         assert (code, out) == (2, "")
-        assert err == (f"error: {option} must be <= {sys.maxsize}, "
-                       f"got {HUGE}\n")
+        high = UPPER.get((argv[0], option), sys.maxsize)
+        assert err == f"error: {option} must be <= {high}, got {HUGE}\n"
+
+    @pytest.mark.parametrize("argv,high,value", [
+        (argv, high, value) for argv, high in SIZED for value in BOUNDARY],
+        ids=_id)
+    def test_size_boundary_exit_2_one_line(self, argv, high, value):
+        # above the most entries a list can have, each value is rejected
+        # before anything is sized by it, naming the option
+        code, out, err = run_all(argv + [str(value)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {argv[-1]} must be <= {high}, got {value}\n"
+
+    @pytest.mark.parametrize("argv,high", SIZED, ids=_id)
+    def test_largest_accepted_size_exits_2(self, argv, high):
+        # accepted, the list cannot be allocated: one line, no traceback
+        code, out, err = run_capped(argv + [str(high)])
+        assert (code, out) == (2, "")
+        assert err == "error: not enough memory for this request\n"
+
+    @pytest.mark.parametrize("value", BOUNDARY[:-1])
+    def test_unsized_option_at_the_boundary_runs(self, value):
+        # --jobs sizes nothing: any index is accepted
+        code, out, err = run_capped(["scan", "--max-level", "12",
+                                     "--jobs", str(value)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"] == run_json(
+            ["scan", "--max-level", "12"])["result"]
+
+    def test_scan_level_below_3_names_the_option(self):
+        code, out, err = run_all(["scan", "--max-level", "2"])
+        assert (code, out) == (2, "")
+        assert err == "error: --max-level must be >= 3, got 2\n"
 
     def test_huge_weights_with_a_small_normal_form_run(self):
         # only the weights divided by their gcd must fit an index

@@ -841,6 +841,22 @@ class TestFactoredDenominator:
         den = FactoredDenominator.from_pairs([(2, 1), (2, 2)])
         assert den.factors == ((2, 3),)
 
+    @given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 3)),
+                    max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_regrouping_keeps_a_pure_product(self, pairs):
+        # the largest m's Psi_m carries exactly its factor's exponent, so
+        # greedy regrouping of the Psi_d exponents gives the product back
+        den = FactoredDenominator.from_pairs(pairs)
+        assert FactoredDenominator.regrouped(den.psi_exponents()) == den
+
+    def test_psi_exponents(self):
+        # (1 - x^4)^2 (1 - x^6) Psi_3 = Psi_1^3 Psi_2^3 Psi_4^2 Psi_3^2 Psi_6
+        den = FactoredDenominator.from_pairs([(4, 2), (6, 1)], [(3, 1)])
+        assert den.psi_exponents() == {1: 3, 2: 3, 3: 2, 4: 2, 6: 1}
+        assert FactoredDenominator.regrouped(den.psi_exponents()) \
+            == FactoredDenominator.from_pairs([(4, 2), (6, 1)], [(3, 1)])
+
     def test_invalid_pairs(self):
         with pytest.raises(ValueError):
             FactoredDenominator.from_pairs([(0, 1)])
