@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import json
+import math
 import sys
 from fractions import Fraction
 from functools import cache
@@ -331,44 +331,47 @@ def cmd_finite(args) -> int:
                            payload))
 
 
-_TWELVE_PLACES = decimal.Decimal("1." + "0" * 12)
+#: One level of `scan`: in the stdout document, where _dumps would
+#: indent it, and as the json.dumps line of its --out BASE.jsonl file.
+_LEVEL = ('      {\n        "level": %d,\n        "hits": %d,\n'
+          '        "total": %d,\n        "probability": "%s",\n'
+          '        "decimal": "%s"\n      }')
+_LEVEL_LINE = ('{"level": %d, "hits": %d, "total": %d, '
+               '"probability": "%s", "decimal": "%s"}\n')
 
 
-def _twelve_places(q: Fraction, ctx: decimal.Context) -> str:
-    d = ctx.divide(decimal.Decimal(q.numerator),
-                   decimal.Decimal(q.denominator))
-    return format(d.quantize(_TWELVE_PLACES, context=ctx), "f")
+def _level_fields(level: int, hits: int, total: int) -> tuple:
+    """(level, hits, total, hits/total in lowest terms, hits/total
+    rounded half-even to 12 places), 0 <= hits <= total."""
+    g = math.gcd(hits, total)
+    probability = str(hits // g) if g == total else f"{hits // g}/{total // g}"
+    q, rest = divmod(hits * 10 ** 12, total)
+    if 2 * rest > total or 2 * rest == total and q & 1:
+        q += 1
+    return (level, hits, total, probability,
+            f"{q // 10 ** 12}.{q % 10 ** 12:012d}")
 
 
 def cmd_scan(args) -> int:
     # hits by total weight 0..max level
     _check_range("--max-level", args.max_level, 3, _MAX_ENTRIES - 1)
     _check_range("--jobs", args.jobs, 1)
-    ctx = decimal.Context(prec=40)
-    records = []
-    for r in full_scan(args.max_level):
-        probability = r.probability
-        records.append({
-            "level": r.level,
-            "hits": r.hits,
-            "total": r.total,
-            "probability": str(probability),
-            "decimal": _twelve_places(probability, ctx),
-        })
+    rows = [_level_fields(*r) for r in full_scan(args.max_level)]
     if args.out:
         with open(args.out + ".jsonl", "w") as fh:
-            for rec in records:
-                fh.write(json.dumps(rec) + "\n")
+            fh.writelines(_LEVEL_LINE % row for row in rows)
         with open(args.out + ".csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["level", "hits", "total", "probability",
                              "decimal"])
-            for rec in records:
-                writer.writerow([rec["level"], rec["hits"], rec["total"],
-                                 rec["probability"], rec["decimal"]])
-    return _emit(_document("scan",
-                           {"n": 3, "maxLevel": args.max_level},
-                           {"levels": records}))
+            writer.writerows(rows)
+    # the levels are never empty; _dumps writes the rest of the document
+    head, tail = _dumps(_document("scan",
+                                  {"n": 3, "maxLevel": args.max_level},
+                                  {"levels": []})).rsplit("[]", 1)
+    sys.stdout.write(f"{head}[\n" + ",\n".join(_LEVEL % row for row in rows)
+                     + f"\n    ]{tail}\n")
+    return 0
 
 
 @cache
@@ -451,7 +454,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS + (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:  # a request below every bound can still not fit
+    except (MemoryError, OverflowError):
+        # a request within every bound can still not fit, e.g. weights
+        # near sys.maxsize give ints with too many digits for any machine
         print("error: not enough memory for this request", file=sys.stderr)
         return 2
     except SquotError as exc:

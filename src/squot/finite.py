@@ -5,7 +5,8 @@ N the lcm of the generator moduli (the group exponent), every element is
 stored as an integer exponent vector mod N: entry k stands for
 e^(2 pi i k / N).  The quotient acts on the doubled space
 (z, conjugate z), so its Hilbert series counts pairs of monomials with
-opposite characters.
+opposite characters.  One Smith normal form of the generators writes
+both the group and its character group as Z/n_1 x ... x Z/n_r.
 
 Beyond the exact series, the module evaluates closed forms for the
 Laurent coefficients at x = 1 in terms of the pseudoreflections of the
@@ -39,22 +40,46 @@ def _support(g: Element) -> Tuple[int, ...]:
     return tuple(i for i, x in enumerate(g) if x)
 
 
-def _closure(vectors, mod: int) -> Tuple[Tuple[int, ...], ...]:
-    """Sorted additive closure mod `mod` of nonempty integer vectors of
-    one length: every sum of them, the zero vector included."""
-    zero = (0,) * len(vectors[0])
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for el in frontier:
-            for v in vectors:
-                nxt = tuple((a + b) % mod for a, b in zip(el, v))
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-        frontier = new
-    return tuple(sorted(seen))
+def _smith(rows, mod: int):
+    """(d, w) with rows = U diag(d) W, U and W unimodular: a Smith
+    normal form, its diagonal d_1 | d_2 | ... cut at the first zero and
+    the rows of W mod `mod`.  Each column operation on the rows is
+    applied inverted to the rows of W, at first the identity; row
+    operations leave W alone."""
+    a = [list(r) for r in rows]
+    m, n = len(a), len(a[0])
+    w = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = []
+    for t in range(min(m, n)):
+        while True:
+            pivots = [(abs(x), i, j) for i in range(t, m)
+                      for j, x in enumerate(a[i][t:], t) if x]
+            if not pivots:
+                return d, w
+            _, i, j = min(pivots)  # the smallest entry left, to (t, t)
+            a[t], a[i] = a[i], a[t]
+            for row in a:
+                row[t], row[j] = row[j], row[t]
+            w[t], w[j] = w[j], w[t]
+            p = a[t][t]
+            for i in range(t + 1, m):
+                q = a[i][t] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
+            for j in range(t + 1, n):
+                q = a[t][j] // p
+                for row in a:
+                    row[j] -= q * row[t]
+                w[t] = [(x + q * y) % mod for x, y in zip(w[t], w[j])]
+            if any(a[t][t + 1:]) or any(row[t] for row in a[t + 1:]):
+                continue  # a remainder left, smaller than p
+            # p must divide what is left: else add a row it does not
+            # divide, whose remainder is then smaller than p
+            bad = [row for row in a[t + 1:] if any(x % p for x in row)]
+            if not bad:
+                break
+            a[t] = [x + y for x, y in zip(a[t], bad[0])]
+        d.append(abs(p))
+    return d, w
 
 
 class FiniteDiagonalGroup(NamedTuple):
@@ -64,10 +89,20 @@ class FiniteDiagonalGroup(NamedTuple):
     exponent: int                    # N, the lcm of the generator moduli
     generators: Tuple[Element, ...]  # as given, each scaled to mod N
     elements: Tuple[Element, ...]
+    radices: Tuple[int, ...]         # n_1, n_2, ...: n_(k+1) | n_k > 1
+    characters: Tuple[Tuple[int, ...], ...]  # coordinate i's digits
 
     @staticmethod
     def from_generators(generators) -> "FiniteDiagonalGroup":
-        """generators: iterable of (modulus, exponent tuple)."""
+        """generators: iterable of (modulus, exponent tuple).
+
+        With the generators mod N the rows of A = U diag(d) W (`_smith`),
+        the group is Z/n_1 x ... x Z/n_r, n_k = N / gcd(N, d_k) > 1 its
+        invariant factors: each element is one sum of j_k d_k W_k with
+        0 <= j_k < n_k.  So is the character group, spanned by the
+        columns c_i of A: A v = 0 mod N iff (W v)_k = 0 mod n_k for all
+        k, so c_i has the digit W_k[i] mod n_k on axis k.
+        """
         generators = list(generators)
         if any(m < 1 for m, _ in generators):
             raise ValueError("modulus must be >= 1")
@@ -79,7 +114,18 @@ class FiniteDiagonalGroup(NamedTuple):
         exponent = math.lcm(*(m for m, _ in generators))
         gens = tuple(tuple(x * (exponent // m) % exponent for x in e)
                      for m, e in generators)
-        return FiniteDiagonalGroup(n, exponent, gens, _closure(gens, exponent))
+        d, w = _smith(gens, exponent)
+        axes = [(exponent // math.gcd(exponent, dk), dk, wk)
+                for dk, wk in zip(d, w) if dk % exponent]
+        elements = [(0,) * n]
+        for radix, dk, wk in axes:
+            elements = [tuple((x + j * dk * y) % exponent
+                              for x, y in zip(e, wk))
+                        for j in range(radix) for e in elements]
+        characters = tuple(tuple(wk[i] % radix for radix, _, wk in axes)
+                           for i in range(n))
+        return FiniteDiagonalGroup(n, exponent, gens, tuple(sorted(elements)),
+                                   tuple(r for r, _, _ in axes), characters)
 
     @property
     def order(self) -> int:
@@ -98,37 +144,6 @@ class FiniteDiagonalGroup(NamedTuple):
         return tuple(g for g in self.elements if len(_support(g)) == 2)
 
 
-def _character_axes(columns, mod: int):
-    """The character group H, the closure of `columns` mod `mod`, as
-    Z/n_1 x ... x Z/n_r with n_1 ... n_r = |H|: (the radices n_k, the
-    mixed-radix index of every character, digit k of weight
-    n_1 ... n_(k-1)).
-
-    Greedy: the next basis element is one of largest order whose powers
-    meet the span of the earlier ones only in 0.  Its class is then one
-    of largest order in the quotient, so the orders multiply to |H|.
-    """
-    order = {h: element_order(h, mod) for h in _closure(columns, mod)}
-    characters = sorted(order, key=order.get, reverse=True)
-    exponent = order[characters[0]]
-    divisors = [d for d in range(1, exponent) if exponent % d == 0]
-    index = {characters[-1]: 0}  # the span so far; the last is 0
-    radices = []
-    while len(index) < len(characters):
-        gen = next(h for h in characters if not any(
-            tuple(d * x % mod for x in h) in index
-            for d in divisors if d < order[h] and order[h] % d == 0))
-        radix = order[gen]
-        stride, span = len(index), list(index.items())
-        for j in range(1, radix):
-            shift = tuple(j * x % mod for x in gen)
-            for h, i in span:
-                index[tuple((a + b) % mod for a, b in zip(h, shift))] = \
-                    i + j * stride
-        radices.append(radix)
-    return tuple(radices), index
-
-
 def _rotation(lanes: int, width: int, radix: int, stride: int, t: int):
     """(lo, hi, up, down) that move the lanes of a packed int of `lanes`
     lanes `width` bits wide by t along the axis of `radix` and `stride`:
@@ -144,14 +159,14 @@ def invariant_counts(group: FiniteDiagonalGroup, order: int) -> list:
     """Number of invariant monomials in (z, conjugate z) per total degree.
 
     A monomial z^alpha zbar^beta is invariant iff for every generator g
-    the residue sum(g_i (alpha_i - beta_i)) mod N vanishes.  Coordinate
-    i contributes the column c_i = (g_i for each generator g) to that
-    residue vector, so the vectors reached are the characters of the
-    group, the closure H of the columns, with |H| = |G|.  H is written as
-    Z/n_1 x ... x Z/n_r and the count at each degree is one int of |H|
-    lanes in mixed radix, the trivial character in lane 0.  Each of the
-    2n steps +-c_i multiplies by 1/(1 - x chi): P[d] += rot(P[d - 1]),
-    where rot rotates each axis by the step's digit on it.
+    the residue sum(g_i (alpha_i - beta_i)) mod N vanishes: iff its
+    character, the sum of the characters c_i of z_i and -c_i of zbar_i,
+    is trivial.  The character group H is Z/n_1 x ... x Z/n_r (the
+    group's radices, |H| = |G|), c_i has the digits characters[i], and
+    the count at each degree is one int of |H| lanes in mixed radix, the
+    trivial character in lane 0.  Each of the 2n steps +-c_i multiplies
+    by 1/(1 - x chi): P[d] += rot(P[d - 1]), where rot rotates each axis
+    by the step's digit on it.
 
     A lane at degree d counts monomials of degree d in the variables
     stepped so far, at most C(order + 2n - 1, 2n - 1), the number of
@@ -159,19 +174,18 @@ def invariant_counts(group: FiniteDiagonalGroup, order: int) -> list:
     number's bit length wide.  No lane is negative and every sum is a
     final lane value, so no lane carries into the next.
     """
-    n, mod = group.dimension, group.exponent
-    columns = list(zip(*group.generators))
-    radices, index = _character_axes(columns, mod)
+    n, radices = group.dimension, group.radices
     width = math.comb(order + 2 * n - 1, 2 * n - 1).bit_length()
     steps = []
-    for step in columns + [tuple(-x % mod for x in c) for c in columns]:
-        i, moves, stride = index[step], [], 1
-        for radix in radices:
-            i, t = divmod(i, radix)
-            if t:
-                moves.append(_rotation(len(index), width, radix, stride, t))
-            stride *= radix
-        steps.append(moves)
+    for sign in (1, -1):
+        for c in group.characters:
+            moves, stride = [], 1
+            for radix, t in zip(radices, c):
+                if t:
+                    moves.append(_rotation(group.order, width, radix,
+                                           stride, sign * t % radix))
+                stride *= radix
+            steps.append(moves)
     packed = [1] + [0] * order
     for moves in steps:
         prev, stepped = 1, [1]

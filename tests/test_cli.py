@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import csv
+import decimal
+import hashlib
 import json
 import os
 import resource
@@ -11,14 +14,14 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import squot.circle
 import squot.cli
 import squot.finite
-from squot.cli import (_coeff, _dumps, _parse_weights, _poly_text, _rat,
-                       load_series, main, series_payload)
+from squot.cli import (_coeff, _dumps, _level_fields, _parse_weights,
+                       _poly_text, _rat, load_series, main, series_payload)
 from squot.errors import MalformedWeights
 from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
                          laurent_at_one, series_of_rational)
@@ -419,14 +422,27 @@ class TestScanCommand:
              "decimal": "0.000000000000"}]
 
     def test_files_written(self, tmp_path):
+        # byte for byte: the JSON lines are json.dumps of each stdout
+        # record and the CSV rows csv.writer's, all three as sha256 pins
         base = str(tmp_path / "scan")
-        doc = run_json(["scan", "--max-level", "12", "--out", base])
-        jsonl = Path(base + ".jsonl").read_text().strip().splitlines()
-        assert [json.loads(line) for line in jsonl] \
-            == doc["result"]["levels"]
-        csv_lines = Path(base + ".csv").read_text().strip().splitlines()
-        assert csv_lines[0] == "level,hits,total,probability,decimal"
-        assert len(csv_lines) == 1 + len(jsonl)
+        code, out = run(["scan", "--max-level", "60", "--out", base])
+        assert code == 0
+        levels = json.loads(out)["result"]["levels"]
+        assert len(levels) == 58
+        jsonl = Path(base + ".jsonl").read_bytes()
+        assert jsonl == "".join(json.dumps(rec) + "\n"
+                                for rec in levels).encode()
+        rows = StringIO()
+        writer = csv.writer(rows)
+        writer.writerow(["level", "hits", "total", "probability", "decimal"])
+        writer.writerows(rec.values() for rec in levels)
+        table = Path(base + ".csv").read_bytes()
+        assert table == rows.getvalue().encode()
+        assert [hashlib.sha256(text).hexdigest()
+                for text in (out.encode(), jsonl, table)] == [
+            "c6af43682779fc66f1ec9a11c01c614288913c081ebfd2ea5fe4ffe756a50b95",
+            "160647d386ddb3aab86c32156e820f5fae4286fd2baf1335a93487c7ca0f5da7",
+            "f981b90f1a815123d032a232051e32014b4488f5d501ebf0282d21c3e63e160d"]
 
     def test_level_ten_hits(self):
         doc = run_json(["scan", "--max-level", "10"])
@@ -446,6 +462,43 @@ class TestScanCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: --jobs must be >= 1, got {jobs}\n"
+
+
+def decimal_twelve_places(hits, total):
+    """hits/total as the prec-40 decimal route prints it: rounded to 40
+    significant digits, then half-even to 12 places."""
+    ctx = decimal.Context(prec=40)
+    q = Fraction(hits, total)
+    d = ctx.divide(decimal.Decimal(q.numerator),
+                   decimal.Decimal(q.denominator))
+    return format(d.quantize(decimal.Decimal("1." + "0" * 12), context=ctx),
+                  "f")
+
+
+class TestScanRounding:
+    @given(st.integers(1, 10 ** 20 - 1).flatmap(
+        lambda t: st.tuples(st.integers(0, t), st.just(t))))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_decimal_route(self, case):
+        hits, total = case
+        assert _level_fields(7, hits, total) == (
+            7, hits, total, str(Fraction(hits, total)),
+            decimal_twelve_places(hits, total))
+
+    @given(st.integers(0, 10 ** 12 - 1), st.integers(1, 5 * 10 ** 7 - 1),
+           st.sampled_from([-1, 0, 1]))
+    @example(0, 1, 0)
+    @example(1, 1, 0)
+    @settings(max_examples=500, deadline=None)
+    def test_ties_and_their_neighbours(self, q, scale, offset):
+        # hits/total = (2q + 1) / (2 10^12), halfway between two values
+        # of 12 places, or just off it; total < 10^20
+        hits = (2 * q + 1) * scale + offset
+        total = 2 * 10 ** 12 * scale
+        text = _level_fields(7, hits, total)[4]
+        assert text == decimal_twelve_places(hits, total)
+        if offset == 0:  # a tie goes to the even neighbour
+            assert int(text[-1]) % 2 == 0
 
 
 json_documents = st.recursive(
@@ -642,6 +695,22 @@ class TestExitContract:
     def test_largest_accepted_size_exits_2(self, argv, high):
         # accepted, the list cannot be allocated: one line, no traceback
         code, out, err = run_capped(argv + [str(high)])
+        assert (code, out) == (2, "")
+        assert err == "error: not enough memory for this request\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["hilbert", "--weights", f"1,1,{sys.maxsize}"],
+        ["hilbert", "--weights", f"1,1,{sys.maxsize}", "--off"],
+        ["hilbert", "--weights", f"1,1,{2 ** 62}"],
+        ["hilbert", "--weights", f"1,1,{2 ** 62}", "--off"],
+        ["laurent", "--weights", f"1,1,{sys.maxsize}"],
+        ["hilbert", "--weights", f"1,{sys.maxsize - 1},{sys.maxsize}"],
+    ], ids=" ".join)
+    def test_weights_near_the_bound_exit_2(self, argv):
+        # within the weight bound, the residue path's ints would have
+        # too many digits, or an index would not fit (OverflowError):
+        # one line, no traceback
+        code, out, err = run_capped(argv)
         assert (code, out) == (2, "")
         assert err == "error: not enough memory for this request\n"
 

@@ -70,6 +70,25 @@ def reference_invariant_counts(group, order):
     return [layer.get(zero, 0) for layer in dp]
 
 
+def bfs_closure(vectors, mod):
+    """Sorted additive closure mod `mod` of nonempty integer vectors of
+    one length, the zero vector included, by breadth-first search:
+    independent of the production Smith normal form."""
+    zero = (0,) * len(vectors[0])
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for el in frontier:
+            for v in vectors:
+                nxt = tuple((a + b) % mod for a, b in zip(el, v))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    new.append(nxt)
+        frontier = new
+    return tuple(sorted(seen))
+
+
 def molien_order(group):
     """The prefix length molien_series asks invariant_counts for."""
     return 2 * sum(group.coordinate_orders()) + SLACK
@@ -94,6 +113,55 @@ def generator_lists(draw):
     exps = st.tuples(*[st.integers(-3, 8)] * n)
     return n, draw(st.lists(st.tuples(st.integers(1, 6), exps),
                             min_size=1, max_size=3))
+
+
+@st.composite
+def closure_cases(draw):
+    """1-3 generators on n <= 4 coordinates with moduli <= 12, and at
+    times one more: a repeat, the sum of two, or a zero generator."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-12, 24)] * n)
+    gens = draw(st.lists(st.tuples(st.integers(1, 12), exps),
+                         min_size=1, max_size=3))
+    (mi, ei), (mj, ej) = draw(st.sampled_from(gens)), \
+        draw(st.sampled_from(gens))
+    top = math.lcm(mi, mj)
+    extra = draw(st.sampled_from([
+        [], [(mi, ei)], [(draw(st.integers(1, 12)), (0,) * n)],
+        [(top, tuple(a * (top // mi) + b * (top // mj)
+                     for a, b in zip(ei, ej)))]]))
+    return gens + extra
+
+
+class TestSmithNormalForm:
+    @given(closure_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_elements_are_the_closure(self, gens):
+        group = FiniteDiagonalGroup.from_generators(gens)
+        assert group.elements == bfs_closure(group.generators,
+                                             group.exponent)
+        assert math.prod(group.radices) == group.order
+        # invariant factors: each radix above 1, dividing the one before
+        assert all(r > 1 for r in group.radices)
+        assert all(a % b == 0
+                   for a, b in zip(group.radices, group.radices[1:]))
+
+    @given(closure_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_characters_are_the_character_group(self, gens):
+        # c_i -> its digits extends to a bijection from H, the closure
+        # of the columns, onto Z/n_1 x ... x Z/n_r (digit k as a multiple
+        # of N / n_k mod N) iff the columns, the digits and the pairs of
+        # both each close to |G| sums
+        group = FiniteDiagonalGroup.from_generators(gens)
+        mod = group.exponent
+        columns = list(zip(*group.generators))
+        digits = [tuple(t * (mod // r) for t, r in zip(c, group.radices))
+                  for c in group.characters]
+        pairs = [c + t for c, t in zip(columns, digits)]
+        assert len(bfs_closure(columns, mod)) == group.order
+        assert len(bfs_closure(pairs, mod)) == group.order
+        assert len(bfs_closure(digits, mod)) == group.order
 
 
 class TestIntegerGroupProperty:
@@ -350,8 +418,7 @@ class TestInvariantCountDP:
 
     @staticmethod
     def radices(group):
-        columns = list(zip(*group.generators))
-        return squot.finite._character_axes(columns, group.exponent)[0]
+        return group.radices
 
     @pytest.mark.parametrize("gens, radices", [
         ([(2, (1, 0)), (2, (0, 1))], (2, 2)),              # Z/2 x Z/2
