@@ -5,19 +5,21 @@ equality is decidable, and no operation ever rounds; the series layer
 runs in integers, on numerators whose scale is kept apart.  A rational
 function always keeps its denominator factored, as prod (1 - x^m)^e
 times cyclotomic prod Psi_d^e, and every product with or quotient by
-it runs as (1 - x^m) passes.  The higher-level modules build Hilbert
-series out of these primitives.
+it runs as (1 - x^m) passes.  Laurent data at x = 1 are a division
+in w = u^2 / (1 - u), u = 1 - x, on half as many terms as in u: every
+[m]_x = (1 - x^m) / (1 - x) is palindromic, a power of x times a
+polynomial in w up to a factor 1 + x.  The higher-level modules build
+Hilbert series out of these primitives.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, combinations, cycle, islice, repeat
-from operator import add, mul, sub
+from itertools import accumulate, combinations, cycle, islice, repeat
+from operator import add, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import ReciprocityMismatch, ReconstructionMismatch
@@ -564,30 +566,6 @@ def resultant_transform(den: QPolynomial, a: int) -> QPolynomial:
     return monic * scale
 
 
-def _shifted_at_one(poly: QPolynomial):
-    """Integer coefficients of s * poly(1 - u), lowest degree first.
-
-    s is the lcm of the coefficient denominators.  Pass i of the
-    synthetic addition that gives p(1 + y) replaces the tail p[i:] by
-    its suffix sums and leaves p[i] final; y -> -u then flips the sign
-    of the odd coefficients.  Returns (s, v, terms): the u-valuation v
-    and an iterator over the coefficients from degree v on, each
-    computed only when drawn, so a prefix of k terms costs v + k passes.
-    """
-    scale, work = cleared(poly.coeffs)
-
-    def passes():
-        for i in range(len(work)):
-            work[i:] = reversed(list(accumulate(reversed(work[i:]))))
-            yield -work[i] if i & 1 else work[i]
-
-    terms = passes()
-    for v, first in enumerate(terms):
-        if first:
-            return scale, v, chain((first,), terms)
-    raise ZeroDivisionError("zero polynomial has no expansion at x = 1")
-
-
 def mul_truncated(a: Sequence, b: Sequence, n: int) -> list:
     """First n coefficients of the product of two coefficient lists.
 
@@ -614,7 +592,8 @@ def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
     `circle.residue_cluster` needs no gcd, as its coefficients are
     polynomials in u (packed into ints); `laurent_prototype` divides by
     the powers of b[0] in Fractions.  Over Z with b[0] != +-1 the scale
-    outgrows the quotient; `laurent_at_one` keeps a shared one instead.
+    outgrows the quotient; `laurent_at_one` keeps a shared one instead
+    (`_shared_quotient`).
     """
     powers = [1]  # d0^k
     for _ in range(n - 1):
@@ -627,63 +606,191 @@ def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
     return out
 
 
+def _w_row(m: int, n: int) -> tuple:
+    """The first n coefficients in w = (1 - x)^2 / x of [m]_x =
+    (1 - x^m) / (1 - x), without its x-power and, for even m, its
+    factor 1 + x.  With h = (m - 1) / 2 for odd m, x^(-h) [m]_x has
+    m C(h + j, 2j) / (2j + 1) at w^j; for even m, [m]_x =
+    (1 + x) [m/2]_(x^2), and x^(1 - m/2) [m/2]_(x^2) has
+    C(m/2 + j, 2j + 1)."""
+    h = m >> 1
+    if m & 1:
+        return tuple(m * math.comb(h + j, 2 * j) // (2 * j + 1)
+                     for j in range(min(h + 1, n)))
+    return tuple(math.comb(h + j, 2 * j + 1) for j in range(min(h, n)))
+
+
+def _peeled(half: list, odd: bool, n: int) -> list:
+    """The first n coefficients t_j of a palindromic integer polynomial
+    P in w, from its low half P_0..P_(floor(span/2)).
+
+    For an odd span, P = (1 + x) P' first, P' by alternating sums.  For
+    an even span 2k, x^(-k) P = sum t_j w^j: t_j = Q_j(1), and
+    Q_(j+1) = (Q_j - t_j x^(k-j)) / (1 - x)^2, two running sums.  Each
+    Q_j is palindromic, so only its low half is kept: the subtraction
+    lands on the middle entry, which the sums never read.
+    """
+    if odd:
+        half = half[:]
+        half[1::2] = map(neg, half[1::2])
+        half = list(accumulate(half))
+        half[1::2] = map(neg, half[1::2])
+    out = []
+    for _ in range(n):
+        sums = list(accumulate(half[:-1]))
+        out.append(2 * sums[-1] + half[-1] if sums else half[-1])
+        if not sums:
+            break
+        half = list(accumulate(sums))
+    return out
+
+
+def _shared_quotient(a: Sequence, b: Sequence, n: int) -> tuple:
+    """(W, S): q_k = W_k / S for k < n, where a / b = sum q_k w^k, for
+    integers a and b, b[0] > 0.
+
+    One recurrence with a shared denominator S: with
+    x = a_k S - sum_j b_j W_(k-j) and g = gcd(x, b_0), q_k = x / (S b_0);
+    when g != b_0, S and the window of the last deg b values are
+    multiplied by b_0 / g, and W_k = x / g.  S stays the lcm of the
+    denominators of q_0..q_k.  Every W_k is brought to the final S.
+    """
+    b0, back = b[0], b[:0:-1]  # b_(deg b)..b_1
+    shared = 1  # S
+    window = []  # W_(k-deg b)..W_(k-1)
+    entries, scales = [], []
+    for k in range(n):
+        x = (a[k] * shared if k < len(a) else 0) \
+            - sum(map(mul, back[len(back) - len(window):], window))
+        g = math.gcd(x, b0)
+        if g != b0:
+            grow = b0 // g
+            shared *= grow
+            window = list(map(mul, window, repeat(grow)))
+        entry = x // g
+        window.append(entry)
+        if len(window) > len(back):
+            del window[0]
+        entries.append(entry)
+        scales.append(shared)
+    return [e * (shared // s) for e, s in zip(entries, scales)], shared
+
+
+def _in_u(f_w: list, size: int, shift: int, odd: int) -> list:
+    """The first `size` coefficients in u of (1 - u)^shift (2 - u)^odd
+    F(w), w = u^2 / (1 - u), for the ceil(size / 2) integers F_j.
+
+    Horner's rule in w: acc <- F_j + u^2 prefix_sums(acc), as
+    1 / (1 - u) sums prefixes; at depth j only the terms below
+    u^(size - 2j) are kept, as w^j starts at u^(2j): one or two at the
+    deepest, two more at each step up.
+    """
+    acc = [f_w[-1], 0][:2 - size % 2]
+    for j in range(len(f_w) - 2, -1, -1):
+        acc = [f_w[j], 0, *accumulate(acc)]
+    _times_binomial(acc, 1, shift)
+    if odd:
+        acc[1:] = map(sub, map(mul, repeat(2), acc[1:]), acc[:-1])
+        acc[0] *= 2
+    return acc
+
+
 def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     """Laurent data of f at x = 1 in the variable u = 1 - x.
 
-    The denominator is read as its passes, and everything up to the
-    last step is integer arithmetic:
+    Every (1 - x^m) is (1 - x) [m]_x, with [m]_x palindromic, so f =
+    N / ((1 - x)^E R) for E the sum of the pass exponents.  A
+    palindromic P of even span 2k is x^k times a polynomial in
+    w = x + 1/x - 2 = u^2 / (1 - u), and one of odd span is (1 + x)
+    times one of even span; so N / R, less its (1 - x) factors, is a
+    series in w up to powers of x = 1 - u and 1 + x = 2 - u, and L
+    coefficients in u take ceil(L / 2) in w.  Everything up to the last
+    step is integer arithmetic:
 
-    1. the numerator is scaled to an integer polynomial and
-       Taylor-shifted to x = 1 - u (`_shifted_at_one`);
-    2. each pass (1 - x^m)^e becomes u^e P_m(u)^e with
-       P_m(u) = sum_(k=1..m) (-1)^(k+1) C(m,k) u^(k-1), P_m(0) = m, so
-       the pole order sum(e) - v_u(numerator) is read off; P_m^|e|
-       multiplies b(u) for e > 0 and the shifted numerator a(u) for
-       e < 0, only as far as the requested order needs;
-    3. a(u) is divided by b(u) by one recurrence whose quotient values
-       q_k = W_k / S are integers W_k over one shared denominator S.
-       With x = a_k S - sum_j b_j W_(k-j) and g = gcd(x, b_0 > 0),
-       q_k = x / (S b_0); when g != b_0, S and the window of the last
-       deg b values are multiplied by b_0 / g, and W_k = x / g.  S stays
-       the lcm of the denominators of q_0..q_k, the least it can be,
-       where the scale b_0^(k+1) of `deferred_quotient` would be several
-       times longer; one Fraction is built per coefficient.
+    1. the numerator is scaled to integers, and its x-valuation and
+       its factors (1 - x)^v are taken out; the pole order is E - v;
+    2. the rest, N, is split into its palindromic part A = (N + N*) / 2
+       and (1 - x) B' with B' = (N - N*) / (2 (1 - x)) palindromic, N*
+       the reverse of N; a reciprocal series has B' = 0;
+    3. each [m]_x, m >= 2, is x-powers, (1 + x) for even m, and a
+       closed-form row in w (`_w_row`); the rows of e > 0 multiply the
+       w-denominator R(w), those of e < 0 the numerators.  An even count
+       of factors 1 + x is powers of (1 + x)^2 / x = w + 4; for an odd
+       count, N is first multiplied by 1 + x;
+    4. A and B' are converted to w from their low halves (`_peeled`);
+       a part of odd span leaves a factor 1 + x = 2 - u;
+    5. each is divided by R(w) with one shared denominator
+       (`_shared_quotient`), and the quotient is mapped back to u by a
+       truncated Horner pass, times (1 - u)^s (2 - u)^eps (`_in_u`),
+       where s is half the span difference plus the x-valuation; one
+       Fraction is built per coefficient.
     """
     if order < 0:
         raise ValueError(f"Laurent order must be >= 0, got {order}")
     if f.numerator.is_zero():
         return LaurentExpansion(0, (Fraction(0),) * (order + 1))
     passes = f.denominator.passes()
-    scale, val, terms = _shifted_at_one(f.numerator)
+    scale, num = cleared(f.numerator.coeffs)
+    low = next(i for i, c in enumerate(num) if c)
+    num, val = num[low:], 0
+    while not sum(num):  # divide by 1 - x
+        num = list(accumulate(num))[:-1]
+        val += 1
     pole = sum(e for _, e in passes) - val
     length = max(0, order + 1 + min(pole, 0))
     gammas = []
     if length:
-        a = list(islice(terms, length))
-        a += [0] * (length - len(a))
-        b = [1]
+        half = (length + 1) // 2
+        den, over, plus, span = [1], [1], 0, 0  # R(w), numerator rows
         for m, e in passes:
-            if m == 1:  # P_1 = 1
+            if m > 1:
+                row = _w_row(m, half)
+                for _ in range(abs(e)):
+                    if e > 0:
+                        den = mul_truncated(den, row, half)
+                    else:
+                        over = mul_truncated(over, row, half)
+                if not m & 1:
+                    plus += e
+                span += e * (m - 1)
+        if plus & 1:  # N (1 + x) / (R (1 + x))
+            num = list(map(add, num + [0], [0] + num))
+            plus += 1
+            span += 1
+        for _ in range(abs(plus) // 2):
+            if plus > 0:
+                den = mul_truncated(den, (4, 1), half)
+            else:
+                over = mul_truncated(over, (4, 1), half)
+        parts = [(num, 0)]
+        rev = num[::-1]
+        if rev != num:
+            b = list(accumulate(map(sub, num, rev)))[:-1]
+            parts = [(list(map(add, num, rev)), 0), (b, 1)]
+            scale *= 2
+        total = shared = None
+        for part, lift in parts:
+            size = length - lift
+            if size <= 0:
                 continue
-            p_m = [(-1) ** (k + 1) * math.comb(m, k)
-                   for k in range(1, min(m, length) + 1)]
-            for _ in range(e):
-                b = mul_truncated(b, p_m, length)
-            for _ in range(-e):
-                a = mul_truncated(a, p_m, length)
-        b0, tail = b[0], b[1:]
-        shared = 1  # S
-        window = deque(maxlen=len(tail))  # W_(k-deg b)..W_(k-1)
-        for a_k in a:
-            x = a_k * shared - sum(map(mul, tail, reversed(window)))
-            g = math.gcd(x, b0)
-            if g != b0:
-                grow = b0 // g
-                shared *= grow
-                window = deque(map(mul, window, repeat(grow)), len(tail))
-            entry = x // g
-            window.append(entry)
-            gammas.append(Fraction(entry, shared * scale))
+            top = len(part) - 1
+            odd = top & 1
+            terms = (size + 1) // 2
+            a = _peeled(part[:top // 2 + 1], odd, terms)
+            if over != [1]:
+                a = mul_truncated(a, over, terms)
+            q, s = _shared_quotient(a, den, terms)
+            series = _in_u(q, size, low + (top - odd - span) // 2, odd)
+            if total is None:
+                total, shared = series, s
+            else:  # u B' after A, at the lcm of their scales
+                both = math.lcm(shared, s)
+                total = list(map(mul, total, repeat(both // shared)))
+                total[1:] = map(add, total[1:],
+                                map(mul, series, repeat(both // s)))
+                shared = both
+        scale *= shared
+        gammas = [Fraction(g, scale) for g in total]
     if pole >= 0:
         return LaurentExpansion(pole, tuple(gammas))
     zeros = [Fraction(0)] * (-pole)

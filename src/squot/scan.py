@@ -96,10 +96,6 @@ class ScanResult(NamedTuple):
     hits: int
     total: int
 
-    @property
-    def probability(self) -> Fraction:
-        return Fraction(self.hits, self.total) if self.total else Fraction(0)
-
 
 def integral_triples(level: int) -> Iterator[Tuple[int, int, int]]:
     """Non-decreasing triples with a+b+c <= level and integral 1/gamma_0,

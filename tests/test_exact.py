@@ -3,9 +3,12 @@
 import json
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import (accumulate, chain, combinations_with_replacement,
+                       islice, repeat)
+from operator import mul
 from unittest import mock
 
 import pytest
@@ -15,15 +18,16 @@ from hypothesis import strategies as st
 from squot.circle import hilbert_off_clustered, hilbert_series
 from squot.cli import series_payload
 from squot.errors import ReciprocityMismatch, ReconstructionMismatch
-from squot.finite import FiniteDiagonalGroup, analyze_group
+from squot.finite import FiniteDiagonalGroup, analyze_group, molien_series
 from squot.laurent import symplectic_check
 from squot.scan import full_scan
 import squot.exact
 from squot.exact import (PACKED_MIN_M, FactoredDenominator,
                          LaurentExpansion, QPolynomial, RationalFunction,
-                         _expand_factored,
+                         _expand_factored, _peeled,
                          _cut_rows, _packed_multisection, _psi_passes,
-                         check_reciprocity, deferred_quotient, laurent_at_one,
+                         _w_row, check_reciprocity, cleared,
+                         deferred_quotient, laurent_at_one,
                          laurent_prototype, mul_truncated,
                          multisected_prefix,
                          rational_reconstruct, resultant_transform,
@@ -135,6 +139,58 @@ def reference_laurent_at_one(f, order):
         return LaurentExpansion(pole, tuple(body[:order + 1]))
     zeros = [Q(0)] * (-pole)
     return LaurentExpansion(0, tuple((zeros + body)[:order + 1]))
+
+
+def reference_u_laurent(f, order):
+    """Laurent data at x = 1 by the integer route in u alone: the
+    numerator Taylor-shifted to x = 1 - u by synthetic addition, each
+    pass (1 - x^m)^e written as u^e P_m(u)^e with
+    P_m(u) = sum_(k=1..m) (-1)^(k+1) C(m,k) u^(k-1), and the quotient
+    by one recurrence over a shared denominator S."""
+    scale, work = cleared(f.numerator.coeffs)
+    if not any(work):
+        return LaurentExpansion(0, (Q(0),) * (order + 1))
+
+    def shifted():  # s * p(1 - u), lowest degree first
+        for i in range(len(work)):
+            work[i:] = reversed(list(accumulate(reversed(work[i:]))))
+            yield -work[i] if i & 1 else work[i]
+
+    terms = shifted()
+    for val, first in enumerate(terms):
+        if first:
+            break
+    terms = chain((first,), terms)
+    passes = f.denominator.passes()
+    pole = sum(e for _, e in passes) - val
+    length = max(0, order + 1 + min(pole, 0))
+    gammas = []
+    if length:
+        a = list(islice(terms, length))
+        a += [0] * (length - len(a))
+        b = [1]
+        for m, e in passes:
+            p_m = [(-1) ** (k + 1) * math.comb(m, k)
+                   for k in range(1, min(m, length) + 1)]
+            for _ in range(e):
+                b = mul_truncated(b, p_m, length)
+            for _ in range(-e):
+                a = mul_truncated(a, p_m, length)
+        b0, tail = b[0], b[1:]
+        shared = 1
+        window = deque(maxlen=len(tail))
+        for a_k in a:
+            x = a_k * shared - sum(map(mul, tail, reversed(window)))
+            g = math.gcd(x, b0)
+            if g != b0:
+                shared *= b0 // g
+                window = deque(map(mul, window, repeat(b0 // g)), len(tail))
+            window.append(x // g)
+            gammas.append(Q(x // g, shared * scale))
+    if pole >= 0:
+        return LaurentExpansion(pole, tuple(gammas))
+    zeros = [Q(0)] * (-pole)
+    return LaurentExpansion(0, tuple((zeros + gammas)[:order + 1]))
 
 
 def reference_divmod(a, b):
@@ -690,6 +746,136 @@ class TestLaurent:
             b.append(-((-1) ** k) * binom)
         assert list(laurent_prototype(t, 12).coefficients) \
             == dense_series_div([1], b, 12)
+
+
+@st.composite
+def on_shell_inputs(draw):
+    """The on-shell series of a random weight vector, n = 2..5."""
+    n = draw(st.integers(2, 5))
+    weights = draw(st.lists(st.integers(1, 12), min_size=n, max_size=n))
+    return hilbert_series(tuple(sorted(weights)), oracle_degree=0).on_shell
+
+
+@st.composite
+def molien_inputs(draw):
+    """The Molien series of a random finite diagonal group."""
+    n = draw(st.integers(1, 3))
+    gens = draw(st.lists(st.integers(2, 9).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(
+            st.integers(0, m - 1), min_size=n, max_size=n).map(tuple))),
+        min_size=1, max_size=2))
+    return molien_series(FiniteDiagonalGroup.from_generators(gens))
+
+
+@st.composite
+def integer_inputs(draw):
+    """A non-reciprocal integer numerator, x^k times its coefficients,
+    over random (1 - x^m) factors and Psi_d factors."""
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=1, max_size=12))
+    assume(any(coeffs))
+    pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
+                          max_size=4))
+    num = [0] * draw(st.integers(0, 3)) + coeffs
+    return RationalFunction(QPolynomial(num),
+                            FactoredDenominator.from_pairs(pairs,
+                                                           draw(psi_parts)))
+
+
+@st.composite
+def low_pole_inputs(draw):
+    """A numerator with as many factors 1 - x as the denominator has,
+    or more: pole order zero or negative."""
+    f = draw(integer_inputs())
+    num = f.numerator
+    poles = sum(e for _, e in f.denominator.passes())
+    for _ in range(poles + draw(st.integers(0, 4))):
+        num = num * Poly([1, -1])
+    return RationalFunction(QPolynomial(num.coeffs), f.denominator)
+
+
+def in_w_calls(f, order):
+    """laurent_at_one(f, order) and, for each part it maps back to u
+    (A first, then (1 - x) B'), whether it has odd span and so leaves
+    the factor 2 - u."""
+    odd = []
+    real = squot.exact._in_u
+
+    def spy(f_w, size, shift, plus):
+        odd.append(plus)
+        return real(f_w, size, shift, plus)
+
+    with mock.patch.object(squot.exact, "_in_u", spy):
+        return laurent_at_one(f, order), odd
+
+
+class TestLaurentInW:
+    """The w-route of laurent_at_one against the u-route and the
+    Fraction route."""
+
+    @given(st.one_of(on_shell_inputs(), molien_inputs(), integer_inputs(),
+                     low_pole_inputs()),
+           st.integers(0, 150))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_both_references(self, f, order):
+        got = laurent_at_one(f, order)
+        assert got == reference_u_laurent(f, order)
+        assert got == reference_laurent_at_one(f, order)
+
+    @pytest.mark.parametrize("num, pairs, psi, odd", [
+        # R of odd degree: an odd count of even m, so N (1 + x) / (R (1 + x))
+        ((1,), [(2, 1), (3, 1)], [], [1]),
+        ((1, 1), [(2, 1), (3, 1)], [], [0]),
+        ((1,), [(2, 3), (4, 2)], [], [1]),
+        # A of odd degree: the factor 1 + x = 2 - u
+        ((1, 1), [(1, 1), (3, 2)], [], [1]),
+        ((2, 5, 5, 2), [(5, 3)], [], [1]),
+        # anti-palindromic numerators: A = 0 until 1 - x is taken out
+        ((1, 0, 0, -1), [(2, 1), (5, 1)], [], [1]),
+        ((1, -2, 0, 2, -1), [(3, 2)], [], [1]),
+        ((1, 0, -1), [(3, 1), (4, 1)], [], [0]),
+        # B' = 0: palindromic numerators, even and odd span, x^2 taken out
+        ((1, 0, 1), [(1, 2), (3, 1)], [], [0]),
+        ((0, 0, 1, 4, 1), [(3, 1)], [], [0]),
+        ((0, 0, 1, 4, 1), [(6, 1)], [], [1]),
+        # neither part zero: A and (1 - x) B' of opposite parities
+        ((1, 2), [(3, 1)], [], [1, 0]),
+        ((1, 2), [(2, 1)], [], [0, 1]),
+        ((3, 0, 1, 7), [(1, 1), (4, 2)], [], [1, 0]),
+        # Psi_d passes with e < 0 multiply the numerator in w
+        ((1,), [(6, 2)], [(4, 1)], [0]),
+        ((1, 1), [(3, 1)], [(2, 1)], [0]),
+        ((5, 1), [], [(2, 2), (6, 1)], [1, 0]),
+    ], ids=str)
+    @pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
+    def test_parity_branches(self, num, pairs, psi, odd, order):
+        f = RationalFunction(QPolynomial(num),
+                             FactoredDenominator.from_pairs(pairs, psi))
+        got, seen = in_w_calls(f, order)
+        assert got == reference_laurent_at_one(f, order)
+        assert got == reference_u_laurent(f, order)
+        # every pole order here is -1 or more: from order 2 on, both
+        # parts have terms left
+        assert seen == (odd if order >= 2 else odd[:len(seen)])
+
+    def test_negative_pole_leaves_no_terms(self):
+        # (1 - x)^5 / (1 - x^2): gamma_0..gamma_3 = 0 take no w-terms
+        num = ONE
+        for _ in range(5):
+            num = num * Poly([1, -1])
+        f = RationalFunction(QPolynomial(num.coeffs),
+                             FactoredDenominator.from_pairs([(2, 1)]))
+        got, seen = in_w_calls(f, 3)
+        assert got == LaurentExpansion(0, (0, 0, 0, 0)) and seen == []
+        assert laurent_at_one(f, 4) == reference_laurent_at_one(f, 4)
+
+    @pytest.mark.parametrize("m", range(2, 201))
+    def test_w_rows_match_peel(self, m):
+        # [m]_x has span m - 1; peeled from its low half, it is the
+        # closed-form row, (1 + x) taken out for even m
+        n = m // 2 + 2
+        assert _peeled([1] * ((m + 1) // 2), 1 - m % 2, n) \
+            == list(_w_row(m, n))
+        assert list(_w_row(m, 3)) == list(_w_row(m, n))[:3]
 
 
 #: Degenerate weight vectors whose off-shell result is reduced: with a

@@ -135,7 +135,7 @@ class TestProbabilityScan:
         # hand-derived: hits are (3,3,3) once and (2,4,4) three times
         res = full_scan(10)[-1]
         assert res.hits == 4 and res.total == math.comb(10, 3)
-        assert res.probability == Q(1, 30)
+        assert Fraction(res.hits, res.total) == Q(1, 30)
 
     def test_total_is_ordered_triple_count(self):
         for level in (3, 5, 12, 20):
