@@ -10,10 +10,13 @@ profiles:
   distinct weight a of multiplicity p, the residue of order p
   computed with exact derivative arithmetic over polynomials in u
   packed into ints by Kronecker substitution (at once for p = 1), then
-  averaged over the a-th roots of unity by multisection of its Taylor
-  prefix; the pieces are merged over their shared denominator, and the
-  sum taken on shell is lifted onto the pair-sum denominator if every
-  p = 1 ("Generic"), otherwise ("DegenerateResidue") reduced;
+  averaged over the a-th roots of unity: in closed form, a lattice sum
+  of at most a monomials a term, for p = 1 beside at most two other
+  weights (every piece of a distinct triple), else by multisection of
+  its Taylor prefix; the pieces are merged over their shared
+  denominator, and the sum taken on shell is lifted onto the pair-sum
+  denominator if every p = 1 ("Generic"), otherwise
+  ("DegenerateResidue") reduced;
 * all weights equal ("CompletelyDegenerate"): an explicit binomial
   formula.
 
@@ -24,9 +27,11 @@ Each piece satisfies f(1/x) = +-x^w f(x), so the numerator of its
 average is palindromic up to a sign (Stanley's reciprocity): the
 multisected prefix only covers half of it plus SLACK coefficients,
 which must agree with the mirror that gives the other half
-(`u_average`).  Every dispatcher result is checked on every coefficient
-against the reciprocity H(1/x) = x^(2n-2) H(x) of the on-shell series,
-and against a brute-force monomial count, before it is returned.
+(`u_average`), and a closed-form numerator must obey the mirror on
+every coefficient (`pair_average`).  Every dispatcher result is
+checked on every coefficient against the reciprocity
+H(1/x) = x^(2n-2) H(x) of the on-shell series, and against a
+brute-force monomial count, before it is returned.
 """
 
 from __future__ import annotations
@@ -40,9 +45,10 @@ from typing import NamedTuple, Sequence, Tuple
 from .errors import (DenominatorVanishesAtZero, OracleMismatch,
                      ReconstructionMismatch, ZeroWeight)
 from .exact import (SLACK, FactoredDenominator, QPolynomial,
-                    RationalFunction, _mirrored, _repunit,
-                    check_reciprocity, deferred_quotient, mul_truncated,
-                    multisected_prefix, peel_common, series_of_rational)
+                    RationalFunction, _divide_binomial, _mirrored, _repunit,
+                    _strip, check_reciprocity, deferred_quotient,
+                    mul_truncated, multisected_prefix, peel_common,
+                    series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -112,6 +118,13 @@ def _averaged_reciprocity(ints: list, den: FactoredDenominator,
     return target.degree - w // a, delta * (-1) ** count
 
 
+def _exact_image(den: FactoredDenominator, a: int) -> FactoredDenominator:
+    """prod (1 - y^(lcm(a,m)/a))^e in y = x^a over den's (1 - x^m)^e:
+    the exact denominator of an average over the a-th roots of unity."""
+    return FactoredDenominator.from_pairs(
+        (math.lcm(a, m) // a, e) for m, e in den.factors)
+
+
 def u_average(f: RationalFunction, a: int) -> RationalFunction:
     """Average of f over the a-th roots of unity, in the variable x^(1/a).
 
@@ -149,13 +162,113 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     den = f.denominator
     rest = FactoredDenominator(
         tuple((m, e) for m, e in den.factors if m % a), den.psi)
-    exact, image = (FactoredDenominator.from_pairs(
-        (math.lcm(a, m) // a, e) for m, e in d.factors) for d in (den, rest))
+    exact, image = (_exact_image(d, a) for d in (den, rest))
     top, sign = _averaged_reciprocity(list(f.numerator.coeffs), den, exact, a)
     reach = (top // 2 if sign else top + 2) + SLACK
     window = image.multiply_into(
         multisected_prefix(RationalFunction(f.numerator, rest), a, reach))
     return RationalFunction(QPolynomial(_mirrored(window, top, sign)), exact)
+
+
+def _pair_terms(a: int, rest) -> list:
+    """x^v prod T_b^(p_b) of `pair_average` as its 2^r terms
+    (sign, w, pairs): sign * x^w / prod (1 - x^m) over the (m, l) in
+    pairs, one for each of the r other weights b, l being the other
+    factor m' of b's pair over gcd(a, b): (1 - y^l) is the image of
+    (1 - x^m'), the term's cofactor over the exact denominator."""
+    terms = [(1, 0, ())]
+    for b, pb in rest:
+        g = math.gcd(a, b)
+        if b < a:
+            options = ((1, 0, a + b, (a - b) // g),
+                       (1, a - b, a - b, (a + b) // g))
+        else:  # each with b's share b - a of v
+            options = ((1, b - a, b - a, (a + b) // g),
+                       (-1, b + a, a + b, (b - a) // g))
+        for _ in range(pb):
+            terms = [(s * t, w + u, pairs + ((m, l),))
+                     for s, w, pairs in terms for t, u, m, l in options]
+    return terms
+
+
+def _lattice_exponents(a: int, w: int, ms) -> list:
+    """The exponents e of the monomials y^e, y = x^a, whose sum over
+    prod (1 - y^(m / gcd(a, m))) is the average of x^w / prod (1 - x^m)
+    over the a-th roots of unity, for one or two m: t / a for every
+    t = w + sum m_i j_i, 0 <= j_i < a / gcd(a, m_i), that a divides.
+
+    For the last m, g = gcd(a, m) and t' the rest of the sum, some j
+    gives a | t' + m j iff g | t', and then j is one residue modulo
+    a / g: -(t' / g) / (m / g).  With two m, the first (the one with
+    the larger gcd) runs over the j_1 with g | w + m_1 j_1, one residue
+    class modulo g / gcd(m_1, g) if any: at most a exponents.
+    """
+    *outer, m = sorted(ms, key=lambda k: math.gcd(a, k), reverse=True)
+    g = math.gcd(a, m)
+    n = a // g
+    inverse = pow(m // g, -1, n)
+    if outer:
+        first, = outer
+        h = math.gcd(first, g)
+        if w % h:
+            return []
+        step = g // h
+        start = w + first * (-(w // h) * pow(first // h, -1, step) % step)
+        starts = range(start, w + first * (a // math.gcd(a, first)),
+                       first * step)
+    elif w % g:
+        return []
+    else:
+        starts = (w,)
+    return [(t + m * (-(t // g) * inverse % n)) // a for t in starts]
+
+
+def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
+    """`u_average` of f, the p = 1 piece of `residue_cluster` for the
+    weight a, in closed form, when the other weights (b, p_b) in `rest`
+    number r = sum p_b <= 2.
+
+    With y = x^a, (1 - x^(2a)) / ((1 - x^(a+b)) (1 - x^|a-b|)) is
+    T_b = 1/(1 - x^(a+b)) + x^(a-b)/(1 - x^(a-b)) for b < a and
+    T_b = 1/(1 - x^(b-a)) - x^(2a)/(1 - x^(a+b)) for b > a, so f, which
+    is x^v over (1 - x^(2a)) and every pair, v the sum of p_b (b - a)
+    over b > a, is x^v prod T_b^(p_b) / (1 - y^2)^(1+r): 2^r terms
+    +-x^w / prod (1 - x^m) (`_pair_terms`) over a function of y.  Each
+    term averages to at most a monomials (`_lattice_exponents`) over
+    the images (1 - y^l) of its factors.  Over the exact image
+    denominator E = (1 - y^2) prod_b (the images of b's pair)^(p_b), the
+    numerator N is the sum of the terms' monomials times their
+    cofactors, divided exactly by (1 - y^2)^r.
+
+    The sum is sized from deg E, which bounds every exponent, before
+    any j is enumerated.  The division must be exact, and N must obey
+    the mirror N_k = eps * N_(C-k) on every coefficient
+    (`_averaged_reciprocity`): else ReconstructionMismatch.
+    """
+    exact = _exact_image(f.denominator, a)
+    total = [0] * exact.degree
+    for sign, w, pairs in _pair_terms(a, rest):
+        cofactor = [(0, sign)]
+        for _, l in pairs:
+            cofactor += [(s + l, -c) for s, c in cofactor]
+        exponents = _lattice_exponents(a, w, [m for m, _ in pairs])
+        for s, c in cofactor:
+            for e in exponents:
+                total[e + s] += c
+    num = list(_strip(total))
+    for _ in range(sum(pb for _, pb in rest)):
+        if (num := _divide_binomial(num, 2)) is None:
+            raise ReconstructionMismatch(
+                f"weight {a}: closed-form numerator is not divisible "
+                "by 1 - y^2")
+    top, eps = _averaged_reciprocity(list(f.numerator.coeffs),
+                                     f.denominator, exact, a)
+    num += [0] * (top + 1 - len(num))
+    if len(num) > top + 1 or num != [eps * c for c in reversed(num)]:
+        raise ReconstructionMismatch(
+            f"weight {a}: closed-form numerator of degree {len(num) - 1} "
+            f"breaks the mirror N_k = {eps} * N_({top}-k)")
+    return RationalFunction(QPolynomial(num), exact)
 
 
 def _weight_clusters(weights: Sequence[int]):
@@ -279,7 +392,10 @@ def hilbert_off_clustered(weights: Sequence[int]):
 
     Returns (the series, the pieces (a_i / s_i) * N_i / D_i), N_i / D_i
     the average of cluster i's `residue_cluster` piece over its exact
-    image denominator (`u_average`) and s_i its scale; a_i / s_i stays
+    image denominator and s_i its scale.  The average is taken in
+    closed form (`pair_average`) for p_i = 1 beside at most two other
+    weights, counted with multiplicity, else from the multisected
+    prefix (`u_average`).  a_i / s_i stays
     an int where s_i divides a_i, as it does for every p = 1.  Summed in
     integers, N_i times its cofactor and a_i L / s_i (L the lcm of the
     denominators of the a_i / s_i) gives L times the off-shell
@@ -293,7 +409,10 @@ def hilbert_off_clustered(weights: Sequence[int]):
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
-        averaged.append(u_average(g, a))
+        if p == 1 and sum(pb for _, pb in rest) <= 2:
+            averaged.append(pair_average(g, a, rest))
+        else:
+            averaged.append(u_average(g, a))
         ratios.append(a // s if a % s == 0 else Fraction(a, s))
     merged: dict = {}
     for g in averaged:

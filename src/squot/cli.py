@@ -149,10 +149,13 @@ def load_series(paths) -> RationalFunction:
     return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
 
 
-def _series_source(args) -> RationalFunction:
+def _series_source(args):
+    """(the request's source entry, the series) for --weights or
+    --series; weights are echoed as the parsed list."""
     if args.weights is not None:
-        return hilbert_series(_parse_weights(args.weights)).on_shell
-    return load_series(args.series)
+        weights = _parse_weights(args.weights)
+        return {"weights": list(weights)}, hilbert_series(weights).on_shell
+    return {"series": list(args.series)}, load_series(args.series)
 
 
 def _document(command: str, request: dict, result: dict) -> dict:
@@ -277,7 +280,7 @@ def cmd_symplectic(args) -> int:
     # with no S_m to check, "passed" would hold vacuously; S_1..S_R
     # read 2R Laurent coefficients
     _check_range("--order", args.order, 1, _MAX_ENTRIES // 2)
-    f = _series_source(args)
+    request, f = _series_source(args)
     expansion = laurent_at_one(f, 2 * args.order - 1)
     report = symplectic_check(expansion, args.order)
     payload = {
@@ -287,8 +290,6 @@ def cmd_symplectic(args) -> int:
         "violations": list(report.violations),
         "passed": report.passed,
     }
-    request = ({"weights": args.weights} if args.weights is not None
-               else {"series": list(args.series)})
     request["order"] = args.order
     return _emit(_document("symplectic", request, payload))
 

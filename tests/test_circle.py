@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import squot.circle
@@ -21,7 +21,7 @@ from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
                           hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights, oracle_off_counts,
-                          residue_cluster, u_average,
+                          pair_average, residue_cluster, u_average,
                           verify_against_oracle)
 from squot.errors import (OracleMismatch, ReciprocityMismatch,
                           ReconstructionMismatch, ZeroWeight)
@@ -291,6 +291,36 @@ def shared_factor_pieces(draw):
     return phi_tilde(weights, i), weights[i]
 
 
+@st.composite
+def pair_cases(draw):
+    """(a, rest) for a weight a of multiplicity 1 beside r <= 2 other
+    weights, all up to 400: n = 2, a distinct triple, a repeated
+    partner, a partner that a divides, or coincident factors, the
+    third weight being c = 2a + b or |2a - b|."""
+    shape = draw(st.sampled_from(
+        ["n = 2", "triple", "repeated", "multiple", "coincident"]))
+    if shape == "multiple":
+        a = draw(st.integers(1, 200))
+        rest = [(a * draw(st.integers(2, 400 // a)), 1)]
+        rest += draw(st.lists(st.integers(1, 400).filter(
+            lambda c: c % a and c != rest[0][0]).map(lambda c: (c, 1)),
+            max_size=1))
+        return a, tuple(sorted(rest))
+    top = 133 if shape == "coincident" else 400
+    a = draw(st.integers(1, top))
+    b = draw(st.integers(1, top).filter(lambda b: b != a))
+    if shape == "n = 2":
+        return a, ((b, 1),)
+    if shape == "repeated":
+        return a, ((b, 2),)
+    if shape == "triple":
+        c = draw(st.integers(1, 400).filter(lambda c: c not in (a, b)))
+    else:
+        c = draw(st.sampled_from([2 * a + b, abs(2 * a - b)]))
+        assume(c not in (0, a, b))
+    return a, tuple(sorted([(b, 1), (c, 1)]))
+
+
 def exact_image(den, a):
     """prod (1 - y^(lcm(a,m)/a))^e over the factors (1 - x^m)^e of den."""
     return FactoredDenominator.from_pairs((math.lcm(a, m) // a, e)
@@ -526,6 +556,58 @@ class TestHalfPrefix:
         with mock.patch("squot.circle.multisected_prefix", perturbed):
             with pytest.raises(ReconstructionMismatch):
                 u_average(f, a)
+
+
+class TestPairAverage:
+    @given(pair_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_prefix_route(self, case):
+        # the closed form against the multisected prefix on the same
+        # residue piece
+        a, rest = case
+        g = residue_cluster(a, 1, rest)[0]
+        assert pair_average(g, a, rest) == u_average(g, a)
+
+    @pytest.mark.parametrize("weights,prefixed", [
+        ((1, 2, 3), 0), ((37, 91), 0), ((120, 131, 131), 1),
+        ((1, 1, 2), 1), ((1, 2, 2, 2), 2), ((1, 2, 3, 4), 4),
+        ((100, 101, 102, 103), 4),
+    ])
+    def test_prefix_route_for_p_2_or_r_3(self, weights, prefixed):
+        # a weight of multiplicity 1 beside at most two others takes
+        # the closed form, every other one the multisected prefix
+        with mock.patch("squot.circle.u_average",
+                        wraps=u_average) as prefix, \
+                mock.patch("squot.circle.pair_average",
+                           wraps=pair_average) as closed:
+            hilbert_off_clustered(weights)
+        assert prefix.call_count == prefixed
+        assert closed.call_count == len(set(weights)) - prefixed
+
+    @pytest.mark.parametrize("a,rest", [(2, ((1, 1), (3, 1))),
+                                        (97, ((150, 1), (344, 1))),
+                                        (50, ((100, 1), (151, 1))),
+                                        (120, ((131, 2),)), (37, ((91, 1),))])
+    def test_wrong_term_raises(self, a, rest):
+        # a term with its sign flipped, or a monomial one degree off,
+        # fails the exact division by (1 - y^2)^r or the mirror
+        g = residue_cluster(a, 1, rest)[0]
+        terms = squot.circle._pair_terms(a, rest)
+        exponents = squot.circle._lattice_exponents
+        for i in range(len(terms)):
+            flipped = list(terms)
+            flipped[i] = (-terms[i][0],) + terms[i][1:]
+            with mock.patch("squot.circle._pair_terms",
+                            lambda *_: flipped):
+                with pytest.raises(ReconstructionMismatch):
+                    pair_average(g, a, rest)
+
+        def shifted(*args):
+            out = exponents(*args)
+            return out[:-1] + [out[-1] + 1] if out else out
+        with mock.patch("squot.circle._lattice_exponents", shifted):
+            with pytest.raises(ReconstructionMismatch):
+                pair_average(g, a, rest)
 
 
 class TestReciprocityCertificate:

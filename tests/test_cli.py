@@ -705,6 +705,10 @@ class TestExitContract:
         ["hilbert", "--weights", f"1,1,{2 ** 62}", "--off"],
         ["laurent", "--weights", f"1,1,{sys.maxsize}"],
         ["hilbert", "--weights", f"1,{sys.maxsize - 1},{sys.maxsize}"],
+        # the closed-form average is sized before any lattice point is
+        # enumerated, about 9.2 * 10^18 of them for the smallest weight
+        ["hilbert", "--weights", f"{sys.maxsize - 2},{sys.maxsize - 1},"
+                                 f"{sys.maxsize}"],
     ], ids=" ".join)
     def test_weights_near_the_bound_exit_2(self, argv):
         # within the weight bound, the residue path's ints would have

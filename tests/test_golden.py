@@ -57,18 +57,23 @@ SUBGROUPS = [
 #: order 119 (with and without an extraFactor) and S_m up to 100, where the
 #: su2 fixture violates S_2.  The residue path is pinned on large
 #: repeated weights, on three clusters with an extraFactor and on two
-#: clusters of multiplicity above one.  Two generic inputs pin the
-#: mixed multisection passes: (100,101,102), whose pieces each have a
-#: factor with m = 1 beside factors with m near 200, and
-#: (60,97,130,171), with six factors per piece.  `scan` at level 400
-#: pins every level's record from one pass of the scan kernel.
+#: clusters of multiplicity above one.  The closed-form averages of
+#: weights of multiplicity 1 beside at most two others are pinned where
+#: factors meet: (97,150,344), where a + b = c - a gives the factor 247
+#: twice for a = 97; (50,100,151), where a divides b; (37,91), one pair;
+#: and (120,131,131), a repeated partner.  The multisected prefix, which
+#: no n = 3 input with distinct weights reaches, is pinned by
+#: (100,101,102,103), whose pieces each have a factor with m = 1 beside
+#: factors with m near 200, and (60,97,130,171), with six factors per
+#: piece.  `scan` at level 400 pins every level's record from one pass
+#: of the scan kernel.
 DIGESTS = {
     "laurent --weights 13,14,15 --order 119":
         "5fb5b1ccf0221abba66227eec3afeee43e7493373b67967ea9789db111d0cf76",
     "laurent --weights 7,8,8,8 --order 119":
         "c04a57309cc16b96567bcf284e3327d34a99244f31360b78416ad568f80aa9b2",
     "symplectic --weights 5,7,9 --order 60":
-        "06c73211468cd2203ce606e5051cee0ece222605127c9c53ddade25c177b72d1",
+        "144337ce39b92eb07af9f6f0e4398b806b9ecf7831e3cd806af99975a252a557",
     "symplectic --series su2_2v1.txt --order 100":
         "6c994a853b4f78be02c9efadb884d00260751cfe981d673d56e68280a347b57f",
     "hilbert --weights 101,150,199":
@@ -95,6 +100,16 @@ DIGESTS = {
         "f25a41365e56be891d2b000074e49a727a5ccbcd7c4536e6cd949fd1f9b21eac",
     "hilbert --weights 60,97,130,171":
         "f2c9c57b9f08a50f2989ac00667723fac2c7cb044a220abb8c320bf7f0222395",
+    "hilbert --weights 97,150,344":
+        "5485afc1a35167159485367fa7d660d4eae7776951f2fa1fc5aee9abc938034d",
+    "hilbert --weights 50,100,151":
+        "187703d2c2008db7ffd4acc96243bfec4af8359651ab9646a69d7ac53eb42a29",
+    "hilbert --weights 37,91":
+        "1154c56a99bca7e2a8d274e08fbf5889e1b94fc9b5fef3744079d8b32df4cca5",
+    "hilbert --weights 120,131,131 --off":
+        "ece78dfe068c00b9b83853514b287aa02e4ec82476e4c7767176e5788c801c3e",
+    "hilbert --weights 100,101,102,103":
+        "a1be38ea9faf64b0fd3b061cf8124007c8681e7d59097b751c82791f276f4286",
     "scan --max-level 400":
         "6595c4d896a6e8972e9453ba772209df4bdf3266d7221ee069838e25ae520722",
 }
