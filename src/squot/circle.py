@@ -8,8 +8,8 @@ profiles:
 
 * the residue path, for two or more distinct weights: one piece per
   distinct weight a of multiplicity p, the residue of order p
-  computed with exact derivative arithmetic over polynomials in u
-  packed into ints by Kronecker substitution (at once for p = 1), then
+  computed from graded inverses of the kernel's factors over
+  polynomials in u packed into ints (at once for p = 1), then
   averaged over the a-th roots of unity: in closed form, a lattice sum
   of at most a monomials a term, for p = 1 beside at most two other
   weights (every piece of a distinct triple), else by multisection of
@@ -42,8 +42,7 @@ from itertools import combinations, groupby, repeat, zip_longest
 from operator import mul
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import (DenominatorVanishesAtZero, OracleMismatch,
-                     ReconstructionMismatch, ZeroWeight)
+from .errors import OracleMismatch, ReconstructionMismatch, ZeroWeight
 from .exact import (SLACK, FactoredDenominator, QPolynomial,
                     RationalFunction, _divide_binomial, _mirrored, _repunit,
                     _strip, check_reciprocity, deferred_quotient,
@@ -278,32 +277,47 @@ def _weight_clusters(weights: Sequence[int]):
 
 def _kernel_coefficient(a: int, p: int, rest, exponent: int, value,
                         sign: int = 1):
-    """The t^(p-1) coefficient N of the deferred quotient of
-    (u+t)^exponent by Den(t), truncated at t^p, each coefficient a
-    u-polynomial of (degree, coefficient) terms mapped by `value`.  For
-    a ring map, N is the image of N(u).  For the L1 norm and sign -1,
-    which negates the tail of Den(t) so that each subtraction of the
-    recurrence adds, N >= ||N(u)||_1, the norm being sub-additive and
-    sub-multiplicative."""
-    def binomials(top, k, pm):  # pm * C(k, j) u^(top - j), j >= 1
-        return [((top - j, pm * math.comb(k, j)),)
+    """The tau^(p-1) coefficient M of (1+tau)^exponent / prod F_i^(e_i)
+    times prod F_i(0)^(e_i+p-1), the F_i being the factors of the cluster
+    kernel at t = u tau without their u-powers, each tau-coefficient a
+    u-polynomial of (degree, coefficient) terms mapped by `value`.  The
+    deferred quotient 1/F_i has its k-th coefficient over F_i(0)^(k+1);
+    times the k-th power of the other F_j(0) it is over F_i(0) D^k,
+    D = prod F_j(0), so every series is graded by D^k and plain truncated
+    products stay exact.  For a ring map, M is the image of M(u).  For
+    the L1 norm and sign -1, which negates each factor's tail so that
+    every subtraction of the quotient adds, M >= ||M(u)||_1, the norm
+    being sub-additive and sub-multiplicative."""
+    def tail(k, d, pm):  # pm * C(k, j) u^d at tau^j, 1 <= j < p
+        return [((d, pm * math.comb(k, j)),)
                 for j in range(1, min(k, p - 1) + 1)]
-    # (z^a - u^a)/(z - u) at z = u + t, via the hockey-stick identity
-    quotient = [((a - 1 - j, math.comb(a, j + 1)),)
-                for j in range(min(a - 1, p - 1) + 1)]
-    factors = [([((0, 1), (2 * a, -1))] + binomials(2 * a, a, -1), p),
-               (quotient, p)]
+    # 1 - u^(2a) (1+tau)^a and ((1+tau)^a - 1)/tau; for each b,
+    # 1 - u^(a+b) (1+tau)^b and u^(b-a) (1+tau)^b - 1 (b > a) or
+    # (1+tau)^b - u^(a-b) (b < a)
+    factors = [([((0, 1), (2 * a, -1))] + tail(a, 2 * a, -1), p),
+               ([((0, math.comb(a, j + 1)),) for j in range(min(a, p))], p)]
     for b, pb in rest:
-        factors += [([((0, 1), (a + b, -1))] + binomials(a + b, b, -1), pb),
-                    ([((b, 1), (a, -1))] + binomials(b, b, 1), pb)]
-    den = [1]
-    for factor, e in factors:
-        row = list(map(value, factor))
+        head = ((b - a, 1), (0, -1)) if b > a else ((0, 1), (a - b, -1))
+        factors += [([((0, 1), (a + b, -1))] + tail(b, a + b, -1), pb),
+                    ([head] + tail(b, max(b - a, 0), 1), pb)]
+    rows = [([value(f[0])] + [sign * value(c) for c in f[1:]], e)
+            for f, e in factors]
+    heads = [row[0] for row, _ in rows]
+
+    def graded(series, x):  # series[k] * x^k
+        out, power = series[:1], 1
+        for c in series[1:]:
+            power = power * x
+            out.append(c * power)
+        return out
+    series = graded([math.comb(exponent, k) for k in range(p)],
+                    math.prod(heads))
+    for i, (row, e) in enumerate(rows):
+        inverse = graded(deferred_quotient([1], row, p),
+                         math.prod(heads[:i] + heads[i + 1:]))
         for _ in range(e):
-            den = mul_truncated(den, row, p)
-    den[1:] = [sign * c for c in den[1:]]
-    numerator = [((exponent, 1),)] + binomials(exponent, exponent, 1)
-    return deferred_quotient(list(map(value, numerator)), den, p)[p - 1]
+            series = mul_truncated(series, inverse, p)
+    return series[p - 1]
 
 
 def _balanced_lanes(packed: int, width: int) -> list:
@@ -326,36 +340,30 @@ def residue_cluster(a: int, p: int, rest):
     `rest` lists the other distinct weights as (b, multiplicity) pairs.
     The off-shell Hilbert series is the sum over clusters of
     a * (every-a-th coefficient of R(u)).  Returns (s * R, s) with the
-    integer scale s = Den(0)^p; s * R has an integer numerator.
+    integer scale s = +-a^(2p-1), negative when p_b + p - 1 summed over
+    the weights b > a is odd; s * R has an integer numerator.
 
-    R is the t^(p-1) coefficient of G(u+t) for the meromorphic kernel G
-    of the cluster, whose numerator is (u+t)^exponent and whose
-    denominator is Den(t).  Both are t-polynomials, truncated at t^p,
-    whose coefficients are integer polynomials in u; 1/Den(t) is formed
-    by the deferred quotient, which gives that coefficient N(u) times
-    Den(0)^p, so no polynomial division is needed.  For p = 1 the
-    coefficient is u^exponent / Den(0), and Den(t) is never formed.
-
-    For p >= 2 each u-polynomial is packed into one int, its value at
-    X = 2^width (Kronecker substitution), and the quotient over these
-    ints is N(X) (`_kernel_coefficient`).  With width two bits above a
-    bound on the |N_j|, rounded up to a byte, N(X) is read back as
-    balanced lanes; its low lanes are zero iff its low bits are."""
+    R is the t^(p-1) coefficient of the cluster kernel at z = u + t,
+    whose numerator is z^exponent.  At t = u tau every factor of the
+    kernel is a u-power times a factor F_i whose tau-coefficients are
+    c u^k or constants, and [t^(p-1)] = u^(1-p) [tau^(p-1)], so
+    R = u^v M / prod F_i(0)^(e_i+p-1) (`_kernel_coefficient`), v the sum
+    of p_b (b - a) over b > a.  The F_i(0) are a, at e_i = p, and
+    +-(1 - u^m) for m = 2a, a + b and |a - b|.  For p = 1, M = 1.  For
+    p >= 2 each u-polynomial is packed into one int, its value at
+    X = 2^width (Kronecker substitution), so the products give M(X);
+    with width two bits above a bound on the |M_j|, rounded up to a
+    byte, M(X) is read back as balanced lanes."""
     exponent = p * a - 1 + sum(pb * b for b, pb in rest)
-
-    # Den(0) in factored form, for the final denominator of R.
-    scalar = a ** p
-    shift = p * (a - 1)
-    pairs = [(2 * a, p)]
+    scale, v, pairs = a ** (2 * p - 1), 0, [(2 * a, p)]
     for b, pb in rest:
         pairs += [(a + b, pb), (abs(a - b), pb)]
-        shift += pb * min(a, b)
         if b > a:
-            scalar *= (-1) ** pb
-    den_r = FactoredDenominator.from_pairs((m, e * p) for m, e in pairs)
+            v += pb * (b - a)
+            scale *= (-1) ** (pb + p - 1)
+    den_r = FactoredDenominator.from_pairs((m, e + p - 1) for m, e in pairs)
     if p == 1:
-        return (RationalFunction(QPolynomial.monomial(exponent - shift),
-                                 den_r), scalar)
+        return RationalFunction(QPolynomial.monomial(v), den_r), scale
     bound = _kernel_coefficient(a, p, rest, exponent,
                                 lambda terms: sum(abs(c) for _, c in terms),
                                 -1)
@@ -363,15 +371,8 @@ def residue_cluster(a: int, p: int, rest):
     packed = _kernel_coefficient(
         a, p, rest, exponent,
         lambda terms: sum(c << width * d for d, c in terms))
-
-    # R = N / Den(0)^p; the u-power must divide N exactly since R is
-    # analytic at 0, and the scalar stays out as the scale.
-    low = width * shift * p
-    if packed & ((1 << low) - 1):
-        raise DenominatorVanishesAtZero(
-            "residue numerator not divisible by the expected power of u")
-    n_poly = QPolynomial(_balanced_lanes(packed >> low, width))
-    return peel_common(RationalFunction(n_poly, den_r)), scalar ** p
+    n_poly = QPolynomial([0] * v + _balanced_lanes(packed, width))
+    return peel_common(RationalFunction(n_poly, den_r)), scale
 
 
 def _excess(den: FactoredDenominator,

@@ -17,10 +17,6 @@ class ArgumentOutOfRange(SquotError):
     """A numeric command-line argument is outside its allowed range."""
 
 
-class DenominatorVanishesAtZero(SquotError):
-    """Series expansion at 0 requested for a function with a pole there."""
-
-
 class ReconstructionMismatch(SquotError):
     """Verification coefficients of a rational reconstruction are nonzero.
 

@@ -570,8 +570,8 @@ def mul_truncated(a: Sequence, b: Sequence, n: int) -> list:
     """First n coefficients of the product of two coefficient lists.
 
     Integer inputs give integer output.  `circle.residue_cluster` runs it
-    on t-polynomials whose coefficients are polynomials in u packed into
-    ints, their values at u = 2^width.
+    on graded tau-series whose coefficients are polynomials in u packed
+    into ints, their values at u = 2^width.
     """
     out = [0] * min(n, len(a) + len(b) - 1)
     for i, x in enumerate(a[:n]):
@@ -589,11 +589,11 @@ def deferred_quotient(a: Sequence, b: Sequence, n: int) -> list:
     N_k = a_k d0^k - sum_(j=1..k) b_j d0^(j-1) N_(k-j) with d0 = b[0],
     so the whole recurrence stays in the ring of the coefficients.
 
-    `circle.residue_cluster` needs no gcd, as its coefficients are
-    polynomials in u (packed into ints); `laurent_prototype` divides by
-    the powers of b[0] in Fractions.  Over Z with b[0] != +-1 the scale
-    outgrows the quotient; `laurent_at_one` keeps a shared one instead
-    (`_shared_quotient`).
+    `circle.residue_cluster` inverts each kernel factor over packed
+    u-polynomials and grades the N_k itself, with no gcd;
+    `laurent_prototype` divides by the powers of b[0] in Fractions.
+    Over Z with b[0] != +-1 the scale outgrows the quotient;
+    `laurent_at_one` keeps a shared one instead (`_shared_quotient`).
     """
     powers = [1]  # d0^k
     for _ in range(n - 1):

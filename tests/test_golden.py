@@ -56,17 +56,18 @@ SUBGROUPS = [
 #: denominator), the residue path with a mirrored half, Laurent data at
 #: order 119 (with and without an extraFactor) and S_m up to 100, where the
 #: su2 fixture violates S_2.  The residue path is pinned on large
-#: repeated weights, on three clusters with an extraFactor and on two
-#: clusters of multiplicity above one.  The closed-form averages of
-#: weights of multiplicity 1 beside at most two others are pinned where
-#: factors meet: (97,150,344), where a + b = c - a gives the factor 247
-#: twice for a = 97; (50,100,151), where a divides b; (37,91), one pair;
-#: and (120,131,131), a repeated partner.  The multisected prefix, which
-#: no n = 3 input with distinct weights reaches, is pinned by
-#: (100,101,102,103), whose pieces each have a factor with m = 1 beside
-#: factors with m near 200, and (60,97,130,171), with six factors per
-#: piece.  `scan` at level 400 pins every level's record from one pass
-#: of the scan kernel.
+#: repeated weights, on three clusters with an extraFactor, on two
+#: clusters of multiplicity above one, and on (1,1,2,2), whose a = 1
+#: piece comes out over (1 - u)(1 - u^2)^3 (1 - u^3)^3.  The closed-form
+#: averages of weights of multiplicity 1 beside at most two others are
+#: pinned where factors meet: (97,150,344), where a + b = c - a gives
+#: the factor 247 twice for a = 97; (50,100,151), where a divides b;
+#: (37,91), one pair; and (120,131,131), a repeated partner.  The
+#: multisected prefix, which no n = 3 input with distinct weights
+#: reaches, is pinned by (100,101,102,103), whose pieces each have a
+#: factor with m = 1 beside factors with m near 200, and
+#: (60,97,130,171), with six factors per piece.  `scan` at level 400
+#: pins every level's record from one pass of the scan kernel.
 DIGESTS = {
     "laurent --weights 13,14,15 --order 119":
         "5fb5b1ccf0221abba66227eec3afeee43e7493373b67967ea9789db111d0cf76",
@@ -87,9 +88,11 @@ DIGESTS = {
     "hilbert --weights 110,110,111 --off":
         "51a36ad6fdd2796747fecd59a8ca66de3b7d9f0290c381542680efb72c3b663c",
     "hilbert --weights 5,5,6,6,7 --off":
-        "288a43002215f94d0d290cf9007e90d32609e8afa9d48c65928fcc4fcda08daa",
+        "d3ebe256ab099e3c25e9d8ad84f674ef7b561294441902d1fca3ba3b64b4449c",
     "hilbert --weights 3,3,3,4,4,5 --off":
-        "35314d1aa5d08d89aaffac52807061320987b3ce2a9e192cbd33313b7ce395fa",
+        "ca344e47abdbf6293153136ab2725e3980a448f9139a7c07eef28a49c91ab5e7",
+    "hilbert --weights 1,1,2,2 --off":
+        "b6fac4e027a8682b37ec591f7ae268d1905d65c11b0a6cebbe96063b06434513",
     "laurent --weights 12,12,13 --order 119":
         "134afc61b920391e36dd1d02c5c0168c43a9cab6b15c867224149973b9cc723a",
     "hilbert --weights 150,175,196":
