@@ -13,10 +13,11 @@ profiles:
   averaged over the a-th roots of unity: in closed form, a lattice sum
   of at most a monomials a term, for p = 1 beside at most two other
   weights (every piece of a distinct triple), else by multisection of
-  its Taylor prefix; the pieces are merged over their shared
-  denominator, and the sum taken on shell is lifted onto the pair-sum
-  denominator if every p = 1 ("Generic"), otherwise
-  ("DegenerateResidue") reduced;
+  its Taylor prefix; each average is divided exactly by +-a^(2p-2),
+  as every piece is an integer series, and the integer pieces are
+  merged over their shared denominator by cofactor sums; the sum taken
+  on shell is lifted onto the pair-sum denominator if every p = 1
+  ("Generic"), otherwise ("DegenerateResidue") reduced;
 * all weights equal ("CompletelyDegenerate"): an explicit binomial
   formula.
 
@@ -37,7 +38,6 @@ brute-force monomial count, before it is returned.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import combinations, groupby, repeat, zip_longest
 from operator import mul
 from typing import NamedTuple, Sequence, Tuple
@@ -341,7 +341,9 @@ def residue_cluster(a: int, p: int, rest):
     The off-shell Hilbert series is the sum over clusters of
     a * (every-a-th coefficient of R(u)).  Returns (s * R, s) with the
     integer scale s = +-a^(2p-1), negative when p_b + p - 1 summed over
-    the weights b > a is odd; s * R has an integer numerator.
+    the weights b > a is odd; s * R has an integer numerator, and so
+    has its average, which s / a = +-a^(2p-2) divides exactly
+    (`hilbert_off_clustered`).
 
     R is the t^(p-1) coefficient of the cluster kernel at z = u + t,
     whose numerator is z^exponent.  At t = u tau every factor of the
@@ -391,61 +393,72 @@ def _times(coeffs, den: FactoredDenominator) -> list:
 def hilbert_off_clustered(weights: Sequence[int]):
     """Off-shell Hilbert series by the residue path.
 
-    Returns (the series, the pieces (a_i / s_i) * N_i / D_i), N_i / D_i
-    the average of cluster i's `residue_cluster` piece over its exact
-    image denominator and s_i its scale.  The average is taken in
-    closed form (`pair_average`) for p_i = 1 beside at most two other
-    weights, counted with multiplicity, else from the multisected
-    prefix (`u_average`).  a_i / s_i stays
-    an int where s_i divides a_i, as it does for every p = 1.  Summed in
-    integers, N_i times its cofactor and a_i L / s_i (L the lcm of the
-    denominators of the a_i / s_i) gives L times the off-shell
-    numerator, which is integral (an integer series over a denominator
-    with constant term 1): else ReconstructionMismatch.  The series is
-    not in lowest terms: the caller takes it on shell, reduces it or
-    lifts it, and derives the off-shell series from that.
+    Returns (the series, the pieces N_i / (d_i D_i)), N_i / D_i the
+    average of cluster i's `residue_cluster` piece over its exact image
+    denominator and d_i = s_i / a_i = +-a_i^(2p_i-2) from its scale s_i.
+    The average is taken in closed form (`pair_average`) for p_i = 1
+    beside at most two other weights, counted with multiplicity, else
+    from the multisected prefix (`u_average`).
+
+    Every piece is an integer series, so d_i divides N_i exactly.  The
+    piece of a is the sum of the residues of F(z)/z, with
+    F(z) = prod_j 1 / ((1 - x z^(a_j)) (1 - x z^(-a_j))), over the poles
+    z^a = x, which lie on the circle |z| = x^(1/a) for 0 < x < 1.  So it
+    is the difference of F's constant terms in z on the circles
+    |z| = x^theta just outside and just inside those poles.  With
+    z = x^theta w, |w| = 1, each factor is a geometric series of +-1
+    coefficients in x^(1 + a_j theta) w^(a_j), x^(1 - a_j theta) w^(-a_j)
+    or x^(a_j theta - 1) w^(a_j), all of positive exponent; a term of
+    w^0 has an integer exponent of x, as the theta parts cancel.  Both
+    constant terms are integer power series in x, so the piece is one,
+    and D_i has constant term 1: N_i / d_i is an integer polynomial.
+    A nonzero remainder raises ReconstructionMismatch.  The pieces are
+    merged over the union of their denominators by integer cofactor
+    sums.  The series is not in lowest terms: the caller takes it on
+    shell, reduces it or lifts it, and derives the off-shell series
+    from that.
     """
     clusters = _weight_clusters(weights)
-    averaged, ratios = [], []
+    pieces = []
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
         if p == 1 and sum(pb for _, pb in rest) <= 2:
-            averaged.append(pair_average(g, a, rest))
+            avg = pair_average(g, a, rest)
         else:
-            averaged.append(u_average(g, a))
-        ratios.append(a // s if a % s == 0 else Fraction(a, s))
+            avg = u_average(g, a)
+        d = s // a
+        if any(c % d for c in avg.numerator.coeffs):
+            raise ReconstructionMismatch(
+                f"weight {a}: averaged residue numerator is not divisible "
+                f"by {d}")
+        pieces.append(RationalFunction(
+            QPolynomial(c // d for c in avg.numerator.coeffs),
+            avg.denominator))
     merged: dict = {}
-    for g in averaged:
+    for g in pieces:
         for m, e in g.denominator.factors:
             merged[m] = max(merged.get(m, 0), e)
     den = FactoredDenominator.from_pairs(merged.items())
-    lcm = math.lcm(*(r.denominator for r in ratios))
-    parts = []
-    for g, r in zip(averaged, ratios):
-        weight = r.numerator * (lcm // r.denominator)
-        parts.append(_times([weight * c for c in g.numerator.coeffs],
-                            _excess(den, g.denominator)))
-    total = list(map(sum, zip_longest(*parts, fillvalue=0)))
-    if any(c % lcm for c in total):
-        raise ReconstructionMismatch("off-shell numerator is not integral")
-    off = RationalFunction(QPolynomial(c // lcm for c in total), den)
-    return off, tuple(RationalFunction(g.numerator * r, g.denominator)
-                      for g, r in zip(averaged, ratios))
+    parts = [_times(g.numerator.coeffs, _excess(den, g.denominator))
+             for g in pieces]
+    total = map(sum, zip_longest(*parts, fillvalue=0))
+    return RationalFunction(QPolynomial(total), den), tuple(pieces)
 
 
 def _on_from_off(off: RationalFunction) -> RationalFunction:
-    """Multiply by (1 - x^2), cancelling a denominator factor if possible;
-    the extra factor of the denominator is kept either way."""
+    """Multiply by (1 - x^2) by cancelling one (1 - x^2) factor of the
+    denominator, which every averaged residue piece carries as the image
+    of its (1 - u^(2a)); the extra factor of the denominator is kept.
+    A denominator without one raises ReconstructionMismatch."""
     den = off.denominator
     factors = dict(den.factors)
-    if factors.get(2):
-        factors[2] -= 1
-        kept = FactoredDenominator.from_pairs(
-            [(m, e) for m, e in factors.items() if e], den.psi)
-        return RationalFunction(off.numerator, kept)
-    num = _times(off.numerator.coeffs, FactoredDenominator(((2, 1),)))
-    return peel_common(RationalFunction(QPolynomial(num), den))
+    if not factors.get(2):
+        raise ReconstructionMismatch("no (1 - x^2) factor to take on shell")
+    factors[2] -= 1
+    kept = FactoredDenominator.from_pairs(
+        [(m, e) for m, e in factors.items() if e], den.psi)
+    return RationalFunction(off.numerator, kept)
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:

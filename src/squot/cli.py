@@ -43,23 +43,10 @@ def _rat(q) -> str:
     return str(Fraction(q))
 
 
-def _coeff(c):
-    if type(c) is int:
-        return c
-    f = Fraction(c)
-    return int(f) if f.denominator == 1 else str(f)
-
-
-def _coeffs(coeffs) -> list:
-    if {*map(type, coeffs)} <= {int}:
-        return list(coeffs)
-    return [_coeff(c) for c in coeffs]
-
-
 def series_payload(f: RationalFunction) -> dict:
     den = f.denominator
     payload = {
-        "numerator": _coeffs(f.numerator.coeffs),
+        "numerator": list(f.numerator.coeffs),
         "denominator": [[m, e] for m, e in den.factors],
     }
     if den.psi:  # prod Psi_d^e, multiplied out
@@ -247,12 +234,11 @@ def _print_series_text(payload: dict) -> None:
 
 def cmd_laurent(args) -> int:
     _check_range("--order", args.order, 0, _MAX_ENTRIES - 1)  # order + 1
+    request, f = _series_source(args)
+    expansion = laurent_at_one(f, args.order)
+    payload = laurent_payload(expansion)
     if args.weights is not None:
-        weights = _parse_weights(args.weights)
-        on = hilbert_series(weights).on_shell
-        expansion = laurent_at_one(on, args.order)
-        payload = laurent_payload(expansion)
-        norm = normalize_weights(weights)
+        norm = normalize_weights(request["weights"])
         closed = {}  # k -> closed form of gamma_k
         if len(norm) >= 2:
             closed[0] = gamma0_closed(norm)
@@ -268,11 +254,7 @@ def cmd_laurent(args) -> int:
             payload["closedForms"] = {f"gamma{k}": _rat(value)
                                       for k, value in closed.items()}
             payload["agreement"] = True
-        request = {"weights": list(weights), "order": args.order}
-    else:
-        f = load_series(args.series)
-        payload = laurent_payload(laurent_at_one(f, args.order))
-        request = {"series": list(args.series), "order": args.order}
+    request["order"] = args.order
     return _emit(_document("laurent", request, payload))
 
 

@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import squot.circle
@@ -727,6 +727,18 @@ class TestClusterResidue:
         assert peel_common(off) == ref_off
         assert pieces == ref_pieces
 
+    @given(repeated_weights())
+    @example((1,) * 20 + (2,))
+    @example((3,) * 8 + (4,) * 8 + (5,) * 8)
+    @example((37,) * 3 + (38,) * 3 + (39,) * 3 + (40,) * 6)
+    @settings(max_examples=40, deadline=None)
+    def test_pieces_are_integer_series(self, weights):
+        # each averaged numerator is divided exactly by +-a^(2p-2), so
+        # every printed piece holds ints, not integer-valued Fractions
+        _, pieces = hilbert_off_clustered(weights)
+        assert all(type(c) is int
+                   for g in pieces for c in g.numerator.coeffs), weights
+
     def test_matches_distinct_route(self):
         # dual route: the residue machinery on multiplicity-one clusters
         # reproduces the phi_tilde route, off shell and piece by piece
@@ -1048,6 +1060,19 @@ class TestDispatcher:
             with pytest.raises(ReciprocityMismatch):
                 hilbert_series((1, 2, 3))
         assert hilbert_series((1, 2, 3)) == first
+
+    def test_on_from_off_needs_a_1_minus_x2_factor(self):
+        # every averaged residue piece carries (1 - x^2); a series
+        # without it is an internal error, not multiplied out
+        off = RationalFunction(QPolynomial([1, 2]),
+                               FactoredDenominator.from_pairs([(3, 2)]))
+        with pytest.raises(ReconstructionMismatch,
+                           match=r"no \(1 - x\^2\) factor"):
+            _on_from_off(off)
+        on = _on_from_off(RationalFunction(
+            QPolynomial([1, 2]), FactoredDenominator.from_pairs([(2, 1),
+                                                                 (3, 2)])))
+        assert on.denominator.factors == ((3, 2),)
 
     def test_off_from_on_keeps_psi(self):
         # reduced, the on-shell series of (1,6,10) holds Psi_8, which

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 import squot.circle
 import squot.cli
 import squot.finite
-from squot.cli import (_coeff, _dumps, _level_fields, _parse_weights,
-                       _poly_text, _rat, load_series, main, series_payload)
+from squot.cli import (_dumps, _level_fields, _parse_weights, _poly_text,
+                       _rat, load_series, main, series_payload)
 from squot.errors import MalformedWeights
 from squot.exact import (FactoredDenominator, QPolynomial, RationalFunction,
                          laurent_at_one, series_of_rational)
@@ -310,8 +310,9 @@ class TestReciprocityExit:
                        "pair-sum ansatz\n")
 
     def test_wrong_residue_scale_exit_3(self):
-        # a scale twice too large leaves the merged off-shell numerator
-        # with coefficients the lcm of the weights does not divide
+        # a scale twice too large leaves an averaged residue numerator
+        # that its divisor does not divide: here the p = 1 piece of
+        # weight 1, over d = s / a = 2 instead of 1
         real = squot.circle.residue_cluster
 
         def wrong(*args):
@@ -322,8 +323,8 @@ class TestReciprocityExit:
                                       "--off", "--oracle-verify", "0"])
         assert code == 3
         assert out == ""
-        assert err == ("verification failure: off-shell numerator is not "
-                       "integral\n")
+        assert err == ("verification failure: weight 1: averaged residue "
+                       "numerator is not divisible by 2\n")
 
     def test_finite_exit_3(self):
         real = squot.finite.rational_reconstruct
@@ -542,19 +543,11 @@ class TestEmitter:
             assert code == 0
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
-    def test_coeff_keeps_ints_and_renders_fractions(self):
-        assert _coeff(7) == 7 and type(_coeff(7)) is int
-        assert _coeff(-(10 ** 30)) == -(10 ** 30)
-        two = _coeff(Fraction(6, 3))
-        assert two == 2 and type(two) is int
-        assert _coeff(Fraction(-1, 3)) == "-1/3"
-
     def test_series_payload_coefficients(self):
-        # integer lists are kept as they are; others go through _coeff;
-        # the extra factor Psi_2 Psi_3 is multiplied out
+        # integer numerators are printed as they are; the extra factor
+        # Psi_2 Psi_3 is multiplied out
         den = FactoredDenominator.from_pairs([(1, 1)], [(2, 1), (3, 1)])
-        f = RationalFunction(QPolynomial([3, Fraction(6, 3), -(10 ** 30)]),
-                             den)
+        f = RationalFunction(QPolynomial([3, 2, -(10 ** 30)]), den)
         payload = series_payload(f)
         assert payload["numerator"] == [3, 2, -(10 ** 30)]
         assert [type(c) for c in payload["numerator"]] == [int] * 3
