@@ -149,12 +149,11 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     direct call with one relies on the checks above alone.
 
     The multisected prefix comes from `multisected_prefix`.  For the
-    generic pieces +-x^v / prod (1-x^m) with a long prefix, it runs
-    over packed integer rows: lanes of a fixed width, wide enough for
-    a bound on the coefficients (each counts the solutions of
-    sum j_i m_i = n - v, so it is at most
-    |c| * (n // lcm(m_p, m_q) + 1) * prod (n // m_i + 1) over the
-    factors other than any two p, q), so that the lanes, all
+    generic pieces +-x^v / prod (1-x^m), it runs over packed integer
+    rows: lanes of a fixed width, wide enough for a bound on the
+    coefficients (each counts the solutions of sum j_i m_i = n - v, so
+    it is at most |c| * (n // lcm(m_p, m_q) + 1) * prod (n // m_i + 1)
+    over the factors other than any two p, q), so that the lanes, all
     nonnegative, never carry into each other, and a division by
     (1-x^m) adds whole rows of m lanes.
     """
@@ -198,28 +197,17 @@ def _lattice_exponents(a: int, w: int, ms) -> list:
 
     For the last m, g = gcd(a, m) and t' the rest of the sum, some j
     gives a | t' + m j iff g | t', and then j is one residue modulo
-    a / g: -(t' / g) / (m / g).  With two m, the first (the one with
-    the larger gcd) runs over the j_1 with g | w + m_1 j_1, one residue
-    class modulo g / gcd(m_1, g) if any: at most a exponents.
+    a / g: -(t' / g) / (m / g).  So t' runs over w + m_1 j_1 for the
+    first m (the one with the larger gcd), or m_1 = a, j_1 = 0 alone for
+    one m, and is kept where g divides it: at most a exponents.
     """
     *outer, m = sorted(ms, key=lambda k: math.gcd(a, k), reverse=True)
+    first = outer[0] if outer else a
     g = math.gcd(a, m)
     n = a // g
-    inverse = pow(m // g, -1, n)
-    if outer:
-        first, = outer
-        h = math.gcd(first, g)
-        if w % h:
-            return []
-        step = g // h
-        start = w + first * (-(w // h) * pow(first // h, -1, step) % step)
-        starts = range(start, w + first * (a // math.gcd(a, first)),
-                       first * step)
-    elif w % g:
-        return []
-    else:
-        starts = (w,)
-    return [(t + m * (-(t // g) * inverse % n)) // a for t in starts]
+    back = -pow(m // g, -1, n) % n
+    return [(t + m * (t // g * back % n)) // a
+            for t in range(w, w + math.lcm(a, first), first) if t % g == 0]
 
 
 def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
@@ -242,7 +230,8 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
     The sum is sized from deg E, which bounds every exponent, before
     any j is enumerated.  The division must be exact, and N must obey
     the mirror N_k = eps * N_(C-k) on every coefficient
-    (`_averaged_reciprocity`): else ReconstructionMismatch.
+    (`_averaged_reciprocity`, `_mirrored`): else ReconstructionMismatch,
+    as also for eps = 0, where there is no mirror to check.
     """
     exact = _exact_image(f.denominator, a)
     total = [0] * exact.degree
@@ -262,12 +251,11 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
                 "by 1 - y^2")
     top, eps = _averaged_reciprocity(list(f.numerator.coeffs),
                                      f.denominator, exact, a)
-    num += [0] * (top + 1 - len(num))
-    if len(num) > top + 1 or num != [eps * c for c in reversed(num)]:
+    if not eps:
         raise ReconstructionMismatch(
-            f"weight {a}: closed-form numerator of degree {len(num) - 1} "
-            f"breaks the mirror N_k = {eps} * N_({top}-k)")
-    return RationalFunction(QPolynomial(num), exact)
+            f"weight {a}: closed-form numerator has no mirror to check")
+    num += [0] * (top + 1 - len(num))
+    return RationalFunction(QPolynomial(_mirrored(num, top, eps)), exact)
 
 
 def _weight_clusters(weights: Sequence[int]):

@@ -37,12 +37,6 @@ _INPUT_ERRORS = (ZeroWeight, MalformedWeights, ArgumentOutOfRange,
                  PartitionPointsMismatch, NotApplicable)
 
 
-def _rat(q) -> str:
-    if type(q) is int or type(q) is Fraction:
-        return str(q)
-    return str(Fraction(q))
-
-
 def series_payload(f: RationalFunction) -> dict:
     den = f.denominator
     payload = {
@@ -58,7 +52,7 @@ def series_payload(f: RationalFunction) -> dict:
 def laurent_payload(expansion) -> dict:
     return {
         "poleOrder": expansion.pole_order,
-        "coefficients": [_rat(c) for c in expansion.coefficients],
+        "coefficients": [str(c) for c in expansion.coefficients],
     }
 
 
@@ -213,7 +207,7 @@ def cmd_hilbert(args) -> int:
 def _poly_text(coeffs) -> str:
     """Nonzero terms in ascending degree, e.g. `2 - x + 3*x^4`."""
     terms = []
-    for k, c in enumerate(map(Fraction, coeffs)):
+    for k, c in enumerate(coeffs):
         if c:
             power = "" if k == 0 else "x" if k == 1 else f"x^{k}"
             size = "" if power and abs(c) == 1 else str(abs(c))
@@ -248,10 +242,10 @@ def cmd_laurent(args) -> int:
         for k, value in closed.items():
             if k <= args.order and value != gammas[k]:
                 raise ClosedFormMismatch(
-                    f"weights {norm}: gamma{k} = {_rat(gammas[k])} but "
-                    f"the closed form gives {_rat(value)}")
+                    f"weights {norm}: gamma{k} = {gammas[k]} but "
+                    f"the closed form gives {value}")
         if closed:
-            payload["closedForms"] = {f"gamma{k}": _rat(value)
+            payload["closedForms"] = {f"gamma{k}": str(value)
                                       for k, value in closed.items()}
             payload["agreement"] = True
     request["order"] = args.order
@@ -268,7 +262,7 @@ def cmd_symplectic(args) -> int:
     payload = {
         "maxOrder": report.max_order,
         "poleOrder": expansion.pole_order,
-        "residuals": [_rat(s) for s in report.residuals],
+        "residuals": [str(s) for s in report.residuals],
         "violations": list(report.violations),
         "passed": report.passed,
     }
@@ -287,12 +281,12 @@ def cmd_finite(args) -> int:
         "coordinateOrders": list(group.coordinate_orders()),
         "series": series_payload(result.series),
         "laurent": laurent_payload(result.laurent),
-        "gammas": [_rat(g) for g in result.gammas],
+        "gammas": [str(g) for g in result.gammas],
         "primitivePseudoreflectionOrders":
             list(result.reflections.primitive_orders),
         "pseudoreflectionCount": result.reflections.reflection_count,
         "twoCoordinateCount": result.reflections.two_coordinate_count,
-        "qContribution": _rat(result.q_contribution),
+        "qContribution": str(result.q_contribution),
         "identityGamma3_2Gamma4_Gamma5": "0",
     }
     if args.order:
@@ -304,7 +298,7 @@ def cmd_finite(args) -> int:
         report = symplectic_check(expansion, args.order)
         payload["symplectic"] = {
             "maxOrder": report.max_order,
-            "residuals": [_rat(s) for s in report.residuals],
+            "residuals": [str(s) for s in report.residuals],
             "violations": list(report.violations),
             "passed": report.passed,
         }

@@ -34,7 +34,6 @@ SLACK = 16
 #: also bounds the lcm of the folded passes, the row length they need.
 #: Measured: from 4 to 8 the packed rows take about the same time, and
 #: below 4 smaller m land in rows of few lanes; above 8 the lcm grows.
-#: `multisected_prefix` packs only prefixes whose largest m reaches it.
 PACKED_MIN_M = 6
 
 
@@ -323,24 +322,12 @@ class LaurentExpansion(NamedTuple):
 
 def _expand_factored(num: QPolynomial, den: FactoredDenominator,
                      order: int) -> list:
-    """Taylor coefficients 0..order of num / den.
-
-    Each pass (1 - x^m)^e is divided out (`_times_binomial`).  The
-    largest m has e > 0 (Psi_d has +1 at d and nothing above), and for a
-    monomial numerator c * x^v its division is written down at once:
-    c * x^v / (1 - x^m) is c at v, v + m, v + 2m, ... and 0 elsewhere.
-    """
-    passes = dict(den.passes())
-    coeffs = [0] * (order + 1)
-    first = max(passes, default=0)
-    if first and num and not any(num.coeffs[:-1]):
-        passes[first] -= 1
-        v = num.degree
-        coeffs[v::first] = [num.coeffs[-1]] * len(range(v, order + 1, first))
-    else:
-        head = num.coeffs[:order + 1]
-        coeffs[:len(head)] = head
-    for m, e in passes.items():
+    """Taylor coefficients 0..order of num / den: the numerator, padded
+    to the order, with each pass (1 - x^m)^e divided out
+    (`_times_binomial`)."""
+    coeffs = list(num.coeffs[:order + 1])
+    coeffs += repeat(0, order + 1 - len(coeffs))
+    for m, e in den.passes():
         _times_binomial(coeffs, m, -e)
     return coeffs
 
@@ -452,20 +439,18 @@ def _packed_multisection(c: int, v: int, passes: list, order: int,
 def multisected_prefix(f: RationalFunction, a: int, reach: int) -> list:
     """Coefficients 0, a, 2a, ..., a * reach of the Taylor series of f.
 
-    An integer monomial numerator over two or more (1 - x^m) factors
-    and no multiplying pass, with an m of at least PACKED_MIN_M, is
-    expanded over packed integer rows (`_packed_multisection`); anything
-    else takes every a-th coefficient of `_expand_factored`.
+    An integer monomial numerator over one or more (1 - x^m) factors
+    and no multiplying pass is expanded over packed integer rows
+    (`_packed_multisection`); anything else takes every a-th
+    coefficient of `_expand_factored`.
     """
     num, den, order = f.numerator, f.denominator, a * reach
     pairs = den.passes()
-    if all(e > 0 for _, e in pairs):
+    if (pairs and all(e > 0 for _, e in pairs) and num
+            and type(num.coeffs[-1]) is int and not any(num.coeffs[:-1])):
         passes = [m for m, e in pairs for _ in range(e)]
-        if (len(passes) > 1 and passes[-1] >= PACKED_MIN_M
-                and num and type(num.coeffs[-1]) is int
-                and not any(num.coeffs[:-1])):
-            return _packed_multisection(num.coeffs[-1], num.degree, passes,
-                                        order, a)
+        return _packed_multisection(num.coeffs[-1], num.degree, passes,
+                                    order, a)
     return _expand_factored(num, den, order)[::a]
 
 
@@ -492,13 +477,14 @@ def _mirrored(window: list, top: int, sign: int) -> list:
                 f"degree {k}")
     if not sign:
         return window[:top + 1]
-    for k in range(max(top - reach, 0), min(reach, top) + 1):
-        if window[k] != sign * window[top - k]:
-            raise ReconstructionMismatch(
-                f"coefficient {window[k]} at degree {k} breaks the "
-                f"mirror of degree {top - k} ({window[top - k]})")
-    return window[:top + 1] + [sign * window[top - k]
-                               for k in range(reach + 1, top + 1)]
+    low, high = max(top - reach, 0), min(reach, top)
+    mirror = [sign * c for c in reversed(window[top - high:top - low + 1])]
+    if window[low:high + 1] != mirror:
+        k = next(k for k, c in enumerate(mirror, low) if window[k] != c)
+        raise ReconstructionMismatch(
+            f"coefficient {window[k]} at degree {k} breaks the "
+            f"mirror of degree {top - k} ({window[top - k]})")
+    return window[:top + 1] + [sign * c for c in reversed(window[:low])]
 
 
 def rational_reconstruct(prefix: TruncatedSeries, den: FactoredDenominator,

@@ -307,10 +307,19 @@ def shared_factor_pieces(draw):
 def pair_cases(draw):
     """(a, rest) for a weight a of multiplicity 1 beside r <= 2 other
     weights, all up to 400: n = 2, a distinct triple, a repeated
-    partner, a partner that a divides, or coincident factors, the
-    third weight being c = 2a + b or |2a - b|."""
+    partner, a partner that a divides, coincident factors, the
+    third weight being c = 2a + b or |2a - b|, or a = uv sharing u with
+    b and v with c (as 6 beside 10 and 15), so that the lattice sum
+    discards some j_1."""
     shape = draw(st.sampled_from(
-        ["n = 2", "triple", "repeated", "multiple", "coincident"]))
+        ["n = 2", "triple", "repeated", "multiple", "coincident", "shared"]))
+    if shape == "shared":
+        u, v = draw(st.integers(2, 20)), draw(st.integers(2, 20))
+        a = u * v
+        b = u * draw(st.integers(1, 400 // u))
+        c = v * draw(st.integers(1, 400 // v))
+        assume(len({a, b, c}) == 3)
+        return a, tuple(sorted([(b, 1), (c, 1)]))
     if shape == "multiple":
         a = draw(st.integers(1, 200))
         rest = [(a * draw(st.integers(2, 400 // a)), 1)]
@@ -620,6 +629,20 @@ class TestPairAverage:
         with mock.patch("squot.circle._lattice_exponents", shifted):
             with pytest.raises(ReconstructionMismatch):
                 pair_average(g, a, rest)
+
+    @pytest.mark.parametrize("a,rest", [(5, ((3, 1), (7, 1))),
+                                        (6, ((10, 1), (15, 1)))])
+    def test_no_mirror_raises(self, a, rest):
+        # x times the piece: a no longer divides its shift, so there is
+        # no mirror (eps = 0), which `_mirrored` alone would not check
+        g = residue_cluster(a, 1, rest)[0]
+        f = RationalFunction(QPolynomial.monomial(g.numerator.degree + 1),
+                             g.denominator)
+        exact = squot.circle._exact_image(f.denominator, a)
+        assert _averaged_reciprocity(list(f.numerator.coeffs),
+                                     f.denominator, exact, a)[1] == 0
+        with pytest.raises(ReconstructionMismatch):
+            pair_average(f, a, rest)
 
 
 class TestReciprocityCertificate:

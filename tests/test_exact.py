@@ -365,15 +365,16 @@ def monomial_inputs(draw):
 @st.composite
 def packed_inputs(draw):
     """(c, v, passes, order, a) for `_packed_multisection`: c of either
-    sign, up to 2^80; sorted passes with m = 1, 2 or others below
-    PACKED_MIN_M beside m >= 200, repeats allowed; v below, at or above
-    the order; a stride of 1 to 7."""
+    sign, up to 2^80; one or more sorted passes, with m = 1, 2 or
+    others around PACKED_MIN_M, m >= 200, or both, repeats allowed; v
+    below, at or above the order; a stride of 1 to 7."""
     c = draw(st.one_of(st.integers(-9, 9), st.integers(-2 ** 80, 2 ** 80))
              .filter(bool))
     small = st.one_of(st.sampled_from([1, 2]),
                       st.integers(1, PACKED_MIN_M + 3))
     passes = draw(st.lists(small, max_size=3))
-    passes += draw(st.lists(st.integers(200, 260), min_size=1, max_size=3))
+    passes += draw(st.lists(st.integers(200, 260),
+                            min_size=0 if passes else 1, max_size=3))
     if draw(st.booleans()):  # a repeated factor
         passes.append(draw(st.sampled_from(passes)))
     order = draw(st.integers(0, 700))
@@ -585,13 +586,13 @@ class TestPackedMultisection:
         (4095, [(1, 1), (300, 1)], [0, 0, -1], True),
         (40, [(1, 1), (300, 1)], [0, 0, -1], True),  # a short prefix
         (4095, [(1, 1), (PACKED_MIN_M, 1)], [1], True),
-        (4095, [(1, 1), (PACKED_MIN_M - 1, 1)], [1], False),
+        (4095, [(1, 1), (PACKED_MIN_M - 1, 1)], [1], True),
         (4095, [(1, 1), (300, 1)], [1, 1], False),
-        (4095, [(300, 1)], [1], False),
+        (4095, [(300, 1)], [1], True),
     ])
     def test_selection(self, reach, pairs, num, packed):
-        # packed rows for a monomial over two factors or more with a
-        # largest m of PACKED_MIN_M on, however long the prefix
+        # packed rows for an integer monomial over one factor or more,
+        # whatever its m and however long the prefix
         f = geometric(pairs, num)
         with mock.patch.object(squot.exact, "_packed_multisection",
                                wraps=_packed_multisection) as spy:
