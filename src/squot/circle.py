@@ -7,7 +7,7 @@ imposing the moment map equation.  Two algorithms cover the weight
 profiles:
 
 * the residue path, for two or more distinct weights: one piece per
-  distinct weight a of multiplicity p, the residue of order p
+  distinct weight a of multiplicity p, the on-shell residue of order p
   computed from graded inverses of the kernel's factors over
   polynomials in u packed into ints (at once for p = 1), then
   averaged over the a-th roots of unity: in closed form, a lattice sum
@@ -15,14 +15,14 @@ profiles:
   weights (every piece of a distinct triple), else by multisection of
   its Taylor prefix; each average is divided exactly by +-a^(2p-2),
   as every piece is an integer series, and the integer pieces are
-  merged over their shared denominator by cofactor sums; the sum taken
-  on shell is lifted onto the pair-sum denominator if every p = 1
+  merged over their shared denominator by cofactor sums; the on-shell
+  sum is lifted onto the pair-sum denominator if every p = 1
   ("Generic"), otherwise ("DegenerateResidue") reduced;
 * all weights equal ("CompletelyDegenerate"): an explicit binomial
   formula.
 
-The off-shell series of every method is the on-shell one over
-Psi_1 Psi_2 = 1 - x^2, the one `reduce` staying on shell (`_off_from_on`).
+Every piece is on shell.  The off-shell series of every method is the
+on-shell one over Psi_1 Psi_2 = 1 - x^2 (`_off_from_on`).
 
 Each piece satisfies f(1/x) = +-x^w f(x), so the numerator of its
 average is palindromic up to a sign (Stanley's reciprocity): the
@@ -218,23 +218,24 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
     With y = x^a, (1 - x^(2a)) / ((1 - x^(a+b)) (1 - x^|a-b|)) is
     T_b = 1/(1 - x^(a+b)) + x^(a-b)/(1 - x^(a-b)) for b < a and
     T_b = 1/(1 - x^(b-a)) - x^(2a)/(1 - x^(a+b)) for b > a, so f, which
-    is x^v over (1 - x^(2a)) and every pair, v the sum of p_b (b - a)
-    over b > a, is x^v prod T_b^(p_b) / (1 - y^2)^(1+r): 2^r terms
+    is on shell x^v over every pair alone, v the sum of p_b (b - a)
+    over b > a, is x^v prod T_b^(p_b) / (1 - y^2)^r: 2^r terms
     +-x^w / prod (1 - x^m) (`_pair_terms`) over a function of y.  Each
     term averages to at most a monomials (`_lattice_exponents`) over
     the images (1 - y^l) of its factors.  Over the exact image
-    denominator E = (1 - y^2) prod_b (the images of b's pair)^(p_b), the
+    denominator E = prod_b (the images of b's pair)^(p_b), the
     numerator N is the sum of the terms' monomials times their
     cofactors, divided exactly by (1 - y^2)^r.
 
-    The sum is sized from deg E, which bounds every exponent, before
-    any j is enumerated.  The division must be exact, and N must obey
-    the mirror N_k = eps * N_(C-k) on every coefficient
-    (`_averaged_reciprocity`, `_mirrored`): else ReconstructionMismatch,
-    as also for eps = 0, where there is no mirror to check.
+    The sum is sized from deg E + 2r, which bounds every exponent of
+    N (1 - y^2)^r, before any j is enumerated.  The division must be
+    exact, and N must obey the mirror N_k = eps * N_(C-k) on every
+    coefficient (`_averaged_reciprocity`, `_mirrored`): else
+    ReconstructionMismatch, as also for eps = 0, where there is no
+    mirror to check.
     """
-    exact = _exact_image(f.denominator, a)
-    total = [0] * exact.degree
+    exact, r = _exact_image(f.denominator, a), sum(pb for _, pb in rest)
+    total = [0] * (exact.degree + 2 * r)
     for sign, w, pairs in _pair_terms(a, rest):
         cofactor = [(0, sign)]
         for _, l in pairs:
@@ -244,7 +245,7 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
             for e in exponents:
                 total[e + s] += c
     num = list(_strip(total))
-    for _ in range(sum(pb for _, pb in rest)):
+    for _ in range(r):
         if (num := _divide_binomial(num, 2)) is None:
             raise ReconstructionMismatch(
                 f"weight {a}: closed-form numerator is not divisible "
@@ -326,26 +327,31 @@ def residue_cluster(a: int, p: int, rest):
     """Residue contribution of a weight a of multiplicity p, in integers.
 
     `rest` lists the other distinct weights as (b, multiplicity) pairs.
-    The off-shell Hilbert series is the sum over clusters of
+    The on-shell Hilbert series is the sum over clusters of
     a * (every-a-th coefficient of R(u)).  Returns (s * R, s) with the
     integer scale s = +-a^(2p-1), negative when p_b + p - 1 summed over
     the weights b > a is odd; s * R has an integer numerator, and so
     has its average, which s / a = +-a^(2p-2) divides exactly
-    (`hilbert_off_clustered`).
+    (`hilbert_off_clustered`, whose proof holds times 1 - u^(2a)).
 
     R is the t^(p-1) coefficient of the cluster kernel at z = u + t,
     whose numerator is z^exponent.  At t = u tau every factor of the
     kernel is a u-power times a factor F_i whose tau-coefficients are
     c u^k or constants, and [t^(p-1)] = u^(1-p) [tau^(p-1)], so
     R = u^v M / prod F_i(0)^(e_i+p-1) (`_kernel_coefficient`), v the sum
-    of p_b (b - a) over b > a.  The F_i(0) are a, at e_i = p, and
-    +-(1 - u^m) for m = 2a, a + b and |a - b|.  For p = 1, M = 1.  For
+    of p_b (b - a) over b > a, off shell.  The F_i(0) are a, at e_i = p,
+    and +-(1 - u^m) for m = 2a, a + b and |a - b|.  On shell, R is times
+    1 - u^(2a), whose image is 1 - x^2: a function of u^a, it commutes
+    with [t^(p-1)] and the average.  So (1 - u^(2a)) has the exponent
+    2p - 2 (none at p = 1) before `from_pairs` merges it with a pair
+    factor |a - b| = 2a, as for (1,3).  For p = 1, M = 1.  For
     p >= 2 each u-polynomial is packed into one int, its value at
     X = 2^width (Kronecker substitution), so the products give M(X);
     with width two bits above a bound on the |M_j|, rounded up to a
     byte, M(X) is read back as balanced lanes."""
     exponent = p * a - 1 + sum(pb * b for b, pb in rest)
-    scale, v, pairs = a ** (2 * p - 1), 0, [(2 * a, p)]
+    scale, v = a ** (2 * p - 1), 0
+    pairs = [(2 * a, p - 1)] if p > 1 else []
     for b, pb in rest:
         pairs += [(a + b, pb), (abs(a - b), pb)]
         if b > a:
@@ -379,17 +385,19 @@ def _times(coeffs, den: FactoredDenominator) -> list:
 
 
 def hilbert_off_clustered(weights: Sequence[int]):
-    """Off-shell Hilbert series by the residue path.
+    """On-shell Hilbert series by the residue path, not in lowest terms.
 
     Returns (the series, the pieces N_i / (d_i D_i)), N_i / D_i the
-    average of cluster i's `residue_cluster` piece over its exact image
-    denominator and d_i = s_i / a_i = +-a_i^(2p_i-2) from its scale s_i.
-    The average is taken in closed form (`pair_average`) for p_i = 1
+    average of cluster i's on-shell `residue_cluster` piece over its
+    exact image denominator and d_i = s_i / a_i = +-a_i^(2p_i-2) from
+    its scale s_i.  The name predates the on-shell sum; the benchmark's
+    layer tracer (`perfbench/tracing.py`) wraps it by name.  The
+    average is taken in closed form (`pair_average`) for p_i = 1
     beside at most two other weights, counted with multiplicity, else
     from the multisected prefix (`u_average`).
 
     Every piece is an integer series, so d_i divides N_i exactly.  The
-    piece of a is the sum of the residues of F(z)/z, with
+    off-shell piece of a is the sum of the residues of F(z)/z, with
     F(z) = prod_j 1 / ((1 - x z^(a_j)) (1 - x z^(-a_j))), over the poles
     z^a = x, which lie on the circle |z| = x^(1/a) for 0 < x < 1.  So it
     is the difference of F's constant terms in z on the circles
@@ -399,12 +407,12 @@ def hilbert_off_clustered(weights: Sequence[int]):
     or x^(a_j theta - 1) w^(a_j), all of positive exponent; a term of
     w^0 has an integer exponent of x, as the theta parts cancel.  Both
     constant terms are integer power series in x, so the piece is one,
-    and D_i has constant term 1: N_i / d_i is an integer polynomial.
-    A nonzero remainder raises ReconstructionMismatch.  The pieces are
-    merged over the union of their denominators by integer cofactor
-    sums.  The series is not in lowest terms: the caller takes it on
-    shell, reduces it or lifts it, and derives the off-shell series
-    from that.
+    and so is the on-shell piece, that times 1 - x^2; D_i has constant
+    term 1: N_i / d_i is an integer polynomial.  A nonzero remainder
+    raises ReconstructionMismatch.  The pieces are merged over the
+    union of their denominators by integer cofactor sums.  The caller
+    reduces the sum or lifts it, and derives the off-shell series from
+    that.
     """
     clusters = _weight_clusters(weights)
     pieces = []
@@ -434,21 +442,6 @@ def hilbert_off_clustered(weights: Sequence[int]):
     return RationalFunction(QPolynomial(total), den), tuple(pieces)
 
 
-def _on_from_off(off: RationalFunction) -> RationalFunction:
-    """Multiply by (1 - x^2) by cancelling one (1 - x^2) factor of the
-    denominator, which every averaged residue piece carries as the image
-    of its (1 - u^(2a)); the extra factor of the denominator is kept.
-    A denominator without one raises ReconstructionMismatch."""
-    den = off.denominator
-    factors = dict(den.factors)
-    if not factors.get(2):
-        raise ReconstructionMismatch("no (1 - x^2) factor to take on shell")
-    factors[2] -= 1
-    kept = FactoredDenominator.from_pairs(
-        [(m, e) for m, e in factors.items() if e], den.psi)
-    return RationalFunction(off.numerator, kept)
-
-
 def _off_from_on(on: RationalFunction) -> RationalFunction:
     """Divide by 1 - x^2 = Psi_1 Psi_2 in the Psi_d exponents, regrouped
     as by `reduce`; a reduced `on` nonzero at -1 gives a reduced result."""
@@ -467,15 +460,14 @@ def hilbert_on_distinct(weights: Sequence[int]):
     """On-shell Hilbert series for pairwise distinct weights.
 
     Returns (the series over the pair-sum denominator, the on-shell
-    pieces).  The residue path gives the off-shell sum and pieces, each
-    taken on shell (`_on_from_off`).  The sum is lifted onto the
+    pieces).  The residue path gives the on-shell sum and pieces
+    (`hilbert_off_clustered`).  The sum is lifted as it is onto the
     pair-sum denominator exactly: its numerator is multiplied by the
     factors of the ansatz that its denominator lacks, and divided by
     the factors of its denominator that the ansatz lacks
     (`peel_common`); a factor left over raises ReconstructionMismatch.
     """
-    off, pieces = hilbert_off_clustered(weights)
-    on = _on_from_off(off)
+    on, pieces = hilbert_off_clustered(weights)
     target = _pair_sum_denominator(weights)
     lifted = peel_common(RationalFunction(
         QPolynomial(_times(on.numerator.coeffs,
@@ -485,8 +477,7 @@ def hilbert_on_distinct(weights: Sequence[int]):
         raise ReconstructionMismatch(
             f"weights {tuple(weights)}: denominator factors "
             f"{lifted.denominator.factors} are not in the pair-sum ansatz")
-    return (RationalFunction(lifted.numerator, target),
-            tuple(map(_on_from_off, pieces)))
+    return RationalFunction(lifted.numerator, target), pieces
 
 
 def hilbert_equal_weights(n: int) -> RationalFunction:
@@ -653,8 +644,8 @@ def hilbert_series(weights: Sequence[int],
         on, pieces = hilbert_on_distinct(weights)
     else:
         method = "DegenerateResidue"
-        off, pieces = hilbert_off_clustered(weights)
-        on = _on_from_off(off).reduce()
+        total, pieces = hilbert_off_clustered(weights)
+        on = total.reduce()
     result = HilbertSeriesResult(weights, method, on, _off_from_on(on),
                                  pieces)
     # H_on(1/x) = x^(2n-2) H_on(x) on every coefficient; then the

@@ -15,7 +15,7 @@ import squot.exact
 from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
                           _balanced_lanes, _kernel_coefficient,
                           _kronecker_off_counts, _mirrored,
-                          _off_from_on, _on_from_off, _pair_sum_denominator,
+                          _off_from_on, _pair_sum_denominator,
                           _paired_off_counts, _takes_kronecker,
                           _weight_clusters,
                           hilbert_equal_weights,
@@ -174,6 +174,14 @@ def equal_in_value(got, want):
                 h.numerator.degree + g.denominator.degree)
     left, right = (series_of_rational(f, order).coefficients for f in (g, h))
     return [Fraction(c, s) for c in left] == [Fraction(c, t) for c in right]
+
+
+def on_shell(case, a):
+    """A (g, s) pair of `reference_residue_cluster`, off shell, times
+    1 - u^(2a) in `Poly`: the value that `residue_cluster` returns."""
+    g, s = case
+    return RationalFunction(Poly(g.numerator.coeffs) * binomial(2 * a),
+                            g.denominator), s
 
 
 def reference_hilbert_off_clustered(weights):
@@ -658,7 +666,7 @@ class TestReciprocityCertificate:
 
     @pytest.mark.parametrize("weights,patched", [
         ((1, 2, 3), "hilbert_on_distinct"),
-        ((1, 1, 1, 2), "_on_from_off"),
+        ((1, 1, 1, 2), "hilbert_off_clustered"),
         ((3, 3, 3), "hilbert_equal_weights"),
     ])
     def test_perturbed_result_raises_without_oracle(self, weights, patched):
@@ -696,13 +704,12 @@ class TestDistinctWeights:
         assert result.pieces == pieces
 
     def test_lift_multiplies_and_divides(self):
-        # (1,2,3,4): on shell, the merged denominator holds (1 - x)^3
+        # (1,2,3,4): the merged on-shell denominator holds (1 - x)^3
         # and (1 - x^3)^2, beyond the ansatz, and lacks its (1 - x^6) and
         # second (1 - x^5); the lift divides by the ones and multiplies
         # by the others
         weights = (1, 2, 3, 4)
-        off, _ = hilbert_off_clustered(weights)
-        on = _on_from_off(off)
+        on, _ = hilbert_off_clustered(weights)
         assert on.denominator.factors == ((1, 3), (2, 1), (3, 2), (4, 1),
                                           (5, 1), (7, 1))
         assert _pair_sum_denominator(weights).factors == (
@@ -714,10 +721,14 @@ class TestDistinctWeights:
 class TestClusterResidue:
     def test_two_equal_weights(self):
         r, scale = residue_cluster(1, 2, ())
-        # off-shell series of (1,1) comes out of this single cluster
+        # the on-shell series of (1,1) comes out of this single cluster,
+        # (1 - u^2) to 2p - 2 = 2, one factor below the off-shell 2p - 1
         assert scale == 1
         assert r.numerator == QPolynomial([1, 0, 1])
-        assert r.denominator.factors == ((2, 3),)
+        assert r.denominator.factors == ((2, 2),)
+        assert equal_in_value((r, scale),
+                              on_shell(reference_residue_cluster(1, 2, ()),
+                                       1))
 
     def test_scale_is_a_to_the_2p_minus_1(self):
         # s = +-a^(2p-1): the one factor with F(0) = a has e = p, so
@@ -733,13 +744,14 @@ class TestClusterResidue:
 
     def test_piece_in_lowest_exponents(self):
         # the a = 1 piece of (1,1,2,2): each F_i(0) to e_i + p - 1 only,
-        # which leaves (1 - u)(1 - u^2)^3 (1 - u^3)^3 after the peel
+        # and (1 - u^2) one lower on shell, which leaves
+        # (1 - u)(1 - u^2)^2 (1 - u^3)^3 after the peel
         g, s = residue_cluster(1, 2, ((2, 2),))
         assert s == -1
         assert g.numerator == QPolynomial([0, 0, -5, -9, -10, -9, -5])
-        assert g.denominator.factors == ((1, 1), (2, 3), (3, 3))
-        assert equal_in_value((g, s),
-                              reference_residue_cluster(1, 2, ((2, 2),)))
+        assert g.denominator.factors == ((1, 1), (2, 2), (3, 3))
+        assert equal_in_value((g, s), on_shell(
+            reference_residue_cluster(1, 2, ((2, 2),)), 1))
 
     @given(repeated_weights())
     @settings(max_examples=40, deadline=None)
@@ -764,28 +776,32 @@ class TestClusterResidue:
 
     def test_matches_distinct_route(self):
         # dual route: the residue machinery on multiplicity-one clusters
-        # reproduces the phi_tilde route, off shell and piece by piece
+        # reproduces the phi_tilde route, on shell and piece by piece
         for weights in [(1, 2), (2, 3, 5), (1, 4, 6)]:
-            off, pieces = hilbert_off_clustered(weights)
+            total, pieces = hilbert_off_clustered(weights)
             on, ref_pieces = reference_hilbert_on_distinct(weights)
-            got = series_of_rational(off, 40).coefficients
-            want = series_of_rational(_off_from_on(on), 40).coefficients
+            got = series_of_rational(total, 40).coefficients
+            want = series_of_rational(on, 40).coefficients
             assert got == want, weights
-            assert tuple(map(_on_from_off, pieces)) == ref_pieces, weights
+            assert pieces == ref_pieces, weights
 
     @given(st.integers(1, 8),
            st.dictionaries(st.integers(1, 9), st.integers(1, 3), max_size=3))
     @settings(max_examples=60, deadline=None)
     def test_p1_shortcut_matches_general_route(self, a, others):
         # p = 1 takes the shortcut, u^v over prod (1 - u^m)^e without
-        # forming any F_i; the reference runs the general route
+        # forming any F_i; the reference runs the general route off
+        # shell, so its denominator holds one more (1 - u^(2a))
         rest = tuple(sorted((b, pb) for b, pb in others.items() if b != a))
-        assert residue_cluster(a, 1, rest) \
-            == reference_residue_cluster(a, 1, rest), (a, rest)
-        assert equal_in_value(residue_cluster(a, 2, rest),
-                              reference_residue_cluster(a, 2, rest)), \
-            (a, rest)
-        g, s = residue_cluster(a, 1, rest)
+        (g, s), (ref, ref_s) = (residue_cluster(a, 1, rest),
+                                reference_residue_cluster(a, 1, rest))
+        assert (g.numerator, s) == (ref.numerator, ref_s), (a, rest)
+        extra = dict(ref.denominator.factors)
+        for m, e in g.denominator.factors:
+            extra[m] -= e
+        assert {m: e for m, e in extra.items() if e} == {2 * a: 1}, (a, rest)
+        assert equal_in_value(residue_cluster(a, 2, rest), on_shell(
+            reference_residue_cluster(a, 2, rest), a)), (a, rest)
         assert g.numerator.degree == sum(pb * (b - a) for b, pb in rest
                                          if b > a)
         assert s in (a, -a)
@@ -798,9 +814,8 @@ class TestClusterResidue:
     def test_packed_matches_polynomial_route(self, a, p, others):
         # the packed ints against Den(t) over polynomial coefficients
         rest = tuple(sorted((b, pb) for b, pb in others.items() if b != a))
-        assert equal_in_value(residue_cluster(a, p, rest),
-                              reference_residue_cluster(a, p, rest)), \
-            (a, p, rest)
+        assert equal_in_value(residue_cluster(a, p, rest), on_shell(
+            reference_residue_cluster(a, p, rest), a)), (a, p, rest)
 
     @given(st.integers(1, 30), st.integers(1, 5),
            st.dictionaries(st.integers(1, 30), st.integers(1, 3),
@@ -808,12 +823,12 @@ class TestClusterResidue:
     @settings(max_examples=300, deadline=None)
     def test_graded_matches_reference_in_value(self, a, p, others):
         # the graded inverses against the one quotient by Den(t):
-        # the grade power, the exponents e + p - 1 and the sign of each
-        # b > a all show in the value of g / s
+        # the grade power, the exponents e + p - 1 (2p - 2 for
+        # 1 - u^(2a), on shell) and the sign of each b > a all show in
+        # the value of g / s
         rest = tuple(sorted((b, pb) for b, pb in others.items() if b != a))
-        assert equal_in_value(residue_cluster(a, p, rest),
-                              reference_residue_cluster(a, p, rest)), \
-            (a, p, rest)
+        assert equal_in_value(residue_cluster(a, p, rest), on_shell(
+            reference_residue_cluster(a, p, rest), a)), (a, p, rest)
 
     @pytest.mark.parametrize("width", [8, 16, 64])
     def test_balanced_lanes_read_out(self, width):
@@ -853,9 +868,8 @@ class TestClusterResidue:
                 lambda terms: sum((Poly.monomial(d, c) for d, c in terms),
                                   Poly()))
             assert max(map(abs, n_poly.coeffs)) <= bound, (a, p, rest)
-            assert equal_in_value(residue_cluster(a, p, rest),
-                                  reference_residue_cluster(a, p, rest)), \
-                (a, p, rest)
+            assert equal_in_value(residue_cluster(a, p, rest), on_shell(
+                reference_residue_cluster(a, p, rest), a)), (a, p, rest)
 
 
 class TestDivideBinomial:
@@ -1084,19 +1098,6 @@ class TestDispatcher:
                 hilbert_series((1, 2, 3))
         assert hilbert_series((1, 2, 3)) == first
 
-    def test_on_from_off_needs_a_1_minus_x2_factor(self):
-        # every averaged residue piece carries (1 - x^2); a series
-        # without it is an internal error, not multiplied out
-        off = RationalFunction(QPolynomial([1, 2]),
-                               FactoredDenominator.from_pairs([(3, 2)]))
-        with pytest.raises(ReconstructionMismatch,
-                           match=r"no \(1 - x\^2\) factor"):
-            _on_from_off(off)
-        on = _on_from_off(RationalFunction(
-            QPolynomial([1, 2]), FactoredDenominator.from_pairs([(2, 1),
-                                                                 (3, 2)])))
-        assert on.denominator.factors == ((3, 2),)
-
     def test_off_from_on_keeps_psi(self):
         # reduced, the on-shell series of (1,6,10) holds Psi_8, which
         # the off-shell denominator must keep
@@ -1112,17 +1113,19 @@ class TestDispatcher:
                                          (1, 4, 5, 6, 6), (2, 4, 5, 5, 6)])
     def test_degenerate_on_shell_in_lowest_terms(self, weights):
         # the reduced off-shell denominator holds Psi_2^2 (Psi_2^3 for
-        # (1,1,4,5,6)) in psi and no (1 - x^2), so the on-shell step
-        # multiplies by (1 - x^2) = Psi_1 Psi_2, a Psi_2 that only a
-        # reduction cancels; back off shell, appending (1 - x^2) would
-        # print another form, and the Psi_d exponents give the reduced
-        # off-shell sum's own
+        # (1,1,4,5,6)) in psi and no (1 - x^2): appending (1 - x^2) to
+        # the reduced on-shell series would print another form, and the
+        # Psi_d exponents give the form of the merged on-shell sum over
+        # one more (1 - x^2), reduced on its own
         r = hilbert_series(weights)
         assert dict(r.off_shell.denominator.factors).get(2) is None
         assert r.off_shell.denominator.psi \
             == ((2, 3 if weights == (1, 1, 4, 5, 6) else 2),)
         assert r.on_shell.reduce() == r.on_shell
-        assert r.off_shell == hilbert_off_clustered(weights)[0].reduce()
+        on = hilbert_off_clustered(weights)[0]
+        off = RationalFunction(on.numerator, FactoredDenominator.from_pairs(
+            on.denominator.factors + ((2, 1),)))
+        assert r.off_shell == off.reduce()
         assert r.off_shell.reduce() == r.off_shell
 
     @pytest.mark.parametrize("weights,calls", [

@@ -58,9 +58,10 @@ SUBGROUPS = [
 #: su2 fixture violates S_2.  The residue path is pinned on large
 #: repeated weights, on three clusters with an extraFactor, on two
 #: clusters of multiplicity above one, and on (1,1,2,2), whose a = 1
-#: piece comes out over (1 - u)(1 - u^2)^3 (1 - u^3)^3.  The closed-form
-#: averages of weights of multiplicity 1 beside at most two others are
-#: pinned where factors meet: (97,150,344), where a + b = c - a gives
+#: residue comes out over (1 - u)(1 - u^2)^2 (1 - u^3)^3 on shell, as
+#: every printed piece is.  The closed-form averages of weights of
+#: multiplicity 1 beside at most two others are pinned where factors
+#: meet: (97,150,344), where a + b = c - a gives
 #: the factor 247 twice for a = 97; (50,100,151), where a divides b;
 #: (37,91), one pair; and (120,131,131), a repeated partner.  The
 #: multisected prefix, which no n = 3 input with distinct weights
@@ -82,17 +83,17 @@ DIGESTS = {
     "hilbert --weights 191,192,193":
         "bd6b476570e740297fc14dc2abbb4d9984ee373a36316a509b6077a8436c7279",
     "hilbert --weights 41,41,43 --off":
-        "3d1a8bc4148548d1200a8578e8afeab2975aa6d6b86dc0bf1a56ab8510ed688b",
+        "74060beafd7d5cbb2753b2eaa7602d19b30a138d795ebd609570bdf41b2e914b",
     "hilbert --weights 13,13,14,15 --off":
-        "83dceadd24fb465f13e183fcb35d06646a72be75b93778a245d51676abab180b",
+        "2d71eebcb007dbf68eef426c5f032fca13d7b324f437e780895392df09be1bb4",
     "hilbert --weights 110,110,111 --off":
-        "51a36ad6fdd2796747fecd59a8ca66de3b7d9f0290c381542680efb72c3b663c",
+        "bc3e13777822500924d7bbb2cd38732ff3bf43f7ee555ff9c1148bb1308ea666",
     "hilbert --weights 5,5,6,6,7 --off":
-        "d3ebe256ab099e3c25e9d8ad84f674ef7b561294441902d1fca3ba3b64b4449c",
+        "336280d7f88e21749329d22e6ad9cbeeea4a1ff16e47e4b779b00f3c898c1f23",
     "hilbert --weights 3,3,3,4,4,5 --off":
-        "ca344e47abdbf6293153136ab2725e3980a448f9139a7c07eef28a49c91ab5e7",
+        "1a7f0896bb51786b6d8465402ddf132dc6fc7798713268f63a69cd54529ffe4e",
     "hilbert --weights 1,1,2,2 --off":
-        "b6fac4e027a8682b37ec591f7ae268d1905d65c11b0a6cebbe96063b06434513",
+        "8e3a2bf2523d4412e6c7ee5b076ee11cf1c0c63c66c9afab74d97228e9184270",
     "laurent --weights 12,12,13 --order 119":
         "134afc61b920391e36dd1d02c5c0168c43a9cab6b15c867224149973b9cc723a",
     "hilbert --weights 150,175,196":
@@ -110,7 +111,7 @@ DIGESTS = {
     "hilbert --weights 37,91":
         "1154c56a99bca7e2a8d274e08fbf5889e1b94fc9b5fef3744079d8b32df4cca5",
     "hilbert --weights 120,131,131 --off":
-        "ece78dfe068c00b9b83853514b287aa02e4ec82476e4c7767176e5788c801c3e",
+        "1d431e4a388546bbe020c355f4492a78ce1d9ad8f8611d8a9a505520410ecd84",
     "hilbert --weights 100,101,102,103":
         "a1be38ea9faf64b0fd3b061cf8124007c8681e7d59097b751c82791f276f4286",
     "scan --max-level 400":
