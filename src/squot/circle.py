@@ -24,15 +24,15 @@ profiles:
 Every piece is on shell.  The off-shell series of every method is the
 on-shell one over Psi_1 Psi_2 = 1 - x^2 (`_off_from_on`).
 
-Each piece satisfies f(1/x) = +-x^w f(x), so the numerator of its
-average is palindromic up to a sign (Stanley's reciprocity): the
-multisected prefix only covers half of it plus SLACK coefficients,
-which must agree with the mirror that gives the other half
-(`u_average`), and a closed-form numerator must obey the mirror on
-every coefficient (`pair_average`).  Every dispatcher result is
-checked on every coefficient against the reciprocity
-H(1/x) = x^(2n-2) H(x) of the on-shell series, and against a
-brute-force monomial count, before it is returned.
+Each residue g of weight a obeys g(1/u) = u^((2n-2)a) g(u)
+(`hilbert_off_clustered`), so the numerator of its average is
+palindromic up to a sign: the multisected prefix only covers half of
+it plus SLACK coefficients, which must agree with the mirror that
+gives the other half (`u_average`), and a closed-form numerator must
+obey the mirror on every coefficient (`pair_average`).  Every
+dispatcher result is checked on every coefficient against the
+reciprocity H(1/x) = x^(2n-2) H(x) of the on-shell series, and
+against a brute-force monomial count, before it is returned.
 """
 
 from __future__ import annotations
@@ -88,10 +88,9 @@ class HilbertSeriesResult(NamedTuple):
 
 def _averaged_reciprocity(ints: list, den: FactoredDenominator,
                           target: FactoredDenominator, a: int):
-    """(C, eps) with N_k = eps * N_(C-k) for the numerator N of the
-    average of ints / den over the a-th roots of unity (over `target`,
-    any product of (1 - y^l) factors that the average admits),
-    or (target.degree, 0) when the input does not give that identity.
+    """(C, eps) with N_k = eps * N_(C-k), eps = +-1, for the numerator N
+    of the average of ints / den over the a-th roots of unity (over
+    `target`, any product of (1 - y^l) factors that the average admits).
 
     The identity is read off the input: if ints is palindromic or
     antipalindromic (sign delta) between its valuation v and degree d,
@@ -99,20 +98,20 @@ def _averaged_reciprocity(ints: list, den: FactoredDenominator,
     and E the number of factors of den.  When a divides w, averaging
     turns x^w into y^(w/a), so the averaged numerator obeys the mirror
     with C = deg target - w/a and eps = delta * (-1)^(E + E_target).
+    A zero numerator obeys any mirror (eps = 1); any other input
+    without the identity raises ReconstructionMismatch.
     """
     support = [k for k, c in enumerate(ints) if c]
     if not support:
-        return target.degree, 0
+        return target.degree, 1
     body = ints[support[0]:support[-1] + 1]
-    if body == body[::-1]:
-        delta = 1
-    elif body == [-c for c in reversed(body)]:
-        delta = -1
-    else:
-        return target.degree, 0
+    # +1 palindromic, -1 antipalindromic (never both: body[0] != 0)
+    delta = (body == body[::-1]) - (body == [-c for c in reversed(body)])
     w = den.degree - support[0] - support[-1]
-    if w % a:
-        return target.degree, 0
+    if not delta or w % a:
+        raise ReconstructionMismatch(f"weight {a}: no mirror: " + (
+            f"{a} does not divide the shift {w}" if delta
+            else "the numerator is neither palindromic nor antipalindromic"))
     count = sum(e for _, e in den.factors) + sum(e for _, e in target.factors)
     return target.degree - w // a, delta * (-1) ** count
 
@@ -136,17 +135,15 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     The numerator N is the multisected Taylor prefix of f without those
     factors times the image of the others, in the coefficients of f's
     numerator (integers in the pipeline; Fractions give the same
-    values).  When the input's reciprocity gives the mirror
-    N_k = eps * N_(C-k) (`_averaged_reciprocity`), only a half-length
+    values).  The input's reciprocity gives the mirror
+    N_k = eps * N_(C-k) (`_averaged_reciprocity`), so only a half-length
     prefix is expanded: it yields N_0..N_(C//2 + SLACK), the SLACK
     coefficients past the middle must agree with the mirror, and the
-    mirror gives the rest (`_mirrored`).  Otherwise (an input that is not reciprocal, or a
-    not dividing its shift) the prefix covers the whole numerator and
-    SLACK + 2 coefficients past the degree bound, which must vanish.  A
-    failed check raises ReconstructionMismatch.  The average is returned
-    as N over that exact denominator.  Only the (1-x^m) factors of f's
-    denominator are mapped: the pipeline's pieces have no `psi`, and a
-    direct call with one relies on the checks above alone.
+    mirror gives the rest (`_mirrored`).  A failed check, or an input
+    without a mirror, raises ReconstructionMismatch.  The average is
+    returned as N over that exact denominator.  Only the (1-x^m)
+    factors of f's denominator are mapped: the pipeline's pieces have
+    no `psi`, and a direct call with one relies on the checks above.
 
     The multisected prefix comes from `multisected_prefix`.  For the
     generic pieces +-x^v / prod (1-x^m), it runs over packed integer
@@ -162,9 +159,8 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
         tuple((m, e) for m, e in den.factors if m % a), den.psi)
     exact, image = (_exact_image(d, a) for d in (den, rest))
     top, sign = _averaged_reciprocity(list(f.numerator.coeffs), den, exact, a)
-    reach = (top // 2 if sign else top + 2) + SLACK
-    window = image.multiply_into(
-        multisected_prefix(RationalFunction(f.numerator, rest), a, reach))
+    window = image.multiply_into(multisected_prefix(
+        RationalFunction(f.numerator, rest), a, top // 2 + SLACK))
     return RationalFunction(QPolynomial(_mirrored(window, top, sign)), exact)
 
 
@@ -231,8 +227,7 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
     N (1 - y^2)^r, before any j is enumerated.  The division must be
     exact, and N must obey the mirror N_k = eps * N_(C-k) on every
     coefficient (`_averaged_reciprocity`, `_mirrored`): else
-    ReconstructionMismatch, as also for eps = 0, where there is no
-    mirror to check.
+    ReconstructionMismatch, as for an input without a mirror.
     """
     exact, r = _exact_image(f.denominator, a), sum(pb for _, pb in rest)
     total = [0] * (exact.degree + 2 * r)
@@ -252,9 +247,6 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
                 "by 1 - y^2")
     top, eps = _averaged_reciprocity(list(f.numerator.coeffs),
                                      f.denominator, exact, a)
-    if not eps:
-        raise ReconstructionMismatch(
-            f"weight {a}: closed-form numerator has no mirror to check")
     num += [0] * (top + 1 - len(num))
     return RationalFunction(QPolynomial(_mirrored(num, top, eps)), exact)
 
@@ -379,11 +371,6 @@ def _excess(den: FactoredDenominator,
         (m, e - have.get(m, 0)) for m, e in den.factors if e > have.get(m, 0)))
 
 
-def _times(coeffs, den: FactoredDenominator) -> list:
-    """The coefficients times the expanded denominator, in full."""
-    return den.multiply_into(list(coeffs) + [0] * den.degree)
-
-
 def hilbert_off_clustered(weights: Sequence[int]):
     """On-shell Hilbert series by the residue path, not in lowest terms.
 
@@ -413,6 +400,15 @@ def hilbert_off_clustered(weights: Sequence[int]):
     union of their denominators by integer cofactor sums.  The caller
     reduces the sum or lifts it, and derives the off-shell series from
     that.
+
+    Every residue has a mirror.  Write F_x for F and let
+    r(u) = Res_(z=u) F_x(z) / z at x = u^a, the residue that
+    `residue_cluster` scales.  As z -> 1/z is holomorphic and
+    F_x(1/z) = F_x(z), Res_(z=1/u) F_x(z) / z = -r(u); with
+    F_(1/x) = x^(2n) F_x, r(1/u) = -u^(2na) r(u).  On shell, times
+    1 - u^(2a), the residue g obeys g(1/u) = u^((2n-2)a) g(u): a divides
+    the shift, every average has the mirror of `_averaged_reciprocity`,
+    and each piece obeys P(1/x) = x^(2n-2) P(x).
     """
     clusters = _weight_clusters(weights)
     pieces = []
@@ -436,7 +432,7 @@ def hilbert_off_clustered(weights: Sequence[int]):
         for m, e in g.denominator.factors:
             merged[m] = max(merged.get(m, 0), e)
     den = FactoredDenominator.from_pairs(merged.items())
-    parts = [_times(g.numerator.coeffs, _excess(den, g.denominator))
+    parts = [_excess(den, g.denominator).times(g.numerator.coeffs)
              for g in pieces]
     total = map(sum, zip_longest(*parts, fillvalue=0))
     return RationalFunction(QPolynomial(total), den), tuple(pieces)
@@ -470,8 +466,8 @@ def hilbert_on_distinct(weights: Sequence[int]):
     on, pieces = hilbert_off_clustered(weights)
     target = _pair_sum_denominator(weights)
     lifted = peel_common(RationalFunction(
-        QPolynomial(_times(on.numerator.coeffs,
-                           _excess(target, on.denominator))),
+        QPolynomial(_excess(target, on.denominator).times(
+            on.numerator.coeffs)),
         _excess(on.denominator, target)))
     if lifted.denominator.factors:
         raise ReconstructionMismatch(

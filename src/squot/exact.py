@@ -169,7 +169,11 @@ class FactoredDenominator(NamedTuple):
         return sum(m * e for m, e in self.passes())
 
     def expand(self) -> QPolynomial:
-        return QPolynomial(self.multiply_into([1] + [0] * self.degree))
+        return QPolynomial(self.times([1]))
+
+    def times(self, coeffs: Sequence[Scalar]) -> list:
+        """The coefficients times the expanded denominator, in full."""
+        return self.multiply_into(list(coeffs) + [0] * self.degree)
 
     def multiply_into(self, coeffs: Sequence[Scalar]) -> list:
         """Multiply a coefficient list by the expanded denominator,
@@ -277,12 +281,6 @@ class RationalFunction(NamedTuple):
                 work, exps[d] = quo, exps[d] - 1
         return RationalFunction(QPolynomial(work),
                                 FactoredDenominator.regrouped(exps))
-
-    # scales the numerator, where a tuple would repeat itself
-    def __mul__(self, scalar: Scalar) -> "RationalFunction":
-        return RationalFunction(self.numerator * scalar, self.denominator)
-
-    __rmul__ = __mul__
 
 
 def check_reciprocity(f: RationalFunction, shift: int, label: str) -> None:
@@ -685,7 +683,7 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     """Laurent data of f at x = 1 in the variable u = 1 - x.
 
     Every (1 - x^m) is (1 - x) [m]_x, with [m]_x palindromic, so f =
-    N / ((1 - x)^E R) for E the sum of the pass exponents.  A
+    N / ((1 - x)^E R) for E the sum of the positive pass exponents.  A
     palindromic P of even span 2k is x^k times a polynomial in
     w = x + 1/x - 2 = u^2 / (1 - u), and one of odd span is (1 + x)
     times one of even span; so N / R, less its (1 - x) factors, is a
@@ -693,16 +691,16 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     coefficients in u take ceil(L / 2) in w.  Everything up to the last
     step is integer arithmetic:
 
-    1. the numerator is scaled to integers, and its x-valuation and
-       its factors (1 - x)^v are taken out; the pole order is E - v;
+    1. the numerator is scaled to integers, times the passes of e < 0
+       (the (1 - x^j) a Psi_d multiplies by), and its x-valuation and
+       (1 - x)^v are taken out; the pole order is E - v;
     2. the rest, N, is split into its palindromic part A = (N + N*) / 2
        and (1 - x) B' with B' = (N - N*) / (2 (1 - x)) palindromic, N*
        the reverse of N; a reciprocal series has B' = 0;
     3. each [m]_x, m >= 2, is x-powers, (1 + x) for even m, and a
-       closed-form row in w (`_w_row`); the rows of e > 0 multiply the
-       w-denominator R(w), those of e < 0 the numerators.  An even count
-       of factors 1 + x is powers of (1 + x)^2 / x = w + 4; for an odd
-       count, N is first multiplied by 1 + x;
+       closed-form row in w (`_w_row`) of the w-denominator R(w).  An
+       even count of factors 1 + x is powers of (1 + x)^2 / x = w + 4;
+       for an odd count, N is first multiplied by 1 + x;
     4. A and B' are converted to w from their low halves (`_peeled`);
        a part of odd span leaves a factor 1 + x = 2 - u;
     5. each is divided by R(w) with one shared denominator
@@ -717,6 +715,9 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
         return LaurentExpansion(0, (Fraction(0),) * (order + 1))
     passes = f.denominator.passes()
     scale, num = cleared(f.numerator.coeffs)
+    num = FactoredDenominator.from_pairs(
+        (m, -e) for m, e in passes if e < 0).times(num)
+    passes = [(m, e) for m, e in passes if e > 0]
     low = next(i for i, c in enumerate(num) if c)
     num, val = num[low:], 0
     while not sum(num):  # divide by 1 - x
@@ -727,15 +728,12 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     gammas = []
     if length:
         half = (length + 1) // 2
-        den, over, plus, span = [1], [1], 0, 0  # R(w), numerator rows
+        den, plus, span = [1], 0, 0  # R(w)
         for m, e in passes:
             if m > 1:
                 row = _w_row(m, half)
-                for _ in range(abs(e)):
-                    if e > 0:
-                        den = mul_truncated(den, row, half)
-                    else:
-                        over = mul_truncated(over, row, half)
+                for _ in range(e):
+                    den = mul_truncated(den, row, half)
                 if not m & 1:
                     plus += e
                 span += e * (m - 1)
@@ -743,11 +741,8 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
             num = list(map(add, num + [0], [0] + num))
             plus += 1
             span += 1
-        for _ in range(abs(plus) // 2):
-            if plus > 0:
-                den = mul_truncated(den, (4, 1), half)
-            else:
-                over = mul_truncated(over, (4, 1), half)
+        for _ in range(plus // 2):
+            den = mul_truncated(den, (4, 1), half)
         parts = [(num, 0)]
         rev = num[::-1]
         if rev != num:
@@ -763,8 +758,6 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
             odd = top & 1
             terms = (size + 1) // 2
             a = _peeled(part[:top // 2 + 1], odd, terms)
-            if over != [1]:
-                a = mul_truncated(a, over, terms)
             q, s = _shared_quotient(a, den, terms)
             series = _in_u(q, size, low + (top - odd - span) // 2, odd)
             if total is None:

@@ -266,10 +266,11 @@ def analyze_group(group: FiniteDiagonalGroup) -> FiniteGroupResult:
     """Series, Laurent data and closed-form coefficients for one group.
 
     gamma_0..gamma_3 are evaluated directly from the pseudoreflection
-    orders.  gamma_4 and gamma_5 share an unknown contribution of the
-    elements moving two coordinates; it is solved from the series value
-    of gamma_4 and must then reproduce gamma_5 exactly, and the identity
-    gamma_3 - 2 gamma_4 + gamma_5 = 0 must hold.
+    orders.  gamma_4 and gamma_5 share an unknown contribution q of the
+    elements moving two coordinates, solved from the series value of
+    gamma_4: so the gamma_4 check holds by construction, and so does
+    gamma_3 - 2 gamma_4 + gamma_5 = 0, 720 |G| times it being 60 quad +
+    quart2 - 2 quart1 = 0.  Only gamma_0..gamma_3 and gamma_5 can fail.
     """
     series = molien_series(group)
     expansion = laurent_at_one(series, 5)

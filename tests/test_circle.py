@@ -184,6 +184,11 @@ def on_shell(case, a):
                             g.denominator), s
 
 
+def scaled(f, k):
+    """f with its numerator times the number k."""
+    return RationalFunction(f.numerator * k, f.denominator)
+
+
 def reference_hilbert_off_clustered(weights):
     """The Fraction pipeline: each residue piece divided by its scale,
     averaged and multiplied by its weight; the pieces merged in Fraction
@@ -193,7 +198,7 @@ def reference_hilbert_off_clustered(weights):
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
-        pieces.append(u_average(g * Fraction(1, s), a) * a)
+        pieces.append(scaled(u_average(scaled(g, Fraction(1, s)), a), a))
     merged = {}
     for piece in pieces:
         for m, e in piece.denominator.factors:
@@ -421,7 +426,10 @@ class TestUAverage:
 
     @given(st.integers(1, 6), st.integers(1, 8))
     @settings(max_examples=40, deadline=None)
-    def test_agrees_with_multisection(self, a, m):
+    def test_agrees_with_multisection(self, a, k):
+        # (1 + x) / ((1 - x^m) (1 - x)) has the shift w = m: it has a
+        # mirror when a divides m
+        m = a * k
         f = RationalFunction(QPolynomial([1, 1]),
                              FactoredDenominator.from_pairs([(m, 1), (1, 1)]))
         g = u_average(f, a)
@@ -443,7 +451,8 @@ class TestUAverage:
             assert all(type(c) is int for c in h.numerator.coeffs)
             got = run(h)
             assert all(type(c) is int for c in got.numerator.coeffs)
-            assert run(h * Fraction(1, k)) == got * Fraction(1, k)
+            assert run(scaled(h, Fraction(1, k))) \
+                == scaled(got, Fraction(1, k))
         direct = series_of_rational(f, 20 * a).coefficients[::a]
         assert series_of_rational(g, 20).coefficients == direct
 
@@ -543,13 +552,22 @@ class TestHalfPrefix:
         ([1, 2, 0, 5], [(1, 1), (4, 1)], 2),
     ])
     def test_without_identity_matches_multisection(self, num, pairs, a):
+        # the full-length multisection of f exists, but f has no
+        # mirror, which every residue piece has: u_average refuses it
         f = RationalFunction(QPolynomial(num),
                              FactoredDenominator.from_pairs(pairs))
-        assert mirror_of(f, a)[1] == 0
-        g = u_average(f, a)
-        assert g == reference_u_average(f, a)
+        g = reference_u_average(f, a)
         direct = series_of_rational(f, 40 * a).coefficients[::a]
         assert series_of_rational(g, 40).coefficients == direct
+        for run in (lambda: mirror_of(f, a), lambda: u_average(f, a)):
+            with pytest.raises(ReconstructionMismatch, match="no mirror"):
+                run()
+
+    def test_zero_numerator_takes_any_mirror(self):
+        f = RationalFunction(QPolynomial(),
+                             FactoredDenominator.from_pairs([(1, 1), (3, 2)]))
+        assert mirror_of(f, 2) == (exact_image(f.denominator, 2).degree, 1)
+        assert u_average(f, 2).numerator.is_zero()
 
     def test_mirror_checks_every_overlap_coefficient(self):
         num = [3, -1, 4, 1, 5, 5, 1, 4, -1, 3]  # palindromic, C = 9
@@ -642,15 +660,18 @@ class TestPairAverage:
                                         (6, ((10, 1), (15, 1)))])
     def test_no_mirror_raises(self, a, rest):
         # x times the piece: a no longer divides its shift, so there is
-        # no mirror (eps = 0), which `_mirrored` alone would not check
+        # no mirror, and `_averaged_reciprocity` raises for the closed
+        # form, whose sum does not read f's numerator
         g = residue_cluster(a, 1, rest)[0]
         f = RationalFunction(QPolynomial.monomial(g.numerator.degree + 1),
                              g.denominator)
         exact = squot.circle._exact_image(f.denominator, a)
-        assert _averaged_reciprocity(list(f.numerator.coeffs),
-                                     f.denominator, exact, a)[1] == 0
-        with pytest.raises(ReconstructionMismatch):
-            pair_average(f, a, rest)
+        for run in (lambda: _averaged_reciprocity(
+                        list(f.numerator.coeffs), f.denominator, exact, a),
+                    lambda: pair_average(f, a, rest)):
+            with pytest.raises(ReconstructionMismatch,
+                               match=f"{a} does not divide the shift"):
+                run()
 
 
 class TestReciprocityCertificate:
@@ -663,6 +684,20 @@ class TestReciprocityCertificate:
         # off shell, 1/(1 - x^2) adds a sign: H(1/x) = -x^(2n) H(x)
         with pytest.raises(ReciprocityMismatch):
             check_reciprocity(r.off_shell, 2 * n, "off shell")
+
+    @given(st.one_of(repeated_weights(), distinct_weights()))
+    @settings(max_examples=60, deadline=None)
+    def test_every_residue_and_piece_is_reciprocal(self, weights):
+        # g(1/u) = u^((2n-2)a) g(u) for every on-shell residue g of a
+        # weight a (`hilbert_off_clustered`), so every printed piece
+        # obeys P(1/x) = x^(2n-2) P(x)
+        n, clusters = len(weights), _weight_clusters(weights)
+        for a, p in clusters:
+            rest = tuple((b, pb) for b, pb in clusters if b != a)
+            check_reciprocity(residue_cluster(a, p, rest)[0],
+                              (2 * n - 2) * a, f"{weights}: residue of {a}")
+        for piece in hilbert_series(weights, oracle_degree=0).pieces:
+            check_reciprocity(piece, 2 * n - 2, f"{weights}: piece")
 
     @pytest.mark.parametrize("weights,patched", [
         ((1, 2, 3), "hilbert_on_distinct"),

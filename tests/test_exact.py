@@ -842,7 +842,7 @@ class TestLaurentInW:
         ((1, 2), [(3, 1)], [], [1, 0]),
         ((1, 2), [(2, 1)], [], [0, 1]),
         ((3, 0, 1, 7), [(1, 1), (4, 2)], [], [1, 0]),
-        # Psi_d passes with e < 0 multiply the numerator in w
+        # Psi_d passes with e < 0 multiply the numerator
         ((1,), [(6, 2)], [(4, 1)], [0]),
         ((1, 1), [(3, 1)], [(2, 1)], [0]),
         ((5, 1), [], [(2, 2), (6, 1)], [1, 0]),
@@ -857,6 +857,16 @@ class TestLaurentInW:
         # every pole order here is -1 or more: from order 2 on, both
         # parts have terms left
         assert seen == (odd if order >= 2 else odd[:len(seen)])
+
+    @pytest.mark.parametrize("weights", [(1, 1, 5, 8), (1, 1, 7, 11),
+                                         (1, 6, 6, 10)])
+    @pytest.mark.parametrize("order", [0, 3, 40])
+    def test_multiplying_passes_above_m_1(self, weights, order):
+        # a Psi_d of these on-shell series leaves a pass (m, e) with
+        # m > 1 and e < 0, a (1 - x^m) that multiplies the numerator
+        f = hilbert_series(weights, oracle_degree=0).on_shell
+        assert any(m > 1 > e for m, e in f.denominator.passes())
+        assert laurent_at_one(f, order) == reference_u_laurent(f, order)
 
     def test_negative_pole_leaves_no_terms(self):
         # (1 - x)^5 / (1 - x^2): gamma_0..gamma_3 = 0 take no w-terms
@@ -1054,19 +1064,6 @@ class TestFactoredDenominator:
 
 
 class TestRecords:
-    @pytest.mark.parametrize("product,scale", [
-        (lambda f: f * 3, 3), (lambda f: 3 * f, 3),
-        (lambda f: f * Q(1, 2), Q(1, 2)),
-    ], ids=["f*3", "3*f", "f*1/2"])
-    def test_scalar_product_scales_numerator(self, product, scale):
-        # a record is a tuple, but a scalar product is never repetition
-        f = RationalFunction(QPolynomial([1, 2]),
-                             FactoredDenominator.from_pairs([(1, 1)]))
-        g = product(f)
-        assert type(g) is RationalFunction
-        assert g.numerator == QPolynomial([scale, 2 * scale])
-        assert g.denominator == f.denominator
-
     def test_fields_are_read_only(self):
         r = hilbert_series((1, 2, 3))
         a = analyze_group(FiniteDiagonalGroup.from_generators([(3, (1, 2))]))
