@@ -21,8 +21,10 @@ profiles:
 * all weights equal ("CompletelyDegenerate"): an explicit binomial
   formula.
 
-Every piece is on shell.  The off-shell series of every method is the
-on-shell one over Psi_1 Psi_2 = 1 - x^2 (`_off_from_on`).
+Every piece is on shell.  A denominator is one signed list of
+(1 - x^m) exponents, e < 0 for cyclotomic factors after a reduction;
+the off-shell series of every method is the on-shell one over
+1 - x^2, the pass (2, 1) appended (`_off_from_on`).
 
 Each residue g of weight a obeys g(1/u) = u^((2n-2)a) g(u)
 (`hilbert_off_clustered`), so the numerator of its average is
@@ -44,10 +46,10 @@ from typing import NamedTuple, Sequence, Tuple
 
 from .errors import OracleMismatch, ReconstructionMismatch, ZeroWeight
 from .exact import (SLACK, FactoredDenominator, QPolynomial,
-                    RationalFunction, _divide_binomial, _mirrored, _repunit,
-                    _strip, check_reciprocity, deferred_quotient,
+                    RationalFunction, _divide_binomial, _mirrored, _netted,
+                    _repunit, _strip, check_reciprocity, deferred_quotient,
                     mul_truncated, multisected_prefix, peel_common,
-                    series_of_rational)
+                    reciprocity, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
@@ -86,39 +88,35 @@ class HilbertSeriesResult(NamedTuple):
     pieces: Tuple[RationalFunction, ...] = ()
 
 
-def _averaged_reciprocity(ints: list, den: FactoredDenominator,
-                          target: FactoredDenominator, a: int):
+def _averaged_reciprocity(f: RationalFunction, target: FactoredDenominator,
+                          a: int):
     """(C, eps) with N_k = eps * N_(C-k), eps = +-1, for the numerator N
-    of the average of ints / den over the a-th roots of unity (over
-    `target`, any product of (1 - y^l) factors that the average admits).
+    of the average of f over the a-th roots of unity (over `target`,
+    any product of (1 - y^l) factors that the average admits).
 
-    The identity is read off the input: if ints is palindromic or
-    antipalindromic (sign delta) between its valuation v and degree d,
-    then f(1/x) = delta * (-1)^E * x^w * f(x) with w = deg den - v - d
-    and E the number of factors of den.  When a divides w, averaging
-    turns x^w into y^(w/a), so the averaged numerator obeys the mirror
-    with C = deg target - w/a and eps = delta * (-1)^(E + E_target).
-    A zero numerator obeys any mirror (eps = 1); any other input
-    without the identity raises ReconstructionMismatch.
+    The identity is read off the input: f(1/x) = sign * x^w * f(x)
+    (`exact.reciprocity`).  When a divides w, averaging turns x^w into
+    y^(w/a): C = deg target - w/a and eps = sign * (-1)^E, E the number
+    of factors of target.  A zero numerator obeys any mirror (eps = 1);
+    any other input without the identity raises ReconstructionMismatch.
     """
-    support = [k for k, c in enumerate(ints) if c]
-    if not support:
+    if not f.numerator:
         return target.degree, 1
-    body = ints[support[0]:support[-1] + 1]
-    # +1 palindromic, -1 antipalindromic (never both: body[0] != 0)
-    delta = (body == body[::-1]) - (body == [-c for c in reversed(body)])
-    w = den.degree - support[0] - support[-1]
-    if not delta or w % a:
+    w, sign = reciprocity(f)
+    if not sign or w % a:
         raise ReconstructionMismatch(f"weight {a}: no mirror: " + (
-            f"{a} does not divide the shift {w}" if delta
+            f"{a} does not divide the shift {w}" if sign
             else "the numerator is neither palindromic nor antipalindromic"))
-    count = sum(e for _, e in den.factors) + sum(e for _, e in target.factors)
-    return target.degree - w // a, delta * (-1) ** count
+    return (target.degree - w // a,
+            sign * (-1) ** sum(e for _, e in target.factors))
 
 
 def _exact_image(den: FactoredDenominator, a: int) -> FactoredDenominator:
     """prod (1 - y^(lcm(a,m)/a))^e in y = x^a over den's (1 - x^m)^e:
-    the exact denominator of an average over the a-th roots of unity."""
+    the exact denominator of an average over the a-th roots of unity.
+    A pass with e < 0, which divides, raises ValueError."""
+    if bad := [f"(1 - x^{m})^{e}" for m, e in den.factors if e < 0]:
+        raise ValueError(f"weight {a}: the pass {bad[0]} divides")
     return FactoredDenominator.from_pairs(
         (math.lcm(a, m) // a, e) for m, e in den.factors)
 
@@ -141,9 +139,9 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     coefficients past the middle must agree with the mirror, and the
     mirror gives the rest (`_mirrored`).  A failed check, or an input
     without a mirror, raises ReconstructionMismatch.  The average is
-    returned as N over that exact denominator.  Only the (1-x^m)
-    factors of f's denominator are mapped: the pipeline's pieces have
-    no `psi`, and a direct call with one relies on the checks above.
+    returned as N over that exact denominator.  A denominator pass
+    with e < 0, as a cyclotomic factor left by `reduce` has, raises
+    ValueError before any prefix is expanded (`_exact_image`).
 
     The multisected prefix comes from `multisected_prefix`.  For the
     generic pieces +-x^v / prod (1-x^m), it runs over packed integer
@@ -155,10 +153,9 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     (1-x^m) adds whole rows of m lanes.
     """
     den = f.denominator
-    rest = FactoredDenominator(
-        tuple((m, e) for m, e in den.factors if m % a), den.psi)
+    rest = FactoredDenominator(tuple((m, e) for m, e in den.factors if m % a))
     exact, image = (_exact_image(d, a) for d in (den, rest))
-    top, sign = _averaged_reciprocity(list(f.numerator.coeffs), den, exact, a)
+    top, sign = _averaged_reciprocity(f, exact, a)
     window = image.multiply_into(multisected_prefix(
         RationalFunction(f.numerator, rest), a, top // 2 + SLACK))
     return RationalFunction(QPolynomial(_mirrored(window, top, sign)), exact)
@@ -245,8 +242,7 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
             raise ReconstructionMismatch(
                 f"weight {a}: closed-form numerator is not divisible "
                 "by 1 - y^2")
-    top, eps = _averaged_reciprocity(list(f.numerator.coeffs),
-                                     f.denominator, exact, a)
+    top, eps = _averaged_reciprocity(f, exact, a)
     num += [0] * (top + 1 - len(num))
     return RationalFunction(QPolynomial(_mirrored(num, top, eps)), exact)
 
@@ -439,11 +435,10 @@ def hilbert_off_clustered(weights: Sequence[int]):
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:
-    """Divide by 1 - x^2 = Psi_1 Psi_2 in the Psi_d exponents, regrouped
-    as by `reduce`; a reduced `on` nonzero at -1 gives a reduced result."""
-    den = on.denominator
-    exps = den._replace(factors=den.factors + ((2, 1),)).psi_exponents()
-    return RationalFunction(on.numerator, FactoredDenominator.regrouped(exps))
+    """on / (1 - x^2), the pass (2, 1) appended to on's; a reduced `on`
+    nonzero at 1 and -1 gives a reduced result."""
+    return RationalFunction(on.numerator, FactoredDenominator(
+        _netted(on.denominator.factors + ((2, 1),))))
 
 
 def _pair_sum_denominator(weights: Sequence[int]) -> FactoredDenominator:

@@ -23,7 +23,7 @@ from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
                      NotApplicable, PartitionPointsMismatch, SquotError,
                      UnsupportedDimension, ZeroWeight)
 from .exact import (FactoredDenominator, QPolynomial, RationalFunction,
-                    laurent_at_one)
+                    _divisors, laurent_at_one)
 from .finite import FiniteDiagonalGroup, analyze_group
 from .laurent import gamma0_closed, gamma2_closed, symplectic_check
 from .scan import full_scan
@@ -37,15 +37,28 @@ _INPUT_ERRORS = (ZeroWeight, MalformedWeights, ArgumentOutOfRange,
                  PartitionPointsMismatch, NotApplicable)
 
 
+def _grouped(den: FactoredDenominator) -> tuple:
+    """(pairs, psi) to print: den's Psi_d grouped greedily into
+    (1 - x^m)^e, largest m first, and the Psi_d left.  A pure product
+    is its own grouping (the Psi_m of its largest m has that factor's
+    exponent, and the rest is pure), so it is returned at once."""
+    if all(e > 0 for _, e in den.factors):
+        return list(den.factors), []
+    exps, pairs = den.psi_exponents(), []
+    for m in sorted(exps, reverse=True):
+        if exps[m] and (k := min(map(exps.__getitem__, _divisors(m)))):
+            pairs.append((m, k))
+            for d in _divisors(m):
+                exps[d] -= k
+    return sorted(pairs), sorted((d, e) for d, e in exps.items() if e)
+
+
 def series_payload(f: RationalFunction) -> dict:
-    den = f.denominator
-    payload = {
-        "numerator": list(f.numerator.coeffs),
-        "denominator": [[m, e] for m, e in den.factors],
-    }
-    if den.psi:  # prod Psi_d^e, multiplied out
-        extra = FactoredDenominator((), den.psi).expand().coeffs
-        payload["extraFactor"] = list(extra)
+    pairs, psi = _grouped(f.denominator)
+    payload = {"numerator": list(f.numerator.coeffs),
+               "denominator": [[m, e] for m, e in pairs]}
+    if psi:  # prod Psi_d^e, multiplied out
+        payload["extraFactor"] = FactoredDenominator.from_psi(psi).times([1])
     return payload
 
 

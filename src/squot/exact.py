@@ -3,13 +3,13 @@
 Everything here is pure and exact: coefficients are ints or Fractions,
 equality is decidable, and no operation ever rounds; the series layer
 runs in integers, on numerators whose scale is kept apart.  A rational
-function always keeps its denominator factored, as prod (1 - x^m)^e
-times cyclotomic prod Psi_d^e, and every product with or quotient by
-it runs as (1 - x^m) passes.  Laurent data at x = 1 are a division
-in w = u^2 / (1 - u), u = 1 - x, on half as many terms as in u: every
-[m]_x = (1 - x^m) / (1 - x) is palindromic, a power of x times a
-polynomial in w up to a factor 1 + x.  The higher-level modules build
-Hilbert series out of these primitives.
+function keeps its denominator as one canonical list of signed
+(1 - x^m) exponents (a cyclotomic Psi_d brings some e < 0), and every
+product with or quotient by it runs as (1 - x^m) passes.  Laurent data
+at x = 1 are a division in w = u^2 / (1 - u), u = 1 - x, on half as
+many terms as in u: every [m]_x = (1 - x^m) / (1 - x) is palindromic,
+a power of x times a polynomial in w up to a factor 1 + x.  The
+higher-level modules build Hilbert series out of these primitives.
 """
 
 from __future__ import annotations
@@ -109,64 +109,47 @@ def _times_binomial(c: list, m: int, e: int) -> None:
                 c[r::m] = accumulate(c[r::m])
 
 
-def _merged(pairs: Iterable, low: int) -> tuple:
+def _netted(pairs: Iterable, least=-math.inf) -> tuple:
+    """Sorted (m, e), e != 0, summed over equal m; m >= 1, e >= least."""
     acc: dict = {}
     for m, e in pairs:
-        if m < low or e < 1:
-            raise ValueError(f"factors need m >= {low}, e >= 1")
+        if m < 1 or e < least:
+            raise ValueError(f"factors need m >= 1, e >= {least}")
         acc[m] = acc.get(m, 0) + e
-    return tuple(sorted(acc.items()))
+    return tuple(sorted((m, e) for m, e in acc.items() if e))
 
 
 class FactoredDenominator(NamedTuple):
-    """A denominator prod (1 - x^m)^e * prod Psi_d^e, `psi` holding the
-    Psi_d (d >= 2) that `reduce` left ungrouped; as a whole, one signed
-    list of (1 - x^m) exponents (`passes`) that products run through."""
+    """A denominator as one sorted, signed list of (1 - x^m) exponents,
+    the passes that every product runs through.  A cyclotomic Psi_d
+    enters as prod (1 - x^j)^mu(d/j) (`from_psi`), so an e < 0 divides
+    the other passes; each 1 - x^m brings in a new Psi_m, so equal
+    polynomials have equal lists."""
 
-    factors: tuple  # sorted tuple of (m, e) pairs, m >= 1, e >= 1
-    psi: tuple = ()  # sorted tuple of (d, e) pairs, d >= 2, e >= 1
+    factors: tuple  # sorted tuple of (m, e) pairs, m >= 1, e != 0
 
     @staticmethod
-    def from_pairs(pairs: Iterable,
-                   psi: Iterable = ()) -> "FactoredDenominator":
-        return FactoredDenominator(_merged(pairs, 1), _merged(psi, 2))
+    def from_pairs(pairs: Iterable) -> "FactoredDenominator":
+        """prod (1 - x^m)^e over the (m, e) pairs, e >= 1."""
+        return FactoredDenominator(_netted(pairs, 1))
 
-    def passes(self) -> tuple:
-        """Sorted (m, e), e != 0: the Psi_d merged into the factors."""
-        if not self.psi:
-            return self.factors
-        net = dict(self.factors)
-        for d, e in self.psi:
-            for j, mu in _psi_passes(d):
-                net[j] = net.get(j, 0) + mu * e
-        return tuple(sorted((m, e) for m, e in net.items() if e))
+    @staticmethod
+    def from_psi(pairs: Iterable) -> "FactoredDenominator":
+        """prod Psi_d^e over the (d, e) pairs, e >= 0 (`_psi_passes`)."""
+        return FactoredDenominator(_netted(
+            (j, mu * e) for d, e in pairs for j, mu in _psi_passes(d)))
 
     def psi_exponents(self) -> dict:
         """{d: e} for prod Psi_d^e, as 1 - x^m = prod_(d | m) Psi_d."""
-        exps = dict(self.psi)
+        exps: dict = {}
         for m, e in self.factors:
             for d in _divisors(m):
                 exps[d] = exps.get(d, 0) + e
         return exps
 
-    @staticmethod
-    def regrouped(exps: dict) -> "FactoredDenominator":
-        """prod Psi_d^e over {d: e}, which it consumes, grouped greedily
-        into (1 - x^m) factors, largest m first; the rest stay in `psi`.
-        A pure prod (1 - x^m)^e comes back unchanged: the Psi_m of its
-        largest m has that factor's exponent, and the rest is pure."""
-        pairs = []
-        for m in sorted(exps, reverse=True):
-            if k := min(exps.get(d, 0) for d in _divisors(m)):
-                pairs.append((m, k))
-                for d in _divisors(m):
-                    exps[d] -= k
-        return FactoredDenominator.from_pairs(
-            pairs, [(d, e) for d, e in exps.items() if e])
-
     @property
     def degree(self) -> int:
-        return sum(m * e for m, e in self.passes())
+        return sum(m * e for m, e in self.factors)
 
     def expand(self) -> QPolynomial:
         return QPolynomial(self.times([1]))
@@ -179,7 +162,7 @@ class FactoredDenominator(NamedTuple):
         """Multiply a coefficient list by the expanded denominator,
         truncated to the same length; works on a copy."""
         out = list(coeffs)
-        for m, e in self.passes():
+        for m, e in self.factors:
             _times_binomial(out, m, e)
         return out
 
@@ -241,7 +224,10 @@ def _divide_psi(c: list, d: int):
 
 def peel_common(f: RationalFunction) -> RationalFunction:
     """Cancel whole (1 - x^m) factors shared by numerator and denominator,
-    in the numerator's own coefficients (integers in the pipeline)."""
+    in the numerator's own coefficients (integers in the pipeline); a pass
+    e < 0 leaves f as it is, as the rest may be no polynomial."""
+    if any(e < 0 for _, e in f.denominator.factors):
+        return f
     num = list(f.numerator.coeffs)
     pairs = []
     for m, e in f.denominator.factors:
@@ -251,8 +237,7 @@ def peel_common(f: RationalFunction) -> RationalFunction:
             pairs.append((m, e))
     numerator = (QPolynomial(num) if len(num) < len(f.numerator.coeffs)
                  else f.numerator)
-    return RationalFunction(
-        numerator, FactoredDenominator.from_pairs(pairs, f.denominator.psi))
+    return RationalFunction(numerator, FactoredDenominator(tuple(pairs)))
 
 
 class RationalFunction(NamedTuple):
@@ -262,14 +247,15 @@ class RationalFunction(NamedTuple):
     denominator: FactoredDenominator
 
     def reduce(self) -> "RationalFunction":
-        """Lowest terms over a regrouped factored denominator.
+        """Lowest terms over the passes of the Psi_d left.
 
         Whole (1 - x^m) factors are cancelled first (`peel_common`),
         then single Psi_d of the `psi_exponents` (`_divide_psi`), in the
-        numerator's own coefficients, and the rest is `regrouped`; so
-        `reduce` accepts its own output.  `circle.hilbert_series` runs it
-        once, on shell, for repeated weights; every method's off shell is
-        derived through Psi_1 Psi_2 (`circle._off_from_on`).
+        numerator's own coefficients, and the Psi_d left become passes
+        (`from_psi`); as equal denominators have equal passes, `reduce`
+        returns its own output unchanged.  `circle.hilbert_series` runs
+        it once, on shell, for repeated weights; every method's off
+        shell appends the pass of 1 - x^2 (`circle._off_from_on`).
         """
         if self.numerator.is_zero():
             return RationalFunction(self.numerator, FactoredDenominator(()))
@@ -280,22 +266,29 @@ class RationalFunction(NamedTuple):
             while exps[d] and (quo := _divide_psi(work, d)) is not None:
                 work, exps[d] = quo, exps[d] - 1
         return RationalFunction(QPolynomial(work),
-                                FactoredDenominator.regrouped(exps))
+                                FactoredDenominator.from_psi(exps.items()))
+
+
+def reciprocity(f: RationalFunction) -> tuple:
+    """(w, sign) with f(1/x) = sign * x^w * f(x), f nonzero.  The passes
+    give D(1/x) = (-1)^E x^(-deg D) D(x), E the sum of their exponents;
+    a numerator of valuation v and degree d gives N(1/x) =
+    delta x^(-v-d) N(x), delta = 1 (-1) if it is (anti)palindromic
+    between them, every coefficient compared, else 0.  So
+    w = deg D - v - d and sign = delta (-1)^E."""
+    num = f.numerator.coeffs
+    low = next(k for k, c in enumerate(num) if c)
+    body = num[low:]
+    rev = body[::-1]
+    delta = 1 if body == rev else -1 if body == tuple(map(neg, rev)) else 0
+    return (f.denominator.degree - low - f.numerator.degree,
+            delta * (-1) ** sum(e for _, e in f.denominator.factors))
 
 
 def check_reciprocity(f: RationalFunction, shift: int, label: str) -> None:
-    """Raise ReciprocityMismatch unless f(1/x) = x^shift * f(x).
-
-    Write f = N / (P * O), with P the E factors (1 - x^m) and O the
-    Psi_d, d >= 2, which are palindromic.  As P(1/x) = (-1)^E x^(-deg P)
-    P(x), the identity is c_k = (-1)^E c_(C-k) for the numerator
-    coefficients, C = deg(P O) - shift: every one is checked.
-    """
-    num = f.numerator.coeffs
-    sign = (-1) ** sum(e for _, e in f.denominator.factors)
-    t = shift - f.denominator.degree + f.numerator.degree
-    if (QPolynomial([0] * -t + list(num[::-1]))
-            != QPolynomial([0] * t + [sign * c for c in num])):
+    """Raise ReciprocityMismatch unless f(1/x) = x^shift * f(x): unless
+    f is zero or its `reciprocity` is (shift, 1)."""
+    if f.numerator and reciprocity(f) != (shift, 1):
         raise ReciprocityMismatch(
             f"{label}: H(1/x) = x^{shift} H(x) fails for numerator "
             f"degree {f.numerator.degree} over {f.denominator.factors}")
@@ -325,7 +318,7 @@ def _expand_factored(num: QPolynomial, den: FactoredDenominator,
     (`_times_binomial`)."""
     coeffs = list(num.coeffs[:order + 1])
     coeffs += repeat(0, order + 1 - len(coeffs))
-    for m, e in den.passes():
+    for m, e in den.factors:
         _times_binomial(coeffs, m, -e)
     return coeffs
 
@@ -443,10 +436,9 @@ def multisected_prefix(f: RationalFunction, a: int, reach: int) -> list:
     coefficient of `_expand_factored`.
     """
     num, den, order = f.numerator, f.denominator, a * reach
-    pairs = den.passes()
-    if (pairs and all(e > 0 for _, e in pairs) and num
+    if (den.factors and all(e > 0 for _, e in den.factors) and num
             and type(num.coeffs[-1]) is int and not any(num.coeffs[:-1])):
-        passes = [m for m, e in pairs for _ in range(e)]
+        passes = [m for m, e in den.factors for _ in range(e)]
         return _packed_multisection(num.coeffs[-1], num.degree, passes,
                                     order, a)
     return _expand_factored(num, den, order)[::a]
@@ -713,7 +705,7 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
         raise ValueError(f"Laurent order must be >= 0, got {order}")
     if f.numerator.is_zero():
         return LaurentExpansion(0, (Fraction(0),) * (order + 1))
-    passes = f.denominator.passes()
+    passes = f.denominator.factors
     scale, num = cleared(f.numerator.coeffs)
     num = FactoredDenominator.from_pairs(
         (m, -e) for m, e in passes if e < 0).times(num)

@@ -6,13 +6,15 @@ adds +, - and * between polynomials (and numbers), so that references
 can be written as plain algebra, independent of those kernels.  A
 `Poly` equals the `QPolynomial` with the same coefficients, and a
 `QPolynomial` operand on either side of an operator is accepted.
+`factored` builds a denominator from (1 - x^m) factors and cyclotomic
+Psi_d, the two kinds the tests draw.
 """
 
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from squot.exact import QPolynomial
+from squot.exact import FactoredDenominator, QPolynomial
 
 
 def _coeffs(x) -> tuple:
@@ -65,3 +67,12 @@ class Poly(QPolynomial):
 
 
 ONE = Poly([1])
+
+
+def factored(pairs, psi=()) -> FactoredDenominator:
+    """prod (1 - x^m)^e over the (m, e) pairs times prod Psi_d^e over
+    the (d, e) in psi, as one list of passes (`from_psi`): 1 - x^m is
+    the product of the Psi_d over the divisors d of m."""
+    return FactoredDenominator.from_psi(
+        [(d, e) for m, e in pairs for d in range(1, m + 1) if m % d == 0]
+        + list(psi))

@@ -15,7 +15,7 @@ import squot.exact
 from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
                           _balanced_lanes, _kernel_coefficient,
                           _kronecker_off_counts, _mirrored,
-                          _off_from_on, _pair_sum_denominator,
+                          _pair_sum_denominator,
                           _paired_off_counts, _takes_kronecker,
                           _weight_clusters,
                           hilbert_equal_weights,
@@ -31,9 +31,10 @@ from squot.exact import (SLACK, FactoredDenominator, QPolynomial,
                          deferred_quotient, laurent_at_one, mul_truncated,
                          peel_common, rational_reconstruct,
                          series_of_rational)
+from squot.cli import _grouped
 from squot.laurent import gamma0_closed, gamma2_closed
 
-from polyring import ONE, Poly
+from polyring import ONE, Poly, factored
 
 
 def reference_oracle_off_counts(weights, order):
@@ -364,9 +365,7 @@ def exact_image(den, a):
 def mirror_of(f, a):
     """(C, eps) of `_averaged_reciprocity` for f averaged over a, over
     the exact image denominator."""
-    return _averaged_reciprocity(cleared(f.numerator.coeffs)[1],
-                                 f.denominator,
-                                 exact_image(f.denominator, a), a)
+    return _averaged_reciprocity(f, exact_image(f.denominator, a), a)
 
 
 class TestNormalize:
@@ -569,6 +568,25 @@ class TestHalfPrefix:
         assert mirror_of(f, 2) == (exact_image(f.denominator, 2).degree, 1)
         assert u_average(f, 2).numerator.is_zero()
 
+    def test_cyclotomic_passes(self):
+        # (1 - x)(1 - x^2) Psi_3 is (1 - x^2)(1 - x^3), which averages
+        # like any product; (1 - x^2) Psi_3 keeps the pass (1 - x)^-1,
+        # which divides: no exact image, and a plain error before any
+        # prefix is expanded
+        f = RationalFunction(ONE, factored([(1, 1), (2, 1)], [(3, 1)]))
+        assert f.denominator == FactoredDenominator.from_pairs([(2, 1),
+                                                                (3, 1)])
+        assert u_average(f, 1) == reference_u_average(f, 1)
+        g = RationalFunction(ONE, factored([(2, 1)], [(3, 1)]))
+        assert g.denominator.factors == ((1, -1), (2, 1), (3, 1))
+        with mock.patch.object(squot.circle, "multisected_prefix") as spy:
+            for run in (lambda: u_average(g, 1), lambda: u_average(g, 2),
+                        lambda: pair_average(g, 2, ((1, 1),))):
+                with pytest.raises(ValueError,
+                                   match=r"pass \(1 - x\^1\)\^-1 divides"):
+                    run()
+        assert not spy.called
+
     def test_mirror_checks_every_overlap_coefficient(self):
         num = [3, -1, 4, 1, 5, 5, 1, 4, -1, 3]  # palindromic, C = 9
         for reach in range(len(num) // 2, len(num) + 3):
@@ -666,8 +684,7 @@ class TestPairAverage:
         f = RationalFunction(QPolynomial.monomial(g.numerator.degree + 1),
                              g.denominator)
         exact = squot.circle._exact_image(f.denominator, a)
-        for run in (lambda: _averaged_reciprocity(
-                        list(f.numerator.coeffs), f.denominator, exact, a),
+        for run in (lambda: _averaged_reciprocity(f, exact, a),
                     lambda: pair_average(f, a, rest)):
             with pytest.raises(ReconstructionMismatch,
                                match=f"{a} does not divide the shift"):
@@ -735,7 +752,9 @@ class TestDistinctWeights:
         on, pieces = reference_hilbert_on_distinct(weights)
         assert result.method == "Generic"
         assert result.on_shell == on
-        assert result.off_shell == _off_from_on(on)
+        assert result.off_shell == RationalFunction(
+            on.numerator, FactoredDenominator.from_pairs(
+                on.denominator.factors + ((2, 1),)))
         assert result.pieces == pieces
 
     def test_lift_multiplies_and_divides(self):
@@ -1135,10 +1154,14 @@ class TestDispatcher:
 
     def test_off_from_on_keeps_psi(self):
         # reduced, the on-shell series of (1,6,10) holds Psi_8, which
-        # the off-shell denominator must keep
+        # the off-shell denominator must keep: (2, 1) is appended to the
+        # passes, whatever their signs
         on = hilbert_series((1, 6, 10)).on_shell.reduce()
-        assert on.denominator.psi == ((8, 1),)
-        off = _off_from_on(on)
+        assert _grouped(on.denominator)[1] == [(8, 1)]
+        assert any(e < 0 for _, e in on.denominator.factors)
+        off = squot.circle._off_from_on(on)
+        exps = on.denominator.psi_exponents().items()
+        assert off.denominator == factored([], [(1, 1), (2, 1), *exps])
         assert list(series_of_rational(off, 40).coefficients) \
             == oracle_off_counts((1, 6, 10), 40)
 
@@ -1147,15 +1170,14 @@ class TestDispatcher:
                                          (1, 1, 2, 4, 6), (1, 1, 4, 5, 6),
                                          (1, 4, 5, 6, 6), (2, 4, 5, 5, 6)])
     def test_degenerate_on_shell_in_lowest_terms(self, weights):
-        # the reduced off-shell denominator holds Psi_2^2 (Psi_2^3 for
-        # (1,1,4,5,6)) in psi and no (1 - x^2): appending (1 - x^2) to
-        # the reduced on-shell series would print another form, and the
-        # Psi_d exponents give the form of the merged on-shell sum over
-        # one more (1 - x^2), reduced on its own
+        # the reduced off-shell denominator prints Psi_2^2 (Psi_2^3 for
+        # (1,1,4,5,6)) as its extra factor and no (1 - x^2); the pass
+        # (2, 1) appended to the reduced on-shell series is the merged
+        # on-shell sum over one more (1 - x^2), reduced on its own
         r = hilbert_series(weights)
-        assert dict(r.off_shell.denominator.factors).get(2) is None
-        assert r.off_shell.denominator.psi \
-            == ((2, 3 if weights == (1, 1, 4, 5, 6) else 2),)
+        pairs, psi = _grouped(r.off_shell.denominator)
+        assert 2 not in dict(pairs)
+        assert psi == [(2, 3 if weights == (1, 1, 4, 5, 6) else 2)]
         assert r.on_shell.reduce() == r.on_shell
         on = hilbert_off_clustered(weights)[0]
         off = RationalFunction(on.numerator, FactoredDenominator.from_pairs(
@@ -1180,9 +1202,9 @@ class TestDispatcher:
         assert on.numerator.degree == 46
         assert on.numerator.coeffs[:6] == (1, 2, 8, 22, 68, 170)
         assert on.numerator.coeffs == on.numerator.coeffs[::-1]
-        assert on.denominator.factors == ((4, 1), (5, 2), (6, 2), (7, 1),
-                                          (8, 1), (9, 1))
-        assert on.denominator.psi == ((2, 2), (4, 1))
+        assert _grouped(on.denominator) == (
+            [(4, 1), (5, 2), (6, 2), (7, 1), (8, 1), (9, 1)],
+            [(2, 2), (4, 1)])
 
     def test_torus_fixture_recovered(self):
         # (1,2,2) reproduces a printed two-torus reduction series

@@ -28,7 +28,7 @@ from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
 from squot.finite import FiniteDiagonalGroup, analyze_group
 from squot.laurent import symplectic_check
 
-from polyring import Poly
+from polyring import Poly, factored
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "squot",
                         "fixtures")
@@ -60,9 +60,8 @@ def payload_to_rational(payload):
     """The rational function of a "series" payload, the inverse of
     `series_payload`."""
     num = QPolynomial(Fraction(str(c)) for c in payload["numerator"])
-    den = FactoredDenominator.from_pairs(
-        ((m, e) for m, e in payload["denominator"]),
-        psi_exponents(payload.get("extraFactor", [1])))
+    den = factored(((m, e) for m, e in payload["denominator"]),
+                   psi_exponents(payload.get("extraFactor", [1])))
     return RationalFunction(num, den)
 
 
@@ -549,7 +548,7 @@ class TestEmitter:
     def test_series_payload_coefficients(self):
         # integer numerators are printed as they are; the extra factor
         # Psi_2 Psi_3 is multiplied out
-        den = FactoredDenominator.from_pairs([(1, 1)], [(2, 1), (3, 1)])
+        den = FactoredDenominator.from_psi([(2, 1), (3, 1)])
         f = RationalFunction(QPolynomial([3, 2, -(10 ** 30)]), den)
         payload = series_payload(f)
         assert payload["numerator"] == [3, 2, -(10 ** 30)]

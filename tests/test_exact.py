@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from squot.circle import hilbert_off_clustered, hilbert_series
-from squot.cli import series_payload
+from squot.cli import _grouped, series_payload
 from squot.errors import ReciprocityMismatch, ReconstructionMismatch
 from squot.finite import FiniteDiagonalGroup, analyze_group, molien_series
 from squot.laurent import symplectic_check
@@ -33,7 +33,7 @@ from squot.exact import (PACKED_MIN_M, FactoredDenominator,
                          rational_reconstruct, resultant_transform,
                          series_of_rational)
 
-from polyring import ONE, Poly
+from polyring import ONE, Poly, factored
 
 Q = Fraction
 
@@ -61,14 +61,22 @@ def dense_psi(pairs):
     return out
 
 
-def expanded_denominator(f):
-    """The denominator of f as one dense polynomial, multiplied out from
-    the binomials and sympy's cyclotomic polynomials."""
-    out = dense_psi(f.denominator.psi)
-    for m, e in f.denominator.factors:
+def dense_denominator(den):
+    """A denominator as one dense polynomial: the binomials of its
+    passes with e > 0 multiplied out, then those with e < 0 divided out
+    by long division."""
+    out = ONE
+    for m, e in den.factors:
         for _ in range(e):
             out = out * binomial_factor(m)
+    for m, e in den.factors:
+        for _ in range(-e):
+            out = Poly(reference_exact_div(out, binomial_factor(m)).coeffs)
     return out
+
+
+def expanded_denominator(f):
+    return dense_denominator(f.denominator)
 
 
 def dense_series_div(num, den, order):
@@ -90,31 +98,16 @@ def same_function(f, g):
 
 
 def reference_expand_factored(num, den, order):
-    """Taylor coefficients 0..order of num/den with the running sums of
-    each (1 - x^m) taken one coefficient at a time."""
-    coeffs = list(num.coeffs[:order + 1])
-    coeffs += [0] * (order + 1 - len(coeffs))
-    for m, e in den.factors:
-        for _ in range(e):
-            for k in range(m, order + 1):
-                coeffs[k] += coeffs[k - m]
-    if den.psi:
-        coeffs = dense_series_div(coeffs, dense_psi(den.psi).coeffs, order)
-    return coeffs
+    """Taylor coefficients 0..order of num/den by long division by the
+    dense denominator."""
+    return dense_series_div(num.coeffs, dense_denominator(den).coeffs, order)
 
 
 def reference_multiply_into(den, coeffs):
-    """coeffs times den, truncated, each (1 - x^m) applied one
-    coefficient at a time from the top."""
-    out = list(coeffs)
-    n = len(out)
-    for m, e in den.factors:
-        for _ in range(e):
-            for k in range(n - 1, m - 1, -1):
-                out[k] -= out[k - m]
-    extra = dense_psi(den.psi).coeffs
-    return [sum(out[k - j] * extra[j] for j in range(min(k + 1, len(extra))))
-            for k in range(n)]
+    """coeffs times the dense denominator, truncated."""
+    dense = dense_denominator(den).coeffs
+    return [sum(coeffs[k - j] * c for j, c in enumerate(dense[:k + 1]))
+            for k in range(len(coeffs))]
 
 
 def reference_laurent_at_one(f, order):
@@ -161,7 +154,7 @@ def reference_u_laurent(f, order):
         if first:
             break
     terms = chain((first,), terms)
-    passes = f.denominator.passes()
+    passes = f.denominator.factors
     pole = sum(e for _, e in passes) - val
     length = max(0, order + 1 + min(pole, 0))
     gammas = []
@@ -284,7 +277,8 @@ def reference_payload(f):
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 nonzero_polys = st.lists(small_fractions, min_size=1, max_size=6).filter(any)
-#: Psi_d exponents of an extra factor: sorted (d, e) pairs, d >= 2.
+#: Psi_d exponents of an extra factor: (d, e) pairs, d >= 2, entering
+#: the passes through `from_psi` (`factored`).
 psi_parts = st.lists(st.tuples(st.integers(2, 30), st.integers(1, 2)),
                      max_size=2)
 
@@ -307,7 +301,7 @@ def laurent_inputs(draw):
         num = num * one_minus_x
     pairs = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 2)),
                           max_size=3))
-    den = FactoredDenominator.from_pairs(pairs, draw(psi_parts))
+    den = factored(pairs, draw(psi_parts))
     return RationalFunction(num, den), draw(st.integers(0, 120))
 
 
@@ -331,7 +325,7 @@ def reducible_inputs(draw):
     assume(not num.is_zero())
     for d in planted:
         num = num * psi(d)
-    return RationalFunction(num, FactoredDenominator.from_pairs(pairs, extra))
+    return RationalFunction(num, factored(pairs, extra))
 
 
 @st.composite
@@ -344,7 +338,7 @@ def stride_inputs(draw):
                            max_size=30))
     pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
                           max_size=4))
-    den = FactoredDenominator.from_pairs(pairs, draw(psi_parts))
+    den = factored(pairs, draw(psi_parts))
     return coeffs, den, draw(st.integers(0, 45))
 
 
@@ -357,7 +351,7 @@ def monomial_inputs(draw):
     v = draw(st.integers(0, 40))
     pairs = draw(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 3)),
                           max_size=4))
-    den = FactoredDenominator.from_pairs(pairs, draw(psi_parts))
+    den = factored(pairs, draw(psi_parts))
     order = draw(st.one_of(st.just(v), st.integers(0, 45)))
     return QPolynomial.monomial(v, c), den, order
 
@@ -457,8 +451,7 @@ class TestSeries:
     def test_two_factor_matches_division(self):
         for psi_part in ((), ((4, 1), (6, 2))):
             f = RationalFunction(QPolynomial([1, 5]),
-                                 FactoredDenominator.from_pairs(
-                                     [(2, 1), (3, 2)], psi_part))
+                                 factored([(2, 1), (3, 2)], psi_part))
             assert list(series_of_rational(f, 40).coefficients) \
                 == dense_series_div(f.numerator.coeffs,
                                     expanded_denominator(f).coeffs, 40)
@@ -605,7 +598,7 @@ class TestPackedMultisection:
     @pytest.mark.parametrize("num,other", [([1], ((6, 1),)),
                                            ([0, Q(-2, 3)], ())])
     def test_extra_factor_and_fraction_stay_on_the_list(self, num, other):
-        den = FactoredDenominator.from_pairs([(1, 1), (300, 1)], other)
+        den = factored([(1, 1), (300, 1)], other)
         f = RationalFunction(QPolynomial(num), den)
         with mock.patch.object(squot.exact, "_packed_multisection") as spy:
             got = multisected_prefix(f, 2, 4096)
@@ -704,7 +697,7 @@ class TestLaurent:
     def test_sweep_sample_at_order_119(self, weights):
         f = hilbert_series(weights).on_shell
         if weights == (7, 8, 8, 8):
-            assert f.denominator.psi  # an extraFactor
+            assert _grouped(f.denominator)[1]  # an extraFactor
         got = laurent_at_one(f, 119)
         want = reference_laurent_at_one(f, 119)
         assert got.pole_order == want.pole_order
@@ -778,8 +771,7 @@ def integer_inputs(draw):
                           max_size=4))
     num = [0] * draw(st.integers(0, 3)) + coeffs
     return RationalFunction(QPolynomial(num),
-                            FactoredDenominator.from_pairs(pairs,
-                                                           draw(psi_parts)))
+                            factored(pairs, draw(psi_parts)))
 
 
 @st.composite
@@ -788,7 +780,7 @@ def low_pole_inputs(draw):
     or more: pole order zero or negative."""
     f = draw(integer_inputs())
     num = f.numerator
-    poles = sum(e for _, e in f.denominator.passes())
+    poles = sum(e for _, e in f.denominator.factors)
     for _ in range(poles + draw(st.integers(0, 4))):
         num = num * Poly([1, -1])
     return RationalFunction(QPolynomial(num.coeffs), f.denominator)
@@ -850,7 +842,7 @@ class TestLaurentInW:
     @pytest.mark.parametrize("order", [0, 1, 2, 7, 40])
     def test_parity_branches(self, num, pairs, psi, odd, order):
         f = RationalFunction(QPolynomial(num),
-                             FactoredDenominator.from_pairs(pairs, psi))
+                             factored(pairs, psi))
         got, seen = in_w_calls(f, order)
         assert got == reference_laurent_at_one(f, order)
         assert got == reference_u_laurent(f, order)
@@ -865,7 +857,7 @@ class TestLaurentInW:
         # a Psi_d of these on-shell series leaves a pass (m, e) with
         # m > 1 and e < 0, a (1 - x^m) that multiplies the numerator
         f = hilbert_series(weights, oracle_degree=0).on_shell
-        assert any(m > 1 > e for m, e in f.denominator.passes())
+        assert any(m > 1 > e for m, e in f.denominator.factors)
         assert laurent_at_one(f, order) == reference_u_laurent(f, order)
 
     def test_negative_pole_leaves_no_terms(self):
@@ -918,7 +910,7 @@ class TestReduce:
         import sympy
         assert _psi_passes(1) == ((1, 1),)
         for d in range(2, 201):
-            den = FactoredDenominator((), ((d, 1),))
+            den = FactoredDenominator.from_psi([(d, 1)])
             assert den.expand() == psi(d), d
             assert den.degree == sympy.totient(d), d
 
@@ -931,11 +923,14 @@ class TestReduce:
             [(1, 1), (3, 1)])
 
     def test_leftover_goes_to_extra_factor(self):
-        # (1 - x) / (2 (1 - x^2)) = (1/2) / (1 + x): no (1 - x^m) left
+        # (1 - x) / (2 (1 - x^2)) = (1/2) / (1 + x): no (1 - x^m) left,
+        # Psi_2 = (1 - x^2) / (1 - x) printed as the extra factor
         f = geometric([(2, 1)], num=(Q(1, 2), Q(-1, 2)))
         got = f.reduce()
         assert got.numerator == QPolynomial([Q(1, 2)])
-        assert got.denominator == FactoredDenominator((), ((2, 1),))
+        assert got.denominator.factors == ((1, -1), (2, 1))
+        assert got.denominator == FactoredDenominator.from_psi([(2, 1)])
+        assert series_payload(got)["extraFactor"] == [1, 1]
 
     def test_zero_numerator(self):
         got = geometric([(3, 2)], num=()).reduce()
@@ -948,9 +943,10 @@ class TestReduce:
         got = f.reduce()
         num, den = reference_reduce(f)
         pairs, leftover = reference_regroup(den)
+        grouped, psi = _grouped(got.denominator)
         assert got.numerator == num
-        assert got.denominator.factors == pairs
-        assert dense_psi(got.denominator.psi) == leftover
+        assert tuple(grouped) == pairs
+        assert dense_psi(psi) == leftover
         assert got.denominator.expand() == expanded_denominator(got)
         assert same_function(got, f)
 
@@ -994,18 +990,15 @@ class TestReciprocity:
     def test_extra_factor(self):
         # 1 / (1 - x)^2 (1 + x)^2 = x^4 f at 1/x; 1 / (1 - x)(1 + x)
         # has the sign -1
-        f = RationalFunction(ONE, FactoredDenominator.from_pairs([(1, 2)],
-                                                                 [(2, 2)]))
+        f = RationalFunction(ONE, factored([(1, 2)], [(2, 2)]))
         check_reciprocity(f, 4, "f")
-        g = RationalFunction(ONE, FactoredDenominator.from_pairs([(1, 1)],
-                                                                 [(2, 1)]))
+        g = RationalFunction(ONE, factored([(1, 1)], [(2, 1)]))
         with pytest.raises(ReciprocityMismatch):
             check_reciprocity(g, 2, "g")
         # (1 + 3x + x^2) over (1 - x^2) Psi_3: odd E, palindromic
         # numerator, so no shift holds
         h = RationalFunction(QPolynomial([1, 3, 1]),
-                             FactoredDenominator.from_pairs([(2, 1)],
-                                                            [(3, 1)]))
+                             factored([(2, 1)], [(3, 1)]))
         for shift in range(-2, 8):
             with pytest.raises(ReciprocityMismatch):
                 check_reciprocity(h, shift, "h")
@@ -1013,15 +1006,13 @@ class TestReciprocity:
     def test_extra_factor_enters_the_check(self):
         # 1 / (1 - x)^2 Psi_3: f(1/x) = x^4 f(x), the degree 2 of Psi_3
         # counted beside the 2 of the binomials
-        f = RationalFunction(ONE, FactoredDenominator.from_pairs([(1, 2)],
-                                                                 [(3, 1)]))
+        f = RationalFunction(ONE, factored([(1, 2)], [(3, 1)]))
         check_reciprocity(f, 4, "f")
         with pytest.raises(ReciprocityMismatch):
             check_reciprocity(f, 2, "f")
         # a numerator not palindromic over Psi_5 Psi_12^2
         g = RationalFunction(QPolynomial([1, 2]),
-                             FactoredDenominator.from_pairs(
-                                 [(1, 2)], [(5, 1), (12, 2)]))
+                             factored([(1, 2)], [(5, 1), (12, 2)]))
         for shift in range(14):
             with pytest.raises(ReciprocityMismatch):
                 check_reciprocity(g, shift, "g")
@@ -1043,24 +1034,55 @@ class TestFactoredDenominator:
     @settings(max_examples=100, deadline=None)
     def test_regrouping_keeps_a_pure_product(self, pairs):
         # the largest m's Psi_m carries exactly its factor's exponent, so
-        # greedy regrouping of the Psi_d exponents gives the product back
+        # the print-time grouping gives the product back, with no Psi_d
+        # left over: the greedy trial division of the dense product
         den = FactoredDenominator.from_pairs(pairs)
-        assert FactoredDenominator.regrouped(den.psi_exponents()) == den
+        assert _grouped(den) == (list(den.factors), [])
+        assert reference_regroup(dense_denominator(den)) \
+            == (den.factors, ONE)
+
+    @given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 3)),
+                    max_size=4), psi_parts)
+    @settings(max_examples=100, deadline=None)
+    def test_grouping_multiplies_back(self, pairs, psi):
+        # the grouped factors and the Psi_d left over are the same
+        # passes, and the leftovers are Psi_d with d >= 2
+        den = factored(pairs, psi)
+        grouped, left = _grouped(den)
+        assert factored(grouped, left) == den
+        assert all(e > 0 for _, e in grouped)
+        assert all(d >= 2 and e > 0 for d, e in left)
+
+    @given(st.lists(st.tuples(st.integers(1, 30), st.integers(1, 3)),
+                    max_size=4), psi_parts,
+           st.lists(st.integers(1, 30), max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_equal_polynomials_equal_denominators(self, pairs, psi, ms):
+        # the same product grouped another way, some Psi_d into
+        # (1 - x^m) factors for the drawn m and the rest left as Psi_d,
+        # gives the same passes
+        den = factored(pairs, psi)
+        exps, other = den.psi_exponents(), []
+        for m in ms:
+            divisors = [d for d in range(1, m + 1) if m % d == 0]
+            if k := min(exps.get(d, 0) for d in divisors):
+                other.append((m, k))
+                for d in divisors:
+                    exps[d] -= k
+        again = factored(other, [(d, e) for d, e in exps.items() if e])
+        assert dense_denominator(again) == dense_denominator(den)
+        assert again == den
 
     def test_psi_exponents(self):
         # (1 - x^4)^2 (1 - x^6) Psi_3 = Psi_1^3 Psi_2^3 Psi_4^2 Psi_3^2 Psi_6
-        den = FactoredDenominator.from_pairs([(4, 2), (6, 1)], [(3, 1)])
+        den = factored([(4, 2), (6, 1)], [(3, 1)])
+        assert den.factors == ((1, -1), (3, 1), (4, 2), (6, 1))
         assert den.psi_exponents() == {1: 3, 2: 3, 3: 2, 4: 2, 6: 1}
-        assert FactoredDenominator.regrouped(den.psi_exponents()) \
-            == FactoredDenominator.from_pairs([(4, 2), (6, 1)], [(3, 1)])
+        assert _grouped(den) == ([(4, 2), (6, 1)], [(3, 1)])
 
     def test_invalid_pairs(self):
         with pytest.raises(ValueError):
             FactoredDenominator.from_pairs([(0, 1)])
-        with pytest.raises(ValueError):  # Psi_1 = 1 - x is a factor
-            FactoredDenominator.from_pairs([], [(1, 1)])
-        with pytest.raises(ValueError):
-            FactoredDenominator.from_pairs([], [(3, 0)])
 
 
 class TestRecords:
