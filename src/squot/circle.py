@@ -35,6 +35,15 @@ obey the mirror on every coefficient (`pair_average`).  Every
 dispatcher result is checked on every coefficient against the
 reciprocity H(1/x) = x^(2n-2) H(x) of the on-shell series, and
 against a brute-force monomial count, before it is returned.
+
+The count (`oracle_off_counts`) runs one of three exact methods, the
+one of least a priori work bound (`_oracle_method`): Kronecker
+substitution over packed lanes, the pruned pairing of degree layers,
+or, for n >= 2, the kernel count.  (alpha, beta) -> (alpha - beta,
+min(alpha, beta)) maps the invariant monomials z^alpha zbar^beta one
+to one onto the kernel vectors delta . a = 0 paired with free
+exponents, so H_off = theta / (1 - x^2)^n, theta counting ker(a) by
+L1 norm; large weights have few short kernel vectors.
 """
 
 from __future__ import annotations
@@ -47,19 +56,27 @@ from typing import NamedTuple, Sequence, Tuple
 from .errors import OracleMismatch, ReconstructionMismatch, ZeroWeight
 from .exact import (SLACK, FactoredDenominator, QPolynomial,
                     RationalFunction, _divide_binomial, _mirrored, _netted,
-                    _repunit, _strip, check_reciprocity, deferred_quotient,
-                    mul_truncated, multisected_prefix, peel_common,
-                    reciprocity, series_of_rational)
+                    _repunit, _strip, _times_binomial, check_reciprocity,
+                    deferred_quotient, mul_truncated, multisected_prefix,
+                    peel_common, reciprocity, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
 
 #: Words of packed int that Kronecker substitution adds in the time the
-#: pairing of layers spends on one dict entry, for `_takes_kronecker`.
+#: pairing of layers spends on one dict entry, for `_oracle_method`.
 #: Measured: on the inputs of the three circle benchmark tables at
 #: degree 30, and on 400 random ones up to n = 7 and degree 480, the
 #: methods it picks take at most 1.6% longer in all than the faster
 #: method of each input.
 KRONECKER_WORDS_PER_ENTRY = 24
+
+#: Steps of the kernel count (building or visiting a point of its ball,
+#: or trying one x) in the time the pairing of layers spends on one dict
+#: entry, for `_oracle_method`.  Measured: on the n = 2 and 3 inputs of
+#: the three circle benchmark tables at degree 30 the methods it picks
+#: take at most 1.1% longer in all than the fastest method of each
+#: input, and 3.3% on 300 random inputs up to n = 6 and degree 480.
+KERNEL_STEPS_PER_ENTRY = 1.5
 
 
 def normalize_weights(weights: Sequence[int]) -> Tuple[int, ...]:
@@ -415,14 +432,20 @@ def hilbert_off_clustered(weights: Sequence[int]):
             avg = pair_average(g, a, rest)
         else:
             avg = u_average(g, a)
-        d = s // a
-        if any(c % d for c in avg.numerator.coeffs):
-            raise ReconstructionMismatch(
-                f"weight {a}: averaged residue numerator is not divisible "
-                f"by {d}")
-        pieces.append(RationalFunction(
-            QPolynomial(c // d for c in avg.numerator.coeffs),
-            avg.denominator))
+        d = s // a  # +-1 for p = 1
+        if d == -1:
+            avg = RationalFunction(
+                QPolynomial([-c for c in avg.numerator.coeffs]),
+                avg.denominator)
+        elif d != 1:
+            if any(c % d for c in avg.numerator.coeffs):
+                raise ReconstructionMismatch(
+                    f"weight {a}: averaged residue numerator is not "
+                    f"divisible by {d}")
+            avg = RationalFunction(
+                QPolynomial(c // d for c in avg.numerator.coeffs),
+                avg.denominator)
+        pieces.append(avg)
     merged: dict = {}
     for g in pieces:
         for m, e in g.denominator.factors:
@@ -563,27 +586,87 @@ def _paired_off_counts(weights: Sequence[int], order: int) -> list:
     return counts
 
 
-def _takes_kronecker(weights: Sequence[int], order: int) -> bool:
-    """Whether `oracle_off_counts` runs Kronecker substitution on these
-    sorted positive weights, from a priori bounds on the work of each
-    method.
+def _kernel_off_counts(weights: Sequence[int], order: int) -> list:
+    """Invariant monomial counts, degrees 0..order, from the kernel
+    vectors of n >= 2 sorted positive weights.
+
+    z^alpha zbar^beta is invariant iff delta = alpha - beta lies in
+    ker(a) = {delta in Z^n : delta . a = 0}, and (alpha, beta) ->
+    (delta, min(alpha, beta)), the minimum taken entrywise, is a
+    bijection from the pairs onto ker(a) x N^n, with
+    |alpha| + |beta| = |delta|_1 + 2 |min(alpha, beta)|.  So
+    H_off(x) = theta(x) / (1 - x^2)^n, theta counting ker(a) by L1 norm.
+
+    The first n - 2 coordinates of delta, the smallest weights, run
+    over the L1 ball of radius order, cut to the points (s, r), s their
+    weighted sum and r their norm, with |s| <= c (order - r): the last
+    two, of weights b <= c, add at most c per unit of norm.  Those two
+    solve b x + c y = -s: with g = gcd(b, c), g | s, x is one residue
+    modulo c / g, and y = -(s + b x) / c exactly, for each x with
+    |x| <= order - r.
+    """
+    *outer, b, c = weights
+    g = math.gcd(b, c)
+    mod = c // g
+    inverse = pow(b // g, -1, mod)
+    points = [(0, 0)]
+    for a in outer:
+        points = [(s + a * d, r + abs(d)) for s, r in points
+                  for d in range(r - order, order - r + 1)
+                  if abs(s + a * d) <= c * (order - r - abs(d))]
+    theta = [0] * (order + 1)
+    for s, r in points:
+        if s % g:
+            continue
+        left = order - r
+        first = -(s // g) * inverse % mod  # the residue of x
+        for x in range(first - (first + left) // mod * mod, left + 1, mod):
+            norm = r + abs(x) + abs((s + b * x) // c)
+            if norm <= order:
+                theta[norm] += 1
+    _times_binomial(theta, 2, -len(weights))
+    return theta
+
+
+def _oracle_method(weights: Sequence[int], order: int):
+    """The counting method `oracle_off_counts` runs on these sorted
+    positive weights: the least of a priori bounds on the work of each,
+    in the pairing's dict entries, Kronecker substitution on a tie.
 
     Kronecker substitution adds about n * width * (hi * order^2 +
     (hi - lo) * depth^2) / 2 bits of packed ints, depth being
-    hi * order // (lo + hi).  The pairing builds layers d <= depth of
-    at most min(C(d + n - 1, n - 1), (hi - lo) * d + 1) entries each,
-    once per weight, and looks up each entry of layer d once for each
-    degree k it is paired at: 2d <= k <= order with lo * k <=
-    (lo + hi) * d.
+    hi * order // (lo + hi); KRONECKER_WORDS_PER_ENTRY of its 64-bit
+    words cost one entry.  The kernel count, for n >= 2, builds each
+    point of the (n - 2)-dimensional L1 ball of radius order,
+    sum_k 2^k C(n - 2, k) C(order, k) of them, and visits it: two
+    steps; at the points whose sum g = gcd(a_(n-1), hi) divides, about
+    one in g, it tries at most 1 + 2 order // (hi / g) values of x, a
+    step each; KERNEL_STEPS_PER_ENTRY of those steps cost one entry.  The pairing builds layers d <= depth of at
+    most min(C(d + n - 1, n - 1), (hi - lo) * d + 1) entries each, once
+    per weight, and looks up each entry of layer d once for each degree
+    k it is paired at: 2d <= k <= order with lo * k <= (lo + hi) * d.
+    Its sum over d stops as soon as it reaches the least of the others.
     """
     n, lo, hi = len(weights), weights[0], weights[-1]
     width = math.comb(order + 2 * n - 1, 2 * n - 1).bit_length()
     depth = hi * order // (lo + hi)
     words = n * width * (hi * order ** 2 + (hi - lo) * depth ** 2) // 128
-    entries = sum(min(math.comb(d + n - 1, n - 1), (hi - lo) * d + 1)
-                  * (n + max(0, min(order - 2 * d, (hi - lo) * d // lo) + 1))
-                  for d in range(depth + 1))
-    return words <= KRONECKER_WORDS_PER_ENTRY * entries
+    cost, method = words / KRONECKER_WORDS_PER_ENTRY, _kronecker_off_counts
+    if n >= 2:
+        ball = sum(2 ** k * math.comb(n - 2, k) * math.comb(order, k)
+                   for k in range(n - 1))
+        g = math.gcd(weights[-2], hi)
+        steps = ball * (2 + (1 + 2 * order // (hi // g)) / g)
+        if steps / KERNEL_STEPS_PER_ENTRY < cost:
+            cost, method = steps / KERNEL_STEPS_PER_ENTRY, _kernel_off_counts
+    entries, layer, spread = 0, 1, hi - lo  # layer: C(d + n - 1, n - 1)
+    for d in range(depth + 1):
+        entries += min(layer, spread * d + 1) \
+            * (n + max(0, min(order - 2 * d, spread * d // lo) + 1))
+        if entries >= cost:  # the pairing's bound only grows
+            return method
+        layer = layer * (d + n) // (d + 1)
+    return _paired_off_counts
 
 
 def oracle_off_counts(weights: Sequence[int], order: int) -> list:
@@ -592,15 +675,17 @@ def oracle_off_counts(weights: Sequence[int], order: int) -> list:
     The count at degree k is the number of monomials z^alpha zbar^beta
     with |alpha| + |beta| = k and sum alpha_i a_i = sum beta_i a_i; it
     only depends on the normal form of the weights (`normalize_weights`,
-    which rejects a zero weight).  Dense weight ranges run Kronecker
-    substitution, sparse ones the pruned pairing of layers; both are
-    exact, and `_takes_kronecker` chooses from bounds on the work of
-    each.
+    which rejects a zero weight).  Three exact methods count them:
+    Kronecker substitution (`_kronecker_off_counts`), best on dense
+    weight ranges; the pruned pairing of layers (`_paired_off_counts`),
+    best on tight clusters of several weights at a high degree; and, for
+    n >= 2, the L1 theta series of ker(a) over (1 - x^2)^n
+    (`_kernel_off_counts`, whose docstring gives the bijection), best on
+    large weights, whose short kernel vectors are few.
+    `_oracle_method` takes the one of least a priori work bound.
     """
     weights = normalize_weights(weights)
-    if _takes_kronecker(weights, order):
-        return _kronecker_off_counts(weights, order)
-    return _paired_off_counts(weights, order)
+    return _oracle_method(weights, order)(weights, order)
 
 
 def verify_against_oracle(weights: Sequence[int], off: RationalFunction,

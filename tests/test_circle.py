@@ -14,9 +14,9 @@ import squot.circle
 import squot.exact
 from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
                           _balanced_lanes, _kernel_coefficient,
-                          _kronecker_off_counts, _mirrored,
-                          _pair_sum_denominator,
-                          _paired_off_counts, _takes_kronecker,
+                          _kernel_off_counts, _kronecker_off_counts,
+                          _mirrored, _oracle_method, _pair_sum_denominator,
+                          _paired_off_counts,
                           _weight_clusters,
                           hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
@@ -982,7 +982,12 @@ class TestOracle:
         assert oracle_off_counts(weights, order) \
             == reference_oracle_off_counts(weights, order)
 
-    METHODS = [_kronecker_off_counts, _paired_off_counts]
+    METHODS = [_kronecker_off_counts, _paired_off_counts, _kernel_off_counts]
+
+    @staticmethod
+    def skip_one_weight(method, weights):
+        if method is _kernel_off_counts and len(weights) == 1:
+            pytest.skip("the kernel count solves for two weights, n >= 2")
 
     @pytest.mark.parametrize("method", METHODS)
     @given(weights=st.lists(st.integers(1, 60), min_size=1, max_size=5),
@@ -990,6 +995,7 @@ class TestOracle:
     @settings(max_examples=60, deadline=None)
     def test_method_matches_dense_reference(self, method, weights, order):
         # each method alone, whichever side of the selection rule
+        assume(method is not _kernel_off_counts or len(weights) > 1)
         weights = sorted(weights)
         assert method(weights, order) \
             == reference_oracle_off_counts(weights, order)
@@ -1000,8 +1006,13 @@ class TestOracle:
         # max >> min: the pairing prunes little, the lanes are many
         ((1, 250), 12), ((2, 3, 240), 10), ((1, 1, 97), 15),
         # a tight cluster: the pairing prunes half the layers
-        ((191, 192, 193), 30), ((60, 60, 61, 62), 20)])
+        ((191, 192, 193), 30), ((60, 60, 61, 62), 20),
+        # the kernel count: the two largest weights share a factor, so
+        # the last sum must be a multiple of it; equal largest weights
+        # (modulus 1); five weights, a three-dimensional ball
+        ((3, 4, 6), 30), ((5, 7, 7), 30), ((2, 3, 5, 7, 60), 12)])
     def test_method_edge_cases(self, method, weights, order):
+        self.skip_one_weight(method, weights)
         assert method(list(weights), order) \
             == reference_oracle_off_counts(weights, order)
 
@@ -1010,27 +1021,53 @@ class TestOracle:
     def test_method_equal_weights_order_60(self, method, n):
         # C(n+d-1, d)^2 at degree 2d; at n = 8, degree 60 that is
         # C(37, 30)^2, 47 bits, in Kronecker lanes of 52 bits
+        self.skip_one_weight(method, [1] * n)
+        if method is _kernel_off_counts and n > 5:
+            # every point of the (n - 2)-ball of radius 60 is a kernel
+            # vector's head: 8.9 million at n = 6
+            pytest.skip("the kernel count enumerates the 4-ball and up")
         assert method([1] * n, 60) \
             == off_shell_equal_weights(n, 60)
 
-    @pytest.mark.parametrize("weights,order,kronecker", [
-        ((1, 2, 3), 30, True),  # 1633 words against 3635 entries
-        ((13, 14, 15), 120, True),
-        ((1, 1, 1, 1, 1, 1, 2), 60, True),
-        ((191, 192, 193), 30, False),  # 77551 words against 1024 entries
-        ((150, 151), 30, False),
-        # a cluster at a high degree: the pruned pairing takes about a
-        # seventh of the time of Kronecker substitution
-        ((191, 192, 193), 575, False)])
-    def test_selection_rule(self, weights, order, kronecker):
-        assert _takes_kronecker(list(weights), order) is kronecker
+    def test_kernel_count_at_full_certificate_degree(self):
+        # the degree through which oracle agreement certifies every
+        # coefficient of the (191,192,193) numerator, of degree 1150
+        assert _kernel_off_counts([191, 192, 193], 575) \
+            == _paired_off_counts([191, 192, 193], 575)
+
+    @pytest.mark.parametrize("weights,order,method", [
+        ((1, 2, 3), 30, "kronecker"),
+        ((13, 14, 15), 120, "kernel"),
+        ((1, 1, 1, 1, 1, 1, 2), 60, "kronecker"),
+        ((191, 192, 193), 30, "kernel"),
+        ((150, 151), 30, "kernel"),
+        # a cluster at a high degree: the kernel count takes about a
+        # fortieth of the time of the pruned pairing, and that about a
+        # sixth of the time of Kronecker substitution
+        ((191, 192, 193), 575, "kernel"),
+        # small dense weights at a high degree: few lanes, and many
+        # short kernel vectors
+        ((1, 2, 3), 200, "kronecker"),
+        # a cluster of four at a high degree: a two-dimensional ball
+        ((100, 101, 102, 103), 600, "pairing"),
+        # the largest weights share the factor 37, and so must the last
+        # sum: a thirty-seventh of the ball's points
+        ((36, 37, 74), 30, "kernel")])
+    def test_selection_rule(self, weights, order, method):
+        methods = {"kronecker": _kronecker_off_counts,
+                   "pairing": _paired_off_counts,
+                   "kernel": _kernel_off_counts}
+        assert _oracle_method(weights, order) is methods[method]
         with mock.patch("squot.circle._kronecker_off_counts",
                         wraps=_kronecker_off_counts) as kron, \
                 mock.patch("squot.circle._paired_off_counts",
-                           wraps=_paired_off_counts) as pair:
+                           wraps=_paired_off_counts) as pair, \
+                mock.patch("squot.circle._kernel_off_counts",
+                           wraps=_kernel_off_counts) as kernel:
             counts = oracle_off_counts(weights, order)
-        assert (kron.call_count, pair.call_count) \
-            == ((1, 0) if kronecker else (0, 1))
+        calls = {"kronecker": kron.call_count, "pairing": pair.call_count,
+                 "kernel": kernel.call_count}
+        assert calls == {name: int(name == method) for name in methods}
         if order <= 30:
             assert counts == reference_oracle_off_counts(weights, order)
 
@@ -1048,13 +1085,23 @@ class TestOracle:
             verify_against_oracle((1, 1), wrong, 10)
 
     def test_kronecker_path_catches_wrong_series(self):
-        assert _takes_kronecker([1, 2, 3], 30)
+        assert _oracle_method((1, 2, 3), 30) is _kronecker_off_counts
         off = hilbert_series((1, 2, 3)).off_shell
         verify_against_oracle((1, 2, 3), off, 30)
         wrong = RationalFunction(off.numerator + Poly.monomial(7),
                                  off.denominator)
         with pytest.raises(OracleMismatch, match="degree 7 coefficient"):
             verify_against_oracle((1, 2, 3), wrong, 30)
+
+    def test_kernel_path_catches_wrong_series(self):
+        weights = (101, 108, 115)
+        assert _oracle_method(weights, 30) is _kernel_off_counts
+        off = hilbert_series(weights).off_shell
+        verify_against_oracle(weights, off, 30)
+        wrong = RationalFunction(off.numerator + Poly.monomial(23),
+                                 off.denominator)
+        with pytest.raises(OracleMismatch, match="degree 23 coefficient"):
+            verify_against_oracle(weights, wrong, 30)
 
     @pytest.mark.parametrize("weights",
                              sorted(set(normalize_weights(w)
