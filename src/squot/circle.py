@@ -641,10 +641,11 @@ def _oracle_method(weights: Sequence[int], order: int):
     sum_k 2^k C(n - 2, k) C(order, k) of them, and visits it: two
     steps; at the points whose sum g = gcd(a_(n-1), hi) divides, about
     one in g, it tries at most 1 + 2 order // (hi / g) values of x, a
-    step each; KERNEL_STEPS_PER_ENTRY of those steps cost one entry.  The pairing builds layers d <= depth of at
-    most min(C(d + n - 1, n - 1), (hi - lo) * d + 1) entries each, once
-    per weight, and looks up each entry of layer d once for each degree
-    k it is paired at: 2d <= k <= order with lo * k <= (lo + hi) * d.
+    step each; KERNEL_STEPS_PER_ENTRY of those steps cost one entry.
+    The pairing builds layers d <= depth of at most
+    min(C(d + n - 1, n - 1), (hi - lo) * d + 1) entries each, once per
+    weight, and looks up each entry of layer d once for each degree k it
+    is paired at: 2d <= k <= order with lo * k <= (lo + hi) * d.
     Its sum over d stops as soon as it reaches the least of the others.
     """
     n, lo, hi = len(weights), weights[0], weights[-1]
