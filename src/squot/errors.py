@@ -49,10 +49,6 @@ class InsufficientCoefficients(SquotError):
     """A Laurent expansion is too short for the requested constraint order."""
 
 
-class PrimitiveCoverFailure(SquotError):
-    """The chosen primitive pseudoreflections do not cover the reflections."""
-
-
 class TheoremInconsistency(SquotError):
     """The two closed-form routes to a finite-group coefficient disagree."""
 

@@ -285,6 +285,32 @@ class TestReflectionAnalysis:
         assert data.primitive_orders == ()
         assert data.reflection_count == 0
 
+    @given(generator_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_census_matches_brute_force(self, case):
+        # pseudoreflections by axis from an independent closure: each
+        # moved axis, in order, holds |K_i| - 1 of them, and |K_i| is the
+        # largest order among them
+        _, gens = case
+        group = FiniteDiagonalGroup.from_generators(gens)
+        mod = group.exponent
+        vectors = [tuple(x * (mod // m) % mod for x in e) for m, e in gens]
+        by_axis, two = {}, 0
+        for g in bfs_closure(vectors, mod):
+            moved = [i for i, x in enumerate(g) if x]
+            if len(moved) == 1:
+                by_axis.setdefault(moved[0], []).append(g)
+            two += len(moved) == 2
+        axes = sorted(by_axis)
+        data = reflection_analysis(group)
+        assert data.primitive_orders \
+            == tuple(len(by_axis[i]) + 1 for i in axes)
+        assert data.primitive_orders \
+            == tuple(max(element_order(g, mod) for g in by_axis[i])
+                     for i in axes)
+        assert data.reflection_count == sum(map(len, by_axis.values()))
+        assert data.two_coordinate_count == two
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("m", range(1, 21))
