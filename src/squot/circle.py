@@ -160,9 +160,10 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     with e < 0, as a cyclotomic factor left by `reduce` has, raises
     ValueError before any prefix is expanded (`_exact_image`).
 
-    The multisected prefix comes from `multisected_prefix`.  For the
-    generic pieces +-x^v / prod (1-x^m), it runs over packed integer
-    rows: lanes of a fixed width, wide enough for a bound on the
+    The multisected prefix comes from `multisected_prefix`.  For a
+    p = 1 piece +-x^v / prod (1-x^m) beside three or more other weights
+    (`pair_average` takes those beside fewer), it runs over packed
+    integer rows: lanes of a fixed width, wide enough for a bound on the
     coefficients (each counts the solutions of sum j_i m_i = n - v, so
     it is at most |c| * (n // lcm(m_p, m_q) + 1) * prod (n // m_i + 1)
     over the factors other than any two p, q), so that the lanes, all

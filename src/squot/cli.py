@@ -69,6 +69,13 @@ def laurent_payload(expansion) -> dict:
     }
 
 
+def symplectic_payload(report, **pole) -> dict:
+    """An S_1..S_R report's fields; `pole` (poleOrder=...) goes second."""
+    return {"maxOrder": report.max_order, **pole,
+            "residuals": [str(s) for s in report.residuals],
+            "violations": list(report.violations), "passed": report.passed}
+
+
 def _parse_weights(text: str):
     """The weights, at most sys.maxsize once divided by their gcd."""
     try:
@@ -272,13 +279,7 @@ def cmd_symplectic(args) -> int:
     request, f = _series_source(args)
     expansion = laurent_at_one(f, 2 * args.order - 1)
     report = symplectic_check(expansion, args.order)
-    payload = {
-        "maxOrder": report.max_order,
-        "poleOrder": expansion.pole_order,
-        "residuals": [str(s) for s in report.residuals],
-        "violations": list(report.violations),
-        "passed": report.passed,
-    }
+    payload = symplectic_payload(report, poleOrder=expansion.pole_order)
     request["order"] = args.order
     return _emit(_document("symplectic", request, payload))
 
@@ -300,21 +301,13 @@ def cmd_finite(args) -> int:
         "pseudoreflectionCount": result.reflections.reflection_count,
         "twoCoordinateCount": result.reflections.two_coordinate_count,
         "qContribution": str(result.q_contribution),
-        "identityGamma3_2Gamma4_Gamma5": "0",
     }
     if args.order:
-        # S_1..S_R read gamma_0..gamma_(2R-1); analyze_group already
-        # expanded through gamma_5
-        length = 2 * args.order
-        expansion = (result.laurent if length <= 6 else
-                     laurent_at_one(result.series, length - 1))
-        report = symplectic_check(expansion, args.order)
-        payload["symplectic"] = {
-            "maxOrder": report.max_order,
-            "residuals": [str(s) for s in report.residuals],
-            "violations": list(report.violations),
-            "passed": report.passed,
-        }
+        # S_1..S_R read gamma_0..gamma_(2R-1); result.laurent holds 0..5
+        expansion = (result.laurent if args.order <= 3 else
+                     laurent_at_one(result.series, 2 * args.order - 1))
+        payload["symplectic"] = symplectic_payload(
+            symplectic_check(expansion, args.order))
     return _emit(_document("finite",
                            {"generators": list(args.gen),
                             "order": args.order},

@@ -244,7 +244,7 @@ class FiniteGroupResult(NamedTuple):
     series: RationalFunction
     laurent: LaurentExpansion
     reflections: ReflectionData
-    gammas: Tuple[Fraction, ...]  # gamma_0..gamma_5 closed forms
+    gammas: Tuple[Fraction, ...]  # closed forms; gamma_4 = series value
     q_contribution: Fraction      # shared two-coordinate term in gamma_4/5
 
 
@@ -253,11 +253,11 @@ def analyze_group(group: FiniteDiagonalGroup) -> FiniteGroupResult:
 
     gamma_0..gamma_3 are evaluated directly from the pseudoreflection
     orders.  gamma_4 and gamma_5 share an unknown contribution q of the
-    elements moving two coordinates, solved from the series value of
-    gamma_4: so the gamma_4 check holds by construction, and so does
-    gamma_3 - 2 gamma_4 + gamma_5 = 0, 720 |G| times it being 60 quad +
-    quart2 - 2 quart1 = 0 term by term in m, so it goes untested.  Only
-    the pole order, gamma_0..gamma_3 and gamma_5 can fail.
+    elements moving two coordinates, solved from gamma_4, the series
+    value: gamma_4 holds by construction, as does gamma_3 - 2 gamma_4 +
+    gamma_5 = 0, term by term in m.  The checks that can fail compare
+    the pole order with 2n, and gamma_0..gamma_3 and gamma_5 with
+    their closed forms.
     """
     series = molien_series(group)
     expansion = laurent_at_one(series, 5)
@@ -272,9 +272,8 @@ def analyze_group(group: FiniteDiagonalGroup) -> FiniteGroupResult:
     g2 = Fraction(quad, 12 * size)
     quart1 = sum(-m ** 4 + 50 * m * m - 49 for m in refl.primitive_orders)
     quart2 = sum(-2 * m ** 4 + 40 * m * m - 38 for m in refl.primitive_orders)
-    engine_g4 = expansion.coefficients[4]
-    q_sum = size * engine_g4 - Fraction(quart1, 720)
-    g4 = Fraction(quart1, 720) / size + q_sum / size
+    g4 = expansion.coefficients[4]
+    q_sum = size * g4 - Fraction(quart1, 720)
     g5 = Fraction(quart2, 720) / size + 2 * q_sum / size
     gammas = (g0, g1, g2, g2, g4, g5)
     for k, (want, got) in enumerate(zip(gammas, expansion.coefficients)):

@@ -1,13 +1,19 @@
 """Fault ledger: faults injected into the pipeline, each of which a
-check must catch, so that no check holds by construction unnoticed."""
+check must catch, so that no check holds by construction unnoticed:
+counts of the Molien window for `finite`, and results of the averaging,
+merging and lattice steps for `circle`."""
 
+import functools
 import random
+import traceback
 from unittest import mock
 
 import pytest
 
-from squot.errors import SquotError
-from squot.exact import SLACK
+import squot.circle
+from squot.circle import _averaged_reciprocity, _exact_image, hilbert_series
+from squot.errors import OracleMismatch, SquotError
+from squot.exact import SLACK, QPolynomial, RationalFunction
 from squot.finite import FiniteDiagonalGroup, analyze_group, invariant_counts
 
 
@@ -62,3 +68,145 @@ def test_molien_counts_single_fault(spec):
                 with pytest.raises(SquotError):
                     analyze_group(group)
             fake.assert_called_once_with(group, top)
+
+
+# The circle ledger: one +-1 fault per run of hilbert_series, at the
+# default oracle degree, at each site below.
+CIRCLE_WEIGHTS = [(5, 7, 9), (13, 14, 15), (1, 3, 7), (3, 4, 5, 7),
+                  (1, 1, 5, 7), (2, 2, 3, 3, 5), (5, 5, 6, 6, 7),
+                  (7, 8, 8, 8)]
+
+
+def _bumped_list(values, k, delta):
+    values = list(values)
+    values[k] += delta
+    return values
+
+
+def _bumped_numerator(f, k, delta):
+    return RationalFunction(
+        QPolynomial(_bumped_list(f.numerator.coeffs, k, delta)),
+        f.denominator)
+
+
+def _bumped_lattice(exponents, k, delta):
+    """Exponent k's monomial added once more (+1) or dropped (-1)."""
+    return exponents + [exponents[k]] if delta > 0 \
+        else exponents[:k] + exponents[k + 1:]
+
+
+#: site -> (the name patched in squot.circle, the number of entries of
+#: one result that can be hit, the result with entry k hit by delta)
+CIRCLE_SITES = {
+    "pair_average": (
+        "pair_average", lambda f: len(f.numerator.coeffs),
+        _bumped_numerator),
+    "u_average": (
+        "u_average", lambda f: len(f.numerator.coeffs), _bumped_numerator),
+    "merged sum": (
+        "hilbert_off_clustered", lambda r: len(r[0].numerator.coeffs),
+        lambda r, k, delta: (_bumped_numerator(r[0], k, delta), r[1])),
+    "multisected window": ("multisected_prefix", len, _bumped_list),
+    "lattice monomial": ("_lattice_exponents", len, _bumped_lattice),
+}
+
+#: The check that raised, named by the innermost frame of its traceback
+#: (`_mirrored` by its caller too) -> what it checks.
+CIRCLE_CATCHERS = {
+    "u_average._mirrored": "u_average's SLACK mirror window",
+    "pair_average": "pair_average's division by (1 - y^2)^r",
+    "pair_average._mirrored": "pair_average's mirror",
+    "hilbert_off_clustered": "the division by +-a^(2p-2)",
+    "hilbert_on_distinct": "the lift's leftover check",
+    "check_reciprocity": "check_reciprocity",
+    "verify_against_oracle": "the oracle",
+}
+
+
+def _catcher(exc):
+    names = [frame.name for frame in traceback.extract_tb(exc.__traceback__)]
+    return names[-1] if names[-1] != "_mirrored" else names[-2] + "._mirrored"
+
+
+def _faulty(site, real, sizes, call=None, k=0, delta=0):
+    """`real`, the function patched at the site, recording the size of
+    each result in `sizes`, with entry k of the result of its call
+    number `call` hit by delta."""
+    _, size, bump = CIRCLE_SITES[site]
+
+    def run(*args):
+        out = real(*args)
+        sizes.append(size(out))
+        return bump(out, k, delta) if len(sizes) - 1 == call else out
+    return run
+
+
+@functools.cache
+def circle_ledger(site):
+    """(weights, call, k, delta, the catcher or None) for every fault
+    at the site on every input of CIRCLE_WEIGHTS."""
+    name = CIRCLE_SITES[site][0]
+    real = getattr(squot.circle, name)
+    rows = []
+    for weights in CIRCLE_WEIGHTS:
+        sizes = []
+        with mock.patch.object(squot.circle, name,
+                               _faulty(site, real, sizes)):
+            hilbert_series(weights)
+        for call, size in enumerate(sizes):
+            for k in range(size):
+                for delta in (1, -1):
+                    fault = _faulty(site, real, [], call, k, delta)
+                    with mock.patch.object(squot.circle, name, fault):
+                        try:
+                            hilbert_series(weights)
+                            caught = None
+                        except SquotError as exc:
+                            caught = _catcher(exc)
+                    rows.append((weights, call, k, delta, caught))
+    return rows
+
+
+@pytest.mark.parametrize("site", CIRCLE_SITES)
+def test_circle_single_fault(site):
+    """Every +-1 fault at the site, one per run of hilbert_series at the
+    default oracle degree, raises a SquotError."""
+    rows = circle_ledger(site)
+    assert rows
+    missed = [row[:4] for row in rows if row[4] is None]
+    assert not missed, f"{len(missed)} faults exit 0, first {missed[0]}"
+
+
+def test_every_circle_check_catches():
+    """Each check of the circle pipeline is the first to catch at least
+    one fault of the ledger, so none of them holds by construction."""
+    caught = {row[4] for site in CIRCLE_SITES for row in circle_ledger(site)}
+    silent = [CIRCLE_CATCHERS[c] for c in CIRCLE_CATCHERS if c not in caught]
+    assert not silent, f"catch no fault: {silent}"
+
+
+@pytest.mark.parametrize("delta", [1, -1])
+def test_mirrored_fault_needs_full_oracle(delta):
+    """The known miss: delta at k = C // 3 of the third averaged piece
+    of (191,192,193), and eps * delta at its mirror C - k (C and eps
+    from `_averaged_reciprocity`), keeps every mirror and reciprocity,
+    and the default oracle degree lets it through.  The full
+    certificate, the oracle through degree 575, half the numerator's
+    1150, catches it."""
+    real = squot.circle.pair_average
+    calls = []
+
+    def fault(f, a, rest):
+        out = real(f, a, rest)
+        calls.append(a)
+        if len(calls) == 3:
+            top, eps = _averaged_reciprocity(
+                f, _exact_image(f.denominator, a), a)
+            k = top // 3
+            out = _bumped_numerator(_bumped_numerator(out, k, delta),
+                                    top - k, eps * delta)
+        return out
+    with mock.patch.object(squot.circle, "pair_average", fault):
+        with pytest.raises(OracleMismatch):
+            hilbert_series((191, 192, 193), oracle_degree=575)
+    assert len(calls) == 3
