@@ -23,7 +23,7 @@ from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
                      NotApplicable, PartitionPointsMismatch, SquotError,
                      UnsupportedDimension, ZeroWeight)
 from .exact import (FactoredDenominator, QPolynomial, RationalFunction,
-                    _divisors, laurent_at_one)
+                    _divisors, laurent_at_one, laurent_numerators)
 from .finite import FiniteDiagonalGroup, analyze_group
 from .laurent import gamma0_closed, gamma2_closed, symplectic_check
 from .scan import full_scan
@@ -182,8 +182,11 @@ def _dumps(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if {*map(type, value)} == {int}:  # not bool, which prints true
+        kinds = {*map(type, value)}
+        if kinds == {int}:  # not bool, which prints true
             items = map(int.__repr__, value)
+        elif kinds == {str}:
+            items = map(encode_basestring_ascii, value)
         else:
             items = [_dumps(item, inner) for item in value]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
@@ -246,11 +249,19 @@ def _print_series_text(payload: dict) -> None:
     print(f"({_poly_text(payload['numerator'])}) / {''.join(parts) or '1'}")
 
 
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, from one gcd."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
+
+
 def cmd_laurent(args) -> int:
     _check_range("--order", args.order, 0, _MAX_ENTRIES - 1)  # order + 1
     request, f = _series_source(args)
-    expansion = laurent_at_one(f, args.order)
-    payload = laurent_payload(expansion)
+    # gamma_k = nums[k] / scale, printed as Fraction would print it
+    pole, nums, scale = laurent_numerators(f, args.order)
+    gammas = [_ratio_text(n, scale) for n in nums]
+    payload = {"poleOrder": pole, "coefficients": gammas}
     if args.weights is not None:
         norm = normalize_weights(request["weights"])
         closed = {}  # k -> closed form of gamma_k
@@ -258,9 +269,9 @@ def cmd_laurent(args) -> int:
             closed[0] = gamma0_closed(norm)
         if len(norm) >= 3:
             closed[2] = closed[3] = gamma2_closed(norm, gamma0=closed[0])
-        gammas = expansion.coefficients
         for k, value in closed.items():
-            if k <= args.order and value != gammas[k]:
+            if (k <= args.order and value.numerator * scale
+                    != nums[k] * value.denominator):
                 raise ClosedFormMismatch(
                     f"weights {norm}: gamma{k} = {gammas[k]} but "
                     f"the closed form gives {value}")
@@ -326,12 +337,10 @@ _LEVEL_LINE = ('{"level": %d, "hits": %d, "total": %d, '
 def _level_fields(level: int, hits: int, total: int) -> tuple:
     """(level, hits, total, hits/total in lowest terms, hits/total
     rounded half-even to 12 places), 0 <= hits <= total."""
-    g = math.gcd(hits, total)
-    probability = str(hits // g) if g == total else f"{hits // g}/{total // g}"
     q, rest = divmod(hits * 10 ** 12, total)
     if 2 * rest > total or 2 * rest == total and q & 1:
         q += 1
-    return (level, hits, total, probability,
+    return (level, hits, total, _ratio_text(hits, total),
             f"{q // 10 ** 12}.{q % 10 ** 12:012d}")
 
 

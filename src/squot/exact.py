@@ -629,27 +629,32 @@ def _shared_quotient(a: Sequence, b: Sequence, n: int) -> tuple:
     x = a_k S - sum_j b_j W_(k-j) and g = gcd(x, b_0), q_k = x / (S b_0);
     when g != b_0, S and the window of the last deg b values are
     multiplied by b_0 / g, and W_k = x / g.  S stays the lcm of the
-    denominators of q_0..q_k.  Every W_k is brought to the final S.
+    denominators of q_0..q_k.  A full window lines up with b unsliced;
+    each W_k is brought to the final S by the growths after step k.  The
+    lists are allocated first, so an n no list can hold fails at once.
     """
-    b0, back = b[0], b[:0:-1]  # b_(deg b)..b_1
+    b0, back, depth = b[0], b[:0:-1], len(b) - 1  # back: b_(deg b)..b_1
     shared = 1  # S
     window = []  # W_(k-deg b)..W_(k-1)
-    entries, scales = [], []
+    out, grows = [0] * n, [1] * n
     for k in range(n):
-        x = (a[k] * shared if k < len(a) else 0) \
-            - sum(map(mul, back[len(back) - len(window):], window))
+        x = (a[k] * shared if k < len(a) else 0) - sum(map(
+            mul, back if len(window) == depth else back[depth - len(window):],
+            window))
         g = math.gcd(x, b0)
         if g != b0:
-            grow = b0 // g
+            grows[k] = grow = b0 // g
             shared *= grow
-            window = list(map(mul, window, repeat(grow)))
-        entry = x // g
+            window = [w * grow for w in window]
+        out[k] = entry = x // g
         window.append(entry)
-        if len(window) > len(back):
+        if len(window) > depth:
             del window[0]
-        entries.append(entry)
-        scales.append(shared)
-    return [e * (shared // s) for e, s in zip(entries, scales)], shared
+    factor = 1
+    for k in range(n - 1, -1, -1):
+        out[k] *= factor
+        factor *= grows[k]
+    return out, shared
 
 
 def _in_u(f_w: list, size: int, shift: int, odd: int) -> list:
@@ -672,7 +677,15 @@ def _in_u(f_w: list, size: int, shift: int, odd: int) -> list:
 
 
 def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
-    """Laurent data of f at x = 1 in the variable u = 1 - x.
+    """Laurent data of f at x = 1 in the variable u = 1 - x: the
+    `laurent_numerators` of f, each gamma_k = n_k / D as a Fraction."""
+    pole, nums, scale = laurent_numerators(f, order)
+    return LaurentExpansion(pole, tuple(Fraction(n, scale) for n in nums))
+
+
+def laurent_numerators(f: RationalFunction, order: int) -> tuple:
+    """(pole order, n_0..n_order, D): the Laurent data of f at x = 1 in
+    the variable u = 1 - x, gamma_k = n_k / D with D > 0 shared.
 
     Every (1 - x^m) is (1 - x) [m]_x, with [m]_x palindromic, so f =
     N / ((1 - x)^E R) for E the sum of the positive pass exponents.  A
@@ -698,13 +711,13 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
     5. each is divided by R(w) with one shared denominator
        (`_shared_quotient`), and the quotient is mapped back to u by a
        truncated Horner pass, times (1 - u)^s (2 - u)^eps (`_in_u`),
-       where s is half the span difference plus the x-valuation; one
-       Fraction is built per coefficient.
+       where s is half the span difference plus the x-valuation; D is
+       the numerator's scale times the quotients' shared denominator.
     """
     if order < 0:
         raise ValueError(f"Laurent order must be >= 0, got {order}")
     if f.numerator.is_zero():
-        return LaurentExpansion(0, (Fraction(0),) * (order + 1))
+        return 0, [0] * (order + 1), 1
     passes = f.denominator.factors
     scale, num = cleared(f.numerator.coeffs)
     num = FactoredDenominator.from_pairs(
@@ -717,7 +730,7 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
         val += 1
     pole = sum(e for _, e in passes) - val
     length = max(0, order + 1 + min(pole, 0))
-    gammas = []
+    total = []
     if length:
         half = (length + 1) // 2
         den, plus, span = [1], 0, 0  # R(w)
@@ -725,7 +738,7 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
             if m > 1:
                 row = _w_row(m, half)
                 for _ in range(e):
-                    den = mul_truncated(den, row, half)
+                    den = mul_truncated(row, den, half)
                 if not m & 1:
                     plus += e
                 span += e * (m - 1)
@@ -734,7 +747,7 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
             plus += 1
             span += 1
         for _ in range(plus // 2):
-            den = mul_truncated(den, (4, 1), half)
+            den = mul_truncated((4, 1), den, half)
         parts = [(num, 0)]
         rev = num[::-1]
         if rev != num:
@@ -761,11 +774,9 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
                                 map(mul, series, repeat(both // s)))
                 shared = both
         scale *= shared
-        gammas = [Fraction(g, scale) for g in total]
     if pole >= 0:
-        return LaurentExpansion(pole, tuple(gammas))
-    zeros = [Fraction(0)] * (-pole)
-    return LaurentExpansion(0, tuple((zeros + gammas)[:order + 1]))
+        return pole, total, scale
+    return 0, ([0] * -pole + total)[:order + 1], scale
 
 
 def laurent_prototype(t: Scalar, order: int) -> LaurentExpansion:

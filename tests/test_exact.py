@@ -15,11 +15,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from squot.circle import hilbert_off_clustered, hilbert_series
-from squot.cli import _grouped, series_payload
+from squot.circle import (hilbert_off_clustered, hilbert_series,
+                          normalize_weights)
+from squot.cli import _grouped, _ratio_text, laurent_payload, main, \
+    series_payload
 from squot.errors import ReciprocityMismatch, ReconstructionMismatch
 from squot.finite import FiniteDiagonalGroup, analyze_group, molien_series
-from squot.laurent import symplectic_check
+from squot.laurent import gamma0_closed, gamma2_closed, symplectic_check
 from squot.scan import full_scan
 import squot.exact
 from squot.exact import (PACKED_MIN_M, FactoredDenominator,
@@ -28,7 +30,7 @@ from squot.exact import (PACKED_MIN_M, FactoredDenominator,
                          _cut_rows, _packed_multisection, _psi_passes,
                          _w_row, check_reciprocity, cleared,
                          deferred_quotient, laurent_at_one,
-                         laurent_prototype, mul_truncated,
+                         laurent_numerators, laurent_prototype, mul_truncated,
                          multisected_prefix,
                          rational_reconstruct, resultant_transform,
                          series_of_rational)
@@ -702,6 +704,54 @@ class TestLaurent:
         want = reference_laurent_at_one(f, 119)
         assert got.pole_order == want.pole_order
         assert got.coefficients == want.coefficients
+
+    @given(laurent_inputs())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_core_gives_the_fractions(self, case):
+        # laurent_at_one is the core's n_k / D, and the CLI prints each
+        # as str(Fraction(n_k, D)), zero numerators and pole orders
+        # below zero included
+        f, order = case
+        pole, nums, scale = laurent_numerators(f, order)
+        assert scale > 0 and len(nums) == order + 1
+        assert all(type(n) is int for n in nums)
+        want = tuple(Fraction(n, scale) for n in nums)
+        assert laurent_at_one(f, order) == LaurentExpansion(pole, want)
+        assert [_ratio_text(n, scale) for n in nums] == list(map(str, want))
+
+    @pytest.mark.parametrize("num, pairs, want", [
+        ((0,), [(2, 1)], (0, ["0", "0", "0", "0"])),
+        ((1, -3, 3, -1), [(2, 1)], (0, ["0", "0", "1/2", "1/4"])),
+        ((1,), [(2, 1)], (1, ["1/2", "1/4", "1/8", "1/16"])),
+        ((Q(-3, 2),), [(3, 2)], (2, ["-1/6", "-1/3", "-7/18", "-1/3"])),
+    ], ids=str)
+    def test_integer_core_text(self, num, pairs, want):
+        f = RationalFunction(QPolynomial(num),
+                             FactoredDenominator.from_pairs(pairs))
+        pole, nums, scale = laurent_numerators(f, 3)
+        assert (pole, [_ratio_text(n, scale) for n in nums]) == want
+        assert laurent_payload(laurent_at_one(f, 3)) \
+            == {"poleOrder": want[0], "coefficients": want[1]}
+
+    @pytest.mark.parametrize("weights", SWEEP_SAMPLE, ids=str)
+    def test_cli_prints_the_fraction_document(self, weights, capsys):
+        # `laurent` formats the core's integers; its stdout is the
+        # document built from laurent_at_one's Fractions
+        csv = ",".join(map(str, weights))
+        assert main(["laurent", "--weights", csv, "--order", "119"]) == 0
+        norm = normalize_weights(weights)
+        gamma0 = gamma0_closed(norm)
+        gamma2 = str(gamma2_closed(norm))
+        result = laurent_payload(
+            laurent_at_one(hilbert_series(weights).on_shell, 119))
+        result["closedForms"] = {"gamma0": str(gamma0), "gamma2": gamma2,
+                                 "gamma3": gamma2}
+        result["agreement"] = True
+        document = {"schemaVersion": "1", "command": "laurent",
+                    "request": {"weights": list(weights), "order": 119},
+                    "result": result}
+        assert capsys.readouterr() \
+            == (json.dumps(document, indent=2) + "\n", "")
 
     def test_negative_pole_order_padded(self):
         # (1-x)^3 / (1-x^2): a double zero, so gamma_0 = gamma_1 = 0

@@ -1,7 +1,8 @@
 """Fault ledger: faults injected into the pipeline, each of which a
 check must catch, so that no check holds by construction unnoticed:
-counts of the Molien window for `finite`, and results of the averaging,
-merging and lattice steps for `circle`."""
+counts of the Molien window for `finite`, results of the averaging,
+merging and lattice steps for `circle`, and the Laurent numerators
+that `laurent` checks against its closed forms."""
 
 import functools
 import random
@@ -11,8 +12,10 @@ from unittest import mock
 import pytest
 
 import squot.circle
+import squot.cli
 from squot.circle import _averaged_reciprocity, _exact_image, hilbert_series
-from squot.errors import OracleMismatch, SquotError
+from squot.cli import build_parser, main
+from squot.errors import ClosedFormMismatch, OracleMismatch, SquotError
 from squot.exact import SLACK, QPolynomial, RationalFunction
 from squot.finite import FiniteDiagonalGroup, analyze_group, invariant_counts
 
@@ -210,3 +213,31 @@ def test_mirrored_fault_needs_full_oracle(delta):
         with pytest.raises(OracleMismatch):
             hilbert_series((191, 192, 193), oracle_degree=575)
     assert len(calls) == 3
+
+
+# The laurent ledger: gamma_0, gamma_2 and gamma_3, the coefficients
+# with a closed form, each hit by +-1 in the integer core's numerator.
+LAURENT_WEIGHTS = [(5, 7, 9), (13, 14, 15), (1, 3, 7), (4, 4, 9),
+                   (3, 4, 5, 7)]
+
+
+@pytest.mark.parametrize("weights", LAURENT_WEIGHTS, ids=str)
+@pytest.mark.parametrize("k", [0, 2, 3])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_laurent_closed_form_single_fault(weights, k, delta, capsys):
+    """n_k + delta over the shared D moves gamma_k by 1/D; the closed
+    form comparison, n * D against n_k times the closed form's
+    denominator, raises ClosedFormMismatch, and `laurent` exits 3."""
+    real = squot.cli.laurent_numerators
+
+    def fault(f, order):
+        pole, nums, scale = real(f, order)
+        return pole, _bumped_list(nums, k, delta), scale
+    argv = ["laurent", "--weights", ",".join(map(str, weights))]
+    with mock.patch.object(squot.cli, "laurent_numerators", fault):
+        args = build_parser().parse_args(argv)
+        with pytest.raises(ClosedFormMismatch, match=f"gamma{k} = "):
+            args.func(args)
+        assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("verification failure: weights ")
