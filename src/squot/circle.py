@@ -21,6 +21,21 @@ profiles:
 * all weights equal ("CompletelyDegenerate"): an explicit binomial
   formula.
 
+The cofactor merge and the lift onto the pair-sum denominator hold each
+numerator as one int, its value at X = 2^W (Kronecker substitution):
+lane j, bits W j to W j + W - 1, holds the coefficient c_j in balanced
+form, |c_j| < 2^(W-1), W a multiple of 64, written into and read out of
+C int words through `array` bytes and `int.from_bytes` / `to_bytes`.  A
+pass (1 - x^m) is v - (v << m W), and an exact division by it a chain
+of shifts and adds with a zero-remainder test.  Equal ints whose
+polynomials both have every coefficient below 2^(W-1) have equal
+polynomials, as balanced lanes are unique; so W comes from a bound: the
+pieces' largest bit length plus their cofactor passes and the bit
+length of their count for the merge, whose sum it bounds, and for the
+lift the merged sum's bit length plus its passes, with the quotient's
+lanes checked once read back (`hilbert_on_distinct`).  A failed bound
+widens W and redoes the pass.
+
 Every piece is on shell.  A denominator is one signed list of
 (1 - x^m) exponents, e < 0 for cyclotomic factors after a reduction;
 the off-shell series of every method is the on-shell one over
@@ -49,18 +64,24 @@ L1 norm; large weights have few short kernel vectors.
 from __future__ import annotations
 
 import math
-from itertools import combinations, groupby, repeat, zip_longest
-from operator import mul
+import sys
+from array import array
+from itertools import combinations, groupby, repeat
+from operator import add, and_, lshift, mul, neg, rshift
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import OracleMismatch, ReconstructionMismatch, ZeroWeight
 from .exact import (SLACK, FactoredDenominator, QPolynomial,
                     RationalFunction, _divide_binomial, _mirrored, _netted,
-                    _repunit, _strip, _times_binomial, check_reciprocity,
+                    _strip, _times_binomial, check_reciprocity,
                     deferred_quotient, mul_truncated, multisected_prefix,
                     peel_common, reciprocity, series_of_rational)
 
 DEFAULT_ORACLE_DEGREE = 30
+
+#: Bits of the C int words that lanes are written in and read from.
+_WORD = 8 * array("i").itemsize
+_LOW = (1 << _WORD) - 1
 
 #: Words of packed int that Kronecker substitution adds in the time the
 #: pairing of layers spends on one dict entry, for `_oracle_method`.
@@ -315,18 +336,114 @@ def _kernel_coefficient(a: int, p: int, rest, exponent: int, value,
     return series[p - 1]
 
 
-def _balanced_lanes(packed: int, width: int) -> list:
-    """The N_j of packed = sum N_j 2^(width j), |N_j| < 2^(width-1) and
-    width a multiple of 8: with 2^(width-1) added to every lane, the
-    lanes are read off the bytes of one `to_bytes`.  A top N_d != 0 makes
-    |packed| > 2^(width d - 1), so the bit length of |packed| bounds d.
-    """
-    count, half, step = (abs(packed).bit_length() // width + 1,
-                         1 << width - 1, width // 8)
-    raw = (packed + half * _repunit(width, count)).to_bytes(
-        count * step, "little")
-    return [int.from_bytes(raw[i:i + step], "little") - half
-            for i in range(0, len(raw), step)]
+def _lane_bit(width: int, count: int, bit: int) -> int:
+    """sum 2^bit 2^(width j) over 0 <= j < count: one bit in each of
+    `count` lanes of `width` bits, width a multiple of 8."""
+    lane = bytearray(width // 8)
+    lane[bit // 8] = 1 << bit % 8
+    return int.from_bytes(bytes(lane) * count, "little")
+
+
+def _packed(coeffs: Sequence[int], width: int) -> tuple:
+    """(sum c_j 2^(width j), b) with every |c_j| < 2^b, for a width that
+    is a multiple of the word size, or (None, b) if b >= width.
+
+    The lanes are written as C int words of one array, whose bytes are
+    read as one int.  Coefficients that fit one word (b = the word
+    size) take the lowest word of their lane, in two's complement;
+    wider ones (b = their bit length) fill the lane, the top word signed.
+    Flipping the top bit of what they fill, then taking it away, turns
+    two's complement into balanced lanes."""
+    count, step = len(coeffs), width // _WORD
+    raw = array("i", bytes(width // 8 * count))
+    try:
+        raw[::step] = array("i", coeffs)
+        bits = top = _WORD
+    except OverflowError:
+        bits, top = _bits(coeffs), width
+        if bits >= width:
+            return None, bits
+        for i in range(step - 1):
+            raw[i::step] = array("i", array("I", map(and_, map(
+                rshift, coeffs, repeat(_WORD * i)), repeat(_LOW))).tobytes())
+        raw[step - 1::step] = array("i", map(
+            rshift, coeffs, repeat(width - _WORD)))
+    if sys.byteorder == "big":
+        raw.byteswap()
+    flip = _lane_bit(width, count, top - 1)
+    return (int.from_bytes(raw.tobytes(), "little") ^ flip) - flip, bits
+
+
+def _lanes(packed: int, width: int) -> tuple:
+    """(the balanced lanes c_j of packed = sum c_j 2^(width j), b) with
+    every |c_j| < 2^b, the inverse of `_packed`, for a width that is a
+    multiple of the word size.
+
+    The bit length of |packed| bounds the number of lanes; a trailing
+    zero lane may be left.  With the top bit of each lane's lowest word
+    added and flipped, one `to_bytes` holds every lane that fits that
+    word in two's complement, and the lane's other words are zero
+    exactly when they all fit (b = the word size); else the top bit of
+    the whole lane is flipped, the lanes are read from their words, the
+    top one signed, and b is their bit length."""
+    count, step = (abs(packed).bit_length() + 1) // width + 1, width // _WORD
+    size = width // 8 * count
+    flip = _lane_bit(width, count, _WORD - 1)
+    if (shifted := packed + flip) >= 0:
+        raw = array("i", (shifted ^ flip).to_bytes(size, "little"))
+        if sys.byteorder == "big":
+            raw.byteswap()
+        zero = array("i", bytes(size // step))
+        if all(raw[i::step] == zero for i in range(1, step)):
+            return raw[::step].tolist(), _WORD
+    flip = _lane_bit(width, count, width - 1)
+    raw = array("i", ((packed + flip) ^ flip).to_bytes(size, "little"))
+    if sys.byteorder == "big":
+        raw.byteswap()
+    lanes = map(lshift, raw[step - 1::step], repeat(width - _WORD))
+    low = array("I", raw.tobytes())
+    for i in range(step - 1):
+        lanes = map(add, lanes, map(lshift, low[i::step], repeat(_WORD * i)))
+    lanes = list(lanes)
+    return lanes, _bits(lanes)
+
+
+def _bits(coeffs: Sequence[int]) -> int:
+    """The bit length of max |c|, 0 for none."""
+    return max(max(coeffs, default=0), -min(coeffs, default=0)).bit_length()
+
+
+def _width(bits: int) -> int:
+    """The least multiple of 64 above `bits`: balanced lanes of that
+    width hold every |c| < 2^bits."""
+    return bits // 64 * 64 + 64
+
+
+def _times_passes(packed: int, den: FactoredDenominator, width: int) -> int:
+    """packed times den's product of (1 - X^m)^e, X = 2^width."""
+    for m, e in den.factors:
+        for _ in range(e):
+            packed -= packed << m * width
+    return packed
+
+
+def _divided(packed: int, m: int, width: int, size: int):
+    """packed / (1 - X^m), X = 2^width, packed holding `size` lanes, or
+    None if that is no integer or size <= m.  The quotient q, if any,
+    holds size - m lanes, so |q| < 2^(width (size - m) - 1), and span / m
+    doublings give packed (1 + X^m + ... + X^(span - m)) =
+    q (1 - X^span) = t; for span >= size - m, t >> width span is -q for
+    q >= 0 (t <= 0) and -q - 1 for q < 0 (t > 0).  q (1 - X^m) must
+    give back packed."""
+    if size <= m:
+        return None
+    total, span = packed, m
+    while span < size - m:
+        total += total << span * width
+        span *= 2
+    high = total >> span * width
+    q = ~high if total > 0 else -high
+    return q if q - (q << m * width) == packed else None
 
 
 def residue_cluster(a: int, p: int, rest):
@@ -353,8 +470,8 @@ def residue_cluster(a: int, p: int, rest):
     factor |a - b| = 2a, as for (1,3).  For p = 1, M = 1.  For
     p >= 2 each u-polynomial is packed into one int, its value at
     X = 2^width (Kronecker substitution), so the products give M(X);
-    with width two bits above a bound on the |M_j|, rounded up to a
-    byte, M(X) is read back as balanced lanes."""
+    with width two bits above a bound on the |M_j|, rounded up to whole
+    C int words, M(X) is read back as balanced lanes (`_lanes`)."""
     exponent = p * a - 1 + sum(pb * b for b, pb in rest)
     scale, v = a ** (2 * p - 1), 0
     pairs = [(2 * a, p - 1)] if p > 1 else []
@@ -369,11 +486,11 @@ def residue_cluster(a: int, p: int, rest):
     bound = _kernel_coefficient(a, p, rest, exponent,
                                 lambda terms: sum(abs(c) for _, c in terms),
                                 -1)
-    width = -(-(bound.bit_length() + 2) // 8) * 8
+    width = -(-(bound.bit_length() + 2) // _WORD) * _WORD
     packed = _kernel_coefficient(
         a, p, rest, exponent,
         lambda terms: sum(c << width * d for d, c in terms))
-    n_poly = QPolynomial([0] * v + _balanced_lanes(packed, width))
+    n_poly = QPolynomial([0] * v + _lanes(packed, width)[0])
     return peel_common(RationalFunction(n_poly, den_r)), scale
 
 
@@ -383,6 +500,31 @@ def _excess(den: FactoredDenominator,
     have = dict(over.factors)
     return FactoredDenominator(tuple(
         (m, e - have.get(m, 0)) for m, e in den.factors if e > have.get(m, 0)))
+
+
+def _cofactor_sum(pieces) -> RationalFunction:
+    """The sum of the pieces over the union D of their denominators,
+    each numerator times its cofactor, the factors of D that its own
+    denominator lacks, in balanced lanes of the least width that the
+    bound of `hilbert_off_clustered` accepts, 64 first."""
+    merged: dict = {}
+    for g in pieces:
+        for m, e in g.denominator.factors:
+            merged[m] = max(merged.get(m, 0), e)
+    den = FactoredDenominator.from_pairs(merged.items())
+    cofactors = [_excess(den, g.denominator) for g in pieces]
+    headroom = (max(sum(e for _, e in c.factors) for c in cofactors)
+                + len(pieces).bit_length())
+    width = 64
+    while True:
+        packs = [_packed(g.numerator.coeffs, width) for g in pieces]
+        need = max(bits for _, bits in packs) + headroom
+        if need < width:
+            break
+        width = _width(need)
+    total = sum(_times_passes(packed, c, width)
+                for (packed, _), c in zip(packs, cofactors))
+    return RationalFunction(QPolynomial(_lanes(total, width)[0]), den)
 
 
 def hilbert_off_clustered(weights: Sequence[int]):
@@ -411,9 +553,13 @@ def hilbert_off_clustered(weights: Sequence[int]):
     and so is the on-shell piece, that times 1 - x^2; D_i has constant
     term 1: N_i / d_i is an integer polynomial.  A nonzero remainder
     raises ReconstructionMismatch.  The pieces are merged over the
-    union of their denominators by integer cofactor sums.  The caller
-    reduces the sum or lifts it, and derives the off-shell series from
-    that.
+    union of their denominators by integer cofactor sums in balanced
+    lanes of one int (`_cofactor_sum`): each numerator, |c| < 2^b, times
+    its cofactor of at most E passes (1 - X^m), X = 2^W, is a shift and
+    subtract per pass, and the sum of k of them has every lane below
+    k 2^(b + E), which lanes of W > b + E + the bit length of k hold
+    exactly; the sum is read back into a list once.  The caller reduces
+    the sum or lifts it, and derives the off-shell series from that.
 
     Every residue has a mirror.  Write F_x for F and let
     r(u) = Res_(z=u) F_x(z) / z at x = u^a, the residue that
@@ -436,7 +582,7 @@ def hilbert_off_clustered(weights: Sequence[int]):
         d = s // a  # +-1 for p = 1
         if d == -1:
             avg = RationalFunction(
-                QPolynomial([-c for c in avg.numerator.coeffs]),
+                QPolynomial(map(neg, avg.numerator.coeffs)),
                 avg.denominator)
         elif d != 1:
             if any(c % d for c in avg.numerator.coeffs):
@@ -447,15 +593,41 @@ def hilbert_off_clustered(weights: Sequence[int]):
                 QPolynomial(c // d for c in avg.numerator.coeffs),
                 avg.denominator)
         pieces.append(avg)
-    merged: dict = {}
-    for g in pieces:
-        for m, e in g.denominator.factors:
-            merged[m] = max(merged.get(m, 0), e)
-    den = FactoredDenominator.from_pairs(merged.items())
-    parts = [_excess(den, g.denominator).times(g.numerator.coeffs)
-             for g in pieces]
-    total = map(sum, zip_longest(*parts, fillvalue=0))
-    return RationalFunction(QPolynomial(total), den), tuple(pieces)
+    return _cofactor_sum(pieces), tuple(pieces)
+
+
+def _lifted(on: RationalFunction, target: FactoredDenominator):
+    """(N, left): on's numerator M times Y, the factors of target that
+    on's denominator lacks, divided by as many of X, the factors of
+    on's denominator that target lacks, as divide it exactly, in order,
+    each as often as it divides, and the (m, e) left of X, in lanes of
+    the least width that the bounds of `hilbert_on_distinct` accept,
+    64 first (the passes of X as headroom for N)."""
+    coeffs, times = on.numerator.coeffs, _excess(target, on.denominator)
+    over = _excess(on.denominator, target)
+    # the lanes of M Y; none for M = 0, which no factor divides, as in
+    # `peel_common`
+    count = len(coeffs) and len(coeffs) + times.degree
+    headroom = (sum(e for _, e in times.factors)
+                + sum(e for _, e in over.factors))
+    width = 64
+    while True:
+        packed, bits = _packed(coeffs, width)
+        if bits + headroom >= width:
+            width = _width(bits + headroom)
+            continue
+        packed, size, divided = _times_passes(packed, times, width), count, 0
+        left = []
+        for m, e in over.factors:
+            while e and (q := _divided(packed, m, width, size)) is not None:
+                packed, size, e, divided = q, size - m, e - 1, divided + 1
+            if e:
+                left.append((m, e))
+        lanes, bits = _lanes(packed, width)
+        need = bits + divided + (count.bit_length() if left else 0)
+        if need < width:
+            return lanes, tuple(left)
+        width = _width(need)
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:
@@ -477,22 +649,33 @@ def hilbert_on_distinct(weights: Sequence[int]):
     Returns (the series over the pair-sum denominator, the on-shell
     pieces).  The residue path gives the on-shell sum and pieces
     (`hilbert_off_clustered`).  The sum is lifted as it is onto the
-    pair-sum denominator exactly: its numerator is multiplied by the
-    factors of the ansatz that its denominator lacks, and divided by
-    the factors of its denominator that the ansatz lacks
-    (`peel_common`); a factor left over raises ReconstructionMismatch.
+    pair-sum denominator exactly (`_lifted`): its numerator M is
+    multiplied by the factors Y of the ansatz that its denominator
+    lacks, and divided by the factors X of its denominator that the
+    ansatz lacks, each as often as it divides, in order; a factor left
+    over raises ReconstructionMismatch.
+
+    The lift runs in balanced lanes of one int, X = 2^W: a pass of Y
+    is a shift and subtract, and a division by 1 - X^m a chain of
+    shifts and adds whose remainder must be zero (`_divided`).  M, below
+    2^b, and Y's |Y| passes give M Y below 2^(b + |Y|); W > b + |Y|, so
+    M Y is what its int's lanes read.  Remainder zero gives N X' = M Y
+    at X, X' the factors divided, and the read-back N, below 2^c, leaves
+    room for them if c + |X'| < W: N X' is then below 2^(W-1) too, both
+    sides read off the same balanced lanes, and N X' = M Y as
+    polynomials.  A factor is only reported left over when, beside
+    that, the quotient it would give fits a lane: a quotient is at most
+    the dividend's L1 norm, so c + |X'| + the bit length of the lane
+    count < W.  Else W widens and the lift is redone.
     """
     on, pieces = hilbert_off_clustered(weights)
     target = _pair_sum_denominator(weights)
-    lifted = peel_common(RationalFunction(
-        QPolynomial(_excess(target, on.denominator).times(
-            on.numerator.coeffs)),
-        _excess(on.denominator, target)))
-    if lifted.denominator.factors:
+    numerator, left = _lifted(on, target)
+    if left:
         raise ReconstructionMismatch(
             f"weights {tuple(weights)}: denominator factors "
-            f"{lifted.denominator.factors} are not in the pair-sum ansatz")
-    return RationalFunction(lifted.numerator, target), pieces
+            f"{left} are not in the pair-sum ansatz")
+    return RationalFunction(QPolynomial(numerator), target), pieces
 
 
 def hilbert_equal_weights(n: int) -> RationalFunction:
@@ -604,27 +787,35 @@ def _kernel_off_counts(weights: Sequence[int], order: int) -> list:
     two, of weights b <= c, add at most c per unit of norm.  Those two
     solve b x + c y = -s: with g = gcd(b, c), g | s, x is one residue
     modulo c / g, and y = -(s + b x) / c exactly, for each x with
-    |x| <= order - r.
+    |x| <= order - r.  The ball is held as a list of its points over the
+    first n - 3 coordinates only; the (n - 2)-th is run through for each
+    of them (none for n = 2), so the memory is that of an
+    (n - 3)-ball.
     """
     *outer, b, c = weights
     g = math.gcd(b, c)
     mod = c // g
     inverse = pow(b // g, -1, mod)
+    *outer, last = outer or [0]  # n = 2: no (n - 2)-th, a weight 0 at d = 0
     points = [(0, 0)]
     for a in outer:
         points = [(s + a * d, r + abs(d)) for s, r in points
                   for d in range(r - order, order - r + 1)
                   if abs(s + a * d) <= c * (order - r - abs(d))]
     theta = [0] * (order + 1)
-    for s, r in points:
-        if s % g:
-            continue
-        left = order - r
-        first = -(s // g) * inverse % mod  # the residue of x
-        for x in range(first - (first + left) // mod * mod, left + 1, mod):
-            norm = r + abs(x) + abs((s + b * x) // c)
-            if norm <= order:
-                theta[norm] += 1
+    for s0, r0 in points:
+        reach = order - r0 if last else 0
+        for d in range(-reach, reach + 1):
+            s, r = s0 + last * d, r0 + abs(d)
+            left = order - r
+            if s % g or abs(s) > c * left:
+                continue
+            first = -(s // g) * inverse % mod  # the residue of x
+            for x in range(first - (first + left) // mod * mod, left + 1,
+                           mod):
+                norm = r + abs(x) + abs((s + b * x) // c)
+                if norm <= order:
+                    theta[norm] += 1
     _times_binomial(theta, 2, -len(weights))
     return theta
 

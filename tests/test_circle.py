@@ -1,8 +1,9 @@
 """Tests for the circle-quotient Hilbert series engine."""
 
 import math
+import tracemalloc
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, zip_longest
 
 from unittest import mock
 
@@ -13,9 +14,10 @@ from hypothesis import strategies as st
 import squot.circle
 import squot.exact
 from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
-                          _balanced_lanes, _kernel_coefficient,
-                          _kernel_off_counts, _kronecker_off_counts,
-                          _mirrored, _oracle_method, _pair_sum_denominator,
+                          _cofactor_sum, _excess,
+                          _kernel_coefficient, _kernel_off_counts,
+                          _kronecker_off_counts, _lanes, _lifted, _mirrored,
+                          _oracle_method, _packed, _pair_sum_denominator,
                           _paired_off_counts,
                           _weight_clusters,
                           hilbert_equal_weights,
@@ -354,6 +356,46 @@ def pair_cases(draw):
         c = draw(st.sampled_from([2 * a + b, abs(2 * a - b)]))
         assume(c not in (0, a, b))
     return a, tuple(sorted([(b, 1), (c, 1)]))
+
+
+@st.composite
+def lane_coefficients(draw):
+    """Integer coefficients, negative ones among them, of up to 20, 40,
+    70 or 140 bits: one C int word of a 64-bit lane, the whole lane, and
+    lanes of two and three 64-bit words."""
+    bits = draw(st.sampled_from([20, 40, 70, 140]))
+    return draw(st.lists(st.integers(-2 ** bits, 2 ** bits), max_size=30))
+
+
+@st.composite
+def pass_products(draw):
+    """prod (1 - x^m)^e over up to four (m, e)."""
+    return FactoredDenominator.from_pairs(draw(st.lists(
+        st.tuples(st.integers(1, 12), st.integers(1, 3)), max_size=4)))
+
+
+def reference_cofactor_sum(pieces):
+    """The list merge: each numerator times its expanded cofactor over
+    the union of the denominators, summed entry by entry."""
+    merged = {}
+    for g in pieces:
+        for m, e in g.denominator.factors:
+            merged[m] = max(merged.get(m, 0), e)
+    den = FactoredDenominator.from_pairs(merged.items())
+    parts = [_excess(den, g.denominator).times(g.numerator.coeffs)
+             for g in pieces]
+    return RationalFunction(
+        QPolynomial(map(sum, zip_longest(*parts, fillvalue=0))), den)
+
+
+def reference_lift(on, target):
+    """The list lift: on's numerator times the factors of target that
+    on's denominator lacks, over the factors that target lacks, whole
+    factors cancelled by `peel_common`."""
+    return peel_common(RationalFunction(
+        QPolynomial(_excess(target, on.denominator).times(
+            on.numerator.coeffs)),
+        _excess(on.denominator, target)))
 
 
 def exact_image(den, a):
@@ -884,15 +926,19 @@ class TestClusterResidue:
         assert equal_in_value(residue_cluster(a, p, rest), on_shell(
             reference_residue_cluster(a, p, rest), a)), (a, p, rest)
 
-    @pytest.mark.parametrize("width", [8, 16, 64])
+    @pytest.mark.parametrize("width", [32, 64, 128])
     def test_balanced_lanes_read_out(self, width):
-        top = (1 << width - 1) - 1
+        # lanes at the ends of their range, and (widths above a word)
+        # just past a 32-bit word, which the read-out takes whole
+        top, word = (1 << width - 1) - 1, 1 << 31
         for lanes in ([top], [-top], [0, 0, top, 0, -top], [-top, 0, 0, 1],
-                      [1, -1, 0, 0, 0, -top], [top, -top] * 5, [0], [5]):
+                      [1, -1, 0, 0, 0, -top], [top, -top] * 5, [0], [5],
+                      [-top - 1, 3], [min(word, top), -min(word, top) - 1]):
             packed = sum(c << width * j for j, c in enumerate(lanes))
-            got = _balanced_lanes(packed, width)
+            got, bits = _lanes(packed, width)
             assert QPolynomial(got) == QPolynomial(lanes), lanes
             assert len(got) <= len(lanes) + 1
+            assert all(abs(c) < 2 ** bits for c in got)
 
     def test_norm_bound_holds_on_degenerate_population(self):
         # the bound the width comes from is at or above max |M_j| on
@@ -955,6 +1001,99 @@ class TestDivideBinomial:
         assert out.denominator.factors == ((2, 1), (3, 1))
         kept = RationalFunction(QPolynomial([half, 1]), den)
         assert peel_common(kept).numerator is kept.numerator
+
+
+class TestPackedLanes:
+    """The merge and lift over balanced lanes of one int against the list
+    reference (`FactoredDenominator.times` and `peel_common`)."""
+
+    @given(lane_coefficients(), st.sampled_from([64, 128, 192]))
+    @settings(max_examples=200, deadline=None)
+    def test_packed_round_trip(self, coeffs, width):
+        packed, bits = _packed(coeffs, width)
+        assert all(abs(c) < 2 ** bits for c in coeffs)
+        if packed is None:
+            assert bits >= width
+            return
+        assert packed == sum(c << width * j for j, c in enumerate(coeffs))
+        lanes, bits = _lanes(packed, width)
+        assert QPolynomial(lanes) == QPolynomial(coeffs)
+        assert all(abs(c) < 2 ** bits for c in lanes)
+
+    @given(st.lists(st.tuples(lane_coefficients(), pass_products()),
+                    min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_cofactor_sum_matches_list_reference(self, cases):
+        pieces = [RationalFunction(QPolynomial(c), d) for c, d in cases]
+        assert _cofactor_sum(pieces) == reference_cofactor_sum(pieces)
+
+    @given(lane_coefficients(), pass_products(), pass_products(),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_lift_matches_list_reference(self, coeffs, den, target,
+                                         divisible):
+        # a divisible numerator is X times a random one, X the factors of
+        # den that target lacks; the other kind mostly leaves some over,
+        # and so does a zero numerator, as `peel_common` divides none
+        if divisible:
+            coeffs = _excess(den, target).times(coeffs)
+        on = RationalFunction(QPolynomial(coeffs), den)
+        want = reference_lift(on, target)
+        numerator, left = _lifted(on, target)
+        assert QPolynomial(numerator) == want.numerator
+        assert left == want.denominator.factors
+        if divisible and any(coeffs):
+            assert not left
+
+    @given(lane_coefficients(), pass_products(), pass_products())
+    @settings(max_examples=100, deadline=None)
+    def test_lift_leftover_message(self, coeffs, den, target):
+        # hilbert_on_distinct raises the list reference's leftover, byte
+        # for byte, or returns its numerator over the target
+        on = RationalFunction(QPolynomial(coeffs), den)
+        want = reference_lift(on, target)
+        with mock.patch("squot.circle.hilbert_off_clustered",
+                        return_value=(on, ())), \
+                mock.patch("squot.circle._pair_sum_denominator",
+                           return_value=target):
+            if not want.denominator.factors:
+                assert hilbert_on_distinct((1, 2, 3)) == (
+                    RationalFunction(want.numerator, target), ())
+                return
+            with pytest.raises(ReconstructionMismatch) as caught:
+                hilbert_on_distinct((1, 2, 3))
+        assert str(caught.value) == (
+            "weights (1, 2, 3): denominator factors "
+            f"{want.denominator.factors} are not in the pair-sum ansatz")
+
+    def test_lift_widens_for_a_larger_quotient(self):
+        # M = N (1 - x)^2 for the triangle N = c (1, 2, ..., L, ..., 2, 1)
+        # has |M_j| <= 2c, but N reaches c L: at c = 2^55 and L = 2^10, M
+        # fits 64-bit lanes with room for its two passes, and N does not,
+        # so the read-back check widens the lanes and redoes the lift
+        c, peak = 2 ** 55, 2 ** 10
+        tri = [c * k for k in range(1, peak)] + [c * k
+                                                 for k in range(peak, 0, -1)]
+        ones = FactoredDenominator.from_pairs([(1, 2)])
+        on = RationalFunction(QPolynomial(ones.times(tri)), ones)
+        numerator, left = _lifted(on, FactoredDenominator(()))
+        assert QPolynomial(numerator) == QPolynomial(tri)
+        assert not left
+        assert reference_lift(on, FactoredDenominator(())).numerator \
+            == QPolynomial(tri)
+
+    def test_wide_lift_and_leftovers(self):
+        # 130-bit coefficients take 192-bit lanes; (1 - x^3) divides the
+        # numerator once, (1 - x^5) not at all
+        big = [3 ** 80, -(2 ** 129), 7, 0, -1]
+        coeffs = FactoredDenominator.from_pairs([(3, 1)]).times(big)
+        on = RationalFunction(QPolynomial(coeffs), FactoredDenominator(
+            ((3, 2), (5, 1))))
+        target = FactoredDenominator(((2, 1),))
+        numerator, left = _lifted(on, target)
+        assert QPolynomial(numerator) == QPolynomial(
+            FactoredDenominator(((2, 1),)).times(big))
+        assert left == ((3, 1), (5, 1))
 
 
 def small_profiles(max_n, max_w):
@@ -1092,6 +1231,23 @@ class TestOracle:
                                  off.denominator)
         with pytest.raises(OracleMismatch, match="degree 7 coefficient"):
             verify_against_oracle((1, 2, 3), wrong, 30)
+
+    def test_kernel_count_memory(self):
+        # n = 7 at degree 14: the kernel count holds the ball of the first
+        # n - 3 coordinates, whose peak under tracemalloc is near 0.9 MB;
+        # holding the (n - 2)-ball whole peaked at 5.35 MB
+        weights, order = (1, 1, 1, 1, 1, 1, 2), 14
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            counts = _kernel_off_counts(weights, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert counts == _kronecker_off_counts(weights, order)
+        assert peak < 1_500_000
 
     def test_kernel_path_catches_wrong_series(self):
         weights = (101, 108, 115)

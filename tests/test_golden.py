@@ -68,7 +68,11 @@ SUBGROUPS = [
 #: reaches, is pinned by (100,101,102,103), whose pieces each have a
 #: factor with m = 1 beside factors with m near 200, and
 #: (60,97,130,171), with six factors per piece.  `scan` at level 400
-#: pins every level's record from one pass of the scan kernel.
+#: pins every level's record from one pass of the scan kernel.  The
+#: packed merge and lift are pinned at the frontier: (500,501,502,503),
+#: whose 33-35-bit pieces fill whole 64-bit lanes, (3,5,8,11,13,17),
+#: six pieces over 22 factors, and (10000,12001,14999), a merged sum of
+#: 83,995 lanes.
 DIGESTS = {
     "laurent --weights 13,14,15 --order 119":
         "5fb5b1ccf0221abba66227eec3afeee43e7493373b67967ea9789db111d0cf76",
@@ -114,6 +118,12 @@ DIGESTS = {
         "1d431e4a388546bbe020c355f4492a78ce1d9ad8f8611d8a9a505520410ecd84",
     "hilbert --weights 100,101,102,103":
         "a1be38ea9faf64b0fd3b061cf8124007c8681e7d59097b751c82791f276f4286",
+    "hilbert --weights 500,501,502,503":
+        "a29ba3ae1f97889340cb0c767358836857b90943f7aa9b4a4f6e22b46602b998",
+    "hilbert --weights 3,5,8,11,13,17":
+        "4816b4d8ff85ce7e7797e97abadb960de7eec9c718e5dc3a1cd5384acce4486a",
+    "hilbert --weights 10000,12001,14999":
+        "722b70c0b82a28a4a5a89b8177ec7a09869f3297fa99f7c2d8e190522023c874",
     "scan --max-level 400":
         "6595c4d896a6e8972e9453ba772209df4bdf3266d7221ee069838e25ae520722",
 }
