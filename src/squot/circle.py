@@ -73,7 +73,7 @@ from typing import NamedTuple, Sequence, Tuple
 from .errors import OracleMismatch, ReconstructionMismatch, ZeroWeight
 from .exact import (SLACK, FactoredDenominator, QPolynomial,
                     RationalFunction, _divide_binomial, _mirrored, _netted,
-                    _strip, _times_binomial, check_reciprocity,
+                    _times_binomial, check_reciprocity,
                     deferred_quotient, mul_truncated, multisected_prefix,
                     peel_common, reciprocity, series_of_rational)
 
@@ -231,15 +231,20 @@ def _lattice_exponents(a: int, w: int, ms) -> list:
     gives a | t' + m j iff g | t', and then j is one residue modulo
     a / g: -(t' / g) / (m / g).  So t' runs over w + m_1 j_1 for the
     first m (the one with the larger gcd), or m_1 = a, j_1 = 0 alone for
-    one m, and is kept where g divides it: at most a exponents.
+    one m.  g | t' iff h = gcd(m_1, g) divides w and j_1 = -(w / h) /
+    (m_1 / h) modulo g / h: s = t' / g steps by m_1 / h, and the exponent
+    is (s + (m / g) j) / (a / g), at most a of them, in the order of t'.
     """
     *outer, m = sorted(ms, key=lambda k: math.gcd(a, k), reverse=True)
     first = outer[0] if outer else a
     g = math.gcd(a, m)
-    n = a // g
-    back = -pow(m // g, -1, n) % n
-    return [(t + m * (t // g * back % n)) // a
-            for t in range(w, w + math.lcm(a, first), first) if t % g == 0]
+    n, h, mg = a // g, math.gcd(first, g), m // g
+    if w % h:
+        return []
+    back, step = -pow(mg, -1, n) % n, first // h
+    start = (w + first * (-w // h * pow(step, -1, g // h) % (g // h))) // g
+    return [(s + mg * (s * back % n)) // n for s in
+            range(start, (w + math.lcm(a, first) - 1) // g + 1, step)]
 
 
 def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
@@ -266,7 +271,7 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
     ReconstructionMismatch, as for an input without a mirror.
     """
     exact, r = _exact_image(f.denominator, a), sum(pb for _, pb in rest)
-    total = [0] * (exact.degree + 2 * r)
+    num = [0] * (exact.degree + 2 * r)
     for sign, w, pairs in _pair_terms(a, rest):
         cofactor = [(0, sign)]
         for _, l in pairs:
@@ -274,8 +279,9 @@ def pair_average(f: RationalFunction, a: int, rest) -> RationalFunction:
         exponents = _lattice_exponents(a, w, [m for m, _ in pairs])
         for s, c in cofactor:
             for e in exponents:
-                total[e + s] += c
-    num = list(_strip(total))
+                num[e + s] += c
+    while num and not num[-1]:
+        num.pop()
     for _ in range(r):
         if (num := _divide_binomial(num, 2)) is None:
             raise ReconstructionMismatch(

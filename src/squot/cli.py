@@ -170,8 +170,9 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 def _dumps(value, indent: str = "") -> str:
     """The text json.dumps(value, indent=2) gives for a document of
     dicts with string keys, lists, strings, ints, bools and None, built
-    directly: json's own encoder falls back to pure Python whenever
-    `indent` is set.  Any other value is left to json.dumps."""
+    directly, a list of plain ints by one `%` call: json's own encoder
+    falls back to pure Python whenever `indent` is set.  Any other value
+    is left to json.dumps."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -184,12 +185,12 @@ def _dumps(value, indent: str = "") -> str:
             return "[]"
         kinds = {*map(type, value)}
         if kinds == {int}:  # not bool, which prints true
-            items = map(int.__repr__, value)
+            body = (f"%d,\n{inner}" * (len(value) - 1) + "%d") % tuple(value)
         elif kinds == {str}:
-            items = map(encode_basestring_ascii, value)
+            body = f",\n{inner}".join(map(encode_basestring_ascii, value))
         else:
-            items = [_dumps(item, inner) for item in value]
-        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+            body = f",\n{inner}".join([_dumps(item, inner) for item in value])
+        return f"[\n{inner}" + body + f"\n{indent}]"
     if isinstance(value, dict):
         if not value:
             return "{}"

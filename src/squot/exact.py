@@ -458,23 +458,26 @@ def _mirrored(window: list, top: int, sign: int) -> list:
     that mirror wherever both sides are in it, and the mirror fills in
     N_(r+1)..N_top.  With sign 0 there is no mirror, and the window has
     to reach past `top`.  A failed check raises ReconstructionMismatch.
+    Mirror and fill are reversed slices, negated by `map` for sign -1.
     """
-    reach = len(window) - 1
-    for k in range(top + 1, reach + 1):
+    for k in range(top + 1, len(window)):
         if window[k]:
             raise ReconstructionMismatch(
                 f"nonzero verification coefficient {window[k]} at "
                 f"degree {k}")
+    window = window[:top + 1] if len(window) > top + 1 else window
     if not sign:
-        return window[:top + 1]
-    low, high = max(top - reach, 0), min(reach, top)
-    mirror = [sign * c for c in reversed(window[top - high:top - low + 1])]
-    if window[low:high + 1] != mirror:
+        return window
+    low = top + 1 - len(window)
+    mirror, fill = window[low:][::-1], window[:low][::-1]
+    if sign < 0:
+        mirror, fill = [*map(neg, mirror)], [*map(neg, fill)]
+    if window[low:] != mirror:
         k = next(k for k, c in enumerate(mirror, low) if window[k] != c)
         raise ReconstructionMismatch(
             f"coefficient {window[k]} at degree {k} breaks the "
             f"mirror of degree {top - k} ({window[top - k]})")
-    return window[:top + 1] + [sign * c for c in reversed(window[:low])]
+    return window + fill if low else window
 
 
 def rational_reconstruct(prefix: TruncatedSeries, den: FactoredDenominator,

@@ -16,7 +16,8 @@ import squot.exact
 from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
                           _cofactor_sum, _excess,
                           _kernel_coefficient, _kernel_off_counts,
-                          _kronecker_off_counts, _lanes, _lifted, _mirrored,
+                          _kronecker_off_counts, _lanes, _lattice_exponents,
+                          _lifted, _mirrored,
                           _oracle_method, _packed, _pair_sum_denominator,
                           _paired_off_counts,
                           _weight_clusters,
@@ -404,6 +405,28 @@ def exact_image(den, a):
                                           for m, e in den.factors)
 
 
+def reference_lattice_exponents(a, w, ms):
+    """`_lattice_exponents` as a filter over every t' = w + m_1 j_1,
+    keeping the t' that g divides: the reference for its output order,
+    which the fault ledger's lattice site bumps by index."""
+    *outer, m = sorted(ms, key=lambda k: math.gcd(a, k), reverse=True)
+    first = outer[0] if outer else a
+    g = math.gcd(a, m)
+    n = a // g
+    back = -pow(m // g, -1, n) % n
+    return [(t + m * (t // g * back % n)) // a
+            for t in range(w, w + math.lcm(a, first), first) if t % g == 0]
+
+
+def box_lattice_exponents(a, w, ms):
+    """t / a for every t = w + sum m_i j_i, 0 <= j_i < a / gcd(a, m_i),
+    that a divides, by enumerating the whole box."""
+    sums = [w]
+    for m in ms:
+        sums = [t + m * j for t in sums for j in range(a // math.gcd(a, m))]
+    return [t // a for t in sums if t % a == 0]
+
+
 def mirror_of(f, a):
     """(C, eps) of `_averaged_reciprocity` for f averaged over a, over
     the exact image denominator."""
@@ -731,6 +754,22 @@ class TestPairAverage:
             with pytest.raises(ReconstructionMismatch,
                                match=f"{a} does not divide the shift"):
                 run()
+
+
+class TestLatticeExponents:
+    @given(st.integers(1, 60), st.integers(0, 300),
+           st.lists(st.integers(1, 120), min_size=1, max_size=2))
+    @settings(max_examples=400, deadline=None)
+    @example(7, 5, [3])  # one m, g = 1
+    @example(12, 8, [8])  # one m, g = 4
+    @example(12, 9, [8])  # one m, g = 4 does not divide w: empty
+    @example(30, 11, [7, 11])  # two m, g = 1
+    @example(12, 4, [8, 6])  # two m, g = 4, h = gcd(6, 4) = 2 divides w
+    @example(12, 1, [8, 6])  # h = 2 does not divide w: t' odd, empty
+    def test_walk_matches_filter_and_box(self, a, w, ms):
+        got = _lattice_exponents(a, w, ms)
+        assert got == reference_lattice_exponents(a, w, ms)
+        assert sorted(got) == sorted(box_lattice_exponents(a, w, ms))
 
 
 class TestReciprocityCertificate:

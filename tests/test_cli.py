@@ -502,10 +502,23 @@ class TestScanRounding:
             assert int(text[-1]) % 2 == 0
 
 
+#: ints of both signs beyond 64 bits, and strings that json escapes
+wide_ints = (st.integers() | st.integers(min_value=2 ** 64)
+             | st.integers(max_value=-(2 ** 64)))
+escaped_text = st.text() | st.sampled_from(
+    ["", "\"", "\\", "\n\t\r\b\f", "\x00\x1f", "\u00e9\u4e2d",
+     "\u2028", "\ud800", "\U0001f600"])
+emitter_leaves = (st.none() | st.booleans() | wide_ints | escaped_text
+                  | st.lists(wide_ints, max_size=6)
+                  | st.lists(st.booleans(), max_size=4)
+                  | st.lists(st.sampled_from([0, 1, True, False, -1]),
+                             max_size=5))
+#: documents of dicts and lists over those leaves, which include lists
+#: of plain ints (written by one format call), of bools and of both
 json_documents = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(),
+    emitter_leaves,
     lambda inner: (st.lists(inner, max_size=4)
-                   | st.dictionaries(st.text(), inner, max_size=4)),
+                   | st.dictionaries(escaped_text, inner, max_size=4)),
     max_leaves=30)
 
 

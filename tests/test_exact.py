@@ -26,7 +26,7 @@ from squot.scan import full_scan
 import squot.exact
 from squot.exact import (PACKED_MIN_M, FactoredDenominator,
                          LaurentExpansion, QPolynomial, RationalFunction,
-                         _expand_factored, _peeled,
+                         _expand_factored, _mirrored, _peeled,
                          _cut_rows, _packed_multisection, _psi_passes,
                          _w_row, check_reciprocity, cleared,
                          deferred_quotient, laurent_at_one,
@@ -275,6 +275,40 @@ def reference_payload(f):
     if leftover != ONE:
         payload["extraFactor"] = [int(c) for c in leftover.coeffs]
     return payload
+
+
+def reference_mirrored(window, top, sign):
+    """`_mirrored` with its mirror and fill as sign * c comprehensions
+    over reversed slices: the reference for its results and its
+    ReconstructionMismatch texts."""
+    reach = len(window) - 1
+    for k in range(top + 1, reach + 1):
+        if window[k]:
+            raise ReconstructionMismatch(
+                f"nonzero verification coefficient {window[k]} at "
+                f"degree {k}")
+    if not sign:
+        return window[:top + 1]
+    low, high = max(top - reach, 0), min(reach, top)
+    mirror = [sign * c for c in reversed(window[top - high:top - low + 1])]
+    if window[low:high + 1] != mirror:
+        k = next(k for k, c in enumerate(mirror, low) if window[k] != c)
+        raise ReconstructionMismatch(
+            f"coefficient {window[k]} at degree {k} breaks the "
+            f"mirror of degree {top - k} ({window[top - k]})")
+    return window[:top + 1] + [sign * c for c in reversed(window[:low])]
+
+
+def mirrored_outcome(run, window, top, sign):
+    """("ok", the list) or ("raises", the message) of run on a copy of
+    the window, which must come back unchanged."""
+    given_window = list(window)
+    try:
+        outcome = ("ok", run(given_window, top, sign))
+    except ReconstructionMismatch as exc:
+        outcome = ("raises", str(exc))
+    assert given_window == window
+    return outcome
 
 
 small_fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -626,6 +660,39 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             rational_reconstruct(prefix, FactoredDenominator.from_pairs(
                 [(1, 1)]), 4)
+
+
+class TestMirrored:
+    @pytest.mark.parametrize("sign", [-1, 0, 1])
+    @pytest.mark.parametrize("top", [0, 1, 6, 9])
+    def test_matches_comprehension_reference(self, sign, top):
+        # windows shorter than, as long as and longer than top + 1,
+        # whole or with one entry off by +-1 (in the mirrored part, the
+        # vanishing tail or the fill's source)
+        rng = random.Random(10 * top + sign)
+        num = [rng.choice([-3, -2, -1, 1, 2, 5]) for _ in range(top + 1)]
+        if sign:
+            for k in range(top // 2 + 1, top + 1):
+                num[k] = sign * num[top - k]
+            if top % 2 == 0 and sign < 0:
+                num[top // 2] = 0
+        raised = 0
+        for length in range(top + 5):
+            window = (num + [0] * 4)[:length]
+            want = reference_mirrored(window, top, sign)
+            assert mirrored_outcome(_mirrored, window, top, sign) \
+                == ("ok", want)
+            if length >= (top + 1 if not sign else top // 2 + 1):
+                assert want == num
+            for k in range(length):
+                for delta in (-1, 1):
+                    faulted = list(window)
+                    faulted[k] += delta
+                    got = mirrored_outcome(_mirrored, faulted, top, sign)
+                    assert got == mirrored_outcome(reference_mirrored,
+                                                   faulted, top, sign)
+                    raised += got[0] == "raises"
+        assert raised
 
 
 class TestResultantTransform:
