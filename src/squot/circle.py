@@ -51,14 +51,13 @@ dispatcher result is checked on every coefficient against the
 reciprocity H(1/x) = x^(2n-2) H(x) of the on-shell series, and
 against a brute-force monomial count, before it is returned.
 
-The count (`oracle_off_counts`) runs one of three exact methods, the
-one of least a priori work bound (`_oracle_method`): Kronecker
-substitution over packed lanes, the pruned pairing of degree layers,
-or, for n >= 2, the kernel count.  (alpha, beta) -> (alpha - beta,
-min(alpha, beta)) maps the invariant monomials z^alpha zbar^beta one
-to one onto the kernel vectors delta . a = 0 paired with free
-exponents, so H_off = theta / (1 - x^2)^n, theta counting ker(a) by
-L1 norm; large weights have few short kernel vectors.
+The count (`oracle_off_counts`) runs one of two exact methods, the one
+of smaller a priori work bound (`_oracle_method`): Kronecker substitution
+over packed lanes or, for n >= 2, the kernel count.  (alpha, beta) ->
+(alpha - beta, min(alpha, beta)) maps the invariant monomials
+z^alpha zbar^beta one to one onto the kernel vectors delta . a = 0
+paired with free exponents, so H_off = theta / (1 - x^2)^n, theta
+counting ker(a) by L1 norm; large weights have few short kernel vectors.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ import math
 import sys
 from array import array
 from itertools import combinations, groupby, repeat
-from operator import add, and_, lshift, mul, neg, rshift
+from operator import add, and_, lshift, neg, rshift
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import OracleMismatch, ReconstructionMismatch, ZeroWeight
@@ -84,20 +83,12 @@ _WORD = 8 * array("i").itemsize
 _LOW = (1 << _WORD) - 1
 
 #: Words of packed int that Kronecker substitution adds in the time the
-#: pairing of layers spends on one dict entry, for `_oracle_method`.
-#: Measured: on the inputs of the three circle benchmark tables at
-#: degree 30, and on 400 random ones up to n = 7 and degree 480, the
-#: methods it picks take at most 1.6% longer in all than the faster
-#: method of each input.
-KRONECKER_WORDS_PER_ENTRY = 24
-
-#: Steps of the kernel count (building or visiting a point of its ball,
-#: or trying one x) in the time the pairing of layers spends on one dict
-#: entry, for `_oracle_method`.  Measured: on the n = 2 and 3 inputs of
-#: the three circle benchmark tables at degree 30 the methods it picks
-#: take at most 1.1% longer in all than the fastest method of each
-#: input, and 3.3% on 300 random inputs up to n = 6 and degree 480.
-KERNEL_STEPS_PER_ENTRY = 1.5
+#: kernel count takes one step (building or visiting a point of its
+#: ball, or trying one x), for `_oracle_method`.  Measured: on the
+#: inputs of the three circle benchmark tables at degree 30 the methods
+#: it picks take 1.4% longer in all than the faster method of each input
+#: (`BENCH_two_method_oracle.json`, "ratio_fit_degree_30").
+KRONECKER_WORDS_PER_KERNEL_STEP = 16
 
 
 def normalize_weights(weights: Sequence[int]) -> Tuple[int, ...]:
@@ -739,43 +730,6 @@ def _kronecker_off_counts(weights: Sequence[int], order: int) -> list:
     return [p & lane for p in series]
 
 
-def _paired_off_counts(weights: Sequence[int], order: int) -> list:
-    """Invariant monomial counts, degrees 0..order, by pairing layers,
-    on sorted positive weights.
-
-    Counts pairs of exponent vectors (alpha, beta) with
-    |alpha| + |beta| = k and equal weighted sums, by dynamic
-    programming over (total degree, weighted sum) with one dict
-    {weighted sum: count} per degree, holding the sums that occur.
-    The sums of layer d lie in [lo * d, hi * d], so layers d and k - d
-    share a sum only if hi * d >= lo * (k - d): pairs below that are
-    skipped, and layers above hi * order // (lo + hi) are never built.
-    """
-    lo, hi = weights[0], weights[-1]
-    depth = hi * order // (lo + hi)
-    layers = [{0: 1}] + [{} for _ in range(depth)]
-    for a in weights:
-        for d in range(1, depth + 1):
-            row = layers[d]
-            for s, c in layers[d - 1].items():
-                row[s + a] = row.get(s + a, 0) + c
-
-    def paired(left, right):  # over the sums of the smaller layer
-        if len(left) > len(right):
-            left, right = right, left
-        return sum(map(mul, left.values(), map(right.get, left, repeat(0))))
-    counts = []
-    for k in range(order + 1):
-        # pairing layer d with layer k - d is symmetric in d <-> k - d:
-        # pair each d < k/2 once and double it, then add the middle layer
-        total = 2 * sum(paired(layers[d], layers[k - d])
-                        for d in range(-(-lo * k // (lo + hi)), (k + 1) // 2))
-        if k % 2 == 0:
-            total += paired(layers[k // 2], layers[k // 2])
-        counts.append(total)
-    return counts
-
-
 def _kernel_off_counts(weights: Sequence[int], order: int) -> list:
     """Invariant monomial counts, degrees 0..order, from the kernel
     vectors of n >= 2 sorted positive weights.
@@ -828,44 +782,31 @@ def _kernel_off_counts(weights: Sequence[int], order: int) -> list:
 
 def _oracle_method(weights: Sequence[int], order: int):
     """The counting method `oracle_off_counts` runs on these sorted
-    positive weights: the least of a priori bounds on the work of each,
-    in the pairing's dict entries, Kronecker substitution on a tie.
+    positive weights: the smaller of a priori bounds on the work of each,
+    in Kronecker substitution's words, Kronecker substitution on a tie.
 
     Kronecker substitution adds about n * width * (hi * order^2 +
     (hi - lo) * depth^2) / 2 bits of packed ints, depth being
-    hi * order // (lo + hi); KRONECKER_WORDS_PER_ENTRY of its 64-bit
-    words cost one entry.  The kernel count, for n >= 2, builds each
-    point of the (n - 2)-dimensional L1 ball of radius order,
-    sum_k 2^k C(n - 2, k) C(order, k) of them, and visits it: two
-    steps; at the points whose sum g = gcd(a_(n-1), hi) divides, about
-    one in g, it tries at most 1 + 2 order // (hi / g) values of x, a
-    step each; KERNEL_STEPS_PER_ENTRY of those steps cost one entry.
-    The pairing builds layers d <= depth of at most
-    min(C(d + n - 1, n - 1), (hi - lo) * d + 1) entries each, once per
-    weight, and looks up each entry of layer d once for each degree k it
-    is paired at: 2d <= k <= order with lo * k <= (lo + hi) * d.
-    Its sum over d stops as soon as it reaches the least of the others.
+    hi * order // (lo + hi), in 64-bit words.  The kernel count, for
+    n >= 2, builds each point of the (n - 2)-dimensional L1 ball of
+    radius order, sum_k 2^k C(n - 2, k) C(order, k) of them, and visits
+    it: two steps; at the points whose sum g = gcd(a_(n-1), hi) divides,
+    about one in g, it tries at most 1 + 2 order // (hi / g) values of
+    x, a step each; a step costs KRONECKER_WORDS_PER_KERNEL_STEP words.
     """
     n, lo, hi = len(weights), weights[0], weights[-1]
+    if n == 1:
+        return _kronecker_off_counts
     width = math.comb(order + 2 * n - 1, 2 * n - 1).bit_length()
     depth = hi * order // (lo + hi)
     words = n * width * (hi * order ** 2 + (hi - lo) * depth ** 2) // 128
-    cost, method = words / KRONECKER_WORDS_PER_ENTRY, _kronecker_off_counts
-    if n >= 2:
-        ball = sum(2 ** k * math.comb(n - 2, k) * math.comb(order, k)
-                   for k in range(n - 1))
-        g = math.gcd(weights[-2], hi)
-        steps = ball * (2 + (1 + 2 * order // (hi // g)) / g)
-        if steps / KERNEL_STEPS_PER_ENTRY < cost:
-            cost, method = steps / KERNEL_STEPS_PER_ENTRY, _kernel_off_counts
-    entries, layer, spread = 0, 1, hi - lo  # layer: C(d + n - 1, n - 1)
-    for d in range(depth + 1):
-        entries += min(layer, spread * d + 1) \
-            * (n + max(0, min(order - 2 * d, spread * d // lo) + 1))
-        if entries >= cost:  # the pairing's bound only grows
-            return method
-        layer = layer * (d + n) // (d + 1)
-    return _paired_off_counts
+    ball = sum(2 ** k * math.comb(n - 2, k) * math.comb(order, k)
+               for k in range(n - 1))
+    g = math.gcd(weights[-2], hi)
+    steps = ball * (2 + (1 + 2 * order // (hi // g)) / g)
+    if KRONECKER_WORDS_PER_KERNEL_STEP * steps < words:
+        return _kernel_off_counts
+    return _kronecker_off_counts
 
 
 def oracle_off_counts(weights: Sequence[int], order: int) -> list:
@@ -874,14 +815,12 @@ def oracle_off_counts(weights: Sequence[int], order: int) -> list:
     The count at degree k is the number of monomials z^alpha zbar^beta
     with |alpha| + |beta| = k and sum alpha_i a_i = sum beta_i a_i; it
     only depends on the normal form of the weights (`normalize_weights`,
-    which rejects a zero weight).  Three exact methods count them:
+    which rejects a zero weight).  Two exact methods count them:
     Kronecker substitution (`_kronecker_off_counts`), best on dense
-    weight ranges; the pruned pairing of layers (`_paired_off_counts`),
-    best on tight clusters of several weights at a high degree; and, for
-    n >= 2, the L1 theta series of ker(a) over (1 - x^2)^n
-    (`_kernel_off_counts`, whose docstring gives the bijection), best on
-    large weights, whose short kernel vectors are few.
-    `_oracle_method` takes the one of least a priori work bound.
+    weight ranges, and, for n >= 2, the L1 theta series of ker(a) over
+    (1 - x^2)^n (`_kernel_off_counts`, whose docstring gives the
+    bijection), best on large weights, whose short kernel vectors are
+    few.  `_oracle_method` takes the one of smaller a priori work bound.
     """
     weights = normalize_weights(weights)
     return _oracle_method(weights, order)(weights, order)
@@ -889,6 +828,7 @@ def oracle_off_counts(weights: Sequence[int], order: int) -> list:
 
 def verify_against_oracle(weights: Sequence[int], off: RationalFunction,
                           order: int = DEFAULT_ORACLE_DEGREE) -> None:
+    """Raise OracleMismatch where `off` and the count differ to `order`."""
     got = series_of_rational(off, order).coefficients
     want = oracle_off_counts(weights, order)
     for k, (g, w) in enumerate(zip(got, want)):

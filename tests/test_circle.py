@@ -19,7 +19,6 @@ from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
                           _kronecker_off_counts, _lanes, _lattice_exponents,
                           _lifted, _mirrored,
                           _oracle_method, _packed, _pair_sum_denominator,
-                          _paired_off_counts,
                           _weight_clusters,
                           hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
@@ -1160,7 +1159,7 @@ class TestOracle:
         assert oracle_off_counts(weights, order) \
             == reference_oracle_off_counts(weights, order)
 
-    METHODS = [_kronecker_off_counts, _paired_off_counts, _kernel_off_counts]
+    METHODS = [_kronecker_off_counts, _kernel_off_counts]
 
     @staticmethod
     def skip_one_weight(method, weights):
@@ -1181,9 +1180,11 @@ class TestOracle:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("weights,order", [
         ((1,), 0), ((7, 9), 0), ((1,), 25), ((13,), 20),
-        # max >> min: the pairing prunes little, the lanes are many
+        # max >> min: many lanes, and Kronecker's t^(+a) factors run to
+        # nearly every degree
         ((1, 250), 12), ((2, 3, 240), 10), ((1, 1, 97), 15),
-        # a tight cluster: the pairing prunes half the layers
+        # a tight cluster: Kronecker's t^(+a) factors stop at about half
+        # the degree, on few lanes
         ((191, 192, 193), 30), ((60, 60, 61, 62), 20),
         # the kernel count: the two largest weights share a factor, so
         # the last sum must be a multiple of it; equal largest weights
@@ -1211,7 +1212,7 @@ class TestOracle:
         # the degree through which oracle agreement certifies every
         # coefficient of the (191,192,193) numerator, of degree 1150
         assert _kernel_off_counts([191, 192, 193], 575) \
-            == _paired_off_counts([191, 192, 193], 575)
+            == _kronecker_off_counts([191, 192, 193], 575)
 
     @pytest.mark.parametrize("weights,order,method", [
         ((1, 2, 3), 30, "kronecker"),
@@ -1220,31 +1221,31 @@ class TestOracle:
         ((191, 192, 193), 30, "kernel"),
         ((150, 151), 30, "kernel"),
         # a cluster at a high degree: the kernel count takes about a
-        # fortieth of the time of the pruned pairing, and that about a
-        # sixth of the time of Kronecker substitution
+        # two-hundredth of the time of Kronecker substitution
         ((191, 192, 193), 575, "kernel"),
         # small dense weights at a high degree: few lanes, and many
         # short kernel vectors
         ((1, 2, 3), 200, "kronecker"),
-        # a cluster of four at a high degree: a two-dimensional ball
-        ((100, 101, 102, 103), 600, "pairing"),
+        # a cluster of four at a high degree: the two-dimensional ball
+        # of radius 600, about 720,000 points, outweighs the packed words
+        ((100, 101, 102, 103), 600, "kronecker"),
         # the largest weights share the factor 37, and so must the last
         # sum: a thirty-seventh of the ball's points
-        ((36, 37, 74), 30, "kernel")])
+        ((36, 37, 74), 30, "kernel"),
+        # clusters of four at the default degree: Kronecker's words grow
+        # with the weights, the kernel count's steps do not
+        ((100, 101, 102, 103), 30, "kronecker"),
+        ((500, 501, 502, 503), 30, "kernel")])
     def test_selection_rule(self, weights, order, method):
         methods = {"kronecker": _kronecker_off_counts,
-                   "pairing": _paired_off_counts,
                    "kernel": _kernel_off_counts}
         assert _oracle_method(weights, order) is methods[method]
         with mock.patch("squot.circle._kronecker_off_counts",
                         wraps=_kronecker_off_counts) as kron, \
-                mock.patch("squot.circle._paired_off_counts",
-                           wraps=_paired_off_counts) as pair, \
                 mock.patch("squot.circle._kernel_off_counts",
                            wraps=_kernel_off_counts) as kernel:
             counts = oracle_off_counts(weights, order)
-        calls = {"kronecker": kron.call_count, "pairing": pair.call_count,
-                 "kernel": kernel.call_count}
+        calls = {"kronecker": kron.call_count, "kernel": kernel.call_count}
         assert calls == {name: int(name == method) for name in methods}
         if order <= 30:
             assert counts == reference_oracle_off_counts(weights, order)

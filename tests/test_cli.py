@@ -253,6 +253,26 @@ class TestLaurentCommand:
             "5/32", "0", "11/128", "11/128", "11/128", "11/128"]
 
 
+class TestScriptProbes:
+    """Commands the workflow's installed-script step runs that no other
+    test runs, in process: exit 0 certifies every check they make."""
+
+    @pytest.mark.parametrize("argv", [
+        # seven pieces merged and lifted onto the pair-sum denominator
+        ["hilbert", "--weights", "2,3,5,7,11,13,17"],
+        # each weight shares a factor with both others
+        ["hilbert", "--weights", "6,10,15", "--oracle-verify", "90"],
+        # numerators of degree 7398, one of them not palindromic
+        ["laurent", "--weights", "1000,1201,1499", "--order", "119"],
+        # a cluster of four at a high degree, by Kronecker substitution
+        ["hilbert", "--weights", "100,101,102,103", "--oracle-verify",
+         "600"]])
+    def test_exits_0(self, argv):
+        doc = run_json(argv)
+        if argv[0] == "laurent":
+            assert doc["result"]["agreement"] is True
+
+
 class TestReciprocityExit:
     @staticmethod
     def bumped(f):
