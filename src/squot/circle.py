@@ -32,9 +32,10 @@ polynomials both have every coefficient below 2^(W-1) have equal
 polynomials, as balanced lanes are unique; so W comes from a bound: the
 pieces' largest bit length plus their cofactor passes and the bit
 length of their count for the merge, whose sum it bounds, and for the
-lift the merged sum's bit length plus its passes, with the quotient's
-lanes checked once read back (`hilbert_on_distinct`).  A failed bound
-widens W and redoes the pass.
+lift that bound, handed over with the packed sum, plus its passes, with
+the quotient's lanes checked once read back (`hilbert_on_distinct`).
+Each piece is packed once and each result read out once; a failed
+bound reads out the sum, widens W and redoes the lift.
 
 Every piece is on shell.  A denominator is one signed list of
 (1 - x^m) exponents, e < 0 for cyclotomic factors after a reduction;
@@ -341,34 +342,39 @@ def _lane_bit(width: int, count: int, bit: int) -> int:
     return int.from_bytes(bytes(lane) * count, "little")
 
 
-def _packed(coeffs: Sequence[int], width: int) -> tuple:
-    """(sum c_j 2^(width j), b) with every |c_j| < 2^b, for a width that
-    is a multiple of the word size, or (None, b) if b >= width.
+def _words(coeffs: Sequence[int]) -> tuple:
+    """(w, b), every |c| < 2^b: w one array of C int words and b the word
+    size if each c fits one, else w = coeffs and b their bit length."""
+    try:
+        return array("i", coeffs), _WORD
+    except OverflowError:
+        return coeffs, _bits(coeffs)
+
+
+def _packed(words, width: int) -> int:
+    """sum c_j 2^(width j) for the coefficients `words` of `_words`, or
+    any list of ints, below 2^(width - 1), for a width that is a
+    multiple of the word size.
 
     The lanes are written as C int words of one array, whose bytes are
-    read as one int.  Coefficients that fit one word (b = the word
-    size) take the lowest word of their lane, in two's complement;
-    wider ones (b = their bit length) fill the lane, the top word signed.
-    Flipping the top bit of what they fill, then taking it away, turns
-    two's complement into balanced lanes."""
-    count, step = len(coeffs), width // _WORD
+    read as one int.  An array of words takes the lowest word of each
+    lane, in two's complement; a list fills the lanes, the top word
+    signed.  Flipping the top bit of what they fill, then taking it
+    away, turns two's complement into balanced lanes."""
+    count, step = len(words), width // _WORD
     raw = array("i", bytes(width // 8 * count))
-    try:
-        raw[::step] = array("i", coeffs)
-        bits = top = _WORD
-    except OverflowError:
-        bits, top = _bits(coeffs), width
-        if bits >= width:
-            return None, bits
+    if isinstance(words, array):
+        raw[::step], top = words, _WORD
+    else:
         for i in range(step - 1):
             raw[i::step] = array("i", array("I", map(and_, map(
-                rshift, coeffs, repeat(_WORD * i)), repeat(_LOW))).tobytes())
-        raw[step - 1::step] = array("i", map(
-            rshift, coeffs, repeat(width - _WORD)))
+                rshift, words, repeat(_WORD * i)), repeat(_LOW))).tobytes())
+        raw[step - 1::step], top = array("i", map(
+            rshift, words, repeat(width - _WORD))), width
     if sys.byteorder == "big":
         raw.byteswap()
     flip = _lane_bit(width, count, top - 1)
-    return (int.from_bytes(raw.tobytes(), "little") ^ flip) - flip, bits
+    return (int.from_bytes(raw.tobytes(), "little") ^ flip) - flip
 
 
 def _lanes(packed: int, width: int) -> tuple:
@@ -499,39 +505,39 @@ def _excess(den: FactoredDenominator,
         (m, e - have.get(m, 0)) for m, e in den.factors if e > have.get(m, 0)))
 
 
-def _cofactor_sum(pieces) -> RationalFunction:
-    """The sum of the pieces over the union D of their denominators,
-    each numerator times its cofactor, the factors of D that its own
-    denominator lacks, in balanced lanes of the least width that the
-    bound of `hilbert_off_clustered` accepts, 64 first."""
+def _cofactor_sum(pieces) -> tuple:
+    """(packed, width, need, count, den): the sum of the pieces over the
+    union den of their denominators, each numerator times its cofactor,
+    the factors of den that its own denominator lacks, packed once at
+    the least width above the bound of `hilbert_off_clustered`, every
+    lane below 2^need, and count >= its lanes: the most of a piece's
+    plus its cofactor's degree."""
     merged: dict = {}
     for g in pieces:
         for m, e in g.denominator.factors:
             merged[m] = max(merged.get(m, 0), e)
     den = FactoredDenominator.from_pairs(merged.items())
     cofactors = [_excess(den, g.denominator) for g in pieces]
-    headroom = (max(sum(e for _, e in c.factors) for c in cofactors)
-                + len(pieces).bit_length())
-    width = 64
-    while True:
-        packs = [_packed(g.numerator.coeffs, width) for g in pieces]
-        need = max(bits for _, bits in packs) + headroom
-        if need < width:
-            break
-        width = _width(need)
-    total = sum(_times_passes(packed, c, width)
-                for (packed, _), c in zip(packs, cofactors))
-    return RationalFunction(QPolynomial(_lanes(total, width)[0]), den)
+    words = [_words(g.numerator.coeffs) for g in pieces]
+    need = (max(bits for _, bits in words)
+            + max(sum(e for _, e in c.factors) for c in cofactors)
+            + len(pieces).bit_length())
+    width = _width(need)
+    total = sum(_times_passes(_packed(w, width), c, width)
+                for (w, _), c in zip(words, cofactors))
+    count = max(len(w) + c.degree for (w, _), c in zip(words, cofactors))
+    return total, width, need, count, den
 
 
 def hilbert_off_clustered(weights: Sequence[int]):
     """On-shell Hilbert series by the residue path, not in lowest terms.
 
-    Returns (the series, the pieces N_i / (d_i D_i)), N_i / D_i the
-    average of cluster i's on-shell `residue_cluster` piece over its
-    exact image denominator and d_i = s_i / a_i = +-a_i^(2p_i-2) from
-    its scale s_i.  The name predates the on-shell sum; the benchmark's
-    layer tracer (`perfbench/tracing.py`) wraps it by name.  The
+    Returns (the series packed by `_cofactor_sum`, the pieces
+    N_i / (d_i D_i)), N_i / D_i the average of cluster i's on-shell
+    `residue_cluster` piece over its exact image denominator and
+    d_i = s_i / a_i = +-a_i^(2p_i-2) from its scale s_i.  The name
+    predates the on-shell sum; the benchmark's layer tracer
+    (`perfbench/tracing.py`) wraps it by name.  The
     average is taken in closed form (`pair_average`) for p_i = 1
     beside at most two other weights, counted with multiplicity, else
     from the multisected prefix (`u_average`).
@@ -555,8 +561,9 @@ def hilbert_off_clustered(weights: Sequence[int]):
     its cofactor of at most E passes (1 - X^m), X = 2^W, is a shift and
     subtract per pass, and the sum of k of them has every lane below
     k 2^(b + E), which lanes of W > b + E + the bit length of k hold
-    exactly; the sum is read back into a list once.  The caller reduces
-    the sum or lifts it, and derives the off-shell series from that.
+    exactly.  The sum is returned packed, with W, that bound and its
+    denominator; the caller reads it out once to reduce it, or lifts it
+    as it is, and derives the off-shell series from that.
 
     Every residue has a mirror.  Write F_x for F and let
     r(u) = Res_(z=u) F_x(z) / z at x = u^a, the residue that
@@ -593,38 +600,43 @@ def hilbert_off_clustered(weights: Sequence[int]):
     return _cofactor_sum(pieces), tuple(pieces)
 
 
-def _lifted(on: RationalFunction, target: FactoredDenominator):
-    """(N, left): on's numerator M times Y, the factors of target that
-    on's denominator lacks, divided by as many of X, the factors of
-    on's denominator that target lacks, as divide it exactly, in order,
-    each as often as it divides, and the (m, e) left of X, in lanes of
-    the least width that the bounds of `hilbert_on_distinct` accept,
-    64 first (the passes of X as headroom for N)."""
-    coeffs, times = on.numerator.coeffs, _excess(target, on.denominator)
-    over = _excess(on.denominator, target)
+def _lifted(merged: tuple, target: FactoredDenominator):
+    """(N, left): the merged sum's numerator M (`_cofactor_sum`) times Y,
+    the factors of target that its denominator lacks, divided by as
+    many of X, the factors of its denominator that target lacks, as
+    divide it exactly, in order, each as often as it divides, and the
+    (m, e) left of X.  The merge's bound 2^b bounds M's lanes: k pieces
+    below 2^b', each times at most E passes, give lanes below
+    k 2^(b' + E) <= 2^b.  If the passes of Y and X, N's headroom, do not
+    fit beside it, or N fails its read-back check (`hilbert_on_distinct`),
+    M's lanes are read out once and packed wider, and the lift redone."""
+    packed, width, bits, count, den = merged
+    times, over = _excess(target, den), _excess(den, target)
     # the lanes of M Y; none for M = 0, which no factor divides, as in
     # `peel_common`
-    count = len(coeffs) and len(coeffs) + times.degree
+    count = packed and count + times.degree
     headroom = (sum(e for _, e in times.factors)
                 + sum(e for _, e in over.factors))
-    width = 64
+    m, lanes, need = packed, None, 0
     while True:
-        packed, bits = _packed(coeffs, width)
-        if bits + headroom >= width:
-            width = _width(bits + headroom)
-            continue
-        packed, size, divided = _times_passes(packed, times, width), count, 0
-        left = []
-        for m, e in over.factors:
-            while e and (q := _divided(packed, m, width, size)) is not None:
-                packed, size, e, divided = q, size - m, e - 1, divided + 1
-            if e:
-                left.append((m, e))
-        lanes, bits = _lanes(packed, width)
-        need = bits + divided + (count.bit_length() if left else 0)
-        if need < width:
-            return lanes, tuple(left)
-        width = _width(need)
+        if bits + headroom < width:
+            n, size, divided = _times_passes(m, times, width), count, 0
+            left = []
+            for d, e in over.factors:
+                while e and (q := _divided(n, d, width, size)) is not None:
+                    n, size, e, divided = q, size - d, e - 1, divided + 1
+                if e:
+                    left.append((d, e))
+            out, c = _lanes(n, width)
+            need = c + divided + (count.bit_length() if left else 0)
+            if need < width:
+                return out, tuple(left)
+        if lanes is None:  # M's lanes, read once
+            lanes, bits = _lanes(packed, width)
+            if max(need, bits + headroom) < width:
+                continue
+        width = _width(max(need, bits + headroom))
+        m = _packed(lanes, width)
 
 
 def _off_from_on(on: RationalFunction) -> RationalFunction:
@@ -645,29 +657,30 @@ def hilbert_on_distinct(weights: Sequence[int]):
 
     Returns (the series over the pair-sum denominator, the on-shell
     pieces).  The residue path gives the on-shell sum and pieces
-    (`hilbert_off_clustered`).  The sum is lifted as it is onto the
-    pair-sum denominator exactly (`_lifted`): its numerator M is
+    (`hilbert_off_clustered`).  The packed sum is lifted as it is onto
+    the pair-sum denominator exactly (`_lifted`): its numerator M is
     multiplied by the factors Y of the ansatz that its denominator
     lacks, and divided by the factors X of its denominator that the
     ansatz lacks, each as often as it divides, in order; a factor left
     over raises ReconstructionMismatch.
 
-    The lift runs in balanced lanes of one int, X = 2^W: a pass of Y
-    is a shift and subtract, and a division by 1 - X^m a chain of
-    shifts and adds whose remainder must be zero (`_divided`).  M, below
-    2^b, and Y's |Y| passes give M Y below 2^(b + |Y|); W > b + |Y|, so
-    M Y is what its int's lanes read.  Remainder zero gives N X' = M Y
-    at X, X' the factors divided, and the read-back N, below 2^c, leaves
-    room for them if c + |X'| < W: N X' is then below 2^(W-1) too, both
-    sides read off the same balanced lanes, and N X' = M Y as
-    polynomials.  A factor is only reported left over when, beside
-    that, the quotient it would give fits a lane: a quotient is at most
-    the dividend's L1 norm, so c + |X'| + the bit length of the lane
-    count < W.  Else W widens and the lift is redone.
+    The lift runs in balanced lanes of the merge's int, X = 2^W, with
+    no read-back of M: a pass of Y is a shift and subtract, and a
+    division by 1 - X^m a chain of shifts and adds whose remainder must
+    be zero (`_divided`).  M, below the merge's bound 2^b, and Y's |Y|
+    passes give M Y below 2^(b + |Y|); W > b + |Y|, so M Y is what its
+    int's lanes read.  Remainder zero gives N X' = M Y at X, X' the
+    factors divided, and N, read out once, below 2^c, leaves room for
+    them if c + |X'| < W: N X' is then below 2^(W-1) too, both sides
+    read off the same balanced lanes, and N X' = M Y as polynomials.
+    A factor is only reported left over when, beside that, the
+    quotient it would give fits a lane: a quotient is at most the
+    dividend's L1 norm, so c + |X'| + the bit length of the lane count
+    < W.  Else W widens and the lift is redone.
     """
-    on, pieces = hilbert_off_clustered(weights)
+    merged, pieces = hilbert_off_clustered(weights)
     target = _pair_sum_denominator(weights)
-    numerator, left = _lifted(on, target)
+    numerator, left = _lifted(merged, target)
     if left:
         raise ReconstructionMismatch(
             f"weights {tuple(weights)}: denominator factors "
@@ -859,8 +872,9 @@ def hilbert_series(weights: Sequence[int],
         on, pieces = hilbert_on_distinct(weights)
     else:
         method = "DegenerateResidue"
-        total, pieces = hilbert_off_clustered(weights)
-        on = total.reduce()
+        (packed, width, _, _, den), pieces = hilbert_off_clustered(weights)
+        on = RationalFunction(QPolynomial(_lanes(packed, width)[0]),
+                              den).reduce()
     result = HilbertSeriesResult(weights, method, on, _off_from_on(on),
                                  pieces)
     # H_on(1/x) = x^(2n-2) H_on(x) on every coefficient; then the

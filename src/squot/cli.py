@@ -53,12 +53,21 @@ def _grouped(den: FactoredDenominator) -> tuple:
     return sorted(pairs), sorted((d, e) for d, e in exps.items() if e)
 
 
+class _Ints(list):
+    """Plain ints, so proven where the list is built: `_dumps` writes it
+    by one `%` call with no type scan (`%d` prints True as 1 and
+    truncates a Fraction)."""
+
+
 def series_payload(f: RationalFunction) -> dict:
+    """f's fields; the numerator and extra factor are `_Ints`: integer
+    lanes and closed forms (circle), counts times passes (finite)."""
     pairs, psi = _grouped(f.denominator)
-    payload = {"numerator": list(f.numerator.coeffs),
+    payload = {"numerator": _Ints(f.numerator.coeffs),
                "denominator": [[m, e] for m, e in pairs]}
     if psi:  # prod Psi_d^e, multiplied out
-        payload["extraFactor"] = FactoredDenominator.from_psi(psi).times([1])
+        payload["extraFactor"] = _Ints(
+            FactoredDenominator.from_psi(psi).times([1]))
     return payload
 
 
@@ -171,8 +180,8 @@ def _dumps(value, indent: str = "") -> str:
     """The text json.dumps(value, indent=2) gives for a document of
     dicts with string keys, lists, strings, ints, bools and None, built
     directly, a list of plain ints by one `%` call: json's own encoder
-    falls back to pure Python whenever `indent` is set.  Any other value
-    is left to json.dumps."""
+    falls back to pure Python whenever `indent` is set; only an `_Ints`
+    list skips the type check.  Any other value is left to json.dumps."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -183,7 +192,7 @@ def _dumps(value, indent: str = "") -> str:
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        kinds = {*map(type, value)}
+        kinds = {int} if type(value) is _Ints else {*map(type, value)}
         if kinds == {int}:  # not bool, which prints true
             body = (f"%d,\n{inner}" * (len(value) - 1) + "%d") % tuple(value)
         elif kinds == {str}:

@@ -19,7 +19,7 @@ from squot.circle import (HilbertSeriesResult, _averaged_reciprocity,
                           _kronecker_off_counts, _lanes, _lattice_exponents,
                           _lifted, _mirrored,
                           _oracle_method, _packed, _pair_sum_denominator,
-                          _weight_clusters,
+                          _weight_clusters, _width, _words,
                           hilbert_equal_weights,
                           hilbert_off_clustered, hilbert_on_distinct,
                           hilbert_series, normalize_weights, oracle_off_counts,
@@ -386,6 +386,13 @@ def reference_cofactor_sum(pieces):
              for g in pieces]
     return RationalFunction(
         QPolynomial(map(sum, zip_longest(*parts, fillvalue=0))), den)
+
+
+def merged_series(merged):
+    """The packed sum of `_cofactor_sum` (`hilbert_off_clustered`'s
+    first result) read out as a RationalFunction."""
+    packed, width, _, _, den = merged
+    return RationalFunction(QPolynomial(_lanes(packed, width)[0]), den)
 
 
 def reference_lift(on, target):
@@ -806,6 +813,10 @@ class TestReciprocityCertificate:
 
         def perturbed(*args):
             out = real(*args)
+            if patched == "hilbert_off_clustered":  # its packed sum
+                packed, width, *rest = out[0]
+                top = merged_series(out[0]).numerator.degree
+                return (packed + (1 << width * top), width, *rest), out[1]
             on = out if isinstance(out, RationalFunction) else out[0]
             bumped = RationalFunction(
                 on.numerator + Poly.monomial(on.numerator.degree),
@@ -843,7 +854,7 @@ class TestDistinctWeights:
         # second (1 - x^5); the lift divides by the ones and multiplies
         # by the others
         weights = (1, 2, 3, 4)
-        on, _ = hilbert_off_clustered(weights)
+        on = merged_series(hilbert_off_clustered(weights)[0])
         assert on.denominator.factors == ((1, 3), (2, 1), (3, 2), (4, 1),
                                           (5, 1), (7, 1))
         assert _pair_sum_denominator(weights).factors == (
@@ -890,7 +901,8 @@ class TestClusterResidue:
     @given(repeated_weights())
     @settings(max_examples=40, deadline=None)
     def test_integer_merge_matches_fraction_pipeline(self, weights):
-        off, pieces = hilbert_off_clustered(weights)
+        merged, pieces = hilbert_off_clustered(weights)
+        off = merged_series(merged)
         ref_off, ref_pieces = reference_hilbert_off_clustered(weights)
         assert all(type(c) is int for c in off.numerator.coeffs)
         assert peel_common(off) == ref_off
@@ -912,7 +924,8 @@ class TestClusterResidue:
         # dual route: the residue machinery on multiplicity-one clusters
         # reproduces the phi_tilde route, on shell and piece by piece
         for weights in [(1, 2), (2, 3, 5), (1, 4, 6)]:
-            total, pieces = hilbert_off_clustered(weights)
+            merged, pieces = hilbert_off_clustered(weights)
+            total = merged_series(merged)
             on, ref_pieces = reference_hilbert_on_distinct(weights)
             got = series_of_rational(total, 40).coefficients
             want = series_of_rational(on, 40).coefficients
@@ -1043,17 +1056,20 @@ class TestDivideBinomial:
 
 class TestPackedLanes:
     """The merge and lift over balanced lanes of one int against the list
-    reference (`FactoredDenominator.times` and `peel_common`)."""
+    reference (`FactoredDenominator.times` and `peel_common`): the merge
+    hands its packed sum, width and bound to the lift."""
 
     @given(lane_coefficients(), st.sampled_from([64, 128, 192]))
     @settings(max_examples=200, deadline=None)
     def test_packed_round_trip(self, coeffs, width):
-        packed, bits = _packed(coeffs, width)
+        words, bits = _words(coeffs)
         assert all(abs(c) < 2 ** bits for c in coeffs)
-        if packed is None:
-            assert bits >= width
+        if bits >= width:
             return
+        packed = _packed(words, width)
         assert packed == sum(c << width * j for j, c in enumerate(coeffs))
+        # a list fills its lanes whole, whatever the size of its ints
+        assert _packed(list(coeffs), width) == packed
         lanes, bits = _lanes(packed, width)
         assert QPolynomial(lanes) == QPolynomial(coeffs)
         assert all(abs(c) < 2 ** bits for c in lanes)
@@ -1063,7 +1079,77 @@ class TestPackedLanes:
     @settings(max_examples=150, deadline=None)
     def test_cofactor_sum_matches_list_reference(self, cases):
         pieces = [RationalFunction(QPolynomial(c), d) for c, d in cases]
-        assert _cofactor_sum(pieces) == reference_cofactor_sum(pieces)
+        merged = _cofactor_sum(pieces)
+        packed, width, need, count, _ = merged
+        want = reference_cofactor_sum(pieces)
+        assert merged_series(merged) == want
+        # every lane below the bound, which the width holds, and no
+        # more lanes than the count
+        assert width == _width(need)
+        assert all(abs(c) < 2 ** need for c in _lanes(packed, width)[0])
+        assert len(want.numerator.coeffs) <= count
+
+    @given(st.lists(st.tuples(lane_coefficients(), pass_products()),
+                    min_size=1, max_size=4), pass_products(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_merge_and_lift_match_list_reference(self, cases, target,
+                                                 divisible):
+        # each numerator of a divisible case is X_i times a random one,
+        # X_i the factors of its denominator that target lacks, so the
+        # sum over the union D times Y is divisible by X: M Y / X is
+        # the sum over D Y / X = target
+        if divisible:
+            cases = [(_excess(d, target).times(c), d) for c, d in cases]
+        pieces = [RationalFunction(QPolynomial(c), d) for c, d in cases]
+        on = reference_cofactor_sum(pieces)
+        want = reference_lift(on, target)
+        numerator, left = _lifted(_cofactor_sum(pieces), target)
+        assert QPolynomial(numerator) == want.numerator
+        assert left == want.denominator.factors
+        if divisible and on.numerator.coeffs:
+            assert not left
+
+    @pytest.mark.parametrize("coeffs,passes,bound,widths", [
+        # 60-bit coefficients take 64-bit lanes at the merge (bound 61),
+        # and the lift's eight passes of Y do not fit beside them: the
+        # lift reads M's lanes once and packs them at 128 bits; a lift at
+        # 64 bits would carry across lanes and read back a wrong N
+        ([2 ** 60 - 1, -(2 ** 59), 3, 2 ** 60 - 5, -(2 ** 60 - 1)],
+         [(1, 5), (3, 3)], 61, [128]),
+        # word-sized ones give the bound 33, and 31 passes do not fit
+        # beside it; read back, the lanes fit a word (32 bits) and leave
+        # room for the passes at 64 bits, so nothing is packed again
+        ([3, -(2 ** 31), 2 ** 31 - 1, 0, 7], [(1, 20), (2, 11)], 33, []),
+    ])
+    def test_lift_reads_back_and_widens(self, coeffs, passes, bound,
+                                        widths):
+        on = RationalFunction(QPolynomial(coeffs), FactoredDenominator(()))
+        merged = _cofactor_sum([on])
+        assert merged[1:3] == (64, bound)
+        target = FactoredDenominator.from_pairs(passes)
+        with mock.patch.object(squot.circle, "_packed",
+                               wraps=_packed) as pack, \
+                mock.patch.object(squot.circle, "_lanes",
+                                  wraps=_lanes) as read:
+            numerator, left = _lifted(merged, target)
+        assert QPolynomial(numerator) == reference_lift(on, target).numerator
+        assert not left
+        assert [c.args[1] for c in pack.call_args_list] == widths
+        assert read.call_args_list[0].args == merged[:2]
+
+    def test_zero_sum_divides_nothing(self):
+        # M = 0: no factor is divided out, as in `peel_common`, and N = 0
+        f = RationalFunction(QPolynomial([1, -2, 3]),
+                             FactoredDenominator.from_pairs([(1, 2), (4, 1)]))
+        g = RationalFunction(QPolynomial([-1, 2, -3]), f.denominator)
+        merged = _cofactor_sum([f, g])
+        assert merged[0] == 0
+        numerator, left = _lifted(merged, FactoredDenominator(((3, 1),)))
+        assert QPolynomial(numerator) == QPolynomial([])
+        assert left == ((1, 2), (4, 1))
+        assert left == reference_lift(reference_cofactor_sum([f, g]),
+                                      FactoredDenominator(((3, 1),))
+                                      ).denominator.factors
 
     @given(lane_coefficients(), pass_products(), pass_products(),
            st.booleans())
@@ -1077,7 +1163,7 @@ class TestPackedLanes:
             coeffs = _excess(den, target).times(coeffs)
         on = RationalFunction(QPolynomial(coeffs), den)
         want = reference_lift(on, target)
-        numerator, left = _lifted(on, target)
+        numerator, left = _lifted(_cofactor_sum([on]), target)
         assert QPolynomial(numerator) == want.numerator
         assert left == want.denominator.factors
         if divisible and any(coeffs):
@@ -1091,7 +1177,7 @@ class TestPackedLanes:
         on = RationalFunction(QPolynomial(coeffs), den)
         want = reference_lift(on, target)
         with mock.patch("squot.circle.hilbert_off_clustered",
-                        return_value=(on, ())), \
+                        return_value=(_cofactor_sum([on]), ())), \
                 mock.patch("squot.circle._pair_sum_denominator",
                            return_value=target):
             if not want.denominator.factors:
@@ -1114,7 +1200,8 @@ class TestPackedLanes:
                                                  for k in range(peak, 0, -1)]
         ones = FactoredDenominator.from_pairs([(1, 2)])
         on = RationalFunction(QPolynomial(ones.times(tri)), ones)
-        numerator, left = _lifted(on, FactoredDenominator(()))
+        numerator, left = _lifted(_cofactor_sum([on]),
+                                  FactoredDenominator(()))
         assert QPolynomial(numerator) == QPolynomial(tri)
         assert not left
         assert reference_lift(on, FactoredDenominator(())).numerator \
@@ -1128,7 +1215,7 @@ class TestPackedLanes:
         on = RationalFunction(QPolynomial(coeffs), FactoredDenominator(
             ((3, 2), (5, 1))))
         target = FactoredDenominator(((2, 1),))
-        numerator, left = _lifted(on, target)
+        numerator, left = _lifted(_cofactor_sum([on]), target)
         assert QPolynomial(numerator) == QPolynomial(
             FactoredDenominator(((2, 1),)).times(big))
         assert left == ((3, 1), (5, 1))
@@ -1422,7 +1509,7 @@ class TestDispatcher:
         assert 2 not in dict(pairs)
         assert psi == [(2, 3 if weights == (1, 1, 4, 5, 6) else 2)]
         assert r.on_shell.reduce() == r.on_shell
-        on = hilbert_off_clustered(weights)[0]
+        on = merged_series(hilbert_off_clustered(weights)[0])
         off = RationalFunction(on.numerator, FactoredDenominator.from_pairs(
             on.denominator.factors + ((2, 1),)))
         assert r.off_shell == off.reduce()

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import squot.circle
 import squot.cli
 import squot.finite
-from squot.cli import (_dumps, _level_fields, _parse_weights, _poly_text,
-                       laurent_payload, load_series, main, series_payload)
+from squot.cli import (_dumps, _Ints, _level_fields, _parse_weights,
+                       _poly_text, laurent_payload, load_series, main,
+                       series_payload)
 from squot.errors import MalformedWeights
 from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
                          RationalFunction, laurent_at_one, series_of_rational)
@@ -29,6 +30,7 @@ from squot.finite import FiniteDiagonalGroup, analyze_group
 from squot.laurent import symplectic_check
 
 from polyring import Poly, factored
+from test_golden import commands, stdout_of
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "squot",
                         "fixtures")
@@ -271,6 +273,13 @@ class TestScriptProbes:
         doc = run_json(argv)
         if argv[0] == "laurent":
             assert doc["result"]["agreement"] is True
+
+    def test_wide_lanes_print_json_text(self):
+        # 128-bit lanes through the merge-to-lift handoff, and marked
+        # integer lists through one `%` call: still json's text
+        code, out = run(["hilbert", "--weights", "2,3,5,7,11,13,17"])
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestReciprocityExit:
@@ -577,6 +586,30 @@ class TestEmitter:
             code, out = run(argv)
             assert code == 0
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+    @given(st.lists(wide_ints, max_size=8), json_documents)
+    @settings(max_examples=100, deadline=None)
+    def test_marked_list_is_json_text(self, ints, document):
+        # a marked list prints as the list does, anywhere in a document
+        plain = {"numerator": ints, "rest": [document, ints]}
+        marked = {"numerator": _Ints(ints), "rest": [document, _Ints(ints)]}
+        assert _dumps(marked) == json.dumps(plain, indent=2)
+        assert _dumps(_Ints(ints)) == json.dumps(ints, indent=2)
+
+    def test_marked_lists_hold_plain_ints(self):
+        # `%d` would print True as 1 and truncate a Fraction, so every
+        # list that a golden command marks holds ints and nothing else
+        marked = []
+
+        class Recorded(_Ints):
+            def __init__(self, values):
+                super().__init__(values)
+                marked.append(self)
+        with mock.patch.object(squot.cli, "_Ints", Recorded):
+            for argv in commands():
+                stdout_of(argv)
+        assert len(marked) > len(commands())
+        assert all(type(x) is int for values in marked for x in values)
 
     def test_series_payload_coefficients(self):
         # integer numerators are printed as they are; the extra factor

@@ -13,7 +13,8 @@ import pytest
 
 import squot.circle
 import squot.cli
-from squot.circle import _averaged_reciprocity, _exact_image, hilbert_series
+from squot.circle import (_averaged_reciprocity, _exact_image, _lanes,
+                          hilbert_series)
 from squot.cli import build_parser, main
 from squot.errors import ClosedFormMismatch, OracleMismatch, SquotError
 from squot.exact import SLACK, QPolynomial, RationalFunction
@@ -92,6 +93,18 @@ def _bumped_numerator(f, k, delta):
         f.denominator)
 
 
+def _merged_size(merged):
+    """The coefficients of the packed merged sum (`_cofactor_sum`)."""
+    packed, width = merged[:2]
+    return len(QPolynomial(_lanes(packed, width)[0]).coeffs)
+
+
+def _bumped_merged(merged, k, delta):
+    """The packed merged sum with lane k hit by delta."""
+    packed, width, *rest = merged
+    return (packed + (delta << k * width), width, *rest)
+
+
 def _bumped_lattice(exponents, k, delta):
     """Exponent k's monomial added once more (+1) or dropped (-1)."""
     return exponents + [exponents[k]] if delta > 0 \
@@ -107,8 +120,8 @@ CIRCLE_SITES = {
     "u_average": (
         "u_average", lambda f: len(f.numerator.coeffs), _bumped_numerator),
     "merged sum": (
-        "hilbert_off_clustered", lambda r: len(r[0].numerator.coeffs),
-        lambda r, k, delta: (_bumped_numerator(r[0], k, delta), r[1])),
+        "hilbert_off_clustered", lambda r: _merged_size(r[0]),
+        lambda r, k, delta: (_bumped_merged(r[0], k, delta), r[1])),
     "multisected window": ("multisected_prefix", len, _bumped_list),
     "lattice monomial": ("_lattice_exponents", len, _bumped_lattice),
 }
