@@ -67,8 +67,9 @@ SUBGROUPS = [
 #: multisected prefix, which no n = 3 input with distinct weights
 #: reaches, is pinned by (100,101,102,103), whose pieces each have a
 #: factor with m = 1 beside factors with m near 200, and
-#: (60,97,130,171), with six factors per piece.  `scan` at level 400
-#: pins every level's record from one pass of the scan kernel.  The
+#: (60,97,130,171), with six factors per piece.  `scan` at levels 400
+#: and 1500 pins every level's record from one pass of the scan kernel,
+#: the second on intervals of up to 186 values of b.  The
 #: packed merge and lift are pinned at the frontier: (500,501,502,503),
 #: whose 33-35-bit pieces fill whole 64-bit lanes, (3,5,8,11,13,17),
 #: six pieces over 22 factors, and (10000,12001,14999), a merged sum of
@@ -126,6 +127,8 @@ DIGESTS = {
         "722b70c0b82a28a4a5a89b8177ec7a09869f3297fa99f7c2d8e190522023c874",
     "scan --max-level 400":
         "6595c4d896a6e8972e9453ba772209df4bdf3266d7221ee069838e25ae520722",
+    "scan --max-level 1500":
+        "f5d9049a7edbaab4242653ac454cf06ae549e9e92529fad1486cc68ee274990b",
 }
 
 
