@@ -188,6 +188,19 @@ class TestKernelAgainstTripleLoop:
         assert list(pair_triples(150)) == list(reference_triples(150))
 
 
+class TestReducedDivisorTest:
+    def test_lemma_exhaustive(self):
+        """(r b - s) | s b exactly when (r' b - s') | s'^2, where
+        r' = r/g and s' = s/g with g = gcd(r, s)."""
+        for r in range(1, 61):
+            for s in range(1, 61):
+                g = math.gcd(r, s)
+                rr, ss = r // g, s // g
+                for b in range(s // r + 1, 201):
+                    assert (s * b % (r * b - s) == 0) \
+                        == (ss * ss % (rr * b - ss) == 0), (r, s, b)
+
+
 class TestKernelAgainstPairKernel:
     """The (a, k) intervals against the (a, b) kernel above the levels
     the triple loop reaches; the interval ends depend on the level, so
