@@ -105,7 +105,8 @@ class ScanResult(NamedTuple):
 
 
 def _hits(a: int, level: int) -> list:
-    """The hits (a, b, c) with a+b+c <= level, by k and then by b."""
+    """The hits (a, b, c) of smallest weight a with a+b+c <= level, by k
+    and then by b."""
     t = level - a
     hits = []
     for k in range(-(-a // 3), a * t // (t + 4 * a) + 1):
