@@ -152,10 +152,12 @@ def load_series(paths) -> RationalFunction:
     pairs = []
     for tok in den_toks:
         try:
-            m, e = tok.split(":")
-            pairs.append((int(m), int(e)))
+            m, e = map(int, tok.split(":"))
+            if m < 1 or e < 1:
+                raise ValueError
         except ValueError:
             raise ValueError(f"{den_path}: cannot read {tok!r}") from None
+        pairs.append((m, e))
     return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
 
 
@@ -295,7 +297,10 @@ def cmd_laurent(args) -> int:
 
 def cmd_symplectic(args) -> int:
     # with no S_m to check, "passed" would hold vacuously; S_1..S_R
-    # read 2R Laurent coefficients
+    # read 2R Laurent coefficients.  On --weights input the series is
+    # reciprocal and its expansion is built in w = u^2/(1 - u), so
+    # S_1..S_R vanish by construction and "passed" holds whatever the
+    # quotient's W_k are; only --series input is tested by it
     _check_range("--order", args.order, 1, _MAX_ENTRIES // 2)
     request, f = _series_source(args)
     expansion = laurent_at_one(f, 2 * args.order - 1)
@@ -405,7 +410,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report gamma_0..gamma_K")
     p.set_defaults(func=cmd_laurent)
 
-    p = sub.add_parser("symplectic", help="test the S_m constraints")
+    p = sub.add_parser(
+        "symplectic", help="test the S_m constraints",
+        description="Report S_1..S_R. On --series input this tests the "
+                    "series. On --weights input the series is reciprocal, "
+                    "so S_1..S_R vanish by construction of its expansion "
+                    "in w = u^2/(1 - u): \"passed\" holds whatever its "
+                    "coefficients in w are.")
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--weights")
     src.add_argument("--series", nargs="+", metavar="FILE")

@@ -21,7 +21,7 @@ import squot.circle
 import squot.cli
 import squot.finite
 from squot.cli import (_dumps, _Ints, _level_fields, _parse_weights,
-                       _poly_text, laurent_payload, load_series, main,
+                       _poly_text, laurent_payload, load_series,
                        series_payload)
 from squot.errors import MalformedWeights
 from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
@@ -31,9 +31,7 @@ from squot.laurent import symplectic_check
 
 from polyring import Poly, factored
 from test_golden import commands, stdout_of
-
-FIXTURES = os.path.join(os.path.dirname(__file__), "..", "src", "squot",
-                        "fixtures")
+from test_probes import FIXTURES, run_all
 
 
 def psi_exponents(coeffs):
@@ -65,18 +63,6 @@ def payload_to_rational(payload):
     den = factored(((m, e) for m, e in payload["denominator"]),
                    psi_exponents(payload.get("extraFactor", [1])))
     return RationalFunction(num, den)
-
-
-def run_all(argv):
-    """Exit code, stdout and stderr; argparse's own errors exit through
-    SystemExit."""
-    out, err = StringIO(), StringIO()
-    with mock.patch("sys.stdout", out), mock.patch("sys.stderr", err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
-    return code, out.getvalue(), err.getvalue()
 
 
 def run(argv):
@@ -253,33 +239,6 @@ class TestLaurentCommand:
         assert doc["result"]["poleOrder"] == 6
         assert doc["result"]["coefficients"] == [
             "5/32", "0", "11/128", "11/128", "11/128", "11/128"]
-
-
-class TestScriptProbes:
-    """Commands the workflow's installed-script step runs that no other
-    test runs, in process: exit 0 certifies every check they make."""
-
-    @pytest.mark.parametrize("argv", [
-        # seven pieces merged and lifted onto the pair-sum denominator
-        ["hilbert", "--weights", "2,3,5,7,11,13,17"],
-        # each weight shares a factor with both others
-        ["hilbert", "--weights", "6,10,15", "--oracle-verify", "90"],
-        # numerators of degree 7398, one of them not palindromic
-        ["laurent", "--weights", "1000,1201,1499", "--order", "119"],
-        # a cluster of four at a high degree, by Kronecker substitution
-        ["hilbert", "--weights", "100,101,102,103", "--oracle-verify",
-         "600"]])
-    def test_exits_0(self, argv):
-        doc = run_json(argv)
-        if argv[0] == "laurent":
-            assert doc["result"]["agreement"] is True
-
-    def test_wide_lanes_print_json_text(self):
-        # 128-bit lanes through the merge-to-lift handoff, and marked
-        # integer lists through one `%` call: still json's text
-        code, out = run(["hilbert", "--weights", "2,3,5,7,11,13,17"])
-        assert code == 0
-        assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 class TestReciprocityExit:
@@ -578,15 +537,6 @@ class TestEmitter:
         for scalar in ([], {}, "", 0, -7, True, None):
             assert _dumps(scalar) == json.dumps(scalar, indent=2)
 
-    def test_stdout_is_json_dumps(self):
-        for argv in (["hilbert", "--weights", "5,7,7,8", "--off"],
-                     ["laurent", "--weights", "4,5,20", "--order", "3"],
-                     ["finite", "--gen", "4:1,3,2", "--order", "3"],
-                     ["scan", "--max-level", "12"]):
-            code, out = run(argv)
-            assert code == 0
-            assert out == json.dumps(json.loads(out), indent=2) + "\n"
-
     @given(st.lists(wide_ints, max_size=8), json_documents)
     @settings(max_examples=100, deadline=None)
     def test_marked_list_is_json_text(self, ints, document):
@@ -648,7 +598,8 @@ class TestSeriesFiles:
         assert code == 2 and out == ""
         assert err == f"error: {bad}: cannot read '1/0'\n"
 
-    @pytest.mark.parametrize("token", ["2:x", "2:1:3", "2"])
+    @pytest.mark.parametrize("token", ["2:x", "2:1:3", "2", "0:1", "2:-1",
+                                       "1:0"])
     def test_bad_factor_token_names_second_file(self, tmp_path, token):
         num, den = tmp_path / "num.txt", tmp_path / "den.txt"
         num.write_text("1 2\n")
@@ -824,17 +775,12 @@ class TestExitContract:
         # main reuses one parser per process; an argparse failure must
         # not change what the next command prints
         valid = ["laurent", "--weights", "1,2,3"]
-        alone = subprocess.run(
-            [sys.executable, "-B", "-c",
-             "import sys; sys.path.insert(0, sys.argv[1]); "
-             "from squot.cli import main; sys.exit(main(sys.argv[2:]))",
-             os.path.join(os.path.dirname(__file__), "..", "src"), *valid],
-            capture_output=True, text=True, timeout=120)
+        alone = run_capped(valid)
         code, _, err = run_all(["laurent", "--weights", "1,2",
                                 "--series", "x"])
         assert code == 2 and "not allowed with" in err
-        assert run(valid) == (alone.returncode, alone.stdout)
-        assert alone.returncode == 0
+        assert run(valid) == alone[:2]
+        assert alone[0] == 0
 
     def test_import_path_has_no_dataclasses(self):
         # the records are NamedTuples: dataclasses, and the inspect it
@@ -844,7 +790,7 @@ class TestExitContract:
              "import sys; sys.path.insert(0, sys.argv[1]); import squot.cli; "
              "squot.cli.build_parser(); "
              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))",
-             os.path.join(os.path.dirname(__file__), "..", "src")],
+             SRC],
             capture_output=True, text=True, timeout=120)
         assert (probe.returncode, probe.stdout) == (0, "[]\n")
 
