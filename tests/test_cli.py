@@ -241,6 +241,20 @@ class TestLaurentCommand:
             "5/32", "0", "11/128", "11/128", "11/128", "11/128"]
 
 
+class TestScriptProbes:
+    """Seven pieces merged and lifted in 128-bit lanes, as the probe
+    table's row for these weights also checks."""
+    SEVEN = ["hilbert", "--weights", "2,3,5,7,11,13,17"]
+
+    @pytest.mark.parametrize("argv", [SEVEN])
+    def test_exits_0(self, argv):
+        assert run_json(argv)["result"]["series"]["numerator"]
+
+    def test_wide_lanes_print_json_text(self):
+        code, out = run(self.SEVEN)
+        assert (code, out) == (0, json.dumps(json.loads(out), indent=2) + "\n")
+
+
 class TestReciprocityExit:
     @staticmethod
     def bumped(f):
