@@ -160,10 +160,9 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     average has the exact denominator prod (1-y^l)^e in y = x^a, of
     degree sum e*m/gcd(a,m).  A factor with a | m is a function of x^a:
     it becomes (1-y^(m/a))^e at once and stays out of the expansion.
-    The numerator N is the multisected Taylor prefix of f without those
-    factors times the image of the others, in the coefficients of f's
-    numerator (integers in the pipeline; Fractions give the same
-    values).  The input's reciprocity gives the mirror
+    The numerator N, in integers as f's is, is the multisected Taylor
+    prefix of f without those factors times the image of the others.
+    The input's reciprocity gives the mirror
     N_k = eps * N_(C-k) (`_averaged_reciprocity`), so only a half-length
     prefix is expanded: it yields N_0..N_(C//2 + SLACK), the SLACK
     coefficients past the middle must agree with the mirror, and the

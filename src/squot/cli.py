@@ -13,15 +13,12 @@ import csv
 import json
 import math
 import sys
-from fractions import Fraction
 from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .circle import DEFAULT_ORACLE_DEGREE, hilbert_series, normalize_weights
-from .errors import (ArgumentOutOfRange, ClosedFormMismatch,
-                     InsufficientCoefficients, MalformedWeights,
-                     NotApplicable, PartitionPointsMismatch, SquotError,
-                     UnsupportedDimension, ZeroWeight)
+from .errors import (ArgumentOutOfRange, ClosedFormMismatch, InputError,
+                     MalformedWeights, SquotError)
 from .exact import (FactoredDenominator, QPolynomial, RationalFunction,
                     _divisors, laurent_at_one, laurent_numerators)
 from .finite import FiniteDiagonalGroup, analyze_group
@@ -29,12 +26,6 @@ from .laurent import gamma0_closed, gamma2_closed, symplectic_check
 from .scan import full_scan
 
 SCHEMA_VERSION = "1"
-
-#: Errors caused by what the user asked for, as opposed to failures of
-#: the computation's own consistency checks.
-_INPUT_ERRORS = (ZeroWeight, MalformedWeights, ArgumentOutOfRange,
-                 UnsupportedDimension, InsufficientCoefficients,
-                 PartitionPointsMismatch, NotApplicable)
 
 
 def _grouped(den: FactoredDenominator) -> tuple:
@@ -54,9 +45,8 @@ def _grouped(den: FactoredDenominator) -> tuple:
 
 
 class _Ints(list):
-    """Plain ints, so proven where the list is built: `_dumps` writes it
-    by one `%` call with no type scan (`%d` prints True as 1 and
-    truncates a Fraction)."""
+    """Plain ints, as a `QPolynomial` holds: `_dumps` writes the list by
+    one `%` call with no type scan (`%d` prints True as 1)."""
 
 
 def series_payload(f: RationalFunction) -> dict:
@@ -122,12 +112,12 @@ def _parse_generator(text: str):
                          "expected m:e1,...,en")
 
 
-def _read_token(path, tok) -> Fraction:
-    """Fraction(tok), or a ValueError that names the file and the token
-    (a zero denominator too)."""
+def _read_token(path, tok) -> int:
+    """int(tok), or a ValueError that names the file and the token (a
+    fraction or a decimal too: numerators are integer polynomials)."""
     try:
-        return Fraction(tok)
-    except (ValueError, ZeroDivisionError):
+        return int(tok)
+    except ValueError:
         raise ValueError(f"{path}: cannot read {tok!r}") from None
 
 
@@ -464,7 +454,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_attach_values(argv))
         return args.func(args)
-    except _INPUT_ERRORS + (ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, OverflowError):

@@ -5,15 +5,20 @@ class SquotError(Exception):
     """Base class for all squot-specific errors."""
 
 
-class ZeroWeight(SquotError):
+class InputError(SquotError):
+    """Caused by what the user asked for; the CLI exits 2.  Any other
+    SquotError is a failed verification, and the CLI exits 3."""
+
+
+class ZeroWeight(InputError):
     """A weight vector contains a zero entry."""
 
 
-class MalformedWeights(SquotError):
+class MalformedWeights(InputError):
     """A weight list is not a comma-separated list of integers."""
 
 
-class ArgumentOutOfRange(SquotError):
+class ArgumentOutOfRange(InputError):
     """A numeric command-line argument is outside its allowed range."""
 
 
@@ -37,15 +42,15 @@ class ClosedFormMismatch(SquotError):
     """A computed Laurent coefficient disagrees with its closed form."""
 
 
-class PartitionPointsMismatch(SquotError):
+class PartitionPointsMismatch(InputError):
     """Schur evaluation called with len(points) != len(partition)."""
 
 
-class UnsupportedDimension(SquotError):
+class UnsupportedDimension(InputError):
     """Closed-form Laurent coefficient requested below its minimal n."""
 
 
-class InsufficientCoefficients(SquotError):
+class InsufficientCoefficients(InputError):
     """A Laurent expansion is too short for the requested constraint order."""
 
 
@@ -53,5 +58,5 @@ class TheoremInconsistency(SquotError):
     """The two closed-form routes to a finite-group coefficient disagree."""
 
 
-class NotApplicable(SquotError):
+class NotApplicable(InputError):
     """An operation's precondition (e.g. integrality of 1/gamma0) fails."""

@@ -1,11 +1,12 @@
 """Exact rational, polynomial, power-series and Laurent arithmetic.
 
-Everything here is pure and exact: coefficients are ints or Fractions,
-equality is decidable, and no operation ever rounds; the series layer
-runs in integers, on numerators whose scale is kept apart.  A rational
-function keeps its denominator as one canonical list of signed
-(1 - x^m) exponents (a cyclotomic Psi_d brings some e < 0), and every
-product with or quotient by it runs as (1 - x^m) passes.  Laurent data
+Everything here is pure and exact: a numerator is an integer polynomial
+(every denominator is a product of (1 - x^m)^e, constant term 1),
+Laurent data are integers over one shared scale, equality is decidable,
+and no operation ever rounds.  A rational function keeps its
+denominator as one canonical list of signed (1 - x^m) exponents (a
+cyclotomic Psi_d brings some e < 0), and every product with or quotient
+by it runs as (1 - x^m) passes.  Laurent data
 at x = 1 are a division in w = u^2 / (1 - u), u = 1 - x, on half as
 many terms as in u: every [m]_x = (1 - x^m) / (1 - x) is palindromic,
 a power of x times a polynomial in w up to a factor 1 + x.  The
@@ -20,11 +21,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, combinations, cycle, islice, repeat
 from operator import add, mul, neg, sub
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ReciprocityMismatch, ReconstructionMismatch
-
-Scalar = Union[int, Fraction]
 
 #: Number of extra verified coefficients in rational reconstruction.
 SLACK = 16
@@ -37,13 +36,13 @@ SLACK = 16
 PACKED_MIN_M = 6
 
 
-def cleared(coeffs: Sequence[Scalar]):
+def cleared(coeffs: Sequence):
     """(scale, ints): the coefficients times the lcm of their denominators."""
     scale = math.lcm(*(c.denominator for c in coeffs))
     return scale, [c.numerator * (scale // c.denominator) for c in coeffs]
 
 
-def _strip(coeffs: Sequence[Scalar]) -> tuple:
+def _strip(coeffs: Sequence) -> tuple:
     n = len(coeffs)
     while n and not coeffs[n - 1]:
         n -= 1
@@ -51,15 +50,16 @@ def _strip(coeffs: Sequence[Scalar]) -> tuple:
 
 
 class QPolynomial:
-    """Dense univariate polynomial over Q, coefficients indexed by degree."""
+    """Dense univariate polynomial over Z: a tuple of int coefficients,
+    indexed by degree, with no trailing zeros."""
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         self.coeffs = _strip(list(coeffs))
 
     @staticmethod
-    def monomial(degree: int, coeff: Scalar = 1) -> "QPolynomial":
+    def monomial(degree: int, coeff: int = 1) -> "QPolynomial":
         return QPolynomial([0] * degree + [coeff])
 
     @property
@@ -67,15 +67,10 @@ class QPolynomial:
         """Degree, with the zero polynomial having degree -1."""
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = QPolynomial([other])
         return isinstance(other, QPolynomial) and self.coeffs == other.coeffs
 
     def __hash__(self):
@@ -84,15 +79,8 @@ class QPolynomial:
     def __repr__(self):
         return f"QPolynomial({list(self.coeffs)!r})"
 
-    def __getitem__(self, k: int) -> Scalar:
+    def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __mul__(self, scalar: Scalar) -> "QPolynomial":
-        if not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        return QPolynomial([c * scalar for c in self.coeffs])
-
-    __rmul__ = __mul__
 
 
 def _times_binomial(c: list, m: int, e: int) -> None:
@@ -154,11 +142,11 @@ class FactoredDenominator(NamedTuple):
     def expand(self) -> QPolynomial:
         return QPolynomial(self.times([1]))
 
-    def times(self, coeffs: Sequence[Scalar]) -> list:
+    def times(self, coeffs: Sequence) -> list:
         """The coefficients times the expanded denominator, in full."""
         return self.multiply_into(list(coeffs) + [0] * self.degree)
 
-    def multiply_into(self, coeffs: Sequence[Scalar]) -> list:
+    def multiply_into(self, coeffs: Sequence) -> list:
         """Multiply a coefficient list by the expanded denominator,
         truncated to the same length; works on a copy."""
         out = list(coeffs)
@@ -224,8 +212,8 @@ def _divide_psi(c: list, d: int):
 
 def peel_common(f: RationalFunction) -> RationalFunction:
     """Cancel whole (1 - x^m) factors shared by numerator and denominator,
-    in the numerator's own coefficients (integers in the pipeline); a pass
-    e < 0 leaves f as it is, as the rest may be no polynomial."""
+    in the numerator's integer coefficients; a pass e < 0 leaves f as it
+    is, as the rest may be no polynomial."""
     if any(e < 0 for _, e in f.denominator.factors):
         return f
     num = list(f.numerator.coeffs)
@@ -257,7 +245,7 @@ class RationalFunction(NamedTuple):
         it once, on shell, for repeated weights; every method's off
         shell appends the pass of 1 - x^2 (`circle._off_from_on`).
         """
-        if self.numerator.is_zero():
+        if not self.numerator:
             return RationalFunction(self.numerator, FactoredDenominator(()))
         peeled = peel_common(self)
         exps = peeled.denominator.psi_exponents()
@@ -430,14 +418,14 @@ def _packed_multisection(c: int, v: int, passes: list, order: int,
 def multisected_prefix(f: RationalFunction, a: int, reach: int) -> list:
     """Coefficients 0, a, 2a, ..., a * reach of the Taylor series of f.
 
-    An integer monomial numerator over one or more (1 - x^m) factors
-    and no multiplying pass is expanded over packed integer rows
-    (`_packed_multisection`); anything else takes every a-th
-    coefficient of `_expand_factored`.
+    A monomial numerator over one or more (1 - x^m) factors and no
+    multiplying pass is expanded over packed integer rows
+    (`_packed_multisection`); anything else takes every a-th coefficient
+    of `_expand_factored`.
     """
     num, den, order = f.numerator, f.denominator, a * reach
     if (den.factors and all(e > 0 for _, e in den.factors) and num
-            and type(num.coeffs[-1]) is int and not any(num.coeffs[:-1])):
+            and not any(num.coeffs[:-1])):
         passes = [m for m, e in den.factors for _ in range(e)]
         return _packed_multisection(num.coeffs[-1], num.degree, passes,
                                     order, a)
@@ -516,12 +504,12 @@ def _power_sums(poly: QPolynomial, count: int) -> list:
 
 
 def resultant_transform(den: QPolynomial, a: int) -> QPolynomial:
-    """Polynomial whose roots are the a-th powers of den's roots.
-
-    Constant term is normalized to den(0)**a, so products of (1-x^m)
+    """Polynomial whose roots are the a-th powers of den's roots: the
+    integer resultant Res_z(den(z), z^a - x) = +-lead^a prod (x - r_i^a),
+    its sign making the constant term den(0)**a, so products of (1-x^m)
     factors transform into the same shape.  Computed through power sums
-    (Newton both ways), which is the resultant Res_z(den(z), z^a - x) up
-    to normalization.
+    (Newton both ways) in Fractions; a coefficient that is not integral
+    raises ValueError.
     """
     if a < 1:
         raise ValueError("a must be >= 1")
@@ -539,10 +527,12 @@ def resultant_transform(den: QPolynomial, a: int) -> QPolynomial:
         for j in range(1, m + 1):
             acc += Fraction((-1) ** (j - 1)) * f[m - j] * q[j - 1]
         f[m] = acc / m
-    monic = QPolynomial([Fraction((-1) ** (k - j)) * f[k - j]
-                         for j in range(k + 1)])
-    scale = Fraction(den.coeffs[0]) ** a / monic.coeffs[0]
-    return monic * scale
+    monic = [(-1) ** (k - j) * f[k - j] for j in range(k + 1)]
+    scale = den.coeffs[0] ** a / monic[0]
+    out = [c * scale for c in monic]
+    if any(c.denominator != 1 for c in out):
+        raise ValueError(f"the resultant of {den} is not integral")
+    return QPolynomial(c.numerator for c in out)
 
 
 def mul_truncated(a: Sequence, b: Sequence, n: int) -> list:
@@ -699,8 +689,8 @@ def laurent_numerators(f: RationalFunction, order: int) -> tuple:
     coefficients in u take ceil(L / 2) in w.  Everything up to the last
     step is integer arithmetic:
 
-    1. the numerator is scaled to integers, times the passes of e < 0
-       (the (1 - x^j) a Psi_d multiplies by), and its x-valuation and
+    1. the numerator is multiplied by the passes of e < 0 (the
+       (1 - x^j) a Psi_d multiplies by), and its x-valuation and
        (1 - x)^v are taken out; the pole order is E - v;
     2. the rest, N, is split into its palindromic part A = (N + N*) / 2
        and (1 - x) B' with B' = (N - N*) / (2 (1 - x)) palindromic, N*
@@ -715,16 +705,15 @@ def laurent_numerators(f: RationalFunction, order: int) -> tuple:
        (`_shared_quotient`), and the quotient is mapped back to u by a
        truncated Horner pass, times (1 - u)^s (2 - u)^eps (`_in_u`),
        where s is half the span difference plus the x-valuation; D is
-       the numerator's scale times the quotients' shared denominator.
+       the quotients' shared denominator, times 2 if N was split.
     """
     if order < 0:
         raise ValueError(f"Laurent order must be >= 0, got {order}")
-    if f.numerator.is_zero():
+    if not f.numerator:
         return 0, [0] * (order + 1), 1
-    passes = f.denominator.factors
-    scale, num = cleared(f.numerator.coeffs)
+    passes, scale = f.denominator.factors, 1
     num = FactoredDenominator.from_pairs(
-        (m, -e) for m, e in passes if e < 0).times(num)
+        (m, -e) for m, e in passes if e < 0).times(f.numerator.coeffs)
     passes = [(m, e) for m, e in passes if e > 0]
     low = next(i for i, c in enumerate(num) if c)
     num, val = num[low:], 0
@@ -782,7 +771,7 @@ def laurent_numerators(f: RationalFunction, order: int) -> tuple:
     return 0, ([0] * -pole + total)[:order + 1], scale
 
 
-def laurent_prototype(t: Scalar, order: int) -> LaurentExpansion:
+def laurent_prototype(t: int | Fraction, order: int) -> LaurentExpansion:
     """Expansion of 1/(1 - x^t) at x = 1 for rational t != 0.
 
     Leading terms: 1/t, (t-1)/(2t), (t^2-1)/(12t), (t^2-1)/(24t), ...

@@ -1,11 +1,13 @@
 """Ring arithmetic on polynomials, for the tests' reference routes.
 
-squot's `QPolynomial` only scales by a number: its products and
-quotients run through the integer kernels of `squot.exact`.  `Poly`
+squot's `QPolynomial` holds ints and has no arithmetic: its products
+and quotients run through the integer kernels of `squot.exact`.
+`Poly` is a polynomial over Q, with int or Fraction coefficients, and
 adds +, - and * between polynomials (and numbers), so that references
 can be written as plain algebra, independent of those kernels.  A
 `Poly` equals the `QPolynomial` with the same coefficients, and a
-`QPolynomial` operand on either side of an operator is accepted.
+`QPolynomial` operand on either side of an operator is accepted.  A
+`Poly` handed to squot itself must hold ints, as a `QPolynomial` does.
 `factored` builds a denominator from (1 - x^m) factors and cyclotomic
 Psi_d, the two kinds the tests draw.
 """

@@ -76,14 +76,10 @@ def reference_u_average(f, a):
     image denominator, with no mirror."""
     target = exact_image(f.denominator, a)
     bound = target.degree
-    scale, ints = cleared(f.numerator.coeffs)
-    f = RationalFunction(QPolynomial(ints), f.denominator)
     prefix = series_of_rational(f, a * (bound + 2 + SLACK))
     sect = TruncatedSeries(prefix.coefficients[::a])
-    num = rational_reconstruct(sect, target, bound)
-    if scale != 1:
-        num = num * Fraction(1, scale)
-    return RationalFunction(num, target)
+    return RationalFunction(rational_reconstruct(sect, target, bound),
+                            target)
 
 
 def phi_tilde(weights, i):
@@ -188,20 +184,20 @@ def on_shell(case, a):
 
 
 def scaled(f, k):
-    """f with its numerator times the number k."""
-    return RationalFunction(f.numerator * k, f.denominator)
+    """f with its numerator times the number k, as a `Poly`."""
+    return RationalFunction(Poly(f.numerator.coeffs) * k, f.denominator)
 
 
 def reference_hilbert_off_clustered(weights):
-    """The Fraction pipeline: each residue piece divided by its scale,
-    averaged and multiplied by its weight; the pieces merged in Fraction
-    polynomial arithmetic over their expanded cofactors."""
+    """The Fraction pipeline: each integer residue piece averaged, then
+    multiplied by its weight over its scale; the pieces merged in
+    Fraction polynomial arithmetic over their expanded cofactors."""
     clusters = _weight_clusters(weights)
     pieces = []
     for a, p in clusters:
         rest = tuple((b, pb) for b, pb in clusters if b != a)
         g, s = residue_cluster(a, p, rest)
-        pieces.append(scaled(u_average(scaled(g, Fraction(1, s)), a), a))
+        pieces.append(scaled(u_average(g, a), Fraction(a, s)))
     merged = {}
     for piece in pieces:
         for m, e in piece.denominator.factors:
@@ -238,7 +234,7 @@ def reference_divide_binomial(poly, m):
         expected = -q[k - m] if 0 <= k - m <= d else 0
         if c[k] != expected:
             return None
-    return QPolynomial(q)
+    return Poly(q)
 
 
 @st.composite
@@ -251,11 +247,11 @@ def binomial_dividends(draw):
         st.integers(-9, 9),
         st.fractions(min_value=-9, max_value=9, max_denominator=12)]))
     if not draw(st.integers(0, 5)):
-        return QPolynomial(draw(st.lists(coeff, max_size=m))), m, False
-    quotient = QPolynomial(draw(st.lists(coeff, min_size=1, max_size=60)))
+        return Poly(draw(st.lists(coeff, max_size=m))), m, False
+    quotient = Poly(draw(st.lists(coeff, min_size=1, max_size=60)))
     poly = quotient * binomial(m)
     if draw(st.booleans()):
-        return poly, m, not quotient.is_zero()
+        return poly, m, bool(quotient)
     at = draw(st.integers(0, poly.degree + 2))
     bump = draw(coeff.filter(bool))
     return poly + Poly.monomial(at, bump), m, False
@@ -511,9 +507,9 @@ class TestUAverage:
     @settings(max_examples=40, deadline=None)
     def test_scaling_commutes_on_residue_pieces(self, case, k):
         # the pipeline hands averaging, peeling and reduction integer
-        # numerators; a numerator scaled by 1/k gives 1/k times the
-        # integer result, so direct calls with Fractions keep their
-        # values.  The average still matches the multisected series.
+        # numerators, and gets integers back; a numerator scaled by k
+        # gives k times the result.  The average still matches the
+        # multisected series.
         f, a = case
         g = u_average(f, a)
         for run, h in [(lambda h: u_average(h, a), f), (peel_common, g),
@@ -521,8 +517,7 @@ class TestUAverage:
             assert all(type(c) is int for c in h.numerator.coeffs)
             got = run(h)
             assert all(type(c) is int for c in got.numerator.coeffs)
-            assert run(scaled(h, Fraction(1, k))) \
-                == scaled(got, Fraction(1, k))
+            assert run(scaled(h, k)) == scaled(got, k)
         direct = series_of_rational(f, 20 * a).coefficients[::a]
         assert series_of_rational(g, 20).coefficients == direct
 
@@ -637,7 +632,7 @@ class TestHalfPrefix:
         f = RationalFunction(QPolynomial(),
                              FactoredDenominator.from_pairs([(1, 1), (3, 2)]))
         assert mirror_of(f, 2) == (exact_image(f.denominator, 2).degree, 1)
-        assert u_average(f, 2).numerator.is_zero()
+        assert not u_average(f, 2).numerator
 
     def test_cyclotomic_passes(self):
         # (1 - x)(1 - x^2) Psi_3 is (1 - x^2)(1 - x^3), which averages
@@ -1044,13 +1039,12 @@ class TestDivideBinomial:
         assert _divide_binomial([], 1) is None
 
     def test_peel_common(self):
-        half = Fraction(1, 2)
-        num = QPolynomial([half, half]) * binomial(2)
+        num = QPolynomial([3, 3]) * binomial(2)
         den = FactoredDenominator.from_pairs([(2, 2), (3, 1)])
         out = peel_common(RationalFunction(num, den))
-        assert out.numerator == QPolynomial([half, half])
+        assert out.numerator == QPolynomial([3, 3])
         assert out.denominator.factors == ((2, 1), (3, 1))
-        kept = RationalFunction(QPolynomial([half, 1]), den)
+        kept = RationalFunction(QPolynomial([3, 6]), den)
         assert peel_common(kept).numerator is kept.numerator
 
 

@@ -20,17 +20,20 @@ from hypothesis import strategies as st
 import squot.circle
 import squot.cli
 import squot.finite
+from squot.circle import hilbert_series
 from squot.cli import (_dumps, _Ints, _level_fields, _parse_weights,
                        _poly_text, laurent_payload, load_series,
                        series_payload)
 from squot.errors import MalformedWeights
 from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
                          RationalFunction, laurent_at_one, series_of_rational)
-from squot.finite import FiniteDiagonalGroup, analyze_group
+from squot.finite import FiniteDiagonalGroup, analyze_group, molien_series
 from squot.laurent import symplectic_check
 
 from polyring import Poly, factored
-from test_golden import commands, stdout_of
+from test_faults import MOLIEN_GROUPS, parse_group
+from test_golden import SERIES, commands, stdout_of
+from test_golden import WEIGHTS as GOLDEN_WEIGHTS
 from test_probes import FIXTURES, run_all
 
 
@@ -59,7 +62,7 @@ def psi_exponents(coeffs):
 def payload_to_rational(payload):
     """The rational function of a "series" payload, the inverse of
     `series_payload`."""
-    num = QPolynomial(Fraction(str(c)) for c in payload["numerator"])
+    num = QPolynomial(payload["numerator"])
     den = factored(((m, e) for m, e in payload["denominator"]),
                    psi_exponents(payload.get("extraFactor", [1])))
     return RationalFunction(num, den)
@@ -611,6 +614,29 @@ class TestSeriesFiles:
                                   "--order", "2"])
         assert code == 2 and out == ""
         assert err == f"error: {bad}: cannot read '1/0'\n"
+
+    @pytest.mark.parametrize("token", ["1/2", "2.0", "3/1"])
+    def test_fractional_numerator_token_exit_2(self, tmp_path, token):
+        # numerators are integer polynomials: a fraction or a decimal,
+        # of integer value or not, is no numerator token
+        bad = tmp_path / "bad.txt"
+        bad.write_text(f"1 {token} 2\n1:2\n")
+        code, out, err = run_all(["laurent", "--series", str(bad),
+                                  "--order", "2"])
+        assert code == 2 and out == ""
+        assert err == f"error: {bad}: cannot read '{token}'\n"
+
+    def test_numerators_hold_ints(self):
+        # read from the shipped fixtures, or built as Molien series and
+        # circle series (on and off shell, and every piece)
+        series = [load_series([fixture(name)]) for name in SERIES]
+        series += [molien_series(FiniteDiagonalGroup.from_generators(
+            parse_group(spec))) for spec in MOLIEN_GROUPS]
+        for text in GOLDEN_WEIGHTS:
+            result = hilbert_series(tuple(map(int, text.split(","))))
+            series += [result.on_shell, result.off_shell, *result.pieces]
+        assert all(type(c) is int
+                   for f in series for c in f.numerator.coeffs)
 
     @pytest.mark.parametrize("token", ["2:x", "2:1:3", "2", "0:1", "2:-1",
                                        "1:0"])

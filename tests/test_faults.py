@@ -1,22 +1,26 @@
 """Fault ledger: faults injected into the pipeline, each of which a
 check must catch, so that no check holds by construction unnoticed:
-counts of the Molien window for `finite`, results of the averaging,
-merging and lattice steps for `circle`, and the Laurent numerators
-that `laurent` checks against its closed forms."""
+counts of the Molien window and the Laurent data that `finite` checks
+against its closed forms, results of the averaging, merging and lattice
+steps for `circle`, and the Laurent numerators that `laurent` checks
+against its closed forms."""
 
 import functools
 import random
 import traceback
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 
 import squot.circle
 import squot.cli
+import squot.finite
 from squot.circle import (_averaged_reciprocity, _exact_image, _lanes,
                           hilbert_series)
 from squot.cli import build_parser, main
-from squot.errors import ClosedFormMismatch, OracleMismatch, SquotError
+from squot.errors import (ClosedFormMismatch, OracleMismatch, SquotError,
+                          TheoremInconsistency)
 from squot.exact import SLACK, QPolynomial, RationalFunction
 from squot.finite import FiniteDiagonalGroup, analyze_group, invariant_counts
 
@@ -72,6 +76,42 @@ def test_molien_counts_single_fault(spec):
                 with pytest.raises(SquotError):
                     analyze_group(group)
             fake.assert_called_once_with(group, top)
+
+
+# The finite ledger: the expansion analyze_group reads, its pole order
+# hit by +-1, or one of gamma_0..gamma_5 by +-1/|G|.
+FINITE_GROUPS = ["2:1,1", "3:1,2", "4:1,3,2", "2:1,0;3:0,1"]
+FINITE_SITES = ["pole order", *range(6)]
+
+
+@pytest.mark.parametrize("spec", FINITE_GROUPS)
+@pytest.mark.parametrize("site", FINITE_SITES, ids=str)
+@pytest.mark.parametrize("delta", [1, -1])
+def test_finite_closed_form_single_fault(spec, site, delta, capsys):
+    """Each fault raises TheoremInconsistency: a pole order off 2n, or a
+    gamma_k off its closed form.  gamma_4 is the series value that q is
+    solved from, so a fault there moves the closed form of gamma_5 by
+    2/|G| and is caught at gamma_5.  `finite` exits 3 with one line."""
+    group = FiniteDiagonalGroup.from_generators(parse_group(spec))
+    real = squot.finite.laurent_at_one
+
+    def fault(f, order):
+        ex = real(f, order)
+        if site == "pole order":
+            return ex._replace(pole_order=ex.pole_order + delta)
+        return ex._replace(coefficients=_bumped_list(
+            ex.coefficients, site, Fraction(delta, group.order)))
+    want = ("pole order" if site == "pole order"
+            else f"gamma_{5 if site == 4 else site}:")
+    argv = ["finite", *(a for gen in spec.split(";") for a in ("--gen", gen)),
+            "--order", "3"]
+    with mock.patch.object(squot.finite, "laurent_at_one", fault):
+        with pytest.raises(TheoremInconsistency, match=want):
+            analyze_group(group)
+        assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"verification failure: {want}")
 
 
 # The circle ledger: one +-1 fault per run of hilbert_series, at the
