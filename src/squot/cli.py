@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 from functools import cache
@@ -20,7 +19,7 @@ from .circle import DEFAULT_ORACLE_DEGREE, hilbert_series, normalize_weights
 from .errors import (ArgumentOutOfRange, ClosedFormMismatch, InputError,
                      MalformedWeights, SquotError)
 from .exact import (FactoredDenominator, QPolynomial, RationalFunction,
-                    _divisors, laurent_at_one, laurent_numerators)
+                    _divisors, laurent_at_one)
 from .finite import FiniteDiagonalGroup, analyze_group
 from .laurent import gamma0_closed, gamma2_closed, symplectic_check
 from .scan import full_scan
@@ -62,10 +61,10 @@ def series_payload(f: RationalFunction) -> dict:
 
 
 def laurent_payload(expansion) -> dict:
-    return {
-        "poleOrder": expansion.pole_order,
-        "coefficients": [str(c) for c in expansion.coefficients],
-    }
+    """A Laurent record's fields, each gamma_k = n_k / D in lowest terms."""
+    return {"poleOrder": expansion.pole_order,
+            "coefficients": [_ratio_text(n, expansion.scale)
+                             for n in expansion.numerators]}
 
 
 def symplectic_payload(report, **pole) -> dict:
@@ -173,7 +172,8 @@ def _dumps(value, indent: str = "") -> str:
     dicts with string keys, lists, strings, ints, bools and None, built
     directly, a list of plain ints by one `%` call: json's own encoder
     falls back to pure Python whenever `indent` is set; only an `_Ints`
-    list skips the type check.  Any other value is left to json.dumps."""
+    list skips the type check.  Any other value raises TypeError, as
+    json.dumps does."""
     if isinstance(value, str):
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
@@ -198,7 +198,8 @@ def _dumps(value, indent: str = "") -> str:
         items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
                  for key, item in value.items()]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
-    return json.dumps(value)
+    raise TypeError(
+        f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _emit(document: dict) -> int:
@@ -260,10 +261,8 @@ def _ratio_text(num: int, den: int) -> str:
 def cmd_laurent(args) -> int:
     _check_range("--order", args.order, 0, _MAX_ENTRIES - 1)  # order + 1
     request, f = _series_source(args)
-    # gamma_k = nums[k] / scale, printed as Fraction would print it
-    pole, nums, scale = laurent_numerators(f, args.order)
-    gammas = [_ratio_text(n, scale) for n in nums]
-    payload = {"poleOrder": pole, "coefficients": gammas}
+    expansion = laurent_at_one(f, args.order)
+    payload = laurent_payload(expansion)
     if args.weights is not None:
         norm = normalize_weights(request["weights"])
         closed = {}  # k -> closed form of gamma_k
@@ -272,11 +271,11 @@ def cmd_laurent(args) -> int:
         if len(norm) >= 3:
             closed[2] = closed[3] = gamma2_closed(norm, gamma0=closed[0])
         for k, value in closed.items():
-            if (k <= args.order and value.numerator * scale
-                    != nums[k] * value.denominator):
+            if (k <= args.order and value.numerator * expansion.scale
+                    != expansion.numerators[k] * value.denominator):
                 raise ClosedFormMismatch(
-                    f"weights {norm}: gamma{k} = {gammas[k]} but "
-                    f"the closed form gives {value}")
+                    f"weights {norm}: gamma{k} = {payload['coefficients'][k]}"
+                    f" but the closed form gives {value}")
         if closed:
             payload["closedForms"] = {f"gamma{k}": str(value)
                                       for k, value in closed.items()}
@@ -286,11 +285,7 @@ def cmd_laurent(args) -> int:
 
 
 def cmd_symplectic(args) -> int:
-    # with no S_m to check, "passed" would hold vacuously; S_1..S_R
-    # read 2R Laurent coefficients.  On --weights input the series is
-    # reciprocal and its expansion is built in w = u^2/(1 - u), so
-    # S_1..S_R vanish by construction and "passed" holds whatever the
-    # quotient's W_k are; only --series input is tested by it
+    # R >= 1, or "passed" would hold vacuously; S_1..S_R read 2R gammas
     _check_range("--order", args.order, 1, _MAX_ENTRIES // 2)
     request, f = _series_source(args)
     expansion = laurent_at_one(f, 2 * args.order - 1)
@@ -414,7 +409,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="check S_1..S_R")
     p.set_defaults(func=cmd_symplectic)
 
-    p = sub.add_parser("finite", help="finite diagonal abelian subgroup")
+    p = sub.add_parser(
+        "finite", help="finite diagonal abelian subgroup",
+        description="With --order R, also report S_1..S_R. The Molien "
+                    "series is reciprocal, so S_1..S_R vanish by "
+                    "construction of its expansion in w = u^2/(1 - u): "
+                    "\"passed\" holds whatever its coefficients in w are.")
     p.add_argument("--gen", action="append", required=True,
                    metavar="M:E1,...,EN",
                    help="generator m:e1,...,en (repeatable); "

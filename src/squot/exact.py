@@ -293,10 +293,16 @@ class TruncatedSeries(NamedTuple):
 
 
 class LaurentExpansion(NamedTuple):
-    """Sum_{k=0..K} gamma_k (1-x)^(k - pole_order)."""
+    """Sum_k gamma_k (1-x)^(k - pole_order), gamma_k = numerators[k] / scale
+    with scale > 0, not normalised: compare records by `coefficients`."""
 
     pole_order: int
-    coefficients: tuple
+    numerators: tuple
+    scale: int
+
+    @property
+    def coefficients(self) -> tuple:  # gamma_0..gamma_K as Fractions
+        return tuple(Fraction(n, self.scale) for n in self.numerators)
 
 
 def _expand_factored(num: QPolynomial, den: FactoredDenominator,
@@ -670,15 +676,8 @@ def _in_u(f_w: list, size: int, shift: int, odd: int) -> list:
 
 
 def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
-    """Laurent data of f at x = 1 in the variable u = 1 - x: the
-    `laurent_numerators` of f, each gamma_k = n_k / D as a Fraction."""
-    pole, nums, scale = laurent_numerators(f, order)
-    return LaurentExpansion(pole, tuple(Fraction(n, scale) for n in nums))
-
-
-def laurent_numerators(f: RationalFunction, order: int) -> tuple:
-    """(pole order, n_0..n_order, D): the Laurent data of f at x = 1 in
-    the variable u = 1 - x, gamma_k = n_k / D with D > 0 shared.
+    """The Laurent data of f at x = 1 in the variable u = 1 - x: the
+    pole order and n_0..n_order over one D > 0, gamma_k = n_k / D.
 
     Every (1 - x^m) is (1 - x) [m]_x, with [m]_x palindromic, so f =
     N / ((1 - x)^E R) for E the sum of the positive pass exponents.  A
@@ -710,7 +709,7 @@ def laurent_numerators(f: RationalFunction, order: int) -> tuple:
     if order < 0:
         raise ValueError(f"Laurent order must be >= 0, got {order}")
     if not f.numerator:
-        return 0, [0] * (order + 1), 1
+        return LaurentExpansion(0, (0,) * (order + 1), 1)
     passes, scale = f.denominator.factors, 1
     num = FactoredDenominator.from_pairs(
         (m, -e) for m, e in passes if e < 0).times(f.numerator.coeffs)
@@ -766,9 +765,9 @@ def laurent_numerators(f: RationalFunction, order: int) -> tuple:
                                 map(mul, series, repeat(both // s)))
                 shared = both
         scale *= shared
-    if pole >= 0:
-        return pole, total, scale
-    return 0, ([0] * -pole + total)[:order + 1], scale
+    if pole < 0:
+        pole, total = 0, ([0] * -pole + total)[:order + 1]
+    return LaurentExpansion(pole, tuple(total), scale)
 
 
 def laurent_prototype(t: int | Fraction, order: int) -> LaurentExpansion:
@@ -788,6 +787,6 @@ def laurent_prototype(t: int | Fraction, order: int) -> LaurentExpansion:
         b.append(-((-1) ** k) * binom)
     # q_k = N_k / t^(k+1), as b[0] = t
     body = deferred_quotient([1], b, order + 1)
-    return LaurentExpansion(1, tuple(n / t ** (k + 1)
-                                     for k, n in enumerate(body)))
+    scale, nums = cleared([n / t ** (k + 1) for k, n in enumerate(body)])
+    return LaurentExpansion(1, tuple(nums), scale)
 

@@ -7,9 +7,10 @@ Schur polynomials evaluated at the weights, and the linear constraints
 ("S_m = 0") that characterize series behaving like a symplectic
 quotient of order r.
 
-The Schur values and the S_m are computed in integers: points and
-coefficients are cleared by one lcm, determinants are Bareiss
-eliminations over Z, and one Fraction is built per result.
+The Schur values and the S_m are computed in integers: points are
+cleared by one lcm, determinants are Bareiss eliminations over Z, the
+S_m are sums over a Laurent record's integer numerators, and one
+Fraction is built per result.
 """
 
 from __future__ import annotations
@@ -198,25 +199,20 @@ class SymplecticReport(NamedTuple):
         return not self.violations
 
 
-def symplectic_check(gammas: Sequence, max_order: int) -> SymplecticReport:
-    """Evaluate S_m = sum_k (-1)^k C(m-1,k) gamma_(m+k) for m = 1..max_order.
-
-    gammas are Laurent coefficients starting at the pole; S_m consumes
-    indices up to 2m-1, so at least 2*max_order coefficients are needed.
-    gamma_0..gamma_(2 max_order - 1) are cleared by one lcm L, the sums
-    are taken in integers, and each residual is one Fraction over L.
-    """
-    coeffs = list(gammas.coefficients) if isinstance(gammas, LaurentExpansion) \
-        else [Fraction(g) for g in gammas]
-    if len(coeffs) < 2 * max_order:
+def symplectic_check(expansion: LaurentExpansion,
+                     max_order: int) -> SymplecticReport:
+    """S_m = sum_k (-1)^k C(m-1,k) gamma_(m+k), m = 1..max_order, reading
+    gamma_0..gamma_(2 max_order - 1): sums over the integer numerators,
+    one Fraction over the expansion's scale per residual."""
+    nums, scale = expansion.numerators, expansion.scale
+    if len(nums) < 2 * max_order:
         raise InsufficientCoefficients(
             f"need {2 * max_order} coefficients for S_1..S_{max_order}, "
-            f"got {len(coeffs)}")
-    scale, ints = cleared(coeffs[:2 * max_order])
+            f"got {len(nums)}")
     residuals = []
     signed = [1]  # (-1)^k C(m-1, k) for k = 0..m-1
     for m in range(1, max_order + 1):
-        residuals.append(Fraction(sum(map(mul, signed, ints[m:])), scale))
+        residuals.append(Fraction(sum(map(mul, signed, nums[m:])), scale))
         signed = list(map(sub, signed + [0], [0] + signed))
     violations = tuple(m for m, s in enumerate(residuals, start=1) if s)
     return SymplecticReport(max_order, tuple(residuals), violations)

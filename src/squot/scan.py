@@ -70,18 +70,22 @@ def gamma2_ratio(triple: Sequence[int]) -> Fraction:
 
 def pseudoreflection_obstruction(triple: Sequence[int]) -> bool:
     """Whether 12 gamma_2/gamma_0 is a sum of m^2 - 1 over divisors
-    m >= 2 of the integer 1/gamma_0 (with repetitions allowed).
+    m >= 2 of the integer 1/gamma_0 (with repetitions allowed); raises
+    NotApplicable when 1/gamma_0 is not an integer.
 
-    Returns True when such a decomposition exists, False when it is
-    impossible.  Raises NotApplicable when 1/gamma_0 is not an integer.
+    When 1/gamma_0 is an integer, so is 12 gamma_2/gamma_0: by
+    `gamma2_closed` it is 1 + sum_j (g_j^2 - 1) + sum_j g_j^2 a_j^2 / e_2,
+    g_j the gcd of the weights other than a_j, e_2 = ab + bc + ca.  At a
+    prime p with valuations alpha <= beta <= gamma of the sorted weights,
+    every g_j a_j has valuation at least alpha + beta, and v_p(e_2) is
+    alpha + beta if beta < gamma, else at most v_p(abc) = alpha + 2 beta
+    (e_2 | abc, module notes): at most 2 alpha + 2 beta either way, so
+    e_2 divides every g_j^2 a_j^2.
     """
     recip = reciprocal_gamma0(triple)
     if recip.denominator != 1:
         raise NotApplicable(f"1/gamma_0 = {recip} is not an integer")
-    ratio = gamma2_ratio(triple)
-    if ratio.denominator != 1:
-        return False
-    target = ratio.numerator
+    target = gamma2_ratio(triple).numerator
     sizes = sorted({m * m - 1 for m in range(2, recip.numerator + 1)
                     if recip.numerator % m == 0})
     reachable = [True] + [False] * target

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import squot.circle
 import squot.cli
+import squot.exact
 import squot.finite
 from squot.circle import hilbert_series
 from squot.cli import (_dumps, _Ints, _level_fields, _parse_weights,
@@ -378,6 +379,28 @@ class TestFiniteCommand:
         doc = run_json(["finite", "--gen", "4:1,1", "--order", "3"])
         assert doc["result"]["symplectic"]["passed"] is True
 
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    def test_symplectic_subreport_holds_by_construction(self, k):
+        # the Molien series is reciprocal and its expansion is built in
+        # w, so +1 in the quotient's W_k moves the gammas, yet S_1..S_6
+        # still vanish: the sub-report certifies nothing about them
+        gens = [(4, (1, 2)), (2, (0, 1))]
+        series = analyze_group(FiniteDiagonalGroup.from_generators(gens)).series
+        want = laurent_at_one(series, 11).coefficients
+        real = squot.exact._shared_quotient
+
+        def fault(a, b, n):
+            out, shared = real(a, b, n)
+            if k < n:
+                out[k] += 1
+            return out, shared
+        with mock.patch.object(squot.exact, "_shared_quotient", fault):
+            assert laurent_at_one(series, 11).coefficients != want
+            doc = run_json(["finite", "--gen", "4:1,2", "--gen", "2:0,1",
+                            "--order", "6"])
+        report = doc["result"]["symplectic"]
+        assert report["residuals"] == ["0"] * 6 and report["passed"] is True
+
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
     def test_symplectic_reuses_group_expansion(self, order):
         # through R = 3 the order-5 expansion of analyze_group serves
@@ -529,15 +552,25 @@ json_documents = st.recursive(
 
 class TestRationalText:
     # every printed rational is an int or a Fraction, printed by str in
-    # lowest terms
+    # lowest terms, from a numerator over a scale not in lowest terms
     @pytest.mark.parametrize("q,text", [
         (3, "3"), (-2, "-2"), (Fraction(6, 4), "3/2"), (Fraction(4, 2), "2")])
     def test_rat(self, q, text):
-        assert laurent_payload(LaurentExpansion(1, (q,))) \
+        q = Fraction(q)
+        record = LaurentExpansion(1, (6 * q.numerator,), 6 * q.denominator)
+        assert laurent_payload(record) \
             == {"poleOrder": 1, "coefficients": [text]}
 
 
 class TestEmitter:
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 1.5, {1}],
+                             ids=lambda v: type(v).__name__)
+    def test_other_types_raise(self, value):
+        # as json.dumps does: a TypeError that names the type
+        for document in (value, [value], {"k": [1, value]}):
+            with pytest.raises(TypeError, match=type(value).__name__):
+                _dumps(document)
+
     @given(json_documents)
     @settings(max_examples=300, deadline=None)
     def test_matches_json_dumps(self, document):

@@ -17,20 +17,19 @@ from hypothesis import strategies as st
 
 from squot.circle import (_lanes, hilbert_off_clustered, hilbert_series,
                           normalize_weights)
-from squot.cli import _grouped, _ratio_text, laurent_payload, main, \
-    series_payload
+from squot.cli import _grouped, laurent_payload, main, series_payload
 from squot.errors import ReciprocityMismatch, ReconstructionMismatch
 from squot.finite import FiniteDiagonalGroup, analyze_group, molien_series
 from squot.laurent import gamma0_closed, gamma2_closed, symplectic_check
 from squot.scan import full_scan
 import squot.exact
 from squot.exact import (PACKED_MIN_M, FactoredDenominator,
-                         LaurentExpansion, QPolynomial, RationalFunction,
+                         QPolynomial, RationalFunction,
                          _expand_factored, _mirrored, _peeled,
                          _cut_rows, _packed_multisection, _psi_passes,
                          _w_row, check_reciprocity, cleared,
                          deferred_quotient, laurent_at_one,
-                         laurent_numerators, laurent_prototype, mul_truncated,
+                         laurent_prototype, mul_truncated,
                          multisected_prefix,
                          rational_reconstruct, resultant_transform,
                          series_of_rational)
@@ -112,10 +111,16 @@ def reference_multiply_into(den, coeffs):
             for k in range(len(coeffs))]
 
 
+def value(expansion):
+    """(pole order, gamma_0..gamma_K) of a Laurent record: records of
+    equal value may differ in scale."""
+    return expansion.pole_order, expansion.coefficients
+
+
 def reference_laurent_at_one(f, order):
-    """Laurent data at x = 1 by the plain Fraction route: expand the
-    denominator, substitute x = 1 - u by Horner's rule, and divide the
-    u-series in Fraction arithmetic."""
+    """(pole order, gamma_0..gamma_order) at x = 1 by the plain Fraction
+    route: expand the denominator, substitute x = 1 - u by Horner's
+    rule, and divide the u-series in Fraction arithmetic."""
     def one_minus(poly):
         acc = Poly()
         for c in reversed(poly.coeffs):
@@ -125,26 +130,26 @@ def reference_laurent_at_one(f, order):
     nu = one_minus(f.numerator)
     de = one_minus(expanded_denominator(f))
     if not nu:
-        return LaurentExpansion(0, tuple([Q(0)] * (order + 1)))
+        return 0, tuple([Q(0)] * (order + 1))
     vn, vd = nu.valuation(), de.valuation()
     body = dense_series_div(nu.coeffs[vn:], de.coeffs[vd:],
                             order + max(0, vn - vd))
     pole = vd - vn
     if pole >= 0:
-        return LaurentExpansion(pole, tuple(body[:order + 1]))
+        return pole, tuple(body[:order + 1])
     zeros = [Q(0)] * (-pole)
-    return LaurentExpansion(0, tuple((zeros + body)[:order + 1]))
+    return 0, tuple((zeros + body)[:order + 1])
 
 
 def reference_u_laurent(f, order):
-    """Laurent data at x = 1 by the integer route in u alone: the
-    numerator Taylor-shifted to x = 1 - u by synthetic addition, each
-    pass (1 - x^m)^e written as u^e P_m(u)^e with
+    """(pole order, gamma_0..gamma_order) at x = 1 by the integer route
+    in u alone: the numerator Taylor-shifted to x = 1 - u by synthetic
+    addition, each pass (1 - x^m)^e written as u^e P_m(u)^e with
     P_m(u) = sum_(k=1..m) (-1)^(k+1) C(m,k) u^(k-1), and the quotient
     by one recurrence over a shared denominator S."""
     work = list(f.numerator.coeffs)
     if not any(work):
-        return LaurentExpansion(0, (Q(0),) * (order + 1))
+        return 0, (Q(0),) * (order + 1)
 
     def shifted():  # s * p(1 - u), lowest degree first
         for i in range(len(work)):
@@ -183,9 +188,9 @@ def reference_u_laurent(f, order):
             window.append(x // g)
             gammas.append(Q(x // g, shared))
     if pole >= 0:
-        return LaurentExpansion(pole, tuple(gammas))
+        return pole, tuple(gammas)
     zeros = [Q(0)] * (-pole)
-    return LaurentExpansion(0, tuple((zeros + gammas)[:order + 1]))
+    return 0, tuple((zeros + gammas)[:order + 1])
 
 
 def reference_divmod(a, b):
@@ -423,6 +428,13 @@ class TestQPolynomial:
     def test_normalization_strips_trailing_zeros(self):
         assert QPolynomial([1, 2, 0, 0]).coeffs == (1, 2)
         assert QPolynomial([0, 0]).degree == -1
+
+    def test_hash_and_repr(self):
+        p = QPolynomial([1, -2, 0])
+        assert hash(p) == hash(QPolynomial([1, -2]))
+        assert len({p, QPolynomial([1, -2]), QPolynomial([1])}) == 2
+        assert repr(p) == "QPolynomial([1, -2])"
+        assert repr(QPolynomial()) == "QPolynomial([])"
 
     def test_arithmetic(self):
         # a QPolynomial holds ints and has no arithmetic: products and
@@ -718,6 +730,45 @@ class TestResultantTransform:
         got = resultant_transform(den, 3)
         assert got.coeffs[0] == 8
 
+    @pytest.mark.parametrize("a", [0, -2])
+    def test_a_below_1_rejected(self, a):
+        with pytest.raises(ValueError, match="a must be >= 1"):
+            resultant_transform(binomial_factor(2), a)
+
+    @pytest.mark.parametrize("coeffs", [(), (0, 1), (0, 0, 3)], ids=str)
+    def test_vanishing_at_0_rejected(self, coeffs):
+        with pytest.raises(ValueError, match="must not vanish at 0"):
+            resultant_transform(QPolynomial(coeffs), 2)
+
+    @pytest.mark.parametrize("c, a", [(1, 1), (-3, 2), (2, 5)])
+    def test_constant_den(self, c, a):
+        assert resultant_transform(QPolynomial([c]), a) \
+            == QPolynomial([c ** a])
+
+    def test_non_integral_result_rejected(self):
+        # integer coefficients always give the integer resultant (see
+        # the next test); a Fraction coefficient, outside QPolynomial's
+        # integer contract, can give a non-integral one: 1/2 + x has the
+        # root -1/2, and x - 1/4 scaled to (1/2)^2 at 0 is 1/4 - x
+        with pytest.raises(ValueError, match="is not integral"):
+            resultant_transform(QPolynomial([Q(1, 2), 1]), 2)
+
+    @given(st.lists(st.integers(-5, 5), min_size=2, max_size=5)
+           .filter(lambda c: c[0] and c[-1]), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_integral_for_any_leading_coefficient(self, coeffs, a):
+        # +-lead^a prod (x - r_i^a) is Res_z(den(z), z^a - x), an
+        # integer polynomial, whatever the leading coefficient
+        import sympy
+        x, z = sympy.symbols("x z")
+        res = sympy.Poly(sympy.resultant(
+            sum(c * z ** k for k, c in enumerate(coeffs)), z ** a - x, z), x)
+        want = [int(c) for c in reversed(res.all_coeffs())]
+        sign = 1 if want[0] == coeffs[0] ** a else -1
+        got = resultant_transform(QPolynomial(coeffs), a)
+        assert all(type(c) is int for c in got.coeffs)
+        assert got == QPolynomial(sign * c for c in want)
+
     @given(st.integers(1, 6), st.lists(st.integers(1, 6), min_size=1,
                                        max_size=3))
     @settings(max_examples=60, deadline=None)
@@ -754,10 +805,8 @@ class TestLaurent:
     @settings(max_examples=150, deadline=None)
     def test_matches_fraction_reference(self, case):
         f, order = case
-        got = laurent_at_one(f, order)
-        want = reference_laurent_at_one(f, order)
-        assert got.pole_order == want.pole_order
-        assert got.coefficients == want.coefficients
+        assert value(laurent_at_one(f, order)) \
+            == reference_laurent_at_one(f, order)
 
     @pytest.mark.parametrize("weights", SWEEP_SAMPLE + [(7, 8, 8, 8)],
                              ids=str)
@@ -765,24 +814,23 @@ class TestLaurent:
         f = hilbert_series(weights).on_shell
         if weights == (7, 8, 8, 8):
             assert _grouped(f.denominator)[1]  # an extraFactor
-        got = laurent_at_one(f, 119)
-        want = reference_laurent_at_one(f, 119)
-        assert got.pole_order == want.pole_order
-        assert got.coefficients == want.coefficients
+        assert value(laurent_at_one(f, 119)) \
+            == reference_laurent_at_one(f, 119)
 
     @given(laurent_inputs())
     @settings(max_examples=150, deadline=None)
     def test_integer_core_gives_the_fractions(self, case):
-        # laurent_at_one is the core's n_k / D, and the CLI prints each
-        # as str(Fraction(n_k, D)), zero numerators and pole orders
-        # below zero included
+        # laurent_at_one holds integers n_k over one D, its coefficients
+        # are n_k / D, and the CLI prints each as str(Fraction(n_k, D)),
+        # zero numerators and pole orders below zero included
         f, order = case
-        pole, nums, scale = laurent_numerators(f, order)
-        assert scale > 0 and len(nums) == order + 1
+        ex = laurent_at_one(f, order)
+        nums, scale = ex.numerators, ex.scale
+        assert type(scale) is int and scale > 0 and len(nums) == order + 1
         assert all(type(n) is int for n in nums)
         want = tuple(Fraction(n, scale) for n in nums)
-        assert laurent_at_one(f, order) == LaurentExpansion(pole, want)
-        assert [_ratio_text(n, scale) for n in nums] == list(map(str, want))
+        assert ex.coefficients == want
+        assert laurent_payload(ex)["coefficients"] == list(map(str, want))
 
     @pytest.mark.parametrize("num, pairs, want", [
         ((0,), [(2, 1)], (0, ["0", "0", "0", "0"])),
@@ -796,24 +844,22 @@ class TestLaurent:
         unit, ints = cleared(num)
         f = RationalFunction(QPolynomial(ints),
                              FactoredDenominator.from_pairs(pairs))
-        pole, nums, scale = laurent_numerators(f, 3)
-        assert (pole, [_ratio_text(n, scale * unit) for n in nums]) == want
         ex = laurent_at_one(f, 3)
-        assert laurent_payload(ex._replace(coefficients=tuple(
-            c / unit for c in ex.coefficients))) \
+        assert laurent_payload(ex._replace(scale=ex.scale * unit)) \
             == {"poleOrder": want[0], "coefficients": want[1]}
 
     @pytest.mark.parametrize("weights", SWEEP_SAMPLE, ids=str)
     def test_cli_prints_the_fraction_document(self, weights, capsys):
-        # `laurent` formats the core's integers; its stdout is the
-        # document built from laurent_at_one's Fractions
+        # `laurent` formats the record's integers; its stdout is the
+        # document built from its Fractions
         csv = ",".join(map(str, weights))
         assert main(["laurent", "--weights", csv, "--order", "119"]) == 0
         norm = normalize_weights(weights)
         gamma0 = gamma0_closed(norm)
         gamma2 = str(gamma2_closed(norm))
-        result = laurent_payload(
-            laurent_at_one(hilbert_series(weights).on_shell, 119))
+        ex = laurent_at_one(hilbert_series(weights).on_shell, 119)
+        result = {"poleOrder": ex.pole_order,
+                  "coefficients": [str(c) for c in ex.coefficients]}
         result["closedForms"] = {"gamma0": str(gamma0), "gamma2": gamma2,
                                  "gamma3": gamma2}
         result["agreement"] = True
@@ -842,6 +888,10 @@ class TestLaurent:
         proto = laurent_prototype(t, 8)
         assert proto.pole_order == engine.pole_order == 1
         assert proto.coefficients == engine.coefficients
+
+    def test_prototype_needs_nonzero_t(self):
+        with pytest.raises(ValueError, match="t must be nonzero"):
+            laurent_prototype(0, 3)
 
     def test_prototype_leading_terms(self):
         ex = laurent_prototype(Q(5, 3), 3)
@@ -931,8 +981,8 @@ class TestLaurentInW:
     @settings(max_examples=150, deadline=None)
     def test_matches_both_references(self, f, order):
         got = laurent_at_one(f, order)
-        assert got == reference_u_laurent(f, order)
-        assert got == reference_laurent_at_one(f, order)
+        assert value(got) == reference_u_laurent(f, order)
+        assert value(got) == reference_laurent_at_one(f, order)
 
     @pytest.mark.parametrize("num, pairs, psi, odd", [
         # R of odd degree: an odd count of even m, so N (1 + x) / (R (1 + x))
@@ -964,8 +1014,8 @@ class TestLaurentInW:
         f = RationalFunction(QPolynomial(num),
                              factored(pairs, psi))
         got, seen = in_w_calls(f, order)
-        assert got == reference_laurent_at_one(f, order)
-        assert got == reference_u_laurent(f, order)
+        assert value(got) == reference_laurent_at_one(f, order)
+        assert value(got) == reference_u_laurent(f, order)
         # every pole order here is -1 or more: from order 2 on, both
         # parts have terms left
         assert seen == (odd if order >= 2 else odd[:len(seen)])
@@ -978,7 +1028,8 @@ class TestLaurentInW:
         # m > 1 and e < 0, a (1 - x^m) that multiplies the numerator
         f = hilbert_series(weights, oracle_degree=0).on_shell
         assert any(m > 1 > e for m, e in f.denominator.factors)
-        assert laurent_at_one(f, order) == reference_u_laurent(f, order)
+        assert value(laurent_at_one(f, order)) \
+            == reference_u_laurent(f, order)
 
     def test_negative_pole_leaves_no_terms(self):
         # (1 - x)^5 / (1 - x^2): gamma_0..gamma_3 = 0 take no w-terms
@@ -988,8 +1039,8 @@ class TestLaurentInW:
         f = RationalFunction(QPolynomial(num.coeffs),
                              FactoredDenominator.from_pairs([(2, 1)]))
         got, seen = in_w_calls(f, 3)
-        assert got == LaurentExpansion(0, (0, 0, 0, 0)) and seen == []
-        assert laurent_at_one(f, 4) == reference_laurent_at_one(f, 4)
+        assert value(got) == (0, (0, 0, 0, 0)) and seen == []
+        assert value(laurent_at_one(f, 4)) == reference_laurent_at_one(f, 4)
 
     @pytest.mark.parametrize("m", range(2, 201))
     def test_w_rows_match_peel(self, m):

@@ -21,7 +21,7 @@ from squot.circle import (_averaged_reciprocity, _exact_image, _lanes,
 from squot.cli import build_parser, main
 from squot.errors import (ClosedFormMismatch, OracleMismatch, SquotError,
                           TheoremInconsistency)
-from squot.exact import SLACK, QPolynomial, RationalFunction
+from squot.exact import SLACK, QPolynomial, RationalFunction, cleared
 from squot.finite import FiniteDiagonalGroup, analyze_group, invariant_counts
 
 
@@ -99,8 +99,9 @@ def test_finite_closed_form_single_fault(spec, site, delta, capsys):
         ex = real(f, order)
         if site == "pole order":
             return ex._replace(pole_order=ex.pole_order + delta)
-        return ex._replace(coefficients=_bumped_list(
+        scale, nums = cleared(_bumped_list(
             ex.coefficients, site, Fraction(delta, group.order)))
+        return ex._replace(numerators=tuple(nums), scale=scale)
     want = ("pole order" if site == "pole order"
             else f"gamma_{5 if site == 4 else site}:")
     argv = ["finite", *(a for gen in spec.split(";") for a in ("--gen", gen)),
@@ -281,13 +282,14 @@ def test_laurent_closed_form_single_fault(weights, k, delta, capsys):
     """n_k + delta over the shared D moves gamma_k by 1/D; the closed
     form comparison, n * D against n_k times the closed form's
     denominator, raises ClosedFormMismatch, and `laurent` exits 3."""
-    real = squot.cli.laurent_numerators
+    real = squot.cli.laurent_at_one
 
     def fault(f, order):
-        pole, nums, scale = real(f, order)
-        return pole, _bumped_list(nums, k, delta), scale
+        ex = real(f, order)
+        return ex._replace(
+            numerators=tuple(_bumped_list(ex.numerators, k, delta)))
     argv = ["laurent", "--weights", ",".join(map(str, weights))]
-    with mock.patch.object(squot.cli, "laurent_numerators", fault):
+    with mock.patch.object(squot.cli, "laurent_at_one", fault):
         args = build_parser().parse_args(argv)
         with pytest.raises(ClosedFormMismatch, match=f"gamma{k} = "):
             args.func(args)

@@ -207,6 +207,10 @@ class TestGroupConstruction:
         assert g.order == 6
         assert g.coordinate_orders() == (2, 3)
 
+    def test_no_generators_rejected(self):
+        with pytest.raises(ValueError, match="at least one generator"):
+            FiniteDiagonalGroup.from_generators([])
+
     def test_element_order(self):
         g = FiniteDiagonalGroup.from_generators([(12, (4,))])
         assert sorted(element_order(e, g.exponent)

@@ -13,7 +13,7 @@ from squot.circle import hilbert_series
 from squot.errors import (InsufficientCoefficients, PartitionPointsMismatch,
                           UnsupportedDimension)
 from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
-                         RationalFunction, laurent_at_one)
+                         RationalFunction, cleared, laurent_at_one)
 from squot.laurent import (_det, complete_homogeneous, gamma0_closed,
                            gamma0_equal_weights, gamma2_closed,
                            schur_bialternant, schur_eval,
@@ -80,6 +80,12 @@ def reference_det(rows):
     return det
 
 
+def record(gammas, pole_order=0):
+    """The Laurent record of the given gammas, cleared by one lcm."""
+    scale, nums = cleared([Q(g) for g in gammas])
+    return LaurentExpansion(pole_order, tuple(nums), scale)
+
+
 def reference_residuals(gammas, max_order):
     """S_1..S_max_order summed term by term in Fraction arithmetic."""
     residuals = []
@@ -131,6 +137,22 @@ class TestSchur:
     def test_length_mismatch(self):
         with pytest.raises(PartitionPointsMismatch):
             schur_eval((1, 0), [1, 2, 3])
+
+    def test_increasing_partition_rejected(self):
+        with pytest.raises(ValueError, match="non-increasing"):
+            schur_eval((0, 1), [1, 2])
+
+    def test_no_points(self):
+        # the empty determinant: s_() = 1
+        assert schur_eval((), []) == 1
+
+    def test_bialternant_length_mismatch(self):
+        with pytest.raises(PartitionPointsMismatch):
+            schur_bialternant((1, 0), [1, 2, 3])
+
+    def test_bialternant_repeated_points_rejected(self):
+        with pytest.raises(ValueError, match="distinct points"):
+            schur_bialternant((1, 0), [3, Q(3)])
 
     def test_staircase_product_formula(self):
         pts = [2, 3, 5]
@@ -222,6 +244,10 @@ class TestGammaClosedForms:
             assert ex.coefficients[2] == gamma2_closed(weights)
             assert ex.coefficients[3] == gamma2_closed(weights)
 
+    def test_equal_weights_needs_n_at_least_1(self):
+        with pytest.raises(UnsupportedDimension):
+            gamma0_equal_weights(0)
+
     @pytest.mark.parametrize("n", range(1, 11))
     def test_equal_weights_sqrt_series(self, n):
         assert gamma0_equal_weights(n) == sqrt_series_coefficients(n)[n - 1]
@@ -240,7 +266,7 @@ def off_shell_coefficients(on):
     for g in on.coefficients:
         prev = (g + prev) / 2
         out.append(prev)
-    return LaurentExpansion(on.pole_order + 1, tuple(out))
+    return record(out, on.pole_order + 1)
 
 
 class TestOffShellCoefficients:
@@ -280,16 +306,16 @@ class TestTorusFixtures:
 class TestSymplecticCheck:
     def test_needs_enough_coefficients(self):
         with pytest.raises(InsufficientCoefficients):
-            symplectic_check([1, 0, 0], 2)
+            symplectic_check(record([1, 0, 0]), 2)
 
     def test_constant_series_passes(self):
-        rep = symplectic_check([Q(1)] + [Q(0)] * 19, 10)
+        rep = symplectic_check(record([Q(1)] + [Q(0)] * 19), 10)
         assert rep.passed and rep.violations == ()
 
     def test_residual_structure(self):
         # S_1 = g1, S_2 = g2 - g3, S_3 = g3 - 2 g4 + g5
         gammas = [Q(k * k + 1) for k in range(8)]
-        rep = symplectic_check(gammas, 3)
+        rep = symplectic_check(record(gammas), 3)
         s1, s2, s3 = rep.residuals
         assert s1 == gammas[1]
         assert s2 == gammas[2] - gammas[3]
@@ -302,7 +328,7 @@ class TestSymplecticCheck:
     @settings(max_examples=100)
     def test_matches_fraction_reference(self, gammas, data):
         max_order = data.draw(st.integers(1, len(gammas) // 2))
-        rep = symplectic_check(gammas, max_order)
+        rep = symplectic_check(record(gammas), max_order)
         assert list(rep.residuals) == reference_residuals(gammas, max_order)
         assert rep.violations == tuple(
             m for m, s in enumerate(rep.residuals, start=1) if s)

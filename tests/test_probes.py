@@ -5,9 +5,9 @@ elapsed time; `python tests/test_probes.py` runs each through the
 `squot` script on PATH under its bound as a timeout, and exits 1 naming
 every row that fails.  Rows run in a temporary directory, `{fixtures}`
 read as the package's fixtures.  No row prints a traceback.  Exit 2
-prints one `error:` line and no stdout; exit 0 prints
-`json.dumps(document, indent=2)` and a newline, and the check gets the
-document, or with `--text` the text.
+prints one `error:` line and no stdout, and the check gets that line;
+exit 0 prints `json.dumps(document, indent=2)` and a newline, and the
+check gets the document, or with `--text` the text.
 """
 
 import hashlib
@@ -133,6 +133,8 @@ PROBES = [
     # an int above sys.maxsize; residue ints with too many digits
     Probe("hilbert --weights 99999999999999999999,1", code=2),
     Probe("hilbert --weights 1,1,9223372036854775807 --off", code=2),
+    Probe("finite --gen 2:1,0 --gen 3:1", code=2, check=lambda e:
+          e == "error: generators act on different dimensions\n"),
     # Psi_2 leaves the pass (1, -1); Psi_6 of 1,1,5,8 leaves (3, -1),
     # which multiplies the numerator before the division in w
     Probe("laurent --weights 5,5,6,6,7 --order 40", timeout=60),
@@ -168,12 +170,12 @@ def failure(probe: Probe, code, out: str, err: str) -> Optional[str]:
     """Why this run of `probe` fails, or None."""
     if "Traceback" in err or code != probe.code:
         return f"exit {code}, not {probe.code}; stderr {err!r}"
-    if code == 2:
-        one_line = err.startswith("error: ") and err.count("\n") == 1
-        return None if one_line and not out else f"stderr {err!r}"
-    text = "--text" in probe.argv
+    if code == 2 and (out or not err.startswith("error: ")
+                      or err.count("\n") != 1):
+        return f"stderr {err!r}"
+    text = code == 2 or "--text" in probe.argv
     try:
-        value = out if text else json.loads(out)
+        value = err if code == 2 else out if text else json.loads(out)
         if not text and out != json.dumps(value, indent=2) + "\n":
             return "stdout is not json.dumps(document, indent=2)"
         if probe.check is None or probe.check(value):

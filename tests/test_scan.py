@@ -6,6 +6,8 @@ from itertools import compress, permutations
 from operator import mod, not_
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squot.errors import NotApplicable
 from squot.laurent import gamma0_closed, gamma2_closed
@@ -97,12 +99,35 @@ def gamma2_condition(triple):
     return gamma2_ratio(triple).denominator == 1
 
 
+def ratio_by_gcds(triple):
+    """12 gamma_2 / gamma_0 = 1 + sum_j (g_j^2 - 1)
+    + sum_j g_j^2 a_j^2 / e_2, g_j the gcd of the other two weights and
+    e_2 = ab + bc + ca."""
+    a, b, c = triple
+    gcds = [math.gcd(b, c), math.gcd(a, c), math.gcd(a, b)]
+    return (1 + sum(g * g - 1 for g in gcds)
+            + Q(sum(g * g * x * x for g, x in zip(gcds, triple)),
+                a * b + b * c + c * a))
+
+
 class TestGamma2Condition:
     def test_reference_triple(self):
         assert gamma2_ratio((4, 5, 20)) == 46
         assert gamma2_condition((4, 5, 20))
         assert gamma2_ratio((4, 5, 20)) == \
             12 * gamma2_closed((4, 5, 20)) / gamma0_closed((4, 5, 20))
+
+    @given(st.tuples(*[st.integers(1, 200)] * 3))
+    @settings(max_examples=300, deadline=None)
+    def test_ratio_by_gcds(self, triple):
+        assert gamma2_ratio(triple) == ratio_by_gcds(triple)
+
+    def test_integral_on_every_hit(self):
+        # the lemma in pseudoreflection_obstruction's docstring: an
+        # integral 1/gamma_0 makes 12 gamma_2 / gamma_0 integral
+        hits = list(integral_triples(600))
+        assert len(hits) == 2460
+        assert all(gamma2_condition(t) for t in hits)
 
 
 class TestObstruction:
