@@ -16,12 +16,13 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .circle import DEFAULT_ORACLE_DEGREE, hilbert_series, normalize_weights
-from .errors import (ArgumentOutOfRange, ClosedFormMismatch, InputError,
-                     MalformedWeights, SquotError)
+from .errors import (ArgumentOutOfRange, InputError, MalformedWeights,
+                     SquotError)
 from .exact import (FactoredDenominator, QPolynomial, RationalFunction,
                     _divisors, laurent_at_one)
 from .finite import FiniteDiagonalGroup, analyze_group
-from .laurent import gamma0_closed, gamma2_closed, symplectic_check
+from .laurent import (check_closed_forms, circle_closed_forms,
+                      symplectic_check)
 from .scan import full_scan
 
 SCHEMA_VERSION = "1"
@@ -151,12 +152,13 @@ def load_series(paths) -> RationalFunction:
 
 
 def _series_source(args):
-    """(the request's source entry, the series) for --weights or
-    --series; weights are echoed as the parsed list."""
+    """(the request's source entry, the series, its normalized weights,
+    () for --series); weights are echoed as the parsed list."""
     if args.weights is not None:
         weights = _parse_weights(args.weights)
-        return {"weights": list(weights)}, hilbert_series(weights).on_shell
-    return {"series": list(args.series)}, load_series(args.series)
+        result = hilbert_series(weights)
+        return {"weights": list(weights)}, result.on_shell, result.weights
+    return {"series": list(args.series)}, load_series(args.series), ()
 
 
 def _document(command: str, request: dict, result: dict) -> dict:
@@ -260,26 +262,15 @@ def _ratio_text(num: int, den: int) -> str:
 
 def cmd_laurent(args) -> int:
     _check_range("--order", args.order, 0, _MAX_ENTRIES - 1)  # order + 1
-    request, f = _series_source(args)
+    request, f, weights = _series_source(args)
     expansion = laurent_at_one(f, args.order)
     payload = laurent_payload(expansion)
-    if args.weights is not None:
-        norm = normalize_weights(request["weights"])
-        closed = {}  # k -> closed form of gamma_k
-        if len(norm) >= 2:
-            closed[0] = gamma0_closed(norm)
-        if len(norm) >= 3:
-            closed[2] = closed[3] = gamma2_closed(norm, gamma0=closed[0])
-        for k, value in closed.items():
-            if (k <= args.order and value.numerator * expansion.scale
-                    != expansion.numerators[k] * value.denominator):
-                raise ClosedFormMismatch(
-                    f"weights {norm}: gamma{k} = {payload['coefficients'][k]}"
-                    f" but the closed form gives {value}")
-        if closed:
-            payload["closedForms"] = {f"gamma{k}": str(value)
-                                      for k, value in closed.items()}
-            payload["agreement"] = True
+    closed = circle_closed_forms(weights)
+    check_closed_forms(expansion, closed, f"weights {weights}")
+    if closed:
+        payload["closedForms"] = {f"gamma{k}": str(value)
+                                  for k, value in closed.items()}
+        payload["agreement"] = True
     request["order"] = args.order
     return _emit(_document("laurent", request, payload))
 
@@ -287,7 +278,7 @@ def cmd_laurent(args) -> int:
 def cmd_symplectic(args) -> int:
     # R >= 1, or "passed" would hold vacuously; S_1..S_R read 2R gammas
     _check_range("--order", args.order, 1, _MAX_ENTRIES // 2)
-    request, f = _series_source(args)
+    request, f, _ = _series_source(args)
     expansion = laurent_at_one(f, 2 * args.order - 1)
     report = symplectic_check(expansion, args.order)
     payload = symplectic_payload(report, poleOrder=expansion.pole_order)

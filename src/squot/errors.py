@@ -39,7 +39,7 @@ class ReciprocityMismatch(SquotError):
 
 
 class ClosedFormMismatch(SquotError):
-    """A computed Laurent coefficient disagrees with its closed form."""
+    """A Laurent coefficient or pole order disagrees with its closed form."""
 
 
 class PartitionPointsMismatch(InputError):
@@ -52,10 +52,6 @@ class UnsupportedDimension(InputError):
 
 class InsufficientCoefficients(InputError):
     """A Laurent expansion is too short for the requested constraint order."""
-
-
-class TheoremInconsistency(SquotError):
-    """The two closed-form routes to a finite-group coefficient disagree."""
 
 
 class NotApplicable(InputError):

@@ -51,12 +51,16 @@ def _strip(coeffs: Sequence) -> tuple:
 
 class QPolynomial:
     """Dense univariate polynomial over Z: a tuple of int coefficients,
-    indexed by degree, with no trailing zeros."""
+    indexed by degree, with no trailing zeros.  A float, Fraction or
+    Decimal among them makes their sum no int and raises TypeError."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        self.coeffs = _strip(list(coeffs))
+        coeffs = list(coeffs)
+        if type(sum(coeffs)) is not int:
+            raise TypeError("QPolynomial coefficients must be ints")
+        self.coeffs = _strip(coeffs)
 
     @staticmethod
     def monomial(degree: int, coeff: int = 1) -> "QPolynomial":
@@ -514,8 +518,8 @@ def resultant_transform(den: QPolynomial, a: int) -> QPolynomial:
     integer resultant Res_z(den(z), z^a - x) = +-lead^a prod (x - r_i^a),
     its sign making the constant term den(0)**a, so products of (1-x^m)
     factors transform into the same shape.  Computed through power sums
-    (Newton both ways) in Fractions; a coefficient that is not integral
-    raises ValueError.
+    (Newton both ways) in Fractions; it is integral, as a polynomial in
+    the integer coefficients of den (a `QPolynomial`) and of z^a - x.
     """
     if a < 1:
         raise ValueError("a must be >= 1")
@@ -535,10 +539,7 @@ def resultant_transform(den: QPolynomial, a: int) -> QPolynomial:
         f[m] = acc / m
     monic = [(-1) ** (k - j) * f[k - j] for j in range(k + 1)]
     scale = den.coeffs[0] ** a / monic[0]
-    out = [c * scale for c in monic]
-    if any(c.denominator != 1 for c in out):
-        raise ValueError(f"the resultant of {den} is not integral")
-    return QPolynomial(c.numerator for c in out)
+    return QPolynomial((c * scale).numerator for c in monic)
 
 
 def mul_truncated(a: Sequence, b: Sequence, n: int) -> list:

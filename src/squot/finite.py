@@ -10,12 +10,12 @@ both the group and its character group as Z/n_1 x ... x Z/n_r.
 
 Beyond the exact series, the module evaluates closed forms for the
 Laurent coefficients at x = 1 in terms of the pseudoreflections of the
-group (elements moving exactly one coordinate) and cross-checks them
-against the series, sharing the contribution of elements that move
-exactly two coordinates between the gamma_4 and gamma_5 formulas.  One
-census of the elements counts K_i, the elements moving at most
-coordinate i: g -> g_i embeds it in Z/N, so it is cyclic, and its
-primitive pseudoreflections have order |K_i|.
+group (elements moving exactly one coordinate) and checks the series
+against them, sharing the contribution of elements that move exactly
+two coordinates between the gamma_4 and gamma_5 formulas.  One census
+of the elements counts K_i, the elements moving at most coordinate i:
+g -> g_i embeds it in Z/N, so it is cyclic, and its primitive
+pseudoreflections have order |K_i|.
 """
 
 from __future__ import annotations
@@ -24,11 +24,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
-from .errors import TheoremInconsistency
 from .exact import (SLACK, FactoredDenominator, LaurentExpansion,
                     RationalFunction, TruncatedSeries, _repunit,
                     check_reciprocity, laurent_at_one,
                     rational_reconstruct)
+from .laurent import check_closed_forms
 
 #: Exponents mod the group exponent N, one per coordinate.
 Element = Tuple[int, ...]
@@ -254,31 +254,24 @@ def analyze_group(group: FiniteDiagonalGroup) -> FiniteGroupResult:
     gamma_0..gamma_3 are evaluated directly from the pseudoreflection
     orders.  gamma_4 and gamma_5 share an unknown contribution q of the
     elements moving two coordinates, solved from gamma_4, the series
-    value: gamma_4 holds by construction, as does gamma_3 - 2 gamma_4 +
-    gamma_5 = 0, term by term in m.  The checks that can fail compare
-    the pole order with 2n, and gamma_0..gamma_3 and gamma_5 with
-    their closed forms.
+    value, so gamma_4 is certified only through gamma_5, whose closed
+    form moves by 2/|G| with it (gamma_3 - 2 gamma_4 + gamma_5 = 0 holds
+    term by term in m).  One check compares the pole order with 2n, and
+    gamma_0..gamma_3 and gamma_5 with their closed forms.
     """
     series = molien_series(group)
     expansion = laurent_at_one(series, 5)
-    if expansion.pole_order != 2 * group.dimension:
-        raise TheoremInconsistency(
-            f"pole order {expansion.pole_order} != 2n")
     refl = reflection_analysis(group)
     size = group.order
-    quad = sum(m * m - 1 for m in refl.primitive_orders)
-    g0 = Fraction(1, size)
-    g1 = Fraction(0)
-    g2 = Fraction(quad, 12 * size)
+    g0, g1 = Fraction(1, size), Fraction(0)
+    g2 = Fraction(sum(m * m - 1 for m in refl.primitive_orders), 12 * size)
     quart1 = sum(-m ** 4 + 50 * m * m - 49 for m in refl.primitive_orders)
     quart2 = sum(-2 * m ** 4 + 40 * m * m - 38 for m in refl.primitive_orders)
-    g4 = expansion.coefficients[4]
+    g4 = Fraction(expansion.numerators[4], expansion.scale)
     q_sum = size * g4 - Fraction(quart1, 720)
     g5 = Fraction(quart2, 720) / size + 2 * q_sum / size
-    gammas = (g0, g1, g2, g2, g4, g5)
-    for k, (want, got) in enumerate(zip(gammas, expansion.coefficients)):
-        if want != got:
-            raise TheoremInconsistency(
-                f"gamma_{k}: closed form {want} != series value {got}")
-    return FiniteGroupResult(group, series, expansion, refl, gammas, q_sum)
-
+    check_closed_forms(expansion, {0: g0, 1: g1, 2: g2, 3: g2, 5: g5},
+                       f"group of order {size}",
+                       pole_order=2 * group.dimension)
+    return FiniteGroupResult(group, series, expansion, refl,
+                             (g0, g1, g2, g2, g4, g5), q_sum)

@@ -3,9 +3,10 @@
 The leading Laurent coefficients gamma_k of the on-shell Hilbert series
 carry the geometry of the quotient.  For the circle case this module
 provides closed forms for gamma_0 and gamma_2 = gamma_3 as ratios of
-Schur polynomials evaluated at the weights, and the linear constraints
-("S_m = 0") that characterize series behaving like a symplectic
-quotient of order r.
+Schur polynomials evaluated at the weights, the one check of a Laurent
+record against closed forms (circle and finite), and the linear
+constraints ("S_m = 0") that characterize series behaving like a
+symplectic quotient of order r.
 
 The Schur values and the S_m are computed in integers: points are
 cleared by one lcm, determinants are Bareiss eliminations over Z, the
@@ -21,8 +22,8 @@ from itertools import combinations
 from operator import mul, sub
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import (InsufficientCoefficients, PartitionPointsMismatch,
-                     UnsupportedDimension)
+from .errors import (ClosedFormMismatch, InsufficientCoefficients,
+                     PartitionPointsMismatch, UnsupportedDimension)
 from .exact import LaurentExpansion, cleared
 
 
@@ -105,11 +106,7 @@ def schur_bialternant(partition: Sequence[int], points: Sequence) -> Fraction:
         raise ValueError("bialternant form needs distinct points")
     top = _det([[pts[i] ** (partition[j] + n - 1 - j) for j in range(n)]
                 for i in range(n)])
-    van = Fraction(1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            van *= pts[i] - pts[j]
-    return top / van
+    return top / math.prod(p - q for p, q in combinations(pts, 2))
 
 
 def staircase_product(points: Sequence):
@@ -119,14 +116,9 @@ def staircase_product(points: Sequence):
 
 
 def _clipped_staircase(n: int, drop: int) -> Tuple[int, ...]:
-    """Staircase (n-1,...,0) with the top `drop` entries clamped down.
-
-    drop=1 gives (n-2, n-2, n-3, ..., 0); drop=2 gives
-    (n-3, n-3, n-3, n-4, ..., 0).
-    """
-    stairs = list(range(n - 1, -1, -1))
-    clamp = n - 1 - drop
-    return tuple(min(s, clamp) for s in stairs)
+    """Staircase (n-1,...,0) with the top `drop` entries clamped down:
+    drop=1 gives (n-2, n-2, n-3, ..., 0), drop=2 (n-3, n-3, n-3, ...)."""
+    return tuple(min(s, n - 1 - drop) for s in range(n - 1, -1, -1))
 
 
 def gamma0_closed(weights: Sequence[int]) -> Fraction:
@@ -167,6 +159,32 @@ def gamma2_closed(weights: Sequence[int], *, gamma0=None) -> Fraction:
         if g > 1:
             total += (g * g - 1) * gamma0_closed(others) / 12
     return total
+
+
+def circle_closed_forms(weights: Sequence[int]) -> dict:
+    """{k: closed form of gamma_k} for normalized weights (none for a
+    series): gamma_0 for n >= 2, gamma_2 = gamma_3 for n >= 3."""
+    closed = {0: gamma0_closed(weights)} if len(weights) >= 2 else {}
+    if len(weights) >= 3:
+        closed[2] = closed[3] = gamma2_closed(weights, gamma0=closed[0])
+    return closed
+
+
+def check_closed_forms(expansion: LaurentExpansion, closed: dict,
+                       label: str, pole_order=None) -> None:
+    """Raise ClosedFormMismatch at the first value off its closed form:
+    the pole order if given, then gamma_k = n_k / D against c = closed[k]
+    in increasing k by c.numerator * D == n_k * c.denominator, skipping
+    k past the record."""
+    if pole_order is not None and expansion.pole_order != pole_order:
+        raise ClosedFormMismatch(
+            f"{label}: pole order {expansion.pole_order} != {pole_order}")
+    nums, scale = expansion.numerators, expansion.scale
+    for k, c in sorted(closed.items()):
+        if k < len(nums) and c.numerator * scale != nums[k] * c.denominator:
+            raise ClosedFormMismatch(f"{label}: gamma{k} = "
+                                     f"{Fraction(nums[k], scale)} but the "
+                                     f"closed form gives {c}")
 
 
 def gamma0_equal_weights(n: int) -> Fraction:

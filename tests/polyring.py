@@ -6,8 +6,9 @@ and quotients run through the integer kernels of `squot.exact`.
 adds +, - and * between polynomials (and numbers), so that references
 can be written as plain algebra, independent of those kernels.  A
 `Poly` equals the `QPolynomial` with the same coefficients, and a
-`QPolynomial` operand on either side of an operator is accepted.  A
-`Poly` handed to squot itself must hold ints, as a `QPolynomial` does.
+`QPolynomial` operand on either side of an operator is accepted.  Its
+constructor skips `QPolynomial`'s int check, so a `Poly` handed to
+squot itself must hold ints, as a `QPolynomial` does.
 `factored` builds a denominator from (1 - x^m) factors and cyclotomic
 Psi_d, the two kinds the tests draw.
 """
@@ -16,7 +17,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
 
-from squot.exact import FactoredDenominator, QPolynomial
+from squot.exact import FactoredDenominator, QPolynomial, _strip
 
 
 def _coeffs(x) -> tuple:
@@ -25,6 +26,9 @@ def _coeffs(x) -> tuple:
 
 class Poly(QPolynomial):
     __slots__ = ()
+
+    def __init__(self, coeffs=()):
+        self.coeffs = _strip(list(coeffs))
 
     @staticmethod
     def monomial(degree, coeff=1) -> "Poly":

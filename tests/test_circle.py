@@ -211,7 +211,10 @@ def reference_hilbert_off_clustered(weights):
         if cofactor:
             part = part * FactoredDenominator.from_pairs(cofactor).expand()
         total = total + part
-    off = RationalFunction(total,
+    # the merged sum is integral, and squot's peel_common reads ints
+    ints = [Fraction(c) for c in total.coeffs]
+    assert all(c.denominator == 1 for c in ints)
+    off = RationalFunction(Poly(c.numerator for c in ints),
                            FactoredDenominator.from_pairs(merged.items()))
     return peel_common(off), tuple(pieces)
 

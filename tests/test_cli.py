@@ -222,7 +222,7 @@ class TestLaurentCommand:
         assert doc["result"]["agreement"] is True
 
     def test_closed_form_disagreement_exit_3(self):
-        wrong = mock.patch("squot.cli.gamma0_closed",
+        wrong = mock.patch("squot.laurent.gamma0_closed",
                            return_value=Fraction(1, 7))
         with wrong:
             code, out, err = run_all(["laurent", "--weights", "4,5,20",

@@ -4,6 +4,7 @@ import json
 import math
 import random
 from collections import deque
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import (accumulate, chain, combinations_with_replacement,
@@ -436,6 +437,17 @@ class TestQPolynomial:
         assert repr(p) == "QPolynomial([1, -2])"
         assert repr(QPolynomial()) == "QPolynomial([])"
 
+    @pytest.mark.parametrize("coeffs", [
+        [1.5, 2], [Q(1, 2), 1], [1, Q(2)], [Decimal(1), 0], [0, 1, 2.0]])
+    def test_rejects_non_int_coefficients(self, coeffs):
+        with pytest.raises(TypeError, match="must be ints"):
+            QPolynomial(coeffs)
+        with pytest.raises(TypeError, match="must be ints"):
+            QPolynomial(iter(coeffs))
+
+    def test_bools_are_ints(self):
+        assert QPolynomial([True, 2, False]) == QPolynomial([1, 2])
+
     def test_arithmetic(self):
         # a QPolynomial holds ints and has no arithmetic: products and
         # sums run through the integer kernels, and no number equals it
@@ -747,10 +759,9 @@ class TestResultantTransform:
 
     def test_non_integral_result_rejected(self):
         # integer coefficients always give the integer resultant (see
-        # the next test); a Fraction coefficient, outside QPolynomial's
-        # integer contract, can give a non-integral one: 1/2 + x has the
-        # root -1/2, and x - 1/4 scaled to (1/2)^2 at 0 is 1/4 - x
-        with pytest.raises(ValueError, match="is not integral"):
+        # the next test); 1/2 + x, whose transform 1/4 - x would not be
+        # integral, is rejected by QPolynomial's integer contract
+        with pytest.raises(TypeError, match="must be ints"):
             resultant_transform(QPolynomial([Q(1, 2), 1]), 2)
 
     @given(st.lists(st.integers(-5, 5), min_size=2, max_size=5)

@@ -19,8 +19,7 @@ import squot.finite
 from squot.circle import (_averaged_reciprocity, _exact_image, _lanes,
                           hilbert_series)
 from squot.cli import build_parser, main
-from squot.errors import (ClosedFormMismatch, OracleMismatch, SquotError,
-                          TheoremInconsistency)
+from squot.errors import ClosedFormMismatch, OracleMismatch, SquotError
 from squot.exact import SLACK, QPolynomial, RationalFunction, cleared
 from squot.finite import FiniteDiagonalGroup, analyze_group, invariant_counts
 
@@ -88,7 +87,7 @@ FINITE_SITES = ["pole order", *range(6)]
 @pytest.mark.parametrize("site", FINITE_SITES, ids=str)
 @pytest.mark.parametrize("delta", [1, -1])
 def test_finite_closed_form_single_fault(spec, site, delta, capsys):
-    """Each fault raises TheoremInconsistency: a pole order off 2n, or a
+    """Each fault raises ClosedFormMismatch: a pole order off 2n, or a
     gamma_k off its closed form.  gamma_4 is the series value that q is
     solved from, so a fault there moves the closed form of gamma_5 by
     2/|G| and is caught at gamma_5.  `finite` exits 3 with one line."""
@@ -103,16 +102,17 @@ def test_finite_closed_form_single_fault(spec, site, delta, capsys):
             ex.coefficients, site, Fraction(delta, group.order)))
         return ex._replace(numerators=tuple(nums), scale=scale)
     want = ("pole order" if site == "pole order"
-            else f"gamma_{5 if site == 4 else site}:")
+            else f"gamma{5 if site == 4 else site} = ")
     argv = ["finite", *(a for gen in spec.split(";") for a in ("--gen", gen)),
             "--order", "3"]
     with mock.patch.object(squot.finite, "laurent_at_one", fault):
-        with pytest.raises(TheoremInconsistency, match=want):
+        with pytest.raises(ClosedFormMismatch, match=want):
             analyze_group(group)
         assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.count("\n") == 1
-    assert err.startswith(f"verification failure: {want}")
+    assert err.startswith(f"verification failure: group of order "
+                          f"{group.order}: {want}")
 
 
 # The circle ledger: one +-1 fault per run of hilbert_series, at the

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squot.finite
-from squot.errors import ReciprocityMismatch, TheoremInconsistency
+from squot.errors import ReciprocityMismatch
 from squot.exact import (SLACK, QPolynomial, check_reciprocity,
                          laurent_at_one, series_of_rational)
 from squot.finite import (FiniteDiagonalGroup, analyze_group, element_order,
@@ -344,7 +344,7 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("gens", SUBGROUPS)
     def test_subgroup_consistency(self, gens):
-        # analyze_group raises TheoremInconsistency if any closed form
+        # analyze_group raises ClosedFormMismatch if any closed form
         # disagrees with the exact series
         res = analyze_group(FiniteDiagonalGroup.from_generators(gens))
         size = res.group.order

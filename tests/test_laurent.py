@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squot.circle import hilbert_series
-from squot.errors import (InsufficientCoefficients, PartitionPointsMismatch,
-                          UnsupportedDimension)
+from squot.errors import (ClosedFormMismatch, InsufficientCoefficients,
+                          PartitionPointsMismatch, UnsupportedDimension)
 from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
                          RationalFunction, cleared, laurent_at_one)
-from squot.laurent import (_det, complete_homogeneous, gamma0_closed,
+from squot.laurent import (_det, check_closed_forms, circle_closed_forms,
+                           complete_homogeneous, gamma0_closed,
                            gamma0_equal_weights, gamma2_closed,
                            schur_bialternant, schur_eval,
                            sqrt_series_coefficients, staircase_product,
@@ -253,6 +254,47 @@ class TestGammaClosedForms:
         assert gamma0_equal_weights(n) == sqrt_series_coefficients(n)[n - 1]
         assert gamma0_equal_weights(n) == Q(math.comb(2 * n - 2, n - 1),
                                             4 ** (n - 1))
+
+
+class TestCheckClosedForms:
+    @pytest.mark.parametrize("weights, keys", [
+        ((1,), set()), ((3, 7), {0}), ((4, 5, 20), {0, 2, 3}),
+        ((3, 4, 5, 7), {0, 2, 3})])
+    def test_circle_table_keys(self, weights, keys):
+        closed = circle_closed_forms(weights)
+        assert set(closed) == keys
+        if 0 in keys:
+            assert closed[0] == gamma0_closed(weights)
+        if 2 in keys:
+            assert closed[2] == closed[3] == gamma2_closed(weights)
+
+    @pytest.mark.parametrize("weights", [(3, 7), (4, 5, 20), (1, 1, 2),
+                                         (3, 4, 5, 7)])
+    def test_equal_values_at_any_scale_pass(self, weights):
+        # records are not normalized: n_k and D times 6 hold the same
+        # gammas and pass the same check
+        closed = circle_closed_forms(weights)
+        ex = laurent_at_one(hilbert_series(weights).on_shell, 5)
+        scaled = ex._replace(numerators=tuple(6 * n for n in ex.numerators),
+                             scale=6 * ex.scale)
+        for rec in (ex, scaled):
+            check_closed_forms(rec, closed, "weights",
+                               pole_order=2 * len(weights) - 2)
+
+    def test_first_disagreement_raises(self):
+        rec = record([Q(1, 3), 0, Q(1, 5), Q(1, 7)], pole_order=4)
+        with pytest.raises(ClosedFormMismatch,
+                           match="^case: gamma2 = 1/5 but the closed "
+                                 "form gives 1/6$"):
+            check_closed_forms(rec, {3: Q(1, 8), 2: Q(1, 6), 0: Q(1, 3)},
+                               "case")
+        with pytest.raises(ClosedFormMismatch,
+                           match="^case: pole order 4 != 3$"):
+            check_closed_forms(rec, {}, "case", pole_order=3)
+
+    def test_skips_k_past_the_record(self):
+        rec = record([Q(1, 3), 0])
+        check_closed_forms(rec, {0: Q(1, 3), 2: Q(99), 5: Q(-1)}, "case")
 
 
 def off_shell_coefficients(on):
