@@ -70,7 +70,7 @@ from itertools import combinations, groupby, repeat
 from operator import add, and_, lshift, neg, rshift
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import OracleMismatch, ReconstructionMismatch, ZeroWeight
+from .errors import InputError, OracleMismatch, ReconstructionMismatch
 from .exact import (SLACK, FactoredDenominator, QPolynomial,
                     RationalFunction, _divide_binomial, _mirrored, _netted,
                     _times_binomial, check_reciprocity,
@@ -100,9 +100,9 @@ def normalize_weights(weights: Sequence[int]) -> Tuple[int, ...]:
     this normal form.
     """
     if not weights:
-        raise ZeroWeight("empty weight vector")
+        raise InputError("empty weight vector")
     if any(a == 0 for a in weights):
-        raise ZeroWeight(f"zero entry in weight vector {tuple(weights)}")
+        raise InputError(f"zero entry in weight vector {tuple(weights)}")
     mags = sorted(abs(a) for a in weights)
     g = math.gcd(*mags)
     return tuple(a // g for a in mags)
@@ -144,9 +144,9 @@ def _averaged_reciprocity(f: RationalFunction, target: FactoredDenominator,
 def _exact_image(den: FactoredDenominator, a: int) -> FactoredDenominator:
     """prod (1 - y^(lcm(a,m)/a))^e in y = x^a over den's (1 - x^m)^e:
     the exact denominator of an average over the a-th roots of unity.
-    A pass with e < 0, which divides, raises ValueError."""
+    A pass with e < 0, which divides, raises InputError."""
     if bad := [f"(1 - x^{m})^{e}" for m, e in den.factors if e < 0]:
-        raise ValueError(f"weight {a}: the pass {bad[0]} divides")
+        raise InputError(f"weight {a}: the pass {bad[0]} divides")
     return FactoredDenominator.from_pairs(
         (math.lcm(a, m) // a, e) for m, e in den.factors)
 
@@ -170,7 +170,7 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     without a mirror, raises ReconstructionMismatch.  The average is
     returned as N over that exact denominator.  A denominator pass
     with e < 0, as a cyclotomic factor left by `reduce` has, raises
-    ValueError before any prefix is expanded (`_exact_image`).
+    InputError before any prefix is expanded (`_exact_image`).
 
     The multisected prefix comes from `multisected_prefix`.  For a
     p = 1 piece +-x^v / prod (1-x^m) beside three or more other weights
@@ -182,6 +182,8 @@ def u_average(f: RationalFunction, a: int) -> RationalFunction:
     nonnegative, never carry into each other, and a division by
     (1-x^m) adds whole rows of m lanes.
     """
+    if a < 1:
+        raise InputError(f"averaging needs a >= 1, got {a}")
     den = f.denominator
     rest = FactoredDenominator(tuple((m, e) for m, e in den.factors if m % a))
     exact, image = (_exact_image(d, a) for d in (den, rest))
@@ -690,6 +692,8 @@ def hilbert_on_distinct(weights: Sequence[int]):
 def hilbert_equal_weights(n: int) -> RationalFunction:
     """On-shell series for n equal weights:
     sum_k C(n-1,k)^2 x^(2k) over (1-x^2)^(2n-2)."""
+    if n < 1:
+        raise InputError(f"need n >= 1 equal weights, got {n}")
     num = [0] * (2 * n - 1)
     for k in range(n):
         num[2 * k] = math.comb(n - 1, k) ** 2

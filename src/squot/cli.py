@@ -2,8 +2,8 @@
 
 Subcommands: hilbert, laurent, symplectic, finite, scan.  Canonical
 output is a versioned JSON document on stdout with all rationals
-rendered exactly; exit code 0 on success, 2 on invalid input, 3 on an
-internal verification failure.
+rendered exactly; exit code 0 on success, 2 on invalid input, 3 on a
+failed verification or an internal error (`main`).
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 
 from .circle import DEFAULT_ORACLE_DEGREE, hilbert_series, normalize_weights
-from .errors import (ArgumentOutOfRange, InputError, MalformedWeights,
-                     SquotError)
+from .errors import InputError, SquotError
 from .exact import (FactoredDenominator, QPolynomial, RationalFunction,
                     _divisors, laurent_at_one)
 from .finite import FiniteDiagonalGroup, analyze_group
@@ -80,8 +79,8 @@ def _parse_weights(text: str):
     try:
         weights = tuple(int(tok) for tok in text.split(","))
     except ValueError:
-        raise MalformedWeights(f"cannot parse weights {text!r}; "
-                               "expected comma-separated integers")
+        raise InputError(f"cannot parse weights {text!r}; "
+                         "expected comma-separated integers")
     _check_range("--weights divided by their gcd",
                  normalize_weights(weights)[-1], 1)
     return weights
@@ -99,7 +98,7 @@ def _check_range(option: str, value, low: int,
     value whose list can exist."""
     if value is not None and not low <= value <= high:
         bound = f">= {low}" if value < low else f"<= {high}"
-        raise ArgumentOutOfRange(f"{option} must be {bound}, got {value}")
+        raise InputError(f"{option} must be {bound}, got {value}")
 
 
 def _parse_generator(text: str):
@@ -108,17 +107,17 @@ def _parse_generator(text: str):
     try:
         return int(modulus), tuple(int(tok) for tok in rest.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse generator {text!r}; "
+        raise InputError(f"cannot parse generator {text!r}; "
                          "expected m:e1,...,en")
 
 
 def _read_token(path, tok) -> int:
-    """int(tok), or a ValueError that names the file and the token (a
+    """int(tok), or an InputError that names the file and the token (a
     fraction or a decimal too: numerators are integer polynomials)."""
     try:
         return int(tok)
     except ValueError:
-        raise ValueError(f"{path}: cannot read {tok!r}") from None
+        raise InputError(f"{path}: cannot read {tok!r}") from None
 
 
 def load_series(paths) -> RationalFunction:
@@ -129,13 +128,15 @@ def load_series(paths) -> RationalFunction:
     """
     lines = []
     for path in paths:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    lines.append((path, line.split()))
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path}: {exc}") from None
+        lines += [(path, toks) for raw in text.split("\n")
+                  if (toks := raw.split("#", 1)[0].split())]
     if len(lines) != 2:
-        raise ValueError(f"expected 2 data lines across {list(paths)}, "
+        raise InputError(f"expected 2 data lines across {list(paths)}, "
                          f"found {len(lines)}")
     (num_path, num_toks), (den_path, den_toks) = lines
     num = QPolynomial(_read_token(num_path, tok) for tok in num_toks)
@@ -143,10 +144,10 @@ def load_series(paths) -> RationalFunction:
     for tok in den_toks:
         try:
             m, e = map(int, tok.split(":"))
-            if m < 1 or e < 1:
-                raise ValueError
         except ValueError:
-            raise ValueError(f"{den_path}: cannot read {tok!r}") from None
+            m = e = 0
+        if m < 1 or e < 1:
+            raise InputError(f"{den_path}: cannot read {tok!r}")
         pairs.append((m, e))
     return RationalFunction(num, FactoredDenominator.from_pairs(pairs))
 
@@ -260,13 +261,22 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
+def _checked_record(args, order: int) -> tuple:
+    """(the request's source entry, the Laurent record through `order`,
+    its closed forms): a --weights record (n normalized weights) is
+    checked against the circle table and the pole order 2n - 2."""
+    request, f, weights = _series_source(args)
+    expansion = laurent_at_one(f, order)
+    closed = circle_closed_forms(weights)
+    check_closed_forms(expansion, closed, f"weights {weights}",
+                       2 * len(weights) - 2 if weights else None)
+    return request, expansion, closed
+
+
 def cmd_laurent(args) -> int:
     _check_range("--order", args.order, 0, _MAX_ENTRIES - 1)  # order + 1
-    request, f, weights = _series_source(args)
-    expansion = laurent_at_one(f, args.order)
+    request, expansion, closed = _checked_record(args, args.order)
     payload = laurent_payload(expansion)
-    closed = circle_closed_forms(weights)
-    check_closed_forms(expansion, closed, f"weights {weights}")
     if closed:
         payload["closedForms"] = {f"gamma{k}": str(value)
                                   for k, value in closed.items()}
@@ -278,8 +288,7 @@ def cmd_laurent(args) -> int:
 def cmd_symplectic(args) -> int:
     # R >= 1, or "passed" would hold vacuously; S_1..S_R read 2R gammas
     _check_range("--order", args.order, 1, _MAX_ENTRIES // 2)
-    request, f, _ = _series_source(args)
-    expansion = laurent_at_one(f, 2 * args.order - 1)
+    request, expansion, _ = _checked_record(args, 2 * args.order - 1)
     report = symplectic_check(expansion, args.order)
     payload = symplectic_payload(report, poleOrder=expansion.pole_order)
     request["order"] = args.order
@@ -441,11 +450,17 @@ def _attach_values(argv) -> list:
 
 
 def main(argv=None) -> int:
+    """Run one command; the class of what it raises decides the exit
+    code.  Python's limit on int/text digits is lifted while it runs."""
     parser = build_parser()
+    digits = hasattr(sys, "set_int_max_str_digits")  # 3.10.7 and later
+    if digits:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
     try:
         args = parser.parse_args(_attach_values(argv))
         return args.func(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, OverflowError):
@@ -456,6 +471,12 @@ def main(argv=None) -> int:
     except SquotError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from itertools import accumulate, combinations, cycle, islice, repeat
 from operator import add, mul, neg, sub
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ReciprocityMismatch, ReconstructionMismatch
+from .errors import InputError, ReciprocityMismatch, ReconstructionMismatch
 
 #: Number of extra verified coefficients in rational reconstruction.
 SLACK = 16
@@ -106,7 +106,7 @@ def _netted(pairs: Iterable, least=-math.inf) -> tuple:
     acc: dict = {}
     for m, e in pairs:
         if m < 1 or e < least:
-            raise ValueError(f"factors need m >= 1, e >= {least}")
+            raise InputError(f"factors need m >= 1, e >= {least}")
         acc[m] = acc.get(m, 0) + e
     return tuple(sorted((m, e) for m, e in acc.items() if e))
 
@@ -444,6 +444,8 @@ def multisected_prefix(f: RationalFunction, a: int, reach: int) -> list:
 
 def series_of_rational(f: RationalFunction, order: int) -> TruncatedSeries:
     """Taylor coefficients 0..order of f at x = 0, by exact division."""
+    if order < 0:
+        raise InputError(f"series order must be >= 0, got {order}")
     coeffs = _expand_factored(f.numerator, f.denominator, order)
     return TruncatedSeries(tuple(coeffs))
 
@@ -486,7 +488,7 @@ def rational_reconstruct(prefix: TruncatedSeries, den: FactoredDenominator,
     vanish (`_mirrored`); at least SLACK such coefficients are required.
     """
     if prefix.order < degree_bound + SLACK:
-        raise ValueError(
+        raise InputError(
             f"prefix of order {prefix.order} too short for degree bound "
             f"{degree_bound} with slack {SLACK}")
     product = den.multiply_into(prefix.coefficients)
@@ -522,9 +524,9 @@ def resultant_transform(den: QPolynomial, a: int) -> QPolynomial:
     the integer coefficients of den (a `QPolynomial`) and of z^a - x.
     """
     if a < 1:
-        raise ValueError("a must be >= 1")
+        raise InputError("a must be >= 1")
     if not den.coeffs or not den.coeffs[0]:
-        raise ValueError("denominator must not vanish at 0")
+        raise InputError("denominator must not vanish at 0")
     k = den.degree
     if k == 0:
         return QPolynomial([den.coeffs[0] ** a])
@@ -708,7 +710,7 @@ def laurent_at_one(f: RationalFunction, order: int) -> LaurentExpansion:
        the quotients' shared denominator, times 2 if N was split.
     """
     if order < 0:
-        raise ValueError(f"Laurent order must be >= 0, got {order}")
+        raise InputError(f"Laurent order must be >= 0, got {order}")
     if not f.numerator:
         return LaurentExpansion(0, (0,) * (order + 1), 1)
     passes, scale = f.denominator.factors, 1
@@ -779,7 +781,7 @@ def laurent_prototype(t: int | Fraction, order: int) -> LaurentExpansion:
     """
     t = Fraction(t)
     if not t:
-        raise ValueError("t must be nonzero")
+        raise InputError("t must be nonzero")
     # 1 - (1-u)^t = sum_{k>=1} b_k u^k with b_k = -(-1)^k C(t,k)
     binom = Fraction(1)
     b = []

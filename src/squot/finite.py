@@ -24,6 +24,7 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Tuple
 
+from .errors import InputError
 from .exact import (SLACK, FactoredDenominator, LaurentExpansion,
                     RationalFunction, TruncatedSeries, _repunit,
                     check_reciprocity, laurent_at_one,
@@ -104,12 +105,12 @@ class FiniteDiagonalGroup(NamedTuple):
         """
         generators = list(generators)
         if any(m < 1 for m, _ in generators):
-            raise ValueError("modulus must be >= 1")
+            raise InputError("modulus must be >= 1")
         if not generators:
-            raise ValueError("need at least one generator")
+            raise InputError("need at least one generator")
         n = len(generators[0][1])
         if any(len(e) != n for _, e in generators):
-            raise ValueError("generators act on different dimensions")
+            raise InputError("generators act on different dimensions")
         exponent = math.lcm(*(m for m, _ in generators))
         gens = tuple(tuple(x * (exponent // m) % exponent for x in e)
                      for m, e in generators)

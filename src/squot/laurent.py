@@ -22,8 +22,7 @@ from itertools import combinations
 from operator import mul, sub
 from typing import NamedTuple, Sequence, Tuple
 
-from .errors import (ClosedFormMismatch, InsufficientCoefficients,
-                     PartitionPointsMismatch, UnsupportedDimension)
+from .errors import ClosedFormMismatch, InputError
 from .exact import LaurentExpansion, cleared
 
 
@@ -77,10 +76,10 @@ def schur_eval(partition: Sequence[int], points: Sequence) -> Fraction:
     integers.
     """
     if len(partition) != len(points):
-        raise PartitionPointsMismatch(
+        raise InputError(
             f"partition length {len(partition)} != {len(points)} points")
     if any(partition[i] < partition[i + 1] for i in range(len(partition) - 1)):
-        raise ValueError("partition entries must be non-increasing")
+        raise InputError("partition entries must be non-increasing")
     n = len(points)
     if n == 0:
         return Fraction(1)
@@ -98,12 +97,12 @@ def schur_eval(partition: Sequence[int], points: Sequence) -> Fraction:
 def schur_bialternant(partition: Sequence[int], points: Sequence) -> Fraction:
     """Schur value as a ratio of alternants; points must be distinct."""
     if len(partition) != len(points):
-        raise PartitionPointsMismatch(
+        raise InputError(
             f"partition length {len(partition)} != {len(points)} points")
     n = len(points)
     pts = [Fraction(a) for a in points]
     if len(set(pts)) != n:
-        raise ValueError("bialternant form needs distinct points")
+        raise InputError("bialternant form needs distinct points")
     top = _det([[pts[i] ** (partition[j] + n - 1 - j) for j in range(n)]
                 for i in range(n)])
     return top / math.prod(p - q for p, q in combinations(pts, 2))
@@ -128,8 +127,8 @@ def gamma0_closed(weights: Sequence[int]) -> Fraction:
     For n = 2 this reduces to 1/(a_1 + a_2).
     """
     n = len(weights)
-    if n < 2:
-        raise UnsupportedDimension("gamma0 closed form needs n >= 2")
+    if n < 2 or min(weights) < 1:
+        raise InputError("gamma0 closed form needs n >= 2 positive weights")
     return (schur_eval(_clipped_staircase(n, 1), weights)
             / staircase_product(weights))
 
@@ -145,8 +144,8 @@ def gamma2_closed(weights: Sequence[int], *, gamma0=None) -> Fraction:
     ratio is not evaluated twice.
     """
     n = len(weights)
-    if n < 3:
-        raise UnsupportedDimension("gamma2 closed form needs n >= 3")
+    if n < 3 or min(weights) < 1:
+        raise InputError("gamma2 closed form needs n >= 3 positive weights")
     sum_sq = sum(a * a for a in weights)
     if gamma0 is None:
         gamma0 = gamma0_closed(weights)
@@ -193,7 +192,7 @@ def gamma0_equal_weights(n: int) -> Fraction:
     These are exactly the Taylor coefficients of 1/sqrt(1-x).
     """
     if n < 1:
-        raise UnsupportedDimension("need n >= 1")
+        raise InputError("need n >= 1")
     return Fraction(math.comb(2 * n - 2, n - 1), 4 ** (n - 1))
 
 
@@ -223,10 +222,9 @@ def symplectic_check(expansion: LaurentExpansion,
     gamma_0..gamma_(2 max_order - 1): sums over the integer numerators,
     one Fraction over the expansion's scale per residual."""
     nums, scale = expansion.numerators, expansion.scale
-    if len(nums) < 2 * max_order:
-        raise InsufficientCoefficients(
-            f"need {2 * max_order} coefficients for S_1..S_{max_order}, "
-            f"got {len(nums)}")
+    if not 1 <= max_order <= len(nums) // 2:  # R = 0 would pass vacuously
+        raise InputError(f"S_1..S_R read 2R >= 2 coefficients, got R = "
+                         f"{max_order} and {len(nums)} coefficients")
     residuals = []
     signed = [1]  # (-1)^k C(m-1, k) for k = 0..m-1
     for m in range(1, max_order + 1):

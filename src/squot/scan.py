@@ -41,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence, Tuple
 
-from .errors import NotApplicable
+from .errors import InputError
 from .laurent import gamma0_closed, gamma2_closed
 
 
@@ -71,7 +71,7 @@ def gamma2_ratio(triple: Sequence[int]) -> Fraction:
 def pseudoreflection_obstruction(triple: Sequence[int]) -> bool:
     """Whether 12 gamma_2/gamma_0 is a sum of m^2 - 1 over divisors
     m >= 2 of the integer 1/gamma_0 (with repetitions allowed); raises
-    NotApplicable when 1/gamma_0 is not an integer.
+    InputError when 1/gamma_0 is not an integer.
 
     When 1/gamma_0 is an integer, so is 12 gamma_2/gamma_0: by
     `gamma2_closed` it is 1 + sum_j (g_j^2 - 1) + sum_j g_j^2 a_j^2 / e_2,
@@ -84,7 +84,7 @@ def pseudoreflection_obstruction(triple: Sequence[int]) -> bool:
     """
     recip = reciprocal_gamma0(triple)
     if recip.denominator != 1:
-        raise NotApplicable(f"1/gamma_0 = {recip} is not an integer")
+        raise InputError(f"1/gamma_0 = {recip} is not an integer")
     target = gamma2_ratio(triple).numerator
     sizes = sorted({m * m - 1 for m in range(2, recip.numerator + 1)
                     if recip.numerator % m == 0})
@@ -147,7 +147,7 @@ def full_scan(max_level: int) -> list:
     """ScanResult for every level 3..max_level, from one pass to the
     largest."""
     if max_level < 3:
-        raise ValueError("max_level must be >= 3")
+        raise InputError("max_level must be >= 3")
     hits = accumulate(hits_by_sum(max_level))
     return [ScanResult(level, count, math.comb(level, 3))
             for level, count in enumerate(hits) if level >= 3]

@@ -21,15 +21,15 @@ import squot.circle
 import squot.cli
 import squot.exact
 import squot.finite
-from squot.circle import hilbert_series
+from squot.circle import hilbert_equal_weights, hilbert_series, u_average
 from squot.cli import (_dumps, _Ints, _level_fields, _parse_weights,
                        _poly_text, laurent_payload, load_series,
                        series_payload)
-from squot.errors import MalformedWeights
+from squot.errors import InputError, ReconstructionMismatch
 from squot.exact import (FactoredDenominator, LaurentExpansion, QPolynomial,
                          RationalFunction, laurent_at_one, series_of_rational)
 from squot.finite import FiniteDiagonalGroup, analyze_group, molien_series
-from squot.laurent import symplectic_check
+from squot.laurent import gamma0_closed, gamma2_closed, symplectic_check
 
 from polyring import Poly, factored
 from test_faults import MOLIEN_GROUPS, parse_group
@@ -671,6 +671,15 @@ class TestSeriesFiles:
         assert all(type(c) is int
                    for f in series for c in f.numerator.coeffs)
 
+    def test_binary_file_exit_2(self, tmp_path):
+        # bytes that are no text are the file's fault, not squot's
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\x80\xff")
+        code, out, err = run_all(["laurent", "--series", str(bad)])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
     @pytest.mark.parametrize("token", ["2:x", "2:1:3", "2", "0:1", "2:-1",
                                        "1:0"])
     def test_bad_factor_token_names_second_file(self, tmp_path, token):
@@ -868,7 +877,7 @@ class TestExitContract:
         assert (probe.returncode, probe.stdout) == (0, "[]\n")
 
     def test_unparseable_weights_not_zero_weight(self):
-        with pytest.raises(MalformedWeights):
+        with pytest.raises(InputError, match="cannot parse weights '1,x,3'"):
             _parse_weights("1,x,3")
 
     def test_smallest_valid_values_accepted(self):
@@ -877,6 +886,101 @@ class TestExitContract:
                     "--order", "1"])[0] == 0
         assert run(["hilbert", "--weights", "1,2,3",
                     "--oracle-verify", "0"])[0] == 0
+
+
+#: Library calls outside their domain, each with the message that pins
+#: its check: without one, each returned a wrong value (a zero series,
+#: 3 coefficients of order -2, a vacuous pass) or raised
+#: ZeroDivisionError.
+_SERIES = hilbert_series((1, 2, 3))
+GUARDS = {
+    "gamma0_closed((1, -1))": (lambda: gamma0_closed((1, -1)),
+                               "gamma0 closed form needs n >= 2 positive"),
+    "gamma0_closed((0, 1))": (lambda: gamma0_closed((0, 1)),
+                              "gamma0 closed form needs n >= 2 positive"),
+    "gamma2_closed((1, 1, 0))": (lambda: gamma2_closed((1, 1, 0)),
+                                 "gamma2 closed form needs n >= 3 positive"),
+    "symplectic_check(e, 0)": (
+        lambda: symplectic_check(laurent_at_one(_SERIES.on_shell, 3), 0),
+        "S_1..S_R read 2R >= 2 coefficients, got R = 0"),
+    "u_average(f, 0)": (lambda: u_average(_SERIES.off_shell, 0),
+                        "averaging needs a >= 1, got 0"),
+    "hilbert_equal_weights(0)": (lambda: hilbert_equal_weights(0),
+                                 "need n >= 1 equal weights, got 0"),
+    "series_of_rational(f, -2)": (
+        lambda: series_of_rational(_SERIES.on_shell, -2),
+        "series order must be >= 0, got -2"),
+}
+
+
+@pytest.mark.parametrize("call,message", GUARDS.values(), ids=GUARDS)
+def test_library_guard_raises_input_error(call, message):
+    with pytest.raises(InputError, match=message.replace(".", r"\.")):
+        call()
+
+
+def _raise(exc):
+    def fault(*args):
+        raise exc
+    return fault
+
+
+class TestExitByClass:
+    """The class of what a command raises decides its exit code."""
+
+    @pytest.mark.parametrize("exc", [ValueError("boom"),
+                                     ZeroDivisionError("boom")], ids=repr)
+    def test_internal_fault_exits_3(self, exc):
+        # a fault of squot's own is no bad input, and prints no traceback
+        with mock.patch.object(squot.circle, "pair_average", _raise(exc)):
+            code, out, err = run_all(["hilbert", "--weights", "1,2,3"])
+        assert (code, out) == (3, "")
+        assert err == f"internal error: {type(exc).__name__}: boom\n"
+
+    def test_failed_check_exits_3(self):
+        fault = _raise(ReconstructionMismatch("boom"))
+        with mock.patch.object(squot.circle, "pair_average", fault):
+            code, out, err = run_all(["hilbert", "--weights", "1,2,3"])
+        assert (code, out, err) == (3, "", "verification failure: boom\n")
+
+
+#: gamma_600 of (5,7,9) as text needs more digits than the smallest
+#: limit Python allows on int-to-text conversion
+LONG = ["laurent", "--weights", "5,7,9", "--order", "600"]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="no limit on the digits of an int as text")
+class TestLongIntegers:
+    """Exact results print whatever the length of their integers; the
+    limit on int-to-text digits is lifted for one command only."""
+
+    def test_smallest_limit_prints_the_same(self):
+        default = run_all(LONG)
+        old = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            small = run_all(LONG)
+            assert sys.get_int_max_str_digits() == 640
+            failed = run_all(["laurent", "--weights", "0", "--order", "1"])
+            assert sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(old)
+        assert small == default and default[0] == 0
+        assert max(map(len, default[1].split())) > 640
+        assert failed[0] == 2
+
+    def test_long_fixture_token_loads(self, tmp_path):
+        # (1 + B x) / (1 - x)^2, B of 5000 digits: gamma_0 = B + 1 and
+        # gamma_1 = -B, read off the text
+        big = "1" + "0" * 4998 + "7"
+        path = tmp_path / "long.txt"
+        path.write_text(f"1 {big}\n1:2\n")
+        code, out, err = run_all(["laurent", "--series", str(path),
+                                  "--order", "1"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["result"]["coefficients"] \
+            == [big[:-1] + "8", "-" + big]
 
 
 @st.composite
@@ -924,4 +1028,4 @@ class TestExitContractProperty:
     def test_exit_code_and_no_traceback(self, argv):
         code, _, err = run_all(argv)
         assert code in (0, 2, 3), (argv, err)
-        assert "Traceback" not in err
+        assert "Traceback" not in err and "internal error" not in err

@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 from squot.circle import (_lanes, hilbert_off_clustered, hilbert_series,
                           normalize_weights)
 from squot.cli import _grouped, laurent_payload, main, series_payload
-from squot.errors import ReciprocityMismatch, ReconstructionMismatch
+from squot.errors import (InputError, ReciprocityMismatch,
+                          ReconstructionMismatch)
 from squot.finite import FiniteDiagonalGroup, analyze_group, molien_series
 from squot.laurent import gamma0_closed, gamma2_closed, symplectic_check
 from squot.scan import full_scan
@@ -679,7 +680,7 @@ class TestReconstruction:
 
     def test_prefix_too_short(self):
         prefix = series_of_rational(geometric([(1, 1)]), 10)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="too short for degree bound"):
             rational_reconstruct(prefix, FactoredDenominator.from_pairs(
                 [(1, 1)]), 4)
 
@@ -744,12 +745,12 @@ class TestResultantTransform:
 
     @pytest.mark.parametrize("a", [0, -2])
     def test_a_below_1_rejected(self, a):
-        with pytest.raises(ValueError, match="a must be >= 1"):
+        with pytest.raises(InputError, match="a must be >= 1"):
             resultant_transform(binomial_factor(2), a)
 
     @pytest.mark.parametrize("coeffs", [(), (0, 1), (0, 0, 3)], ids=str)
     def test_vanishing_at_0_rejected(self, coeffs):
-        with pytest.raises(ValueError, match="must not vanish at 0"):
+        with pytest.raises(InputError, match="must not vanish at 0"):
             resultant_transform(QPolynomial(coeffs), 2)
 
     @pytest.mark.parametrize("c, a", [(1, 1), (-3, 2), (2, 5)])
@@ -889,7 +890,7 @@ class TestLaurent:
         assert ex.coefficients == (0, 0, Q(1, 2), Q(1, 4))
 
     def test_negative_order_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="order must be >= 0, got -1"):
             laurent_at_one(geometric([(1, 1)]), -1)
 
     @pytest.mark.parametrize("t", range(1, 21))
@@ -901,7 +902,7 @@ class TestLaurent:
         assert proto.coefficients == engine.coefficients
 
     def test_prototype_needs_nonzero_t(self):
-        with pytest.raises(ValueError, match="t must be nonzero"):
+        with pytest.raises(InputError, match="t must be nonzero"):
             laurent_prototype(0, 3)
 
     def test_prototype_leading_terms(self):
@@ -1264,7 +1265,7 @@ class TestFactoredDenominator:
         assert _grouped(den) == ([(4, 2), (6, 1)], [(3, 1)])
 
     def test_invalid_pairs(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="factors need m >= 1"):
             FactoredDenominator.from_pairs([(0, 1)])
 
 

@@ -296,3 +296,24 @@ def test_laurent_closed_form_single_fault(weights, k, delta, capsys):
         assert main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("verification failure: weights ")
+
+
+@pytest.mark.parametrize("weights", LAURENT_WEIGHTS, ids=str)
+@pytest.mark.parametrize("command", ["laurent", "symplectic"])
+@pytest.mark.parametrize("delta", [1, -1])
+def test_circle_pole_order_single_fault(weights, command, delta, capsys):
+    """A pole order off 2n - 2 by delta raises ClosedFormMismatch: the
+    record of n weights is checked against it, and `laurent` and
+    `symplectic` exit 3 with one line."""
+    real = squot.cli.laurent_at_one
+
+    def fault(f, order):
+        ex = real(f, order)
+        return ex._replace(pole_order=ex.pole_order + delta)
+    argv = [command, "--weights", ",".join(map(str, weights)), "--order", "3"]
+    with mock.patch.object(squot.cli, "laurent_at_one", fault):
+        assert main(argv) == 3
+    out, err = capsys.readouterr()
+    pole = 2 * len(weights) - 2
+    assert (out, err) == ("", f"verification failure: weights {weights}: "
+                              f"pole order {pole + delta} != {pole}\n")

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import squot.finite
-from squot.errors import ReciprocityMismatch
+from squot.errors import InputError, ReciprocityMismatch
 from squot.exact import (SLACK, QPolynomial, check_reciprocity,
                          laurent_at_one, series_of_rational)
 from squot.finite import (FiniteDiagonalGroup, analyze_group, element_order,
@@ -208,7 +208,7 @@ class TestGroupConstruction:
         assert g.coordinate_orders() == (2, 3)
 
     def test_no_generators_rejected(self):
-        with pytest.raises(ValueError, match="at least one generator"):
+        with pytest.raises(InputError, match="at least one generator"):
             FiniteDiagonalGroup.from_generators([])
 
     def test_element_order(self):

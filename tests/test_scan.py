@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from squot.errors import NotApplicable
+from squot.errors import InputError
 from squot.laurent import gamma0_closed, gamma2_closed
 from squot.scan import (ScanResult, full_scan, gamma0_is_integral,
                         gamma2_ratio, hits_by_sum,
@@ -136,7 +136,7 @@ class TestObstruction:
         assert pseudoreflection_obstruction((4, 5, 20)) is False
 
     def test_not_applicable(self):
-        with pytest.raises(NotApplicable):
+        with pytest.raises(InputError, match="1/gamma_0 = 60/11 is not an"):
             pseudoreflection_obstruction((1, 2, 3))
 
     def test_achievable_case(self):
@@ -190,9 +190,9 @@ class TestProbabilityScan:
         assert hits_by_sum(300) == reference_hits_by_sum(300)
 
     def test_bad_levels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="max_level must be >= 3"):
             full_scan(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="max_level must be >= 3"):
             full_scan(1)
 
 
